@@ -143,6 +143,11 @@ def load_csv(path) -> RawSeries:
     if not rows:
         raise DataError(f"{path}: no data rows")
     values = np.asarray(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        r, c = bad[0]
+        raise DataError(f"{path}: non-finite cell {rows[r][c]} at row {r + 2}, "
+                        f"column {c + 2}")
     if timestamps and all(_TIMESTAMP_RE.match(t.strip()) for t in timestamps):
         ordered = all(a <= b for a, b in zip(timestamps, timestamps[1:]))
         if not ordered:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import mixer
 from . import tensor as T
-from .slstm import BlockConfig
+from .slstm import BlockConfig, StabilizerStats
 from .training import mae_loss
 
 
@@ -64,33 +64,12 @@ def build_tiny_problem(seed: int = 0, cfg: mixer.MixerConfig | None = None):
 
 
 def _stabilizer_margin(params, cfg, x) -> float:
-    """Min |(f_tilde + m_prev) - i_tilde| over both views of one forward.
-
-    Mirrors the eval-mode block computation without the causal convolution;
-    it is only used to screen seeds, so conv-on configs are merely screened
-    slightly conservatively."""
-    from . import slstm as S
-
-    x_norm, _ = mixer.revin_normalize(params.revin, x)
-    x_init = (mixer.nlinear_forecast(params.nlinear_w, params.nlinear_b, x_norm)
-              if cfg.mix_time else x_norm)
-    tokens = mixer._make_tokens(params, cfg, x_init, batch=1)
-    margin = np.inf
-    for rows in (tokens, [T.reverse(t, axis=1) for t in tokens]):
-        for w in params.blocks:
-            normed = [S._layer_norm(r, w.ln_gamma, w.ln_beta) for r in rows]
-            state = S.zero_state(1, cfg.embed_dim, dtype=np.float64)
-            tw = S._TransposedWeights(w.cell)
-            out_rows = []
-            for r in normed:
-                prev_m = state.m
-                state, gates = S._step(w.cell, tw, r, state)
-                gap = np.abs((gates.f_tilde.data + prev_m.data) - gates.i_tilde.data)
-                margin = min(margin, float(gap.min()))
-                out_rows.append(state.h)
-            proj_t = T.transpose(w.proj_w)
-            rows = [rows[t] + T.matmul(h, proj_t) for t, h in enumerate(out_rows)]
-    return margin
+    """Min |(f_tilde + m_prev) - i_tilde| over both views and every block of
+    one eval-mode forward pass."""
+    stats = StabilizerStats()
+    mixer._forward_flat(params, cfg, x, 1, training=False, rng=None, want_trace=False,
+                        stabilizer=stats)
+    return stats.min_gap
 
 
 def full_model_gradcheck(step: float = 1e-5, seed: int = 0,

@@ -5,7 +5,9 @@ refinement, and view reconciliation.
 The pipeline runs per instance on a [V, T] window and produces a [V, H]
 forecast.  Internally everything is computed on a flat v-major matrix whose
 rows are (variate, batch-item) pairs, so a whole mini-batch shares one tape;
-the single-instance entry points are the B = 1 case of the same code.
+the single-instance entry points are the B = 1 case of the same code.  These
+rows are already the token-major layout the recurrent stack takes, and both
+views run through the stack in one call as a batch of 2B.
 
 Ablation switches: ``mix_time`` toggles the shared linear forecaster,
 ``slstm_axis`` selects what the recurrence strides over ("variates", "time",
@@ -287,62 +289,57 @@ def reconcile_views(view_w: Tensor, view_b: Tensor, y_prime, y_double_prime) -> 
     return T.matmul(cat, T.transpose(view_w)) + view_b
 
 
-def _variate_tokens(flat: Tensor, num_variates: int, batch: int) -> list[Tensor]:
-    """Split a v-major [V*B, D] matrix into V tokens of [B, D]."""
-    return [T.slice_axis(flat, 0, v * batch, (v + 1) * batch)
-            for v in range(num_variates)]
-
-
-def _step_tokens(flat: Tensor, batch: int) -> list[Tensor]:
-    """Turn a v-major [V*B, H] matrix into H tokens of [B, V]."""
-    steps = flat.shape[1]
-    v = flat.shape[0] // batch
-    out = []
-    for h in range(steps):
-        col = T.slice_axis(flat, 1, h, h + 1)          # [V*B, 1]
-        out.append(T.transpose(T.reshape(col, (v, batch))))
-    return out
+def _swap_row_axes(t: Tensor, outer: int, inner: int) -> Tensor:
+    """Reorder rows indexed (a, b), a < outer, b < inner, to (b, a)."""
+    order = np.arange(outer * inner).reshape(outer, inner).T.reshape(-1)
+    return T.take_rows(t, order)
 
 
 def _make_tokens(params: MixerParams, cfg: MixerConfig, x_initial: Tensor,
-                 batch: int) -> list[Tensor]:
-    """Token sequence fed to the recurrent stack: up-projected variate rows
-    (or forecast steps for the time axis), with the learned token prepended."""
+                 batch: int) -> Tensor:
+    """Token-major [L*B, D] rows fed to the recurrent stack: up-projected
+    variate rows (or forecast steps for the time axis), with the learned
+    token prepended as token 0."""
     if cfg.slstm_axis == AXIS_TIME:
-        base = _step_tokens(x_initial, batch)                   # H x [B, V]
-        tokens = [up_project(params.up_w, params.up_b, t) for t in base]
-    else:
-        up_flat = up_project(params.up_w, params.up_b, x_initial)
-        tokens = _variate_tokens(up_flat, cfg.num_variates, batch)
+        # v-major [V*B, H] -> step-major [H*B, V]: each step is a token.
+        v, steps = cfg.num_variates, x_initial.shape[1]
+        by_step = T.transpose(T.reshape(x_initial, (v, batch * steps)))
+        x_initial = _swap_row_axes(by_step, batch, steps)
+    tokens = up_project(params.up_w, params.up_b, x_initial)
     if cfg.init_token:
         eta_tok = params.eta if batch == 1 else T.take_rows(params.eta, [0] * batch)
-        tokens.insert(0, eta_tok)
+        tokens = T.concat([eta_tok, tokens], axis=0)
     return tokens
 
 
-def _refine_views(params: MixerParams, cfg: MixerConfig, fwd_tokens: list[Tensor],
-                  training: bool, rng):
-    """Run the shared stack on the forward and feature-reversed token
-    sequences; returns the two per-token output lists (initial token dropped).
+def _refine_views(params: MixerParams, cfg: MixerConfig, tokens: Tensor, batch: int,
+                  training: bool, rng, stabilizer: slstm.StabilizerStats | None = None):
+    """Run the shared stack on the forward and feature-reversed views of
+    token-major rows [L*B, D]; returns both [L*B, D] outputs and the reversed
+    tokens.
 
-    With mix_view off the second view is the first one duplicated, so the
-    reversed sequence is never pushed through the stack."""
-    rev_tokens = [T.reverse(t, axis=1) for t in fwd_tokens]
-    skip = 1 if cfg.init_token else 0
+    Both views go through the stack in one call as a batch of 2B: per token,
+    each forward row is followed by its reversed row.  With mix_view off the
+    second view is the first one duplicated, so the reversed rows are never
+    pushed through the stack."""
+    rev = reverse_latent_view(tokens)
     if cfg.slstm_axis == AXIS_NONE:
-        out_f = fwd_tokens[skip:]
-        out_r = rev_tokens[skip:] if cfg.mix_view else out_f
-    else:
-        out_f = slstm._stack_tokens(cfg.block, params.blocks, fwd_tokens,
-                                    training, rng)[skip:]
-        out_r = (slstm._stack_tokens(cfg.block, params.blocks, rev_tokens,
-                                     training, rng)[skip:]
-                 if cfg.mix_view else out_f)
-    return out_f, out_r, rev_tokens
+        return tokens, (rev if cfg.mix_view else tokens), rev
+    if not cfg.mix_view:
+        out = slstm._stack_tokens(cfg.block, params.blocks, tokens, batch,
+                                  training, rng, stabilizer)
+        return out, out, rev
+    rows, d = tokens.shape
+    both = T.reshape(T.concat([tokens, rev], axis=1), (2 * rows, d))
+    out = slstm._stack_tokens(cfg.block, params.blocks, both, 2 * batch,
+                              training, rng, stabilizer)
+    out = T.reshape(out, (rows, 2 * d))
+    return T.slice_axis(out, 1, 0, d), T.slice_axis(out, 1, d, 2 * d), rev
 
 
 def _forward_flat(params: MixerParams, cfg: MixerConfig, x_flat, batch: int,
-                  training: bool, rng, want_trace: bool):
+                  training: bool, rng, want_trace: bool,
+                  stabilizer: slstm.StabilizerStats | None = None):
     v = cfg.num_variates
     x_flat = T.as_tensor(x_flat)
     if x_flat.shape != (v * batch, cfg.lookback):
@@ -356,20 +353,22 @@ def _forward_flat(params: MixerParams, cfg: MixerConfig, x_flat, batch: int,
     else:
         x_initial = x_norm
 
-    fwd_tokens = _make_tokens(params, cfg, x_initial, batch)
-    out_f, out_r, rev_tokens = _refine_views(params, cfg, fwd_tokens, training, rng)
+    tokens = _make_tokens(params, cfg, x_initial, batch)
+    out_f, out_r, rev_tokens = _refine_views(params, cfg, tokens, batch, training, rng,
+                                             stabilizer)
 
-    y_prime = T.concat(out_f, axis=0)                           # v-major [V*B, D]
-    y_dprime = y_prime if out_r is out_f else T.concat(out_r, axis=0)
+    # Drop the initial token's rows; what is left is v-major [V*B, D]
+    # (step-major [H*B, D] on the time axis).
+    skip = batch if cfg.init_token else 0
+    rows = tokens.shape[0]
+    y_prime = T.slice_axis(out_f, 0, skip, rows)
+    y_dprime = y_prime if out_r is out_f else T.slice_axis(out_r, 0, skip, rows)
     y_tok = reconcile_views(params.view_w, params.view_b, y_prime, y_dprime)
 
     if cfg.slstm_axis == AXIS_TIME:
         # y_tok rows are steps: [H*B, V]; fold back to v-major [V*B, H].
-        cols = [T.reshape(T.transpose(
-                    T.slice_axis(y_tok, 0, h * batch, (h + 1) * batch)),
-                    (v * batch, 1))
-                for h in range(cfg.horizon)]
-        y_norm_flat = T.concat(cols, axis=1)
+        by_batch = _swap_row_axes(y_tok, cfg.horizon, batch)
+        y_norm_flat = T.reshape(T.transpose(by_batch), (v * batch, cfg.horizon))
     else:
         y_norm_flat = y_tok
 
@@ -380,8 +379,8 @@ def _forward_flat(params: MixerParams, cfg: MixerConfig, x_flat, batch: int,
         trace = ForwardTrace(
             x_norm=x_norm,
             x_initial=x_initial,
-            x_up=T.concat(fwd_tokens, axis=0),
-            x_up_reversed=T.concat(rev_tokens, axis=0),
+            x_up=tokens,
+            x_up_reversed=rev_tokens,
             y_prime=y_prime,
             y_double_prime=y_dprime,
             y_norm=y_norm_flat,
@@ -403,6 +402,8 @@ def mixer_forward(params: MixerParams, cfg: MixerConfig, x,
 def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
                   training: bool = False, rng=None) -> Tensor:
     """Batched pipeline on [B, V, T]; returns the v-major [V*B, H] forecast."""
+    if not np.isfinite(xs).all():
+        raise ValueError("input windows contain non-finite values")
     b = xs.shape[0]
     flat = np.ascontiguousarray(xs.transpose(1, 0, 2).reshape(cfg.num_variates * b,
                                                               cfg.lookback))
@@ -424,14 +425,8 @@ def decode_init_token(params: MixerParams, cfg: MixerConfig) -> Tensor:
         raise ConfigError("model has no initial token to decode")
     if cfg.slstm_axis == AXIS_TIME:
         raise ConfigError("token decoding is defined for variate-order models")
-    fwd = [params.eta]
-    rev = [reverse_latent_view(params.eta)]
-    if cfg.slstm_axis != AXIS_NONE:
-        fwd = slstm._stack_tokens(cfg.block, params.blocks, fwd, False, None)
-        rev = slstm._stack_tokens(cfg.block, params.blocks, rev, False, None)
-    if not cfg.mix_view:
-        rev = fwd
-    return reconcile_views(params.view_w, params.view_b, fwd[0], rev[0])
+    fwd, rev, _ = _refine_views(params, cfg, params.eta, 1, False, None)
+    return reconcile_views(params.view_w, params.view_b, fwd, rev)
 
 
 # -- checkpoint io ----------------------------------------------------------
@@ -494,10 +489,20 @@ def load_checkpoint(directory):
     )
     entries = {}
     for line in (directory / "manifest.txt").read_text().splitlines():
-        name, shape, kind = line.split("\t")
+        fields = line.split("\t")
+        if len(fields) != 3 or fields[2] not in ("float32", "float64"):
+            raise ValueError(f"malformed manifest line {line!r}")
+        name, shape, kind = fields
+        if not _SAFE_NAME.match(name):
+            raise ValueError(f"manifest name {name!r} is not filesystem-safe")
         dims = tuple(int(s) for s in shape.split("x"))
         itemsize = int(kind.removeprefix("float")) // 8
-        raw = np.fromfile(directory / f"{name}.bin", dtype=f"<f{itemsize}")
+        path = directory / f"{name}.bin"
+        expected = int(np.prod(dims)) * itemsize
+        if path.stat().st_size != expected:
+            raise ValueError(f"{path.name} holds {path.stat().st_size} bytes, "
+                             f"expected {expected} for {shape} {kind}")
+        raw = np.fromfile(path, dtype=f"<f{itemsize}")
         entries[name] = raw.astype(f"f{itemsize}").reshape(dims)
 
     dtype = entries["up.weight"].dtype.type

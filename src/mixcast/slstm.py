@@ -1,4 +1,4 @@
-"""Stabilized exponential-gated recurrent cell, blocks, and stacks.
+"""Stabilized exponential-gated recurrent cell, residual blocks, and stacks.
 
 The cell keeps four running states: cell ``c``, normalizer ``n``, hidden
 ``h``, and stabilizer ``m``.  Input and forget gates are exponential; the
@@ -6,16 +6,23 @@ stabilizer is the running max of their pre-activations and is subtracted
 inside the exponentials so the hidden output is computed without overflow
 while staying mathematically unchanged.
 
+Sequences are flat token-major matrices: ``B`` independent sequences of ``L``
+tokens form ``[L*B, D]`` rows, token ``t`` in rows ``t*B .. (t+1)*B``.  The
+recurrence over a whole sequence is one engine op with a hand-written
+backpropagation-through-time backward: the input products of all four gates
+are one matmul hoisted out of the time loop, and the four recurrent matrices
+are concatenated so each step makes one recurrent matmul.  The other block
+stages (layer norm, causal convolution, projection, dropout, residual) run
+once on the whole matrix.
+
 Recurrent weight matrices are block-diagonal over heads: they are stored
 densely together with a binary mask, and the optimizer re-applies the mask
 after every update so off-block entries stay exactly zero.
-
-State tensors carry a leading batch axis: a state component is ``[B, D]``
-where ``B`` independent sequences share the parameters.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,34 +101,6 @@ class SLstmParams:
             yield prefix + name, getattr(self, name), None
 
 
-@dataclass
-class SLstmState:
-    """Recurrent state: each component is [B, D_hidden]."""
-
-    c: Tensor
-    n: Tensor
-    h: Tensor
-    m: Tensor
-
-
-@dataclass
-class GateActivations:
-    z: Tensor
-    i: Tensor
-    f: Tensor
-    o: Tensor
-    i_tilde: Tensor
-    f_tilde: Tensor
-
-
-def zero_state(batch: int, d_hidden: int, dtype=None) -> SLstmState:
-    """Neutral initial state c = n = h = m = 0."""
-    def zeros():
-        return Tensor(np.zeros((batch, d_hidden)), dtype=dtype)
-
-    return SLstmState(c=zeros(), n=zeros(), h=zeros(), m=zeros())
-
-
 def init_slstm_params(d_in, d_hidden, num_heads, rng, dtype=None) -> SLstmParams:
     """Uniform +-1/sqrt(fan_in) weights, forget bias +1, other biases 0."""
     mask = head_mask(d_hidden, num_heads)
@@ -144,99 +123,131 @@ def init_slstm_params(d_in, d_hidden, num_heads, rng, dtype=None) -> SLstmParams
     return SLstmParams(num_heads=num_heads, mask=mask, **params)
 
 
-class _TransposedWeights:
-    """Per-forward cache of W/R transposes so long sequences reuse them."""
+@dataclass
+class StabilizerStats:
+    """Stabilizer health gathered from the forward passes it is handed to.
 
-    __slots__ = ("wz", "wi", "wf", "wo", "rz", "ri", "rf", "ro")
+    ``min_gap`` is the smallest |(f̃ + m_prev) − ĩ| seen: how close the
+    running max came to switching operands, where its derivative jumps."""
 
-    def __init__(self, p: SLstmParams):
-        self.wz = T.transpose(p.w_z)
-        self.wi = T.transpose(p.w_i)
-        self.wf = T.transpose(p.w_f)
-        self.wo = T.transpose(p.w_o)
-        self.rz = T.transpose(p.r_z)
-        self.ri = T.transpose(p.r_i)
-        self.rf = T.transpose(p.r_f)
-        self.ro = T.transpose(p.r_o)
+    min_gap: float = math.inf
 
 
-def _check_finite_pre(name: str, pre: Tensor) -> None:
-    if not np.isfinite(pre.data).all():
-        raise FloatingPointError(f"non-finite pre-activation in {name} gate")
+# Fused pre-activation columns are [z | o | i | f], D wide each; a non-finite
+# value is reported for the first gate in this order.
+_CHECK_ORDER = (("input", 2), ("forget", 3), ("cell-input", 0), ("output", 1))
 
 
-def _step(p: SLstmParams, tw: _TransposedWeights, x: Tensor, prev: SLstmState,
-          x_if: Tensor | None = None):
-    """One recurrence step on [B, D_in] input(s); returns (state, gates).
+def _raise_nonfinite(pre: np.ndarray, d: int) -> None:
+    for name, k in _CHECK_ORDER:
+        if not np.isfinite(pre[:, k * d:(k + 1) * d]).all():
+            raise FloatingPointError(f"non-finite pre-activation in {name} gate")
+
+
+def _sequence(p: SLstmParams, x: Tensor, batch: int, x_if: Tensor | None = None,
+              stats: StabilizerStats | None = None) -> Tensor:
+    """Fold the cell over flat token-major rows x [L*B, D_in] from the zero
+    state; returns the hidden rows [L*B, D_hidden].
 
     x feeds the cell-input and output gates; x_if (defaulting to x) feeds the
     exponential input/forget gates, which is where the optional causal
-    convolution taps in.
+    convolution taps in.  The whole sequence is one tape node whose backward
+    is backpropagation through time.  It treats the stabilizer m as a
+    constant: h does not depend on m mathematically, so the m paths carry no
+    gradient.
     """
-    if x_if is None:
-        x_if = x
-    h_prev = prev.h
+    rows = x.shape[0]
+    d = p.d_hidden
+    if x.data.ndim != 2 or x.shape[1] != p.d_in:
+        raise ShapeError(f"token width {x.shape[-1]} != cell input width {p.d_in}")
+    if rows < 1 or batch < 1 or rows % batch:
+        raise ShapeError(f"{rows} rows do not hold whole tokens of batch {batch}")
 
-    pre_z = T.matmul(x, tw.wz) + T.matmul(h_prev, tw.rz) + p.b_z
-    pre_o = T.matmul(x, tw.wo) + T.matmul(h_prev, tw.ro) + p.b_o
-    i_tilde = T.matmul(x_if, tw.wi) + T.matmul(h_prev, tw.ri) + p.b_i
-    f_tilde = T.matmul(x_if, tw.wf) + T.matmul(h_prev, tw.rf) + p.b_f
-    for name, pre in (("input", i_tilde), ("forget", f_tilde),
-                      ("cell-input", pre_z), ("output", pre_o)):
-        _check_finite_pre(name, pre)
+    # Columns [z | o | i | f].  The input products of every token are made
+    # before the loop, one matmul per gate straight into its columns: a
+    # single B = 1 token then takes the same BLAS path as a per-step cell.
+    # Each step makes one recurrent matmul.
+    groups = ([(x, slice(0, 4 * d))] if x_if is None
+              else [(x, slice(0, 2 * d)), (x_if, slice(2 * d, 4 * d))])
+    w_t = [np.ascontiguousarray(w.data.T) for w in (p.w_z, p.w_o, p.w_i, p.w_f)]
+    pre_in = np.empty((rows, 4 * d), dtype=np.result_type(x.data, w_t[0]))
+    sources = (x, x, x, x) if x_if is None else (x, x, x_if, x_if)
+    for k, src in enumerate(sources):
+        np.matmul(src.data, w_t[k], out=pre_in[:, k * d:(k + 1) * d])
+    pre_in += np.concatenate([p.b_z.data, p.b_o.data, p.b_i.data, p.b_f.data], axis=1)
+    r_all = np.concatenate([p.r_z.data.T, p.r_o.data.T, p.r_i.data.T, p.r_f.data.T],
+                           axis=1)
 
-    m = T.max2(f_tilde + prev.m, i_tilde)
-    i = T.exp(i_tilde - m)
-    f = T.exp(f_tilde + prev.m - m)
-    z = T.tanh(pre_z)
-    o = T.sigmoid(pre_o)
+    weights = [p.w_z, p.w_o, p.w_i, p.w_f, p.r_z, p.r_o, p.r_i, p.r_f,
+               p.b_z, p.b_o, p.b_i, p.b_f]
+    inputs = [x] + ([] if x_if is None else [x_if]) + weights
+    keep = T.will_record(inputs)
+    hs = np.empty((rows, d), dtype=x.data.dtype)
+    if keep:
+        acts = np.empty_like(pre_in)   # z, o, i, f of every step
+        cs = np.empty_like(hs)
+        ns = np.empty_like(hs)
+    h = c = n = m = np.zeros((batch, d), dtype=x.data.dtype)
+    for lo in range(0, rows, batch):
+        now = slice(lo, lo + batch)
+        pre = pre_in[now] + h @ r_all
+        if not np.isfinite(pre).all():
+            _raise_nonfinite(pre, d)
+        act = acts[now] if keep else np.empty_like(pre)
+        z, o, i, f = (act[:, k * d:(k + 1) * d] for k in range(4))
+        np.tanh(pre[:, :d], out=z)
+        np.tanh(0.5 * pre[:, d:2 * d], out=o)   # overflow-free logistic
+        o *= 0.5
+        o += 0.5
+        i_tilde = pre[:, 2 * d:3 * d]
+        f_tilde = pre[:, 3 * d:] + m
+        m = np.maximum(f_tilde, i_tilde)
+        if stats is not None:
+            stats.min_gap = min(stats.min_gap, float(np.abs(f_tilde - i_tilde).min()))
+        np.exp(i_tilde - m, out=i)
+        np.exp(f_tilde - m, out=f)
+        c = f * c + i * z
+        n = f * n + i
+        h = o * c / n
+        hs[now] = h
+        if keep:
+            cs[now] = c
+            ns[now] = n
 
-    c = f * prev.c + i * z
-    n = f * prev.n + i
-    h = o * c / n
+    def backward(g):
+        d_pre = np.empty_like(acts)
+        dh = dc = dn = np.zeros((batch, d), dtype=g.dtype)
+        for lo in range(rows - batch, -1, -batch):
+            now = slice(lo, lo + batch)
+            z, o, i, f = (acts[now, k * d:(k + 1) * d] for k in range(4))
+            c, n, h = cs[now], ns[now], hs[now]
+            dh = g[now] + dh
+            dc = dc + dh * o / n
+            dn = dn - dh * h / n
+            dp = d_pre[now]
+            dp[:, :d] = dc * i * (1.0 - z * z)
+            dp[:, d:2 * d] = dh * (c / n) * o * (1.0 - o)
+            dp[:, 2 * d:3 * d] = (dc * z + dn) * i
+            if lo:
+                prev = slice(lo - batch, lo)
+                dp[:, 3 * d:] = (dc * cs[prev] + dn * ns[prev]) * f
+            else:
+                dp[:, 3 * d:] = 0.0   # c and n start at zero
+            dh = dp @ r_all.T
+            dc = dc * f
+            dn = dn * f
+        h_prev = np.zeros_like(hs)
+        h_prev[batch:] = hs[:-batch]
+        d_r = h_prev.T @ d_pre
+        d_b = d_pre.sum(axis=0, keepdims=True)
+        w_all = np.concatenate(w_t, axis=1)
+        d_x = [d_pre[:, s] @ w_all[:, s].T for _, s in groups]
+        d_w = np.concatenate([src.data.T @ d_pre[:, s] for src, s in groups], axis=1)
+        cols = [slice(k * d, (k + 1) * d) for k in range(4)]
+        return (d_x + [d_w[:, s].T for s in cols] + [d_r[:, s].T for s in cols]
+                + [d_b[:, s] for s in cols])
 
-    state = SLstmState(c=c, n=n, h=h, m=m)
-    gates = GateActivations(z=z, i=i, f=f, o=o, i_tilde=i_tilde, f_tilde=f_tilde)
-    return state, gates
-
-
-def cell_step(params: SLstmParams, x, prev: SLstmState, x_if=None):
-    """Single recurrence update; x is [B, D_in] (or [D_in], promoted to B=1)."""
-    x = T.as_tensor(x)
-    if x.data.ndim == 1:
-        x = T.reshape(x, (1, x.shape[0]))
-    if x.shape[1] != params.d_in:
-        raise ShapeError(f"token width {x.shape[1]} != cell input width {params.d_in}")
-    if prev.h.shape[1] != params.d_hidden:
-        raise ShapeError(
-            f"state width {prev.h.shape[1]} != hidden width {params.d_hidden}"
-        )
-    return _step(params, _TransposedWeights(params), x, prev, x_if)
-
-
-def _sequence(p: SLstmParams, tokens: list[Tensor], init: SLstmState,
-              tokens_if: list[Tensor] | None = None):
-    tw = _TransposedWeights(p)
-    state = init
-    hiddens = []
-    for t, x in enumerate(tokens):
-        x_if = tokens_if[t] if tokens_if is not None else None
-        state, _ = _step(p, tw, x, state, x_if)
-        hiddens.append(state.h)
-    return hiddens, state
-
-
-def sequence_forward(params: SLstmParams, tokens, init: SLstmState | None = None) -> Tensor:
-    """Fold the cell left-to-right over tokens [L, D_in]; returns [L, D_hidden]."""
-    tokens = T.as_tensor(tokens)
-    length = tokens.shape[0]
-    if length < 1:
-        raise ShapeError("sequence_forward needs at least one token")
-    if init is None:
-        init = zero_state(1, params.d_hidden, dtype=tokens.data.dtype)
-    rows = [T.slice_axis(tokens, 0, t, t + 1) for t in range(length)]
-    hiddens, _ = _sequence(params, rows, init)
-    return T.concat(hiddens, axis=0)
+    return T.custom_op(hs, inputs, backward)
 
 
 @dataclass
@@ -280,60 +291,67 @@ def _layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return gamma * ((x - mu) / T.sqrt(var + LN_EPS)) + beta
 
 
-def _block_tokens(cfg: BlockConfig, w: BlockWeights, tokens: list[Tensor],
-                  training: bool, rng) -> list[Tensor]:
+def _causal_conv(x: Tensor, kernel: Tensor, batch: int) -> Tensor:
+    """Causal depthwise taps added on top of token-major rows x: token t gains
+    kernel[j] * x[t - j] for every tap j <= t (a row shift by j*B), so a zero
+    kernel reduces exactly to the conv-disabled path."""
+    rows, d = x.shape
+    acc = x
+    for j in range(kernel.shape[0]):
+        shift = j * batch
+        if shift >= rows:
+            break
+        src = x
+        if shift:
+            pad = Tensor(np.zeros((shift, d)), dtype=x.data.dtype)
+            src = T.concat([pad, T.slice_axis(x, 0, 0, rows - shift)], axis=0)
+        acc = acc + T.slice_axis(kernel, 0, j, j + 1) * src
+    return acc
+
+
+def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
+           training: bool, rng, stats: StabilizerStats | None = None) -> Tensor:
+    """Residual block over token-major rows [L*B, D]; every stage but the
+    recurrence runs once on the whole matrix, dropout with one mask."""
     d = cfg.d_hidden
-    if tokens[0].shape[1] != d:
-        raise ShapeError(f"token width {tokens[0].shape[1]} != block width {d}")
+    if x.shape[1] != d:
+        raise ShapeError(f"token width {x.shape[1]} != block width {d}")
     if training and cfg.dropout_rate > 0.0 and rng is None:
         raise ValueError("training with dropout needs an rng")
-    batch = tokens[0].shape[0]
 
-    normed = [_layer_norm(x, w.ln_gamma, w.ln_beta) for x in tokens]
-
-    tokens_if = None
+    normed = _layer_norm(x, w.ln_gamma, w.ln_beta)
+    x_if = None
     if cfg.conv_width > 0 and w.conv_kernel is not None:
-        # Causal depthwise taps added on top of the normed token, so a zero
-        # kernel reduces exactly to the conv-disabled path.
-        taps = [T.slice_axis(w.conv_kernel, 0, j, j + 1) for j in range(cfg.conv_width)]
-        tokens_if = []
-        for t in range(len(normed)):
-            acc = normed[t]
-            for j in range(cfg.conv_width):
-                if t - j >= 0:
-                    acc = acc + taps[j] * normed[t - j]
-            tokens_if.append(acc)
+        x_if = _causal_conv(normed, w.conv_kernel, batch)
+    h = _sequence(w.cell, normed, batch, x_if, stats)
 
-    init = zero_state(batch, d, dtype=tokens[0].data.dtype)
-    hiddens, _ = _sequence(w.cell, normed, init, tokens_if)
+    y = T.matmul(h, T.transpose(w.proj_w))
+    if training and cfg.dropout_rate > 0.0:
+        keep = 1.0 - cfg.dropout_rate
+        mask = (rng.random(size=y.shape) < keep).astype(y.data.dtype) / keep
+        y = y * Tensor(mask, dtype=y.data.dtype)
+    return x + y
 
-    proj_t = T.transpose(w.proj_w)
-    out = []
-    for t, h in enumerate(hiddens):
-        y = T.matmul(h, proj_t)
-        if training and cfg.dropout_rate > 0.0:
-            keep = 1.0 - cfg.dropout_rate
-            mask = (rng.random(size=y.shape) < keep).astype(y.data.dtype) / keep
-            y = y * Tensor(mask, dtype=y.data.dtype)
-        out.append(tokens[t] + y)
-    return out
+
+def _stack_tokens(cfg: BlockConfig, blocks: list[BlockWeights], x: Tensor, batch: int,
+                  training: bool, rng, stats: StabilizerStats | None = None) -> Tensor:
+    """The shared stack over token-major rows [L*B, D]: B independent
+    sequences of L tokens, token t in rows t*B .. (t+1)*B."""
+    for w in blocks:
+        x = _block(cfg, w, x, batch, training, rng, stats)
+    return x
+
+
+def sequence_forward(params: SLstmParams, tokens) -> Tensor:
+    """Fold the cell left-to-right over tokens [L, D_in]; returns [L, D_hidden]."""
+    return _sequence(params, T.as_tensor(tokens), 1)
 
 
 def block_forward(cfg: BlockConfig, weights: BlockWeights, tokens,
                   training: bool = False, rng=None) -> Tensor:
     """Residual block over tokens [L, D]: LN, optional conv, cell, projection,
     dropout, skip connection.  Width-preserving."""
-    tokens = T.as_tensor(tokens)
-    rows = [T.slice_axis(tokens, 0, t, t + 1) for t in range(tokens.shape[0])]
-    out = _block_tokens(cfg, weights, rows, training, rng)
-    return T.concat(out, axis=0)
-
-
-def _stack_tokens(cfg: BlockConfig, blocks: list[BlockWeights], tokens: list[Tensor],
-                  training: bool, rng) -> list[Tensor]:
-    for w in blocks:
-        tokens = _block_tokens(cfg, w, tokens, training, rng)
-    return tokens
+    return _block(cfg, weights, T.as_tensor(tokens), 1, training, rng)
 
 
 def stack_forward(cfg: BlockConfig, blocks: list[BlockWeights], tokens,
@@ -341,7 +359,4 @@ def stack_forward(cfg: BlockConfig, blocks: list[BlockWeights], tokens,
     """Sequential composition of block_forward; the same stack serves every view."""
     if len(blocks) < 1:
         raise ValueError("stack needs at least one block")
-    tokens = T.as_tensor(tokens)
-    rows = [T.slice_axis(tokens, 0, t, t + 1) for t in range(tokens.shape[0])]
-    out = _stack_tokens(cfg, blocks, rows, training, rng)
-    return T.concat(out, axis=0)
+    return _stack_tokens(cfg, blocks, T.as_tensor(tokens), 1, training, rng)

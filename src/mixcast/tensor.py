@@ -52,6 +52,8 @@ __all__ = [
     "transpose",
     "take_rows",
     "reshape",
+    "will_record",
+    "custom_op",
     "backward",
     "finite_difference_errors",
     "finite_difference_check",
@@ -563,6 +565,27 @@ def reshape(t: Tensor, shape) -> Tensor:
         _accumulate(t, g.reshape(t.shape))
 
     return _record(out, (t,), bwd)
+
+
+def will_record(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op on these inputs would be recorded on the active tape;
+    fused ops keep their backward state only then."""
+    return _active_tape() is not None and any(t.requires_grad for t in inputs)
+
+
+def custom_op(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
+    """Record a forward computed directly on numpy arrays as one tape node.
+
+    ``backward_fn(g)`` receives the output gradient and returns one gradient
+    array (or None) per input, in input order."""
+    out = Tensor(data, dtype=data.dtype.type)
+
+    def bwd(g):
+        for t, grad in zip(inputs, backward_fn(g)):
+            if grad is not None:
+                _accumulate(t, grad)
+
+    return _record(out, inputs, bwd)
 
 
 def finite_difference_errors(

@@ -1,0 +1,176 @@
+"""Unfused reference recurrence: the oracle for the fused sequence op.
+
+This is the per-step formulation the library used before its recurrence
+became one engine op: every gate is built from individual engine ops, so the
+tape differentiates it op by op.  Blocks and stacks here take lists of
+[B, D] tokens; ``to_rows`` and ``from_rows`` convert to and from the flat
+token-major matrices of :mod:`mixcast.slstm`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from mixcast import tensor as T
+from mixcast.slstm import BlockConfig, BlockWeights, SLstmParams, _layer_norm
+from mixcast.tensor import ShapeError, Tensor
+
+
+@dataclass
+class SLstmState:
+    """Recurrent state: each component is [B, D_hidden]."""
+
+    c: Tensor
+    n: Tensor
+    h: Tensor
+    m: Tensor
+
+
+@dataclass
+class GateActivations:
+    z: Tensor
+    i: Tensor
+    f: Tensor
+    o: Tensor
+    i_tilde: Tensor
+    f_tilde: Tensor
+
+
+def zero_state(batch: int, d_hidden: int, dtype=None) -> SLstmState:
+    """Neutral initial state c = n = h = m = 0."""
+    def zeros():
+        return Tensor(np.zeros((batch, d_hidden)), dtype=dtype)
+
+    return SLstmState(c=zeros(), n=zeros(), h=zeros(), m=zeros())
+
+
+class _TransposedWeights:
+    """Per-forward cache of W/R transposes so long sequences reuse them."""
+
+    __slots__ = ("wz", "wi", "wf", "wo", "rz", "ri", "rf", "ro")
+
+    def __init__(self, p: SLstmParams):
+        self.wz = T.transpose(p.w_z)
+        self.wi = T.transpose(p.w_i)
+        self.wf = T.transpose(p.w_f)
+        self.wo = T.transpose(p.w_o)
+        self.rz = T.transpose(p.r_z)
+        self.ri = T.transpose(p.r_i)
+        self.rf = T.transpose(p.r_f)
+        self.ro = T.transpose(p.r_o)
+
+
+def _check_finite_pre(name: str, pre: Tensor) -> None:
+    if not np.isfinite(pre.data).all():
+        raise FloatingPointError(f"non-finite pre-activation in {name} gate")
+
+
+def _step(p: SLstmParams, tw: _TransposedWeights, x: Tensor, prev: SLstmState,
+          x_if: Tensor | None = None):
+    """One recurrence step on [B, D_in] input(s); returns (state, gates).
+
+    x feeds the cell-input and output gates; x_if (defaulting to x) feeds the
+    exponential input/forget gates, which is where the optional causal
+    convolution taps in.
+    """
+    if x_if is None:
+        x_if = x
+    h_prev = prev.h
+
+    pre_z = T.matmul(x, tw.wz) + T.matmul(h_prev, tw.rz) + p.b_z
+    pre_o = T.matmul(x, tw.wo) + T.matmul(h_prev, tw.ro) + p.b_o
+    i_tilde = T.matmul(x_if, tw.wi) + T.matmul(h_prev, tw.ri) + p.b_i
+    f_tilde = T.matmul(x_if, tw.wf) + T.matmul(h_prev, tw.rf) + p.b_f
+    for name, pre in (("input", i_tilde), ("forget", f_tilde),
+                      ("cell-input", pre_z), ("output", pre_o)):
+        _check_finite_pre(name, pre)
+
+    m = T.max2(f_tilde + prev.m, i_tilde)
+    i = T.exp(i_tilde - m)
+    f = T.exp(f_tilde + prev.m - m)
+    z = T.tanh(pre_z)
+    o = T.sigmoid(pre_o)
+
+    c = f * prev.c + i * z
+    n = f * prev.n + i
+    h = o * c / n
+
+    state = SLstmState(c=c, n=n, h=h, m=m)
+    gates = GateActivations(z=z, i=i, f=f, o=o, i_tilde=i_tilde, f_tilde=f_tilde)
+    return state, gates
+
+
+def cell_step(params: SLstmParams, x, prev: SLstmState, x_if=None):
+    """Single recurrence update; x is [B, D_in] (or [D_in], promoted to B=1)."""
+    x = T.as_tensor(x)
+    if x.data.ndim == 1:
+        x = T.reshape(x, (1, x.shape[0]))
+    if x.shape[1] != params.d_in:
+        raise ShapeError(f"token width {x.shape[1]} != cell input width {params.d_in}")
+    if prev.h.shape[1] != params.d_hidden:
+        raise ShapeError(
+            f"state width {prev.h.shape[1]} != hidden width {params.d_hidden}"
+        )
+    return _step(params, _TransposedWeights(params), x, prev, x_if)
+
+
+def sequence(p: SLstmParams, tokens: list[Tensor],
+             tokens_if: list[Tensor] | None = None) -> list[Tensor]:
+    """Hidden outputs of the cell folded over [B, D_in] tokens from the zero state."""
+    tw = _TransposedWeights(p)
+    state = zero_state(tokens[0].shape[0], p.d_hidden, dtype=tokens[0].data.dtype)
+    hiddens = []
+    for t, x in enumerate(tokens):
+        x_if = tokens_if[t] if tokens_if is not None else None
+        state, _ = _step(p, tw, x, state, x_if)
+        hiddens.append(state.h)
+    return hiddens
+
+
+def block(cfg: BlockConfig, w: BlockWeights, tokens: list[Tensor],
+          training: bool = False, rng=None) -> list[Tensor]:
+    """Residual block token by token; dropout draws one [B, D] mask per token."""
+    normed = [_layer_norm(x, w.ln_gamma, w.ln_beta) for x in tokens]
+
+    tokens_if = None
+    if cfg.conv_width > 0 and w.conv_kernel is not None:
+        taps = [T.slice_axis(w.conv_kernel, 0, j, j + 1) for j in range(cfg.conv_width)]
+        tokens_if = []
+        for t in range(len(normed)):
+            acc = normed[t]
+            for j in range(cfg.conv_width):
+                if t - j >= 0:
+                    acc = acc + taps[j] * normed[t - j]
+            tokens_if.append(acc)
+
+    hiddens = sequence(w.cell, normed, tokens_if)
+
+    proj_t = T.transpose(w.proj_w)
+    out = []
+    for t, h in enumerate(hiddens):
+        y = T.matmul(h, proj_t)
+        if training and cfg.dropout_rate > 0.0:
+            keep = 1.0 - cfg.dropout_rate
+            mask = (rng.random(size=y.shape) < keep).astype(y.data.dtype) / keep
+            y = y * Tensor(mask, dtype=y.data.dtype)
+        out.append(tokens[t] + y)
+    return out
+
+
+def stack(cfg: BlockConfig, blocks: list[BlockWeights], tokens: list[Tensor],
+          training: bool = False, rng=None) -> list[Tensor]:
+    for w in blocks:
+        tokens = block(cfg, w, tokens, training, rng)
+    return tokens
+
+
+def to_rows(tokens: list[Tensor]) -> Tensor:
+    """[B, D] tokens to one flat token-major [L*B, D] matrix."""
+    return T.concat(tokens, axis=0)
+
+
+def from_rows(rows: Tensor, batch: int) -> list[Tensor]:
+    """Flat token-major [L*B, D] rows to a list of [B, D] tokens."""
+    return [T.slice_axis(rows, 0, lo, lo + batch) for lo in range(0, rows.shape[0], batch)]

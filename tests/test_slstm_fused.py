@@ -1,0 +1,201 @@
+"""The fused sequence op against the unfused reference recurrence, in float64.
+
+Forward outputs and every gradient (block weights and input rows) must agree
+across conv widths, stack depths, batch sizes, single-token sequences,
+training with dropout, and both view settings of the pipeline.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from mixcast import mixer, slstm, tensor as T, training
+from mixcast.slstm import BlockConfig
+from mixcast.tensor import Tape, Tensor
+
+import slstm_reference as slstm_ref
+
+# Same arithmetic up to reassociation of a few float64 sums per step.
+TOL = 1e-12
+
+
+def leaves_of(blocks):
+    return [t for w in blocks for _, t, _ in w.named_parameters()]
+
+
+def forward_and_grads(run, leaves, weights):
+    """Output of run() and the gradients of sum(weights * output)."""
+    for t in leaves:
+        t.zero_grad()
+    with Tape() as tape:
+        out = run()
+        tape.backward((out * Tensor(weights, dtype=np.float64)).sum())
+    return out.data.copy(), [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+                             for t in leaves]
+
+
+def assert_close(got, want, what):
+    scale = max(1.0, float(np.abs(want).max()))
+    err = float(np.abs(got - want).max()) / scale
+    assert err < TOL, f"{what}: relative deviation {err:.3e}"
+
+
+def make_stack(rng, conv_width, num_blocks, dropout=0.0, d=8, heads=2):
+    cfg = BlockConfig(d_hidden=d, num_heads=heads, conv_width=conv_width,
+                      dropout_rate=dropout)
+    blocks = [slstm.init_block_weights(cfg, rng, dtype=np.float64)
+              for _ in range(num_blocks)]
+    return cfg, blocks
+
+
+@pytest.mark.parametrize("conv_width", [0, 2, 4])
+@pytest.mark.parametrize("num_blocks", [1, 2])
+@pytest.mark.parametrize("batch,length", [(1, 5), (3, 6), (2, 1)])
+def test_fused_stack_matches_reference(conv_width, num_blocks, batch, length):
+    rng = np.random.default_rng(100 * conv_width + 10 * num_blocks + batch)
+    cfg, blocks = make_stack(rng, conv_width, num_blocks)
+    x = T.parameter(rng.uniform(-1, 1, size=(length * batch, cfg.d_hidden)),
+                    dtype=np.float64)
+    weights = rng.normal(size=x.shape)
+    leaves = [x] + leaves_of(blocks)
+
+    got, got_grads = forward_and_grads(
+        lambda: slstm._stack_tokens(cfg, blocks, x, batch, False, None), leaves, weights)
+    want, want_grads = forward_and_grads(
+        lambda: slstm_ref.to_rows(slstm_ref.stack(cfg, blocks,
+                                                  slstm_ref.from_rows(x, batch))),
+        leaves, weights)
+    assert_close(got, want, "forward")
+    names = ["input"] + [n for w in blocks for n, _, _ in w.named_parameters()]
+    for name, g, w in zip(names, got_grads, want_grads):
+        assert_close(g, w, name)
+
+
+@pytest.mark.parametrize("conv_width", [0, 4])
+def test_fused_stack_matches_reference_training_with_dropout(conv_width):
+    # One [L*B, D] dropout draw per block consumes the generator exactly like
+    # the reference's L draws of [B, D], so equal seeds give equal masks.
+    rng = np.random.default_rng(7 + conv_width)
+    cfg, blocks = make_stack(rng, conv_width, 2, dropout=0.3)
+    batch, length = 3, 5
+    x = T.parameter(rng.uniform(-1, 1, size=(length * batch, cfg.d_hidden)),
+                    dtype=np.float64)
+    weights = rng.normal(size=x.shape)
+    leaves = [x] + leaves_of(blocks)
+
+    got, got_grads = forward_and_grads(
+        lambda: slstm._stack_tokens(cfg, blocks, x, batch, True,
+                                    np.random.default_rng(11)), leaves, weights)
+    want, want_grads = forward_and_grads(
+        lambda: slstm_ref.to_rows(slstm_ref.stack(
+            cfg, blocks, slstm_ref.from_rows(x, batch), True,
+            np.random.default_rng(11))), leaves, weights)
+    eval_out = slstm._stack_tokens(cfg, blocks, x, batch, False, None).data
+    assert not np.array_equal(got, eval_out)  # dropout was active
+    assert_close(got, want, "forward")
+    for g, w in zip(got_grads, want_grads):
+        assert_close(g, w, "gradient")
+
+
+@pytest.mark.parametrize("mix_view", [True, False])
+def test_views_in_one_stack_call_match_reference_per_view(mix_view, monkeypatch):
+    rng = np.random.default_rng(31)
+    cfg = mixer.MixerConfig(lookback=8, horizon=4, num_variates=3, embed_dim=8,
+                            num_blocks=2, mix_view=mix_view,
+                            block=BlockConfig(d_hidden=8, num_heads=2, conv_width=2))
+    params = mixer.init_mixer_params(cfg, rng, dtype=np.float64)
+    batch, length = 2, cfg.num_variates + 1
+    tokens = T.parameter(rng.uniform(-1, 1, size=(length * batch, 8)), dtype=np.float64)
+    w_f, w_r = rng.normal(size=tokens.shape), rng.normal(size=tokens.shape)
+    leaves = [tokens] + leaves_of(params.blocks)
+
+    calls = []
+    stack = slstm._stack_tokens
+    monkeypatch.setattr(slstm, "_stack_tokens",
+                        lambda *args: calls.append(args[3]) or stack(*args))
+
+    def fused():
+        out_f, out_r, _ = mixer._refine_views(params, cfg, tokens, batch, False, None)
+        return out_f * Tensor(w_f) + out_r * Tensor(w_r)
+
+    def reference():
+        out_f = slstm_ref.to_rows(slstm_ref.stack(
+            cfg.block, params.blocks, slstm_ref.from_rows(tokens, batch)))
+        out_r = out_f
+        if mix_view:
+            rev = slstm_ref.from_rows(T.reverse(tokens, axis=1), batch)
+            out_r = slstm_ref.to_rows(slstm_ref.stack(cfg.block, params.blocks, rev))
+        return out_f * Tensor(w_f) + out_r * Tensor(w_r)
+
+    ones = np.ones(tokens.shape)
+    got, got_grads = forward_and_grads(fused, leaves, ones)
+    assert calls == [2 * batch if mix_view else batch]
+    want, want_grads = forward_and_grads(reference, leaves, ones)
+    assert_close(got, want, "forward")
+    for g, w in zip(got_grads, want_grads):
+        assert_close(g, w, "gradient")
+
+
+@pytest.mark.parametrize("bias,gate", [("b_i", "input"), ("b_f", "forget"),
+                                       ("b_z", "cell-input"), ("b_o", "output")])
+def test_fused_nonfinite_preactivation_names_gate(bias, gate):
+    p = slstm.init_slstm_params(4, 6, 2, np.random.default_rng(2))
+    getattr(p, bias).data[0, 0] = np.inf
+    with pytest.raises(FloatingPointError, match=f"in {gate} gate"):
+        slstm.sequence_forward(p, np.zeros((3, 4), dtype=np.float32))
+
+
+def test_stabilizer_stats_report_the_reference_gap():
+    rng = np.random.default_rng(4)
+    with T.precision(np.float64):
+        p = slstm.init_slstm_params(4, 6, 2, rng)
+        xs = rng.uniform(-1, 1, size=(9, 4))
+        stats = slstm.StabilizerStats()
+        slstm._sequence(p, Tensor(xs), 1, stats=stats)
+        gap = np.inf
+        state = slstm_ref.zero_state(1, 6)
+        for x in xs:
+            prev_m = state.m.data
+            state, gates = slstm_ref.cell_step(p, x, state)
+            gap = min(gap, float(np.abs(gates.f_tilde.data + prev_m
+                                        - gates.i_tilde.data).min()))
+    assert stats.min_gap == pytest.approx(gap, rel=1e-12)
+
+
+def test_eval_keeps_no_gate_history():
+    rng = np.random.default_rng(5)
+    p = slstm.init_slstm_params(16, 16, 4, rng)
+    xs = T.parameter(rng.uniform(-1, 1, size=(2000, 16)))
+
+    def peak(record):
+        tracemalloc.start()
+        try:
+            if record:
+                with Tape():
+                    slstm._sequence(p, xs, 8)
+            else:
+                slstm._sequence(p, xs, 8)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # Without a tape only the hoisted input products and the output are
+    # held; a tape adds the gate, cell and normalizer history.
+    assert peak(False) < 0.6 * peak(True)
+
+
+def test_training_step_tape_has_at_most_100_nodes():
+    rng = np.random.default_rng(6)
+    block = BlockConfig(d_hidden=64, num_heads=4, conv_width=0, dropout_rate=0.1)
+    cfg = mixer.MixerConfig(lookback=96, horizon=96, num_variates=7, embed_dim=64,
+                            num_blocks=1, block=block)
+    params = mixer.init_mixer_params(cfg, rng)
+    xs = rng.normal(size=(4, 7, 96)).astype(np.float32)
+    ys = rng.normal(size=(4, 7, 96)).astype(np.float32)
+    with Tape() as tape:
+        pred = mixer.forward_batch(params, cfg, xs, training=True, rng=rng)
+        loss = training.mae_loss(pred, mixer.flatten_targets(ys))
+        nodes = len(tape)
+        tape.backward(loss)
+    assert nodes <= 100, f"{nodes} tape nodes"

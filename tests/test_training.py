@@ -111,6 +111,34 @@ def test_clip_rejects_nonfinite():
         clip_global_norm([np.array([np.inf])], 1.0)
 
 
+def test_fit_clip_norm_is_in_block_norm(tmp_path, monkeypatch):
+    ds = make_affine_task(48)
+    cfg = small_config(num_heads=4)
+    params = mixer.init_mixer_params(cfg, np.random.default_rng(3))
+    triples = list(params.named_parameters())
+    seen = []
+    original = training.clip_global_norm
+
+    def recording(grads, clip_norm):
+        before = [g.astype(np.float64) for g in grads]
+        norm = original(grads, clip_norm)
+        seen.append((before, norm))
+        return norm
+
+    monkeypatch.setattr(training, "clip_global_norm", recording)
+    tc = TrainConfig(batch_size=16, max_epochs=1, seed=0)
+    training.fit(params, cfg, ds, ds, tc, tmp_path)
+    assert len(seen) == 3
+    for grads, norm in seen:
+        total = 0.0
+        for (name, _, mask), g in zip(triples, grads):
+            if mask is not None:
+                assert not np.any(g * (1.0 - mask)), f"{name} has off-block gradient"
+                g = g * mask
+            total += float(np.sum(g ** 2))
+        assert norm == pytest.approx(math.sqrt(total), rel=1e-12)
+
+
 # -- adam ---------------------------------------------------------------------------
 
 def test_adam_first_step_hand_computed():
