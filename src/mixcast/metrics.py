@@ -45,16 +45,23 @@ class MetricsReport:
 
 def compute_metrics(pred: np.ndarray, target: np.ndarray) -> dict:
     """MSE / MAE / RMSE / MAPE over every entry of matching arrays."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
+    pred = np.asarray(pred)
+    target = np.asarray(target)
     if pred.shape != target.shape:
         raise ShapeError(f"prediction shape {pred.shape} != target shape {target.shape}")
     if pred.size == 0:
         raise ShapeError("metrics need at least one entry")
-    err = target - pred
-    mse = float(np.mean(err ** 2))
-    mae = float(np.mean(np.abs(err)))
-    mape = float(100.0 * np.mean(np.abs(err) / (np.abs(target) + MAPE_EPS)))
+    # Two float64 buffers, reused in place; every value equals the plain
+    # float64 formula's, since |.| is exact in either precision.
+    err = np.subtract(target, pred, dtype=np.float64)
+    scratch = np.square(err)
+    mse = float(np.mean(scratch))
+    np.abs(err, out=err)
+    mae = float(np.mean(err))
+    np.abs(target, out=scratch)
+    scratch += MAPE_EPS
+    np.divide(err, scratch, out=scratch)
+    mape = float(100.0 * np.mean(scratch))
     return {"mse": mse, "mae": mae, "rmse": float(np.sqrt(mse)), "mape": mape}
 
 

@@ -7,13 +7,15 @@ inside the exponentials so the hidden output is computed without overflow
 while staying mathematically unchanged.
 
 Sequences are flat token-major matrices: ``B`` independent sequences of ``L``
-tokens form ``[L*B, D]`` rows, token ``t`` in rows ``t*B .. (t+1)*B``.  The
-recurrence over a whole sequence is one engine op with a hand-written
-backpropagation-through-time backward: the input products of all four gates
-are one matmul hoisted out of the time loop, and the four recurrent matrices
-are concatenated so each step makes one recurrent matmul.  The other block
-stages (layer norm, causal convolution, projection, dropout, residual) run
-once on the whole matrix.
+tokens form ``[L*B, D]`` rows, token ``t`` in rows ``t*B .. (t+1)*B``.  A
+residual block (layer norm, causal convolution, recurrence, projection,
+dropout, residual) is one engine op computed on numpy arrays, with a
+hand-written backward that returns every block gradient; the recurrence
+inside it is backpropagated through time.  Gates are held as slabs
+``[4, L*B, D]`` in the order z, o, i, f, so each gate of each token is a
+contiguous ``[B, D]`` block.  The input products are one matmul per gate,
+hoisted out of the time loop, and each step makes one stacked recurrent
+matmul.
 
 Recurrent weight matrices are block-diagonal over heads: they are stored
 densely together with a binary mask, and the optimizer re-applies the mask
@@ -133,123 +135,6 @@ class StabilizerStats:
     min_gap: float = math.inf
 
 
-# Fused pre-activation columns are [z | o | i | f], D wide each; a non-finite
-# value is reported for the first gate in this order.
-_CHECK_ORDER = (("input", 2), ("forget", 3), ("cell-input", 0), ("output", 1))
-
-
-def _raise_nonfinite(pre: np.ndarray, d: int) -> None:
-    for name, k in _CHECK_ORDER:
-        if not np.isfinite(pre[:, k * d:(k + 1) * d]).all():
-            raise FloatingPointError(f"non-finite pre-activation in {name} gate")
-
-
-def _sequence(p: SLstmParams, x: Tensor, batch: int, x_if: Tensor | None = None,
-              stats: StabilizerStats | None = None) -> Tensor:
-    """Fold the cell over flat token-major rows x [L*B, D_in] from the zero
-    state; returns the hidden rows [L*B, D_hidden].
-
-    x feeds the cell-input and output gates; x_if (defaulting to x) feeds the
-    exponential input/forget gates, which is where the optional causal
-    convolution taps in.  The whole sequence is one tape node whose backward
-    is backpropagation through time.  It treats the stabilizer m as a
-    constant: h does not depend on m mathematically, so the m paths carry no
-    gradient.
-    """
-    rows = x.shape[0]
-    d = p.d_hidden
-    if x.data.ndim != 2 or x.shape[1] != p.d_in:
-        raise ShapeError(f"token width {x.shape[-1]} != cell input width {p.d_in}")
-    if rows < 1 or batch < 1 or rows % batch:
-        raise ShapeError(f"{rows} rows do not hold whole tokens of batch {batch}")
-
-    # Columns [z | o | i | f].  The input products of every token are made
-    # before the loop, one matmul per gate straight into its columns: a
-    # single B = 1 token then takes the same BLAS path as a per-step cell.
-    # Each step makes one recurrent matmul.
-    groups = ([(x, slice(0, 4 * d))] if x_if is None
-              else [(x, slice(0, 2 * d)), (x_if, slice(2 * d, 4 * d))])
-    w_t = [np.ascontiguousarray(w.data.T) for w in (p.w_z, p.w_o, p.w_i, p.w_f)]
-    pre_in = np.empty((rows, 4 * d), dtype=np.result_type(x.data, w_t[0]))
-    sources = (x, x, x, x) if x_if is None else (x, x, x_if, x_if)
-    for k, src in enumerate(sources):
-        np.matmul(src.data, w_t[k], out=pre_in[:, k * d:(k + 1) * d])
-    pre_in += np.concatenate([p.b_z.data, p.b_o.data, p.b_i.data, p.b_f.data], axis=1)
-    r_all = np.concatenate([p.r_z.data.T, p.r_o.data.T, p.r_i.data.T, p.r_f.data.T],
-                           axis=1)
-
-    weights = [p.w_z, p.w_o, p.w_i, p.w_f, p.r_z, p.r_o, p.r_i, p.r_f,
-               p.b_z, p.b_o, p.b_i, p.b_f]
-    inputs = [x] + ([] if x_if is None else [x_if]) + weights
-    keep = T.will_record(inputs)
-    hs = np.empty((rows, d), dtype=x.data.dtype)
-    if keep:
-        acts = np.empty_like(pre_in)   # z, o, i, f of every step
-        cs = np.empty_like(hs)
-        ns = np.empty_like(hs)
-    h = c = n = m = np.zeros((batch, d), dtype=x.data.dtype)
-    for lo in range(0, rows, batch):
-        now = slice(lo, lo + batch)
-        pre = pre_in[now] + h @ r_all
-        if not np.isfinite(pre).all():
-            _raise_nonfinite(pre, d)
-        act = acts[now] if keep else np.empty_like(pre)
-        z, o, i, f = (act[:, k * d:(k + 1) * d] for k in range(4))
-        np.tanh(pre[:, :d], out=z)
-        np.tanh(0.5 * pre[:, d:2 * d], out=o)   # overflow-free logistic
-        o *= 0.5
-        o += 0.5
-        i_tilde = pre[:, 2 * d:3 * d]
-        f_tilde = pre[:, 3 * d:] + m
-        m = np.maximum(f_tilde, i_tilde)
-        if stats is not None:
-            stats.min_gap = min(stats.min_gap, float(np.abs(f_tilde - i_tilde).min()))
-        np.exp(i_tilde - m, out=i)
-        np.exp(f_tilde - m, out=f)
-        c = f * c + i * z
-        n = f * n + i
-        h = o * c / n
-        hs[now] = h
-        if keep:
-            cs[now] = c
-            ns[now] = n
-
-    def backward(g):
-        d_pre = np.empty_like(acts)
-        dh = dc = dn = np.zeros((batch, d), dtype=g.dtype)
-        for lo in range(rows - batch, -1, -batch):
-            now = slice(lo, lo + batch)
-            z, o, i, f = (acts[now, k * d:(k + 1) * d] for k in range(4))
-            c, n, h = cs[now], ns[now], hs[now]
-            dh = g[now] + dh
-            dc = dc + dh * o / n
-            dn = dn - dh * h / n
-            dp = d_pre[now]
-            dp[:, :d] = dc * i * (1.0 - z * z)
-            dp[:, d:2 * d] = dh * (c / n) * o * (1.0 - o)
-            dp[:, 2 * d:3 * d] = (dc * z + dn) * i
-            if lo:
-                prev = slice(lo - batch, lo)
-                dp[:, 3 * d:] = (dc * cs[prev] + dn * ns[prev]) * f
-            else:
-                dp[:, 3 * d:] = 0.0   # c and n start at zero
-            dh = dp @ r_all.T
-            dc = dc * f
-            dn = dn * f
-        h_prev = np.zeros_like(hs)
-        h_prev[batch:] = hs[:-batch]
-        d_r = h_prev.T @ d_pre
-        d_b = d_pre.sum(axis=0, keepdims=True)
-        w_all = np.concatenate(w_t, axis=1)
-        d_x = [d_pre[:, s] @ w_all[:, s].T for _, s in groups]
-        d_w = np.concatenate([src.data.T @ d_pre[:, s] for src, s in groups], axis=1)
-        cols = [slice(k * d, (k + 1) * d) for k in range(4)]
-        return (d_x + [d_w[:, s].T for s in cols] + [d_r[:, s].T for s in cols]
-                + [d_b[:, s] for s in cols])
-
-    return T.custom_op(hs, inputs, backward)
-
-
 @dataclass
 class BlockWeights:
     """One residual block: layer norm, optional causal conv, cell, projection."""
@@ -285,52 +170,271 @@ def init_block_weights(cfg: BlockConfig, rng, dtype=None) -> BlockWeights:
                         proj_w=proj_w, conv_kernel=conv)
 
 
-def _layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var_pop(axis=1, keepdims=True)
-    return gamma * ((x - mu) / T.sqrt(var + LN_EPS)) + beta
+# Gate slabs are ordered z, o, i, f; a non-finite pre-activation is reported
+# for the first gate in _CHECK_ORDER.
+_GATES = ("z", "o", "i", "f")
+_CHECK_ORDER = (("input", 2), ("forget", 3), ("cell-input", 0), ("output", 1))
 
 
-def _causal_conv(x: Tensor, kernel: Tensor, batch: int) -> Tensor:
-    """Causal depthwise taps added on top of token-major rows x: token t gains
-    kernel[j] * x[t - j] for every tap j <= t (a row shift by j*B), so a zero
-    kernel reduces exactly to the conv-disabled path."""
-    rows, d = x.shape
-    acc = x
-    for j in range(kernel.shape[0]):
-        shift = j * batch
-        if shift >= rows:
+def _cell_tensors(p: SLstmParams) -> list[Tensor]:
+    """The cell's weights in engine-op input order: W, R, b, each z, o, i, f."""
+    return [getattr(p, f"{kind}_{gate}") for kind in "wrb" for gate in _GATES]
+
+
+def _check_rows(x: Tensor, batch: int) -> None:
+    rows = x.shape[0]
+    if rows < 1 or batch < 1 or rows % batch:
+        raise ShapeError(f"{rows} rows do not hold whole tokens of batch {batch}")
+
+
+def _raise_nonfinite(pre: np.ndarray) -> None:
+    for name, k in _CHECK_ORDER:
+        if not np.isfinite(pre[k]).all():
+            raise FloatingPointError(f"non-finite pre-activation in {name} gate")
+
+
+def _recurrence(p: SLstmParams, x: np.ndarray, x_if: np.ndarray, batch: int,
+                keep: bool, stats: StabilizerStats | None):
+    """Fold the cell over token-major rows from the zero state; returns the
+    hidden rows [L*B, D] and, when ``keep``, the (gates, cells, normalizers)
+    history the backward needs.
+
+    x feeds the cell-input and output gates, x_if the exponential input and
+    forget gates.  The input products fill a pre-activation slab before the
+    loop, one matmul per gate straight into its contiguous slab, so a single
+    B = 1 token takes the same BLAS path as a per-step cell.  Each step adds
+    its recurrent product in place and runs in-place ufuncs on [B, D] blocks.
+    """
+    rows, d = x.shape[0], p.d_hidden
+    dtype = np.result_type(x, p.w_z.data)
+    pre = np.empty((4, rows, d), dtype=dtype)
+    for k, (gate, src) in enumerate(zip(_GATES, (x, x, x_if, x_if))):
+        np.matmul(src, np.ascontiguousarray(getattr(p, "w_" + gate).data.T), out=pre[k])
+        pre[k] += getattr(p, "b_" + gate).data
+    r4 = np.stack([getattr(p, "r_" + gate).data.T for gate in _GATES])
+
+    hs = np.empty((rows, d), dtype=dtype)
+    zeros = np.zeros((batch, d), dtype=dtype)
+    m = zeros.copy()
+    rec = np.empty((4, batch, d), dtype=dtype)
+    tmp = np.empty((batch, d), dtype=dtype)
+    if keep:
+        acts, cs, ns = np.empty_like(pre), np.empty_like(hs), np.empty_like(hs)
+    else:
+        # Without a tape the gates overwrite the spent recurrent product and
+        # c, n are updated in place.
+        act, c, n = rec, np.empty_like(tmp), np.empty_like(tmp)
+    h = c_prev = n_prev = zeros
+    for lo in range(0, rows, batch):
+        now = slice(lo, lo + batch)
+        pre_t = pre[:, now]
+        np.matmul(h, r4, out=rec)
+        pre_t += rec
+        if not np.isfinite(pre_t).all():
+            _raise_nonfinite(pre_t)
+        if keep:
+            act, c, n = acts[:, now], cs[now], ns[now]
+        z, o, i, f = act
+        np.tanh(pre_t[0], out=z)
+        np.multiply(pre_t[1], 0.5, out=o)   # overflow-free logistic
+        np.tanh(o, out=o)
+        o *= 0.5
+        o += 0.5
+        i_tilde, f_tilde = pre_t[2], pre_t[3]
+        f_tilde += m
+        if stats is not None:
+            np.subtract(f_tilde, i_tilde, out=tmp)
+            stats.min_gap = min(stats.min_gap, float(np.abs(tmp, out=tmp).min()))
+        np.maximum(f_tilde, i_tilde, out=m)
+        np.subtract(i_tilde, m, out=i)
+        np.exp(i, out=i)
+        np.subtract(f_tilde, m, out=f)
+        np.exp(f, out=f)
+        np.multiply(i, z, out=tmp)           # c = f c_prev + i z
+        np.multiply(f, c_prev, out=c)
+        c += tmp
+        np.multiply(f, n_prev, out=n)        # n = f n_prev + i
+        n += i
+        h = hs[now]                          # h = o c / n
+        np.multiply(o, c, out=h)
+        h /= n
+        c_prev, n_prev = c, n
+    return hs, ((acts, cs, ns) if keep else None)
+
+
+def _recurrence_backward(p: SLstmParams, d_hs: np.ndarray, hs: np.ndarray, history,
+                         x: np.ndarray, x_if: np.ndarray, batch: int):
+    """Backpropagation through time for :func:`_recurrence`.
+
+    Returns the gradients of x, of x_if, and of the cell weights in
+    engine-op input order.  The spent history is overwritten instead of
+    allocating fresh arrays: the gates with their pre-activation gradients,
+    the cell and normalizer rows with the input-path gradients.  The
+    stabilizer m is treated as a constant: h does not depend on it
+    mathematically, so the m paths carry no gradient.
+    """
+    acts, cs, ns = history
+    rows, d = hs.shape
+    r4t = np.stack([getattr(p, "r_" + gate).data for gate in _GATES])
+    dh, dc, dn, t1, t2 = (np.zeros((batch, d), dtype=d_hs.dtype) for _ in range(5))
+    rec = np.empty((4, batch, d), dtype=d_hs.dtype)
+    for lo in range(rows - batch, -1, -batch):
+        now = slice(lo, lo + batch)
+        z, o, i, f = acts[:, now]
+        c, n, h = cs[now], ns[now], hs[now]
+        dh += d_hs[now]
+        np.multiply(dh, o, out=t1)           # dc += dh o / n
+        t1 /= n
+        dc += t1
+        np.multiply(dh, h, out=t1)           # dn -= dh h / n
+        t1 /= n
+        dn -= t1
+        np.divide(c, n, out=t1)              # d_o = dh (c / n) o (1 - o)
+        t1 *= dh
+        t1 *= o
+        np.subtract(1.0, o, out=o)
+        o *= t1
+        np.multiply(dc, z, out=t2)           # d_i = (dc z + dn) i
+        t2 += dn
+        t2 *= i
+        np.multiply(z, z, out=z)             # d_z = dc i (1 - z^2)
+        np.subtract(1.0, z, out=z)
+        np.multiply(dc, i, out=t1)
+        z *= t1
+        np.copyto(i, t2)
+        if not lo:
+            f.fill(0.0)                      # c and n start at zero
             break
-        src = x
-        if shift:
-            pad = Tensor(np.zeros((shift, d)), dtype=x.data.dtype)
-            src = T.concat([pad, T.slice_axis(x, 0, 0, rows - shift)], axis=0)
-        acc = acc + T.slice_axis(kernel, 0, j, j + 1) * src
-    return acc
+        prev = slice(lo - batch, lo)         # d_f = (dc c_prev + dn n_prev) f
+        np.multiply(dc, cs[prev], out=t1)
+        np.multiply(dn, ns[prev], out=t2)
+        t1 += t2
+        dc *= f
+        dn *= f
+        f *= t1
+        np.matmul(acts[:, now], r4t, out=rec)
+        np.sum(rec, axis=0, out=dh)
+    d_pre = acts
+
+    weights = [getattr(p, "w_" + gate).data for gate in _GATES]
+    d_w = [d_pre[k].T @ src for k, src in enumerate((x, x, x_if, x_if))]
+    d_r = [d_pre[k, batch:].T @ hs[:-batch] for k in range(4)]
+    d_b = [d_pre[k].sum(axis=0, keepdims=True) for k in range(4)]
+    fits = cs.shape == x.shape
+    d_x = np.matmul(d_pre[0], weights[0], out=cs if fits else None)
+    d_x_if = np.matmul(d_pre[2], weights[2], out=ns if fits else None)
+    tmp = np.matmul(d_pre[1], weights[1])
+    d_x += tmp
+    d_x_if += np.matmul(d_pre[3], weights[3], out=tmp)
+    return d_x, d_x_if, d_w + d_r + d_b
+
+
+def _sequence(p: SLstmParams, x: Tensor, batch: int,
+              stats: StabilizerStats | None = None) -> Tensor:
+    """The bare recurrence over flat token-major rows x [L*B, D_in] as one
+    tape node; returns the hidden rows [L*B, D_hidden]."""
+    if x.data.ndim != 2 or x.shape[1] != p.d_in:
+        raise ShapeError(f"token width {x.shape[-1]} != cell input width {p.d_in}")
+    _check_rows(x, batch)
+    inputs = [x] + _cell_tensors(p)
+    hs, history = _recurrence(p, x.data, x.data, batch, T.will_record(inputs), stats)
+
+    def backward(g):
+        d_x, d_x_if, d_cell = _recurrence_backward(p, g, hs, history, x.data, x.data,
+                                                   batch)
+        d_x += d_x_if
+        return [d_x] + d_cell
+
+    return T.custom_op(hs, inputs, backward)
 
 
 def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
            training: bool, rng, stats: StabilizerStats | None = None) -> Tensor:
-    """Residual block over token-major rows [L*B, D]; every stage but the
-    recurrence runs once on the whole matrix, dropout with one mask."""
+    """Residual block over token-major rows [L*B, D] as one tape node: layer
+    norm, causal-conv taps on the input/forget path, the recurrence, the
+    projection, dropout (one [L*B, D] mask) and the residual."""
     d = cfg.d_hidden
-    if x.shape[1] != d:
-        raise ShapeError(f"token width {x.shape[1]} != block width {d}")
-    if training and cfg.dropout_rate > 0.0 and rng is None:
+    if x.data.ndim != 2 or x.shape[1] != d:
+        raise ShapeError(f"token width {x.shape[-1]} != block width {d}")
+    _check_rows(x, batch)
+    dropout = training and cfg.dropout_rate > 0.0
+    if dropout and rng is None:
         raise ValueError("training with dropout needs an rng")
-
-    normed = _layer_norm(x, w.ln_gamma, w.ln_beta)
-    x_if = None
+    kernel = None
     if cfg.conv_width > 0 and w.conv_kernel is not None:
-        x_if = _causal_conv(normed, w.conv_kernel, batch)
-    h = _sequence(w.cell, normed, batch, x_if, stats)
+        kernel = w.conv_kernel.data
+    inputs = ([x] + _cell_tensors(w.cell) + [w.ln_gamma, w.ln_beta, w.proj_w]
+              + ([] if kernel is None else [w.conv_kernel]))
+    keep = T.will_record(inputs)
+    rows = x.shape[0]
 
-    y = T.matmul(h, T.transpose(w.proj_w))
-    if training and cfg.dropout_rate > 0.0:
-        keep = 1.0 - cfg.dropout_rate
-        mask = (rng.random(size=y.shape) < keep).astype(y.data.dtype) / keep
-        y = y * Tensor(mask, dtype=y.data.dtype)
-    return x + y
+    # Layer norm over each row, with eps in the rows' dtype.
+    xhat = x.data - x.data.mean(axis=1, keepdims=True)
+    squares = np.square(xhat)
+    inv_std = squares.mean(axis=1, keepdims=True)
+    inv_std += x.data.dtype.type(LN_EPS)
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    xhat *= inv_std
+    # Only the backward reads xhat again, so without a tape it is scaled in place.
+    normed = np.multiply(xhat, w.ln_gamma.data, out=squares if keep else xhat)
+    normed += w.ln_beta.data
+
+    # Causal depthwise taps: token t gains kernel[j] * normed[t - j] for every
+    # tap j <= t, a row shift by j*B added in place, so a zero kernel reduces
+    # exactly to the conv-disabled path.
+    x_if = normed
+    if kernel is not None:
+        x_if = normed * kernel[0]
+        x_if += normed
+        for j in range(1, kernel.shape[0]):
+            shift = j * batch
+            if shift >= rows:
+                break
+            x_if[shift:] += normed[:rows - shift] * kernel[j]
+
+    hs, history = _recurrence(w.cell, normed, x_if, batch, keep, stats)
+    out = hs @ w.proj_w.data.T
+    mask = None
+    if dropout:
+        keep_p = 1.0 - cfg.dropout_rate
+        mask = (rng.random(size=out.shape) < keep_p).astype(out.dtype) / keep_p
+        out *= mask
+    out += x.data
+
+    def backward(g):
+        dy = g if mask is None else g * mask
+        d_proj = dy.T @ hs
+        d_hs = dy @ w.proj_w.data
+        d_normed, d_x_if, d_cell = _recurrence_backward(w.cell, d_hs, hs, history,
+                                                        normed, x_if, batch)
+        d_normed += d_x_if
+        d_kernel = []
+        if kernel is not None:
+            d_k = np.zeros_like(kernel)
+            d_k[0] = np.einsum("ij,ij->j", d_x_if, normed)
+            d_normed += np.multiply(d_x_if, kernel[0], out=d_hs)
+            for j in range(1, kernel.shape[0]):
+                shift = j * batch
+                if shift >= rows:
+                    break
+                d_k[j] = np.einsum("ij,ij->j", d_x_if[shift:], normed[:rows - shift])
+                d_normed[:rows - shift] += np.multiply(d_x_if[shift:], kernel[j],
+                                                       out=d_hs[shift:])
+            d_kernel = [d_k]
+
+        d_gamma = np.einsum("ij,ij->j", d_normed, xhat)[None]
+        d_beta = d_normed.sum(axis=0, keepdims=True)
+        d_normed *= w.ln_gamma.data            # now d xhat
+        d_x = d_normed - d_normed.mean(axis=1, keepdims=True)
+        proj = np.einsum("ij,ij->i", d_normed, xhat)[:, None]
+        proj /= d
+        d_x -= np.multiply(xhat, proj, out=d_normed)
+        d_x *= inv_std
+        d_x += g
+        return [d_x] + d_cell + [d_gamma, d_beta, d_proj] + d_kernel
+
+    return T.custom_op(out, inputs, backward)
 
 
 def _stack_tokens(cfg: BlockConfig, blocks: list[BlockWeights], x: Tensor, batch: int,

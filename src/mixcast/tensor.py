@@ -8,7 +8,8 @@ leaf.  Tensors are treated as immutable once they participate in a tape.
 Two precisions are supported: 32-bit scalars for ordinary runs and 64-bit for
 gradient checks and other oracle-grade computations (see :func:`precision`).
 A tape must stay on the thread that created it; independent tapes may run
-concurrently against shared read-only tensors.
+concurrently against shared read-only tensors.  The default dtype is per
+thread, like the tape stack: every thread starts at 32 bits.
 """
 
 from __future__ import annotations
@@ -87,23 +88,20 @@ def _active_tape():
     return stack[-1] if stack else None
 
 
-_DEFAULT_DTYPE = np.float32
-
-
 def default_dtype():
-    return _DEFAULT_DTYPE
+    """The dtype of newly created tensors on the calling thread."""
+    return getattr(_state, "dtype", np.float32)
 
 
 @contextlib.contextmanager
 def precision(dtype):
-    """Temporarily switch the dtype used for newly created tensors."""
-    global _DEFAULT_DTYPE
-    prev = _DEFAULT_DTYPE
-    _DEFAULT_DTYPE = np.dtype(dtype).type
+    """Temporarily switch the dtype used for tensors this thread creates."""
+    prev = default_dtype()
+    _state.dtype = np.dtype(dtype).type
     try:
         yield
     finally:
-        _DEFAULT_DTYPE = prev
+        _state.dtype = prev
 
 
 class Tensor:
@@ -112,7 +110,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_tape")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype or _DEFAULT_DTYPE)
+        self.data = np.asarray(data, dtype=dtype or default_dtype())
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._tape = None
@@ -233,8 +231,8 @@ def as_tensor(value, like: Tensor | None = None) -> Tensor:
         return value
     if isinstance(value, np.ndarray) and value.dtype.kind == "f":
         return Tensor(value, dtype=value.dtype.type)
-    dtype = like.data.dtype if like is not None else _DEFAULT_DTYPE
-    return Tensor(np.asarray(value, dtype=dtype))
+    dtype = like.data.dtype.type if like is not None else default_dtype()
+    return Tensor(value, dtype=dtype)
 
 
 def parameter(data, dtype=None) -> Tensor:
@@ -579,6 +577,7 @@ def custom_op(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable)
     ``backward_fn(g)`` receives the output gradient and returns one gradient
     array (or None) per input, in input order."""
     out = Tensor(data, dtype=data.dtype.type)
+    _debug_finite(out, *inputs)
 
     def bwd(g):
         for t, grad in zip(inputs, backward_fn(g)):

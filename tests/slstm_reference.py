@@ -1,10 +1,11 @@
-"""Unfused reference recurrence: the oracle for the fused sequence op.
+"""Unfused reference blocks: the oracle for the fused block op.
 
-This is the per-step formulation the library used before its recurrence
-became one engine op: every gate is built from individual engine ops, so the
-tape differentiates it op by op.  Blocks and stacks here take lists of
-[B, D] tokens; ``to_rows`` and ``from_rows`` convert to and from the flat
-token-major matrices of :mod:`mixcast.slstm`.
+This is the per-step formulation the library used before its blocks became
+one engine op each: layer norm, the causal convolution and every gate are
+built from individual engine ops, so the tape differentiates them op by op.
+Blocks and stacks here take lists of [B, D] tokens; ``to_rows`` and
+``from_rows`` convert to and from the flat token-major matrices of
+:mod:`mixcast.slstm`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mixcast import tensor as T
-from mixcast.slstm import BlockConfig, BlockWeights, SLstmParams, _layer_norm
+from mixcast.slstm import LN_EPS, BlockConfig, BlockWeights, SLstmParams
 from mixcast.tensor import ShapeError, Tensor
 
 
@@ -129,6 +130,30 @@ def sequence(p: SLstmParams, tokens: list[Tensor],
     return hiddens
 
 
+def _layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    mu = x.mean(axis=1, keepdims=True)
+    var = x.var_pop(axis=1, keepdims=True)
+    return gamma * ((x - mu) / T.sqrt(var + LN_EPS)) + beta
+
+
+def _causal_conv(x: Tensor, kernel: Tensor, batch: int) -> Tensor:
+    """Causal depthwise taps added on top of token-major rows x: token t gains
+    kernel[j] * x[t - j] for every tap j <= t (a row shift by j*B), so a zero
+    kernel reduces exactly to the conv-disabled path."""
+    rows, d = x.shape
+    acc = x
+    for j in range(kernel.shape[0]):
+        shift = j * batch
+        if shift >= rows:
+            break
+        src = x
+        if shift:
+            pad = Tensor(np.zeros((shift, d)), dtype=x.data.dtype)
+            src = T.concat([pad, T.slice_axis(x, 0, 0, rows - shift)], axis=0)
+        acc = acc + T.slice_axis(kernel, 0, j, j + 1) * src
+    return acc
+
+
 def block(cfg: BlockConfig, w: BlockWeights, tokens: list[Tensor],
           training: bool = False, rng=None) -> list[Tensor]:
     """Residual block token by token; dropout draws one [B, D] mask per token."""
@@ -136,14 +161,8 @@ def block(cfg: BlockConfig, w: BlockWeights, tokens: list[Tensor],
 
     tokens_if = None
     if cfg.conv_width > 0 and w.conv_kernel is not None:
-        taps = [T.slice_axis(w.conv_kernel, 0, j, j + 1) for j in range(cfg.conv_width)]
-        tokens_if = []
-        for t in range(len(normed)):
-            acc = normed[t]
-            for j in range(cfg.conv_width):
-                if t - j >= 0:
-                    acc = acc + taps[j] * normed[t - j]
-            tokens_if.append(acc)
+        batch = tokens[0].shape[0]
+        tokens_if = from_rows(_causal_conv(to_rows(normed), w.conv_kernel, batch), batch)
 
     hiddens = sequence(w.cell, normed, tokens_if)
 

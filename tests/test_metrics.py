@@ -61,6 +61,22 @@ def test_matches_double_loop_reference():
             assert abs(got[key] - ref[key]) < 1e-12 * max(1.0, abs(ref[key])), key
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_equals_plain_float64_formulas_exactly(dtype):
+    # Reports must stay byte-identical: every metric equals, bit for bit, the
+    # plain formula on float64 copies of the inputs, zero targets included.
+    rng = np.random.default_rng(3)
+    pred = rng.normal(size=(5, 7, 11)).astype(dtype)
+    target = rng.normal(size=(5, 7, 11)).astype(dtype)
+    target[0, 0, :3] = 0.0
+    p64, t64 = pred.astype(np.float64), target.astype(np.float64)
+    err = t64 - p64
+    mse = float(np.mean(err ** 2))
+    want = {"mse": mse, "mae": float(np.mean(np.abs(err))), "rmse": float(np.sqrt(mse)),
+            "mape": float(100.0 * np.mean(np.abs(err) / (np.abs(t64) + M.MAPE_EPS)))}
+    assert compute_metrics(pred, target) == want
+
+
 def test_rmse_squared_equals_mse():
     rng = np.random.default_rng(2)
     for _ in range(10):

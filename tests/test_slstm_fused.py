@@ -166,36 +166,60 @@ def test_stabilizer_stats_report_the_reference_gap():
 def test_eval_keeps_no_gate_history():
     rng = np.random.default_rng(5)
     p = slstm.init_slstm_params(16, 16, 4, rng)
+    cfg = BlockConfig(d_hidden=16, num_heads=4, conv_width=4, dropout_rate=0.1)
+    w = slstm.init_block_weights(cfg, rng)
     xs = T.parameter(rng.uniform(-1, 1, size=(2000, 16)))
 
-    def peak(record):
+    def peak(run, record):
         tracemalloc.start()
         try:
             if record:
                 with Tape():
-                    slstm._sequence(p, xs, 8)
+                    run()
             else:
-                slstm._sequence(p, xs, 8)
+                run()
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    # Without a tape only the hoisted input products and the output are
-    # held; a tape adds the gate, cell and normalizer history.
-    assert peak(False) < 0.6 * peak(True)
+    # Without a tape only the hoisted input products, the layer-norm rows and
+    # the outputs are held; a tape adds the gate, cell and normalizer history.
+    for run in (lambda: slstm._sequence(p, xs, 8),
+                lambda: slstm._block(cfg, w, xs, 8, False, None)):
+        assert peak(run, False) < 0.6 * peak(run, True)
 
 
-def test_training_step_tape_has_at_most_100_nodes():
+def training_step_nodes(num_variates, num_blocks, conv_width):
     rng = np.random.default_rng(6)
-    block = BlockConfig(d_hidden=64, num_heads=4, conv_width=0, dropout_rate=0.1)
-    cfg = mixer.MixerConfig(lookback=96, horizon=96, num_variates=7, embed_dim=64,
-                            num_blocks=1, block=block)
+    block = BlockConfig(d_hidden=64, num_heads=4, conv_width=conv_width, dropout_rate=0.1)
+    cfg = mixer.MixerConfig(lookback=96, horizon=96, num_variates=num_variates,
+                            embed_dim=64, num_blocks=num_blocks, block=block)
     params = mixer.init_mixer_params(cfg, rng)
-    xs = rng.normal(size=(4, 7, 96)).astype(np.float32)
-    ys = rng.normal(size=(4, 7, 96)).astype(np.float32)
+    xs = rng.normal(size=(4, num_variates, 96)).astype(np.float32)
+    ys = rng.normal(size=(4, num_variates, 96)).astype(np.float32)
     with Tape() as tape:
         pred = mixer.forward_batch(params, cfg, xs, training=True, rng=rng)
         loss = training.mae_loss(pred, mixer.flatten_targets(ys))
         nodes = len(tape)
         tape.backward(loss)
+    return nodes
+
+
+def test_training_step_tape_has_at_most_100_nodes():
+    nodes = training_step_nodes(7, 1, 0)
     assert nodes <= 100, f"{nodes} tape nodes"
+
+
+def test_conv_two_block_training_step_tape_has_at_most_40_nodes():
+    nodes = training_step_nodes(21, 2, 4)
+    assert nodes <= 40, f"{nodes} tape nodes"
+
+
+@pytest.mark.parametrize("num_blocks", [1, 2, 3])
+def test_stack_records_one_tape_node_per_block(num_blocks):
+    rng = np.random.default_rng(num_blocks)
+    cfg, blocks = make_stack(rng, 4, num_blocks, dropout=0.2)
+    x = T.parameter(rng.uniform(-1, 1, size=(12, cfg.d_hidden)), dtype=np.float64)
+    with Tape() as tape:
+        slstm._stack_tokens(cfg, blocks, x, 3, True, rng)
+        assert len(tape) == num_blocks

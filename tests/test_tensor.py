@@ -1,5 +1,7 @@
 """Engine tests: op semantics, broadcasting, backward rules, fd oracle."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -307,3 +309,36 @@ def test_dtype_policy():
         y = Tensor([1.0])
         assert y.data.dtype == np.float64
     assert Tensor([1.0]).data.dtype == np.float32
+
+
+def test_scalar_lifted_in_the_operand_dtype():
+    # Outside precision(float64) the default dtype is float32; a scalar lifted
+    # next to a float64 tensor must still carry the exact float64 value.
+    like = Tensor([1.0], dtype=np.float64)
+    eps = T.as_tensor(1e-5, like=like)
+    assert eps.data.dtype == np.float64
+    assert eps.data.item() == 1e-5
+    assert (like + 1e-5).data.item() == 1.0 + 1e-5
+
+
+def test_precision_is_per_thread():
+    barrier = threading.Barrier(2, timeout=10)
+    seen = {}
+
+    def run(dtype):
+        with T.precision(dtype):
+            barrier.wait()   # both threads are inside precision() at once
+            first = Tensor([1.0]).data.dtype
+            barrier.wait()
+            seen[dtype] = (first, T.as_tensor([2.0]).data.dtype, T.default_dtype())
+
+    threads = [threading.Thread(target=run, args=(dtype,))
+               for dtype in (np.float64, np.float32)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert seen == {np.float64: (np.float64, np.float64, np.float64),
+                    np.float32: (np.float32, np.float32, np.float32)}
+    assert T.default_dtype() == np.float32
