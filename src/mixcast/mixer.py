@@ -6,8 +6,17 @@ The pipeline runs per instance on a [V, T] window and produces a [V, H]
 forecast.  Internally everything is computed on a flat v-major matrix whose
 rows are (variate, batch-item) pairs, so a whole mini-batch shares one tape;
 the single-instance entry points are the B = 1 case of the same code.  These
-rows are already the token-major layout the recurrent stack takes, and both
-views run through the stack in one call as a batch of 2B.
+rows are already the token-major layout the recurrent stack takes.
+
+Each stage (RevIN, the linear forecaster, the up-projection, the packing of
+the stack input, reconciliation, and the RevIN inverse) is one engine op
+computed on numpy arrays with a hand-written backward, and keeps the arrays
+its backward needs only while a tape records it.  The packing op writes the
+learned token's rows, the forward rows and the feature-reversed rows straight
+into one interleaved [L*2B, D] matrix, so both views run through the stack in
+one call as a batch of 2B; the stack output read as [L*B, 2D] (a view, not a
+copy) holds each token's two view outputs side by side, which is the input
+reconciliation takes.
 
 Ablation switches: ``mix_time`` toggles the shared linear forecaster,
 ``slstm_axis`` selects what the recurrence strides over ("variates", "time",
@@ -152,7 +161,9 @@ class MixerParams:
 
 @dataclass
 class ForwardTrace:
-    """Named intermediates of one forward pass (single instance)."""
+    """Named intermediates of one forward pass (single instance).  The
+    stage outputs are the tensors the pipeline used; x_up, x_up_reversed and
+    the two view outputs are read out as constants, without gradients."""
 
     x_norm: Tensor
     x_initial: Tensor
@@ -206,146 +217,259 @@ def count_parameters(params: MixerParams, logical: bool = True) -> int:
     return total
 
 
-def _tile_per_variate(column: Tensor, batch: int) -> Tensor:
-    """[V,1] per-variate column -> [V*B,1] rows matching the v-major layout."""
-    if batch == 1:
-        return column
-    idx = np.repeat(np.arange(column.shape[0]), batch)
-    return T.take_rows(column, idx)
+def _per_variate(a: np.ndarray, variates: int) -> np.ndarray:
+    """v-major rows [V*B, W] viewed as [V, B, W], so that a per-variate
+    column [V, 1] broadcasts as [V, 1, 1]."""
+    return a.reshape(variates, -1, a.shape[1])
+
+
+def _check_variate_rows(t: Tensor, variates: int, batch: int) -> None:
+    if t.data.ndim != 2 or t.shape[0] != variates * batch:
+        raise ShapeError(f"expected {variates * batch} v-major rows for {variates} "
+                         f"variates and batch {batch}, got shape {t.shape}")
 
 
 def revin_normalize(params: RevInParams, x, batch: int = 1):
     """Normalize rows to zero mean / unit variance, then scale by gamma and
-    shift by beta.  Returns the normalized matrix and the stats for inversion."""
+    shift by beta.  Returns the normalized matrix and the stats for inversion.
+
+    The normalization is one engine op.  The stats are recorded as well
+    when x requires grad, so x gets its exact gradient through both uses."""
     x = T.as_tensor(x)
+    gamma, beta = params.gamma, params.beta
+    v = gamma.shape[0]
+    _check_variate_rows(x, v, batch)
     if x.shape[1] < 1:
         raise ShapeError("normalization needs at least one time step")
-    mean = x.mean(axis=1, keepdims=True)
-    std = T.sqrt(x.var_pop(axis=1, keepdims=True) + params.epsilon)
-    gamma = _tile_per_variate(params.gamma, batch)
-    beta = _tile_per_variate(params.beta, batch)
-    x_norm = gamma * ((x - mean) / std) + beta
-    return x_norm, RevInStats(mean=mean, std=std)
+    steps = x.shape[1]
+    inputs = [x, gamma, beta]
+    keep = T.will_record(inputs)
+    data = x.data.astype(np.result_type(x.data, gamma.data, beta.data), copy=False)
+
+    mean = data.mean(axis=1, keepdims=True)
+    xhat = data - mean
+    squares = np.square(xhat)
+    std = squares.mean(axis=1, keepdims=True)
+    std += data.dtype.type(params.epsilon)
+    np.sqrt(std, out=std)
+    xhat /= std
+    gamma3, beta3 = gamma.data[:, None], beta.data[:, None]
+    # Only the backward reads xhat again, so without a tape it is scaled in place.
+    out = squares if keep else xhat
+    out3 = _per_variate(out, v)
+    np.multiply(_per_variate(xhat, v), gamma3, out=out3)
+    out3 += beta3
+
+    def backward(g):
+        g3, xhat3 = _per_variate(g, v), _per_variate(xhat, v)
+        d_gamma = np.multiply(g3, xhat3).sum(axis=(1, 2))[:, None]
+        d_beta = g3.sum(axis=(1, 2))[:, None]
+        d_x = None
+        if x.requires_grad:
+            d_xhat = (g3 * gamma3).reshape(g.shape)
+            d_x = d_xhat - d_xhat.mean(axis=1, keepdims=True)
+            d_x -= xhat * np.multiply(d_xhat, xhat).mean(axis=1, keepdims=True)
+            d_x /= std
+        return [d_x, d_gamma, d_beta]
+
+    stats = RevInStats(
+        mean=T.custom_op(mean, [x], lambda g: [np.broadcast_to(g / steps, x.shape)]),
+        std=T.custom_op(std, [x], lambda g: [xhat * (g / steps)]))
+    return T.custom_op(out, inputs, backward), stats
 
 
 def revin_denormalize(params: RevInParams, stats: RevInStats, y_norm, batch: int = 1):
-    """Exact algebraic inverse of revin_normalize."""
+    """Exact algebraic inverse of revin_normalize, as one engine op."""
     if np.abs(params.gamma.data).min() < 1e-12:
         raise ValueError("revin gamma too close to zero to invert")
     y_norm = T.as_tensor(y_norm)
-    gamma = _tile_per_variate(params.gamma, batch)
-    beta = _tile_per_variate(params.beta, batch)
-    return ((y_norm - beta) / gamma) * stats.std + stats.mean
+    gamma, beta = params.gamma, params.beta
+    v = gamma.shape[0]
+    _check_variate_rows(y_norm, v, batch)
+    inputs = [y_norm, gamma, beta, stats.mean, stats.std]
+    keep = T.will_record(inputs)
+    gamma3, beta3 = gamma.data[:, None], beta.data[:, None]
+    std3 = _per_variate(stats.std.data, v)
+
+    # ((y - beta) / gamma) * std + mean; u = (y - beta) / gamma is kept for
+    # the backward, otherwise the output overwrites it.
+    u = np.subtract(_per_variate(y_norm.data, v), beta3,
+                    dtype=np.result_type(*(t.data for t in inputs)))
+    u /= gamma3
+    out = np.multiply(u, std3, out=None if keep else u)
+    out += _per_variate(stats.mean.data, v)
+
+    def backward(g):
+        g3 = _per_variate(g, v)
+        d_y = g3 * std3
+        d_y /= gamma3
+        d_gamma = -np.multiply(d_y, u).sum(axis=(1, 2))[:, None]
+        d_beta = -d_y.sum(axis=(1, 2))[:, None]
+        d_mean = g.sum(axis=1, keepdims=True) if stats.mean.requires_grad else None
+        d_std = None
+        if stats.std.requires_grad:
+            d_std = np.multiply(g3, u).sum(axis=2).reshape(-1, 1)
+        return [d_y.reshape(g.shape), d_gamma, d_beta, d_mean, d_std]
+
+    return T.custom_op(out.reshape(y_norm.shape), inputs, backward)
 
 
 def nlinear_forecast(weight: Tensor, bias: Tensor, x_norm) -> Tensor:
     """Shared linear forecaster: subtract each row's last value, apply the
-    affine map, add the last value back."""
+    affine map, add the last value back; one engine op."""
     x_norm = T.as_tensor(x_norm)
     t_len = x_norm.shape[1]
     if weight.shape[1] != t_len:
         raise ShapeError(f"weight expects {weight.shape[1]} steps, got {t_len}")
-    last = T.slice_axis(x_norm, 1, t_len - 1, t_len)
-    out = T.matmul(x_norm - last, T.transpose(weight)) + bias
-    return out + last
+    last = x_norm.data[:, t_len - 1:]
+    centered = x_norm.data - last
+    out = centered @ weight.data.T
+    out += bias.data
+    out += last
+
+    def backward(g):
+        d_x = None
+        if x_norm.requires_grad:
+            d_x = g @ weight.data
+            # The last step also enters through the subtracted and re-added copy.
+            d_x[:, -1] += g.sum(axis=1) - d_x.sum(axis=1)
+        return [d_x, g.T @ centered, g.sum(axis=0, keepdims=True)]
+
+    return T.custom_op(out, [x_norm, weight, bias], backward)
 
 
 def up_project(weight: Tensor, bias: Tensor, rows) -> Tensor:
+    """Shared affine map of each row to the embedding width; one engine op."""
     rows = T.as_tensor(rows)
     if weight.shape[1] != rows.shape[1]:
         raise ShapeError(
             f"up-projection expects width {weight.shape[1]}, got {rows.shape[1]}"
         )
-    return T.matmul(rows, T.transpose(weight)) + bias
+    out = rows.data @ weight.data.T
+    out += bias.data
+
+    def backward(g):
+        d_rows = g @ weight.data if rows.requires_grad else None
+        return [d_rows, g.T @ rows.data, g.sum(axis=0, keepdims=True)]
+
+    return T.custom_op(out, [rows, weight, bias], backward)
 
 
-def up_project_and_prepend(params: MixerParams, x_initial, cfg: MixerConfig) -> Tensor:
-    """Map each variate row to the embedding width and, when configured,
-    prepend the learned initial token as token 0."""
-    tokens = up_project(params.up_w, params.up_b, x_initial)
-    if cfg.init_token:
-        tokens = T.concat([params.eta, tokens], axis=0)
-    return tokens
+def pack_views(tokens: Tensor, eta: Tensor | None, batch: int, both_views: bool) -> Tensor:
+    """The stack input, written in one engine op: the learned token ``eta``
+    (when given) as token 0 of each of the B sequences, then the token-major
+    rows [L*B, D].
 
-
-def reverse_latent_view(tokens) -> Tensor:
-    """Flip each token's feature dimensions; token order is unchanged."""
-    return T.reverse(T.as_tensor(tokens), axis=1)
-
-
-def reconcile_views(view_w: Tensor, view_b: Tensor, y_prime, y_double_prime) -> Tensor:
-    """Shared affine map over the concatenated per-token forecasts."""
-    y_prime = T.as_tensor(y_prime)
-    y_double_prime = T.as_tensor(y_double_prime)
-    if y_prime.shape != y_double_prime.shape:
-        raise ShapeError(
-            f"view shapes differ: {y_prime.shape} vs {y_double_prime.shape}"
-        )
-    cat = T.concat([y_prime, y_double_prime], axis=1)
-    if view_w.shape[1] != cat.shape[1]:
-        raise ShapeError(
-            f"reconciliation expects width {view_w.shape[1]}, got {cat.shape[1]}"
-        )
-    return T.matmul(cat, T.transpose(view_w)) + view_b
-
-
-def _swap_row_axes(t: Tensor, outer: int, inner: int) -> Tensor:
-    """Reorder rows indexed (a, b), a < outer, b < inner, to (b, a)."""
-    order = np.arange(outer * inner).reshape(outer, inner).T.reshape(-1)
-    return T.take_rows(t, order)
-
-
-def _make_tokens(params: MixerParams, cfg: MixerConfig, x_initial: Tensor,
-                 batch: int) -> Tensor:
-    """Token-major [L*B, D] rows fed to the recurrent stack: up-projected
-    variate rows (or forecast steps for the time axis), with the learned
-    token prepended as token 0."""
-    if cfg.slstm_axis == AXIS_TIME:
-        # v-major [V*B, H] -> step-major [H*B, V]: each step is a token.
-        v, steps = cfg.num_variates, x_initial.shape[1]
-        by_step = T.transpose(T.reshape(x_initial, (v, batch * steps)))
-        x_initial = _swap_row_axes(by_step, batch, steps)
-    tokens = up_project(params.up_w, params.up_b, x_initial)
-    if cfg.init_token:
-        eta_tok = params.eta if batch == 1 else T.take_rows(params.eta, [0] * batch)
-        tokens = T.concat([eta_tok, tokens], axis=0)
-    return tokens
-
-
-def _refine_views(params: MixerParams, cfg: MixerConfig, tokens: Tensor, batch: int,
-                  training: bool, rng, stabilizer: slstm.StabilizerStats | None = None):
-    """Run the shared stack on the forward and feature-reversed views of
-    token-major rows [L*B, D]; returns both [L*B, D] outputs and the reversed
-    tokens.
-
-    Both views go through the stack in one call as a batch of 2B: per token,
-    each forward row is followed by its reversed row.  With mix_view off the
-    second view is the first one duplicated, so the reversed rows are never
-    pushed through the stack."""
-    rev = reverse_latent_view(tokens)
-    if cfg.slstm_axis == AXIS_NONE:
-        return tokens, (rev if cfg.mix_view else tokens), rev
-    if not cfg.mix_view:
-        out = slstm._stack_tokens(cfg.block, params.blocks, tokens, batch,
-                                  training, rng, stabilizer)
-        return out, out, rev
+    With ``both_views`` every row is followed by its feature-reversed copy,
+    so the result [L*2B, D] holds both views as one batch of 2B, and the
+    stack output read as [L*B, 2D] has each token's two views side by side.
+    With one view and no learned token the rows are returned as they are."""
     rows, d = tokens.shape
-    both = T.reshape(T.concat([tokens, rev], axis=1), (2 * rows, d))
-    out = slstm._stack_tokens(cfg.block, params.blocks, both, 2 * batch,
-                              training, rng, stabilizer)
-    out = T.reshape(out, (rows, 2 * d))
-    return T.slice_axis(out, 1, 0, d), T.slice_axis(out, 1, d, 2 * d), rev
+    lead = batch if eta is not None else 0
+    views = 2 if both_views else 1
+    if lead == 0 and views == 1:
+        return tokens
+    inputs = [tokens] + ([eta] if eta is not None else [])
+    packed = np.empty((lead + rows, views, d),
+                      dtype=np.result_type(*(t.data for t in inputs)))
+    rows_in = [(tokens.data, packed[lead:])]
+    if eta is not None:
+        rows_in.append((eta.data, packed[:lead]))
+    for src, dst in rows_in:
+        dst[:, 0] = src
+        if views == 2:
+            dst[:, 1] = src[:, ::-1]
+
+    def backward(g):
+        g3 = g.reshape(-1, views, d)
+        d_rows = g3[:, 0] + g3[:, 1, ::-1] if views == 2 else g3[:, 0]
+        grads = [d_rows[lead:]]
+        if eta is not None:
+            grads.append(d_rows[:lead].sum(axis=0, keepdims=True))
+        return grads
+
+    return T.custom_op(packed.reshape(-1, d), inputs, backward)
+
+
+def reconcile_views(view_w: Tensor, view_b: Tensor, packed, skip: int = 0) -> Tensor:
+    """Shared affine map over each token's two view outputs, side by side in
+    ``packed`` [rows, 2D], after dropping its first ``skip`` rows (the
+    learned token); one engine op.
+
+    A [rows, D] input stands for both views being that one (mix_view off):
+    it is mapped by the sum of the two halves of view_w."""
+    packed = T.as_tensor(packed)
+    rows, width = packed.shape
+    full = view_w.shape[1]
+    if width == full:
+        w = view_w.data
+    elif 2 * width == full:
+        w = view_w.data[:, :width] + view_w.data[:, width:]
+    else:
+        raise ShapeError(f"reconciliation expects width {full}, got {width}")
+    if not 0 <= skip <= rows:
+        raise ShapeError(f"cannot drop {skip} of {rows} rows")
+    y = packed.data[skip:]
+    out = y @ w.T
+    out += view_b.data
+
+    def backward(g):
+        d_w = g.T @ y
+        if width != full:
+            d_w = np.concatenate([d_w, d_w], axis=1)
+        d_packed = None
+        if packed.requires_grad:
+            d_packed = np.empty(packed.shape, dtype=np.result_type(g, w))
+            d_packed[:skip] = 0.0
+            np.matmul(g, w, out=d_packed[skip:])
+        return [d_packed, d_w, g.sum(axis=0, keepdims=True)]
+
+    return T.custom_op(out, [packed, view_w, view_b], backward)
+
+
+def _swap_token_axes(t: Tensor, batch: int) -> Tensor:
+    """Rows [A*B, C] indexed (a, b) to rows [C*B, A] indexed (c, b): the
+    token axis and the feature axis trade places around the batch axis.  The
+    swap is its own inverse, and so its own backward.  The time axis uses it
+    to turn v-major rows into step tokens and the step forecasts back."""
+    def swap(a):
+        outer = a.shape[0] // batch
+        return np.ascontiguousarray(
+            a.reshape(outer, batch, -1).transpose(2, 1, 0)).reshape(-1, outer)
+
+    return T.custom_op(swap(t.data), [t], lambda g: [swap(g)])
+
+
+def _refine_views(params: MixerParams, cfg: MixerConfig, tokens: Tensor,
+                  eta: Tensor | None, batch: int, training: bool, rng,
+                  stabilizer: slstm.StabilizerStats | None = None) -> Tensor:
+    """Run the shared stack over token-major rows [L*B, D], behind the
+    learned token ``eta`` when given, in both views.
+
+    Returns the views side by side, [L'*B, 2D], where L' counts eta; with
+    mix_view off the second view is the first one, so the reversed rows are
+    never pushed through the stack and the result is [L'*B, D]."""
+    packed = pack_views(tokens, eta, batch, cfg.mix_view)
+    out = packed
+    if cfg.slstm_axis != AXIS_NONE:
+        views = 2 if cfg.mix_view else 1
+        out = slstm._stack_tokens(cfg.block, params.blocks, packed, views * batch,
+                                  training, rng, stabilizer)
+    if cfg.mix_view:
+        out = T.reshape(out, (out.shape[0] // 2, 2 * out.shape[1]))
+    return out
 
 
 def _forward_flat(params: MixerParams, cfg: MixerConfig, x_flat, batch: int,
                   training: bool, rng, want_trace: bool,
                   stabilizer: slstm.StabilizerStats | None = None):
-    v = cfg.num_variates
+    v, d = cfg.num_variates, cfg.embed_dim
     x_flat = T.as_tensor(x_flat)
     if x_flat.shape != (v * batch, cfg.lookback):
         raise ShapeError(
             f"expected input shape {(v * batch, cfg.lookback)}, got {x_flat.shape}"
         )
+    time_axis = cfg.slstm_axis == AXIS_TIME
 
     x_norm, stats = revin_normalize(params.revin, x_flat, batch)
     if cfg.mix_time:
@@ -353,36 +477,31 @@ def _forward_flat(params: MixerParams, cfg: MixerConfig, x_flat, batch: int,
     else:
         x_initial = x_norm
 
-    tokens = _make_tokens(params, cfg, x_initial, batch)
-    out_f, out_r, rev_tokens = _refine_views(params, cfg, tokens, batch, training, rng,
-                                             stabilizer)
+    # On the time axis the tokens are forecast steps: step-major [H*B, V].
+    rows = _swap_token_axes(x_initial, batch) if time_axis else x_initial
+    tokens = up_project(params.up_w, params.up_b, rows)
+    eta = params.eta if cfg.init_token else None
+    views = _refine_views(params, cfg, tokens, eta, batch, training, rng, stabilizer)
 
-    # Drop the initial token's rows; what is left is v-major [V*B, D]
-    # (step-major [H*B, D] on the time axis).
+    # Dropping the learned token's rows leaves v-major [V*B, .] rows
+    # (step-major [H*B, .] on the time axis).
     skip = batch if cfg.init_token else 0
-    rows = tokens.shape[0]
-    y_prime = T.slice_axis(out_f, 0, skip, rows)
-    y_dprime = y_prime if out_r is out_f else T.slice_axis(out_r, 0, skip, rows)
-    y_tok = reconcile_views(params.view_w, params.view_b, y_prime, y_dprime)
-
-    if cfg.slstm_axis == AXIS_TIME:
-        # y_tok rows are steps: [H*B, V]; fold back to v-major [V*B, H].
-        by_batch = _swap_row_axes(y_tok, cfg.horizon, batch)
-        y_norm_flat = T.reshape(T.transpose(by_batch), (v * batch, cfg.horizon))
-    else:
-        y_norm_flat = y_tok
-
+    y_tok = reconcile_views(params.view_w, params.view_b, views, skip)
+    y_norm_flat = _swap_token_axes(y_tok, batch) if time_axis else y_tok
     y_flat = revin_denormalize(params.revin, stats, y_norm_flat, batch)
 
     trace = None
     if want_trace:
+        lead = [np.broadcast_to(eta.data, (batch, d))] if eta is not None else []
+        x_up = np.concatenate(lead + [tokens.data])
+        y_views = views.data[skip:]
         trace = ForwardTrace(
             x_norm=x_norm,
             x_initial=x_initial,
-            x_up=tokens,
-            x_up_reversed=rev_tokens,
-            y_prime=y_prime,
-            y_double_prime=y_dprime,
+            x_up=T.as_tensor(x_up),
+            x_up_reversed=T.as_tensor(x_up[:, ::-1]),
+            y_prime=T.as_tensor(y_views[:, :d]),
+            y_double_prime=T.as_tensor(y_views[:, -d:]),
             y_norm=y_norm_flat,
             y=y_flat,
         )
@@ -425,8 +544,8 @@ def decode_init_token(params: MixerParams, cfg: MixerConfig) -> Tensor:
         raise ConfigError("model has no initial token to decode")
     if cfg.slstm_axis == AXIS_TIME:
         raise ConfigError("token decoding is defined for variate-order models")
-    fwd, rev, _ = _refine_views(params, cfg, params.eta, 1, False, None)
-    return reconcile_views(params.view_w, params.view_b, fwd, rev)
+    views = _refine_views(params, cfg, params.eta, None, 1, False, None)
+    return reconcile_views(params.view_w, params.view_b, views)
 
 
 # -- checkpoint io ----------------------------------------------------------

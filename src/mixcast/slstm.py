@@ -20,6 +20,12 @@ matmul.
 Recurrent weight matrices are block-diagonal over heads: they are stored
 densely together with a binary mask, and the optimizer re-applies the mask
 after every update so off-block entries stay exactly zero.
+
+The input-gate bias ``b_i`` has no effect on the output: from the zero state
+a per-unit constant added to the input-gate pre-activation scales ``c`` and
+``n`` alike, so ``h = o c / n`` is unchanged, and its gradient is zero up to
+rounding.  It is kept (and trained and checkpointed) so that the checkpoint
+format does not change.
 """
 
 from __future__ import annotations

@@ -553,11 +553,13 @@ def take_rows(t: Tensor, indices) -> Tensor:
 
 
 def reshape(t: Tensor, shape) -> Tensor:
+    """Same entries in a new shape; a contiguous input is viewed, not copied
+    (tensors are immutable once they participate in a tape)."""
     t = as_tensor(t)
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape)) != t.size:
         raise ShapeError(f"cannot reshape {t.shape} to {shape}")
-    out = Tensor(t.data.reshape(shape).copy(), dtype=t.data.dtype)
+    out = Tensor(t.data.reshape(shape), dtype=t.data.dtype)
 
     def bwd(g):
         _accumulate(t, g.reshape(t.shape))

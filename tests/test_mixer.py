@@ -13,8 +13,8 @@ from mixcast.mixer import (
     RevInParams,
     build_ablation_config,
     init_mixer_params,
+    pack_views,
     reconcile_views,
-    reverse_latent_view,
     revin_denormalize,
     revin_normalize,
 )
@@ -133,18 +133,30 @@ def test_nlinear_shape_error():
 
 # -- tokens and views ---------------------------------------------------------
 
+def up_project_and_prepend(params, x_initial, cfg):
+    """Single-instance tokens as the stack sees them with one view."""
+    tokens = mixer.up_project(params.up_w, params.up_b, x_initial)
+    return pack_views(tokens, params.eta if cfg.init_token else None, 1, False)
+
+
+def reverse_latent_view(tokens):
+    """The second view of tokens, as packed for the stack."""
+    tokens = T.as_tensor(tokens)
+    return Tensor(pack_views(tokens, None, 1, True).data[1::2], dtype=tokens.data.dtype)
+
+
 def test_up_project_and_prepend_token_counts():
     rng = np.random.default_rng(5)
     cfg = make_cfg()
     params = init_mixer_params(cfg, rng, dtype=np.float64)
     x_initial = rng.normal(size=(3, 4))
-    tokens = mixer.up_project_and_prepend(params, x_initial, cfg)
+    tokens = up_project_and_prepend(params, x_initial, cfg)
     assert tokens.shape == (4, 8)
     assert np.array_equal(tokens.data[0], params.eta.data[0])
 
     cfg_no = make_cfg(init_token=False)
     params_no = init_mixer_params(cfg_no, rng, dtype=np.float64)
-    tokens_no = mixer.up_project_and_prepend(params_no, x_initial, cfg_no)
+    tokens_no = up_project_and_prepend(params_no, x_initial, cfg_no)
     assert tokens_no.shape == (3, 8)
 
 
@@ -154,7 +166,7 @@ def test_up_project_zero_weights_keep_eta():
     params = init_mixer_params(cfg, rng, dtype=np.float64)
     params.up_w.data[:] = 0.0
     params.up_b.data[:] = 0.0
-    tokens = mixer.up_project_and_prepend(params, rng.normal(size=(3, 4)), cfg)
+    tokens = up_project_and_prepend(params, rng.normal(size=(3, 4)), cfg)
     assert np.array_equal(tokens.data[0], params.eta.data[0])
     assert np.array_equal(tokens.data[1:], np.zeros((3, 8)))
 
@@ -174,12 +186,12 @@ def test_reconcile_selector_and_bias():
     y2 = Tensor(np.random.default_rng(9).normal(size=(3, d)), dtype=np.float64)
     selector = Tensor(np.hstack([np.eye(d), np.zeros((d, d))]), dtype=np.float64)
     zero_bias = Tensor(np.zeros((1, d)), dtype=np.float64)
-    out = reconcile_views(selector, zero_bias, y1, y2)
+    out = reconcile_views(selector, zero_bias, T.concat([y1, y2], axis=1))
     assert np.array_equal(out.data, y1.data)
 
     zero_w = Tensor(np.zeros((d, 2 * d)), dtype=np.float64)
     bias = Tensor(np.arange(d, dtype=np.float64).reshape(1, d))
-    out2 = reconcile_views(zero_w, bias, y1, y2)
+    out2 = reconcile_views(zero_w, bias, T.concat([y1, y2], axis=1))
     assert np.array_equal(out2.data, np.tile(bias.data, (3, 1)))
 
 
@@ -193,8 +205,8 @@ def test_reconcile_swap_with_mirrored_halves_is_invariant():
     w_mirrored = Tensor(np.hstack([b, a]), dtype=np.float64)
     y1 = Tensor(rng.normal(size=(3, d)), dtype=np.float64)
     y2 = Tensor(rng.normal(size=(3, d)), dtype=np.float64)
-    out = reconcile_views(w, bias, y1, y2).data
-    swapped = reconcile_views(w_mirrored, bias, y2, y1).data
+    out = reconcile_views(w, bias, T.concat([y1, y2], axis=1)).data
+    swapped = reconcile_views(w_mirrored, bias, T.concat([y2, y1], axis=1)).data
     assert np.abs(out - swapped).max() < 1e-12
 
 
@@ -290,10 +302,11 @@ def test_zeroed_stack_reduces_to_linear_path():
 
     x_norm, stats = revin_normalize(params.revin, x)
     x_init = mixer.nlinear_forecast(params.nlinear_w, params.nlinear_b, x_norm)
-    tokens = mixer.up_project_and_prepend(params, x_init, cfg)
+    tokens = up_project_and_prepend(params, x_init, cfg)
     y_prime = T.slice_axis(tokens, 0, 1, 4)
     y_dprime = T.slice_axis(reverse_latent_view(tokens), 0, 1, 4)
-    y_norm = reconcile_views(params.view_w, params.view_b, y_prime, y_dprime)
+    y_norm = reconcile_views(params.view_w, params.view_b,
+                             T.concat([y_prime, y_dprime], axis=1))
     expected = revin_denormalize(params.revin, stats, y_norm)
     assert np.array_equal(y.data, expected.data)
 
@@ -353,13 +366,15 @@ def test_view_symmetry_swaps_roles_bitwise():
     x = rng.normal(size=(3, 8)).astype(np.float32)
     x_norm, _ = revin_normalize(params.revin, Tensor(x))
     x_init = mixer.nlinear_forecast(params.nlinear_w, params.nlinear_b, x_norm)
-    tokens = mixer._make_tokens(params, cfg, x_init, batch=1)
+    tokens = up_project_and_prepend(params, x_init, cfg)
     reversed_tokens = reverse_latent_view(tokens)
 
-    out_f1, out_r1, _ = mixer._refine_views(params, cfg, tokens, 1, False, None)
-    out_f2, out_r2, _ = mixer._refine_views(params, cfg, reversed_tokens, 1, False, None)
-    assert np.array_equal(out_f2.data, out_r1.data)
-    assert np.array_equal(out_r2.data, out_f1.data)
+    d = cfg.embed_dim
+    out1 = mixer._refine_views(params, cfg, tokens, None, 1, False, None).data
+    out2 = mixer._refine_views(params, cfg, reversed_tokens, None, 1, False, None).data
+    out_f1, out_r1, out_f2, out_r2 = out1[:, :d], out1[:, d:], out2[:, :d], out2[:, d:]
+    assert np.array_equal(out_f2, out_r1)
+    assert np.array_equal(out_r2, out_f1)
 
 
 def test_time_axis_forward_shapes_and_gradients():
@@ -374,6 +389,14 @@ def test_no_time_mixing_forward_gradients():
     result = gradcheck.full_model_gradcheck(cfg=cfg)
     assert result.max_error < 1e-4
     assert result.frac_below_1e6 > 0.98
+
+
+@pytest.mark.parametrize("cid", [3, 6, 8])
+def test_ablation_forward_gradients(cid):
+    # No learned token (3, 6, 8), no stack (6), no time mixing (8).
+    cfg = build_ablation_config(cid, gradcheck.tiny_config())
+    result = gradcheck.full_model_gradcheck(cfg=cfg)
+    assert result.passed, (result.max_error, result.frac_below_1e6)
 
 
 def test_time_axis_batched_forward_matches_single():

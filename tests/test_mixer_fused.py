@@ -1,0 +1,140 @@
+"""The fused pipeline stages against the composed-op reference, in float64.
+
+The forecast and every gradient (parameters and input rows) must agree for
+all ten ablation configurations, batch sizes 1 and 3, conv widths 0 and 4,
+and a training step with dropout.  The stages are also checked for the
+module attributes the benchmark's traced run wraps, for the memory they hold
+without a tape, and for the size of a training step's tape.
+"""
+
+import contextlib
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from mixcast import mixer, slstm, tensor as T
+from mixcast.mixer import build_ablation_config, init_mixer_params
+from mixcast.slstm import BlockConfig
+from mixcast.tensor import Tape, Tensor
+
+import mixer_reference as ref
+from test_slstm_fused import assert_close, forward_and_grads, training_step_nodes
+
+
+def make_cfg(cid, conv_width=0, dropout=0.0, num_blocks=1):
+    block = BlockConfig(d_hidden=8, num_heads=2, conv_width=conv_width,
+                        dropout_rate=dropout)
+    base = mixer.MixerConfig(lookback=8, horizon=4, num_variates=3, embed_dim=8,
+                             num_blocks=num_blocks, block=block)
+    return build_ablation_config(cid, base)
+
+
+def compare_with_reference(cfg, batch, seed, training=False):
+    rng = np.random.default_rng(seed)
+    params = init_mixer_params(cfg, rng, dtype=np.float64)
+    x = T.parameter(rng.normal(0.0, 2.0, size=(cfg.num_variates * batch, cfg.lookback)),
+                    dtype=np.float64)
+    weights = rng.normal(size=(cfg.num_variates * batch, cfg.horizon))
+    names = ["input"] + [name for name, _, _ in params.named_parameters()]
+    leaves = [x] + [t for _, t, _ in params.named_parameters()]
+
+    def dropout_rng():
+        return np.random.default_rng(seed + 1) if training else None
+
+    got, got_grads = forward_and_grads(
+        lambda: mixer._forward_flat(params, cfg, x, batch, training, dropout_rng(),
+                                    want_trace=False)[0], leaves, weights)
+    want, want_grads = forward_and_grads(
+        lambda: ref.forward_flat(params, cfg, x, batch, training, dropout_rng()),
+        leaves, weights)
+    assert_close(got, want, "forecast")
+    for name, g, w in zip(names, got_grads, want_grads):
+        assert_close(g, w, name)
+    return params, x
+
+
+@pytest.mark.parametrize("conv_width", [0, 4])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("cid", list(range(1, 11)))
+def test_fused_stages_match_reference(cid, batch, conv_width):
+    compare_with_reference(make_cfg(cid, conv_width), batch, 10 * cid + batch + conv_width)
+
+
+@pytest.mark.parametrize("cid", [1, 2])
+def test_fused_stages_match_reference_training_with_dropout(cid):
+    cfg = make_cfg(cid, conv_width=4, dropout=0.3, num_blocks=2)
+    params, x = compare_with_reference(cfg, 3, 50 + cid, training=True)
+    eval_out = mixer._forward_flat(params, cfg, x, 3, False, None, want_trace=False)[0]
+    train_out = mixer._forward_flat(params, cfg, x, 3, True, np.random.default_rng(0),
+                                    want_trace=False)[0]
+    assert not np.array_equal(train_out.data, eval_out.data)  # dropout was active
+
+
+def test_training_step_tape_has_at_most_12_nodes():
+    # The etth1-train shape: 7 variates, one block, no conv.
+    nodes = training_step_nodes(7, 1, 0)
+    assert nodes <= 12, f"{nodes} tape nodes"
+
+
+# -- the stage attributes a traced run wraps ---------------------------------------
+
+STAGES = [(mixer, "revin_normalize"), (mixer, "nlinear_forecast"), (mixer, "up_project"),
+          (mixer, "reconcile_views"), (mixer, "revin_denormalize"),
+          (slstm, "_stack_tokens")]
+
+
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("cid", [1, 2, 7])
+def test_forward_calls_each_stage_attribute_once(cid, training, monkeypatch):
+    # Variates axis (1), time axis (2), and no time mixing (7).
+    cfg = make_cfg(cid, dropout=0.1)
+    rng = np.random.default_rng(cid)
+    params = init_mixer_params(cfg, rng)
+    calls = {}
+    for owner, name in STAGES:
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    xs = rng.normal(size=(2, cfg.num_variates, cfg.lookback)).astype(np.float32)
+    with Tape():
+        mixer.forward_batch(params, cfg, xs, training=training, rng=rng)
+    expected = {name: 1 for _, name in STAGES}
+    if not cfg.mix_time:
+        del expected["nlinear_forecast"]
+    assert calls == expected
+
+
+# -- no backward state without a tape ----------------------------------------------
+
+def held_bytes(run, record):
+    """Bytes still allocated once run() has returned, with its outputs alive."""
+    tracemalloc.start()
+    try:
+        with Tape() if record else contextlib.nullcontext():
+            outputs = run()  # noqa: F841 - alive while measuring
+            return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_eval_stages_keep_no_history():
+    rng = np.random.default_rng(9)
+    cfg = make_cfg(1)
+    params = init_mixer_params(cfg, rng)
+    batch = 2000
+    rows = cfg.num_variates * batch
+    x = Tensor(rng.normal(size=(rows, cfg.lookback)))
+    y_norm = T.parameter(rng.normal(size=(rows, cfg.horizon)))
+    _, stats = mixer.revin_normalize(params.revin, x, batch)
+
+    # With a tape the centered rows (RevIN, NLinear) and (y - beta) / gamma
+    # (the inverse) are kept for the backward; without one only the output.
+    for run in (lambda: mixer.revin_normalize(params.revin, x, batch),
+                lambda: mixer.nlinear_forecast(params.nlinear_w, params.nlinear_b, x),
+                lambda: mixer.revin_denormalize(params.revin, stats, y_norm, batch)):
+        assert held_bytes(run, False) < 0.6 * held_bytes(run, True)

@@ -115,20 +115,23 @@ def test_views_in_one_stack_call_match_reference_per_view(mix_view, monkeypatch)
     monkeypatch.setattr(slstm, "_stack_tokens",
                         lambda *args: calls.append(args[3]) or stack(*args))
 
+    # Both views side by side, or the one view standing for both.
     def fused():
-        out_f, out_r, _ = mixer._refine_views(params, cfg, tokens, batch, False, None)
-        return out_f * Tensor(w_f) + out_r * Tensor(w_r)
+        views = mixer._refine_views(params, cfg, tokens, None, batch, False, None)
+        if mix_view:
+            return views * Tensor(np.hstack([w_f, w_r]))
+        return views * Tensor(w_f + w_r)
 
     def reference():
         out_f = slstm_ref.to_rows(slstm_ref.stack(
             cfg.block, params.blocks, slstm_ref.from_rows(tokens, batch)))
-        out_r = out_f
-        if mix_view:
-            rev = slstm_ref.from_rows(T.reverse(tokens, axis=1), batch)
-            out_r = slstm_ref.to_rows(slstm_ref.stack(cfg.block, params.blocks, rev))
-        return out_f * Tensor(w_f) + out_r * Tensor(w_r)
+        if not mix_view:
+            return out_f * Tensor(w_f + w_r)
+        rev = slstm_ref.from_rows(T.reverse(tokens, axis=1), batch)
+        out_r = slstm_ref.to_rows(slstm_ref.stack(cfg.block, params.blocks, rev))
+        return T.concat([out_f * Tensor(w_f), out_r * Tensor(w_r)], axis=1)
 
-    ones = np.ones(tokens.shape)
+    ones = np.ones((tokens.shape[0], (2 if mix_view else 1) * tokens.shape[1]))
     got, got_grads = forward_and_grads(fused, leaves, ones)
     assert calls == [2 * batch if mix_view else batch]
     want, want_grads = forward_and_grads(reference, leaves, ones)
@@ -161,6 +164,19 @@ def test_stabilizer_stats_report_the_reference_gap():
             gap = min(gap, float(np.abs(gates.f_tilde.data + prev_m
                                         - gates.i_tilde.data).min()))
     assert stats.min_gap == pytest.approx(gap, rel=1e-12)
+
+
+@pytest.mark.parametrize("conv_width", [0, 4])
+def test_input_gate_bias_shift_leaves_block_output_unchanged(conv_width):
+    # From the zero state a per-unit constant added to the input-gate
+    # pre-activation scales c and n alike, so h does not move.
+    rng = np.random.default_rng(40 + conv_width)
+    cfg, blocks = make_stack(rng, conv_width, 1)
+    x = Tensor(rng.uniform(-1, 1, size=(6 * 3, cfg.d_hidden)), dtype=np.float64)
+    before = slstm._block(cfg, blocks[0], x, 3, False, None).data
+    blocks[0].cell.b_i.data += rng.uniform(-2.0, 2.0, size=(1, cfg.d_hidden))
+    after = slstm._block(cfg, blocks[0], x, 3, False, None).data
+    assert np.abs(after - before).max() < 1e-12
 
 
 def test_eval_keeps_no_gate_history():
