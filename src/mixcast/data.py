@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as T
 
@@ -81,6 +82,7 @@ class WindowedDataset:
                 f"range of {usable} rows cannot fit lookback {self.lookback} "
                 f"+ horizon {self.horizon}"
             )
+        self._windows_by_dtype = {}
 
     def __len__(self) -> int:
         return (self.stop - self.start) - self.lookback - self.horizon + 1
@@ -97,10 +99,30 @@ class WindowedDataset:
             dtype=dtype)
         return x, y
 
+    def _windows(self, dtype):
+        """[n, V, T] and [n, V, H] views whose entry i is window i in dtype.
+
+        They slide over a [V, rows] copy of the range, made once per dtype, so
+        each window row is a contiguous run and a batch is one gather."""
+        views = self._windows_by_dtype.get(dtype)
+        if views is None:
+            rows = np.ascontiguousarray(self.values[self.start:self.stop].T, dtype=dtype)
+            views = (sliding_window_view(rows, self.lookback, axis=1).swapaxes(0, 1),
+                     sliding_window_view(rows[:, self.lookback:], self.horizon,
+                                         axis=1).swapaxes(0, 1))
+            self._windows_by_dtype[dtype] = views
+        return views
+
     def batch(self, indices):
-        """Stack windows into (xs [B,V,T], ys [B,V,H])."""
-        xs, ys = zip(*(self.window(i) for i in indices))
-        return np.stack(xs), np.stack(ys)
+        """Windows as (xs [B,V,T], ys [B,V,H]), each gathered in one step;
+        equal to stacking window(i) for each index."""
+        idx = np.asarray(indices)
+        n = len(self)
+        bad = idx[(idx < 0) | (idx >= n)]
+        if bad.size:
+            raise IndexError(f"window {bad[0]} out of range (n={n})")
+        x_windows, y_windows = self._windows(T.default_dtype())
+        return np.ascontiguousarray(x_windows[idx]), np.ascontiguousarray(y_windows[idx])
 
     def __iter__(self):
         return (self.window(i) for i in range(len(self)))

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import json
 import re
+import shutil
+import uuid
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -554,9 +556,32 @@ _SAFE_NAME = re.compile(r"^[A-Za-z0-9_.]+$")
 
 
 def save_checkpoint(directory, params: MixerParams, extra: dict | None = None) -> None:
-    """Write a manifest plus one little-endian binary file per parameter."""
+    """Write a manifest plus one little-endian binary file per parameter.
+
+    The files go into a temporary sibling directory that then takes the
+    place of ``directory``, so a failed save leaves any earlier checkpoint
+    there whole."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    directory.parent.mkdir(parents=True, exist_ok=True)
+    staging = directory.with_name(f".{directory.name}.{uuid.uuid4().hex}.tmp")
+    staging.mkdir()
+    try:
+        _write_checkpoint(staging, params, extra)
+        if directory.exists():
+            # Renaming onto a non-empty directory fails, so the old one moves
+            # aside first and is removed once the new one is in place.
+            retired = staging.with_suffix(".old")
+            directory.rename(retired)
+            staging.rename(directory)
+            shutil.rmtree(retired)
+        else:
+            staging.rename(directory)
+    finally:
+        if staging.exists():
+            shutil.rmtree(staging)
+
+
+def _write_checkpoint(directory: Path, params: MixerParams, extra: dict | None) -> None:
     cfg = params.config
     config_doc = {
         "lookback": cfg.lookback,
@@ -635,5 +660,9 @@ def load_checkpoint(directory):
             raise ShapeError(
                 f"checkpoint shape {loaded.shape} != expected {tensor.shape} for {name}"
             )
+        if mask is not None and np.any(loaded[mask == 0]):
+            # The recurrence multiplies head blocks only, so an off-block
+            # entry would be silently ignored.
+            raise ValueError(f"{name} has non-zero entries outside its head blocks")
         tensor.data = loaded
     return params, cfg, config_doc.get("extra", {})

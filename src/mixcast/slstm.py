@@ -12,14 +12,25 @@ residual block (layer norm, causal convolution, recurrence, projection,
 dropout, residual) is one engine op computed on numpy arrays, with a
 hand-written backward that returns every block gradient; the recurrence
 inside it is backpropagated through time.  Gates are held as slabs
-``[4, L*B, D]`` in the order z, o, i, f, so each gate of each token is a
+``[4, rows, D]`` in the order z, o, i, f, so each gate of each token is a
 contiguous ``[B, D]`` block.  The input products are one matmul per gate,
-hoisted out of the time loop, and each step makes one stacked recurrent
-matmul.
+hoisted out of the time loop.
 
-Recurrent weight matrices are block-diagonal over heads: they are stored
-densely together with a binary mask, and the optimizer re-applies the mask
-after every update so off-block entries stay exactly zero.
+A block runs over chunks of whole tokens of at most ``CHUNK_ROWS`` rows (at
+least one token), each through every stage from layer norm to the residual;
+the recurrence state ``(h, c, n, m)`` and the last ``conv_width - 1`` normed
+tokens cross from one chunk to the next, and dropout masks are drawn chunk by
+chunk from the one generator, which continues a single stream.  Without a
+recording tape the intermediates live in chunk-sized buffers reused across
+chunks, so an eval block holds little beyond its output; with a tape they are
+views into the whole-sequence arrays its backward reads.
+
+Recurrent weight matrices are block-diagonal over heads.  They are stored
+densely together with a binary mask (the optimizer re-applies the mask after
+every update, and checkpoints with off-block entries are rejected on load),
+but every recurrent product, forward, backward and weight gradient, is made
+per head on the ``[d_h, d_h]`` diagonal blocks: no off-block zero is
+multiplied, and off-block gradients are exactly zero.
 
 The input-gate bias ``b_i`` has no effect on the output: from the zero state
 a per-unit constant added to the input-gate pre-activation scales ``c`` and
@@ -181,6 +192,11 @@ def init_block_weights(cfg: BlockConfig, rng, dtype=None) -> BlockWeights:
 _GATES = ("z", "o", "i", "f")
 _CHECK_ORDER = (("input", 2), ("forget", 3), ("cell-input", 0), ("output", 1))
 
+# Row budget of one token chunk in _block: a chunk holds as many whole tokens
+# as fit (at least one), so buffers that live for one chunk stay this small
+# however long the sequence is.
+CHUNK_ROWS = 4096
+
 
 def _cell_tensors(p: SLstmParams) -> list[Tensor]:
     """The cell's weights in engine-op input order: W, R, b, each z, o, i, f."""
@@ -199,91 +215,122 @@ def _raise_nonfinite(pre: np.ndarray) -> None:
             raise FloatingPointError(f"non-finite pre-activation in {name} gate")
 
 
-def _recurrence(p: SLstmParams, x: np.ndarray, x_if: np.ndarray, batch: int,
-                keep: bool, stats: StabilizerStats | None):
-    """Fold the cell over token-major rows from the zero state; returns the
-    hidden rows [L*B, D] and, when ``keep``, the (gates, cells, normalizers)
-    history the backward needs.
+def _head_blocks(p: SLstmParams) -> np.ndarray:
+    """The diagonal head blocks of R_z, R_o, R_i, R_f as [4, H, d_h, d_h]."""
+    width = p.d_hidden // p.num_heads
+    r = np.stack([getattr(p, "r_" + gate).data for gate in _GATES])
+    return np.stack([r[:, lo:lo + width, lo:lo + width]
+                     for lo in range(0, p.d_hidden, width)], axis=1)
 
-    x feeds the cell-input and output gates, x_if the exponential input and
-    forget gates.  The input products fill a pre-activation slab before the
-    loop, one matmul per gate straight into its contiguous slab, so a single
-    B = 1 token takes the same BLAS path as a per-step cell.  Each step adds
-    its recurrent product in place and runs in-place ufuncs on [B, D] blocks.
+
+def _per_head(a: np.ndarray, heads: int) -> np.ndarray:
+    """A [..., B, D] array as the [..., H, B, d_h] view of its head columns."""
+    *lead, rows, d = a.shape
+    return a.reshape(*lead, rows, heads, d // heads).swapaxes(-3, -2)
+
+
+def _history(rows: int, d: int, dtype):
+    """Gate slab, cell and normalizer rows that the backward reads."""
+    return (np.empty((4, rows, d), dtype=dtype), np.empty((rows, d), dtype=dtype),
+            np.empty((rows, d), dtype=dtype))
+
+
+class _Recurrence:
+    """The cell folded over successive chunks of token-major rows, carrying
+    (h, c, n, m) from one chunk to the next, starting from the zero state.
+
+    The weights are gathered once: the transposed input weights, the biases
+    and the transposed head blocks of the recurrent matrices.  Each step
+    makes one product per head, straight into the recurrent-product slab, so
+    no off-block zero is multiplied.
     """
-    rows, d = x.shape[0], p.d_hidden
-    dtype = np.result_type(x, p.w_z.data)
-    pre = np.empty((4, rows, d), dtype=dtype)
-    for k, (gate, src) in enumerate(zip(_GATES, (x, x, x_if, x_if))):
-        np.matmul(src, np.ascontiguousarray(getattr(p, "w_" + gate).data.T), out=pre[k])
-        pre[k] += getattr(p, "b_" + gate).data
-    r4 = np.stack([getattr(p, "r_" + gate).data.T for gate in _GATES])
 
-    hs = np.empty((rows, d), dtype=dtype)
-    zeros = np.zeros((batch, d), dtype=dtype)
-    m = zeros.copy()
-    rec = np.empty((4, batch, d), dtype=dtype)
-    tmp = np.empty((batch, d), dtype=dtype)
-    if keep:
-        acts, cs, ns = np.empty_like(pre), np.empty_like(hs), np.empty_like(hs)
-    else:
-        # Without a tape the gates overwrite the spent recurrent product and
-        # c, n are updated in place.
-        act, c, n = rec, np.empty_like(tmp), np.empty_like(tmp)
-    h = c_prev = n_prev = zeros
-    for lo in range(0, rows, batch):
-        now = slice(lo, lo + batch)
-        pre_t = pre[:, now]
-        np.matmul(h, r4, out=rec)
-        pre_t += rec
-        if not np.isfinite(pre_t).all():
-            _raise_nonfinite(pre_t)
-        if keep:
-            act, c, n = acts[:, now], cs[now], ns[now]
-        z, o, i, f = act
-        np.tanh(pre_t[0], out=z)
-        np.multiply(pre_t[1], 0.5, out=o)   # overflow-free logistic
-        np.tanh(o, out=o)
-        o *= 0.5
-        o += 0.5
-        i_tilde, f_tilde = pre_t[2], pre_t[3]
-        f_tilde += m
-        if stats is not None:
-            np.subtract(f_tilde, i_tilde, out=tmp)
-            stats.min_gap = min(stats.min_gap, float(np.abs(tmp, out=tmp).min()))
-        np.maximum(f_tilde, i_tilde, out=m)
-        np.subtract(i_tilde, m, out=i)
-        np.exp(i, out=i)
-        np.subtract(f_tilde, m, out=f)
-        np.exp(f, out=f)
-        np.multiply(i, z, out=tmp)           # c = f c_prev + i z
-        np.multiply(f, c_prev, out=c)
-        c += tmp
-        np.multiply(f, n_prev, out=n)        # n = f n_prev + i
-        n += i
-        h = hs[now]                          # h = o c / n
-        np.multiply(o, c, out=h)
-        h /= n
-        c_prev, n_prev = c, n
-    return hs, ((acts, cs, ns) if keep else None)
+    def __init__(self, p: SLstmParams, batch: int, rows: int, dtype,
+                 stats: StabilizerStats | None):
+        d = p.d_hidden
+        self.batch, self.heads, self.stats = batch, p.num_heads, stats
+        self.w = [np.ascontiguousarray(getattr(p, "w_" + gate).data.T) for gate in _GATES]
+        self.b = [getattr(p, "b_" + gate).data for gate in _GATES]
+        self.r = np.ascontiguousarray(_head_blocks(p).swapaxes(-1, -2))
+        self.pre = np.empty((4, rows, d), dtype=dtype)
+        self.rec = np.empty((4, batch, d), dtype=dtype)
+        self.tmp = np.empty((batch, d), dtype=dtype)
+        zeros = np.zeros((batch, d), dtype=dtype)
+        self.h, self.c, self.n, self.m = zeros, zeros.copy(), zeros.copy(), zeros.copy()
+
+    def run(self, x: np.ndarray, x_if: np.ndarray, hs: np.ndarray, history=None) -> None:
+        """Fold the cell over the rows of x into hs.
+
+        x feeds the cell-input and output gates, x_if the exponential input
+        and forget gates.  The input products fill the pre-activation slab
+        before the loop, one matmul per gate straight into its contiguous
+        slab, so a single B = 1 token takes the same BLAS path as a per-step
+        cell.  Each step adds them to its recurrent product in a contiguous
+        [4, B, D] slab and runs in-place ufuncs there.  With ``history``
+        (views of the rows' gate slab, cells and normalizers) the gates and
+        states are kept there for the backward; without it the gates
+        overwrite the step's slab and c, n are updated in place.
+        """
+        rows, batch, stats, tmp, m = x.shape[0], self.batch, self.stats, self.tmp, self.m
+        pre = self.pre[:, :rows]
+        for k, src in enumerate((x, x, x_if, x_if)):
+            np.matmul(src, self.w[k], out=pre[k])
+            pre[k] += self.b[k]
+        rec, rec_heads = self.rec, _per_head(self.rec, self.heads)
+        h, c, n = self.h, self.c, self.n
+        act = rec
+        for lo in range(0, rows, batch):
+            now = slice(lo, lo + batch)
+            c_prev, n_prev = c, n
+            np.matmul(_per_head(h, self.heads), self.r, out=rec_heads)
+            rec += pre[:, now]
+            if not np.isfinite(rec).all():
+                _raise_nonfinite(rec)
+            if history is not None:
+                act, c, n = history[0][:, now], history[1][now], history[2][now]
+            z, o, i, f = act
+            rec[1] *= 0.5                        # overflow-free logistic
+            np.tanh(rec[:2], out=act[:2])
+            o *= 0.5
+            o += 0.5
+            i_tilde, f_tilde = rec[2], rec[3]
+            f_tilde += m
+            if stats is not None:
+                np.subtract(f_tilde, i_tilde, out=tmp)
+                stats.min_gap = min(stats.min_gap, float(np.abs(tmp, out=tmp).min()))
+            np.maximum(f_tilde, i_tilde, out=m)
+            np.subtract(rec[2:], m, out=act[2:])
+            np.exp(act[2:], out=act[2:])
+            np.multiply(i, z, out=tmp)           # c = f c_prev + i z
+            np.multiply(f, c_prev, out=c)
+            c += tmp
+            np.multiply(f, n_prev, out=n)        # n = f n_prev + i
+            n += i
+            h = hs[now]                          # h = o c / n
+            np.multiply(o, c, out=h)
+            h /= n
+        self.h, self.c, self.n = h, c, n
 
 
 def _recurrence_backward(p: SLstmParams, d_hs: np.ndarray, hs: np.ndarray, history,
                          x: np.ndarray, x_if: np.ndarray, batch: int):
-    """Backpropagation through time for :func:`_recurrence`.
+    """Backpropagation through time for :class:`_Recurrence`.
 
     Returns the gradients of x, of x_if, and of the cell weights in
-    engine-op input order.  The spent history is overwritten instead of
-    allocating fresh arrays: the gates with their pre-activation gradients,
-    the cell and normalizer rows with the input-path gradients.  The
-    stabilizer m is treated as a constant: h does not depend on it
-    mathematically, so the m paths carry no gradient.
+    engine-op input order; the recurrent weights get gradients inside their
+    head blocks only, so off-block entries are exactly zero.  The spent
+    history is overwritten instead of allocating fresh arrays: the gates with
+    their pre-activation gradients, the cell and normalizer rows with the
+    input-path gradients.  The stabilizer m is treated as a constant: h does
+    not depend on it mathematically, so the m paths carry no gradient.
     """
     acts, cs, ns = history
     rows, d = hs.shape
-    r4t = np.stack([getattr(p, "r_" + gate).data for gate in _GATES])
+    heads = p.num_heads
+    blocks = _head_blocks(p)
     dh, dc, dn, t1, t2 = (np.zeros((batch, d), dtype=d_hs.dtype) for _ in range(5))
     rec = np.empty((4, batch, d), dtype=d_hs.dtype)
+    rec_heads = _per_head(rec, heads)
     for lo in range(rows - batch, -1, -batch):
         now = slice(lo, lo + batch)
         z, o, i, f = acts[:, now]
@@ -318,13 +365,19 @@ def _recurrence_backward(p: SLstmParams, d_hs: np.ndarray, hs: np.ndarray, histo
         dc *= f
         dn *= f
         f *= t1
-        np.matmul(acts[:, now], r4t, out=rec)
+        np.matmul(_per_head(acts[:, now], heads), blocks, out=rec_heads)
         np.sum(rec, axis=0, out=dh)
     d_pre = acts
 
     weights = [getattr(p, "w_" + gate).data for gate in _GATES]
     d_w = [d_pre[k].T @ src for k, src in enumerate((x, x, x_if, x_if))]
-    d_r = [d_pre[k, batch:].T @ hs[:-batch] for k in range(4)]
+    # Head block (a, b) of d_R_k is d_pre_k[t, a]^T h[t-1, b] summed over t.
+    d_r = np.zeros((4, d, d), dtype=d_hs.dtype)
+    width = d // heads
+    d_blocks = np.matmul(_per_head(d_pre[:, batch:], heads).swapaxes(-1, -2),
+                         _per_head(hs[:-batch], heads))
+    for j, lo in enumerate(range(0, d, width)):
+        d_r[:, lo:lo + width, lo:lo + width] = d_blocks[:, j]
     d_b = [d_pre[k].sum(axis=0, keepdims=True) for k in range(4)]
     fits = cs.shape == x.shape
     d_x = np.matmul(d_pre[0], weights[0], out=cs if fits else None)
@@ -332,7 +385,7 @@ def _recurrence_backward(p: SLstmParams, d_hs: np.ndarray, hs: np.ndarray, histo
     tmp = np.matmul(d_pre[1], weights[1])
     d_x += tmp
     d_x_if += np.matmul(d_pre[3], weights[3], out=tmp)
-    return d_x, d_x_if, d_w + d_r + d_b
+    return d_x, d_x_if, d_w + list(d_r) + d_b
 
 
 def _sequence(p: SLstmParams, x: Tensor, batch: int,
@@ -343,7 +396,11 @@ def _sequence(p: SLstmParams, x: Tensor, batch: int,
         raise ShapeError(f"token width {x.shape[-1]} != cell input width {p.d_in}")
     _check_rows(x, batch)
     inputs = [x] + _cell_tensors(p)
-    hs, history = _recurrence(p, x.data, x.data, batch, T.will_record(inputs), stats)
+    rows, d = x.shape[0], p.d_hidden
+    dtype = np.result_type(x.data, p.w_z.data)
+    history = _history(rows, d, dtype) if T.will_record(inputs) else None
+    hs = np.empty((rows, d), dtype=dtype)
+    _Recurrence(p, batch, rows, dtype, stats).run(x.data, x.data, hs, history)
 
     def backward(g):
         d_x, d_x_if, d_cell = _recurrence_backward(p, g, hs, history, x.data, x.data,
@@ -358,7 +415,14 @@ def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
            training: bool, rng, stats: StabilizerStats | None = None) -> Tensor:
     """Residual block over token-major rows [L*B, D] as one tape node: layer
     norm, causal-conv taps on the input/forget path, the recurrence, the
-    projection, dropout (one [L*B, D] mask) and the residual."""
+    projection, dropout and the residual.
+
+    The rows run in chunks of whole tokens under the CHUNK_ROWS budget; the
+    recurrence state and the last conv_width - 1 normed tokens cross from one
+    chunk to the next.  Without a recording tape the intermediates live in
+    chunk-sized buffers reused across chunks; with one they are views into the
+    whole-sequence arrays the backward reads.
+    """
     d = cfg.d_hidden
     if x.data.ndim != 2 or x.shape[1] != d:
         raise ShapeError(f"token width {x.shape[-1]} != block width {d}")
@@ -373,40 +437,74 @@ def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
               + ([] if kernel is None else [w.conv_kernel]))
     keep = T.will_record(inputs)
     rows = x.shape[0]
+    chunk = min(rows, max(1, CHUNK_ROWS // batch) * batch)
+    dtype = np.result_type(x.data, w.cell.w_z.data)
+    eps = x.data.dtype.type(LN_EPS)
+    keep_p = 1.0 - cfg.dropout_rate
+    # Without a tape, normed rows are kept after a tail of the previous
+    # chunk's last conv_width - 1 tokens, which the taps read across the seam.
+    tail = 0 if keep or kernel is None else min(rows, (kernel.shape[0] - 1) * batch)
+    size = rows if keep else chunk
+    normed = np.empty((tail + size, d), dtype=dtype)
+    xhat = np.empty((rows, d), dtype=dtype) if keep else normed[tail:]
+    inv_std = np.empty((size, 1), dtype=dtype)
+    x_if = normed if kernel is None else np.empty((size, d), dtype=dtype)
+    hs = np.empty((size, d), dtype=dtype)
+    history = _history(rows, d, dtype) if keep else None
+    mask = np.empty((rows, d), dtype=dtype) if keep and dropout else None
+    out = np.empty((rows, d), dtype=dtype)
+    cell = _Recurrence(w.cell, batch, chunk, dtype, stats)
 
-    # Layer norm over each row, with eps in the rows' dtype.
-    xhat = x.data - x.data.mean(axis=1, keepdims=True)
-    squares = np.square(xhat)
-    inv_std = squares.mean(axis=1, keepdims=True)
-    inv_std += x.data.dtype.type(LN_EPS)
-    np.sqrt(inv_std, out=inv_std)
-    np.divide(1.0, inv_std, out=inv_std)
-    xhat *= inv_std
-    # Only the backward reads xhat again, so without a tape it is scaled in place.
-    normed = np.multiply(xhat, w.ln_gamma.data, out=squares if keep else xhat)
-    normed += w.ln_beta.data
+    for lo in range(0, rows, chunk):
+        hi = min(lo + chunk, rows)
+        n = hi - lo
+        part = slice(lo, hi) if keep else slice(0, n)
+        xc, xhat_c, inv_c = x.data[lo:hi], xhat[part], inv_std[part]
+        normed_c = normed[tail:][part]
+        # Layer norm over each row, with eps in the rows' dtype; the squares
+        # go through the pre-activation slab, which is free until the
+        # recurrence fills it.
+        np.subtract(xc, xc.mean(axis=1, keepdims=True), out=xhat_c)
+        squares = np.square(xhat_c, out=cell.pre[0, :n])
+        np.mean(squares, axis=1, keepdims=True, out=inv_c)
+        inv_c += eps
+        np.sqrt(inv_c, out=inv_c)
+        np.divide(1.0, inv_c, out=inv_c)
+        xhat_c *= inv_c
+        np.multiply(xhat_c, w.ln_gamma.data, out=normed_c)
+        normed_c += w.ln_beta.data
 
-    # Causal depthwise taps: token t gains kernel[j] * normed[t - j] for every
-    # tap j <= t, a row shift by j*B added in place, so a zero kernel reduces
-    # exactly to the conv-disabled path.
-    x_if = normed
-    if kernel is not None:
-        x_if = normed * kernel[0]
-        x_if += normed
-        for j in range(1, kernel.shape[0]):
-            shift = j * batch
-            if shift >= rows:
-                break
-            x_if[shift:] += normed[:rows - shift] * kernel[j]
+        # Causal depthwise taps: token t gains kernel[j] * normed[t - j] for
+        # every tap j <= t, a row shift by j*B added in place, so a zero
+        # kernel reduces exactly to the conv-disabled path.  The earlier
+        # tokens a tap reads sit right before the chunk's rows in `normed`.
+        x_if_c = normed_c
+        if kernel is not None:
+            base = tail + part.start
+            x_if_c = np.multiply(normed_c, kernel[0], out=x_if[part])
+            x_if_c += normed_c
+            for j in range(1, kernel.shape[0]):
+                shift = j * batch
+                first = max(0, shift - lo)
+                if first >= n:
+                    break
+                x_if_c[first:] += normed[base + first - shift:base + n - shift] * kernel[j]
 
-    hs, history = _recurrence(w.cell, normed, x_if, batch, keep, stats)
-    out = hs @ w.proj_w.data.T
-    mask = None
-    if dropout:
-        keep_p = 1.0 - cfg.dropout_rate
-        mask = (rng.random(size=out.shape) < keep_p).astype(out.dtype) / keep_p
-        out *= mask
-    out += x.data
+        hs_c = hs[part]
+        views = None if history is None else (history[0][:, lo:hi], history[1][lo:hi],
+                                              history[2][lo:hi])
+        cell.run(normed_c, x_if_c, hs_c, views)
+        out_c = np.matmul(hs_c, w.proj_w.data.T, out=out[lo:hi])
+        if dropout:
+            # Successive draws continue one stream, so the masks equal one
+            # draw over all rows.
+            drop = (rng.random(size=(n, d)) < keep_p).astype(dtype) / keep_p
+            out_c *= drop
+            if mask is not None:
+                mask[lo:hi] = drop
+        out_c += xc
+        if tail and hi < rows:
+            normed[:tail] = normed[n:n + tail]
 
     def backward(g):
         dy = g if mask is None else g * mask

@@ -213,14 +213,10 @@ def fit(params: MixerParams, cfg: MixerConfig, train_ds, val_ds,
                             f"non-finite loss {value} at epoch {epoch}, batch {b}"
                         )
                     tape.backward(loss)
-                grads = []
-                for t, mask in zip(tensors, masks):
-                    g = t.grad if t.grad is not None else np.zeros_like(t.data)
-                    if mask is not None:
-                        # Off-block entries are structurally zero; their
-                        # gradients would only inflate the clip norm.
-                        g = g * mask.astype(g.dtype, copy=False)
-                    grads.append(g)
+                # Recurrent weights get exactly zero off-block gradients, so
+                # the clip norm is the in-block norm.
+                grads = [t.grad if t.grad is not None else np.zeros_like(t.data)
+                         for t in tensors]
                 clip_global_norm(grads, train_cfg.clip_norm)
                 lr = lr_at_step(step, total_steps, train_cfg)
                 adam_step(state, tensors, grads, lr, train_cfg, masks)

@@ -237,3 +237,30 @@ def test_etth1_has_seven_variates_when_available(tmp_path):
         pytest.skip("real ETTh1.csv not available; checked synthetic stand-in")
     raw = D.load_csv(path)
     assert raw.num_variates == 7
+
+
+def test_batch_equals_stacked_windows():
+    from mixcast import tensor as T
+    values = synthetic_series(60, 3, seed=5)
+    ds = D.window_iter(values, (7, 60), 8, 4)
+    indices = [0, 5, 5, len(ds) - 1, 2]
+    # Both precisions on one dataset, each batch in the dtype of its call.
+    for dtype in (np.float32, np.float64, np.float32):
+        with T.precision(dtype):
+            xs, ys = ds.batch(np.array(indices))
+            want_x = np.stack([ds.window(i)[0] for i in indices])
+            want_y = np.stack([ds.window(i)[1] for i in indices])
+        for got, want in ((xs, want_x), (ys, want_y)):
+            assert got.dtype == dtype and got.shape == want.shape
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [-1, -33, 33, 99])
+def test_batch_rejects_out_of_range_index(bad):
+    # Fancy indexing would wrap negative indices instead of raising.
+    values = synthetic_series(40, 2, seed=6)
+    ds = D.window_iter(values, (0, 40), 6, 2)
+    assert len(ds) == 33
+    with pytest.raises(IndexError, match=f"window {bad} out of range"):
+        ds.batch([0, bad, 1])

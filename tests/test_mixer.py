@@ -568,3 +568,57 @@ def test_checkpoint_rejects_truncated_file(tmp_path):
     path.write_bytes(path.read_bytes()[:-4])
     with pytest.raises(ValueError, match="view.weight.bin holds .* expected"):
         mixer.load_checkpoint(ck)
+
+
+def test_checkpoint_rejects_off_block_recurrent_weight(tmp_path):
+    cfg = make_cfg(block=BlockConfig(d_hidden=8, num_heads=2))
+    params = init_mixer_params(cfg, np.random.default_rng(30))
+    ck = tmp_path / "ck"
+    mixer.save_checkpoint(ck, params)
+    path = ck / "blocks.0.cell.r_f.bin"
+    r = np.fromfile(path, dtype="<f4").reshape(8, 8)
+    assert r[0, 7] == 0.0  # row 0 is in head 0, column 7 in head 1
+    r[0, 7] = 0.5
+    r.tofile(path)
+    with pytest.raises(ValueError, match="blocks.0.cell.r_f .*outside its head blocks"):
+        mixer.load_checkpoint(ck)
+
+
+class _FailingWrite(np.ndarray):
+    def tofile(self, *args, **kwargs):
+        raise OSError("disk full")
+
+
+def test_failed_checkpoint_save_keeps_previous_checkpoint(tmp_path):
+    rng = np.random.default_rng(31)
+    cfg = make_cfg()
+    before = init_mixer_params(cfg, rng)
+    ck = tmp_path / "ck"
+    mixer.save_checkpoint(ck, before)
+
+    after = init_mixer_params(cfg, rng)
+    third = list(after.named_parameters())[2][1]
+    third.data = third.data.view(_FailingWrite)  # the third file write raises
+    with pytest.raises(OSError, match="disk full"):
+        mixer.save_checkpoint(ck, after)
+
+    loaded, _, _ = mixer.load_checkpoint(ck)
+    for (name, a, _), (_, b, _) in zip(before.named_parameters(),
+                                       loaded.named_parameters()):
+        assert a.data.tobytes() == b.data.tobytes(), name
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
+
+
+def test_checkpoint_save_replaces_and_leaves_no_temporary(tmp_path):
+    rng = np.random.default_rng(32)
+    cfg = make_cfg()
+    ck = tmp_path / "ck"
+    mixer.save_checkpoint(ck, init_mixer_params(cfg, rng))
+    newer = init_mixer_params(cfg, rng)
+    mixer.save_checkpoint(ck, newer, extra={"epoch": 2})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
+    loaded, _, extra = mixer.load_checkpoint(ck)
+    assert extra == {"epoch": 2}
+    for (name, a, _), (_, b, _) in zip(newer.named_parameters(),
+                                       loaded.named_parameters()):
+        assert a.data.tobytes() == b.data.tobytes(), name

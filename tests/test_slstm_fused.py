@@ -24,6 +24,11 @@ def leaves_of(blocks):
     return [t for w in blocks for _, t, _ in w.named_parameters()]
 
 
+def masks_of(blocks):
+    """Per leaf of leaves_of: the head mask of a recurrent weight, else None."""
+    return [m for w in blocks for _, _, m in w.named_parameters()]
+
+
 def forward_and_grads(run, leaves, weights):
     """Output of run() and the gradients of sum(weights * output)."""
     for t in leaves:
@@ -39,6 +44,19 @@ def assert_close(got, want, what):
     scale = max(1.0, float(np.abs(want).max()))
     err = float(np.abs(got - want).max()) / scale
     assert err < TOL, f"{what}: relative deviation {err:.3e}"
+
+
+def assert_grads_close(got, want, masks, names=None):
+    """Gradients agree entry by entry.  A recurrent weight is compared inside
+    its head blocks, and its off-block entries must be exactly zero: the fused
+    op multiplies per head, while the reference multiplies the structural
+    zeros densely and so gives them a gradient."""
+    names = names or [f"gradient {k}" for k in range(len(got))]
+    for name, g, w, mask in zip(names, got, want, masks):
+        if mask is not None:
+            assert not np.any(g * (1.0 - mask)), f"{name}: off-block gradient"
+            g, w = g * mask, w * mask
+        assert_close(g, w, name)
 
 
 def make_stack(rng, conv_width, num_blocks, dropout=0.0, d=8, heads=2):
@@ -68,8 +86,7 @@ def test_fused_stack_matches_reference(conv_width, num_blocks, batch, length):
         leaves, weights)
     assert_close(got, want, "forward")
     names = ["input"] + [n for w in blocks for n, _, _ in w.named_parameters()]
-    for name, g, w in zip(names, got_grads, want_grads):
-        assert_close(g, w, name)
+    assert_grads_close(got_grads, want_grads, [None] + masks_of(blocks), names)
 
 
 @pytest.mark.parametrize("conv_width", [0, 4])
@@ -94,8 +111,91 @@ def test_fused_stack_matches_reference_training_with_dropout(conv_width):
     eval_out = slstm._stack_tokens(cfg, blocks, x, batch, False, None).data
     assert not np.array_equal(got, eval_out)  # dropout was active
     assert_close(got, want, "forward")
-    for g, w in zip(got_grads, want_grads):
-        assert_close(g, w, "gradient")
+    assert_grads_close(got_grads, want_grads, [None] + masks_of(blocks))
+
+
+@pytest.mark.parametrize("conv_width", [0, 2, 4])
+@pytest.mark.parametrize("num_blocks", [1, 2])
+@pytest.mark.parametrize("tokens_per_chunk", [1, 2, 3])
+@pytest.mark.parametrize("training", [False, True])
+def test_token_chunks_match_reference(conv_width, num_blocks, tokens_per_chunk, training,
+                                      monkeypatch):
+    # 7 tokens run as chunks of 1, 2 or 3 tokens; a budget of 3 tokens plus a
+    # row also shows that a chunk holds whole tokens only.  Without a tape
+    # the chunks use reused buffers, with one they write the whole history.
+    batch, length = 3, 7
+    budget = {1: 1, 2: 2 * batch, 3: 3 * batch + 1}[tokens_per_chunk]
+    monkeypatch.setattr(slstm, "CHUNK_ROWS", budget)
+    rng = np.random.default_rng(conv_width + 10 * num_blocks + 100 * tokens_per_chunk)
+    cfg, blocks = make_stack(rng, conv_width, num_blocks, dropout=0.3 if training else 0.0)
+    x = T.parameter(rng.uniform(-1, 1, size=(length * batch, cfg.d_hidden)),
+                    dtype=np.float64)
+
+    def fused():
+        return slstm._stack_tokens(cfg, blocks, x, batch, training, np.random.default_rng(5))
+
+    def reference():
+        return slstm_ref.to_rows(slstm_ref.stack(cfg, blocks, slstm_ref.from_rows(x, batch),
+                                                 training, np.random.default_rng(5)))
+
+    if not training:
+        assert_close(fused().data, reference().data, "forward")
+        return
+    weights = rng.normal(size=x.shape)
+    leaves = [x] + leaves_of(blocks)
+    got, got_grads = forward_and_grads(fused, leaves, weights)
+    want, want_grads = forward_and_grads(reference, leaves, weights)
+    assert_close(got, want, "forward")
+    assert_grads_close(got_grads, want_grads, [None] + masks_of(blocks))
+
+
+def test_consecutive_draws_continue_one_stream():
+    # Chunked dropout draws one mask per chunk from the same generator; the
+    # masks equal one draw over all rows.
+    whole = np.random.default_rng(9).random(size=(7 * 3, 8))
+    rng = np.random.default_rng(9)
+    parts = [rng.random(size=(rows, 8)) for rows in (9, 9, 3)]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("conv_width", [0, 4])
+def test_chunked_dropout_block_is_bitwise_one_chunk(conv_width, monkeypatch):
+    rng = np.random.default_rng(60 + conv_width)
+    cfg, blocks = make_stack(rng, conv_width, 2, dropout=0.3)
+    x = Tensor(rng.uniform(-1, 1, size=(7 * 3, cfg.d_hidden)), dtype=np.float64)
+    whole = slstm._stack_tokens(cfg, blocks, x, 3, True, np.random.default_rng(2)).data
+    monkeypatch.setattr(slstm, "CHUNK_ROWS", 6)
+    chunked = slstm._stack_tokens(cfg, blocks, x, 3, True, np.random.default_rng(2)).data
+    assert chunked.tobytes() == whole.tobytes()
+
+
+def test_eval_block_peak_memory_is_bounded_by_chunks():
+    # At 16 chunks' worth of rows only the output is whole-sequence; the
+    # intermediates live in chunk-sized buffers.
+    rng = np.random.default_rng(61)
+    cfg = BlockConfig(d_hidden=16, num_heads=4, conv_width=4)
+    w = slstm.init_block_weights(cfg, rng)
+    batch = 64
+    x = Tensor(rng.uniform(-1, 1, size=(16 * slstm.CHUNK_ROWS, 16)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        out = slstm._block(cfg, w, x, batch, False, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * out.data.nbytes, f"peak {peak} B for {out.data.nbytes} B of output"
+
+
+def test_off_block_recurrent_gradients_are_exactly_zero():
+    rng = np.random.default_rng(62)
+    cfg, blocks = make_stack(rng, 2, 2, d=12, heads=3)
+    x = T.parameter(rng.uniform(-1, 1, size=(5 * 4, 12)), dtype=np.float64)
+    _, grads = forward_and_grads(lambda: slstm._stack_tokens(cfg, blocks, x, 4, False, None),
+                                 leaves_of(blocks), rng.normal(size=x.shape))
+    for (name, _, mask), g in zip([t for w in blocks for t in w.named_parameters()], grads):
+        if mask is not None:
+            assert np.all(g[mask == 0] == 0.0), name
+            assert np.all(g[mask == 1] != 0.0), name
 
 
 @pytest.mark.parametrize("mix_view", [True, False])
@@ -136,8 +236,7 @@ def test_views_in_one_stack_call_match_reference_per_view(mix_view, monkeypatch)
     assert calls == [2 * batch if mix_view else batch]
     want, want_grads = forward_and_grads(reference, leaves, ones)
     assert_close(got, want, "forward")
-    for g, w in zip(got_grads, want_grads):
-        assert_close(g, w, "gradient")
+    assert_grads_close(got_grads, want_grads, [None] + masks_of(params.blocks))
 
 
 @pytest.mark.parametrize("bias,gate", [("b_i", "input"), ("b_f", "forget"),
