@@ -3,6 +3,7 @@ ablation matrix, the gradient-check gate, and initial-token decoding.
 
 Every option can also come from a key-value config file (``--config``) whose
 keys mirror the flag names (e.g. ``embed-dim=128``); explicit flags win.
+``eval`` and ``forecast`` read the dataset kind stored in the checkpoint.
 Metric reports emitted by ``train`` and ``eval`` set wall_time_s to 0.0 so
 repeated runs are byte-identical; real timings go to stdout and run_meta.json.
 """
@@ -59,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on one split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--dataset", choices=data_mod.DATASET_KINDS, default="generic")
+    p.add_argument("--dataset", choices=data_mod.DATASET_KINDS, default=None,
+                   help="dataset kind (default: the checkpoint's, else generic)")
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
     p.add_argument("--report", required=True)
 
@@ -79,35 +81,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                       argv: list[str]) -> None:
-    """Fill options from the key=value file for flags absent from argv."""
-    if getattr(args, "config", None) is None:
-        return
-    text = Path(args.config).read_text()
-    file_opts = {}
-    for ln, line in enumerate(text.splitlines(), start=1):
+def _config_tokens(path) -> list[str]:
+    """The key=value lines of a config file as ``--key=value`` tokens."""
+    tokens = []
+    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise SystemExit(f"{args.config}:{ln}: expected key=value, got {line!r}")
+            raise SystemExit(f"{path}:{ln}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
-        file_opts[key.strip()] = value.strip()
-
-    explicit = {a.split("=", 1)[0] for a in argv if a.startswith("--")}
-    casts = {"lookback": int, "horizon": int, "embed-dim": int, "blocks": int,
-             "heads": int, "conv-width": int, "batch": int, "warmup": int,
-             "epochs": int, "patience": int, "seed": int, "id": int,
-             "window-index": int, "dropout": float, "lr": float}
-    for key, value in file_opts.items():
-        flag = f"--{key}"
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
-            raise SystemExit(f"{args.config}: unknown option {key!r}")
-        if flag in explicit:
-            continue  # flags take precedence
-        setattr(args, dest, casts.get(key, str)(value))
+        tokens.append(f"--{key.strip()}={value.strip()}")
+    return tokens
 
 
 def _prepare_data(path, kind, lookback, horizon):
@@ -180,8 +165,8 @@ def _cmd_train(args, config_id: str = "full") -> int:
 
 def _cmd_eval(args) -> int:
     params, cfg, extra = mixer.load_checkpoint(args.checkpoint)
-    _, _, _, splits = _prepare_data(
-        args.data, args.dataset, cfg.lookback, cfg.horizon)
+    kind = args.dataset or extra.get("dataset_kind", "generic")
+    _, _, _, splits = _prepare_data(args.data, kind, cfg.lookback, cfg.horizon)
     ds = splits[args.split]
     pred, target = training.predict_dataset(params, cfg, ds)
     scores = metrics_mod.compute_metrics(pred, target)
@@ -236,8 +221,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("train", "ablation"):
-        _apply_config_file(args, parser, argv)
+    if getattr(args, "config", None) is not None:
+        # File values go right after the subcommand, so later explicit flags
+        # win and argparse checks them like any flag.
+        args = parser.parse_args(argv[:1] + _config_tokens(args.config) + argv[1:])
     try:
         if args.command == "train":
             return _cmd_train(args)

@@ -1,4 +1,4 @@
-"""Forecast metrics, experiment orchestration, and machine-readable reports.
+"""Forecast metrics and machine-readable reports.
 
 Metrics are computed in standardized data space: MSE and MAE are means over
 all N*V*H entries, RMSE is the square root of the MSE, and MAPE guards zero
@@ -10,16 +10,11 @@ same reports are byte-identical.
 from __future__ import annotations
 
 import json
-import traceback
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
-from . import data as data_mod
-from . import mixer
-from . import training
-from .mixer import MixerConfig, build_ablation_config, init_mixer_params
 from .tensor import ShapeError
 
 MAPE_EPS = 1e-8
@@ -163,102 +158,3 @@ def write_series_columns(path, columns: dict) -> None:
         cells = [repr(float(a[i])) if i < a.size else "" for a in arrays]
         lines.append(f"{i}," + ",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-@dataclass
-class ExperimentSpec:
-    data_path: str
-    dataset_kind: str
-    dataset_name: str
-    horizons: list[int]
-    seeds: list[int]
-    lookback: int
-    mixer_overrides: dict = field(default_factory=dict)
-    train_overrides: dict = field(default_factory=dict)
-    config_id: str = "full"
-    out_dir: str = "runs"
-
-    def __post_init__(self):
-        if not self.horizons or not self.seeds:
-            raise ValueError("horizons and seeds must be non-empty")
-
-
-def _build_config(spec: ExperimentSpec, horizon: int) -> MixerConfig:
-    opts = dict(embed_dim=64, num_blocks=1, num_heads=4, conv_width=0,
-                dropout_rate=0.1)
-    opts.update(spec.mixer_overrides)
-    block = mixer.BlockConfig(
-        d_hidden=opts["embed_dim"],
-        num_heads=opts["num_heads"],
-        conv_width=opts["conv_width"],
-        dropout_rate=opts["dropout_rate"],
-    )
-    cfg = MixerConfig(
-        lookback=spec.lookback,
-        horizon=horizon,
-        num_variates=opts["num_variates"],
-        embed_dim=opts["embed_dim"],
-        num_blocks=opts["num_blocks"],
-        block=block,
-    )
-    if spec.config_id != "full":
-        cfg = build_ablation_config(int(spec.config_id), cfg)
-    return cfg
-
-
-def run_experiment(spec: ExperimentSpec) -> tuple[list[MetricsReport], list[dict]]:
-    """Train and evaluate every (horizon, seed) pair; failures are summarized
-    per run and do not discard completed results."""
-    raw = data_mod.load_csv(spec.data_path)
-    split = data_mod.chronological_split(raw.length, spec.dataset_kind)
-    series, _ = data_mod.standardize(raw, split)
-    spec.mixer_overrides.setdefault("num_variates", raw.num_variates)
-
-    out_dir = Path(spec.out_dir)
-    reports: list[MetricsReport] = []
-    failures: list[dict] = []
-    for horizon in spec.horizons:
-        try:
-            train_ds = data_mod.windows_for_split(series, split, "train",
-                                                  spec.lookback, horizon)
-            val_ds = data_mod.windows_for_split(series, split, "val",
-                                                spec.lookback, horizon)
-            test_ds = data_mod.windows_for_split(series, split, "test",
-                                                 spec.lookback, horizon)
-        except Exception as exc:  # noqa: BLE001 - summarized per run
-            failures.extend({
-                "horizon": horizon,
-                "seed": seed,
-                "error": f"{type(exc).__name__}: {exc}",
-                "trace": traceback.format_exc(limit=4),
-            } for seed in spec.seeds)
-            continue
-        for seed in spec.seeds:
-            run_dir = out_dir / f"h{horizon}_s{seed}"
-            try:
-                train_cfg = training.TrainConfig(seed=seed, **spec.train_overrides)
-                cfg = _build_config(spec, horizon)
-                params = init_mixer_params(cfg, np.random.default_rng(seed))
-                artifacts = training.fit(params, cfg, train_ds, val_ds, train_cfg,
-                                         run_dir, log_path=run_dir / "loss_log.jsonl")
-                best, best_cfg, _ = mixer.load_checkpoint(artifacts.best_checkpoint)
-                pred, target = training.predict_dataset(best, best_cfg, test_ds)
-                scores = compute_metrics(pred, target)
-                reports.append(MetricsReport(
-                    dataset=spec.dataset_name, horizon=horizon, lookback=spec.lookback,
-                    seed=seed, epochs_trained=artifacts.epochs_trained,
-                    wall_time_s=artifacts.wall_time_s, config_id=spec.config_id,
-                    **scores))
-            except Exception as exc:  # noqa: BLE001 - preserve partial results
-                failures.append({
-                    "horizon": horizon,
-                    "seed": seed,
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "trace": traceback.format_exc(limit=4),
-                })
-    if reports:
-        emit_report(reports, out_dir / "reports.jsonl")
-    if failures:
-        (out_dir / "failures.json").parent.mkdir(parents=True, exist_ok=True)
-        (out_dir / "failures.json").write_text(json.dumps(failures, indent=2) + "\n")
-    return reports, failures

@@ -548,23 +548,3 @@ def _stack_tokens(cfg: BlockConfig, blocks: list[BlockWeights], x: Tensor, batch
     for w in blocks:
         x = _block(cfg, w, x, batch, training, rng, stats)
     return x
-
-
-def sequence_forward(params: SLstmParams, tokens) -> Tensor:
-    """Fold the cell left-to-right over tokens [L, D_in]; returns [L, D_hidden]."""
-    return _sequence(params, T.as_tensor(tokens), 1)
-
-
-def block_forward(cfg: BlockConfig, weights: BlockWeights, tokens,
-                  training: bool = False, rng=None) -> Tensor:
-    """Residual block over tokens [L, D]: LN, optional conv, cell, projection,
-    dropout, skip connection.  Width-preserving."""
-    return _block(cfg, weights, T.as_tensor(tokens), 1, training, rng)
-
-
-def stack_forward(cfg: BlockConfig, blocks: list[BlockWeights], tokens,
-                  training: bool = False, rng=None) -> Tensor:
-    """Sequential composition of block_forward; the same stack serves every view."""
-    if len(blocks) < 1:
-        raise ValueError("stack needs at least one block")
-    return _stack_tokens(cfg, blocks, T.as_tensor(tokens), 1, training, rng)

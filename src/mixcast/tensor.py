@@ -36,11 +36,9 @@ __all__ = [
     "mul",
     "div",
     "neg",
-    "scale",
     "tanh",
     "sigmoid",
     "exp",
-    "log",
     "sqrt",
     "absval",
     "max2",
@@ -183,12 +181,11 @@ class Tape:
     may be called exactly once; the tape is rebuilt on every forward pass.
     """
 
-    __slots__ = ("_nodes", "_used", "finite")
+    __slots__ = ("_nodes", "_used")
 
     def __init__(self):
         self._nodes: list = []
         self._used = False
-        self.finite = True
 
     def __enter__(self):
         _tape_stack().append(self)
@@ -331,18 +328,14 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    """Elementwise quotient.  Division by exact zero propagates Inf and marks
-    the active tape non-finite instead of raising."""
+    """Elementwise quotient.  Division by exact zero propagates Inf instead
+    of raising."""
     a = as_tensor(a)
     b = as_tensor(b, like=a)
     _check_elementwise(a.shape, b.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         data = a.data / b.data
     out = Tensor(data, dtype=np.result_type(a.data, b.data).type)
-    if not np.isfinite(data).all():
-        tape = _active_tape()
-        if tape is not None:
-            tape.finite = False
 
     def bwd(g):
         _accumulate(a, _unbroadcast(g / b.data, a.shape))
@@ -377,11 +370,6 @@ def neg(a) -> Tensor:
     return _unary(a, lambda x: -x, lambda g, x, o: -g)
 
 
-def scale(a, factor: float) -> Tensor:
-    c = float(factor)
-    return _unary(a, lambda x: x * np.asarray(c, dtype=x.dtype), lambda g, x, o: g * c)
-
-
 def tanh(a) -> Tensor:
     return _unary(a, np.tanh, lambda g, x, o: g * (1.0 - o * o))
 
@@ -395,10 +383,6 @@ def sigmoid(a) -> Tensor:
 
 def exp(a) -> Tensor:
     return _unary(a, np.exp, lambda g, x, o: g * o)
-
-
-def log(a) -> Tensor:
-    return _unary(a, np.log, lambda g, x, o: g / x)
 
 
 def sqrt(a) -> Tensor:

