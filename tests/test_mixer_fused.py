@@ -80,6 +80,12 @@ def test_training_step_records_exact_tape_nodes(num_variates, num_blocks, conv_w
     assert training_step_nodes(num_variates, num_blocks, conv_width) == want
 
 
+def test_training_step_tape_has_at_most_12_nodes():
+    # The etth1-train shape: 7 variates, one block, no conv.
+    nodes = training_step_nodes(7, 1, 0)
+    assert nodes <= 12, f"{nodes} tape nodes"
+
+
 # -- the stage attributes a traced run wraps ---------------------------------------
 
 STAGES = [(mixer, "revin_normalize"), (mixer, "nlinear_forecast"), (mixer, "up_project"),

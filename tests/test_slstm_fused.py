@@ -320,6 +320,11 @@ def training_step_nodes(num_variates, num_blocks, conv_width):
     return nodes
 
 
+def test_training_step_tape_has_at_most_100_nodes():
+    nodes = training_step_nodes(7, 1, 0)
+    assert nodes <= 100, f"{nodes} tape nodes"
+
+
 @pytest.mark.parametrize("num_blocks", [1, 2, 3])
 def test_stack_records_one_tape_node_per_block(num_blocks):
     rng = np.random.default_rng(num_blocks)
