@@ -146,6 +146,7 @@ class MixerParams:
     view_b: Tensor = None     # [1, view_out_dim]
 
     def named_parameters(self):
+        # The third item is always None; callers unpack (name, tensor, _).
         yield "revin.gamma", self.revin.gamma, None
         yield "revin.beta", self.revin.beta, None
         if self.nlinear_w is not None:
@@ -207,16 +208,9 @@ def init_mixer_params(cfg: MixerConfig, rng, dtype=None) -> MixerParams:
                        view_w=view_w, view_b=view_b)
 
 
-def count_parameters(params: MixerParams, logical: bool = True) -> int:
-    """Total scalar parameters; block-diagonal recurrent matrices count only
-    their in-block entries when logical=True."""
-    total = 0
-    for _, tensor, mask in params.named_parameters():
-        if logical and mask is not None:
-            total += int(mask.sum())
-        else:
-            total += tensor.size
-    return total
+def count_parameters(params: MixerParams) -> int:
+    """Total scalar parameters."""
+    return sum(t.size for _, t, _ in params.named_parameters())
 
 
 def _per_variate(a: np.ndarray, variates: int) -> np.ndarray:
@@ -615,7 +609,11 @@ def _write_checkpoint(directory: Path, params: MixerParams, extra: dict | None) 
 
 
 def load_checkpoint(directory):
-    """Rebuild (params, config) from a checkpoint directory, bit-exactly."""
+    """Rebuild (params, config, extra) from a checkpoint directory, bit-exactly.
+
+    Recurrent matrices stored densely [D, D] load as their head blocks.  A
+    manifest that repeats, lacks or adds a parameter, mixes float widths, or
+    points at non-finite values is rejected."""
     directory = Path(directory)
     config_doc = json.loads((directory / "config.json").read_text())
     block = BlockConfig(**config_doc["block"])
@@ -632,6 +630,7 @@ def load_checkpoint(directory):
         mix_view=config_doc["mix_view"],
     )
     entries = {}
+    width = None
     for line in (directory / "manifest.txt").read_text().splitlines():
         fields = line.split("\t")
         if len(fields) != 3 or fields[2] not in ("float32", "float64"):
@@ -639,6 +638,11 @@ def load_checkpoint(directory):
         name, shape, kind = fields
         if not _SAFE_NAME.match(name):
             raise ValueError(f"manifest name {name!r} is not filesystem-safe")
+        if name in entries:
+            raise ValueError(f"manifest lists parameter {name} twice")
+        width = width or kind
+        if kind != width:
+            raise ValueError(f"parameter {name} is {kind}, the entries before it {width}")
         dims = tuple(int(s) for s in shape.split("x"))
         itemsize = int(kind.removeprefix("float")) // 8
         path = directory / f"{name}.bin"
@@ -647,22 +651,30 @@ def load_checkpoint(directory):
             raise ValueError(f"{path.name} holds {path.stat().st_size} bytes, "
                              f"expected {expected} for {shape} {kind}")
         raw = np.fromfile(path, dtype=f"<f{itemsize}")
+        if not np.isfinite(raw).all():
+            raise ValueError(f"{path.name}: parameter {name} holds non-finite values")
         entries[name] = raw.astype(f"f{itemsize}").reshape(dims)
 
-    dtype = entries["up.weight"].dtype.type
-    rng = np.random.default_rng(0)
-    params = init_mixer_params(cfg, rng, dtype=dtype)
-    for name, tensor, mask in params.named_parameters():
-        if name not in entries:
+    params = init_mixer_params(cfg, np.random.default_rng(0),
+                               dtype=np.dtype(width).type if width else None)
+    dense = (block.d_hidden, block.d_hidden)
+    for name, tensor, _ in params.named_parameters():
+        loaded = entries.pop(name, None)
+        if loaded is None:
             raise ValueError(f"checkpoint missing parameter {name}")
-        loaded = entries[name]
+        if tensor.data.ndim == 3 and loaded.shape == dense:
+            # A recurrent matrix in the older dense layout: only its head
+            # blocks may be non-zero.
+            blocks = slstm.diagonal_blocks(loaded, block.num_heads)
+            if np.count_nonzero(blocks) != np.count_nonzero(loaded):
+                raise ValueError(f"{name}.bin has non-zero entries outside its head blocks")
+            loaded = blocks
         if loaded.shape != tensor.shape:
             raise ShapeError(
                 f"checkpoint shape {loaded.shape} != expected {tensor.shape} for {name}"
             )
-        if mask is not None and np.any(loaded[mask == 0]):
-            # The recurrence multiplies head blocks only, so an off-block
-            # entry would be silently ignored.
-            raise ValueError(f"{name} has non-zero entries outside its head blocks")
         tensor.data = loaded
+    if entries:
+        raise ValueError("checkpoint holds parameters the config has no slot for: "
+                         + ", ".join(entries))
     return params, cfg, config_doc.get("extra", {})

@@ -25,24 +25,26 @@ recording tape the intermediates live in chunk-sized buffers reused across
 chunks, so an eval block holds little beyond its output; with a tape they are
 views into the whole-sequence arrays its backward reads.
 
-Recurrent weight matrices are block-diagonal over heads.  They are stored
-densely together with a binary mask (the optimizer re-applies the mask after
-every update, and checkpoints with off-block entries are rejected on load),
-but every recurrent product, forward, backward and weight gradient, is made
-per head on the ``[d_h, d_h]`` diagonal blocks: no off-block zero is
-multiplied, and off-block gradients are exactly zero.
+Recurrent weight matrices are block-diagonal over heads, and only their
+diagonal blocks exist: each of ``r_z|r_i|r_f|r_o`` is stored as a
+``[heads, d_h, d_h]`` tensor, head ``k`` mapping hidden units
+``k*d_h .. (k+1)*d_h`` to the same units.  Every recurrent product, forward,
+backward and weight gradient, is one batched product over the heads.
+Checkpoints that store the matrices densely are read through
+:func:`diagonal_blocks`.
 
 The input-gate bias ``b_i`` has no effect on the output: from the zero state
 a per-unit constant added to the input-gate pre-activation scales ``c`` and
 ``n`` alike, so ``h = o c / n`` is unchanged, and its gradient is zero up to
-rounding.  It is kept (and trained and checkpointed) so that the checkpoint
-format does not change.
+rounding.  It is kept (and trained and checkpointed) because the paper's
+cell has it and counts it among its parameters, and because dropping it
+would move the forecasts of existing checkpoints at rounding level.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,19 +76,17 @@ class BlockConfig:
             raise ValueError(f"dropout_rate must lie in [0,1), got {self.dropout_rate}")
 
 
-def head_mask(d_hidden: int, num_heads: int) -> np.ndarray:
-    """Binary [D,D] mask that is 1 inside each head's diagonal block."""
-    width = d_hidden // num_heads
-    mask = np.zeros((d_hidden, d_hidden), dtype=np.float64)
-    for k in range(num_heads):
-        lo, hi = k * width, (k + 1) * width
-        mask[lo:hi, lo:hi] = 1.0
-    return mask
+def diagonal_blocks(dense: np.ndarray, num_heads: int) -> np.ndarray:
+    """The [H, d_h, d_h] diagonal head blocks of a [D, D] matrix."""
+    width = dense.shape[0] // num_heads
+    return np.stack([dense[lo:lo + width, lo:lo + width]
+                     for lo in range(0, dense.shape[0], width)])
 
 
 @dataclass
 class SLstmParams:
-    """Input weights W_*, block-diagonal recurrent weights R_*, biases b_*."""
+    """Input weights W_*, per-head recurrent weights R_* [H, d_h, d_h],
+    biases b_*."""
 
     w_z: Tensor
     w_i: Tensor
@@ -101,7 +101,6 @@ class SLstmParams:
     b_f: Tensor
     b_o: Tensor
     num_heads: int = 1
-    mask: np.ndarray = field(default=None, repr=False)
 
     @property
     def d_hidden(self) -> int:
@@ -112,34 +111,35 @@ class SLstmParams:
         return self.w_z.shape[1]
 
     def named_parameters(self, prefix: str = ""):
-        for name in ("w_z", "w_i", "w_f", "w_o"):
-            yield prefix + name, getattr(self, name), None
-        for name in ("r_z", "r_i", "r_f", "r_o"):
-            yield prefix + name, getattr(self, name), self.mask
-        for name in ("b_z", "b_i", "b_f", "b_o"):
-            yield prefix + name, getattr(self, name), None
+        for kind in "wrb":
+            for gate in ("z", "i", "f", "o"):
+                name = f"{kind}_{gate}"
+                yield prefix + name, getattr(self, name), None
 
 
 def init_slstm_params(d_in, d_hidden, num_heads, rng, dtype=None) -> SLstmParams:
-    """Uniform +-1/sqrt(fan_in) weights, forget bias +1, other biases 0."""
-    mask = head_mask(d_hidden, num_heads)
+    """Uniform +-1/sqrt(fan_in) weights, forget bias +1, other biases 0.
+
+    Each recurrent matrix is drawn as a dense [D, D] uniform that keeps only
+    its diagonal head blocks, so the rng stream is the same for every head
+    count, and the same as when the matrices were stored densely."""
+    def param(data):
+        return Tensor(data, requires_grad=True, dtype=dtype)
 
     def uniform(shape, fan_in):
         bound = 1.0 / np.sqrt(fan_in)
-        return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True, dtype=dtype)
+        return rng.uniform(-bound, bound, size=shape)
 
-    block_width = d_hidden // num_heads
     params = {}
     for name in ("w_z", "w_i", "w_f", "w_o"):
-        params[name] = uniform((d_hidden, d_in), d_in)
+        params[name] = param(uniform((d_hidden, d_in), d_in))
     for name in ("r_z", "r_i", "r_f", "r_o"):
-        r = uniform((d_hidden, d_hidden), block_width)
-        r.data *= mask.astype(r.data.dtype)
-        params[name] = r
+        dense = uniform((d_hidden, d_hidden), d_hidden // num_heads)
+        params[name] = param(diagonal_blocks(dense, num_heads))
     for name in ("b_z", "b_i", "b_o"):
-        params[name] = Tensor(np.zeros((1, d_hidden)), requires_grad=True, dtype=dtype)
-    params["b_f"] = Tensor(np.ones((1, d_hidden)), requires_grad=True, dtype=dtype)
-    return SLstmParams(num_heads=num_heads, mask=mask, **params)
+        params[name] = param(np.zeros((1, d_hidden)))
+    params["b_f"] = param(np.ones((1, d_hidden)))
+    return SLstmParams(num_heads=num_heads, **params)
 
 
 @dataclass
@@ -215,12 +215,9 @@ def _raise_nonfinite(pre: np.ndarray) -> None:
             raise FloatingPointError(f"non-finite pre-activation in {name} gate")
 
 
-def _head_blocks(p: SLstmParams) -> np.ndarray:
-    """The diagonal head blocks of R_z, R_o, R_i, R_f as [4, H, d_h, d_h]."""
-    width = p.d_hidden // p.num_heads
-    r = np.stack([getattr(p, "r_" + gate).data for gate in _GATES])
-    return np.stack([r[:, lo:lo + width, lo:lo + width]
-                     for lo in range(0, p.d_hidden, width)], axis=1)
+def _recurrent(p: SLstmParams) -> np.ndarray:
+    """R_z, R_o, R_i, R_f stacked as [4, H, d_h, d_h]."""
+    return np.stack([getattr(p, "r_" + gate).data for gate in _GATES])
 
 
 def _per_head(a: np.ndarray, heads: int) -> np.ndarray:
@@ -240,9 +237,9 @@ class _Recurrence:
     (h, c, n, m) from one chunk to the next, starting from the zero state.
 
     The weights are gathered once: the transposed input weights, the biases
-    and the transposed head blocks of the recurrent matrices.  Each step
-    makes one product per head, straight into the recurrent-product slab, so
-    no off-block zero is multiplied.
+    and the transposed head blocks of the recurrent matrices, stacked as
+    [4, H, d_h, d_h].  Each step makes one product per head, straight into
+    the recurrent-product slab.
     """
 
     def __init__(self, p: SLstmParams, batch: int, rows: int, dtype,
@@ -251,7 +248,7 @@ class _Recurrence:
         self.batch, self.heads, self.stats = batch, p.num_heads, stats
         self.w = [np.ascontiguousarray(getattr(p, "w_" + gate).data.T) for gate in _GATES]
         self.b = [getattr(p, "b_" + gate).data for gate in _GATES]
-        self.r = np.ascontiguousarray(_head_blocks(p).swapaxes(-1, -2))
+        self.r = np.ascontiguousarray(_recurrent(p).swapaxes(-1, -2))
         self.pre = np.empty((4, rows, d), dtype=dtype)
         self.rec = np.empty((4, batch, d), dtype=dtype)
         self.tmp = np.empty((batch, d), dtype=dtype)
@@ -317,8 +314,7 @@ def _recurrence_backward(p: SLstmParams, d_hs: np.ndarray, hs: np.ndarray, histo
     """Backpropagation through time for :class:`_Recurrence`.
 
     Returns the gradients of x, of x_if, and of the cell weights in
-    engine-op input order; the recurrent weights get gradients inside their
-    head blocks only, so off-block entries are exactly zero.  The spent
+    engine-op input order.  The spent
     history is overwritten instead of allocating fresh arrays: the gates with
     their pre-activation gradients, the cell and normalizer rows with the
     input-path gradients.  The stabilizer m is treated as a constant: h does
@@ -327,7 +323,7 @@ def _recurrence_backward(p: SLstmParams, d_hs: np.ndarray, hs: np.ndarray, histo
     acts, cs, ns = history
     rows, d = hs.shape
     heads = p.num_heads
-    blocks = _head_blocks(p)
+    blocks = _recurrent(p)
     dh, dc, dn, t1, t2 = (np.zeros((batch, d), dtype=d_hs.dtype) for _ in range(5))
     rec = np.empty((4, batch, d), dtype=d_hs.dtype)
     rec_heads = _per_head(rec, heads)
@@ -371,13 +367,9 @@ def _recurrence_backward(p: SLstmParams, d_hs: np.ndarray, hs: np.ndarray, histo
 
     weights = [getattr(p, "w_" + gate).data for gate in _GATES]
     d_w = [d_pre[k].T @ src for k, src in enumerate((x, x, x_if, x_if))]
-    # Head block (a, b) of d_R_k is d_pre_k[t, a]^T h[t-1, b] summed over t.
-    d_r = np.zeros((4, d, d), dtype=d_hs.dtype)
-    width = d // heads
-    d_blocks = np.matmul(_per_head(d_pre[:, batch:], heads).swapaxes(-1, -2),
-                         _per_head(hs[:-batch], heads))
-    for j, lo in enumerate(range(0, d, width)):
-        d_r[:, lo:lo + width, lo:lo + width] = d_blocks[:, j]
+    # Head block k of d_R is d_pre[t, head k]^T h[t-1, head k] summed over t.
+    d_r = np.matmul(_per_head(d_pre[:, batch:], heads).swapaxes(-1, -2),
+                    _per_head(hs[:-batch], heads))
     d_b = [d_pre[k].sum(axis=0, keepdims=True) for k in range(4)]
     fits = cs.shape == x.shape
     d_x = np.matmul(d_pre[0], weights[0], out=cs if fits else None)

@@ -105,9 +105,9 @@ def clip_global_norm(grads: list[np.ndarray], clip_norm: float) -> float:
 
 
 def adam_step(state: AdamState, params: list[Tensor], grads: list[np.ndarray],
-              lr: float, cfg: TrainConfig, masks: list[np.ndarray | None] | None = None) -> None:
+              lr: float, cfg: TrainConfig) -> None:
     """Bias-corrected Adam update (eps outside the square root, no weight
-    decay); block-diagonal masks are re-applied after the update."""
+    decay)."""
     if len(params) != len(grads):
         raise ShapeError("params and grads length mismatch")
     state.t += 1
@@ -123,8 +123,6 @@ def adam_step(state: AdamState, params: list[Tensor], grads: list[np.ndarray],
         v_hat = state.v[k] / c2
         update = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         p.data = (p.data - update.astype(p.data.dtype, copy=False))
-        if masks is not None and masks[k] is not None:
-            p.data = p.data * masks[k].astype(p.data.dtype, copy=False)
 
 
 def lr_at_step(step: int, total_steps: int, cfg: TrainConfig) -> float:
@@ -181,9 +179,7 @@ def fit(params: MixerParams, cfg: MixerConfig, train_ds, val_ds,
     best_dir = out_dir / "best"
 
     rng = np.random.default_rng(train_cfg.seed)
-    triples = list(params.named_parameters())
-    tensors = [t for _, t, _ in triples]
-    masks = [m for _, _, m in triples]
+    tensors = [t for _, t, _ in params.named_parameters()]
 
     n = len(train_ds)
     batches_per_epoch = math.ceil(n / train_cfg.batch_size)
@@ -220,13 +216,11 @@ def fit(params: MixerParams, cfg: MixerConfig, train_ds, val_ds,
                             f"non-finite loss {value} at epoch {epoch}, batch {b}"
                         )
                     tape.backward(loss)
-                # Recurrent weights get exactly zero off-block gradients, so
-                # the clip norm is the in-block norm.
                 grads = [t.grad if t.grad is not None else np.zeros_like(t.data)
                          for t in tensors]
                 clip_global_norm(grads, train_cfg.clip_norm)
                 lr = lr_at_step(step, total_steps, train_cfg)
-                adam_step(state, tensors, grads, lr, train_cfg, masks)
+                adam_step(state, tensors, grads, lr, train_cfg)
                 step += 1
                 epoch_abs += value * xs.shape[0] * xs.shape[1] * cfg.horizon
                 epoch_count += xs.shape[0] * xs.shape[1] * cfg.horizon

@@ -47,8 +47,23 @@ def zero_state(batch: int, d_hidden: int, dtype=None) -> SLstmState:
     return SLstmState(c=zeros(), n=zeros(), h=zeros(), m=zeros())
 
 
+def block_diagonal(r: Tensor) -> Tensor:
+    """The dense [D, D] block-diagonal matrix of per-head blocks
+    [H, d_h, d_h], built from engine ops so that its gradient lands on the
+    per-head leaf."""
+    heads, width, _ = r.shape
+    zeros = Tensor(np.zeros((width, (heads - 1) * width)), dtype=r.data.dtype)
+    rows = []
+    for k in range(heads):
+        head = T.reshape(T.slice_axis(r, 0, k, k + 1), (width, width))
+        rows.append(T.concat([T.slice_axis(zeros, 1, 0, k * width), head,
+                              T.slice_axis(zeros, 1, k * width, zeros.shape[1])], axis=1))
+    return T.concat(rows, axis=0)
+
+
 class _TransposedWeights:
-    """Per-forward cache of W/R transposes so long sequences reuse them."""
+    """Per-forward cache of W/R transposes so long sequences reuse them; R is
+    multiplied densely, structural zeros included."""
 
     __slots__ = ("wz", "wi", "wf", "wo", "rz", "ri", "rf", "ro")
 
@@ -57,10 +72,10 @@ class _TransposedWeights:
         self.wi = T.transpose(p.w_i)
         self.wf = T.transpose(p.w_f)
         self.wo = T.transpose(p.w_o)
-        self.rz = T.transpose(p.r_z)
-        self.ri = T.transpose(p.r_i)
-        self.rf = T.transpose(p.r_f)
-        self.ro = T.transpose(p.r_o)
+        self.rz = T.transpose(block_diagonal(p.r_z))
+        self.ri = T.transpose(block_diagonal(p.r_i))
+        self.rf = T.transpose(block_diagonal(p.r_f))
+        self.ro = T.transpose(block_diagonal(p.r_o))
 
 
 def _check_finite_pre(name: str, pre: Tensor) -> None:

@@ -133,7 +133,7 @@ def test_criterion_4_ablation_wiring():
     for cid in matrix:
         cfg = build_ablation_config(cid, base)
         params = init_mixer_params(cfg, rng)
-        got = mixer.count_parameters(params, logical=True)
+        got = mixer.count_parameters(params)
         want = expected_param_count(cfg)
         assert got == want, f"config #{cid}: {got} params, formula says {want}"
     announce(4, "ablation-wiring",

@@ -1,5 +1,8 @@
 """Pipeline stage contracts, ablation wiring, traces, and checkpoint io."""
 
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -277,7 +280,7 @@ def test_parameter_counts_match_closed_form(cid):
     rng = np.random.default_rng(11)
     cfg = build_ablation_config(cid, make_cfg())
     params = init_mixer_params(cfg, rng)
-    assert mixer.count_parameters(params, logical=True) == expected_param_count(cfg)
+    assert mixer.count_parameters(params) == expected_param_count(cfg)
 
 
 def test_parameter_count_monotonicity():
@@ -570,17 +573,93 @@ def test_checkpoint_rejects_truncated_file(tmp_path):
         mixer.load_checkpoint(ck)
 
 
+# A checkpoint written before per-head recurrent storage: its r_* matrices are
+# dense [D, D] with zero off-block entries.  init_mixer_params(cfg,
+# default_rng(extra["init_seed"]), dtype=float32) drew it, and the forecast
+# file holds a float32 window [1, V, T] and the forecast that code gave for it.
+V1_CHECKPOINT = Path(__file__).parent / "data" / "ckpt_v1"
+
+
+def test_v1_checkpoint_forecast_is_bitwise_unchanged():
+    params, cfg, _ = mixer.load_checkpoint(V1_CHECKPOINT)
+    assert params.blocks[0].cell.r_f.shape == (2, 4, 4)
+    stored = np.load(V1_CHECKPOINT.with_name("ckpt_v1_forecast.npz"))
+    got = mixer.forward_batch(params, cfg, stored["window"]).data
+    assert got.dtype == np.float32
+    assert got.tobytes() == stored["forecast"].tobytes()
+
+
+def test_v1_checkpoint_equals_same_seed_init(tmp_path):
+    loaded, cfg, extra = mixer.load_checkpoint(V1_CHECKPOINT)
+    fresh = init_mixer_params(cfg, np.random.default_rng(extra["init_seed"]),
+                              dtype=np.float32)
+    mixer.save_checkpoint(tmp_path / "ck", fresh)
+    assert "blocks.0.cell.r_f\t2x4x4\tfloat32" in (tmp_path / "ck" / "manifest.txt").read_text()
+    for name, tensor, _ in loaded.named_parameters():
+        saved = (tmp_path / "ck" / f"{name}.bin").read_bytes()
+        assert saved == tensor.data.astype("<f4").tobytes(), name
+
+
 def test_checkpoint_rejects_off_block_recurrent_weight(tmp_path):
-    cfg = make_cfg(block=BlockConfig(d_hidden=8, num_heads=2))
-    params = init_mixer_params(cfg, np.random.default_rng(30))
     ck = tmp_path / "ck"
-    mixer.save_checkpoint(ck, params)
+    shutil.copytree(V1_CHECKPOINT, ck)
     path = ck / "blocks.0.cell.r_f.bin"
     r = np.fromfile(path, dtype="<f4").reshape(8, 8)
     assert r[0, 7] == 0.0  # row 0 is in head 0, column 7 in head 1
     r[0, 7] = 0.5
     r.tofile(path)
-    with pytest.raises(ValueError, match="blocks.0.cell.r_f .*outside its head blocks"):
+    with pytest.raises(ValueError, match=r"blocks\.0\.cell\.r_f\.bin .*outside its head blocks"):
+        mixer.load_checkpoint(ck)
+
+
+def _append_line(ck, line):
+    manifest = ck / "manifest.txt"
+    manifest.write_text(manifest.read_text() + line + "\n")
+
+
+def _write_nan(ck):
+    path = ck / "view.weight.bin"
+    w = np.fromfile(path, dtype="<f4")
+    w[3] = np.nan
+    w.tofile(path)
+
+
+def _add_extra(ck):
+    _append_line(ck, "bogus\t1x2\tfloat32")
+    np.zeros(2, dtype="<f4").tofile(ck / "bogus.bin")
+
+
+def _repeat_eta(ck):
+    _append_line(ck, "eta\t1x8\tfloat32")
+
+
+def _widen_eta(ck):
+    path = ck / "eta.bin"
+    np.fromfile(path, dtype="<f4").astype("<f8").tofile(path)
+    manifest = ck / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("eta\t1x8\tfloat32",
+                                                     "eta\t1x8\tfloat64"))
+
+
+def _drop_up_weight(ck):
+    manifest = ck / "manifest.txt"
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(l for l in lines if not l.startswith("up.weight\t")))
+
+
+@pytest.mark.parametrize("tamper,message", [
+    (_write_nan, r"view\.weight\.bin: parameter view\.weight holds non-finite values"),
+    (_add_extra, "no slot for: bogus"),
+    (_repeat_eta, "lists parameter eta twice"),
+    (_widen_eta, "parameter eta is float64, the entries before it float32"),
+    (_drop_up_weight, r"missing parameter up\.weight"),
+], ids=["nan", "extra", "duplicate", "mixed-width", "missing"])
+def test_checkpoint_rejects_tampered_manifest(tmp_path, tamper, message):
+    cfg = make_cfg(block=BlockConfig(d_hidden=8, num_heads=2))
+    ck = tmp_path / "ck"
+    mixer.save_checkpoint(ck, init_mixer_params(cfg, np.random.default_rng(30)))
+    tamper(ck)
+    with pytest.raises(ValueError, match=message):
         mixer.load_checkpoint(ck)
 
 
