@@ -2,9 +2,20 @@
 
 Metrics are computed in standardized data space: MSE and MAE are means over
 all N*V*H entries, RMSE is the square root of the MSE, and MAPE guards zero
-targets with a small epsilon.  Reports are line-delimited JSON records with a
-stable key order plus a plain-text comparison table, so two emissions of the
-same reports are byte-identical.
+targets with a small epsilon.
+
+The sums stream through two float64 scratch buffers of at most ``_LEAF``
+entries instead of full-size float64 copies.  They stay bit-identical to the
+plain float64 formula because numpy sums a contiguous float64 array
+pairwise: it splits n entries at n // 2 rounded down to a multiple of 8 and
+adds the two halves' sums.  ``compute_metrics`` splits the C-ordered entries
+the same way until a piece fits in a leaf, lets numpy sum each leaf (the
+same subtree numpy would have summed), and adds the leaf sums back along the
+same tree, so every addition happens in the same order on the same values.
+
+Reports are line-delimited JSON records with a stable key order plus a
+plain-text comparison table, so two emissions of the same reports are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -18,6 +29,10 @@ import numpy as np
 from .tensor import ShapeError
 
 MAPE_EPS = 1e-8
+
+# Entries per leaf of the metric sums: two float64 scratch buffers of this
+# length (256 KiB each) stay in cache.
+_LEAF = 32_768
 
 _REPORT_FIELDS = ("dataset", "horizon", "lookback", "seed", "mse", "mae",
                   "rmse", "mape", "epochs_trained", "wall_time_s", "config_id")
@@ -39,25 +54,52 @@ class MetricsReport:
 
 
 def compute_metrics(pred: np.ndarray, target: np.ndarray) -> dict:
-    """MSE / MAE / RMSE / MAPE over every entry of matching arrays."""
+    """MSE / MAE / RMSE / MAPE over every entry of matching arrays, read in C
+    order; each equals, bit for bit, the plain float64 formula on C-ordered
+    inputs, without any full-size float64 buffer."""
     pred = np.asarray(pred)
     target = np.asarray(target)
     if pred.shape != target.shape:
         raise ShapeError(f"prediction shape {pred.shape} != target shape {target.shape}")
     if pred.size == 0:
         raise ShapeError("metrics need at least one entry")
-    # Two float64 buffers, reused in place; every value equals the plain
-    # float64 formula's, since |.| is exact in either precision.
-    err = np.subtract(target, pred, dtype=np.float64)
-    scratch = np.square(err)
-    mse = float(np.mean(scratch))
-    np.abs(err, out=err)
-    mae = float(np.mean(err))
-    np.abs(target, out=scratch)
-    scratch += MAPE_EPS
-    np.divide(err, scratch, out=scratch)
-    mape = float(100.0 * np.mean(scratch))
-    return {"mse": mse, "mae": mae, "rmse": float(np.sqrt(mse)), "mape": mape}
+    flat_p = pred.reshape(-1)
+    flat_t = target.reshape(-1)
+    n = flat_p.size
+    err = np.empty(min(n, _LEAF))
+    scratch = np.empty_like(err)
+
+    def leaf(lo: int, hi: int) -> tuple:
+        e, s = err[:hi - lo], scratch[:hi - lo]
+        t = flat_t[lo:hi]
+        np.subtract(t, flat_p[lo:hi], out=e, dtype=np.float64)
+        np.square(e, out=s)
+        squares = s.sum()
+        np.abs(e, out=e)
+        errors = e.sum()
+        np.abs(t, out=s, dtype=np.float64)
+        s += MAPE_EPS
+        np.divide(e, s, out=s)
+        return squares, errors, s.sum()
+
+    squares, errors, ratios = _pairwise(leaf, 0, n)
+    mse = float(squares / n)
+    return {"mse": mse, "mae": float(errors / n), "rmse": float(np.sqrt(mse)),
+            "mape": float(100.0 * (ratios / n))}
+
+
+def _pairwise(leaf, lo: int, hi: int) -> tuple:
+    """Sums over entries [lo, hi) along numpy's pairwise tree: split at half
+    the length rounded down to a multiple of 8 until a piece fits in a leaf,
+    whose sums ``leaf(lo, hi)`` gives.  A module function, not a closure: a
+    closure that calls itself is a reference cycle, and would keep the inputs
+    alive until the garbage collector runs."""
+    if hi - lo <= _LEAF:
+        return leaf(lo, hi)
+    half = (hi - lo) // 2
+    half -= half % 8
+    left, right = _pairwise(leaf, lo, lo + half), _pairwise(leaf, lo + half, hi)
+    return tuple(a + b for a, b in zip(left, right))
 
 
 def report_record(report: MetricsReport) -> dict:

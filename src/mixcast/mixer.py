@@ -467,23 +467,36 @@ def _forward_flat(params: MixerParams, cfg: MixerConfig, x_flat, batch: int,
         )
     time_axis = cfg.slstm_axis == AXIS_TIME
 
+    # Each stage output is dropped once the next stage has read it, unless
+    # the trace shows it; a tape keeps what its backward reads regardless.
     x_norm, stats = revin_normalize(params.revin, x_flat, batch)
+    del x_flat
     if cfg.mix_time:
         x_initial = nlinear_forecast(params.nlinear_w, params.nlinear_b, x_norm)
     else:
         x_initial = x_norm
+    if not want_trace:
+        del x_norm
 
     # On the time axis the tokens are forecast steps: step-major [H*B, V].
     rows = _swap_token_axes(x_initial, batch) if time_axis else x_initial
+    if not want_trace:
+        del x_initial
     tokens = up_project(params.up_w, params.up_b, rows)
+    del rows
     eta = params.eta if cfg.init_token else None
     views = _refine_views(params, cfg, tokens, eta, batch, training, rng, stabilizer)
+    if not want_trace:
+        del tokens
 
     # Dropping the learned token's rows leaves v-major [V*B, .] rows
     # (step-major [H*B, .] on the time axis).
     skip = batch if cfg.init_token else 0
     y_tok = reconcile_views(params.view_w, params.view_b, views, skip)
+    if not want_trace:
+        del views
     y_norm_flat = _swap_token_axes(y_tok, batch) if time_axis else y_tok
+    del y_tok
     y_flat = revin_denormalize(params.revin, stats, y_norm_flat, batch)
 
     trace = None
@@ -520,10 +533,10 @@ def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
     if not np.isfinite(xs).all():
         raise ValueError("input windows contain non-finite values")
     b = xs.shape[0]
-    flat = np.ascontiguousarray(xs.transpose(1, 0, 2).reshape(cfg.num_variates * b,
-                                                              cfg.lookback))
-    y, _ = _forward_flat(params, cfg, Tensor(flat, dtype=flat.dtype.type), b,
-                         training, rng, want_trace=False)
+    # Passed unnamed, so _forward_flat can free the v-major copy after RevIN.
+    y, _ = _forward_flat(params, cfg, np.ascontiguousarray(
+        xs.transpose(1, 0, 2).reshape(cfg.num_variates * b, cfg.lookback)), b,
+        training, rng, want_trace=False)
     return y
 
 

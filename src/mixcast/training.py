@@ -136,15 +136,23 @@ def lr_at_step(step: int, total_steps: int, cfg: TrainConfig) -> float:
     return cfg.lr_initial * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
+def _eval_batches(n: int, batch_size: int):
+    """(lo, hi) ranges of the eval batches over n windows in file order: full
+    batches, with a remainder under half a batch joining the last of them,
+    so that no tiny batch pays the per-token cost of a whole recurrence."""
+    bounds = list(range(0, n, batch_size)) + [n]
+    if len(bounds) > 2 and 2 * (n - bounds[-2]) < batch_size:
+        del bounds[-2]
+    return zip(bounds[:-1], bounds[1:])
+
+
 def evaluate_mae(params: MixerParams, cfg: MixerConfig, dataset,
                  batch_size: int = 128) -> float:
     """Mean absolute error over a dataset, eval mode, file order."""
     total = 0.0
     count = 0
-    n = len(dataset)
-    for lo in range(0, n, batch_size):
-        idx = range(lo, min(lo + batch_size, n))
-        xs, ys = dataset.batch(idx)
+    for lo, hi in _eval_batches(len(dataset), batch_size):
+        xs, ys = dataset.batch(range(lo, hi))
         pred = mixer.forward_batch(params, cfg, xs, training=False)
         diff = np.abs(pred.data - mixer.flatten_targets(ys))
         total += float(diff.sum())
@@ -154,18 +162,21 @@ def evaluate_mae(params: MixerParams, cfg: MixerConfig, dataset,
 
 def predict_dataset(params: MixerParams, cfg: MixerConfig, dataset,
                     batch_size: int = 128) -> tuple[np.ndarray, np.ndarray]:
-    """Forecasts and targets as [N, V, H] arrays, eval mode, file order."""
-    preds = []
-    targets = []
+    """Forecasts and targets as C-ordered [N, V, H] arrays, eval mode, file
+    order; each batch is written straight into them."""
     n = len(dataset)
-    for lo in range(0, n, batch_size):
-        idx = range(lo, min(lo + batch_size, n))
-        xs, ys = dataset.batch(idx)
+    if n == 0:
+        raise ValueError("cannot predict an empty dataset")
+    preds = targets = None
+    for lo, hi in _eval_batches(n, batch_size):
+        xs, ys = dataset.batch(range(lo, hi))
         out = mixer.forward_batch(params, cfg, xs, training=False).data
-        b = xs.shape[0]
-        preds.append(out.reshape(cfg.num_variates, b, cfg.horizon).transpose(1, 0, 2))
-        targets.append(ys)
-    return np.concatenate(preds), np.concatenate(targets)
+        if preds is None:
+            preds = np.empty((n, cfg.num_variates, cfg.horizon), dtype=out.dtype)
+            targets = np.empty((n,) + ys.shape[1:], dtype=ys.dtype)
+        preds[lo:hi] = out.reshape(cfg.num_variates, hi - lo, cfg.horizon).transpose(1, 0, 2)
+        targets[lo:hi] = ys
+    return preds, targets
 
 
 def fit(params: MixerParams, cfg: MixerConfig, train_ds, val_ds,

@@ -1,5 +1,9 @@
 """Metric formulas against a double-loop reference, plus report io."""
 
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +79,64 @@ def test_equals_plain_float64_formulas_exactly(dtype):
     want = {"mse": mse, "mae": float(np.mean(np.abs(err))), "rmse": float(np.sqrt(mse)),
             "mape": float(100.0 * np.mean(np.abs(err) / (np.abs(t64) + M.MAPE_EPS)))}
     assert compute_metrics(pred, target) == want
+
+
+def plain_float64_metrics(pred, target):
+    p64, t64 = pred.astype(np.float64), target.astype(np.float64)
+    err = t64 - p64
+    mse = float(np.mean(err ** 2))
+    return {"mse": mse, "mae": float(np.mean(np.abs(err))), "rmse": float(np.sqrt(mse)),
+            "mape": float(100.0 * np.mean(np.abs(err) / (np.abs(t64) + M.MAPE_EPS)))}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(M._LEAF,), (M._LEAF + 1,), (2 * M._LEAF + 8,),
+                                   (5 * M._LEAF + 13,), (13, 41, 97)],
+                         ids=["leaf", "leaf+1", "2leaf+8", "5leaf+13", "13x41x97"])
+def test_leaf_sums_equal_plain_float64_formulas_exactly(shape, dtype):
+    # The sums go leaf by leaf along numpy's own pairwise tree, so they are
+    # bit-identical to one float64 reduction over every entry.
+    rng = np.random.default_rng(sum(shape))
+    pred = rng.normal(size=shape).astype(dtype)
+    target = rng.normal(size=shape).astype(dtype)
+    target.reshape(-1)[::89] = 0.0
+    assert compute_metrics(pred, target) == plain_float64_metrics(pred, target)
+
+
+def test_non_contiguous_inputs_sum_in_c_order():
+    rng = np.random.default_rng(4)
+    pred = rng.normal(size=(41, 97, 13)).astype(np.float32).transpose(2, 0, 1)
+    target = rng.normal(size=(41, 97, 13)).astype(np.float32).transpose(2, 0, 1)
+    want = plain_float64_metrics(np.ascontiguousarray(pred), np.ascontiguousarray(target))
+    assert compute_metrics(pred, target) == want
+
+
+def test_metrics_allocate_no_full_size_float64_buffer():
+    rng = np.random.default_rng(5)
+    pred = rng.normal(size=(100, 100, 100)).astype(np.float32)
+    target = rng.normal(size=(100, 100, 100)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        compute_metrics(pred, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Two leaf-sized scratch buffers, against 16 MB for two float64 copies.
+    assert peak < 4 * M._LEAF * 8, peak
+
+
+def test_metrics_keep_no_reference_to_their_inputs():
+    # Nothing of a call may outlive it, not even until the garbage collector
+    # runs: an evaluation loop would otherwise pile up [N, V, H] arrays.
+    pred, target = np.zeros((4, 5, 6)), np.ones((4, 5, 6))
+    gc.disable()
+    try:
+        compute_metrics(pred, target)
+        refs = [weakref.ref(pred), weakref.ref(target)]
+        del pred, target
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_rmse_squared_equals_mse():

@@ -147,3 +147,23 @@ def test_eval_stages_keep_no_history():
                 lambda: mixer.nlinear_forecast(params.nlinear_w, params.nlinear_b, x),
                 lambda: mixer.revin_denormalize(params.revin, stats, y_norm, batch)):
         assert held_bytes(run, False) < 0.6 * held_bytes(run, True)
+
+
+def test_eval_forward_peak_is_a_few_outputs():
+    # Without a tape each stage output is freed once the next stage has read
+    # it.  Measured at this shape: about 3.2x the output, against 6.2x when
+    # every stage output lived until the forward returned (at V=321, B=128,
+    # D=64: 60 MB against 111 MB, for a 15.8 MB output).
+    block = BlockConfig(d_hidden=16, num_heads=2, conv_width=0, dropout_rate=0.1)
+    cfg = mixer.MixerConfig(lookback=96, horizon=96, num_variates=32, embed_dim=16,
+                            num_blocks=1, block=block)
+    rng = np.random.default_rng(6)
+    params = init_mixer_params(cfg, rng)
+    xs = rng.normal(size=(32, cfg.num_variates, cfg.lookback)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        out = mixer.forward_batch(params, cfg, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * out.data.nbytes, peak / out.data.nbytes

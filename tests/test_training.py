@@ -340,6 +340,63 @@ def test_fit_trains_time_axis_config(tmp_path):
     assert np.isfinite(art.best_val_mae)
 
 
+def per_batch_composition(params, cfg, ds, batch_size):
+    """The plain eval loop: one forward per slice of batch_size windows, the
+    last one short, concatenated; the oracle for predict_dataset."""
+    preds, targets = [], []
+    for lo in range(0, len(ds), batch_size):
+        xs, ys = ds.batch(range(lo, min(lo + batch_size, len(ds))))
+        out = mixer.forward_batch(params, cfg, xs, training=False).data
+        preds.append(out.reshape(cfg.num_variates, xs.shape[0], cfg.horizon)
+                     .transpose(1, 0, 2))
+        targets.append(ys)
+    return np.concatenate(preds), np.concatenate(targets)
+
+
+@pytest.fixture(scope="module")
+def eval_task():
+    cfg = small_config()
+    return (mixer.init_mixer_params(cfg, np.random.default_rng(4)), cfg,
+            make_affine_task(385, lookback=cfg.lookback, data_seed=8))
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 128, 129, 191, 192, 385])
+def test_predict_dataset_equals_per_batch_composition(n, eval_task):
+    params, cfg, full = eval_task
+    ds = ArrayDataset(full.xs[:n], full.ys[:n])
+    pred, target = training.predict_dataset(params, cfg, ds, batch_size=128)
+    want_pred, want_target = per_batch_composition(params, cfg, ds, 128)
+    for got, want in ((pred, want_pred), (target, want_target)):
+        assert got.flags.c_contiguous
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 128, 129, 191, 192, 385])
+def test_eval_batches_are_never_under_half_a_batch(n, eval_task, monkeypatch):
+    params, cfg, full = eval_task
+    ds = ArrayDataset(full.xs[:n], full.ys[:n])
+    seen = []
+    original = mixer.forward_batch
+
+    def spy(params, cfg, xs, *args, **kwargs):
+        seen.append(xs)
+        return original(params, cfg, xs, *args, **kwargs)
+
+    monkeypatch.setattr(mixer, "forward_batch", spy)
+    training.predict_dataset(params, cfg, ds, batch_size=128)
+    sizes = [xs.shape[0] for xs in seen]
+    # File order: the batches are consecutive runs of the windows.
+    assert np.array_equal(np.concatenate(seen), ds.xs)
+    if n >= 128:
+        assert min(sizes) >= 64, sizes
+    assert {385: [128, 128, 129], 191: [191], 192: [128, 64]}.get(n, sizes) == sizes
+    # Validation batches the same way.
+    seen.clear()
+    training.evaluate_mae(params, cfg, ds, batch_size=128)
+    assert [xs.shape[0] for xs in seen] == sizes
+
+
 def test_predict_dataset_shapes():
     ds = make_affine_task(10)
     cfg = small_config()
