@@ -12,9 +12,9 @@ from .mixer import (
     MixerConfig,
     MixerParams,
     build_ablation_config,
+    forward_batch,
     init_mixer_params,
     load_checkpoint,
-    mixer_forward,
     save_checkpoint,
 )
 from .slstm import BlockConfig
@@ -38,8 +38,8 @@ __all__ = [
     "Tape",
     "Tensor",
     "build_ablation_config",
+    "forward_batch",
     "init_mixer_params",
-    "mixer_forward",
     "save_checkpoint",
     "load_checkpoint",
     "fit",

@@ -122,6 +122,19 @@ def _mixer_config_from_args(args, num_variates: int) -> mixer.MixerConfig:
     )
 
 
+def _score(params, cfg, ds, dataset: str, seed: int, epochs_trained: int,
+           config_id: str) -> MetricsReport:
+    """Forecast one split, score it, and print its metrics line."""
+    pred, target = training.predict_dataset(params, cfg, ds)
+    report = MetricsReport(
+        dataset=dataset, horizon=cfg.horizon, lookback=cfg.lookback, seed=seed,
+        epochs_trained=epochs_trained, wall_time_s=0.0, config_id=config_id,
+        **metrics_mod.compute_metrics(pred, target))
+    print(f"{report.dataset}: mse={report.mse:.6f} mae={report.mae:.6f} "
+          f"rmse={report.rmse:.6f} mape={report.mape:.4f}")
+    return report
+
+
 def _cmd_train(args, config_id: str = "full") -> int:
     raw, series, split, splits = _prepare_data(
         args.data, args.dataset, args.lookback, args.horizon)
@@ -141,23 +154,14 @@ def _cmd_train(args, config_id: str = "full") -> int:
                                  "dataset_name": Path(args.data).stem,
                                  "seed": args.seed, "config_id": config_id,
                                  "epochs_trained": artifacts.epochs_trained})
-    reports = []
-    for which in ("val", "test"):
-        pred, target = training.predict_dataset(best, best_cfg, splits[which])
-        scores = metrics_mod.compute_metrics(pred, target)
-        reports.append(MetricsReport(
-            dataset=f"{Path(args.data).stem}/{which}", horizon=args.horizon,
-            lookback=args.lookback, seed=args.seed,
-            epochs_trained=artifacts.epochs_trained, wall_time_s=0.0,
-            config_id=config_id, **scores))
+    reports = [_score(best, best_cfg, splits[which], f"{Path(args.data).stem}/{which}",
+                      args.seed, artifacts.epochs_trained, config_id)
+               for which in ("val", "test")]
     metrics_mod.emit_report(reports, out_dir / "report.jsonl")
     (out_dir / "run_meta.json").write_text(json.dumps(
         {"wall_time_s": artifacts.wall_time_s,
          "best_val_mae": artifacts.best_val_mae,
          "epochs_trained": artifacts.epochs_trained}, indent=2) + "\n")
-    for r in reports:
-        print(f"{r.dataset}: mse={r.mse:.6f} mae={r.mae:.6f} "
-              f"rmse={r.rmse:.6f} mape={r.mape:.4f}")
     print(f"trained {artifacts.epochs_trained} epochs in "
           f"{artifacts.wall_time_s:.1f}s; best checkpoint: {artifacts.best_checkpoint}")
     return 0
@@ -167,17 +171,10 @@ def _cmd_eval(args) -> int:
     params, cfg, extra = mixer.load_checkpoint(args.checkpoint)
     kind = args.dataset or extra.get("dataset_kind", "generic")
     _, _, _, splits = _prepare_data(args.data, kind, cfg.lookback, cfg.horizon)
-    ds = splits[args.split]
-    pred, target = training.predict_dataset(params, cfg, ds)
-    scores = metrics_mod.compute_metrics(pred, target)
-    report = MetricsReport(
-        dataset=f"{Path(args.data).stem}/{args.split}", horizon=cfg.horizon,
-        lookback=cfg.lookback, seed=int(extra.get("seed", -1)),
-        epochs_trained=int(extra.get("epochs_trained", 0)), wall_time_s=0.0,
-        config_id=str(extra.get("config_id", "full")), **scores)
+    report = _score(params, cfg, splits[args.split], f"{Path(args.data).stem}/{args.split}",
+                    int(extra.get("seed", -1)), int(extra.get("epochs_trained", 0)),
+                    str(extra.get("config_id", "full")))
     metrics_mod.emit_report([report], args.report)
-    print(f"{report.dataset}: mse={report.mse:.6f} mae={report.mae:.6f} "
-          f"rmse={report.rmse:.6f} mape={report.mape:.4f}")
     return 0
 
 
@@ -187,7 +184,7 @@ def _cmd_forecast(args) -> int:
     _, _, _, splits = _prepare_data(args.data, kind, cfg.lookback, cfg.horizon)
     ds = splits["test"]
     x, y = ds.window(args.window_index)
-    pred, _ = mixer.mixer_forward(params, cfg, x)
+    pred = mixer.forward_batch(params, cfg, x[None])
     metrics_mod.write_forecast_columns(args.emit, history=x, target=y,
                                        forecast=pred.data)
     print(f"wrote window {args.window_index} ({cfg.num_variates} variates, "

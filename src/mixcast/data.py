@@ -124,9 +124,6 @@ class WindowedDataset:
         x_windows, y_windows = self._windows(T.default_dtype())
         return np.ascontiguousarray(x_windows[idx]), np.ascontiguousarray(y_windows[idx])
 
-    def __iter__(self):
-        return (self.window(i) for i in range(len(self)))
-
 
 def load_csv(path) -> RawSeries:
     """Parse a header-bearing CSV whose first column is a timestamp and whose

@@ -49,7 +49,7 @@ def build_tiny_problem(seed: int = 0, cfg: mixer.MixerConfig | None = None):
         rng = np.random.default_rng(trial)
         params = mixer.init_mixer_params(cfg, rng, dtype=np.float64)
         x = rng.normal(0.0, 1.0, size=(cfg.num_variates, cfg.lookback))
-        y, _ = mixer.mixer_forward(params, cfg, x)
+        y = mixer.forward_batch(params, cfg, x[None])
         # Keep the base loss small: central differences of a loss of
         # magnitude |f| carry ~eps|f|/2h of cancellation noise, which must
         # stay below the 1e-6 relative gate for ~1e-6-sized gradients.
@@ -67,8 +67,7 @@ def _stabilizer_margin(params, cfg, x) -> float:
     """Min |(f_tilde + m_prev) - i_tilde| over both views and every block of
     one eval-mode forward pass."""
     stats = StabilizerStats()
-    mixer._forward_flat(params, cfg, x, 1, training=False, rng=None, want_trace=False,
-                        stabilizer=stats)
+    mixer.forward_batch(params, cfg, x[None], stabilizer=stats)
     return stats.min_gap
 
 
@@ -82,9 +81,7 @@ def full_model_gradcheck(step: float = 1e-5, seed: int = 0,
         leaves = [t for _, t, _ in triples]
 
         def f():
-            y, _ = mixer._forward_flat(params, cfg, T.as_tensor(x), 1,
-                                       training=False, rng=None, want_trace=False)
-            return mae_loss(y, target)
+            return mae_loss(mixer.forward_batch(params, cfg, x[None]), target)
 
         errors = T.finite_difference_errors(f, leaves, step)
     flat = np.concatenate([e.reshape(-1) for e in errors])

@@ -143,10 +143,8 @@ def _cell(value) -> str:
     return str(value)
 
 
-def emit_report(reports: list[MetricsReport], path, forecast_samples=(),
-                token_series=None) -> None:
-    """Write the JSONL metrics document, a text table, and optional
-    column-oriented numeric files for external plotting."""
+def emit_report(reports: list[MetricsReport], path) -> None:
+    """Write the JSONL metrics document and its text table beside it."""
     if not reports:
         raise ValueError("emit_report needs at least one report")
     path = Path(path)
@@ -156,14 +154,7 @@ def emit_report(reports: list[MetricsReport], path, forecast_samples=(),
     with path.open("w") as fh:
         for rec in records:
             fh.write(json.dumps(rec) + "\n")
-    table_path = path.with_suffix(".txt")
-    table_path.write_text(_format_table(records))
-
-    for i, sample in enumerate(forecast_samples):
-        write_forecast_columns(path.with_name(f"{path.stem}_forecast{i}.csv"), **sample)
-    if token_series is not None:
-        write_series_columns(path.with_name(f"{path.stem}_token.csv"),
-                             {"decoded_token": token_series})
+    path.with_suffix(".txt").write_text(_format_table(records))
 
 
 def parse_report(path) -> list[dict]:

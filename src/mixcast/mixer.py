@@ -3,10 +3,11 @@ time mixing, up-projection with a learned initial token, two-view recurrent
 refinement, and view reconciliation.
 
 The pipeline runs per instance on a [V, T] window and produces a [V, H]
-forecast.  Internally everything is computed on a flat v-major matrix whose
-rows are (variate, batch-item) pairs, so a whole mini-batch shares one tape;
-the single-instance entry points are the B = 1 case of the same code.  These
-rows are already the token-major layout the recurrent stack takes.
+forecast.  ``forward_batch`` is its one entry point: it takes [B, V, T]
+windows, and a single window is the batch ``x[None]``.  Internally everything
+is computed on a flat v-major matrix whose rows are (variate, batch-item)
+pairs, so a whole mini-batch shares one tape.  These rows are already the
+token-major layout the recurrent stack takes.
 
 Each stage (RevIN, the linear forecaster, the up-projection, the packing of
 the stack input, reconciliation, and the RevIN inverse) is one engine op
@@ -32,7 +33,7 @@ import json
 import re
 import shutil
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -160,22 +161,6 @@ class MixerParams:
             yield from w.named_parameters(f"blocks.{b}.")
         yield "view.weight", self.view_w, None
         yield "view.bias", self.view_b, None
-
-
-@dataclass
-class ForwardTrace:
-    """Named intermediates of one forward pass (single instance).  The
-    stage outputs are the tensors the pipeline used; x_up, x_up_reversed and
-    the two view outputs are read out as constants, without gradients."""
-
-    x_norm: Tensor
-    x_initial: Tensor
-    x_up: Tensor
-    x_up_reversed: Tensor
-    y_prime: Tensor
-    y_double_prime: Tensor
-    y_norm: Tensor
-    y: Tensor
 
 
 def init_mixer_params(cfg: MixerConfig, rng, dtype=None) -> MixerParams:
@@ -457,9 +442,9 @@ def _refine_views(params: MixerParams, cfg: MixerConfig, tokens: Tensor,
 
 
 def _forward_flat(params: MixerParams, cfg: MixerConfig, x_flat, batch: int,
-                  training: bool, rng, want_trace: bool,
-                  stabilizer: slstm.StabilizerStats | None = None):
-    v, d = cfg.num_variates, cfg.embed_dim
+                  training: bool, rng,
+                  stabilizer: slstm.StabilizerStats | None = None) -> Tensor:
+    v = cfg.num_variates
     x_flat = T.as_tensor(x_flat)
     if x_flat.shape != (v * batch, cfg.lookback):
         raise ShapeError(
@@ -467,82 +452,52 @@ def _forward_flat(params: MixerParams, cfg: MixerConfig, x_flat, batch: int,
         )
     time_axis = cfg.slstm_axis == AXIS_TIME
 
-    # Each stage output is dropped once the next stage has read it, unless
-    # the trace shows it; a tape keeps what its backward reads regardless.
+    # Each stage output is dropped once the next stage has read it; a tape
+    # keeps what its backward reads regardless.
     x_norm, stats = revin_normalize(params.revin, x_flat, batch)
     del x_flat
     if cfg.mix_time:
         x_initial = nlinear_forecast(params.nlinear_w, params.nlinear_b, x_norm)
     else:
         x_initial = x_norm
-    if not want_trace:
-        del x_norm
+    del x_norm
 
     # On the time axis the tokens are forecast steps: step-major [H*B, V].
     rows = _swap_token_axes(x_initial, batch) if time_axis else x_initial
-    if not want_trace:
-        del x_initial
+    del x_initial
     tokens = up_project(params.up_w, params.up_b, rows)
     del rows
     eta = params.eta if cfg.init_token else None
     views = _refine_views(params, cfg, tokens, eta, batch, training, rng, stabilizer)
-    if not want_trace:
-        del tokens
+    del tokens
 
     # Dropping the learned token's rows leaves v-major [V*B, .] rows
     # (step-major [H*B, .] on the time axis).
     skip = batch if cfg.init_token else 0
     y_tok = reconcile_views(params.view_w, params.view_b, views, skip)
-    if not want_trace:
-        del views
+    del views
     y_norm_flat = _swap_token_axes(y_tok, batch) if time_axis else y_tok
     del y_tok
-    y_flat = revin_denormalize(params.revin, stats, y_norm_flat, batch)
-
-    trace = None
-    if want_trace:
-        lead = [np.broadcast_to(eta.data, (batch, d))] if eta is not None else []
-        x_up = np.concatenate(lead + [tokens.data])
-        y_views = views.data[skip:]
-        trace = ForwardTrace(
-            x_norm=x_norm,
-            x_initial=x_initial,
-            x_up=T.as_tensor(x_up),
-            x_up_reversed=T.as_tensor(x_up[:, ::-1]),
-            y_prime=T.as_tensor(y_views[:, :d]),
-            y_double_prime=T.as_tensor(y_views[:, -d:]),
-            y_norm=y_norm_flat,
-            y=y_flat,
-        )
-    return y_flat, trace
+    return revin_denormalize(params.revin, stats, y_norm_flat, batch)
 
 
-def mixer_forward(params: MixerParams, cfg: MixerConfig, x,
-                  training: bool = False, rng=None):
-    """Full pipeline on one [V, T] window; returns ([V, H] forecast, trace)."""
-    x = T.as_tensor(x)
-    if not np.isfinite(x.data).all():
-        raise ValueError("input window contains non-finite values")
-    y, trace = _forward_flat(params, cfg, x, 1, training, rng, want_trace=True)
-    return y, trace
-
-
-def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
-                  training: bool = False, rng=None) -> Tensor:
-    """Batched pipeline on [B, V, T]; returns the v-major [V*B, H] forecast."""
-    if not np.isfinite(xs).all():
+def forward_batch(params: MixerParams, cfg: MixerConfig, xs, training: bool = False,
+                  rng=None, stabilizer: slstm.StabilizerStats | None = None) -> Tensor:
+    """The pipeline on [B, V, T] windows, an array or a Tensor; returns the
+    v-major [V*B, H] forecast, which is [V, H] for one window ``x[None]``."""
+    xs = T.as_tensor(xs)
+    if not np.isfinite(xs.data).all():
         raise ValueError("input windows contain non-finite values")
-    b = xs.shape[0]
-    # Passed unnamed, so _forward_flat can free the v-major copy after RevIN.
-    y, _ = _forward_flat(params, cfg, np.ascontiguousarray(
-        xs.transpose(1, 0, 2).reshape(cfg.num_variates * b, cfg.lookback)), b,
-        training, rng, want_trace=False)
-    return y
+    b, v = xs.shape[0], cfg.num_variates
+    # The v-major rows are passed unnamed, so _forward_flat can free them
+    # after RevIN.
+    return _forward_flat(params, cfg, T.custom_op(
+        np.ascontiguousarray(xs.data.transpose(1, 0, 2).reshape(v * b, -1)), [xs],
+        lambda g: [g.reshape(v, b, -1).transpose(1, 0, 2)]), b, training, rng, stabilizer)
 
 
 def flatten_targets(ys: np.ndarray) -> np.ndarray:
     """[B, V, H] targets to the v-major [V*B, H] layout of forward_batch."""
-    b = ys.shape[0]
     return np.ascontiguousarray(ys.transpose(1, 0, 2).reshape(-1, ys.shape[2]))
 
 
@@ -589,25 +544,11 @@ def save_checkpoint(directory, params: MixerParams, extra: dict | None = None) -
 
 
 def _write_checkpoint(directory: Path, params: MixerParams, extra: dict | None) -> None:
-    cfg = params.config
-    config_doc = {
-        "lookback": cfg.lookback,
-        "horizon": cfg.horizon,
-        "num_variates": cfg.num_variates,
-        "embed_dim": cfg.embed_dim,
-        "num_blocks": cfg.num_blocks,
-        "mix_time": cfg.mix_time,
-        "slstm_axis": cfg.slstm_axis,
-        "init_token": cfg.init_token,
-        "mix_view": cfg.mix_view,
-        "block": {
-            "d_hidden": cfg.block.d_hidden,
-            "num_heads": cfg.block.num_heads,
-            "conv_width": cfg.block.conv_width,
-            "dropout_rate": cfg.block.dropout_rate,
-        },
-        "extra": extra or {},
-    }
+    # The block goes last, where earlier checkpoints hold it, so the same
+    # config writes the same bytes.
+    config_doc = asdict(params.config)
+    config_doc["block"] = config_doc.pop("block")
+    config_doc["extra"] = extra or {}
     (directory / "config.json").write_text(json.dumps(config_doc, indent=2) + "\n")
     lines = []
     for name, tensor, _ in params.named_parameters():
@@ -630,25 +571,15 @@ def load_checkpoint(directory):
     directory = Path(directory)
     config_doc = json.loads((directory / "config.json").read_text())
     block = BlockConfig(**config_doc["block"])
-    cfg = MixerConfig(
-        lookback=config_doc["lookback"],
-        horizon=config_doc["horizon"],
-        num_variates=config_doc["num_variates"],
-        embed_dim=config_doc["embed_dim"],
-        num_blocks=config_doc["num_blocks"],
-        block=block,
-        mix_time=config_doc["mix_time"],
-        slstm_axis=config_doc["slstm_axis"],
-        init_token=config_doc["init_token"],
-        mix_view=config_doc["mix_view"],
-    )
+    cfg = MixerConfig(**{f.name: config_doc[f.name] for f in fields(MixerConfig)
+                         if f.name != "block"}, block=block)
     entries = {}
     width = None
     for line in (directory / "manifest.txt").read_text().splitlines():
-        fields = line.split("\t")
-        if len(fields) != 3 or fields[2] not in ("float32", "float64"):
+        cells = line.split("\t")
+        if len(cells) != 3 or cells[2] not in ("float32", "float64"):
             raise ValueError(f"malformed manifest line {line!r}")
-        name, shape, kind = fields
+        name, shape, kind = cells
         if not _SAFE_NAME.match(name):
             raise ValueError(f"manifest name {name!r} is not filesystem-safe")
         if name in entries:

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import mixer
 from . import tensor as T
+from .metrics import compute_metrics
 from .mixer import MixerConfig, MixerParams
 from .tensor import ShapeError, Tape, Tensor
 
@@ -34,7 +35,6 @@ class TrainConfig:
     clip_norm: float = 1.0
     beta1: float = 0.9
     beta2: float = 0.999
-    weight_decay: float = 0.0
     seed: int = 2021
     patience: int = 10
 
@@ -148,16 +148,9 @@ def _eval_batches(n: int, batch_size: int):
 
 def evaluate_mae(params: MixerParams, cfg: MixerConfig, dataset,
                  batch_size: int = 128) -> float:
-    """Mean absolute error over a dataset, eval mode, file order."""
-    total = 0.0
-    count = 0
-    for lo, hi in _eval_batches(len(dataset), batch_size):
-        xs, ys = dataset.batch(range(lo, hi))
-        pred = mixer.forward_batch(params, cfg, xs, training=False)
-        diff = np.abs(pred.data - mixer.flatten_targets(ys))
-        total += float(diff.sum())
-        count += diff.size
-    return total / count
+    """Mean absolute error over a dataset, eval mode: the MAE every report
+    gives for it."""
+    return compute_metrics(*predict_dataset(params, cfg, dataset, batch_size))["mae"]
 
 
 def predict_dataset(params: MixerParams, cfg: MixerConfig, dataset,

@@ -125,8 +125,8 @@ def test_criterion_4_ablation_wiring():
     params6 = init_mixer_params(cfg6, rng, dtype=np.float64)
     x = rng.normal(0.0, 30.0, size=(3, base.lookback))
     mu = x.mean(axis=1, keepdims=True)
-    y1, _ = mixer.mixer_forward(params6, cfg6, x)
-    y2, _ = mixer.mixer_forward(params6, cfg6, mu + 2.0 * (x - mu))
+    y1 = mixer.forward_batch(params6, cfg6, x[None])
+    y2 = mixer.forward_batch(params6, cfg6, (mu + 2.0 * (x - mu))[None])
     linearity = float(np.abs((y2.data - mu) - 2.0 * (y1.data - mu)).max())
     assert linearity < 1e-6, f"affine deviation {linearity:.3e}"
 

@@ -45,6 +45,18 @@ def test_train_runs_are_byte_identical(tiny_csv, tmp_path):
     assert (out1 / "loss_log.jsonl").read_bytes() == (out2 / "loss_log.jsonl").read_bytes()
 
 
+def test_kept_epoch_val_mae_is_the_reported_val_mae(tiny_csv, tmp_path):
+    # Model selection, run_meta.json and the report score validation with
+    # one MAE, so all three read the same float.
+    out = tmp_path / "run"
+    assert run_train(tiny_csv, out) == 0
+    log_rows = [json.loads(l) for l in (out / "loss_log.jsonl").read_text().splitlines()]
+    kept = min(row["val_mae"] for row in log_rows)
+    best_val_mae = json.loads((out / "run_meta.json").read_text())["best_val_mae"]
+    val = [r for r in M.parse_report(out / "report.jsonl") if r["dataset"] == "tiny/val"]
+    assert kept == best_val_mae == val[0]["mae"]
+
+
 def test_eval_reproduces_test_metrics(tiny_csv, tmp_path):
     out = tmp_path / "run"
     run_train(tiny_csv, out)

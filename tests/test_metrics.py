@@ -215,7 +215,7 @@ def test_emit_is_byte_deterministic(tmp_path):
 
 
 def test_emit_skips_plot_files_without_samples(tmp_path):
-    M.emit_report([make_report()], tmp_path / "r.jsonl", forecast_samples=())
+    M.emit_report([make_report()], tmp_path / "r.jsonl")
     assert (tmp_path / "r.jsonl").exists()
     assert not list(tmp_path.glob("*forecast*"))
 
@@ -226,9 +226,8 @@ def test_emit_writes_forecast_and_token_files(tmp_path):
         "target": np.ones((2, 3)),
         "forecast": np.full((2, 3), 0.5),
     }
-    M.emit_report([make_report()], tmp_path / "r.jsonl",
-                  forecast_samples=[sample],
-                  token_series=np.arange(3.0))
+    M.write_forecast_columns(tmp_path / "r_forecast0.csv", **sample)
+    M.write_series_columns(tmp_path / "r_token.csv", {"decoded_token": np.arange(3.0)})
     forecast = (tmp_path / "r_forecast0.csv").read_text().splitlines()
     assert forecast[0] == "t,variate,x,y,yhat"
     assert len(forecast) == 1 + 2 * (4 + 3)

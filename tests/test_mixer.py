@@ -1,4 +1,4 @@
-"""Pipeline stage contracts, ablation wiring, traces, and checkpoint io."""
+"""Pipeline stage contracts, ablation wiring, and checkpoint io."""
 
 import shutil
 from pathlib import Path
@@ -301,7 +301,7 @@ def test_zeroed_stack_reduces_to_linear_path():
     for w in params.blocks:
         w.proj_w.data[:] = 0.0
     x = rng.normal(size=(3, 8))
-    y, _ = mixer.mixer_forward(params, cfg, x)
+    y = mixer.forward_batch(params, cfg, x[None])
 
     x_norm, stats = revin_normalize(params.revin, x)
     x_init = mixer.nlinear_forecast(params.nlinear_w, params.nlinear_b, x_norm)
@@ -321,8 +321,8 @@ def test_config6_is_affine_in_centered_input():
     x = rng.normal(0.0, 30.0, size=(3, 8))
     mu = x.mean(axis=1, keepdims=True)
     doubled = mu + 2.0 * (x - mu)
-    y1, _ = mixer.mixer_forward(params, cfg, x)
-    y2, _ = mixer.mixer_forward(params, cfg, doubled)
+    y1 = mixer.forward_batch(params, cfg, x[None])
+    y2 = mixer.forward_batch(params, cfg, doubled[None])
     assert np.abs((y2.data - mu) - 2.0 * (y1.data - mu)).max() < 1e-6
 
 
@@ -332,34 +332,9 @@ def test_config6_shift_equivariance_per_variate():
     params = init_mixer_params(cfg, rng, dtype=np.float64)
     x = rng.normal(size=(3, 8))
     shift = np.array([[1.0], [-2.0], [0.5]])
-    y1, _ = mixer.mixer_forward(params, cfg, x)
-    y2, _ = mixer.mixer_forward(params, cfg, x + shift)
+    y1 = mixer.forward_batch(params, cfg, x[None])
+    y2 = mixer.forward_batch(params, cfg, (x + shift)[None])
     assert np.abs(y2.data - (y1.data + shift)).max() < 1e-5
-
-
-@pytest.mark.parametrize("cid", [1, 6, 7])
-def test_trace_completeness_and_shapes(cid):
-    rng = np.random.default_rng(16)
-    cfg = build_ablation_config(cid, make_cfg())
-    params = init_mixer_params(cfg, rng)
-    x = rng.normal(size=(3, 8)).astype(np.float32)
-    y, trace = mixer.mixer_forward(params, cfg, x)
-    v, t_len, h_len, d = 3, 8, 4, 8
-    width = h_len if cfg.mix_time else t_len
-    rows = v + 1 if cfg.init_token else v
-    assert trace.x_norm.shape == (v, t_len)
-    assert trace.x_initial.shape == (v, width)
-    assert trace.x_up.shape == (rows, d)
-    assert trace.x_up_reversed.shape == (rows, d)
-    assert trace.y_prime.shape == (v, d)
-    assert trace.y_double_prime.shape == (v, d)
-    assert trace.y_norm.shape == (v, h_len)
-    assert trace.y.shape == (v, h_len)
-    for name in ("x_norm", "x_initial", "x_up", "x_up_reversed", "y_prime",
-                 "y_double_prime", "y_norm", "y"):
-        assert np.isfinite(getattr(trace, name).data).all(), name
-    assert np.array_equal(trace.x_up_reversed.data,
-                          reverse_latent_view(trace.x_up).data)
 
 
 def test_view_symmetry_swaps_roles_bitwise():
@@ -409,7 +384,7 @@ def test_time_axis_batched_forward_matches_single():
     xs = rng.normal(size=(3, 3, 8)).astype(np.float32)
     flat = mixer.forward_batch(params, cfg, xs).data
     for b in range(3):
-        single, _ = mixer.mixer_forward(params, cfg, xs[b])
+        single = mixer.forward_batch(params, cfg, xs[b][None])
         for v in range(3):
             assert np.abs(flat[v * 3 + b] - single.data[v]).max() < 2e-6
 
@@ -421,7 +396,7 @@ def test_forward_rejects_nonfinite_input():
     x = np.zeros((3, 8), dtype=np.float32)
     x[0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        mixer.mixer_forward(params, cfg, x)
+        mixer.forward_batch(params, cfg, Tensor(x[None]))
 
 
 def test_forward_batch_rejects_nonfinite_input():
@@ -441,7 +416,7 @@ def test_batched_forward_matches_single_instances():
     xs = rng.normal(size=(4, 3, 8)).astype(np.float32)
     flat = mixer.forward_batch(params, cfg, xs).data
     for b in range(4):
-        single, _ = mixer.mixer_forward(params, cfg, xs[b])
+        single = mixer.forward_batch(params, cfg, xs[b][None])
         for v in range(3):
             assert np.abs(flat[v * 4 + b] - single.data[v]).max() < 1e-6
 
@@ -498,8 +473,8 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(tensor.data, originals[name]), name
 
     x = rng.normal(size=(3, 8)).astype(np.float32)
-    y0, _ = mixer.mixer_forward(params, cfg, x)
-    y1, _ = mixer.mixer_forward(loaded, loaded_cfg, x)
+    y0 = mixer.forward_batch(params, cfg, x[None])
+    y1 = mixer.forward_batch(loaded, loaded_cfg, x[None])
     assert np.array_equal(y0.data, y1.data)
 
 
@@ -514,7 +489,7 @@ def test_every_parameter_receives_finite_gradient():
     for _, t, _ in triples:
         t.zero_grad()
     with T.Tape() as tape:
-        y, _ = mixer.mixer_forward(params, cfg, x)
+        y = mixer.forward_batch(params, cfg, x[None])
         loss = T.absval(y - Tensor(target)).mean()
         tape.backward(loss)
     for name, t, _ in triples:
@@ -598,6 +573,13 @@ def test_v1_checkpoint_equals_same_seed_init(tmp_path):
     for name, tensor, _ in loaded.named_parameters():
         saved = (tmp_path / "ck" / f"{name}.bin").read_bytes()
         assert saved == tensor.data.astype("<f4").tobytes(), name
+
+
+def test_v1_checkpoint_config_resaves_byte_equal(tmp_path):
+    params, _, extra = mixer.load_checkpoint(V1_CHECKPOINT)
+    mixer.save_checkpoint(tmp_path / "ck", params, extra=extra)
+    assert ((tmp_path / "ck" / "config.json").read_bytes()
+            == (V1_CHECKPOINT / "config.json").read_bytes())
 
 
 def test_checkpoint_rejects_off_block_recurrent_weight(tmp_path):

@@ -43,8 +43,8 @@ def compare_with_reference(cfg, batch, seed, training=False):
         return np.random.default_rng(seed + 1) if training else None
 
     got, got_grads = forward_and_grads(
-        lambda: mixer._forward_flat(params, cfg, x, batch, training, dropout_rng(),
-                                    want_trace=False)[0], leaves, weights)
+        lambda: mixer._forward_flat(params, cfg, x, batch, training, dropout_rng()),
+        leaves, weights)
     want, want_grads = forward_and_grads(
         lambda: ref.forward_flat(params, cfg, x, batch, training, dropout_rng()),
         leaves, weights)
@@ -65,10 +65,32 @@ def test_fused_stages_match_reference(cid, batch, conv_width):
 def test_fused_stages_match_reference_training_with_dropout(cid):
     cfg = make_cfg(cid, conv_width=4, dropout=0.3, num_blocks=2)
     params, x = compare_with_reference(cfg, 3, 50 + cid, training=True)
-    eval_out = mixer._forward_flat(params, cfg, x, 3, False, None, want_trace=False)[0]
-    train_out = mixer._forward_flat(params, cfg, x, 3, True, np.random.default_rng(0),
-                                    want_trace=False)[0]
+    eval_out = mixer._forward_flat(params, cfg, x, 3, False, None)
+    train_out = mixer._forward_flat(params, cfg, x, 3, True, np.random.default_rng(0))
     assert not np.array_equal(train_out.data, eval_out.data)  # dropout was active
+
+
+@pytest.mark.parametrize("cid", [1, 2])
+def test_forward_batch_passes_input_gradients_to_windows(cid):
+    # forward_batch reorders [B, V, T] windows into the v-major rows of
+    # _forward_flat; a Tensor input gets its gradient back in window order.
+    cfg = make_cfg(cid)
+    batch, v, t_len = 3, cfg.num_variates, cfg.lookback
+    rng = np.random.default_rng(60 + cid)
+    params = init_mixer_params(cfg, rng, dtype=np.float64)
+    rows = T.parameter(rng.normal(size=(v * batch, t_len)), dtype=np.float64)
+    windows = T.parameter(rows.data.reshape(v, batch, t_len).transpose(1, 0, 2),
+                          dtype=np.float64)
+    weights = rng.normal(size=(v * batch, cfg.horizon))
+    leaves = [rows, windows] + [t for _, t, _ in params.named_parameters()]
+    want, want_grads = forward_and_grads(
+        lambda: mixer._forward_flat(params, cfg, rows, batch, False, None), leaves, weights)
+    got, got_grads = forward_and_grads(
+        lambda: mixer.forward_batch(params, cfg, windows), leaves, weights)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(got_grads[1], want_grads[0].reshape(v, batch, t_len).transpose(1, 0, 2))
+    for g, w in zip(got_grads[2:], want_grads[2:]):
+        assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("num_variates,num_blocks,conv_width,want",
