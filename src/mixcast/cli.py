@@ -98,12 +98,12 @@ def _config_tokens(path) -> list[str]:
 def _prepare_data(path, kind, lookback, horizon):
     raw = data_mod.load_csv(path)
     split = data_mod.chronological_split(raw.length, kind)
-    series, stats = data_mod.standardize(raw, split)
+    series, _ = data_mod.standardize(raw, split)
     splits = {
         which: data_mod.windows_for_split(series, split, which, lookback, horizon)
         for which in ("train", "val", "test")
     }
-    return raw, series, split, splits
+    return raw.num_variates, splits
 
 
 def _train_config_from_args(args) -> training.TrainConfig:
@@ -136,9 +136,9 @@ def _score(params, cfg, ds, dataset: str, seed: int, epochs_trained: int,
 
 
 def _cmd_train(args, config_id: str = "full") -> int:
-    raw, series, split, splits = _prepare_data(
-        args.data, args.dataset, args.lookback, args.horizon)
-    cfg = _mixer_config_from_args(args, raw.num_variates)
+    num_variates, splits = _prepare_data(args.data, args.dataset, args.lookback,
+                                         args.horizon)
+    cfg = _mixer_config_from_args(args, num_variates)
     if config_id != "full":
         cfg = mixer.build_ablation_config(int(config_id), cfg)
     params = mixer.init_mixer_params(cfg, np.random.default_rng(args.seed))
@@ -170,7 +170,7 @@ def _cmd_train(args, config_id: str = "full") -> int:
 def _cmd_eval(args) -> int:
     params, cfg, extra = mixer.load_checkpoint(args.checkpoint)
     kind = args.dataset or extra.get("dataset_kind", "generic")
-    _, _, _, splits = _prepare_data(args.data, kind, cfg.lookback, cfg.horizon)
+    _, splits = _prepare_data(args.data, kind, cfg.lookback, cfg.horizon)
     report = _score(params, cfg, splits[args.split], f"{Path(args.data).stem}/{args.split}",
                     int(extra.get("seed", -1)), int(extra.get("epochs_trained", 0)),
                     str(extra.get("config_id", "full")))
@@ -181,7 +181,7 @@ def _cmd_eval(args) -> int:
 def _cmd_forecast(args) -> int:
     params, cfg, extra = mixer.load_checkpoint(args.checkpoint)
     kind = extra.get("dataset_kind", "generic")
-    _, _, _, splits = _prepare_data(args.data, kind, cfg.lookback, cfg.horizon)
+    _, splits = _prepare_data(args.data, kind, cfg.lookback, cfg.horizon)
     ds = splits["test"]
     x, y = ds.window(args.window_index)
     pred = mixer.forward_batch(params, cfg, x[None])

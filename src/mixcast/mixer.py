@@ -3,11 +3,13 @@ time mixing, up-projection with a learned initial token, two-view recurrent
 refinement, and view reconciliation.
 
 The pipeline runs per instance on a [V, T] window and produces a [V, H]
-forecast.  ``forward_batch`` is its one entry point: it takes [B, V, T]
-windows, and a single window is the batch ``x[None]``.  Internally everything
-is computed on a flat v-major matrix whose rows are (variate, batch-item)
-pairs, so a whole mini-batch shares one tape.  These rows are already the
-token-major layout the recurrent stack takes.
+forecast.  ``forward_batch`` is its one entry point: it takes a [B, V, T]
+array of windows, and a single window is the batch ``x[None]``.  Internally
+everything is computed on a flat v-major matrix whose rows are (variate,
+batch-item) pairs, so a whole mini-batch shares one tape.  These rows are
+already the token-major layout the recurrent stack takes.  The windows are
+data: RevIN's gradients reach its ``gamma`` and ``beta``, not the input, and
+its per-row statistics are plain arrays.
 
 Each stage (RevIN, the linear forecaster, the up-projection, the packing of
 the stack input, reconciliation, and the RevIN inverse) is one engine op
@@ -122,15 +124,6 @@ def build_ablation_config(config_id: int, base: MixerConfig) -> MixerConfig:
 class RevInParams:
     gamma: Tensor  # [V, 1] learnable scale per variate
     beta: Tensor   # [V, 1] learnable offset per variate
-    epsilon: float = REVIN_EPS
-
-
-@dataclass
-class RevInStats:
-    """Per-row normalization statistics retained for inversion."""
-
-    mean: Tensor  # [rows, 1]
-    std: Tensor   # [rows, 1], sqrt(var + eps) >= sqrt(eps)
 
 
 @dataclass
@@ -204,93 +197,78 @@ def _per_variate(a: np.ndarray, variates: int) -> np.ndarray:
     return a.reshape(variates, -1, a.shape[1])
 
 
-def _check_variate_rows(t: Tensor, variates: int, batch: int) -> None:
-    if t.data.ndim != 2 or t.shape[0] != variates * batch:
+def _check_variate_rows(a: np.ndarray, variates: int, batch: int) -> None:
+    if a.ndim != 2 or a.shape[0] != variates * batch:
         raise ShapeError(f"expected {variates * batch} v-major rows for {variates} "
-                         f"variates and batch {batch}, got shape {t.shape}")
+                         f"variates and batch {batch}, got shape {a.shape}")
 
 
-def revin_normalize(params: RevInParams, x, batch: int = 1):
+def revin_normalize(params: RevInParams, x: np.ndarray, batch: int = 1):
     """Normalize rows to zero mean / unit variance, then scale by gamma and
-    shift by beta.  Returns the normalized matrix and the stats for inversion.
+    shift by beta.  Returns the normalized matrix and the per-row (mean, std)
+    arrays [rows, 1] for inversion.
 
-    The normalization is one engine op.  The stats are recorded as well
-    when x requires grad, so x gets its exact gradient through both uses."""
-    x = T.as_tensor(x)
+    The normalization is one engine op; the input is data, so gradients
+    reach gamma and beta only."""
     gamma, beta = params.gamma, params.beta
     v = gamma.shape[0]
     _check_variate_rows(x, v, batch)
     if x.shape[1] < 1:
         raise ShapeError("normalization needs at least one time step")
-    steps = x.shape[1]
-    inputs = [x, gamma, beta]
-    keep = T.will_record(inputs)
-    data = x.data.astype(np.result_type(x.data, gamma.data, beta.data), copy=False)
+    keep = T.will_record([gamma, beta])
+    data = x.astype(np.result_type(x, gamma.data, beta.data), copy=False)
 
     mean = data.mean(axis=1, keepdims=True)
     xhat = data - mean
     squares = np.square(xhat)
     std = squares.mean(axis=1, keepdims=True)
-    std += data.dtype.type(params.epsilon)
+    std += data.dtype.type(REVIN_EPS)
     np.sqrt(std, out=std)
     xhat /= std
-    gamma3, beta3 = gamma.data[:, None], beta.data[:, None]
     # Only the backward reads xhat again, so without a tape it is scaled in place.
     out = squares if keep else xhat
     out3 = _per_variate(out, v)
-    np.multiply(_per_variate(xhat, v), gamma3, out=out3)
-    out3 += beta3
+    np.multiply(_per_variate(xhat, v), gamma.data[:, None], out=out3)
+    out3 += beta.data[:, None]
 
     def backward(g):
-        g3, xhat3 = _per_variate(g, v), _per_variate(xhat, v)
-        d_gamma = np.multiply(g3, xhat3).sum(axis=(1, 2))[:, None]
-        d_beta = g3.sum(axis=(1, 2))[:, None]
-        d_x = None
-        if x.requires_grad:
-            d_xhat = (g3 * gamma3).reshape(g.shape)
-            d_x = d_xhat - d_xhat.mean(axis=1, keepdims=True)
-            d_x -= xhat * np.multiply(d_xhat, xhat).mean(axis=1, keepdims=True)
-            d_x /= std
-        return [d_x, d_gamma, d_beta]
+        g3 = _per_variate(g, v)
+        d_gamma = np.multiply(g3, _per_variate(xhat, v)).sum(axis=(1, 2))[:, None]
+        return [d_gamma, g3.sum(axis=(1, 2))[:, None]]
 
-    stats = RevInStats(
-        mean=T.custom_op(mean, [x], lambda g: [np.broadcast_to(g / steps, x.shape)]),
-        std=T.custom_op(std, [x], lambda g: [xhat * (g / steps)]))
-    return T.custom_op(out, inputs, backward), stats
+    return T.custom_op(out, [gamma, beta], backward), (mean, std)
 
 
-def revin_denormalize(params: RevInParams, stats: RevInStats, y_norm, batch: int = 1):
-    """Exact algebraic inverse of revin_normalize, as one engine op."""
+def revin_denormalize(params: RevInParams, stats: tuple[np.ndarray, np.ndarray], y_norm,
+                      batch: int = 1):
+    """Exact algebraic inverse of revin_normalize given its (mean, std), as
+    one engine op; the statistics are data."""
     if np.abs(params.gamma.data).min() < 1e-12:
         raise ValueError("revin gamma too close to zero to invert")
     y_norm = T.as_tensor(y_norm)
     gamma, beta = params.gamma, params.beta
     v = gamma.shape[0]
-    _check_variate_rows(y_norm, v, batch)
-    inputs = [y_norm, gamma, beta, stats.mean, stats.std]
+    _check_variate_rows(y_norm.data, v, batch)
+    mean, std = stats
+    inputs = [y_norm, gamma, beta]
     keep = T.will_record(inputs)
-    gamma3, beta3 = gamma.data[:, None], beta.data[:, None]
-    std3 = _per_variate(stats.std.data, v)
+    gamma3 = gamma.data[:, None]
+    std3 = _per_variate(std, v)
 
     # ((y - beta) / gamma) * std + mean; u = (y - beta) / gamma is kept for
     # the backward, otherwise the output overwrites it.
-    u = np.subtract(_per_variate(y_norm.data, v), beta3,
-                    dtype=np.result_type(*(t.data for t in inputs)))
+    u = np.subtract(_per_variate(y_norm.data, v), beta.data[:, None],
+                    dtype=np.result_type(mean, std, *(t.data for t in inputs)))
     u /= gamma3
     out = np.multiply(u, std3, out=None if keep else u)
-    out += _per_variate(stats.mean.data, v)
+    out += _per_variate(mean, v)
 
     def backward(g):
-        g3 = _per_variate(g, v)
-        d_y = g3 * std3
+        d_y = _per_variate(g, v) * std3
         d_y /= gamma3
         d_gamma = -np.multiply(d_y, u).sum(axis=(1, 2))[:, None]
         d_beta = -d_y.sum(axis=(1, 2))[:, None]
-        d_mean = g.sum(axis=1, keepdims=True) if stats.mean.requires_grad else None
-        d_std = None
-        if stats.std.requires_grad:
-            d_std = np.multiply(g3, u).sum(axis=2).reshape(-1, 1)
-        return [d_y.reshape(g.shape), d_gamma, d_beta, d_mean, d_std]
+        return [d_y.reshape(g.shape), d_gamma, d_beta]
 
     return T.custom_op(out.reshape(y_norm.shape), inputs, backward)
 
@@ -441,11 +419,10 @@ def _refine_views(params: MixerParams, cfg: MixerConfig, tokens: Tensor,
     return out
 
 
-def _forward_flat(params: MixerParams, cfg: MixerConfig, x_flat, batch: int,
+def _forward_flat(params: MixerParams, cfg: MixerConfig, x_flat: np.ndarray, batch: int,
                   training: bool, rng,
                   stabilizer: slstm.StabilizerStats | None = None) -> Tensor:
     v = cfg.num_variates
-    x_flat = T.as_tensor(x_flat)
     if x_flat.shape != (v * batch, cfg.lookback):
         raise ShapeError(
             f"expected input shape {(v * batch, cfg.lookback)}, got {x_flat.shape}"
@@ -481,19 +458,18 @@ def _forward_flat(params: MixerParams, cfg: MixerConfig, x_flat, batch: int,
     return revin_denormalize(params.revin, stats, y_norm_flat, batch)
 
 
-def forward_batch(params: MixerParams, cfg: MixerConfig, xs, training: bool = False,
-                  rng=None, stabilizer: slstm.StabilizerStats | None = None) -> Tensor:
-    """The pipeline on [B, V, T] windows, an array or a Tensor; returns the
-    v-major [V*B, H] forecast, which is [V, H] for one window ``x[None]``."""
-    xs = T.as_tensor(xs)
-    if not np.isfinite(xs.data).all():
+def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
+                  training: bool = False, rng=None,
+                  stabilizer: slstm.StabilizerStats | None = None) -> Tensor:
+    """The pipeline on a [B, V, T] array of windows; returns the v-major
+    [V*B, H] forecast, which is [V, H] for one window ``x[None]``."""
+    if not np.isfinite(xs).all():
         raise ValueError("input windows contain non-finite values")
     b, v = xs.shape[0], cfg.num_variates
     # The v-major rows are passed unnamed, so _forward_flat can free them
     # after RevIN.
-    return _forward_flat(params, cfg, T.custom_op(
-        np.ascontiguousarray(xs.data.transpose(1, 0, 2).reshape(v * b, -1)), [xs],
-        lambda g: [g.reshape(v, b, -1).transpose(1, 0, 2)]), b, training, rng, stabilizer)
+    return _forward_flat(params, cfg, np.ascontiguousarray(
+        xs.transpose(1, 0, 2).reshape(v * b, -1)), b, training, rng, stabilizer)
 
 
 def flatten_targets(ys: np.ndarray) -> np.ndarray:
@@ -562,17 +538,31 @@ def _write_checkpoint(directory: Path, params: MixerParams, extra: dict | None) 
     (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
+def _config_args(doc: dict, cls, where: str, optional=()) -> dict:
+    """The entries of a config.json mapping as keyword arguments of the
+    dataclass cls; a missing or unknown key is rejected by name."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} is not a mapping")
+    names = [f.name for f in fields(cls)]
+    missing = [key for key in names if key not in doc]
+    unknown = [key for key in doc if key not in names and key not in optional]
+    if missing or unknown:
+        raise ValueError(f"{where}: missing keys {missing}, unknown keys {unknown}")
+    return {key: doc[key] for key in names}
+
+
 def load_checkpoint(directory):
     """Rebuild (params, config, extra) from a checkpoint directory, bit-exactly.
 
     Recurrent matrices stored densely [D, D] load as their head blocks.  A
+    config.json that lacks or adds a key (``extra`` is optional), or a
     manifest that repeats, lacks or adds a parameter, mixes float widths, or
     points at non-finite values is rejected."""
     directory = Path(directory)
     config_doc = json.loads((directory / "config.json").read_text())
-    block = BlockConfig(**config_doc["block"])
-    cfg = MixerConfig(**{f.name: config_doc[f.name] for f in fields(MixerConfig)
-                         if f.name != "block"}, block=block)
+    args = _config_args(config_doc, MixerConfig, "config.json", optional=("extra",))
+    block = BlockConfig(**_config_args(args["block"], BlockConfig, "config.json block"))
+    cfg = MixerConfig(**{**args, "block": block})
     entries = {}
     width = None
     for line in (directory / "manifest.txt").read_text().splitlines():

@@ -106,10 +106,6 @@ class SLstmParams:
     def d_hidden(self) -> int:
         return self.w_z.shape[0]
 
-    @property
-    def d_in(self) -> int:
-        return self.w_z.shape[1]
-
     def named_parameters(self, prefix: str = ""):
         for kind in "wrb":
             for gate in ("z", "i", "f", "o"):
@@ -198,17 +194,6 @@ _CHECK_ORDER = (("input", 2), ("forget", 3), ("cell-input", 0), ("output", 1))
 CHUNK_ROWS = 4096
 
 
-def _cell_tensors(p: SLstmParams) -> list[Tensor]:
-    """The cell's weights in engine-op input order: W, R, b, each z, o, i, f."""
-    return [getattr(p, f"{kind}_{gate}") for kind in "wrb" for gate in _GATES]
-
-
-def _check_rows(x: Tensor, batch: int) -> None:
-    rows = x.shape[0]
-    if rows < 1 or batch < 1 or rows % batch:
-        raise ShapeError(f"{rows} rows do not hold whole tokens of batch {batch}")
-
-
 def _raise_nonfinite(pre: np.ndarray) -> None:
     for name, k in _CHECK_ORDER:
         if not np.isfinite(pre[k]).all():
@@ -224,12 +209,6 @@ def _per_head(a: np.ndarray, heads: int) -> np.ndarray:
     """A [..., B, D] array as the [..., H, B, d_h] view of its head columns."""
     *lead, rows, d = a.shape
     return a.reshape(*lead, rows, heads, d // heads).swapaxes(-3, -2)
-
-
-def _history(rows: int, d: int, dtype):
-    """Gate slab, cell and normalizer rows that the backward reads."""
-    return (np.empty((4, rows, d), dtype=dtype), np.empty((rows, d), dtype=dtype),
-            np.empty((rows, d), dtype=dtype))
 
 
 class _Recurrence:
@@ -371,36 +350,12 @@ def _recurrence_backward(p: SLstmParams, d_hs: np.ndarray, hs: np.ndarray, histo
     d_r = np.matmul(_per_head(d_pre[:, batch:], heads).swapaxes(-1, -2),
                     _per_head(hs[:-batch], heads))
     d_b = [d_pre[k].sum(axis=0, keepdims=True) for k in range(4)]
-    fits = cs.shape == x.shape
-    d_x = np.matmul(d_pre[0], weights[0], out=cs if fits else None)
-    d_x_if = np.matmul(d_pre[2], weights[2], out=ns if fits else None)
+    d_x = np.matmul(d_pre[0], weights[0], out=cs)
+    d_x_if = np.matmul(d_pre[2], weights[2], out=ns)
     tmp = np.matmul(d_pre[1], weights[1])
     d_x += tmp
     d_x_if += np.matmul(d_pre[3], weights[3], out=tmp)
     return d_x, d_x_if, d_w + list(d_r) + d_b
-
-
-def _sequence(p: SLstmParams, x: Tensor, batch: int,
-              stats: StabilizerStats | None = None) -> Tensor:
-    """The bare recurrence over flat token-major rows x [L*B, D_in] as one
-    tape node; returns the hidden rows [L*B, D_hidden]."""
-    if x.data.ndim != 2 or x.shape[1] != p.d_in:
-        raise ShapeError(f"token width {x.shape[-1]} != cell input width {p.d_in}")
-    _check_rows(x, batch)
-    inputs = [x] + _cell_tensors(p)
-    rows, d = x.shape[0], p.d_hidden
-    dtype = np.result_type(x.data, p.w_z.data)
-    history = _history(rows, d, dtype) if T.will_record(inputs) else None
-    hs = np.empty((rows, d), dtype=dtype)
-    _Recurrence(p, batch, rows, dtype, stats).run(x.data, x.data, hs, history)
-
-    def backward(g):
-        d_x, d_x_if, d_cell = _recurrence_backward(p, g, hs, history, x.data, x.data,
-                                                   batch)
-        d_x += d_x_if
-        return [d_x] + d_cell
-
-    return T.custom_op(hs, inputs, backward)
 
 
 def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
@@ -415,20 +370,22 @@ def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
     chunk-sized buffers reused across chunks; with one they are views into the
     whole-sequence arrays the backward reads.
     """
-    d = cfg.d_hidden
+    d, rows = cfg.d_hidden, x.shape[0]
     if x.data.ndim != 2 or x.shape[1] != d:
         raise ShapeError(f"token width {x.shape[-1]} != block width {d}")
-    _check_rows(x, batch)
+    if rows < 1 or batch < 1 or rows % batch:
+        raise ShapeError(f"{rows} rows do not hold whole tokens of batch {batch}")
     dropout = training and cfg.dropout_rate > 0.0
     if dropout and rng is None:
         raise ValueError("training with dropout needs an rng")
     kernel = None
     if cfg.conv_width > 0 and w.conv_kernel is not None:
         kernel = w.conv_kernel.data
-    inputs = ([x] + _cell_tensors(w.cell) + [w.ln_gamma, w.ln_beta, w.proj_w]
-              + ([] if kernel is None else [w.conv_kernel]))
+    # The cell's weights go in the order its backward returns them: W, R, b,
+    # each z, o, i, f.
+    inputs = ([x] + [getattr(w.cell, f"{kind}_{gate}") for kind in "wrb" for gate in _GATES]
+              + [w.ln_gamma, w.ln_beta, w.proj_w] + ([] if kernel is None else [w.conv_kernel]))
     keep = T.will_record(inputs)
-    rows = x.shape[0]
     chunk = min(rows, max(1, CHUNK_ROWS // batch) * batch)
     dtype = np.result_type(x.data, w.cell.w_z.data)
     eps = x.data.dtype.type(LN_EPS)
@@ -442,7 +399,9 @@ def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
     inv_std = np.empty((size, 1), dtype=dtype)
     x_if = normed if kernel is None else np.empty((size, d), dtype=dtype)
     hs = np.empty((size, d), dtype=dtype)
-    history = _history(rows, d, dtype) if keep else None
+    # The gate slab, cell and normalizer rows that the backward reads.
+    history = (np.empty((4, rows, d), dtype=dtype), np.empty((rows, d), dtype=dtype),
+               np.empty((rows, d), dtype=dtype)) if keep else None
     mask = np.empty((rows, d), dtype=dtype) if keep and dropout else None
     out = np.empty((rows, d), dtype=dtype)
     cell = _Recurrence(w.cell, batch, chunk, dtype, stats)

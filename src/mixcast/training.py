@@ -1,6 +1,7 @@
 """Optimization loop: L1 objective, Adam, cosine-annealed learning rate with
 linear warmup, global-norm gradient clipping, seeded shuffling, and
-best-validation checkpointing.
+best-validation checkpointing.  The Adam betas and the clip norm are module
+constants, the same for every run.
 
 All randomness (shuffling, dropout) derives from the run seed, and gradient
 reduction order is fixed, so identical seed + data + config reproduces the
@@ -23,7 +24,10 @@ from .metrics import compute_metrics
 from .mixer import MixerConfig, MixerParams
 from .tensor import ShapeError, Tape, Tensor
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+CLIP_NORM = 1.0
 
 
 @dataclass
@@ -32,19 +36,14 @@ class TrainConfig:
     lr_initial: float = 1e-3
     warmup_steps: int = 10
     max_epochs: int = 60
-    clip_norm: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.999
     seed: int = 2021
     patience: int = 10
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.lr_initial <= 0 or self.clip_norm <= 0:
-            raise ValueError("lr_initial and clip_norm must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("betas must lie in [0, 1)")
+        if self.lr_initial <= 0:
+            raise ValueError("lr_initial must be positive")
 
 
 @dataclass
@@ -83,13 +82,13 @@ def mae_loss(pred: Tensor, target) -> Tensor:
     return T.custom_op(np.abs(diff).mean(), [pred], backward)
 
 
-def clip_global_norm(grads: list[np.ndarray], clip_norm: float) -> float:
-    """Scale all gradients jointly so their global L2 norm is <= clip_norm.
+def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> float:
+    """Scale all gradients jointly so their global L2 norm is <= max_norm.
 
     Returns the pre-clip norm.  Non-finite gradients abort: they surface
     divergence at the step that produced them."""
-    if clip_norm <= 0:
-        raise ValueError("clip_norm must be positive")
+    if max_norm <= 0:
+        raise ValueError("max_norm must be positive")
     total = 0.0
     for g in grads:
         s = float(np.sum(g.astype(np.float64) ** 2))
@@ -97,21 +96,21 @@ def clip_global_norm(grads: list[np.ndarray], clip_norm: float) -> float:
             raise FloatingPointError("non-finite gradient before clipping")
         total += s
     norm = math.sqrt(total)
-    if norm > clip_norm:
-        factor = clip_norm / norm
+    if norm > max_norm:
+        factor = max_norm / norm
         for g in grads:
             g *= factor
     return norm
 
 
 def adam_step(state: AdamState, params: list[Tensor], grads: list[np.ndarray],
-              lr: float, cfg: TrainConfig) -> None:
+              lr: float) -> None:
     """Bias-corrected Adam update (eps outside the square root, no weight
     decay)."""
     if len(params) != len(grads):
         raise ShapeError("params and grads length mismatch")
     state.t += 1
-    b1, b2, t = cfg.beta1, cfg.beta2, state.t
+    b1, b2, t = ADAM_BETA1, ADAM_BETA2, state.t
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     for k, (p, g) in enumerate(zip(params, grads)):
@@ -146,11 +145,10 @@ def _eval_batches(n: int, batch_size: int):
     return zip(bounds[:-1], bounds[1:])
 
 
-def evaluate_mae(params: MixerParams, cfg: MixerConfig, dataset,
-                 batch_size: int = 128) -> float:
+def evaluate_mae(params: MixerParams, cfg: MixerConfig, dataset) -> float:
     """Mean absolute error over a dataset, eval mode: the MAE every report
     gives for it."""
-    return compute_metrics(*predict_dataset(params, cfg, dataset, batch_size))["mae"]
+    return compute_metrics(*predict_dataset(params, cfg, dataset))["mae"]
 
 
 def predict_dataset(params: MixerParams, cfg: MixerConfig, dataset,
@@ -222,9 +220,9 @@ def fit(params: MixerParams, cfg: MixerConfig, train_ds, val_ds,
                     tape.backward(loss)
                 grads = [t.grad if t.grad is not None else np.zeros_like(t.data)
                          for t in tensors]
-                clip_global_norm(grads, train_cfg.clip_norm)
+                clip_global_norm(grads, CLIP_NORM)
                 lr = lr_at_step(step, total_steps, train_cfg)
-                adam_step(state, tensors, grads, lr, train_cfg)
+                adam_step(state, tensors, grads, lr)
                 step += 1
                 epoch_abs += value * xs.shape[0] * xs.shape[1] * cfg.horizon
                 epoch_count += xs.shape[0] * xs.shape[1] * cfg.horizon

@@ -14,7 +14,8 @@ import numpy as np
 
 from mixcast import slstm
 from mixcast import tensor as T
-from mixcast.mixer import AXIS_NONE, AXIS_TIME, MixerConfig, MixerParams, RevInParams
+from mixcast.mixer import (AXIS_NONE, AXIS_TIME, REVIN_EPS, MixerConfig, MixerParams,
+                           RevInParams)
 from mixcast.tensor import ShapeError, Tensor
 
 
@@ -33,7 +34,7 @@ def revin_normalize(params: RevInParams, x, batch: int = 1):
     if x.shape[1] < 1:
         raise ShapeError("normalization needs at least one time step")
     mean = x.mean(axis=1, keepdims=True)
-    std = T.sqrt(x.var_pop(axis=1, keepdims=True) + params.epsilon)
+    std = T.sqrt(x.var_pop(axis=1, keepdims=True) + REVIN_EPS)
     gamma = _tile_per_variate(params.gamma, batch)
     beta = _tile_per_variate(params.beta, batch)
     return gamma * ((x - mean) / std) + beta, (mean, std)

@@ -123,8 +123,8 @@ def cell_step(params: SLstmParams, x, prev: SLstmState, x_if=None):
     x = T.as_tensor(x)
     if x.data.ndim == 1:
         x = T.reshape(x, (1, x.shape[0]))
-    if x.shape[1] != params.d_in:
-        raise ShapeError(f"token width {x.shape[1]} != cell input width {params.d_in}")
+    if x.shape[1] != params.w_z.shape[1]:
+        raise ShapeError(f"token width {x.shape[1]} != cell input width {params.w_z.shape[1]}")
     if prev.h.shape[1] != params.d_hidden:
         raise ShapeError(
             f"state width {prev.h.shape[1]} != hidden width {params.d_hidden}"

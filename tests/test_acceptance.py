@@ -21,7 +21,7 @@ import slstm_reference as slstm_ref
 from conftest import require_etth1
 from test_metrics import double_loop_reference
 from test_mixer import expected_param_count
-from test_slstm import unstabilized_reference
+from test_slstm import run_sequence, unstabilized_reference
 from test_training import make_affine_task, small_config
 
 
@@ -52,7 +52,7 @@ def test_criterion_2_stabilizer_equivalence():
                 getattr(p, name).data *= 2.5
             length = int(rng.integers(1, 33))
             xs = rng.uniform(-1, 1, size=(length, 4))
-            got = slstm._sequence(p, T.as_tensor(xs), 1).data
+            got = run_sequence(p, xs)
             ref = unstabilized_reference(p, xs)
             worst = max(worst, float(np.abs(got - ref).max()))
             state = slstm_ref.zero_state(1, 6, dtype=np.float64)
@@ -67,7 +67,7 @@ def test_criterion_2_stabilizer_equivalence():
         p = slstm.init_slstm_params(3, 4, 1, rng)
         p.b_f.data[:] = 10.0
         xs = rng.uniform(-1, 1, size=(512, 3))
-        stabilized = slstm._sequence(p, T.as_tensor(xs), 1).data
+        stabilized = run_sequence(p, xs)
         assert np.isfinite(stabilized).all(), "stabilized path overflowed"
         with np.errstate(over="ignore", invalid="ignore"):
             reference = unstabilized_reference(p, xs)

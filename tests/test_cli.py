@@ -187,6 +187,19 @@ def test_missing_checkpoint_is_reported(tiny_csv, tmp_path, capsys):
     assert code == 2
 
 
+def test_checkpoint_config_key_error_is_reported(tiny_csv, tmp_path, capsys):
+    out = tmp_path / "run"
+    run_train(tiny_csv, out)
+    config = out / "best" / "config.json"
+    doc = json.loads(config.read_text())
+    del doc["mix_view"]
+    config.write_text(json.dumps(doc))
+    code = cli.main(["eval", "--checkpoint", str(out / "best"),
+                     "--data", str(tiny_csv), "--report", str(tmp_path / "r.jsonl")])
+    assert code == 2
+    assert "error: config.json: missing keys ['mix_view']" in capsys.readouterr().err
+
+
 def test_etth_kind_end_to_end(tmp_path):
     # ETT-shaped series (fixed 12/4/4-month boundaries) through the CLI.
     from conftest import synthetic_series, write_series_csv

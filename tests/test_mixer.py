@@ -1,5 +1,6 @@
 """Pipeline stage contracts, ablation wiring, and checkpoint io."""
 
+import json
 import shutil
 from pathlib import Path
 
@@ -32,11 +33,10 @@ def make_cfg(**overrides) -> MixerConfig:
     return MixerConfig(**base)
 
 
-def fresh_revin(v=3, dtype=np.float64, epsilon=mixer.REVIN_EPS) -> RevInParams:
+def fresh_revin(v=3, dtype=np.float64) -> RevInParams:
     return RevInParams(
         gamma=Tensor(np.ones((v, 1)), requires_grad=True, dtype=dtype),
         beta=Tensor(np.zeros((v, 1)), requires_grad=True, dtype=dtype),
-        epsilon=epsilon,
     )
 
 
@@ -50,9 +50,11 @@ def test_revin_constant_series_is_finite_and_near_zero():
 
 
 def test_revin_hand_computed_values():
-    p = fresh_revin(v=1, epsilon=1e-12)
+    p = fresh_revin(v=1)
     out, _ = revin_normalize(p, np.array([[1.0, 2.0, 3.0]]))
-    expected = np.array([[-1.22474487, 0.0, 1.22474487]])
+    # Population variance 2/3, with the fixed epsilon inside the root.
+    edge = 1.0 / np.sqrt(2.0 / 3.0 + mixer.REVIN_EPS)
+    expected = np.array([[-edge, 0.0, edge]])
     assert np.abs(out.data - expected).max() < 1e-6
 
 
@@ -77,14 +79,12 @@ def test_revin_roundtrip_identity():
 
 def test_revin_denorm_special_cases():
     p = fresh_revin(v=2)
-    stats = mixer.RevInStats(mean=Tensor(np.zeros((2, 1)), dtype=np.float64),
-                             std=Tensor(np.ones((2, 1)), dtype=np.float64))
+    stats = (np.zeros((2, 1)), np.ones((2, 1)))
     y_norm = np.random.default_rng(1).normal(size=(2, 5))
     out = revin_denormalize(p, stats, y_norm)
     assert np.abs(out.data - y_norm).max() < 1e-12
 
-    stats2 = mixer.RevInStats(mean=Tensor(np.full((2, 1), 3.5), dtype=np.float64),
-                              std=Tensor(np.full((2, 1), 2.0), dtype=np.float64))
+    stats2 = (np.full((2, 1), 3.5), np.full((2, 1), 2.0))
     p.beta.data[:] = 0.25
     out2 = revin_denormalize(p, stats2, np.full((2, 5), 0.25))
     assert np.abs(out2.data - 3.5).max() < 1e-12
@@ -93,7 +93,7 @@ def test_revin_denorm_special_cases():
 def test_revin_denorm_rejects_tiny_gamma():
     p = fresh_revin(v=1)
     p.gamma.data[:] = 1e-13
-    stats = mixer.RevInStats(mean=Tensor(np.zeros((1, 1))), std=Tensor(np.ones((1, 1))))
+    stats = (np.zeros((1, 1)), np.ones((1, 1)))
     with pytest.raises(ValueError, match="gamma"):
         revin_denormalize(p, stats, np.zeros((1, 2)))
 
@@ -342,7 +342,7 @@ def test_view_symmetry_swaps_roles_bitwise():
     cfg = make_cfg()
     params = init_mixer_params(cfg, rng)
     x = rng.normal(size=(3, 8)).astype(np.float32)
-    x_norm, _ = revin_normalize(params.revin, Tensor(x))
+    x_norm, _ = revin_normalize(params.revin, x)
     x_init = mixer.nlinear_forecast(params.nlinear_w, params.nlinear_b, x_norm)
     tokens = up_project_and_prepend(params, x_init, cfg)
     reversed_tokens = reverse_latent_view(tokens)
@@ -396,7 +396,7 @@ def test_forward_rejects_nonfinite_input():
     x = np.zeros((3, 8), dtype=np.float32)
     x[0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        mixer.forward_batch(params, cfg, Tensor(x[None]))
+        mixer.forward_batch(params, cfg, x[None])
 
 
 def test_forward_batch_rejects_nonfinite_input():
@@ -458,10 +458,13 @@ def test_decode_token_requires_token():
 
 # -- checkpoints -----------------------------------------------------------------
 
-def test_checkpoint_roundtrip_bit_exact(tmp_path):
+@pytest.mark.parametrize("cid", list(range(1, 11)))
+def test_checkpoint_roundtrip_bit_exact(tmp_path, cid):
+    # Every ablation: with and without eta and nlinear.*, on the time axis,
+    # and with no blocks at all.
     rng = np.random.default_rng(23)
-    cfg = make_cfg(block=BlockConfig(d_hidden=8, num_heads=2, conv_width=2,
-                                     dropout_rate=0.1))
+    cfg = build_ablation_config(cid, make_cfg(num_blocks=2, block=BlockConfig(
+        d_hidden=8, num_heads=2, conv_width=4, dropout_rate=0.1)))
     params = init_mixer_params(cfg, rng)
     mixer.save_checkpoint(tmp_path / "ck", params, extra={"note": "x"})
     loaded, loaded_cfg, extra = mixer.load_checkpoint(tmp_path / "ck")
@@ -643,6 +646,39 @@ def test_checkpoint_rejects_tampered_manifest(tmp_path, tamper, message):
     tamper(ck)
     with pytest.raises(ValueError, match=message):
         mixer.load_checkpoint(ck)
+
+
+def _edit_config(ck, edit):
+    path = ck / "config.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc.pop("mix_view"), r"config\.json: missing keys \['mix_view'\]"),
+    (lambda doc: doc.update(window=3), r"config\.json: .*unknown keys \['window'\]"),
+    (lambda doc: doc["block"].pop("num_heads"),
+     r"config\.json block: missing keys \['num_heads'\]"),
+    (lambda doc: doc["block"].update(bias=True),
+     r"config\.json block: .*unknown keys \['bias'\]"),
+    (lambda doc: doc.update(block=None), r"config\.json block is not a mapping"),
+], ids=["missing", "unknown", "block-missing", "block-unknown", "block-null"])
+def test_checkpoint_rejects_config_keys_by_name(tmp_path, edit, message):
+    ck = tmp_path / "ck"
+    mixer.save_checkpoint(ck, init_mixer_params(make_cfg(), np.random.default_rng(33)))
+    _edit_config(ck, edit)
+    with pytest.raises(ValueError, match=message):
+        mixer.load_checkpoint(ck)
+
+
+def test_checkpoint_without_extra_loads(tmp_path):
+    ck = tmp_path / "ck"
+    params = init_mixer_params(make_cfg(), np.random.default_rng(34))
+    mixer.save_checkpoint(ck, params, extra={"seed": 1})
+    _edit_config(ck, lambda doc: doc.pop("extra"))
+    loaded, cfg, extra = mixer.load_checkpoint(ck)
+    assert (cfg, extra) == (params.config, {})
 
 
 class _FailingWrite(np.ndarray):

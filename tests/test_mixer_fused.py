@@ -1,10 +1,10 @@
 """The fused pipeline stages against the composed-op reference, in float64.
 
-The forecast and every gradient (parameters and input rows) must agree for
-all ten ablation configurations, batch sizes 1 and 3, conv widths 0 and 4,
-and a training step with dropout.  The stages are also checked for the
-module attributes the benchmark's traced run wraps, for the memory they hold
-without a tape, and for the size of a training step's tape.
+The forecast and every parameter gradient must agree for all ten ablation
+configurations, batch sizes 1 and 3, conv widths 0 and 4, and a training step
+with dropout.  The stages are also checked for the module attributes the
+benchmark's traced run wraps, for the memory they hold without a tape, and
+for the size of a training step's tape.
 """
 
 import contextlib
@@ -33,11 +33,10 @@ def make_cfg(cid, conv_width=0, dropout=0.0, num_blocks=1):
 def compare_with_reference(cfg, batch, seed, training=False):
     rng = np.random.default_rng(seed)
     params = init_mixer_params(cfg, rng, dtype=np.float64)
-    x = T.parameter(rng.normal(0.0, 2.0, size=(cfg.num_variates * batch, cfg.lookback)),
-                    dtype=np.float64)
+    x = rng.normal(0.0, 2.0, size=(cfg.num_variates * batch, cfg.lookback))
     weights = rng.normal(size=(cfg.num_variates * batch, cfg.horizon))
-    names = ["input"] + [name for name, _, _ in params.named_parameters()]
-    leaves = [x] + [t for _, t, _ in params.named_parameters()]
+    names = [name for name, _, _ in params.named_parameters()]
+    leaves = [t for _, t, _ in params.named_parameters()]
 
     def dropout_rng():
         return np.random.default_rng(seed + 1) if training else None
@@ -71,25 +70,23 @@ def test_fused_stages_match_reference_training_with_dropout(cid):
 
 
 @pytest.mark.parametrize("cid", [1, 2])
-def test_forward_batch_passes_input_gradients_to_windows(cid):
+def test_forward_batch_matches_flat_rows_and_parameter_gradients(cid):
     # forward_batch reorders [B, V, T] windows into the v-major rows of
-    # _forward_flat; a Tensor input gets its gradient back in window order.
+    # _forward_flat, bit for bit, forecast and parameter gradients alike.
     cfg = make_cfg(cid)
     batch, v, t_len = 3, cfg.num_variates, cfg.lookback
     rng = np.random.default_rng(60 + cid)
     params = init_mixer_params(cfg, rng, dtype=np.float64)
-    rows = T.parameter(rng.normal(size=(v * batch, t_len)), dtype=np.float64)
-    windows = T.parameter(rows.data.reshape(v, batch, t_len).transpose(1, 0, 2),
-                          dtype=np.float64)
+    rows = rng.normal(size=(v * batch, t_len))
+    windows = rows.reshape(v, batch, t_len).transpose(1, 0, 2)
     weights = rng.normal(size=(v * batch, cfg.horizon))
-    leaves = [rows, windows] + [t for _, t, _ in params.named_parameters()]
+    leaves = [t for _, t, _ in params.named_parameters()]
     want, want_grads = forward_and_grads(
         lambda: mixer._forward_flat(params, cfg, rows, batch, False, None), leaves, weights)
     got, got_grads = forward_and_grads(
         lambda: mixer.forward_batch(params, cfg, windows), leaves, weights)
     assert got.tobytes() == want.tobytes()
-    assert np.array_equal(got_grads[1], want_grads[0].reshape(v, batch, t_len).transpose(1, 0, 2))
-    for g, w in zip(got_grads[2:], want_grads[2:]):
+    for g, w in zip(got_grads, want_grads):
         assert np.array_equal(g, w)
 
 
@@ -159,7 +156,7 @@ def test_eval_stages_keep_no_history():
     params = init_mixer_params(cfg, rng)
     batch = 2000
     rows = cfg.num_variates * batch
-    x = Tensor(rng.normal(size=(rows, cfg.lookback)))
+    x = Tensor(rng.normal(size=(rows, cfg.lookback))).data
     y_norm = T.parameter(rng.normal(size=(rows, cfg.horizon)))
     _, stats = mixer.revin_normalize(params.revin, x, batch)
 

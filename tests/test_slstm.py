@@ -40,6 +40,14 @@ def random_cell(rng, d_in=4, d_hidden=6, heads=2, dtype=np.float64):
     return slstm.init_slstm_params(d_in, d_hidden, heads, rng, dtype=dtype)
 
 
+def run_sequence(p: slstm.SLstmParams, xs, stats=None) -> np.ndarray:
+    """The fused recurrence's forward over the tokens xs [L, D_in], batch 1."""
+    x = T.as_tensor(xs).data
+    hs = np.empty((x.shape[0], p.d_hidden), dtype=np.result_type(x, p.w_z.data))
+    slstm._Recurrence(p, 1, x.shape[0], hs.dtype, stats).run(x, x, hs)
+    return hs
+
+
 def test_zero_weights_first_step_is_analytic():
     rng = np.random.default_rng(0)
     p = random_cell(rng)
@@ -98,7 +106,7 @@ def test_stabilized_matches_unstabilized_oracle():
             p = random_cell(rng)
             length = int(rng.integers(1, 33))
             xs = rng.uniform(-1, 1, size=(length, 4))
-            got = slstm._sequence(p, T.as_tensor(xs), 1).data
+            got = run_sequence(p, xs)
             ref = unstabilized_reference(p, xs)
             worst = max(worst, float(np.abs(got - ref).max()))
         assert worst < 1e-10
@@ -110,7 +118,7 @@ def test_forget_bias_overflow_divergence():
         p = random_cell(rng, d_in=3, d_hidden=4, heads=1)
         p.b_f.data[:] = 10.0
         xs = rng.uniform(-1, 1, size=(512, 3))
-        stabilized = slstm._sequence(p, T.as_tensor(xs), 1).data
+        stabilized = run_sequence(p, xs)
         assert np.isfinite(stabilized).all()
         with np.errstate(over="ignore", invalid="ignore"):
             reference = unstabilized_reference(p, xs)
@@ -121,7 +129,7 @@ def test_sequence_length_one_equals_cell_step():
     rng = np.random.default_rng(8)
     p = random_cell(rng)
     x = rng.uniform(-1, 1, size=(1, 4))
-    seq = slstm._sequence(p, T.as_tensor(x), 1).data
+    seq = run_sequence(p, x)
     state, _ = slstm_ref.cell_step(p, x[0], slstm_ref.zero_state(1, 6))
     assert np.array_equal(seq, state.h.data)
 
@@ -133,7 +141,7 @@ def test_zero_weights_give_zero_hidden_sequence():
                  "b_z", "b_i", "b_f", "b_o"):
         getattr(p, name).data[:] = 0.0
     xs = rng.uniform(-1, 1, size=(6, 4))
-    out = slstm._sequence(p, T.as_tensor(xs), 1).data
+    out = run_sequence(p, xs)
     assert np.array_equal(out, np.zeros((6, 6)))
 
 
@@ -141,10 +149,10 @@ def test_causality_prefix_outputs_bitwise_stable():
     rng = np.random.default_rng(10)
     p = random_cell(rng, dtype=np.float32)
     xs = rng.uniform(-1, 1, size=(12, 4)).astype(np.float32)
-    base = slstm._sequence(p, T.as_tensor(xs), 1).data.copy()
+    base = run_sequence(p, xs)
     modified = xs.copy()
     modified[7:] = rng.uniform(-1, 1, size=(5, 4)).astype(np.float32)
-    out = slstm._sequence(p, T.as_tensor(modified), 1).data
+    out = run_sequence(p, modified)
     assert np.array_equal(out[:7], base[:7])
     assert not np.array_equal(out[7:], base[7:])
 

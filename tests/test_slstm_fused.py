@@ -1,4 +1,4 @@
-"""The fused sequence op against the unfused reference recurrence, in float64.
+"""The fused block op against the unfused reference recurrence, in float64.
 
 Forward outputs and every gradient (block weights and input rows) must agree
 across conv widths, stack depths, batch sizes, single-token sequences,
@@ -15,6 +15,7 @@ from mixcast.slstm import BlockConfig
 from mixcast.tensor import Tape, Tensor
 
 import slstm_reference as slstm_ref
+from test_slstm import run_sequence
 
 # Same arithmetic up to reassociation of a few float64 sums per step.
 TOL = 1e-12
@@ -236,7 +237,7 @@ def test_fused_nonfinite_preactivation_names_gate(bias, gate):
     p = slstm.init_slstm_params(4, 6, 2, np.random.default_rng(2))
     getattr(p, bias).data[0, 0] = np.inf
     with pytest.raises(FloatingPointError, match=f"in {gate} gate"):
-        slstm._sequence(p, T.as_tensor(np.zeros((3, 4), dtype=np.float32)), 1)
+        run_sequence(p, np.zeros((3, 4), dtype=np.float32))
 
 
 def test_stabilizer_stats_report_the_reference_gap():
@@ -245,7 +246,7 @@ def test_stabilizer_stats_report_the_reference_gap():
         p = slstm.init_slstm_params(4, 6, 2, rng)
         xs = rng.uniform(-1, 1, size=(9, 4))
         stats = slstm.StabilizerStats()
-        slstm._sequence(p, Tensor(xs), 1, stats=stats)
+        run_sequence(p, xs, stats=stats)
         gap = np.inf
         state = slstm_ref.zero_state(1, 6)
         for x in xs:
@@ -271,7 +272,6 @@ def test_input_gate_bias_shift_leaves_block_output_unchanged(conv_width):
 
 def test_eval_keeps_no_gate_history():
     rng = np.random.default_rng(5)
-    p = slstm.init_slstm_params(16, 16, 4, rng)
     cfg = BlockConfig(d_hidden=16, num_heads=4, conv_width=4, dropout_rate=0.1)
     w = slstm.init_block_weights(cfg, rng)
     xs = T.parameter(rng.uniform(-1, 1, size=(2000, 16)))
@@ -290,9 +290,10 @@ def test_eval_keeps_no_gate_history():
 
     # Without a tape only the hoisted input products, the layer-norm rows and
     # the outputs are held; a tape adds the gate, cell and normalizer history.
-    for run in (lambda: slstm._sequence(p, xs, 8),
-                lambda: slstm._block(cfg, w, xs, 8, False, None)):
-        assert peak(run, False) < 0.6 * peak(run, True)
+    def run():
+        slstm._block(cfg, w, xs, 8, False, None)
+
+    assert peak(run, False) < 0.6 * peak(run, True)
 
 
 def training_step_nodes(num_variates, num_blocks, conv_width):

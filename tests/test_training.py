@@ -167,8 +167,7 @@ def test_fit_clip_norm_is_in_block_norm(tmp_path, monkeypatch):
 def test_adam_first_step_hand_computed():
     theta = T.parameter([0.0], dtype=np.float64)
     state = AdamState.for_params([theta])
-    cfg = TrainConfig(lr_initial=1e-3)
-    adam_step(state, [theta], [np.array([1.0])], 1e-3, cfg)
+    adam_step(state, [theta], [np.array([1.0])], 1e-3)
     expected = -1e-3 * 1.0 / (1.0 + 1e-8)  # bias correction gives m^=v^=1
     assert abs(theta.data[0] - expected) < 1e-15
     assert state.t == 1
@@ -177,7 +176,7 @@ def test_adam_first_step_hand_computed():
 def test_adam_zero_gradient_no_move():
     theta = T.parameter([2.5])
     state = AdamState.for_params([theta])
-    adam_step(state, [theta], [np.zeros(1)], 1e-3, TrainConfig())
+    adam_step(state, [theta], [np.zeros(1)], 1e-3)
     assert theta.data[0] == 2.5
 
 
@@ -196,9 +195,8 @@ def scalar_adam_reference(g_seq, lr, b1=0.9, b2=0.999, eps=1e-8):
 def test_adam_two_steps_match_scalar_reference():
     theta = T.parameter([0.0], dtype=np.float64)
     state = AdamState.for_params([theta])
-    cfg = TrainConfig()
     for _ in range(2):
-        adam_step(state, [theta], [np.array([0.7])], 2e-3, cfg)
+        adam_step(state, [theta], [np.array([0.7])], 2e-3)
     assert abs(theta.data[0] - scalar_adam_reference([0.7, 0.7], 2e-3)) < 1e-12
 
 
@@ -393,7 +391,7 @@ def test_eval_batches_are_never_under_half_a_batch(n, eval_task, monkeypatch):
     assert {385: [128, 128, 129], 191: [191], 192: [128, 64]}.get(n, sizes) == sizes
     # Validation batches the same way.
     seen.clear()
-    training.evaluate_mae(params, cfg, ds, batch_size=128)
+    training.evaluate_mae(params, cfg, ds)
     assert [xs.shape[0] for xs in seen] == sizes
 
 
