@@ -538,9 +538,15 @@ def _write_checkpoint(directory: Path, params: MixerParams, extra: dict | None) 
     (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
+# The JSON value types each annotated config field accepts; a bool is not an
+# int here, though Python counts it as one.
+_JSON_TYPES = {"int": (int,), "bool": (bool,), "str": (str,), "float": (int, float)}
+
+
 def _config_args(doc: dict, cls, where: str, optional=()) -> dict:
     """The entries of a config.json mapping as keyword arguments of the
-    dataclass cls; a missing or unknown key is rejected by name."""
+    dataclass cls; a missing or unknown key, or a value of the wrong type, is
+    rejected by name."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where} is not a mapping")
     names = [f.name for f in fields(cls)]
@@ -548,6 +554,12 @@ def _config_args(doc: dict, cls, where: str, optional=()) -> dict:
     unknown = [key for key in doc if key not in names and key not in optional]
     if missing or unknown:
         raise ValueError(f"{where}: missing keys {missing}, unknown keys {unknown}")
+    for f in fields(cls):
+        kinds = _JSON_TYPES.get(f.type)
+        value = doc[f.name]
+        if kinds and (not isinstance(value, kinds)
+                      or (isinstance(value, bool) and f.type != "bool")):
+            raise ValueError(f"{where}: {f.name} must be {f.type}, got {value!r}")
     return {key: doc[key] for key in names}
 
 

@@ -1,9 +1,12 @@
 """Dense-array engine with reverse-mode automatic differentiation.
 
-Tensors wrap row-major numpy arrays (rank 0, 1, or 2).  Operations executed
-while a :class:`Tape` is active record backward rules onto it; calling
-``backward`` once per tape accumulates gradients into every ``requires_grad``
-leaf.  Tensors are treated as immutable once they participate in a tape.
+Tensors wrap row-major numpy arrays of any rank (the sLSTM's per-head
+recurrent weights are [heads, d_h, d_h]).  Every differentiable op is one
+:func:`custom_op`: a forward computed on numpy arrays and a backward that
+returns one gradient per input.  Ops executed while a :class:`Tape` is active
+record that backward onto it; calling ``backward`` once per tape accumulates
+gradients into every ``requires_grad`` leaf.  Tensors are treated as
+immutable once they participate in a tape.
 
 Two precisions are supported: 32-bit scalars for ordinary runs and 64-bit for
 gradient checks and other oracle-grade computations (see :func:`precision`).
@@ -29,33 +32,11 @@ __all__ = [
     "precision",
     "default_dtype",
     "as_tensor",
-    "parameter",
-    "matmul",
-    "add",
-    "sub",
-    "mul",
-    "div",
-    "neg",
-    "tanh",
-    "sigmoid",
-    "exp",
-    "sqrt",
-    "absval",
-    "max2",
-    "reduce_sum",
-    "reduce_mean",
-    "reduce_var",
-    "concat",
-    "slice_axis",
-    "reverse",
-    "transpose",
-    "take_rows",
     "reshape",
     "will_record",
     "custom_op",
     "backward",
     "finite_difference_errors",
-    "finite_difference_check",
 ]
 
 
@@ -130,46 +111,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Arithmetic sugar; scalars are lifted to constants of matching dtype.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis, keepdims)
-
-    def var_pop(self, axis=None, keepdims=False):
-        return reduce_var(self, axis, keepdims)
-
 
 class Tape:
     """Ordered record of executed operations (define-by-run).
@@ -229,20 +170,6 @@ def as_tensor(value, like: Tensor | None = None) -> Tensor:
     return Tensor(value, dtype=dtype)
 
 
-def parameter(data, dtype=None) -> Tensor:
-    """Leaf tensor that accumulates gradients."""
-    return Tensor(data, requires_grad=True, dtype=dtype)
-
-
-def _record(out: Tensor, inputs: Sequence[Tensor], bwd: Callable) -> Tensor:
-    out.requires_grad = any(t.requires_grad for t in inputs)
-    tape = _active_tape()
-    if tape is not None and out.requires_grad:
-        out._tape = tape
-        tape._nodes.append((out, bwd))
-    return out
-
-
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
@@ -252,300 +179,10 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad = t.grad + g
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum gradient over axes that were broadcast in the forward op."""
-    if g.shape == shape:
-        return g
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g.reshape(shape)
-
-
-def _check_elementwise(sa: tuple, sb: tuple) -> None:
-    """Equal shapes, or one operand acting as a scalar or per-row/per-column
-    vector (any rank<=2 broadcast numpy accepts)."""
-    if sa == sb:
-        return
-    if len(sa) > 2 or len(sb) > 2:
-        raise ShapeError(f"elementwise ops are defined up to rank 2, got {sa} and {sb}")
-    try:
-        np.broadcast_shapes(sa, sb)
-    except ValueError:
-        raise ShapeError(f"shapes {sa} and {sb} are not elementwise-compatible") from None
-
-
 def _debug_finite(out: Tensor, *inputs: Tensor) -> None:
     if DEBUG_CHECKS and not np.isfinite(out.data).all():
         if all(np.isfinite(t.data).all() for t in inputs):
             raise FloatingPointError("non-finite output from finite inputs")
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of 2-D tensors; backward is g@bᵀ / aᵀ@g."""
-    a, b = as_tensor(a), as_tensor(b, like=a)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul expects [m,k]@[k,n], got {a.shape} and {b.shape}")
-    out = Tensor(a.data @ b.data, dtype=a.data.dtype)
-    _debug_finite(out, a, b)
-
-    def bwd(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
-
-    return _record(out, (a, b), bwd)
-
-
-def _binary(a, b, fwd, da, db) -> Tensor:
-    a = as_tensor(a)
-    b = as_tensor(b, like=a)
-    _check_elementwise(a.shape, b.shape)
-    out = Tensor(fwd(a.data, b.data), dtype=np.result_type(a.data, b.data).type)
-    _debug_finite(out, a, b)
-
-    def bwd(g):
-        _accumulate(a, _unbroadcast(da(g, a.data, b.data, out.data), a.shape))
-        _accumulate(b, _unbroadcast(db(g, a.data, b.data, out.data), b.shape))
-
-    return _record(out, (a, b), bwd)
-
-
-def add(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x + y, lambda g, x, y, o: g, lambda g, x, y, o: g)
-
-
-def sub(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x - y, lambda g, x, y, o: g, lambda g, x, y, o: -g)
-
-
-def mul(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x * y, lambda g, x, y, o: g * y, lambda g, x, y, o: g * x)
-
-
-def div(a, b) -> Tensor:
-    """Elementwise quotient.  Division by exact zero propagates Inf instead
-    of raising."""
-    a = as_tensor(a)
-    b = as_tensor(b, like=a)
-    _check_elementwise(a.shape, b.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = a.data / b.data
-    out = Tensor(data, dtype=np.result_type(a.data, b.data).type)
-
-    def bwd(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _record(out, (a, b), bwd)
-
-
-def max2(a, b) -> Tensor:
-    """Elementwise maximum; ties route the whole gradient to the first operand."""
-    return _binary(
-        a,
-        b,
-        np.maximum,
-        lambda g, x, y, o: g * (x >= y),
-        lambda g, x, y, o: g * (x < y),
-    )
-
-
-def _unary(a, fwd, dfn) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(fwd(a.data), dtype=a.data.dtype)
-    _debug_finite(out, a)
-
-    def bwd(g):
-        _accumulate(a, dfn(g, a.data, out.data))
-
-    return _record(out, (a,), bwd)
-
-
-def neg(a) -> Tensor:
-    return _unary(a, lambda x: -x, lambda g, x, o: -g)
-
-
-def tanh(a) -> Tensor:
-    return _unary(a, np.tanh, lambda g, x, o: g * (1.0 - o * o))
-
-
-def sigmoid(a) -> Tensor:
-    def fwd(x):
-        return 0.5 * np.tanh(0.5 * x) + 0.5  # overflow-free logistic
-
-    return _unary(a, fwd, lambda g, x, o: g * o * (1.0 - o))
-
-
-def exp(a) -> Tensor:
-    return _unary(a, np.exp, lambda g, x, o: g * o)
-
-
-def sqrt(a) -> Tensor:
-    return _unary(a, np.sqrt, lambda g, x, o: g * 0.5 / o)
-
-
-def absval(a) -> Tensor:
-    """|x| with subgradient 0 at exact zeros."""
-    return _unary(a, np.abs, lambda g, x, o: g * np.sign(x))
-
-
-def reduce_sum(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    return _reduce(t, axis, keepdims, "sum")
-
-
-def reduce_mean(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    return _reduce(t, axis, keepdims, "mean")
-
-
-def reduce_var(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    """Population variance (divisor n) along the axis."""
-    return _reduce(t, axis, keepdims, "var")
-
-
-def _reduce(t: Tensor, axis, keepdims: bool, kind: str) -> Tensor:
-    t = as_tensor(t)
-    if axis is not None:
-        if not -t.data.ndim <= axis < t.data.ndim:
-            raise ShapeError(f"axis {axis} out of range for shape {t.shape}")
-        if t.shape[axis] == 0:
-            raise ShapeError("cannot reduce over an empty axis")
-    elif t.size == 0:
-        raise ShapeError("cannot reduce an empty tensor")
-    n = t.size if axis is None else t.shape[axis]
-
-    if kind == "sum":
-        data = t.data.sum(axis=axis, keepdims=keepdims)
-    elif kind == "mean":
-        data = t.data.mean(axis=axis, keepdims=keepdims)
-    else:
-        data = t.data.var(axis=axis, keepdims=keepdims)  # ddof=0: population
-    out = Tensor(data, dtype=t.data.dtype)
-
-    def expand(g):
-        if axis is None:
-            return np.broadcast_to(g.reshape(()), t.shape) if g.ndim == 0 or g.size == 1 else g
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, t.shape)
-
-    if kind == "sum":
-        def bwd(g):
-            _accumulate(t, np.ascontiguousarray(expand(g)))
-    elif kind == "mean":
-        def bwd(g):
-            _accumulate(t, expand(g) / n)
-    else:
-        mu = t.data.mean(axis=axis, keepdims=True)
-
-        def bwd(g):
-            _accumulate(t, expand(g) * 2.0 * (t.data - mu) / n)
-
-    return _record(out, (t,), bwd)
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ShapeError("concat needs at least one operand")
-    nd = tensors[0].data.ndim
-    for t in tensors[1:]:
-        if t.data.ndim != nd:
-            raise ShapeError("concat operands must share rank")
-        for ax in range(nd):
-            if ax != axis % nd and t.shape[ax] != tensors[0].shape[ax]:
-                raise ShapeError(
-                    f"concat shapes {t.shape} vs {tensors[0].shape} differ off axis {axis}"
-                )
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                 dtype=tensors[0].data.dtype)
-    sizes = [t.shape[axis % nd] for t in tensors]
-
-    def bwd(g):
-        offset = 0
-        for t, size in zip(tensors, sizes):
-            idx = [slice(None)] * nd
-            idx[axis % nd] = slice(offset, offset + size)
-            _accumulate(t, g[tuple(idx)])
-            offset += size
-
-    return _record(out, tensors, bwd)
-
-
-def slice_axis(t: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    t = as_tensor(t)
-    nd = t.data.ndim
-    axis = axis % nd
-    if not (0 <= start <= stop <= t.shape[axis]):
-        raise ShapeError(f"slice [{start}:{stop}] out of bounds for axis {axis} of {t.shape}")
-    idx = [slice(None)] * nd
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-    out = Tensor(t.data[idx].copy(), dtype=t.data.dtype)
-
-    def bwd(g):
-        full = np.zeros_like(t.data)
-        full[idx] = g
-        _accumulate(t, full)
-
-    return _record(out, (t,), bwd)
-
-
-def reverse(t: Tensor, axis: int) -> Tensor:
-    """Flip along one axis; involutive and elementwise-exact."""
-    t = as_tensor(t)
-    out = Tensor(np.flip(t.data, axis=axis).copy(), dtype=t.data.dtype)
-
-    def bwd(g):
-        _accumulate(t, np.flip(g, axis=axis))
-
-    return _record(out, (t,), bwd)
-
-
-def transpose(t: Tensor) -> Tensor:
-    t = as_tensor(t)
-    if t.data.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {t.shape}")
-    out = Tensor(t.data.T.copy(), dtype=t.data.dtype)
-
-    def bwd(g):
-        _accumulate(t, g.T)
-
-    return _record(out, (t,), bwd)
-
-
-def take_rows(t: Tensor, indices) -> Tensor:
-    """Gather rows by index; backward scatter-adds into the source rows."""
-    t = as_tensor(t)
-    if t.data.ndim != 2:
-        raise ShapeError(f"take_rows expects a matrix, got shape {t.shape}")
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1 or (idx.size and (idx.min() < 0 or idx.max() >= t.shape[0])):
-        raise ShapeError(f"row indices out of bounds for {t.shape}")
-    out = Tensor(t.data[idx], dtype=t.data.dtype)
-
-    def bwd(g):
-        full = np.zeros_like(t.data)
-        np.add.at(full, idx, g)
-        _accumulate(t, full)
-
-    return _record(out, (t,), bwd)
-
-
-def reshape(t: Tensor, shape) -> Tensor:
-    """Same entries in a new shape; a contiguous input is viewed, not copied
-    (tensors are immutable once they participate in a tape)."""
-    t = as_tensor(t)
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != t.size:
-        raise ShapeError(f"cannot reshape {t.shape} to {shape}")
-    out = Tensor(t.data.reshape(shape), dtype=t.data.dtype)
-
-    def bwd(g):
-        _accumulate(t, g.reshape(t.shape))
-
-    return _record(out, (t,), bwd)
 
 
 def will_record(inputs: Sequence[Tensor]) -> bool:
@@ -555,19 +192,38 @@ def will_record(inputs: Sequence[Tensor]) -> bool:
 
 
 def custom_op(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
-    """Record a forward computed directly on numpy arrays as one tape node.
+    """The one way an op is recorded: a forward computed directly on numpy
+    arrays becomes one tape node.
 
     ``backward_fn(g)`` receives the output gradient and returns one gradient
-    array (or None) per input, in input order."""
+    array (or None, to skip that input) per input, in input order.  A
+    gradient that is a view is copied before it is kept; an input used more
+    than once, in this op or in several, sums its gradients.  The output
+    requires a gradient when any input does; without an active tape nothing
+    is recorded."""
     out = Tensor(data, dtype=data.dtype.type)
     _debug_finite(out, *inputs)
+    out.requires_grad = any(t.requires_grad for t in inputs)
+    tape = _active_tape()
+    if tape is not None and out.requires_grad:
+        def bwd(g):
+            for t, grad in zip(inputs, backward_fn(g)):
+                if grad is not None:
+                    _accumulate(t, grad)
 
-    def bwd(g):
-        for t, grad in zip(inputs, backward_fn(g)):
-            if grad is not None:
-                _accumulate(t, grad)
+        out._tape = tape
+        tape._nodes.append((out, bwd))
+    return out
 
-    return _record(out, inputs, bwd)
+
+def reshape(t: Tensor, shape) -> Tensor:
+    """Same entries in a new shape; a contiguous input is viewed, not copied
+    (tensors are immutable once they participate in a tape)."""
+    t = as_tensor(t)
+    shape = tuple(int(s) for s in shape)
+    if int(np.prod(shape)) != t.size:
+        raise ShapeError(f"cannot reshape {t.shape} to {shape}")
+    return custom_op(t.data.reshape(shape), [t], lambda g: [g.reshape(t.shape)])
 
 
 def finite_difference_errors(
@@ -616,13 +272,3 @@ def finite_difference_errors(
             err[i] = abs(a - numeric) if denom < 1e-8 else abs(a - numeric) / denom
         errors.append(err.reshape(leaf.shape))
     return errors
-
-
-def finite_difference_check(
-    f: Callable[[], Tensor],
-    leaves: Iterable[Tensor],
-    step: float = 1e-5,
-) -> float:
-    """Worst gradient error over all leaf entries (see finite_difference_errors)."""
-    errors = finite_difference_errors(f, leaves, step)
-    return max(float(e.max()) for e in errors) if errors else 0.0

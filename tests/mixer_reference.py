@@ -2,9 +2,9 @@
 
 This is the formulation the library used before each pipeline stage became
 one engine op: RevIN, the linear forecaster, the up-projection, the token
-and view layout, and reconciliation are built from individual engine ops
-(per-variate row gathers, slices, concatenations, reversals, transposes),
-so the tape differentiates them op by op.  The recurrent stack itself is the
+and view layout, and reconciliation are built from the ops of
+``engine_reference`` (per-variate row gathers, slices, concatenations,
+reversals, transposes), so the tape differentiates them op by op.  The recurrent stack itself is the
 library's fused one, which ``slstm_reference`` checks separately.
 """
 
@@ -18,13 +18,15 @@ from mixcast.mixer import (AXIS_NONE, AXIS_TIME, REVIN_EPS, MixerConfig, MixerPa
                            RevInParams)
 from mixcast.tensor import ShapeError, Tensor
 
+import engine_reference as R
+
 
 def _tile_per_variate(column: Tensor, batch: int) -> Tensor:
     """[V,1] per-variate column -> [V*B,1] rows matching the v-major layout."""
     if batch == 1:
         return column
     idx = np.repeat(np.arange(column.shape[0]), batch)
-    return T.take_rows(column, idx)
+    return R.take_rows(column, idx)
 
 
 def revin_normalize(params: RevInParams, x, batch: int = 1):
@@ -33,54 +35,54 @@ def revin_normalize(params: RevInParams, x, batch: int = 1):
     x = T.as_tensor(x)
     if x.shape[1] < 1:
         raise ShapeError("normalization needs at least one time step")
-    mean = x.mean(axis=1, keepdims=True)
-    std = T.sqrt(x.var_pop(axis=1, keepdims=True) + REVIN_EPS)
+    mean = R.reduce_mean(x, axis=1, keepdims=True)
+    std = R.sqrt(R.add(R.reduce_var(x, axis=1, keepdims=True), REVIN_EPS))
     gamma = _tile_per_variate(params.gamma, batch)
     beta = _tile_per_variate(params.beta, batch)
-    return gamma * ((x - mean) / std) + beta, (mean, std)
+    return R.add(R.mul(gamma, R.div(R.sub(x, mean), std)), beta), (mean, std)
 
 
 def revin_denormalize(params: RevInParams, stats, y_norm, batch: int = 1):
     mean, std = stats
     gamma = _tile_per_variate(params.gamma, batch)
     beta = _tile_per_variate(params.beta, batch)
-    return ((T.as_tensor(y_norm) - beta) / gamma) * std + mean
+    return R.add(R.mul(R.div(R.sub(y_norm, beta), gamma), std), mean)
 
 
 def nlinear_forecast(weight: Tensor, bias: Tensor, x_norm) -> Tensor:
     x_norm = T.as_tensor(x_norm)
     t_len = x_norm.shape[1]
-    last = T.slice_axis(x_norm, 1, t_len - 1, t_len)
-    out = T.matmul(x_norm - last, T.transpose(weight)) + bias
-    return out + last
+    last = R.slice_axis(x_norm, 1, t_len - 1, t_len)
+    out = R.add(R.matmul(R.sub(x_norm, last), R.transpose(weight)), bias)
+    return R.add(out, last)
 
 
 def up_project(weight: Tensor, bias: Tensor, rows) -> Tensor:
-    return T.matmul(T.as_tensor(rows), T.transpose(weight)) + bias
+    return R.add(R.matmul(rows, R.transpose(weight)), bias)
 
 
 def up_project_and_prepend(params: MixerParams, x_initial, cfg: MixerConfig) -> Tensor:
     """Single-instance tokens: up-projected rows behind the learned token."""
     tokens = up_project(params.up_w, params.up_b, x_initial)
     if cfg.init_token:
-        tokens = T.concat([params.eta, tokens], axis=0)
+        tokens = R.concat([params.eta, tokens], axis=0)
     return tokens
 
 
 def reverse_latent_view(tokens) -> Tensor:
     """Flip each token's feature dimensions; token order is unchanged."""
-    return T.reverse(T.as_tensor(tokens), axis=1)
+    return R.reverse(tokens, axis=1)
 
 
 def reconcile_views(view_w: Tensor, view_b: Tensor, y_prime, y_double_prime) -> Tensor:
-    cat = T.concat([T.as_tensor(y_prime), T.as_tensor(y_double_prime)], axis=1)
-    return T.matmul(cat, T.transpose(view_w)) + view_b
+    cat = R.concat([y_prime, y_double_prime], axis=1)
+    return R.add(R.matmul(cat, R.transpose(view_w)), view_b)
 
 
 def _swap_row_axes(t: Tensor, outer: int, inner: int) -> Tensor:
     """Reorder rows indexed (a, b), a < outer, b < inner, to (b, a)."""
     order = np.arange(outer * inner).reshape(outer, inner).T.reshape(-1)
-    return T.take_rows(t, order)
+    return R.take_rows(t, order)
 
 
 def make_tokens(params: MixerParams, cfg: MixerConfig, x_initial: Tensor,
@@ -88,12 +90,12 @@ def make_tokens(params: MixerParams, cfg: MixerConfig, x_initial: Tensor,
     """Token-major [L*B, D] stack rows with the learned token as token 0."""
     if cfg.slstm_axis == AXIS_TIME:
         v, steps = cfg.num_variates, x_initial.shape[1]
-        by_step = T.transpose(T.reshape(x_initial, (v, batch * steps)))
+        by_step = R.transpose(T.reshape(x_initial, (v, batch * steps)))
         x_initial = _swap_row_axes(by_step, batch, steps)
     tokens = up_project(params.up_w, params.up_b, x_initial)
     if cfg.init_token:
-        eta_tok = params.eta if batch == 1 else T.take_rows(params.eta, [0] * batch)
-        tokens = T.concat([eta_tok, tokens], axis=0)
+        eta_tok = params.eta if batch == 1 else R.take_rows(params.eta, [0] * batch)
+        tokens = R.concat([eta_tok, tokens], axis=0)
     return tokens
 
 
@@ -108,10 +110,10 @@ def refine_views(params: MixerParams, cfg: MixerConfig, tokens: Tensor, batch: i
         out = slstm._stack_tokens(cfg.block, params.blocks, tokens, batch, training, rng)
         return out, out
     rows, d = tokens.shape
-    both = T.reshape(T.concat([tokens, rev], axis=1), (2 * rows, d))
+    both = T.reshape(R.concat([tokens, rev], axis=1), (2 * rows, d))
     out = slstm._stack_tokens(cfg.block, params.blocks, both, 2 * batch, training, rng)
     out = T.reshape(out, (rows, 2 * d))
-    return T.slice_axis(out, 1, 0, d), T.slice_axis(out, 1, d, 2 * d)
+    return R.slice_axis(out, 1, 0, d), R.slice_axis(out, 1, d, 2 * d)
 
 
 def forward_flat(params: MixerParams, cfg: MixerConfig, x_flat, batch: int,
@@ -125,10 +127,10 @@ def forward_flat(params: MixerParams, cfg: MixerConfig, x_flat, batch: int,
     out_f, out_r = refine_views(params, cfg, tokens, batch, training, rng)
     skip = batch if cfg.init_token else 0
     rows = tokens.shape[0]
-    y_prime = T.slice_axis(out_f, 0, skip, rows)
-    y_dprime = y_prime if out_r is out_f else T.slice_axis(out_r, 0, skip, rows)
+    y_prime = R.slice_axis(out_f, 0, skip, rows)
+    y_dprime = y_prime if out_r is out_f else R.slice_axis(out_r, 0, skip, rows)
     y_tok = reconcile_views(params.view_w, params.view_b, y_prime, y_dprime)
     if cfg.slstm_axis == AXIS_TIME:
         by_batch = _swap_row_axes(y_tok, cfg.horizon, batch)
-        y_tok = T.reshape(T.transpose(by_batch), (v * batch, cfg.horizon))
+        y_tok = T.reshape(R.transpose(by_batch), (v * batch, cfg.horizon))
     return revin_denormalize(params.revin, stats, y_tok, batch)

@@ -2,7 +2,8 @@
 
 This is the per-step formulation the library used before its blocks became
 one engine op each: layer norm, the causal convolution and every gate are
-built from individual engine ops, so the tape differentiates them op by op.
+built from the ops of ``engine_reference``, so the tape differentiates them op
+by op.
 Blocks and stacks here take lists of [B, D] tokens; ``to_rows`` and
 ``from_rows`` convert to and from the flat token-major matrices of
 :mod:`mixcast.slstm`.
@@ -17,6 +18,8 @@ import numpy as np
 from mixcast import tensor as T
 from mixcast.slstm import LN_EPS, BlockConfig, BlockWeights, SLstmParams
 from mixcast.tensor import ShapeError, Tensor
+
+import engine_reference as R
 
 
 @dataclass
@@ -55,10 +58,10 @@ def block_diagonal(r: Tensor) -> Tensor:
     zeros = Tensor(np.zeros((width, (heads - 1) * width)), dtype=r.data.dtype)
     rows = []
     for k in range(heads):
-        head = T.reshape(T.slice_axis(r, 0, k, k + 1), (width, width))
-        rows.append(T.concat([T.slice_axis(zeros, 1, 0, k * width), head,
-                              T.slice_axis(zeros, 1, k * width, zeros.shape[1])], axis=1))
-    return T.concat(rows, axis=0)
+        head = T.reshape(R.slice_axis(r, 0, k, k + 1), (width, width))
+        rows.append(R.concat([R.slice_axis(zeros, 1, 0, k * width), head,
+                              R.slice_axis(zeros, 1, k * width, zeros.shape[1])], axis=1))
+    return R.concat(rows, axis=0)
 
 
 class _TransposedWeights:
@@ -68,14 +71,14 @@ class _TransposedWeights:
     __slots__ = ("wz", "wi", "wf", "wo", "rz", "ri", "rf", "ro")
 
     def __init__(self, p: SLstmParams):
-        self.wz = T.transpose(p.w_z)
-        self.wi = T.transpose(p.w_i)
-        self.wf = T.transpose(p.w_f)
-        self.wo = T.transpose(p.w_o)
-        self.rz = T.transpose(block_diagonal(p.r_z))
-        self.ri = T.transpose(block_diagonal(p.r_i))
-        self.rf = T.transpose(block_diagonal(p.r_f))
-        self.ro = T.transpose(block_diagonal(p.r_o))
+        self.wz = R.transpose(p.w_z)
+        self.wi = R.transpose(p.w_i)
+        self.wf = R.transpose(p.w_f)
+        self.wo = R.transpose(p.w_o)
+        self.rz = R.transpose(block_diagonal(p.r_z))
+        self.ri = R.transpose(block_diagonal(p.r_i))
+        self.rf = R.transpose(block_diagonal(p.r_f))
+        self.ro = R.transpose(block_diagonal(p.r_o))
 
 
 def _check_finite_pre(name: str, pre: Tensor) -> None:
@@ -95,23 +98,26 @@ def _step(p: SLstmParams, tw: _TransposedWeights, x: Tensor, prev: SLstmState,
         x_if = x
     h_prev = prev.h
 
-    pre_z = T.matmul(x, tw.wz) + T.matmul(h_prev, tw.rz) + p.b_z
-    pre_o = T.matmul(x, tw.wo) + T.matmul(h_prev, tw.ro) + p.b_o
-    i_tilde = T.matmul(x_if, tw.wi) + T.matmul(h_prev, tw.ri) + p.b_i
-    f_tilde = T.matmul(x_if, tw.wf) + T.matmul(h_prev, tw.rf) + p.b_f
+    def pre(x_in, w, r, b):
+        return R.add(R.add(R.matmul(x_in, w), R.matmul(h_prev, r)), b)
+
+    pre_z = pre(x, tw.wz, tw.rz, p.b_z)
+    pre_o = pre(x, tw.wo, tw.ro, p.b_o)
+    i_tilde = pre(x_if, tw.wi, tw.ri, p.b_i)
+    f_tilde = pre(x_if, tw.wf, tw.rf, p.b_f)
     for name, pre in (("input", i_tilde), ("forget", f_tilde),
                       ("cell-input", pre_z), ("output", pre_o)):
         _check_finite_pre(name, pre)
 
-    m = T.max2(f_tilde + prev.m, i_tilde)
-    i = T.exp(i_tilde - m)
-    f = T.exp(f_tilde + prev.m - m)
-    z = T.tanh(pre_z)
-    o = T.sigmoid(pre_o)
+    m = R.max2(R.add(f_tilde, prev.m), i_tilde)
+    i = R.exp(R.sub(i_tilde, m))
+    f = R.exp(R.sub(R.add(f_tilde, prev.m), m))
+    z = R.tanh(pre_z)
+    o = R.sigmoid(pre_o)
 
-    c = f * prev.c + i * z
-    n = f * prev.n + i
-    h = o * c / n
+    c = R.add(R.mul(f, prev.c), R.mul(i, z))
+    n = R.add(R.mul(f, prev.n), i)
+    h = R.div(R.mul(o, c), n)
 
     state = SLstmState(c=c, n=n, h=h, m=m)
     gates = GateActivations(z=z, i=i, f=f, o=o, i_tilde=i_tilde, f_tilde=f_tilde)
@@ -146,9 +152,9 @@ def sequence(p: SLstmParams, tokens: list[Tensor],
 
 
 def _layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var_pop(axis=1, keepdims=True)
-    return gamma * ((x - mu) / T.sqrt(var + LN_EPS)) + beta
+    mu = R.reduce_mean(x, axis=1, keepdims=True)
+    var = R.reduce_var(x, axis=1, keepdims=True)
+    return R.add(R.mul(gamma, R.div(R.sub(x, mu), R.sqrt(R.add(var, LN_EPS)))), beta)
 
 
 def _causal_conv(x: Tensor, kernel: Tensor, batch: int) -> Tensor:
@@ -164,8 +170,8 @@ def _causal_conv(x: Tensor, kernel: Tensor, batch: int) -> Tensor:
         src = x
         if shift:
             pad = Tensor(np.zeros((shift, d)), dtype=x.data.dtype)
-            src = T.concat([pad, T.slice_axis(x, 0, 0, rows - shift)], axis=0)
-        acc = acc + T.slice_axis(kernel, 0, j, j + 1) * src
+            src = R.concat([pad, R.slice_axis(x, 0, 0, rows - shift)], axis=0)
+        acc = R.add(acc, R.mul(R.slice_axis(kernel, 0, j, j + 1), src))
     return acc
 
 
@@ -181,15 +187,15 @@ def block(cfg: BlockConfig, w: BlockWeights, tokens: list[Tensor],
 
     hiddens = sequence(w.cell, normed, tokens_if)
 
-    proj_t = T.transpose(w.proj_w)
+    proj_t = R.transpose(w.proj_w)
     out = []
     for t, h in enumerate(hiddens):
-        y = T.matmul(h, proj_t)
+        y = R.matmul(h, proj_t)
         if training and cfg.dropout_rate > 0.0:
             keep = 1.0 - cfg.dropout_rate
             mask = (rng.random(size=y.shape) < keep).astype(y.data.dtype) / keep
-            y = y * Tensor(mask, dtype=y.data.dtype)
-        out.append(tokens[t] + y)
+            y = R.mul(y, Tensor(mask, dtype=y.data.dtype))
+        out.append(R.add(tokens[t], y))
     return out
 
 
@@ -202,9 +208,9 @@ def stack(cfg: BlockConfig, blocks: list[BlockWeights], tokens: list[Tensor],
 
 def to_rows(tokens: list[Tensor]) -> Tensor:
     """[B, D] tokens to one flat token-major [L*B, D] matrix."""
-    return T.concat(tokens, axis=0)
+    return R.concat(tokens, axis=0)
 
 
 def from_rows(rows: Tensor, batch: int) -> list[Tensor]:
     """Flat token-major [L*B, D] rows to a list of [B, D] tokens."""
-    return [T.slice_axis(rows, 0, lo, lo + batch) for lo in range(0, rows.shape[0], batch)]
+    return [R.slice_axis(rows, 0, lo, lo + batch) for lo in range(0, rows.shape[0], batch)]

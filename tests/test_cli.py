@@ -200,6 +200,22 @@ def test_checkpoint_config_key_error_is_reported(tiny_csv, tmp_path, capsys):
     assert "error: config.json: missing keys ['mix_view']" in capsys.readouterr().err
 
 
+def test_checkpoint_config_value_type_error_is_reported(tiny_csv, tmp_path, capsys):
+    # A string where an int belongs would raise TypeError in the config
+    # checks; a string where a bool belongs would load as truthy.
+    out = tmp_path / "run"
+    run_train(tiny_csv, out)
+    config = out / "best" / "config.json"
+    saved = json.loads(config.read_text())
+    for key, value, kind in [("lookback", "24", "int"), ("mix_view", "no", "bool")]:
+        config.write_text(json.dumps({**saved, key: value}))
+        code = cli.main(["eval", "--checkpoint", str(out / "best"),
+                         "--data", str(tiny_csv), "--report", str(tmp_path / "r.jsonl")])
+        assert code == 2
+        assert (f"error: config.json: {key} must be {kind}, got {value!r}"
+                in capsys.readouterr().err)
+
+
 def test_etth_kind_end_to_end(tmp_path):
     # ETT-shaped series (fixed 12/4/4-month boundaries) through the CLI.
     from conftest import synthetic_series, write_series_csv

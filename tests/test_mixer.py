@@ -25,6 +25,8 @@ from mixcast.mixer import (
 from mixcast.slstm import BlockConfig
 from mixcast.tensor import ShapeError, Tensor
 
+import engine_reference as R
+
 
 def make_cfg(**overrides) -> MixerConfig:
     base = dict(lookback=8, horizon=4, num_variates=3, embed_dim=8,
@@ -189,12 +191,12 @@ def test_reconcile_selector_and_bias():
     y2 = Tensor(np.random.default_rng(9).normal(size=(3, d)), dtype=np.float64)
     selector = Tensor(np.hstack([np.eye(d), np.zeros((d, d))]), dtype=np.float64)
     zero_bias = Tensor(np.zeros((1, d)), dtype=np.float64)
-    out = reconcile_views(selector, zero_bias, T.concat([y1, y2], axis=1))
+    out = reconcile_views(selector, zero_bias, R.concat([y1, y2], axis=1))
     assert np.array_equal(out.data, y1.data)
 
     zero_w = Tensor(np.zeros((d, 2 * d)), dtype=np.float64)
     bias = Tensor(np.arange(d, dtype=np.float64).reshape(1, d))
-    out2 = reconcile_views(zero_w, bias, T.concat([y1, y2], axis=1))
+    out2 = reconcile_views(zero_w, bias, R.concat([y1, y2], axis=1))
     assert np.array_equal(out2.data, np.tile(bias.data, (3, 1)))
 
 
@@ -208,8 +210,8 @@ def test_reconcile_swap_with_mirrored_halves_is_invariant():
     w_mirrored = Tensor(np.hstack([b, a]), dtype=np.float64)
     y1 = Tensor(rng.normal(size=(3, d)), dtype=np.float64)
     y2 = Tensor(rng.normal(size=(3, d)), dtype=np.float64)
-    out = reconcile_views(w, bias, T.concat([y1, y2], axis=1)).data
-    swapped = reconcile_views(w_mirrored, bias, T.concat([y2, y1], axis=1)).data
+    out = reconcile_views(w, bias, R.concat([y1, y2], axis=1)).data
+    swapped = reconcile_views(w_mirrored, bias, R.concat([y2, y1], axis=1)).data
     assert np.abs(out - swapped).max() < 1e-12
 
 
@@ -306,10 +308,10 @@ def test_zeroed_stack_reduces_to_linear_path():
     x_norm, stats = revin_normalize(params.revin, x)
     x_init = mixer.nlinear_forecast(params.nlinear_w, params.nlinear_b, x_norm)
     tokens = up_project_and_prepend(params, x_init, cfg)
-    y_prime = T.slice_axis(tokens, 0, 1, 4)
-    y_dprime = T.slice_axis(reverse_latent_view(tokens), 0, 1, 4)
+    y_prime = R.slice_axis(tokens, 0, 1, 4)
+    y_dprime = R.slice_axis(reverse_latent_view(tokens), 0, 1, 4)
     y_norm = reconcile_views(params.view_w, params.view_b,
-                             T.concat([y_prime, y_dprime], axis=1))
+                             R.concat([y_prime, y_dprime], axis=1))
     expected = revin_denormalize(params.revin, stats, y_norm)
     assert np.array_equal(y.data, expected.data)
 
@@ -493,7 +495,7 @@ def test_every_parameter_receives_finite_gradient():
         t.zero_grad()
     with T.Tape() as tape:
         y = mixer.forward_batch(params, cfg, x[None])
-        loss = T.absval(y - Tensor(target)).mean()
+        loss = R.reduce_mean(R.absval(R.sub(y, Tensor(target))))
         tape.backward(loss)
     for name, t, _ in triples:
         assert t.grad is not None, f"{name} got no gradient"
@@ -663,7 +665,12 @@ def _edit_config(ck, edit):
     (lambda doc: doc["block"].update(bias=True),
      r"config\.json block: .*unknown keys \['bias'\]"),
     (lambda doc: doc.update(block=None), r"config\.json block is not a mapping"),
-], ids=["missing", "unknown", "block-missing", "block-unknown", "block-null"])
+    (lambda doc: doc.update(num_blocks=True), r"config\.json: num_blocks must be int"),
+    (lambda doc: doc.update(slstm_axis=1), r"config\.json: slstm_axis must be str"),
+    (lambda doc: doc["block"].update(dropout_rate="0.1"),
+     r"config\.json block: dropout_rate must be float"),
+], ids=["missing", "unknown", "block-missing", "block-unknown", "block-null",
+        "bool-for-int", "int-for-str", "block-str-for-float"])
 def test_checkpoint_rejects_config_keys_by_name(tmp_path, edit, message):
     ck = tmp_path / "ck"
     mixer.save_checkpoint(ck, init_mixer_params(make_cfg(), np.random.default_rng(33)))

@@ -18,6 +18,7 @@ from mixcast.mixer import build_ablation_config, init_mixer_params
 from mixcast.slstm import BlockConfig
 from mixcast.tensor import Tape, Tensor
 
+import engine_reference as R
 import mixer_reference as ref
 from test_slstm_fused import assert_close, forward_and_grads, training_step_nodes
 
@@ -157,7 +158,7 @@ def test_eval_stages_keep_no_history():
     batch = 2000
     rows = cfg.num_variates * batch
     x = Tensor(rng.normal(size=(rows, cfg.lookback))).data
-    y_norm = T.parameter(rng.normal(size=(rows, cfg.horizon)))
+    y_norm = R.parameter(rng.normal(size=(rows, cfg.horizon)))
     _, stats = mixer.revin_normalize(params.revin, x, batch)
 
     # With a tape the centered rows (RevIN, NLinear) and (y - beta) / gamma

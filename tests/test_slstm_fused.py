@@ -14,6 +14,7 @@ from mixcast import mixer, slstm, tensor as T, training
 from mixcast.slstm import BlockConfig
 from mixcast.tensor import Tape, Tensor
 
+import engine_reference as R
 import slstm_reference as slstm_ref
 from test_slstm import run_sequence
 
@@ -31,7 +32,7 @@ def forward_and_grads(run, leaves, weights):
         t.zero_grad()
     with Tape() as tape:
         out = run()
-        tape.backward((out * Tensor(weights, dtype=np.float64)).sum())
+        tape.backward(R.reduce_sum(R.mul(out, Tensor(weights, dtype=np.float64))))
     return out.data.copy(), [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
                              for t in leaves]
 
@@ -65,7 +66,7 @@ def make_stack(rng, conv_width, num_blocks, dropout=0.0, d=8, heads=2):
 def test_fused_stack_matches_reference(conv_width, num_blocks, batch, length):
     rng = np.random.default_rng(100 * conv_width + 10 * num_blocks + batch)
     cfg, blocks = make_stack(rng, conv_width, num_blocks)
-    x = T.parameter(rng.uniform(-1, 1, size=(length * batch, cfg.d_hidden)),
+    x = R.parameter(rng.uniform(-1, 1, size=(length * batch, cfg.d_hidden)),
                     dtype=np.float64)
     weights = rng.normal(size=x.shape)
     leaves = [x] + leaves_of(blocks)
@@ -88,7 +89,7 @@ def test_fused_stack_matches_reference_training_with_dropout(conv_width):
     rng = np.random.default_rng(7 + conv_width)
     cfg, blocks = make_stack(rng, conv_width, 2, dropout=0.3)
     batch, length = 3, 5
-    x = T.parameter(rng.uniform(-1, 1, size=(length * batch, cfg.d_hidden)),
+    x = R.parameter(rng.uniform(-1, 1, size=(length * batch, cfg.d_hidden)),
                     dtype=np.float64)
     weights = rng.normal(size=x.shape)
     leaves = [x] + leaves_of(blocks)
@@ -120,7 +121,7 @@ def test_token_chunks_match_reference(conv_width, num_blocks, tokens_per_chunk, 
     monkeypatch.setattr(slstm, "CHUNK_ROWS", budget)
     rng = np.random.default_rng(conv_width + 10 * num_blocks + 100 * tokens_per_chunk)
     cfg, blocks = make_stack(rng, conv_width, num_blocks, dropout=0.3 if training else 0.0)
-    x = T.parameter(rng.uniform(-1, 1, size=(length * batch, cfg.d_hidden)),
+    x = R.parameter(rng.uniform(-1, 1, size=(length * batch, cfg.d_hidden)),
                     dtype=np.float64)
 
     def fused():
@@ -181,7 +182,7 @@ def test_eval_block_peak_memory_is_bounded_by_chunks():
 def test_recurrent_gradients_fill_every_head_block():
     rng = np.random.default_rng(62)
     cfg, blocks = make_stack(rng, 2, 2, d=12, heads=3)
-    x = T.parameter(rng.uniform(-1, 1, size=(5 * 4, 12)), dtype=np.float64)
+    x = R.parameter(rng.uniform(-1, 1, size=(5 * 4, 12)), dtype=np.float64)
     _, grads = forward_and_grads(lambda: slstm._stack_tokens(cfg, blocks, x, 4, False, None),
                                  leaves_of(blocks), rng.normal(size=x.shape))
     for (name, _, _), g in zip([t for w in blocks for t in w.named_parameters()], grads):
@@ -198,7 +199,7 @@ def test_views_in_one_stack_call_match_reference_per_view(mix_view, monkeypatch)
                             block=BlockConfig(d_hidden=8, num_heads=2, conv_width=2))
     params = mixer.init_mixer_params(cfg, rng, dtype=np.float64)
     batch, length = 2, cfg.num_variates + 1
-    tokens = T.parameter(rng.uniform(-1, 1, size=(length * batch, 8)), dtype=np.float64)
+    tokens = R.parameter(rng.uniform(-1, 1, size=(length * batch, 8)), dtype=np.float64)
     w_f, w_r = rng.normal(size=tokens.shape), rng.normal(size=tokens.shape)
     leaves = [tokens] + leaves_of(params.blocks)
 
@@ -211,17 +212,17 @@ def test_views_in_one_stack_call_match_reference_per_view(mix_view, monkeypatch)
     def fused():
         views = mixer._refine_views(params, cfg, tokens, None, batch, False, None)
         if mix_view:
-            return views * Tensor(np.hstack([w_f, w_r]))
-        return views * Tensor(w_f + w_r)
+            return R.mul(views, Tensor(np.hstack([w_f, w_r])))
+        return R.mul(views, Tensor(w_f + w_r))
 
     def reference():
         out_f = slstm_ref.to_rows(slstm_ref.stack(
             cfg.block, params.blocks, slstm_ref.from_rows(tokens, batch)))
         if not mix_view:
-            return out_f * Tensor(w_f + w_r)
-        rev = slstm_ref.from_rows(T.reverse(tokens, axis=1), batch)
+            return R.mul(out_f, Tensor(w_f + w_r))
+        rev = slstm_ref.from_rows(R.reverse(tokens, axis=1), batch)
         out_r = slstm_ref.to_rows(slstm_ref.stack(cfg.block, params.blocks, rev))
-        return T.concat([out_f * Tensor(w_f), out_r * Tensor(w_r)], axis=1)
+        return R.concat([R.mul(out_f, Tensor(w_f)), R.mul(out_r, Tensor(w_r))], axis=1)
 
     ones = np.ones((tokens.shape[0], (2 if mix_view else 1) * tokens.shape[1]))
     got, got_grads = forward_and_grads(fused, leaves, ones)
@@ -274,7 +275,7 @@ def test_eval_keeps_no_gate_history():
     rng = np.random.default_rng(5)
     cfg = BlockConfig(d_hidden=16, num_heads=4, conv_width=4, dropout_rate=0.1)
     w = slstm.init_block_weights(cfg, rng)
-    xs = T.parameter(rng.uniform(-1, 1, size=(2000, 16)))
+    xs = R.parameter(rng.uniform(-1, 1, size=(2000, 16)))
 
     def peak(run, record):
         tracemalloc.start()
@@ -321,7 +322,7 @@ def test_training_step_tape_has_at_most_100_nodes():
 def test_stack_records_one_tape_node_per_block(num_blocks):
     rng = np.random.default_rng(num_blocks)
     cfg, blocks = make_stack(rng, 4, num_blocks, dropout=0.2)
-    x = T.parameter(rng.uniform(-1, 1, size=(12, cfg.d_hidden)), dtype=np.float64)
+    x = R.parameter(rng.uniform(-1, 1, size=(12, cfg.d_hidden)), dtype=np.float64)
     with Tape() as tape:
         slstm._stack_tokens(cfg, blocks, x, 3, True, rng)
         assert len(tape) == num_blocks

@@ -2,13 +2,15 @@
 
 A definition in ``src/mixcast`` must be referenced from another definition
 in ``src/`` or from ``benchmarks/``: code that only tests reach is deleted,
-not kept.  ``tensor.py`` is exempt, because its op library is the engine the
-test oracles are written in.  Names, attributes, imports and string constants
-(the benchmark's traced run wraps attributes by name) count as references.
+not kept.  Names, attributes, imports and string constants (the
+benchmark's traced run wraps attributes by name) count as references.  Every
+name a module exports in ``__all__`` is defined.
 """
 
 import ast
 from pathlib import Path
+
+import mixcast
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "mixcast"
@@ -43,8 +45,6 @@ def unreferenced_definitions() -> list[str]:
                   for stmt in tree.body]
     missing = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "tensor.py":
-            continue
         for stmt in trees[path].body:
             if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 continue
@@ -64,3 +64,9 @@ def test_allowed_names_are_defined():
                for stmt in ast.parse(path.read_text()).body
                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
     assert set(ALLOWED) <= defined
+
+
+def test_exported_names_are_defined():
+    for module in (mixcast, mixcast.tensor):
+        stale = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not stale, f"{module.__name__}.__all__ names undefined: {stale}"
