@@ -135,6 +135,17 @@ def _score(params, cfg, ds, dataset: str, seed: int, epochs_trained: int,
     return report
 
 
+def _extra(extra: dict, key: str, default):
+    """The value a checkpoint's ``extra`` mapping holds for key, or default
+    when it holds none; a value not of the default's type is rejected by key
+    (a bool is not an int here)."""
+    value = extra.get(key, default)
+    kind = type(default)
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"config.json: extra {key} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def _cmd_train(args, config_id: str = "full") -> int:
     num_variates, splits = _prepare_data(args.data, args.dataset, args.lookback,
                                          args.horizon)
@@ -169,18 +180,18 @@ def _cmd_train(args, config_id: str = "full") -> int:
 
 def _cmd_eval(args) -> int:
     params, cfg, extra = mixer.load_checkpoint(args.checkpoint)
-    kind = args.dataset or extra.get("dataset_kind", "generic")
+    kind = args.dataset or _extra(extra, "dataset_kind", "generic")
     _, splits = _prepare_data(args.data, kind, cfg.lookback, cfg.horizon)
     report = _score(params, cfg, splits[args.split], f"{Path(args.data).stem}/{args.split}",
-                    int(extra.get("seed", -1)), int(extra.get("epochs_trained", 0)),
-                    str(extra.get("config_id", "full")))
+                    _extra(extra, "seed", -1), _extra(extra, "epochs_trained", 0),
+                    _extra(extra, "config_id", "full"))
     metrics_mod.emit_report([report], args.report)
     return 0
 
 
 def _cmd_forecast(args) -> int:
     params, cfg, extra = mixer.load_checkpoint(args.checkpoint)
-    kind = extra.get("dataset_kind", "generic")
+    kind = _extra(extra, "dataset_kind", "generic")
     _, splits = _prepare_data(args.data, kind, cfg.lookback, cfg.horizon)
     ds = splits["test"]
     x, y = ds.window(args.window_index)

@@ -93,10 +93,10 @@ class WindowedDataset:
             raise IndexError(f"window {i} out of range (n={len(self)})")
         s = self.start + i
         dtype = T.default_dtype()
-        x = np.ascontiguousarray(self.values[s:s + self.lookback].T, dtype=dtype)
+        x = np.ascontiguousarray(self.values[s:s + self.lookback].T, dtype)
         y = np.ascontiguousarray(
             self.values[s + self.lookback:s + self.lookback + self.horizon].T,
-            dtype=dtype)
+            dtype)
         return x, y
 
     def _windows(self, dtype):
@@ -106,7 +106,7 @@ class WindowedDataset:
         each window row is a contiguous run and a batch is one gather."""
         views = self._windows_by_dtype.get(dtype)
         if views is None:
-            rows = np.ascontiguousarray(self.values[self.start:self.stop].T, dtype=dtype)
+            rows = np.ascontiguousarray(self.values[self.start:self.stop].T, dtype)
             views = (sliding_window_view(rows, self.lookback, axis=1).swapaxes(0, 1),
                      sliding_window_view(rows[:, self.lookback:], self.horizon,
                                          axis=1).swapaxes(0, 1))

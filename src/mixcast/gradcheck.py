@@ -43,11 +43,12 @@ def tiny_config(num_variates=3, lookback=8, horizon=4, embed_dim=8, heads=2,
 
 def build_tiny_problem(seed: int = 0, cfg: mixer.MixerConfig | None = None):
     """Deterministically pick a (params, x, target) triple whose base loss is
-    bounded away from every non-smooth point."""
+    bounded away from every non-smooth point, in the dtype of the caller's
+    precision."""
     cfg = cfg or tiny_config()
     for trial in range(seed, seed + 64):
         rng = np.random.default_rng(trial)
-        params = mixer.init_mixer_params(cfg, rng, dtype=np.float64)
+        params = mixer.init_mixer_params(cfg, rng)
         x = rng.normal(0.0, 1.0, size=(cfg.num_variates, cfg.lookback))
         y = mixer.forward_batch(params, cfg, x[None])
         # Keep the base loss small: central differences of a loss of

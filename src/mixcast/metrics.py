@@ -21,7 +21,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +33,6 @@ MAPE_EPS = 1e-8
 # Entries per leaf of the metric sums: two float64 scratch buffers of this
 # length (256 KiB each) stay in cache.
 _LEAF = 32_768
-
-_REPORT_FIELDS = ("dataset", "horizon", "lookback", "seed", "mse", "mae",
-                  "rmse", "mape", "epochs_trained", "wall_time_s", "config_id")
 
 
 @dataclass
@@ -51,6 +48,10 @@ class MetricsReport:
     epochs_trained: int
     wall_time_s: float
     config_id: str = "full"
+
+
+# The stable key order of every serialization: the field order above.
+_REPORT_FIELDS = tuple(f.name for f in fields(MetricsReport))
 
 
 def compute_metrics(pred: np.ndarray, target: np.ndarray) -> dict:
@@ -102,27 +103,19 @@ def _pairwise(leaf, lo: int, hi: int) -> tuple:
     return tuple(a + b for a, b in zip(left, right))
 
 
-def report_record(report: MetricsReport) -> dict:
-    """Dict with the stable field order used by every serialization."""
-    values = asdict(report)
-    return {key: values[key] for key in _REPORT_FIELDS}
-
-
 def mean_rows(reports: list[MetricsReport]) -> list[dict]:
-    """Arithmetic means across seeds per (dataset, horizon, config_id)."""
+    """Arithmetic means across seeds per (dataset, horizon, config_id), in
+    the report's key order; the seed reads "mean"."""
     groups: dict[tuple, list[MetricsReport]] = {}
     for r in reports:
         groups.setdefault((r.dataset, r.horizon, r.lookback, r.config_id), []).append(r)
     rows = []
     for (dataset, horizon, lookback, config_id), members in groups.items():
-        row = {"dataset": dataset, "horizon": horizon, "lookback": lookback,
-               "seed": "mean"}
-        for metric in ("mse", "mae", "rmse", "mape"):
-            row[metric] = float(np.mean([getattr(m, metric) for m in members]))
-        row["epochs_trained"] = float(np.mean([m.epochs_trained for m in members]))
-        row["wall_time_s"] = float(np.mean([m.wall_time_s for m in members]))
-        row["config_id"] = config_id
-        rows.append(row)
+        fixed = {"dataset": dataset, "horizon": horizon, "lookback": lookback,
+                 "seed": "mean", "config_id": config_id}
+        rows.append({key: fixed[key] if key in fixed
+                     else float(np.mean([getattr(m, key) for m in members]))
+                     for key in _REPORT_FIELDS})
     return rows
 
 
@@ -149,7 +142,7 @@ def emit_report(reports: list[MetricsReport], path) -> None:
         raise ValueError("emit_report needs at least one report")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    records = [report_record(r) for r in reports]
+    records = [asdict(r) for r in reports]
     records += mean_rows(reports)
     with path.open("w") as fh:
         for rec in records:

@@ -4,7 +4,8 @@ refinement, and view reconciliation.
 
 The pipeline runs per instance on a [V, T] window and produces a [V, H]
 forecast.  ``forward_batch`` is its one entry point: it takes a [B, V, T]
-array of windows, and a single window is the batch ``x[None]``.  Internally
+array of windows, checked against the config's V and T before anything else
+reads it, and a single window is the batch ``x[None]``.  Internally
 everything is computed on a flat v-major matrix whose rows are (variate,
 batch-item) pairs, so a whole mini-batch shares one tape.  These rows are
 already the token-major layout the recurrent stack takes.  The windows are
@@ -17,9 +18,11 @@ computed on numpy arrays with a hand-written backward, and keeps the arrays
 its backward needs only while a tape records it.  The packing op writes the
 learned token's rows, the forward rows and the feature-reversed rows straight
 into one interleaved [L*2B, D] matrix, so both views run through the stack in
-one call as a batch of 2B; the stack output read as [L*B, 2D] (a view, not a
-copy) holds each token's two view outputs side by side, which is the input
-reconciliation takes.
+one call as a batch of 2B.  Reconciliation, given the same ``mix_view``
+switch, reads the stack output as [L*B, 2D] (a view, not a copy), each
+token's two view outputs side by side.  Each stage takes the Tensors the
+stage before it returns, and the parameters take their dtype from
+:func:`mixcast.tensor.precision`.
 
 Ablation switches: ``mix_time`` toggles the shared linear forecaster,
 ``slstm_axis`` selects what the recurrence strides over ("variates", "time",
@@ -156,31 +159,31 @@ class MixerParams:
         yield "view.bias", self.view_b, None
 
 
-def init_mixer_params(cfg: MixerConfig, rng, dtype=None) -> MixerParams:
-    """Draw all pipeline weights; the rng stream order is fixed for determinism."""
+def init_mixer_params(cfg: MixerConfig, rng) -> MixerParams:
+    """Draw all pipeline weights in the dtype of :func:`mixcast.tensor.precision`;
+    the rng stream order is fixed for determinism."""
     v, t_len, h_len, d = cfg.num_variates, cfg.lookback, cfg.horizon, cfg.embed_dim
 
     def uniform(shape, fan_in):
         bound = 1.0 / np.sqrt(fan_in)
-        return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True, dtype=dtype)
+        return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
     revin = RevInParams(
-        gamma=Tensor(np.ones((v, 1)), requires_grad=True, dtype=dtype),
-        beta=Tensor(np.zeros((v, 1)), requires_grad=True, dtype=dtype),
+        gamma=Tensor(np.ones((v, 1)), requires_grad=True),
+        beta=Tensor(np.zeros((v, 1)), requires_grad=True),
     )
     nlinear_w = nlinear_b = None
     if cfg.mix_time:
         nlinear_w = uniform((h_len, t_len), t_len)
-        nlinear_b = Tensor(np.zeros((1, h_len)), requires_grad=True, dtype=dtype)
+        nlinear_b = Tensor(np.zeros((1, h_len)), requires_grad=True)
     up_w = uniform((d, cfg.up_in_dim), cfg.up_in_dim)
-    up_b = Tensor(np.zeros((1, d)), requires_grad=True, dtype=dtype)
+    up_b = Tensor(np.zeros((1, d)), requires_grad=True)
     eta = uniform((1, d), d) if cfg.init_token else None
     blocks = []
     if cfg.slstm_axis != AXIS_NONE:
-        blocks = [slstm.init_block_weights(cfg.block, rng, dtype=dtype)
-                  for _ in range(cfg.num_blocks)]
+        blocks = [slstm.init_block_weights(cfg.block, rng) for _ in range(cfg.num_blocks)]
     view_w = uniform((cfg.view_out_dim, 2 * d), 2 * d)
-    view_b = Tensor(np.zeros((1, cfg.view_out_dim)), requires_grad=True, dtype=dtype)
+    view_b = Tensor(np.zeros((1, cfg.view_out_dim)), requires_grad=True)
     return MixerParams(config=cfg, revin=revin, nlinear_w=nlinear_w, nlinear_b=nlinear_b,
                        up_w=up_w, up_b=up_b, eta=eta, blocks=blocks,
                        view_w=view_w, view_b=view_b)
@@ -239,13 +242,12 @@ def revin_normalize(params: RevInParams, x: np.ndarray, batch: int = 1):
     return T.custom_op(out, [gamma, beta], backward), (mean, std)
 
 
-def revin_denormalize(params: RevInParams, stats: tuple[np.ndarray, np.ndarray], y_norm,
-                      batch: int = 1):
+def revin_denormalize(params: RevInParams, stats: tuple[np.ndarray, np.ndarray],
+                      y_norm: Tensor, batch: int = 1):
     """Exact algebraic inverse of revin_normalize given its (mean, std), as
     one engine op; the statistics are data."""
     if np.abs(params.gamma.data).min() < 1e-12:
         raise ValueError("revin gamma too close to zero to invert")
-    y_norm = T.as_tensor(y_norm)
     gamma, beta = params.gamma, params.beta
     v = gamma.shape[0]
     _check_variate_rows(y_norm.data, v, batch)
@@ -273,10 +275,9 @@ def revin_denormalize(params: RevInParams, stats: tuple[np.ndarray, np.ndarray],
     return T.custom_op(out.reshape(y_norm.shape), inputs, backward)
 
 
-def nlinear_forecast(weight: Tensor, bias: Tensor, x_norm) -> Tensor:
+def nlinear_forecast(weight: Tensor, bias: Tensor, x_norm: Tensor) -> Tensor:
     """Shared linear forecaster: subtract each row's last value, apply the
     affine map, add the last value back; one engine op."""
-    x_norm = T.as_tensor(x_norm)
     t_len = x_norm.shape[1]
     if weight.shape[1] != t_len:
         raise ShapeError(f"weight expects {weight.shape[1]} steps, got {t_len}")
@@ -287,19 +288,16 @@ def nlinear_forecast(weight: Tensor, bias: Tensor, x_norm) -> Tensor:
     out += last
 
     def backward(g):
-        d_x = None
-        if x_norm.requires_grad:
-            d_x = g @ weight.data
-            # The last step also enters through the subtracted and re-added copy.
-            d_x[:, -1] += g.sum(axis=1) - d_x.sum(axis=1)
+        d_x = g @ weight.data
+        # The last step also enters through the subtracted and re-added copy.
+        d_x[:, -1] += g.sum(axis=1) - d_x.sum(axis=1)
         return [d_x, g.T @ centered, g.sum(axis=0, keepdims=True)]
 
     return T.custom_op(out, [x_norm, weight, bias], backward)
 
 
-def up_project(weight: Tensor, bias: Tensor, rows) -> Tensor:
+def up_project(weight: Tensor, bias: Tensor, rows: Tensor) -> Tensor:
     """Shared affine map of each row to the embedding width; one engine op."""
-    rows = T.as_tensor(rows)
     if weight.shape[1] != rows.shape[1]:
         raise ShapeError(
             f"up-projection expects width {weight.shape[1]}, got {rows.shape[1]}"
@@ -308,8 +306,7 @@ def up_project(weight: Tensor, bias: Tensor, rows) -> Tensor:
     out += bias.data
 
     def backward(g):
-        d_rows = g @ weight.data if rows.requires_grad else None
-        return [d_rows, g.T @ rows.data, g.sum(axis=0, keepdims=True)]
+        return [g @ weight.data, g.T @ rows.data, g.sum(axis=0, keepdims=True)]
 
     return T.custom_op(out, [rows, weight, bias], backward)
 
@@ -350,40 +347,39 @@ def pack_views(tokens: Tensor, eta: Tensor | None, batch: int, both_views: bool)
     return T.custom_op(packed.reshape(-1, d), inputs, backward)
 
 
-def reconcile_views(view_w: Tensor, view_b: Tensor, packed, skip: int = 0) -> Tensor:
-    """Shared affine map over each token's two view outputs, side by side in
-    ``packed`` [rows, 2D], after dropping its first ``skip`` rows (the
-    learned token); one engine op.
+def reconcile_views(view_w: Tensor, view_b: Tensor, stack_out: Tensor, both_views: bool,
+                    skip: int = 0) -> Tensor:
+    """Shared affine map over each token's two view outputs, after dropping
+    the first ``skip`` of them (the learned token); one engine op.
 
-    A [rows, D] input stands for both views being that one (mix_view off):
-    it is mapped by the sum of the two halves of view_w."""
-    packed = T.as_tensor(packed)
-    rows, width = packed.shape
-    full = view_w.shape[1]
-    if width == full:
-        w = view_w.data
-    elif 2 * width == full:
-        w = view_w.data[:, :width] + view_w.data[:, width:]
-    else:
-        raise ShapeError(f"reconciliation expects width {full}, got {width}")
-    if not 0 <= skip <= rows:
-        raise ShapeError(f"cannot drop {skip} of {rows} rows")
-    y = packed.data[skip:]
+    With ``both_views`` the rows of ``stack_out`` [2R, D] are the pairs that
+    :func:`pack_views` interleaves, read as [R, 2D] (a view, not a copy) with
+    each token's two views side by side.  Without it ``stack_out`` [R, D] is
+    the one view standing for both (mix_view off), mapped by the sum of the
+    two halves of view_w."""
+    views, d = (2 if both_views else 1), view_w.shape[1] // 2
+    if stack_out.shape[1] != d or stack_out.shape[0] % views:
+        raise ShapeError(f"reconciliation expects {views}-view rows of width {d}, "
+                         f"got shape {stack_out.shape}")
+    tokens = stack_out.data.reshape(-1, views * d)
+    if not 0 <= skip <= tokens.shape[0]:
+        raise ShapeError(f"cannot drop {skip} of {tokens.shape[0]} tokens")
+    w = view_w.data if both_views else view_w.data[:, :d] + view_w.data[:, d:]
+    y = tokens[skip:]
     out = y @ w.T
     out += view_b.data
 
     def backward(g):
         d_w = g.T @ y
-        if width != full:
+        if not both_views:
             d_w = np.concatenate([d_w, d_w], axis=1)
-        d_packed = None
-        if packed.requires_grad:
-            d_packed = np.empty(packed.shape, dtype=np.result_type(g, w))
-            d_packed[:skip] = 0.0
-            np.matmul(g, w, out=d_packed[skip:])
-        return [d_packed, d_w, g.sum(axis=0, keepdims=True)]
+        d_out = np.empty(stack_out.shape, dtype=np.result_type(g, w))
+        d_tokens = d_out.reshape(tokens.shape)
+        d_tokens[:skip] = 0.0
+        np.matmul(g, w, out=d_tokens[skip:])
+        return [d_out, d_w, g.sum(axis=0, keepdims=True)]
 
-    return T.custom_op(out, [packed, view_w, view_b], backward)
+    return T.custom_op(out, [stack_out, view_w, view_b], backward)
 
 
 def _swap_token_axes(t: Tensor, batch: int) -> Tensor:
@@ -405,34 +401,39 @@ def _refine_views(params: MixerParams, cfg: MixerConfig, tokens: Tensor,
     """Run the shared stack over token-major rows [L*B, D], behind the
     learned token ``eta`` when given, in both views.
 
-    Returns the views side by side, [L'*B, 2D], where L' counts eta; with
-    mix_view off the second view is the first one, so the reversed rows are
-    never pushed through the stack and the result is [L'*B, D]."""
+    Returns the stack output in the layout of :func:`pack_views`, [L'*2B, D]
+    with each row's two views adjacent, where L' counts eta; with mix_view
+    off the second view is the first one, so the reversed rows are never
+    pushed through the stack and the result is [L'*B, D]."""
     packed = pack_views(tokens, eta, batch, cfg.mix_view)
-    out = packed
-    if cfg.slstm_axis != AXIS_NONE:
-        views = 2 if cfg.mix_view else 1
-        out = slstm._stack_tokens(cfg.block, params.blocks, packed, views * batch,
-                                  training, rng, stabilizer)
-    if cfg.mix_view:
-        out = T.reshape(out, (out.shape[0] // 2, 2 * out.shape[1]))
-    return out
+    if cfg.slstm_axis == AXIS_NONE:
+        return packed
+    views = 2 if cfg.mix_view else 1
+    return slstm._stack_tokens(cfg.block, params.blocks, packed, views * batch,
+                               training, rng, stabilizer)
 
 
-def _forward_flat(params: MixerParams, cfg: MixerConfig, x_flat: np.ndarray, batch: int,
-                  training: bool, rng,
+def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
+                  training: bool = False, rng=None,
                   stabilizer: slstm.StabilizerStats | None = None) -> Tensor:
-    v = cfg.num_variates
-    if x_flat.shape != (v * batch, cfg.lookback):
-        raise ShapeError(
-            f"expected input shape {(v * batch, cfg.lookback)}, got {x_flat.shape}"
-        )
+    """The pipeline on a [B, V, T] array of windows; returns the v-major
+    [V*B, H] forecast, which is [V, H] for one window ``x[None]``."""
+    v, t_len = cfg.num_variates, cfg.lookback
+    if xs.ndim != 3 or xs.shape[1:] != (v, t_len):
+        got = (f"{xs.shape[1]} variates and lookback {xs.shape[2]}" if xs.ndim == 3
+               else f"shape {xs.shape}")
+        raise ShapeError(f"the model takes windows of {v} variates and lookback {t_len}, "
+                         f"got {got}")
+    if not np.isfinite(xs).all():
+        raise ValueError("input windows contain non-finite values")
+    batch = xs.shape[0]
     time_axis = cfg.slstm_axis == AXIS_TIME
 
     # Each stage output is dropped once the next stage has read it; a tape
-    # keeps what its backward reads regardless.
-    x_norm, stats = revin_normalize(params.revin, x_flat, batch)
-    del x_flat
+    # keeps what its backward reads regardless.  The v-major rows are passed
+    # unnamed, so they are freed after RevIN.
+    x_norm, stats = revin_normalize(params.revin, np.ascontiguousarray(
+        xs.transpose(1, 0, 2).reshape(v * batch, t_len)), batch)
     if cfg.mix_time:
         x_initial = nlinear_forecast(params.nlinear_w, params.nlinear_b, x_norm)
     else:
@@ -451,25 +452,11 @@ def _forward_flat(params: MixerParams, cfg: MixerConfig, x_flat: np.ndarray, bat
     # Dropping the learned token's rows leaves v-major [V*B, .] rows
     # (step-major [H*B, .] on the time axis).
     skip = batch if cfg.init_token else 0
-    y_tok = reconcile_views(params.view_w, params.view_b, views, skip)
+    y_tok = reconcile_views(params.view_w, params.view_b, views, cfg.mix_view, skip)
     del views
     y_norm_flat = _swap_token_axes(y_tok, batch) if time_axis else y_tok
     del y_tok
     return revin_denormalize(params.revin, stats, y_norm_flat, batch)
-
-
-def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
-                  training: bool = False, rng=None,
-                  stabilizer: slstm.StabilizerStats | None = None) -> Tensor:
-    """The pipeline on a [B, V, T] array of windows; returns the v-major
-    [V*B, H] forecast, which is [V, H] for one window ``x[None]``."""
-    if not np.isfinite(xs).all():
-        raise ValueError("input windows contain non-finite values")
-    b, v = xs.shape[0], cfg.num_variates
-    # The v-major rows are passed unnamed, so _forward_flat can free them
-    # after RevIN.
-    return _forward_flat(params, cfg, np.ascontiguousarray(
-        xs.transpose(1, 0, 2).reshape(v * b, -1)), b, training, rng, stabilizer)
 
 
 def flatten_targets(ys: np.ndarray) -> np.ndarray:
@@ -485,7 +472,7 @@ def decode_init_token(params: MixerParams, cfg: MixerConfig) -> Tensor:
     if cfg.slstm_axis == AXIS_TIME:
         raise ConfigError("token decoding is defined for variate-order models")
     views = _refine_views(params, cfg, params.eta, None, 1, False, None)
-    return reconcile_views(params.view_w, params.view_b, views)
+    return reconcile_views(params.view_w, params.view_b, views, cfg.mix_view)
 
 
 # -- checkpoint io ----------------------------------------------------------
@@ -567,12 +554,15 @@ def load_checkpoint(directory):
     """Rebuild (params, config, extra) from a checkpoint directory, bit-exactly.
 
     Recurrent matrices stored densely [D, D] load as their head blocks.  A
-    config.json that lacks or adds a key (``extra`` is optional), or a
-    manifest that repeats, lacks or adds a parameter, mixes float widths, or
-    points at non-finite values is rejected."""
+    config.json that lacks or adds a key (``extra`` is optional, and a
+    mapping), or a manifest that repeats, lacks or adds a parameter, mixes
+    float widths, or points at non-finite values is rejected."""
     directory = Path(directory)
     config_doc = json.loads((directory / "config.json").read_text())
     args = _config_args(config_doc, MixerConfig, "config.json", optional=("extra",))
+    extra = config_doc.get("extra", {})
+    if not isinstance(extra, dict):
+        raise ValueError(f"config.json: extra is not a mapping, got {extra!r}")
     block = BlockConfig(**_config_args(args["block"], BlockConfig, "config.json block"))
     cfg = MixerConfig(**{**args, "block": block})
     entries = {}
@@ -601,8 +591,8 @@ def load_checkpoint(directory):
             raise ValueError(f"{path.name}: parameter {name} holds non-finite values")
         entries[name] = raw.astype(f"f{itemsize}").reshape(dims)
 
-    params = init_mixer_params(cfg, np.random.default_rng(0),
-                               dtype=np.dtype(width).type if width else None)
+    # Every slot the init draws is replaced by its stored array below.
+    params = init_mixer_params(cfg, np.random.default_rng(0))
     dense = (block.d_hidden, block.d_hidden)
     for name, tensor, _ in params.named_parameters():
         loaded = entries.pop(name, None)
@@ -623,4 +613,4 @@ def load_checkpoint(directory):
     if entries:
         raise ValueError("checkpoint holds parameters the config has no slot for: "
                          + ", ".join(entries))
-    return params, cfg, config_doc.get("extra", {})
+    return params, cfg, extra

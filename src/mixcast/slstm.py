@@ -113,14 +113,15 @@ class SLstmParams:
                 yield prefix + name, getattr(self, name), None
 
 
-def init_slstm_params(d_in, d_hidden, num_heads, rng, dtype=None) -> SLstmParams:
-    """Uniform +-1/sqrt(fan_in) weights, forget bias +1, other biases 0.
+def init_slstm_params(d_in, d_hidden, num_heads, rng) -> SLstmParams:
+    """Uniform +-1/sqrt(fan_in) weights, forget bias +1, other biases 0, in
+    the dtype of :func:`mixcast.tensor.precision`.
 
     Each recurrent matrix is drawn as a dense [D, D] uniform that keeps only
     its diagonal head blocks, so the rng stream is the same for every head
     count, and the same as when the matrices were stored densely."""
     def param(data):
-        return Tensor(data, requires_grad=True, dtype=dtype)
+        return Tensor(data, requires_grad=True)
 
     def uniform(shape, fan_in):
         bound = 1.0 / np.sqrt(fan_in)
@@ -167,18 +168,18 @@ class BlockWeights:
             yield prefix + "conv_kernel", self.conv_kernel, None
 
 
-def init_block_weights(cfg: BlockConfig, rng, dtype=None) -> BlockWeights:
+def init_block_weights(cfg: BlockConfig, rng) -> BlockWeights:
     d = cfg.d_hidden
-    cell = init_slstm_params(d, d, cfg.num_heads, rng, dtype=dtype)
-    ln_gamma = Tensor(np.ones((1, d)), requires_grad=True, dtype=dtype)
-    ln_beta = Tensor(np.zeros((1, d)), requires_grad=True, dtype=dtype)
+    cell = init_slstm_params(d, d, cfg.num_heads, rng)
+    ln_gamma = Tensor(np.ones((1, d)), requires_grad=True)
+    ln_beta = Tensor(np.zeros((1, d)), requires_grad=True)
     bound = 1.0 / np.sqrt(d)
-    proj_w = Tensor(rng.uniform(-bound, bound, size=(d, d)), requires_grad=True, dtype=dtype)
+    proj_w = Tensor(rng.uniform(-bound, bound, size=(d, d)), requires_grad=True)
     conv = None
     if cfg.conv_width > 0:
         cbound = 1.0 / np.sqrt(cfg.conv_width)
         conv = Tensor(rng.uniform(-cbound, cbound, size=(cfg.conv_width, d)),
-                      requires_grad=True, dtype=dtype)
+                      requires_grad=True)
     return BlockWeights(cell=cell, ln_gamma=ln_gamma, ln_beta=ln_beta,
                         proj_w=proj_w, conv_kernel=conv)
 
@@ -228,10 +229,10 @@ class _Recurrence:
         self.w = [np.ascontiguousarray(getattr(p, "w_" + gate).data.T) for gate in _GATES]
         self.b = [getattr(p, "b_" + gate).data for gate in _GATES]
         self.r = np.ascontiguousarray(_recurrent(p).swapaxes(-1, -2))
-        self.pre = np.empty((4, rows, d), dtype=dtype)
-        self.rec = np.empty((4, batch, d), dtype=dtype)
-        self.tmp = np.empty((batch, d), dtype=dtype)
-        zeros = np.zeros((batch, d), dtype=dtype)
+        self.pre = np.empty((4, rows, d), dtype)
+        self.rec = np.empty((4, batch, d), dtype)
+        self.tmp = np.empty((batch, d), dtype)
+        zeros = np.zeros((batch, d), dtype)
         self.h, self.c, self.n, self.m = zeros, zeros.copy(), zeros.copy(), zeros.copy()
 
     def run(self, x: np.ndarray, x_if: np.ndarray, hs: np.ndarray, history=None) -> None:
@@ -394,16 +395,16 @@ def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
     # chunk's last conv_width - 1 tokens, which the taps read across the seam.
     tail = 0 if keep or kernel is None else min(rows, (kernel.shape[0] - 1) * batch)
     size = rows if keep else chunk
-    normed = np.empty((tail + size, d), dtype=dtype)
-    xhat = np.empty((rows, d), dtype=dtype) if keep else normed[tail:]
-    inv_std = np.empty((size, 1), dtype=dtype)
-    x_if = normed if kernel is None else np.empty((size, d), dtype=dtype)
-    hs = np.empty((size, d), dtype=dtype)
+    normed = np.empty((tail + size, d), dtype)
+    xhat = np.empty((rows, d), dtype) if keep else normed[tail:]
+    inv_std = np.empty((size, 1), dtype)
+    x_if = normed if kernel is None else np.empty((size, d), dtype)
+    hs = np.empty((size, d), dtype)
     # The gate slab, cell and normalizer rows that the backward reads.
-    history = (np.empty((4, rows, d), dtype=dtype), np.empty((rows, d), dtype=dtype),
-               np.empty((rows, d), dtype=dtype)) if keep else None
-    mask = np.empty((rows, d), dtype=dtype) if keep and dropout else None
-    out = np.empty((rows, d), dtype=dtype)
+    history = (np.empty((4, rows, d), dtype), np.empty((rows, d), dtype),
+               np.empty((rows, d), dtype)) if keep else None
+    mask = np.empty((rows, d), dtype) if keep and dropout else None
+    out = np.empty((rows, d), dtype)
     cell = _Recurrence(w.cell, batch, chunk, dtype, stats)
 
     for lo in range(0, rows, chunk):

@@ -6,13 +6,17 @@ recurrent weights are [heads, d_h, d_h]).  Every differentiable op is one
 returns one gradient per input.  Ops executed while a :class:`Tape` is active
 record that backward onto it; calling ``backward`` once per tape accumulates
 gradients into every ``requires_grad`` leaf.  Tensors are treated as
-immutable once they participate in a tape.
+immutable once they participate in a tape.  Ops take Tensors: the engine
+neither lifts arrays or scalars nor reshapes, and an op that wants another
+layout of its input reads the input's array in that layout.
 
 Two precisions are supported: 32-bit scalars for ordinary runs and 64-bit for
-gradient checks and other oracle-grade computations (see :func:`precision`).
-A tape must stay on the thread that created it; independent tapes may run
-concurrently against shared read-only tensors.  The default dtype is per
-thread, like the tape stack: every thread starts at 32 bits.
+gradient checks and other oracle-grade computations.  A tensor built without
+a dtype, as every model parameter is, takes the one :func:`precision` sets;
+an op's output keeps the dtype its forward computed.  A tape must stay on the
+thread that created it; independent tapes may run concurrently against shared
+read-only tensors.  The default dtype is per thread, like the tape stack:
+every thread starts at 32 bits.
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ __all__ = [
     "GradcheckError",
     "precision",
     "default_dtype",
-    "as_tensor",
-    "reshape",
     "will_record",
     "custom_op",
     "backward",
@@ -89,7 +91,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_tape")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype or default_dtype())
+        self.data = np.asarray(data, dtype or default_dtype())
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._tape = None
@@ -159,17 +161,6 @@ def backward(tape: Tape, loss: Tensor) -> None:
     tape._nodes = []
 
 
-def as_tensor(value, like: Tensor | None = None) -> Tensor:
-    """Lift to a Tensor: float arrays keep their dtype, python scalars and
-    lists adopt the operand's (or the default) dtype."""
-    if isinstance(value, Tensor):
-        return value
-    if isinstance(value, np.ndarray) and value.dtype.kind == "f":
-        return Tensor(value, dtype=value.dtype.type)
-    dtype = like.data.dtype.type if like is not None else default_dtype()
-    return Tensor(value, dtype=dtype)
-
-
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
@@ -216,16 +207,6 @@ def custom_op(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable)
     return out
 
 
-def reshape(t: Tensor, shape) -> Tensor:
-    """Same entries in a new shape; a contiguous input is viewed, not copied
-    (tensors are immutable once they participate in a tape)."""
-    t = as_tensor(t)
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != t.size:
-        raise ShapeError(f"cannot reshape {t.shape} to {shape}")
-    return custom_op(t.data.reshape(shape), [t], lambda g: [g.reshape(t.shape)])
-
-
 def finite_difference_errors(
     f: Callable[[], Tensor],
     leaves: Iterable[Tensor],
@@ -248,9 +229,21 @@ def finite_difference_errors(
         for leaf in leaves
     ]
 
-    def probe() -> float:
-        value = float(f().data.reshape(-1)[0])
-        return value
+    def probe(flat: np.ndarray, k: int, i: int, value) -> float:
+        """f with entry i of leaf k (``flat``) set to value, then restored.
+        A non-finite loss, or the debug checks' report of one, names the
+        entry."""
+        saved = flat[i]
+        flat[i] = value
+        try:
+            loss = float(f().data.reshape(-1)[0])
+        except FloatingPointError as exc:
+            raise GradcheckError(f"non-finite loss while probing leaf {k} entry {i}") from exc
+        finally:
+            flat[i] = saved
+        if not np.isfinite(loss):
+            raise GradcheckError(f"non-finite loss while probing leaf {k} entry {i}")
+        return loss
 
     errors = []
     for k, leaf in enumerate(leaves):
@@ -258,14 +251,8 @@ def finite_difference_errors(
         err = np.zeros(flat.size, dtype=np.float64)
         a_flat = analytic[k].reshape(-1)
         for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + step
-            up = probe()
-            flat[i] = saved - step
-            down = probe()
-            flat[i] = saved
-            if not (np.isfinite(up) and np.isfinite(down)):
-                raise GradcheckError(f"non-finite loss while probing leaf {k} entry {i}")
+            up = probe(flat, k, i, flat[i] + step)
+            down = probe(flat, k, i, flat[i] - step)
             numeric = (up - down) / (2.0 * step)
             a = float(a_flat[i])
             denom = max(abs(a), abs(numeric))

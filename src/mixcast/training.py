@@ -67,13 +67,12 @@ class RunArtifacts:
     best_val_mae: float = math.inf
 
 
-def mae_loss(pred: Tensor, target) -> Tensor:
+def mae_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     """Mean absolute error over every entry as one tape op; the target is a
-    constant, and the subgradient is 0 at exact zeros."""
-    target = T.as_tensor(target, like=pred)
+    constant array, and the subgradient is 0 at exact zeros."""
     if pred.shape != target.shape:
         raise ShapeError(f"prediction shape {pred.shape} != target shape {target.shape}")
-    diff = pred.data - target.data
+    diff = pred.data - target
     n = diff.size
 
     def backward(g):
@@ -82,13 +81,11 @@ def mae_loss(pred: Tensor, target) -> Tensor:
     return T.custom_op(np.abs(diff).mean(), [pred], backward)
 
 
-def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> float:
-    """Scale all gradients jointly so their global L2 norm is <= max_norm.
+def clip_global_norm(grads: list[np.ndarray]) -> float:
+    """Scale all gradients jointly so their global L2 norm is <= CLIP_NORM.
 
     Returns the pre-clip norm.  Non-finite gradients abort: they surface
     divergence at the step that produced them."""
-    if max_norm <= 0:
-        raise ValueError("max_norm must be positive")
     total = 0.0
     for g in grads:
         s = float(np.sum(g.astype(np.float64) ** 2))
@@ -96,8 +93,8 @@ def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> float:
             raise FloatingPointError("non-finite gradient before clipping")
         total += s
     norm = math.sqrt(total)
-    if norm > max_norm:
-        factor = max_norm / norm
+    if norm > CLIP_NORM:
+        factor = CLIP_NORM / norm
         for g in grads:
             g *= factor
     return norm
@@ -220,7 +217,7 @@ def fit(params: MixerParams, cfg: MixerConfig, train_ds, val_ds,
                     tape.backward(loss)
                 grads = [t.grad if t.grad is not None else np.zeros_like(t.data)
                          for t in tensors]
-                clip_global_norm(grads, CLIP_NORM)
+                clip_global_norm(grads)
                 lr = lr_at_step(step, total_steps, train_cfg)
                 adam_step(state, tensors, grads, lr)
                 step += 1

@@ -3,9 +3,10 @@
 Each function is one differentiable op: a numpy forward and a backward,
 recorded through ``mixcast.tensor.custom_op``, the primitive every product
 op records through, so a fault in it shows on both sides of an oracle
-comparison.  Operands may be tensors, float arrays or python scalars; a
-scalar takes the dtype of the tensor beside it.  Binary elementwise ops
-broadcast like numpy and sum their gradients back over broadcast axes.
+comparison.  Operands may be tensors, float arrays or python scalars
+(``lift``); a scalar takes the dtype of the tensor beside it.  Binary
+elementwise ops broadcast like numpy and sum their gradients back over
+broadcast axes.
 """
 
 from __future__ import annotations
@@ -19,6 +20,16 @@ from mixcast.tensor import Tensor
 def parameter(data, dtype=None) -> Tensor:
     """Leaf tensor that accumulates gradients."""
     return Tensor(data, requires_grad=True, dtype=dtype)
+
+
+def lift(value, like: Tensor | None = None) -> Tensor:
+    """An operand as a Tensor: float arrays keep their dtype, python scalars
+    and lists adopt the dtype of ``like`` (else the default dtype)."""
+    if isinstance(value, Tensor):
+        return value
+    if isinstance(value, np.ndarray) and value.dtype.kind == "f":
+        return Tensor(value, dtype=value.dtype.type)
+    return Tensor(value, dtype=like.data.dtype.type if like is not None else T.default_dtype())
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -37,8 +48,8 @@ def _binary(fwd, da, db):
     """Elementwise op of two operands; da and db map (g, x, y) to each
     operand's gradient before un-broadcasting."""
     def op(a, b) -> Tensor:
-        a = T.as_tensor(a)
-        b = T.as_tensor(b, like=a)
+        a = lift(a)
+        b = lift(b, like=a)
         x, y = a.data, b.data
         return T.custom_op(np.asarray(fwd(x, y)), [a, b], lambda g: [
             _unbroadcast(da(g, x, y), a.shape), _unbroadcast(db(g, x, y), b.shape)])
@@ -64,7 +75,7 @@ div = _binary(_quotient, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y)
 def _unary(fwd, dfn):
     """Elementwise op of one operand; dfn maps (g, x, out) to its gradient."""
     def op(a) -> Tensor:
-        a = T.as_tensor(a)
+        a = lift(a)
         out = np.asarray(fwd(a.data))
         return T.custom_op(out, [a], lambda g: [dfn(g, a.data, out)])
     return op
@@ -81,7 +92,7 @@ absval = _unary(np.abs, lambda g, x, o: g * np.sign(x))
 
 def matmul(a, b) -> Tensor:
     """Matrix product of 2-D tensors; backward is g@bᵀ / aᵀ@g."""
-    a, b = T.as_tensor(a), T.as_tensor(b, like=a)
+    a, b = lift(a), lift(b, like=a)
     return T.custom_op(a.data @ b.data, [a, b], lambda g: [g @ b.data.T, a.data.T @ g])
 
 
@@ -99,13 +110,13 @@ def _reduce(t, axis, keepdims, data, dfn) -> Tensor:
 
 
 def reduce_sum(t, axis=None, keepdims: bool = False) -> Tensor:
-    t = T.as_tensor(t)
+    t = lift(t)
     return _reduce(t, axis, keepdims, t.data.sum(axis=axis, keepdims=keepdims),
                    np.ascontiguousarray)
 
 
 def reduce_mean(t, axis=None, keepdims: bool = False) -> Tensor:
-    t = T.as_tensor(t)
+    t = lift(t)
     n = t.size if axis is None else t.shape[axis]
     return _reduce(t, axis, keepdims, t.data.mean(axis=axis, keepdims=keepdims),
                    lambda g: g / n)
@@ -113,22 +124,28 @@ def reduce_mean(t, axis=None, keepdims: bool = False) -> Tensor:
 
 def reduce_var(t, axis=None, keepdims: bool = False) -> Tensor:
     """Population variance (divisor n) along the axis."""
-    t = T.as_tensor(t)
+    t = lift(t)
     n = t.size if axis is None else t.shape[axis]
     mu = t.data.mean(axis=axis, keepdims=True)
     return _reduce(t, axis, keepdims, t.data.var(axis=axis, keepdims=keepdims),
                    lambda g: g * 2.0 * (t.data - mu) / n)
 
 
+def reshape(t, shape) -> Tensor:
+    """Same entries in a new shape; a contiguous input is viewed, not copied."""
+    t = lift(t)
+    return T.custom_op(t.data.reshape(shape), [t], lambda g: [g.reshape(t.shape)])
+
+
 def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [T.as_tensor(t) for t in tensors]
+    tensors = [lift(t) for t in tensors]
     bounds = np.cumsum([t.shape[axis] for t in tensors])[:-1]
     return T.custom_op(np.concatenate([t.data for t in tensors], axis=axis), tensors,
                        lambda g: np.split(g, bounds, axis=axis))
 
 
 def slice_axis(t, axis: int, start: int, stop: int) -> Tensor:
-    t = T.as_tensor(t)
+    t = lift(t)
     idx = (slice(None),) * (axis % t.data.ndim) + (slice(start, stop),)
 
     def backward(g):
@@ -141,19 +158,19 @@ def slice_axis(t, axis: int, start: int, stop: int) -> Tensor:
 
 def reverse(t, axis: int) -> Tensor:
     """Flip along one axis; involutive and elementwise-exact."""
-    t = T.as_tensor(t)
+    t = lift(t)
     return T.custom_op(np.flip(t.data, axis=axis).copy(), [t],
                        lambda g: [np.flip(g, axis=axis)])
 
 
 def transpose(t) -> Tensor:
-    t = T.as_tensor(t)
+    t = lift(t)
     return T.custom_op(t.data.T.copy(), [t], lambda g: [g.T])
 
 
 def take_rows(t, indices) -> Tensor:
     """Gather rows by index; backward scatter-adds into the source rows."""
-    t = T.as_tensor(t)
+    t = lift(t)
     idx = np.asarray(indices, dtype=np.intp)
 
     def backward(g):

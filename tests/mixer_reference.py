@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from mixcast import slstm
-from mixcast import tensor as T
 from mixcast.mixer import (AXIS_NONE, AXIS_TIME, REVIN_EPS, MixerConfig, MixerParams,
                            RevInParams)
 from mixcast.tensor import ShapeError, Tensor
@@ -32,7 +31,7 @@ def _tile_per_variate(column: Tensor, batch: int) -> Tensor:
 def revin_normalize(params: RevInParams, x, batch: int = 1):
     """Rows to zero mean / unit variance, scaled by gamma, shifted by beta;
     returns the normalized rows and the (mean, std) tensors."""
-    x = T.as_tensor(x)
+    x = R.lift(x)
     if x.shape[1] < 1:
         raise ShapeError("normalization needs at least one time step")
     mean = R.reduce_mean(x, axis=1, keepdims=True)
@@ -50,7 +49,7 @@ def revin_denormalize(params: RevInParams, stats, y_norm, batch: int = 1):
 
 
 def nlinear_forecast(weight: Tensor, bias: Tensor, x_norm) -> Tensor:
-    x_norm = T.as_tensor(x_norm)
+    x_norm = R.lift(x_norm)
     t_len = x_norm.shape[1]
     last = R.slice_axis(x_norm, 1, t_len - 1, t_len)
     out = R.add(R.matmul(R.sub(x_norm, last), R.transpose(weight)), bias)
@@ -90,7 +89,7 @@ def make_tokens(params: MixerParams, cfg: MixerConfig, x_initial: Tensor,
     """Token-major [L*B, D] stack rows with the learned token as token 0."""
     if cfg.slstm_axis == AXIS_TIME:
         v, steps = cfg.num_variates, x_initial.shape[1]
-        by_step = R.transpose(T.reshape(x_initial, (v, batch * steps)))
+        by_step = R.transpose(R.reshape(x_initial, (v, batch * steps)))
         x_initial = _swap_row_axes(by_step, batch, steps)
     tokens = up_project(params.up_w, params.up_b, x_initial)
     if cfg.init_token:
@@ -110,9 +109,9 @@ def refine_views(params: MixerParams, cfg: MixerConfig, tokens: Tensor, batch: i
         out = slstm._stack_tokens(cfg.block, params.blocks, tokens, batch, training, rng)
         return out, out
     rows, d = tokens.shape
-    both = T.reshape(R.concat([tokens, rev], axis=1), (2 * rows, d))
+    both = R.reshape(R.concat([tokens, rev], axis=1), (2 * rows, d))
     out = slstm._stack_tokens(cfg.block, params.blocks, both, 2 * batch, training, rng)
-    out = T.reshape(out, (rows, 2 * d))
+    out = R.reshape(out, (rows, 2 * d))
     return R.slice_axis(out, 1, 0, d), R.slice_axis(out, 1, d, 2 * d)
 
 
@@ -132,5 +131,5 @@ def forward_flat(params: MixerParams, cfg: MixerConfig, x_flat, batch: int,
     y_tok = reconcile_views(params.view_w, params.view_b, y_prime, y_dprime)
     if cfg.slstm_axis == AXIS_TIME:
         by_batch = _swap_row_axes(y_tok, cfg.horizon, batch)
-        y_tok = T.reshape(R.transpose(by_batch), (v * batch, cfg.horizon))
+        y_tok = R.reshape(R.transpose(by_batch), (v * batch, cfg.horizon))
     return revin_denormalize(params.revin, stats, y_tok, batch)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mixcast import tensor as T
 from mixcast.slstm import LN_EPS, BlockConfig, BlockWeights, SLstmParams
 from mixcast.tensor import ShapeError, Tensor
 
@@ -58,7 +57,7 @@ def block_diagonal(r: Tensor) -> Tensor:
     zeros = Tensor(np.zeros((width, (heads - 1) * width)), dtype=r.data.dtype)
     rows = []
     for k in range(heads):
-        head = T.reshape(R.slice_axis(r, 0, k, k + 1), (width, width))
+        head = R.reshape(R.slice_axis(r, 0, k, k + 1), (width, width))
         rows.append(R.concat([R.slice_axis(zeros, 1, 0, k * width), head,
                               R.slice_axis(zeros, 1, k * width, zeros.shape[1])], axis=1))
     return R.concat(rows, axis=0)
@@ -126,9 +125,9 @@ def _step(p: SLstmParams, tw: _TransposedWeights, x: Tensor, prev: SLstmState,
 
 def cell_step(params: SLstmParams, x, prev: SLstmState, x_if=None):
     """Single recurrence update; x is [B, D_in] (or [D_in], promoted to B=1)."""
-    x = T.as_tensor(x)
+    x = R.lift(x)
     if x.data.ndim == 1:
-        x = T.reshape(x, (1, x.shape[0]))
+        x = R.reshape(x, (1, x.shape[0]))
     if x.shape[1] != params.w_z.shape[1]:
         raise ShapeError(f"token width {x.shape[1]} != cell input width {params.w_z.shape[1]}")
     if prev.h.shape[1] != params.d_hidden:

@@ -122,7 +122,8 @@ def test_criterion_4_ablation_wiring():
 
     rng = np.random.default_rng(4)
     cfg6 = build_ablation_config(6, base)
-    params6 = init_mixer_params(cfg6, rng, dtype=np.float64)
+    with T.precision(np.float64):
+        params6 = init_mixer_params(cfg6, rng)
     x = rng.normal(0.0, 30.0, size=(3, base.lookback))
     mu = x.mean(axis=1, keepdims=True)
     y1 = mixer.forward_batch(params6, cfg6, x[None])

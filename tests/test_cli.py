@@ -261,3 +261,43 @@ def test_eval_reads_dataset_kind_from_checkpoint(tmp_path):
     stored = report()
     assert stored == report("--dataset", "etth")
     assert stored != report("--dataset", "generic")
+
+
+def saved_tiny_model(directory, extra=None):
+    """A fresh model for the 3-variate tiny series, saved as a checkpoint."""
+    block = BlockConfig(d_hidden=8, num_heads=2)
+    cfg = mixer.MixerConfig(lookback=16, horizon=8, num_variates=3, embed_dim=8,
+                            num_blocks=1, block=block)
+    mixer.save_checkpoint(directory, mixer.init_mixer_params(cfg, np.random.default_rng(5)),
+                          extra=extra)
+    return directory
+
+
+@pytest.mark.parametrize("extra,message", [
+    ([], "config.json: extra is not a mapping, got []"),
+    ({"seed": None}, "config.json: extra seed must be int, got None"),
+    ({"seed": True}, "config.json: extra seed must be int, got True"),
+    ({"epochs_trained": "3"}, "config.json: extra epochs_trained must be int, got '3'"),
+    ({"config_id": 6}, "config.json: extra config_id must be str, got 6"),
+    ({"dataset_kind": 1}, "config.json: extra dataset_kind must be str, got 1"),
+], ids=["list", "null-seed", "bool-seed", "str-epochs", "int-config-id", "int-kind"])
+def test_tampered_checkpoint_extra_is_reported(tiny_csv, tmp_path, capsys, extra, message):
+    ckpt = saved_tiny_model(tmp_path / "ckpt")
+    config = ckpt / "config.json"
+    config.write_text(json.dumps({**json.loads(config.read_text()), "extra": extra}))
+    code = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(tiny_csv),
+                     "--report", str(tmp_path / "r.jsonl")])
+    assert code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_eval_on_a_series_of_other_width_names_both_variate_counts(tmp_path, capsys):
+    from conftest import synthetic_series, write_series_csv
+
+    csv_path = write_series_csv(tmp_path / "six.csv", synthetic_series(400, 6, seed=3))
+    ckpt = saved_tiny_model(tmp_path / "ckpt")
+    code = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(csv_path),
+                     "--report", str(tmp_path / "r.jsonl")])
+    assert code == 2
+    assert ("error: the model takes windows of 3 variates and lookback 16, "
+            "got 6 variates and lookback 16") in capsys.readouterr().err

@@ -83,12 +83,12 @@ def test_revin_denorm_special_cases():
     p = fresh_revin(v=2)
     stats = (np.zeros((2, 1)), np.ones((2, 1)))
     y_norm = np.random.default_rng(1).normal(size=(2, 5))
-    out = revin_denormalize(p, stats, y_norm)
+    out = revin_denormalize(p, stats, R.lift(y_norm))
     assert np.abs(out.data - y_norm).max() < 1e-12
 
     stats2 = (np.full((2, 1), 3.5), np.full((2, 1), 2.0))
     p.beta.data[:] = 0.25
-    out2 = revin_denormalize(p, stats2, np.full((2, 5), 0.25))
+    out2 = revin_denormalize(p, stats2, R.lift(np.full((2, 5), 0.25)))
     assert np.abs(out2.data - 3.5).max() < 1e-12
 
 
@@ -97,7 +97,7 @@ def test_revin_denorm_rejects_tiny_gamma():
     p.gamma.data[:] = 1e-13
     stats = (np.zeros((1, 1)), np.ones((1, 1)))
     with pytest.raises(ValueError, match="gamma"):
-        revin_denormalize(p, stats, np.zeros((1, 2)))
+        revin_denormalize(p, stats, R.lift(np.zeros((1, 2))))
 
 
 # -- shared linear forecaster -------------------------------------------------
@@ -106,7 +106,7 @@ def test_nlinear_identity_when_square_identity_weight():
     w = Tensor(np.eye(5), dtype=np.float64)
     b = Tensor(np.zeros((1, 5)), dtype=np.float64)
     x = np.random.default_rng(2).normal(size=(3, 5))
-    out = mixer.nlinear_forecast(w, b, x)
+    out = mixer.nlinear_forecast(w, b, R.lift(x))
     assert np.abs(out.data - x).max() < 1e-12
 
 
@@ -114,7 +114,7 @@ def test_nlinear_zero_weight_is_persistence():
     w = Tensor(np.zeros((4, 6)), dtype=np.float64)
     b = Tensor(np.zeros((1, 4)), dtype=np.float64)
     x = np.random.default_rng(3).normal(size=(2, 6))
-    out = mixer.nlinear_forecast(w, b, x)
+    out = mixer.nlinear_forecast(w, b, R.lift(x))
     assert np.abs(out.data - x[:, -1:]).max() < 1e-12
 
 
@@ -124,8 +124,8 @@ def test_nlinear_shift_equivariance():
     b = Tensor(rng.normal(size=(1, 4)), dtype=np.float64)
     x = rng.normal(size=(2, 6))
     k = 3.7
-    base = mixer.nlinear_forecast(w, b, x).data
-    shifted = mixer.nlinear_forecast(w, b, x + k).data
+    base = mixer.nlinear_forecast(w, b, R.lift(x)).data
+    shifted = mixer.nlinear_forecast(w, b, R.lift(x + k)).data
     assert np.abs(shifted - (base + k)).max() < 1e-10
 
 
@@ -133,34 +133,36 @@ def test_nlinear_shape_error():
     w = Tensor(np.zeros((4, 6)))
     b = Tensor(np.zeros((1, 4)))
     with pytest.raises(ShapeError):
-        mixer.nlinear_forecast(w, b, np.zeros((2, 5)))
+        mixer.nlinear_forecast(w, b, Tensor(np.zeros((2, 5))))
 
 
 # -- tokens and views ---------------------------------------------------------
 
 def up_project_and_prepend(params, x_initial, cfg):
     """Single-instance tokens as the stack sees them with one view."""
-    tokens = mixer.up_project(params.up_w, params.up_b, x_initial)
+    tokens = mixer.up_project(params.up_w, params.up_b, R.lift(x_initial))
     return pack_views(tokens, params.eta if cfg.init_token else None, 1, False)
 
 
 def reverse_latent_view(tokens):
     """The second view of tokens, as packed for the stack."""
-    tokens = T.as_tensor(tokens)
+    tokens = R.lift(tokens)
     return Tensor(pack_views(tokens, None, 1, True).data[1::2], dtype=tokens.data.dtype)
 
 
 def test_up_project_and_prepend_token_counts():
     rng = np.random.default_rng(5)
     cfg = make_cfg()
-    params = init_mixer_params(cfg, rng, dtype=np.float64)
+    with T.precision(np.float64):
+        params = init_mixer_params(cfg, rng)
     x_initial = rng.normal(size=(3, 4))
     tokens = up_project_and_prepend(params, x_initial, cfg)
     assert tokens.shape == (4, 8)
     assert np.array_equal(tokens.data[0], params.eta.data[0])
 
     cfg_no = make_cfg(init_token=False)
-    params_no = init_mixer_params(cfg_no, rng, dtype=np.float64)
+    with T.precision(np.float64):
+        params_no = init_mixer_params(cfg_no, rng)
     tokens_no = up_project_and_prepend(params_no, x_initial, cfg_no)
     assert tokens_no.shape == (3, 8)
 
@@ -168,7 +170,8 @@ def test_up_project_and_prepend_token_counts():
 def test_up_project_zero_weights_keep_eta():
     rng = np.random.default_rng(6)
     cfg = make_cfg()
-    params = init_mixer_params(cfg, rng, dtype=np.float64)
+    with T.precision(np.float64):
+        params = init_mixer_params(cfg, rng)
     params.up_w.data[:] = 0.0
     params.up_b.data[:] = 0.0
     tokens = up_project_and_prepend(params, rng.normal(size=(3, 4)), cfg)
@@ -185,18 +188,24 @@ def test_reverse_latent_view_cases():
     assert np.array_equal(reverse_latent_view(pal).data, pal.data)
 
 
+def interleaved(y1, y2):
+    """Two views' rows [R, D] in the stack's layout: each row of y1 followed
+    by the same row of y2."""
+    return R.reshape(R.concat([y1, y2], axis=1), (2 * y1.shape[0], y1.shape[1]))
+
+
 def test_reconcile_selector_and_bias():
     d = 4
     y1 = Tensor(np.random.default_rng(8).normal(size=(3, d)), dtype=np.float64)
     y2 = Tensor(np.random.default_rng(9).normal(size=(3, d)), dtype=np.float64)
     selector = Tensor(np.hstack([np.eye(d), np.zeros((d, d))]), dtype=np.float64)
     zero_bias = Tensor(np.zeros((1, d)), dtype=np.float64)
-    out = reconcile_views(selector, zero_bias, R.concat([y1, y2], axis=1))
+    out = reconcile_views(selector, zero_bias, interleaved(y1, y2), True)
     assert np.array_equal(out.data, y1.data)
 
     zero_w = Tensor(np.zeros((d, 2 * d)), dtype=np.float64)
     bias = Tensor(np.arange(d, dtype=np.float64).reshape(1, d))
-    out2 = reconcile_views(zero_w, bias, R.concat([y1, y2], axis=1))
+    out2 = reconcile_views(zero_w, bias, interleaved(y1, y2), True)
     assert np.array_equal(out2.data, np.tile(bias.data, (3, 1)))
 
 
@@ -210,9 +219,17 @@ def test_reconcile_swap_with_mirrored_halves_is_invariant():
     w_mirrored = Tensor(np.hstack([b, a]), dtype=np.float64)
     y1 = Tensor(rng.normal(size=(3, d)), dtype=np.float64)
     y2 = Tensor(rng.normal(size=(3, d)), dtype=np.float64)
-    out = reconcile_views(w, bias, R.concat([y1, y2], axis=1)).data
-    swapped = reconcile_views(w_mirrored, bias, R.concat([y2, y1], axis=1)).data
+    out = reconcile_views(w, bias, interleaved(y1, y2), True).data
+    swapped = reconcile_views(w_mirrored, bias, interleaved(y2, y1), True).data
     assert np.abs(out - swapped).max() < 1e-12
+
+
+def test_reconcile_rejects_rows_that_are_not_view_pairs():
+    w, bias = Tensor(np.zeros((4, 6))), Tensor(np.zeros((1, 4)))
+    with pytest.raises(ShapeError, match="2-view rows of width 3"):
+        reconcile_views(w, bias, Tensor(np.zeros((5, 3))), True)
+    with pytest.raises(ShapeError, match="1-view rows of width 3"):
+        reconcile_views(w, bias, Tensor(np.zeros((4, 6))), False)
 
 
 # -- ablation factory ----------------------------------------------------------
@@ -299,7 +316,8 @@ def test_parameter_count_monotonicity():
 def test_zeroed_stack_reduces_to_linear_path():
     rng = np.random.default_rng(13)
     cfg = make_cfg()
-    params = init_mixer_params(cfg, rng, dtype=np.float64)
+    with T.precision(np.float64):
+        params = init_mixer_params(cfg, rng)
     for w in params.blocks:
         w.proj_w.data[:] = 0.0
     x = rng.normal(size=(3, 8))
@@ -310,8 +328,8 @@ def test_zeroed_stack_reduces_to_linear_path():
     tokens = up_project_and_prepend(params, x_init, cfg)
     y_prime = R.slice_axis(tokens, 0, 1, 4)
     y_dprime = R.slice_axis(reverse_latent_view(tokens), 0, 1, 4)
-    y_norm = reconcile_views(params.view_w, params.view_b,
-                             R.concat([y_prime, y_dprime], axis=1))
+    y_norm = reconcile_views(params.view_w, params.view_b, interleaved(y_prime, y_dprime),
+                             True)
     expected = revin_denormalize(params.revin, stats, y_norm)
     assert np.array_equal(y.data, expected.data)
 
@@ -319,7 +337,8 @@ def test_zeroed_stack_reduces_to_linear_path():
 def test_config6_is_affine_in_centered_input():
     rng = np.random.default_rng(14)
     cfg = build_ablation_config(6, make_cfg())
-    params = init_mixer_params(cfg, rng, dtype=np.float64)
+    with T.precision(np.float64):
+        params = init_mixer_params(cfg, rng)
     x = rng.normal(0.0, 30.0, size=(3, 8))
     mu = x.mean(axis=1, keepdims=True)
     doubled = mu + 2.0 * (x - mu)
@@ -331,7 +350,8 @@ def test_config6_is_affine_in_centered_input():
 def test_config6_shift_equivariance_per_variate():
     rng = np.random.default_rng(15)
     cfg = build_ablation_config(6, make_cfg())
-    params = init_mixer_params(cfg, rng, dtype=np.float64)
+    with T.precision(np.float64):
+        params = init_mixer_params(cfg, rng)
     x = rng.normal(size=(3, 8))
     shift = np.array([[1.0], [-2.0], [0.5]])
     y1 = mixer.forward_batch(params, cfg, x[None])
@@ -350,8 +370,12 @@ def test_view_symmetry_swaps_roles_bitwise():
     reversed_tokens = reverse_latent_view(tokens)
 
     d = cfg.embed_dim
-    out1 = mixer._refine_views(params, cfg, tokens, None, 1, False, None).data
-    out2 = mixer._refine_views(params, cfg, reversed_tokens, None, 1, False, None).data
+
+    def views(t):
+        # Each token's two view outputs, side by side.
+        return mixer._refine_views(params, cfg, t, None, 1, False, None).data.reshape(-1, 2 * d)
+
+    out1, out2 = views(tokens), views(reversed_tokens)
     out_f1, out_r1, out_f2, out_r2 = out1[:, :d], out1[:, d:], out2[:, :d], out2[:, d:]
     assert np.array_equal(out_f2, out_r1)
     assert np.array_equal(out_r2, out_f1)
@@ -409,6 +433,20 @@ def test_forward_batch_rejects_nonfinite_input():
     xs[1, 2, 5] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         mixer.forward_batch(params, cfg, xs)
+
+
+@pytest.mark.parametrize("shape,got", [
+    ((2, 6, 4), "6 variates and lookback 4"),
+    ((2, 5, 8), "5 variates and lookback 8"),
+    ((3, 8), r"shape \(3, 8\)"),
+], ids=["same-size", "more-rows", "one-window-without-batch-axis"])
+def test_forward_batch_rejects_windows_of_another_shape(shape, got):
+    # [2, 6, 4] holds as many entries as [2, 3, 8]: the check comes before
+    # any reshape could read it as that.
+    cfg = make_cfg()
+    params = init_mixer_params(cfg, np.random.default_rng(35))
+    with pytest.raises(ShapeError, match=f"3 variates and lookback 8, got {got}$"):
+        mixer.forward_batch(params, cfg, np.zeros(shape, dtype=np.float32))
 
 
 def test_batched_forward_matches_single_instances():
@@ -505,7 +543,8 @@ def test_every_parameter_receives_finite_gradient():
 def test_checkpoint_roundtrip_float64(tmp_path):
     rng = np.random.default_rng(26)
     cfg = make_cfg()
-    params = init_mixer_params(cfg, rng, dtype=np.float64)
+    with T.precision(np.float64):
+        params = init_mixer_params(cfg, rng)
     mixer.save_checkpoint(tmp_path / "ck64", params)
     manifest = (tmp_path / "ck64" / "manifest.txt").read_text()
     assert "float64" in manifest
@@ -555,7 +594,7 @@ def test_checkpoint_rejects_truncated_file(tmp_path):
 
 # A checkpoint written before per-head recurrent storage: its r_* matrices are
 # dense [D, D] with zero off-block entries.  init_mixer_params(cfg,
-# default_rng(extra["init_seed"]), dtype=float32) drew it, and the forecast
+# default_rng(extra["init_seed"])) drew it in float32, and the forecast
 # file holds a float32 window [1, V, T] and the forecast that code gave for it.
 V1_CHECKPOINT = Path(__file__).parent / "data" / "ckpt_v1"
 
@@ -571,8 +610,7 @@ def test_v1_checkpoint_forecast_is_bitwise_unchanged():
 
 def test_v1_checkpoint_equals_same_seed_init(tmp_path):
     loaded, cfg, extra = mixer.load_checkpoint(V1_CHECKPOINT)
-    fresh = init_mixer_params(cfg, np.random.default_rng(extra["init_seed"]),
-                              dtype=np.float32)
+    fresh = init_mixer_params(cfg, np.random.default_rng(extra["init_seed"]))
     mixer.save_checkpoint(tmp_path / "ck", fresh)
     assert "blocks.0.cell.r_f\t2x4x4\tfloat32" in (tmp_path / "ck" / "manifest.txt").read_text()
     for name, tensor, _ in loaded.named_parameters():

@@ -38,12 +38,13 @@ def unstabilized_reference(p: slstm.SLstmParams, xs: np.ndarray) -> np.ndarray:
 
 
 def random_cell(rng, d_in=4, d_hidden=6, heads=2, dtype=np.float64):
-    return slstm.init_slstm_params(d_in, d_hidden, heads, rng, dtype=dtype)
+    with T.precision(dtype):
+        return slstm.init_slstm_params(d_in, d_hidden, heads, rng)
 
 
 def run_sequence(p: slstm.SLstmParams, xs, stats=None) -> np.ndarray:
     """The fused recurrence's forward over the tokens xs [L, D_in], batch 1."""
-    x = T.as_tensor(xs).data
+    x = R.lift(xs).data
     hs = np.empty((x.shape[0], p.d_hidden), dtype=np.result_type(x, p.w_z.data))
     slstm._Recurrence(p, 1, x.shape[0], hs.dtype, stats).run(x, x, hs)
     return hs
@@ -197,7 +198,8 @@ def test_recurrent_weights_are_stored_per_head():
 def block_setup(rng, conv_width=0, dropout=0.0, d=6, heads=2):
     cfg = BlockConfig(d_hidden=d, num_heads=heads, conv_width=conv_width,
                       dropout_rate=dropout)
-    weights = slstm.init_block_weights(cfg, rng, dtype=np.float64)
+    with T.precision(np.float64):
+        weights = slstm.init_block_weights(cfg, rng)
     return cfg, weights
 
 
@@ -207,7 +209,7 @@ def test_block_zero_projection_is_identity():
         cfg, w = block_setup(rng)
         w.proj_w.data[:] = 0.0
         xs = rng.uniform(-1, 1, size=(5, 6))
-        out = slstm._block(cfg, w, T.as_tensor(xs), 1, False, None).data
+        out = slstm._block(cfg, w, R.lift(xs), 1, False, None).data
         assert np.array_equal(out, xs)
 
 
@@ -220,8 +222,8 @@ def test_block_zero_conv_matches_disabled_conv():
         w_off = slstm.BlockWeights(cell=w_on.cell, ln_gamma=w_on.ln_gamma,
                                    ln_beta=w_on.ln_beta, proj_w=w_on.proj_w)
         xs = rng.uniform(-1, 1, size=(5, 6))
-        out_on = slstm._block(cfg_on, w_on, T.as_tensor(xs), 1, False, None).data
-        out_off = slstm._block(cfg_off, w_off, T.as_tensor(xs), 1, False, None).data
+        out_on = slstm._block(cfg_on, w_on, R.lift(xs), 1, False, None).data
+        out_off = slstm._block(cfg_off, w_off, R.lift(xs), 1, False, None).data
         assert np.array_equal(out_on, out_off)
 
 
@@ -229,8 +231,8 @@ def test_block_eval_mode_is_deterministic():
     rng = np.random.default_rng(16)
     cfg, w = block_setup(rng, dropout=0.5)
     xs = np.random.default_rng(1).uniform(-1, 1, size=(4, 6))
-    a = slstm._block(cfg, w, T.as_tensor(xs), 1, False, None).data
-    b = slstm._block(cfg, w, T.as_tensor(xs), 1, False, None).data
+    a = slstm._block(cfg, w, R.lift(xs), 1, False, None).data
+    b = slstm._block(cfg, w, R.lift(xs), 1, False, None).data
     assert np.array_equal(a, b)
 
 
@@ -238,8 +240,8 @@ def test_block_dropout_active_only_in_training():
     rng = np.random.default_rng(17)
     cfg, w = block_setup(rng, dropout=0.5)
     xs = np.random.default_rng(2).uniform(-1, 1, size=(4, 6))
-    r1 = slstm._block(cfg, w, T.as_tensor(xs), 1, True, np.random.default_rng(0)).data
-    r2 = slstm._block(cfg, w, T.as_tensor(xs), 1, True, np.random.default_rng(5)).data
+    r1 = slstm._block(cfg, w, R.lift(xs), 1, True, np.random.default_rng(0)).data
+    r2 = slstm._block(cfg, w, R.lift(xs), 1, True, np.random.default_rng(5)).data
     assert not np.array_equal(r1, r2)
 
 
@@ -247,15 +249,15 @@ def test_block_width_mismatch_raises():
     rng = np.random.default_rng(18)
     cfg, w = block_setup(rng)
     with pytest.raises(ShapeError):
-        slstm._block(cfg, w, T.as_tensor(np.zeros((3, 5))), 1, False, None)
+        slstm._block(cfg, w, R.lift(np.zeros((3, 5))), 1, False, None)
 
 
 def test_stack_single_block_equals_block_forward():
     rng = np.random.default_rng(19)
     cfg, w = block_setup(rng)
     xs = rng.uniform(-1, 1, size=(4, 6))
-    a = slstm._stack_tokens(cfg, [w], T.as_tensor(xs), 1, False, None).data
-    b = slstm._block(cfg, w, T.as_tensor(xs), 1, False, None).data
+    a = slstm._stack_tokens(cfg, [w], R.lift(xs), 1, False, None).data
+    b = slstm._block(cfg, w, R.lift(xs), 1, False, None).data
     assert np.array_equal(a, b)
 
 
@@ -266,7 +268,7 @@ def test_stack_zeroed_blocks_are_identity():
     w1.proj_w.data[:] = 0.0
     w2.proj_w.data[:] = 0.0
     xs = rng.uniform(-1, 1, size=(4, 6))
-    out = slstm._stack_tokens(cfg, [w1, w2], T.as_tensor(xs), 1, False, None).data
+    out = slstm._stack_tokens(cfg, [w1, w2], R.lift(xs), 1, False, None).data
     assert np.array_equal(out, xs)
 
 
@@ -280,7 +282,7 @@ def test_two_block_stack_gradients_match_finite_differences():
         leaves = [t for w in (w1, w2) for _, t, _ in w.named_parameters()]
 
         def f():
-            out = slstm._stack_tokens(cfg, [w1, w2], T.as_tensor(xs), 1, False, None)
+            out = slstm._stack_tokens(cfg, [w1, w2], R.lift(xs), 1, False, None)
             return R.reduce_mean(R.absval(R.sub(out, Tensor(target, dtype=np.float64))))
 
         errs = T.finite_difference_errors(f, leaves, 1e-5)

@@ -55,8 +55,8 @@ def assert_grads_close(got, want, names=None):
 def make_stack(rng, conv_width, num_blocks, dropout=0.0, d=8, heads=2):
     cfg = BlockConfig(d_hidden=d, num_heads=heads, conv_width=conv_width,
                       dropout_rate=dropout)
-    blocks = [slstm.init_block_weights(cfg, rng, dtype=np.float64)
-              for _ in range(num_blocks)]
+    with T.precision(np.float64):
+        blocks = [slstm.init_block_weights(cfg, rng) for _ in range(num_blocks)]
     return cfg, blocks
 
 
@@ -197,7 +197,8 @@ def test_views_in_one_stack_call_match_reference_per_view(mix_view, monkeypatch)
     cfg = mixer.MixerConfig(lookback=8, horizon=4, num_variates=3, embed_dim=8,
                             num_blocks=2, mix_view=mix_view,
                             block=BlockConfig(d_hidden=8, num_heads=2, conv_width=2))
-    params = mixer.init_mixer_params(cfg, rng, dtype=np.float64)
+    with T.precision(np.float64):
+        params = mixer.init_mixer_params(cfg, rng)
     batch, length = 2, cfg.num_variates + 1
     tokens = R.parameter(rng.uniform(-1, 1, size=(length * batch, 8)), dtype=np.float64)
     w_f, w_r = rng.normal(size=tokens.shape), rng.normal(size=tokens.shape)
@@ -212,6 +213,8 @@ def test_views_in_one_stack_call_match_reference_per_view(mix_view, monkeypatch)
     def fused():
         views = mixer._refine_views(params, cfg, tokens, None, batch, False, None)
         if mix_view:
+            # The interleaved view rows read as each token's two views side by side.
+            views = R.reshape(views, (tokens.shape[0], 2 * tokens.shape[1]))
             return R.mul(views, Tensor(np.hstack([w_f, w_r])))
         return R.mul(views, Tensor(w_f + w_r))
 

@@ -112,7 +112,8 @@ def test_broadcast_backward_sums_over_expanded_axes():
     assert np.array_equal(col.grad, [[3.0], [3.0]])
 
 
-def test_div_by_zero_propagates_inf_under_tape():
+def test_div_by_zero_propagates_inf_under_tape(monkeypatch):
+    monkeypatch.setattr(T, "DEBUG_CHECKS", False)
     with Tape():
         out = R.div(Tensor([1.0]), Tensor([0.0]))
         assert np.isinf(out.data[0])
@@ -259,6 +260,19 @@ def test_fd_reports_nonfinite_probe():
             fd_max_error(lambda: R.reduce_sum(R.sqrt(w)), [w], 1e-5)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fd_reports_nonfinite_probe_under_debug_checks(monkeypatch):
+    # The debug checks stop the op with the non-finite output; the probe
+    # still names the leaf entry, and the entry keeps its value.
+    monkeypatch.setattr(T, "DEBUG_CHECKS", True)
+    with T.precision(np.float64):
+        w = R.parameter([0.5, 0.0])
+        with pytest.raises(T.GradcheckError, match="leaf 0 entry 1") as info:
+            T.finite_difference_errors(lambda: R.reduce_sum(R.sqrt(w)), [w], 1e-5)
+    assert isinstance(info.value.__cause__, FloatingPointError)
+    assert w.data.tolist() == [0.5, 0.0]
+
+
 @given(st.integers(0, 1000))
 @settings(max_examples=40, deadline=None)
 def test_broadcast_add_commutes_and_associates(seed):
@@ -334,6 +348,8 @@ def test_debug_checks_flag_nonfinite_forward(monkeypatch):
         R.exp(Tensor([1000.0]))  # finite input, float32 overflow
     with pytest.raises(FloatingPointError):
         R.mul(Tensor([1e30]), Tensor([1e30]))
+    with Tape(), pytest.raises(FloatingPointError):
+        R.div(Tensor([1.0]), Tensor([0.0]))  # propagates Inf without the checks
 
 
 def test_dtype_policy():
@@ -349,7 +365,7 @@ def test_scalar_lifted_in_the_operand_dtype():
     # Outside precision(float64) the default dtype is float32; a scalar lifted
     # next to a float64 tensor must still carry the exact float64 value.
     like = Tensor([1.0], dtype=np.float64)
-    eps = T.as_tensor(1e-5, like=like)
+    eps = R.lift(1e-5, like=like)
     assert eps.data.dtype == np.float64
     assert eps.data.item() == 1e-5
     assert R.add(like, 1e-5).data.item() == 1.0 + 1e-5
@@ -364,7 +380,7 @@ def test_precision_is_per_thread():
             barrier.wait()   # both threads are inside precision() at once
             first = Tensor([1.0]).data.dtype
             barrier.wait()
-            seen[dtype] = (first, T.as_tensor([2.0]).data.dtype, T.default_dtype())
+            seen[dtype] = (first, R.lift([2.0]).data.dtype, T.default_dtype())
 
     threads = [threading.Thread(target=run, args=(dtype,))
                for dtype in (np.float64, np.float32)]
