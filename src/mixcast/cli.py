@@ -208,6 +208,8 @@ def _cmd_gradcheck(args) -> int:
     print(f"parameters checked: {result.num_params}")
     print(f"max gradient error: {result.max_error:.3e}")
     print(f"fraction below 1e-6: {result.frac_below_1e6:.4f}")
+    print(f"directions checked: {result.num_directions}")
+    print(f"max directional error: {result.directional_max_error:.3e}")
     print(f"runtime: {result.runtime_s:.1f}s")
     worst = sorted(result.per_group.items(), key=lambda kv: -kv[1])[:5]
     for name, err in worst:

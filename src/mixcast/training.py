@@ -3,6 +3,13 @@ linear warmup, global-norm gradient clipping, seeded shuffling, and
 best-validation checkpointing.  The Adam betas and the clip norm are module
 constants, the same for every run.
 
+At its start, ``fit`` lays every parameter end to end, in
+``named_parameters`` order, in one contiguous array, and each parameter's
+``data`` becomes a view of its segment; a gradient buffer and the Adam moments
+share that layout.  A step clips the whole gradient buffer and Adam updates
+the whole parameter buffer in place, so after ``fit`` the parameters are
+still views of its buffer.
+
 All randomness (shuffling, dropout) derives from the run seed, and gradient
 reduction order is fixed, so identical seed + data + config reproduces the
 run to within float addition order, i.e. exactly.
@@ -48,14 +55,62 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    """The Adam moments of a flat parameter buffer, in its layout, and the
+    number of steps taken."""
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
-    def for_params(cls, params: list[Tensor]) -> "AdamState":
-        return cls(m=[np.zeros_like(p.data) for p in params],
-                   v=[np.zeros_like(p.data) for p in params])
+    def for_params(cls, params: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params))
+
+
+class FlatParams:
+    """A model's parameters in one contiguous array, in ``named_parameters``
+    order, each tensor's ``data`` a view of its segment, plus a gradient
+    buffer of the same layout.
+
+    The parameters must share one dtype: laying mixed widths into one array
+    would cast some of them silently, so the first that differs is named."""
+
+    def __init__(self, params: MixerParams):
+        named = [(name, tensor) for name, tensor, _ in params.named_parameters()]
+        dtype = named[0][1].data.dtype
+        for name, tensor in named:
+            if tensor.data.dtype != dtype:
+                raise ValueError(f"parameter {name} is {tensor.data.dtype}, "
+                                 f"the parameters before it {dtype}")
+        stops = np.cumsum([tensor.size for _, tensor in named]).tolist()
+        self.segments = [(name, slice(lo, hi)) for (name, _), lo, hi
+                         in zip(named, [0] + stops, stops)]
+        self.tensors = [tensor for _, tensor in named]
+        self.data = np.empty(stops[-1], dtype)
+        self.grad = np.empty_like(self.data)
+        self._grads = []
+        for (_, seg), tensor in zip(self.segments, self.tensors):
+            view = self.data[seg].reshape(tensor.shape)
+            view[...] = tensor.data
+            tensor.data = view
+            self._grads.append(self.grad[seg].reshape(tensor.shape))
+
+    def gather_grads(self) -> np.ndarray:
+        """The gradient buffer, filled from the tensors' ``grad`` (zeros where
+        a tensor has none).  A gradient of another dtype or shape than its
+        parameter is rejected by name, not cast or broadcast."""
+        for (name, _), tensor, view in zip(self.segments, self.tensors, self._grads):
+            g = tensor.grad
+            if g is None:
+                view.fill(0)
+                continue
+            if g.shape != view.shape:
+                raise ShapeError(f"gradient of {name} has shape {g.shape}, "
+                                 f"the parameter {view.shape}")
+            if g.dtype != view.dtype:
+                raise ValueError(f"gradient of {name} is {g.dtype}, "
+                                 f"the parameter {view.dtype}")
+            view[...] = g
+        return self.grad
 
 
 @dataclass
@@ -81,44 +136,55 @@ def mae_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     return T.custom_op(np.abs(diff).mean(), [pred], backward)
 
 
-def clip_global_norm(grads: list[np.ndarray]) -> float:
-    """Scale all gradients jointly so their global L2 norm is <= CLIP_NORM.
+def clip_global_norm(grad: np.ndarray, segments) -> float:
+    """Scale the flat gradient so its global L2 norm is <= CLIP_NORM.
 
-    Returns the pre-clip norm.  Non-finite gradients abort: they surface
+    ``segments`` holds each parameter's ``(name, slice)`` of the buffer.  The
+    squares are summed in float64 along numpy's pairwise tree within each
+    segment, and the segment sums are added in order, so the norm is the one
+    a per-tensor reduction gives.  Returns the pre-clip norm.  Non-finite
+    gradients abort, naming the first parameter that holds one: they surface
     divergence at the step that produced them."""
+    squares = np.square(grad, dtype=np.float64)
     total = 0.0
-    for g in grads:
-        s = float(np.sum(g.astype(np.float64) ** 2))
-        if not np.isfinite(s):
-            raise FloatingPointError("non-finite gradient before clipping")
+    for name, seg in segments:
+        s = float(np.add.reduce(squares[seg]))
+        if not math.isfinite(s):
+            raise FloatingPointError(f"non-finite gradient in {name} before clipping")
         total += s
     norm = math.sqrt(total)
     if norm > CLIP_NORM:
-        factor = CLIP_NORM / norm
-        for g in grads:
-            g *= factor
+        grad *= CLIP_NORM / norm
     return norm
 
 
-def adam_step(state: AdamState, params: list[Tensor], grads: list[np.ndarray],
+def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray,
               lr: float) -> None:
-    """Bias-corrected Adam update (eps outside the square root, no weight
-    decay)."""
-    if len(params) != len(grads):
-        raise ShapeError("params and grads length mismatch")
+    """Bias-corrected Adam update of a flat parameter buffer in place (eps
+    outside the square root, no weight decay).  Every entry rounds as
+    ``p - lr * m_hat / (sqrt(v_hat) + eps)`` does, term by term."""
+    if params.shape != grad.shape or params.shape != state.m.shape:
+        raise ShapeError(f"grad shape {grad.shape} and moment shape "
+                         f"{state.m.shape} != param shape {params.shape}")
     state.t += 1
     b1, b2, t = ADAM_BETA1, ADAM_BETA2, state.t
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    for k, (p, g) in enumerate(zip(params, grads)):
-        if p.data.shape != g.shape:
-            raise ShapeError(f"grad shape {g.shape} != param shape {p.data.shape}")
-        state.m[k] = b1 * state.m[k] + (1.0 - b1) * g
-        state.v[k] = b2 * state.v[k] + (1.0 - b2) * (g * g)
-        m_hat = state.m[k] / c1
-        v_hat = state.v[k] / c2
-        update = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        p.data = (p.data - update.astype(p.data.dtype, copy=False))
+    m, v = state.m, state.v
+    step = np.multiply(grad, 1.0 - b1)
+    m *= b1
+    m += step
+    np.multiply(grad, grad, out=step)
+    step *= 1.0 - b2
+    v *= b2
+    v += step
+    denom = np.divide(v, c2)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    np.divide(m, c1, out=step)
+    step *= lr
+    step /= denom
+    params -= step
 
 
 def lr_at_step(step: int, total_steps: int, cfg: TrainConfig) -> float:
@@ -178,7 +244,7 @@ def fit(params: MixerParams, cfg: MixerConfig, train_ds, val_ds,
     best_dir = out_dir / "best"
 
     rng = np.random.default_rng(train_cfg.seed)
-    tensors = [t for _, t, _ in params.named_parameters()]
+    flat = FlatParams(params)
 
     n = len(train_ds)
     batches_per_epoch = math.ceil(n / train_cfg.batch_size)
@@ -186,7 +252,7 @@ def fit(params: MixerParams, cfg: MixerConfig, train_ds, val_ds,
     if train_cfg.warmup_steps >= total_steps:
         # Tiny runs: shorten the ramp instead of rejecting the schedule.
         train_cfg = replace(train_cfg, warmup_steps=max(0, total_steps - 1))
-    state = AdamState.for_params(tensors)
+    state = AdamState.for_params(flat.data)
 
     log_rows: list[dict] = []
     log_file = Path(log_path).open("w") if log_path else None
@@ -204,7 +270,7 @@ def fit(params: MixerParams, cfg: MixerConfig, train_ds, val_ds,
             for b in range(batches_per_epoch):
                 idx = order[b * train_cfg.batch_size:(b + 1) * train_cfg.batch_size]
                 xs, ys = train_ds.batch(idx)
-                for t in tensors:
+                for t in flat.tensors:
                     t.zero_grad()
                 with Tape() as tape:
                     pred = mixer.forward_batch(params, cfg, xs, training=True, rng=rng)
@@ -215,11 +281,10 @@ def fit(params: MixerParams, cfg: MixerConfig, train_ds, val_ds,
                             f"non-finite loss {value} at epoch {epoch}, batch {b}"
                         )
                     tape.backward(loss)
-                grads = [t.grad if t.grad is not None else np.zeros_like(t.data)
-                         for t in tensors]
-                clip_global_norm(grads)
+                grad = flat.gather_grads()
+                clip_global_norm(grad, flat.segments)
                 lr = lr_at_step(step, total_steps, train_cfg)
-                adam_step(state, tensors, grads, lr)
+                adam_step(state, flat.data, grad, lr)
                 step += 1
                 epoch_abs += value * xs.shape[0] * xs.shape[1] * cfg.horizon
                 epoch_count += xs.shape[0] * xs.shape[1] * cfg.horizon

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mixcast import cli, metrics as M, mixer
+from mixcast import cli, gradcheck, metrics as M, mixer
 from mixcast.slstm import BlockConfig
 
 
@@ -162,6 +162,10 @@ def test_gradcheck_tiny_exits_zero(capsys):
     assert cli.main(["gradcheck", "--tiny"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+    # The tiny model's 24 parameter tensors plus 8 whole-model directions.
+    assert "directions checked: 32\n" in out
+    error = float(out.split("max directional error: ")[1].split()[0])
+    assert 0.0 < error < gradcheck.DIRECTIONAL_TOL
 
 
 def test_missing_data_file_is_reported(tmp_path):

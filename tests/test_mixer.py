@@ -24,6 +24,7 @@ from mixcast.mixer import (
 )
 from mixcast.slstm import BlockConfig
 from mixcast.tensor import ShapeError, Tensor
+from mixcast.training import mae_loss
 
 import engine_reference as R
 
@@ -401,6 +402,25 @@ def test_ablation_forward_gradients(cid):
     cfg = build_ablation_config(cid, gradcheck.tiny_config())
     result = gradcheck.full_model_gradcheck(cfg=cfg)
     assert result.passed, (result.max_error, result.frac_below_1e6)
+
+
+@pytest.mark.parametrize("conv", [0, 4])
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("cid", range(1, 11))
+def test_directional_gradcheck_every_ablation(cid, blocks, conv):
+    """The directional derivative along one random unit direction per
+    parameter tensor and 8 whole-model directions matches central
+    differences in every ablation, including 4 and 5, whose tiny gradient
+    entries miss the per-entry gate."""
+    cfg = build_ablation_config(cid, gradcheck.tiny_config(num_blocks=blocks, conv_width=conv))
+    with T.precision(np.float64):
+        params, x, target = gradcheck.build_tiny_problem(0, cfg)
+        leaves = [t for _, t, _ in params.named_parameters()]
+        errors = gradcheck.finite_difference_directional(
+            lambda: mae_loss(mixer.forward_batch(params, cfg, x[None]), target),
+            leaves, np.random.default_rng(0))
+    assert errors.size == len(leaves) + gradcheck.WHOLE_MODEL_DIRECTIONS
+    assert errors.max() < gradcheck.DIRECTIONAL_TOL, errors
 
 
 def test_time_axis_batched_forward_matches_single():

@@ -9,9 +9,11 @@ from mixcast import mixer, tensor as T, training
 from mixcast.mixer import build_ablation_config
 from mixcast.slstm import BlockConfig
 from mixcast.tensor import ShapeError, Tensor
-from mixcast.training import AdamState, TrainConfig, adam_step, clip_global_norm, lr_at_step, mae_loss
+from mixcast.training import (AdamState, FlatParams, TrainConfig, adam_step, clip_global_norm,
+                              lr_at_step, mae_loss)
 
 import engine_reference as R
+import training_reference as ref
 
 
 class ArrayDataset:
@@ -109,33 +111,49 @@ def test_mae_loss_matches_composed_ops_bitwise(pred_dtype, target_dtype):
 
 # -- clipping ---------------------------------------------------------------------
 
+def segments_of(*sizes):
+    """(name, slice) pairs of consecutive segments of the given sizes."""
+    stops = np.cumsum(sizes).tolist()
+    return [(f"g{k}", slice(lo, hi)) for k, (lo, hi) in enumerate(zip([0] + stops, stops))]
+
+
 def test_clip_rescales_to_unit_norm():
-    grads = [np.array([3.0]), np.array([4.0])]
-    norm = clip_global_norm(grads)
+    grad = np.array([3.0, 4.0])
+    norm = clip_global_norm(grad, segments_of(1, 1))
     assert norm == 5.0
-    assert np.allclose(grads[0], [0.6])
-    assert np.allclose(grads[1], [0.8])
+    assert np.allclose(grad, [0.6, 0.8])
 
 
 def test_clip_leaves_small_gradients_untouched():
     g = np.array([0.3, 0.4])
     before = g.copy()
-    clip_global_norm([g])
+    clip_global_norm(g, segments_of(2))
     assert np.array_equal(g, before)
 
 
 def test_clip_bound_holds_for_random_gradients():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        grads = [rng.normal(size=s) for s in ((3, 4), (7,), (2, 2))]
-        clip_global_norm(grads)
-        total = math.sqrt(sum(float((g ** 2).sum()) for g in grads))
-        assert total <= 1.0 + 1e-9
+        grad = rng.normal(size=12 + 7 + 4)
+        clip_global_norm(grad, segments_of(12, 7, 4))
+        assert math.sqrt(float((grad ** 2).sum())) <= 1.0 + 1e-9
 
 
 def test_clip_rejects_nonfinite():
-    with pytest.raises(FloatingPointError):
-        clip_global_norm([np.array([np.inf])])
+    with pytest.raises(FloatingPointError, match="non-finite gradient in g0 "):
+        clip_global_norm(np.array([np.inf]), segments_of(1))
+
+
+def test_clip_names_the_first_parameter_with_a_nonfinite_gradient():
+    cfg = small_config()
+    flat = FlatParams(mixer.init_mixer_params(cfg, np.random.default_rng(0)))
+    grad = np.zeros_like(flat.data)
+    segments = dict(flat.segments)
+    grad[segments["blocks.0.cell.w_z"]][3] = np.nan
+    grad[segments["view.weight"]][0] = np.inf
+    with pytest.raises(FloatingPointError,
+                       match=r"^non-finite gradient in blocks\.0\.cell\.w_z before clipping$"):
+        clip_global_norm(grad, flat.segments)
 
 
 def test_fit_clip_norm_is_in_block_norm(tmp_path, monkeypatch):
@@ -146,9 +164,9 @@ def test_fit_clip_norm_is_in_block_norm(tmp_path, monkeypatch):
     seen = []
     original = training.clip_global_norm
 
-    def recording(grads):
-        before = [g.astype(np.float64) for g in grads]
-        norm = original(grads)
+    def recording(grad, segments):
+        before = [(name, grad[seg].astype(np.float64)) for name, seg in segments]
+        norm = original(grad, segments)
         seen.append((before, norm))
         return norm
 
@@ -158,8 +176,9 @@ def test_fit_clip_norm_is_in_block_norm(tmp_path, monkeypatch):
     assert len(seen) == 3
     for grads, norm in seen:
         total = 0.0
-        for (name, t, _), g in zip(triples, grads):
-            assert g.shape == t.shape, name
+        assert [name for name, _ in grads] == [name for name, _, _ in triples]
+        for (name, t, _), (_, g) in zip(triples, grads):
+            assert g.reshape(t.shape).shape == t.shape, name
             total += float(np.sum(g ** 2))
         assert norm == pytest.approx(math.sqrt(total), rel=1e-12)
 
@@ -167,19 +186,19 @@ def test_fit_clip_norm_is_in_block_norm(tmp_path, monkeypatch):
 # -- adam ---------------------------------------------------------------------------
 
 def test_adam_first_step_hand_computed():
-    theta = R.parameter([0.0], dtype=np.float64)
-    state = AdamState.for_params([theta])
-    adam_step(state, [theta], [np.array([1.0])], 1e-3)
+    theta = np.array([0.0])
+    state = AdamState.for_params(theta)
+    adam_step(state, theta, np.array([1.0]), 1e-3)
     expected = -1e-3 * 1.0 / (1.0 + 1e-8)  # bias correction gives m^=v^=1
-    assert abs(theta.data[0] - expected) < 1e-15
+    assert abs(theta[0] - expected) < 1e-15
     assert state.t == 1
 
 
 def test_adam_zero_gradient_no_move():
-    theta = R.parameter([2.5])
-    state = AdamState.for_params([theta])
-    adam_step(state, [theta], [np.zeros(1)], 1e-3)
-    assert theta.data[0] == 2.5
+    theta = np.array([2.5], dtype=np.float32)
+    state = AdamState.for_params(theta)
+    adam_step(state, theta, np.zeros(1, dtype=np.float32), 1e-3)
+    assert theta[0] == 2.5
 
 
 def scalar_adam_reference(g_seq, lr, b1=0.9, b2=0.999, eps=1e-8):
@@ -195,11 +214,76 @@ def scalar_adam_reference(g_seq, lr, b1=0.9, b2=0.999, eps=1e-8):
 
 
 def test_adam_two_steps_match_scalar_reference():
-    theta = R.parameter([0.0], dtype=np.float64)
-    state = AdamState.for_params([theta])
+    theta = np.array([0.0])
+    state = AdamState.for_params(theta)
     for _ in range(2):
-        adam_step(state, [theta], [np.array([0.7])], 2e-3)
-    assert abs(theta.data[0] - scalar_adam_reference([0.7, 0.7], 2e-3)) < 1e-12
+        adam_step(state, theta, np.array([0.7]), 2e-3)
+    assert abs(theta[0] - scalar_adam_reference([0.7, 0.7], 2e-3)) < 1e-12
+
+
+def test_adam_rejects_a_gradient_of_another_shape():
+    theta = np.zeros(3)
+    with pytest.raises(ShapeError):
+        adam_step(AdamState.for_params(theta), theta, np.zeros(4), 1e-3)
+
+
+# The benchmark's model at the ETTh1, Weather and Electricity widths.
+LAYOUTS = {
+    "etth1": dict(num_variates=7, num_blocks=1, conv_width=0),
+    "weather": dict(num_variates=21, num_blocks=2, conv_width=4),
+    "electricity": dict(num_variates=321, num_blocks=1, conv_width=0),
+}
+
+
+def layout_params(layout, dtype):
+    opts = LAYOUTS[layout]
+    cfg = mixer.MixerConfig(lookback=96, horizon=96, num_variates=opts["num_variates"],
+                            embed_dim=64, num_blocks=opts["num_blocks"],
+                            block=BlockConfig(64, 4, opts["conv_width"], 0.1))
+    with T.precision(dtype):
+        return mixer.init_mixer_params(cfg, np.random.default_rng(7))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_flat_step_matches_per_tensor_reference_bitwise(layout, dtype):
+    """24 clip-and-Adam steps on random gradients through the flat buffer
+    and through the per-tensor oracle: norms, moments, step count and
+    parameters agree bit for bit, over clipped and unclipped steps, with one
+    parameter that never has a gradient."""
+    params = layout_params(layout, dtype)
+    names = [name for name, _, _ in params.named_parameters()]
+    shadow = [Tensor(t.data.copy(), dtype=dtype) for _, t, _ in params.named_parameters()]
+    flat = FlatParams(params)
+    state, ref_state = AdamState.for_params(flat.data), ref.AdamState.for_params(shadow)
+    assert flat.data.dtype == dtype
+    rng = np.random.default_rng(13)
+    idle = names.index("up.bias")
+    clipped = 0
+    for step in range(24):
+        # Global norms from about 0.2 to 5, so both sides of CLIP_NORM occur.
+        scale = 10.0 ** rng.uniform(-0.7, 0.7) / math.sqrt(flat.data.size)
+        grads = [(rng.normal(size=t.shape) * scale).astype(dtype) for t in shadow]
+        grads[idle][...] = 0.0
+        for k, t in enumerate(flat.tensors):
+            t.grad = None if k == idle else grads[k].copy()
+        lr = 1e-3 * (step + 1) / 24
+        ref_norm = ref.clip_global_norm(grads)
+        ref.adam_step(ref_state, shadow, grads, lr)
+        grad = flat.gather_grads()
+        norm = clip_global_norm(grad, flat.segments)
+        adam_step(state, flat.data, grad, lr)
+        clipped += norm > training.CLIP_NORM
+        assert norm == ref_norm, step
+        assert state.t == ref_state.t == step + 1
+        for k, (name, seg) in enumerate(flat.segments):
+            for got, want in ((flat.tensors[k].data, shadow[k].data),
+                              (state.m[seg], ref_state.m[k]),
+                              (state.v[seg], ref_state.v[k])):
+                assert got.dtype == want.dtype, name
+                assert got.tobytes() == want.tobytes(), (step, name)
+    assert 0 < clipped < 24
+    assert not state.m[dict(flat.segments)["up.bias"]].any()
 
 
 # -- schedule -----------------------------------------------------------------------
@@ -338,6 +422,103 @@ def test_fit_trains_time_axis_config(tmp_path):
     assert art.epochs_trained == 4
     assert art.log[-1]["train_mae"] < art.log[0]["train_mae"]
     assert np.isfinite(art.best_val_mae)
+
+
+def assert_views_of_one_buffer(params):
+    """Every parameter is a view of one contiguous buffer, laid end to end in
+    named_parameters order."""
+    tensors = [t for _, t, _ in params.named_parameters()]
+    buffer = tensors[0].data.base
+    assert buffer is not None and buffer.ndim == 1 and buffer.flags.c_contiguous
+    offset = 0
+    for name, t, _ in params.named_parameters():
+        assert t.data.base is buffer, name
+        assert t.data.__array_interface__["data"][0] == (
+            buffer.__array_interface__["data"][0] + offset * buffer.itemsize), name
+        offset += t.size
+    assert offset == buffer.size
+
+
+def assert_checkpoint_roundtrip(params, directory):
+    mixer.save_checkpoint(directory, params)
+    loaded, _, _ = mixer.load_checkpoint(directory)
+    for (name, a, _), (_, b, _) in zip(params.named_parameters(), loaded.named_parameters()):
+        assert (a.data.dtype, a.shape) == (b.data.dtype, b.shape), name
+        assert a.data.tobytes() == b.data.tobytes(), name
+
+
+def test_consecutive_fits_continue_from_the_last_weights(tmp_path):
+    """Two fit calls on one MixerParams (one epoch each, as the benchmark
+    runs them) equal a fit, a checkpoint round trip and a fit on the
+    freshly loaded parameters; after each call the parameters are views of
+    one buffer and round-trip through a checkpoint bit-exactly."""
+    ds = make_affine_task(64)
+    val = make_affine_task(32, data_seed=9)
+    cfg = small_config(dropout_rate=0.1, conv_width=4)
+
+    def epoch(params, seed, name):
+        tc = TrainConfig(batch_size=16, max_epochs=1, seed=seed, lr_initial=1e-2)
+        return training.fit(params, cfg, ds, val, tc, tmp_path / name).log
+
+    params = mixer.init_mixer_params(cfg, np.random.default_rng(8))
+    logs = []
+    for seed in (0, 1):
+        handed_out = [(t.data, t.data.tobytes()) for _, t, _ in params.named_parameters()]
+        logs += epoch(params, seed, f"a{seed}")
+        assert_views_of_one_buffer(params)
+        assert_checkpoint_roundtrip(params, tmp_path / f"roundtrip{seed}")
+        # The call trains its own buffer: arrays read before it keep their values.
+        assert all(array.tobytes() == raw for array, raw in handed_out)
+
+    other = mixer.init_mixer_params(cfg, np.random.default_rng(8))
+    other_logs = epoch(other, 0, "b0")
+    mixer.save_checkpoint(tmp_path / "between", other)
+    loaded, _, _ = mixer.load_checkpoint(tmp_path / "between")
+    other_logs += epoch(loaded, 1, "b1")
+    assert_views_of_one_buffer(loaded)
+
+    assert logs == other_logs
+    for (name, a, _), (_, b, _) in zip(params.named_parameters(), loaded.named_parameters()):
+        assert a.data.tobytes() == b.data.tobytes(), name
+
+
+def test_fit_rejects_parameters_of_mixed_dtypes(tmp_path):
+    ds = make_affine_task(32)
+    cfg = small_config()
+    params = mixer.init_mixer_params(cfg, np.random.default_rng(0))
+    params.up_b.data = params.up_b.data.astype(np.float64)
+    params.view_b.data = params.view_b.data.astype(np.float64)
+    before = {name: t.data for name, t, _ in params.named_parameters()}
+    tc = TrainConfig(batch_size=16, max_epochs=1, seed=0)
+    with pytest.raises(ValueError, match="parameter up.bias is float64, "
+                                         "the parameters before it float32"):
+        training.fit(params, cfg, ds, ds, tc, tmp_path)
+    assert all(t.data is before[name] for name, t, _ in params.named_parameters())
+
+
+@pytest.mark.parametrize("fault,error,match", [
+    ("dtype", ValueError, "gradient of view.bias is float64, the parameter float32"),
+    ("shape", ShapeError, r"gradient of view.bias has shape \(2, 1, 4\), the parameter \(1, 4\)"),
+])
+def test_fit_rejects_a_gradient_unlike_its_parameter(tmp_path, monkeypatch, fault, error, match):
+    ds = make_affine_task(32)
+    cfg = small_config()
+    params = mixer.init_mixer_params(cfg, np.random.default_rng(0))
+    original = mixer.forward_batch
+
+    def extra_gradient(params, cfg, xs, **kwargs):
+        # An identity op that also hands view.bias a zero gradient of the
+        # wrong dtype or shape; the real gradient is added to it later.
+        out = original(params, cfg, xs, **kwargs)
+        leaf = params.view_b
+        bad = (np.zeros(leaf.shape, np.float64) if fault == "dtype"
+               else np.zeros((2,) + leaf.shape, leaf.data.dtype))
+        return T.custom_op(out.data, [out, leaf], lambda g: [g, bad])
+
+    monkeypatch.setattr(mixer, "forward_batch", extra_gradient)
+    tc = TrainConfig(batch_size=16, max_epochs=1, seed=0)
+    with pytest.raises(error, match=match):
+        training.fit(params, cfg, ds, ds, tc, tmp_path)
 
 
 def per_batch_composition(params, cfg, ds, batch_size):
