@@ -67,7 +67,11 @@ class StandardizationStats:
 
 @dataclass
 class WindowedDataset:
-    """Sliding (X, Y) windows over one contiguous row range."""
+    """Sliding (X, Y) windows over one contiguous row range.
+
+    ``windows()`` gives every window as a read-only view, which evaluation
+    reads in place; ``batch`` gathers copies of any windows, which shuffled
+    training batches need."""
 
     values: np.ndarray
     start: int
@@ -99,29 +103,34 @@ class WindowedDataset:
             dtype)
         return x, y
 
-    def _windows(self, dtype):
-        """[n, V, T] and [n, V, H] views whose entry i is window i in dtype.
+    def windows(self):
+        """Read-only [n, V, T] and [n, V, H] views, in the engine's default
+        dtype, whose entry i is window i.
 
-        They slide over a [V, rows] copy of the range, made once per dtype, so
-        each window row is a contiguous run and a batch is one gather."""
+        They slide over a [V, rows] copy of the range, made once per dtype and
+        kept, so each window row is a contiguous run: evaluation slices them
+        in place, and a batch of any indices is one gather from them."""
+        dtype = T.default_dtype()
         views = self._windows_by_dtype.get(dtype)
         if views is None:
             rows = np.ascontiguousarray(self.values[self.start:self.stop].T, dtype)
-            views = (sliding_window_view(rows, self.lookback, axis=1).swapaxes(0, 1),
+            n = len(self)
+            views = (sliding_window_view(rows, self.lookback, axis=1).swapaxes(0, 1)[:n],
                      sliding_window_view(rows[:, self.lookback:], self.horizon,
                                          axis=1).swapaxes(0, 1))
             self._windows_by_dtype[dtype] = views
         return views
 
     def batch(self, indices):
-        """Windows as (xs [B,V,T], ys [B,V,H]), each gathered in one step;
-        equal to stacking window(i) for each index."""
+        """Windows as (xs [B,V,T], ys [B,V,H]) copies, each gathered from
+        ``windows()`` in one step; equal to stacking window(i) for each
+        index."""
         idx = np.asarray(indices)
         n = len(self)
         bad = idx[(idx < 0) | (idx >= n)]
         if bad.size:
             raise IndexError(f"window {bad[0]} out of range (n={n})")
-        x_windows, y_windows = self._windows(T.default_dtype())
+        x_windows, y_windows = self.windows()
         return np.ascontiguousarray(x_windows[idx]), np.ascontiguousarray(y_windows[idx])
 
 

@@ -5,10 +5,13 @@ all N*V*H entries, RMSE is the square root of the MSE, and MAPE guards zero
 targets with a small epsilon.
 
 The sums stream through two float64 scratch buffers of at most ``_LEAF``
-entries instead of full-size float64 copies.  They stay bit-identical to the
-plain float64 formula because numpy sums a contiguous float64 array
-pairwise: it splits n entries at n // 2 rounded down to a multiple of 8 and
-adds the two halves' sums.  ``compute_metrics`` splits the C-ordered entries
+entries instead of full-size float64 copies.  Inputs of any strides (the
+sliding window views evaluation scores, a broadcast array) are read leaf by
+leaf in C order: a contiguous input in place, any other through one more
+leaf-sized scratch buffer of its own dtype, never a full-size copy.  The sums
+stay bit-identical to the plain float64 formula because numpy sums a
+contiguous float64 array pairwise: it splits n entries at n // 2 rounded down
+to a multiple of 8 and adds the two halves' sums.  ``compute_metrics`` splits the C-ordered entries
 the same way until a piece fits in a leaf, lets numpy sum each leaf (the
 same subtree numpy would have summed), and adds the leaf sums back along the
 same tree, so every addition happens in the same order on the same values.
@@ -55,25 +58,27 @@ _REPORT_FIELDS = tuple(f.name for f in fields(MetricsReport))
 
 
 def compute_metrics(pred: np.ndarray, target: np.ndarray) -> dict:
-    """MSE / MAE / RMSE / MAPE over every entry of matching arrays, read in C
-    order; each equals, bit for bit, the plain float64 formula on C-ordered
-    inputs, without any full-size float64 buffer."""
+    """MSE / MAE / RMSE / MAPE over every entry of matching arrays of any
+    strides, read in C order; each equals, bit for bit, the plain float64
+    formula on C-ordered inputs, without any full-size buffer.  A contiguous
+    input is read in place; of any other, only the current leaf's entries are
+    copied, into a leaf-sized scratch buffer of its own dtype."""
     pred = np.asarray(pred)
     target = np.asarray(target)
     if pred.shape != target.shape:
         raise ShapeError(f"prediction shape {pred.shape} != target shape {target.shape}")
     if pred.size == 0:
         raise ShapeError("metrics need at least one entry")
-    flat_p = pred.reshape(-1)
-    flat_t = target.reshape(-1)
-    n = flat_p.size
-    err = np.empty(min(n, _LEAF))
+    n = pred.size
+    size = min(n, _LEAF)
+    read_p, read_t = _leaf_reader(pred, size), _leaf_reader(target, size)
+    err = np.empty(size)
     scratch = np.empty_like(err)
 
     def leaf(lo: int, hi: int) -> tuple:
         e, s = err[:hi - lo], scratch[:hi - lo]
-        t = flat_t[lo:hi]
-        np.subtract(t, flat_p[lo:hi], out=e, dtype=np.float64)
+        t = read_t(lo, hi)
+        np.subtract(t, read_p(lo, hi), out=e, dtype=np.float64)
         np.square(e, out=s)
         squares = s.sum()
         np.abs(e, out=e)
@@ -101,6 +106,49 @@ def _pairwise(leaf, lo: int, hi: int) -> tuple:
     half -= half % 8
     left, right = _pairwise(leaf, lo, lo + half), _pairwise(leaf, lo + half, hi)
     return tuple(a + b for a, b in zip(left, right))
+
+
+def _leaf_reader(a: np.ndarray, size: int):
+    """``read(lo, hi)``: entries [lo, hi) of ``a`` in C order, as a 1-D
+    array.  A C-contiguous ``a`` is sliced in place; any other is copied,
+    one block of whole rows at a time, into a scratch buffer of ``size``
+    entries."""
+    if a.flags.c_contiguous:
+        flat = a.reshape(-1)
+        return lambda lo, hi: flat[lo:hi]
+    buf = np.empty(size, a.dtype)
+
+    def read(lo: int, hi: int) -> np.ndarray:
+        out = buf[:hi - lo]
+        _copy_c_order(a, lo, hi, out)
+        return out
+
+    return read
+
+
+def _copy_c_order(a: np.ndarray, lo: int, hi: int, out: np.ndarray) -> None:
+    """Copy entries [lo, hi) of ``a`` in C order into the 1-D ``out``: a
+    partial first row, the whole rows between, and a partial last row, each
+    row of the leading axis split the same way, so at most two copies per
+    axis.  A module function, like ``_pairwise``, so that no closure cycle
+    keeps ``a`` alive."""
+    if a.ndim == 1:
+        out[...] = a[lo:hi]
+        return
+    inner = a[0].size
+    first, stop = lo // inner, hi // inner
+    if first == (hi - 1) // inner:
+        _copy_c_order(a[first], lo - first * inner, hi - first * inner, out)
+        return
+    pos = 0
+    if lo > first * inner:
+        pos = (first + 1) * inner - lo
+        _copy_c_order(a[first], lo - first * inner, inner, out[:pos])
+        first += 1
+    whole = (stop - first) * inner
+    out[pos:pos + whole].reshape((stop - first,) + a.shape[1:])[...] = a[first:stop]
+    if hi > stop * inner:
+        _copy_c_order(a[stop], 0, hi - stop * inner, out[pos + whole:])
 
 
 def mean_rows(reports: list[MetricsReport]) -> list[dict]:

@@ -216,21 +216,24 @@ def evaluate_mae(params: MixerParams, cfg: MixerConfig, dataset) -> float:
 
 def predict_dataset(params: MixerParams, cfg: MixerConfig, dataset,
                     batch_size: int = 128) -> tuple[np.ndarray, np.ndarray]:
-    """Forecasts and targets as C-ordered [N, V, H] arrays, eval mode, file
-    order; each batch is written straight into them."""
+    """[N, V, H] forecasts and targets, eval mode, file order: C-ordered
+    forecasts; targets are the dataset's read-only window view.
+
+    Each batch is a slice of ``dataset.windows()``, read in place, and its
+    forecasts are written straight into the one forecast array."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n = len(dataset)
     if n == 0:
         raise ValueError("cannot predict an empty dataset")
-    preds = targets = None
+    xs, ys = dataset.windows()
+    preds = None
     for lo, hi in _eval_batches(n, batch_size):
-        xs, ys = dataset.batch(range(lo, hi))
-        out = mixer.forward_batch(params, cfg, xs, training=False).data
+        out = mixer.forward_batch(params, cfg, xs[lo:hi], training=False).data
         if preds is None:
             preds = np.empty((n, cfg.num_variates, cfg.horizon), dtype=out.dtype)
-            targets = np.empty((n,) + ys.shape[1:], dtype=ys.dtype)
         preds[lo:hi] = out.reshape(cfg.num_variates, hi - lo, cfg.horizon).transpose(1, 0, 2)
-        targets[lo:hi] = ys
-    return preds, targets
+    return preds, ys
 
 
 def fit(params: MixerParams, cfg: MixerConfig, train_ds, val_ds,

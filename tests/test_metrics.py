@@ -7,6 +7,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,32 +113,81 @@ def test_non_contiguous_inputs_sum_in_c_order():
     assert compute_metrics(pred, target) == want
 
 
+def sliding_targets(n, v, h, dtype, seed=0):
+    """[n, v, h] sliding windows over one [v, n + h - 1] series, as the
+    dataset's window cache holds them: read-only, overlapping, not
+    contiguous."""
+    rows = np.random.default_rng(seed).normal(size=(v, n + h - 1)).astype(dtype)
+    rows[:, ::89] = 0.0
+    return sliding_window_view(rows, h, axis=1).swapaxes(0, 1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("v, h", [(7, 13), (8, M._LEAF // 8), (3, M._LEAF // 2 + 5)],
+                         ids=["below-leaf", "leaf", "above-leaf"])
+def test_sliding_window_targets_equal_plain_float64_formulas_exactly(v, h, dtype):
+    # Windows of V*H entries below, equal to and above a leaf: leaves start
+    # and end inside windows and inside window rows.
+    n = 3 * M._LEAF // (v * h) + 3
+    target = sliding_targets(n, v, h, dtype, seed=v)
+    assert not target.flags.c_contiguous
+    pred = np.random.default_rng(h).normal(size=target.shape).astype(dtype)
+    want = plain_float64_metrics(pred, np.ascontiguousarray(target))
+    assert compute_metrics(pred, target) == want
+    assert compute_metrics(target, pred) == plain_float64_metrics(
+        np.ascontiguousarray(target), pred)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_dimensional_strided_inputs_sum_in_order(dtype):
+    rng = np.random.default_rng(6)
+    pred = rng.normal(size=3 * (2 * M._LEAF + 5)).astype(dtype)[::3]
+    target = rng.normal(size=pred.size).astype(dtype)
+    want = plain_float64_metrics(np.ascontiguousarray(pred), target)
+    assert compute_metrics(pred, target) == want
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_broadcast_inputs_sum_in_c_order(dtype):
+    rng = np.random.default_rng(7)
+    target = np.broadcast_to(rng.normal(size=(1, 9, 1)).astype(dtype), (700, 9, 13))
+    assert 0 in target.strides
+    pred = rng.normal(size=target.shape).astype(dtype)
+    want = plain_float64_metrics(pred, np.ascontiguousarray(target))
+    assert compute_metrics(pred, target) == want
+
+
 def test_metrics_allocate_no_full_size_float64_buffer():
     rng = np.random.default_rng(5)
     pred = rng.normal(size=(100, 100, 100)).astype(np.float32)
-    target = rng.normal(size=(100, 100, 100)).astype(np.float32)
-    tracemalloc.start()
-    try:
-        compute_metrics(pred, target)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # Two leaf-sized scratch buffers, against 16 MB for two float64 copies.
-    assert peak < 4 * M._LEAF * 8, peak
+    contiguous = rng.normal(size=(100, 100, 100)).astype(np.float32)
+    for target in (contiguous, sliding_targets(100, 100, 100, np.float32, seed=5)):
+        tracemalloc.start()
+        try:
+            compute_metrics(pred, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Two float64 leaf buffers, plus one float32 leaf buffer for the
+        # sliding target, against 4 MB for a float32 copy of a 1M-entry input
+        # and 16 MB for two float64 copies.
+        assert peak < 4 * M._LEAF * 8, peak
 
 
 def test_metrics_keep_no_reference_to_their_inputs():
     # Nothing of a call may outlive it, not even until the garbage collector
     # runs: an evaluation loop would otherwise pile up [N, V, H] arrays.
-    pred, target = np.zeros((4, 5, 6)), np.ones((4, 5, 6))
-    gc.disable()
-    try:
-        compute_metrics(pred, target)
-        refs = [weakref.ref(pred), weakref.ref(target)]
-        del pred, target
-        assert [r() for r in refs] == [None, None]
-    finally:
-        gc.enable()
+    for make_target in (lambda: np.ones((4, 5, 6)),
+                        lambda: sliding_targets(4, 5, 6, np.float64)):
+        pred, target = np.zeros((4, 5, 6)), make_target()
+        gc.disable()
+        try:
+            compute_metrics(pred, target)
+            refs = [weakref.ref(pred), weakref.ref(target)]
+            del pred, target
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 def test_rmse_squared_equals_mse():

@@ -1,11 +1,13 @@
 """Loss, clipping, Adam, schedule, and fit-loop behavior."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mixcast import mixer, tensor as T, training
+from mixcast import data, mixer, tensor as T, training
+from mixcast.metrics import compute_metrics
 from mixcast.mixer import build_ablation_config
 from mixcast.slstm import BlockConfig
 from mixcast.tensor import ShapeError, Tensor
@@ -17,7 +19,8 @@ import training_reference as ref
 
 
 class ArrayDataset:
-    """In-memory (X, Y) pairs with the WindowedDataset batch interface."""
+    """In-memory (X, Y) pairs with the WindowedDataset windows and batch
+    interface."""
 
     def __init__(self, xs, ys):
         self.xs, self.ys = xs, ys
@@ -27,6 +30,11 @@ class ArrayDataset:
 
     def window(self, i):
         return self.xs[i], self.ys[i]
+
+    def windows(self):
+        xs, ys = self.xs.view(), self.ys.view()
+        xs.flags.writeable = ys.flags.writeable = False
+        return xs, ys
 
     def batch(self, idx):
         idx = np.asarray(idx, dtype=int)
@@ -547,8 +555,10 @@ def test_predict_dataset_equals_per_batch_composition(n, eval_task):
     ds = ArrayDataset(full.xs[:n], full.ys[:n])
     pred, target = training.predict_dataset(params, cfg, ds, batch_size=128)
     want_pred, want_target = per_batch_composition(params, cfg, ds, 128)
+    assert pred.flags.c_contiguous
+    # The targets are the dataset's read-only window view, not a copy.
+    assert np.shares_memory(target, ds.ys) and not target.flags.writeable
     for got, want in ((pred, want_pred), (target, want_target)):
-        assert got.flags.c_contiguous
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert got.tobytes() == want.tobytes()
 
@@ -585,3 +595,65 @@ def test_predict_dataset_shapes():
     pred, target = training.predict_dataset(params, cfg, ds, batch_size=4)
     assert pred.shape == (10, 3, 4)
     assert target.shape == (10, 3, 4)
+
+
+@pytest.mark.parametrize("batch_size", [0, -4])
+def test_predict_dataset_rejects_batch_sizes_below_one(batch_size, eval_task):
+    params, cfg, full = eval_task
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        training.predict_dataset(params, cfg, full, batch_size=batch_size)
+
+
+def windowed_task(windows, variates=3, lookback=12, horizon=4, seed=6):
+    """A WindowedDataset of the given number of windows over a synthetic
+    series, and a small model for it."""
+    from conftest import synthetic_series
+    cfg = mixer.MixerConfig(lookback=lookback, horizon=horizon, num_variates=variates,
+                            embed_dim=8, num_blocks=1,
+                            block=BlockConfig(d_hidden=8, num_heads=2, conv_width=0,
+                                              dropout_rate=0.0))
+    values = synthetic_series(windows + lookback + horizon - 1, variates, seed=seed)
+    ds = data.window_iter(values, (0, values.shape[0]), lookback, horizon)
+    return mixer.init_mixer_params(cfg, np.random.default_rng(seed)), cfg, ds
+
+
+@pytest.mark.parametrize("n", [1, 191, 385])
+def test_predict_dataset_reads_the_window_cache_in_place(n, monkeypatch):
+    params, cfg, ds = windowed_task(n)
+    # batch() stays the oracle: the per-batch composition of gathered copies.
+    want_pred, want_target = per_batch_composition(params, cfg, ds, 128)
+    before = ds.values.copy()
+
+    def no_gather(self, indices):
+        raise AssertionError("evaluation gathered a batch")
+
+    monkeypatch.setattr(data.WindowedDataset, "batch", no_gather)
+    pred, target = training.predict_dataset(params, cfg, ds, batch_size=128)
+    assert pred.flags.c_contiguous and pred.tobytes() == want_pred.tobytes()
+    assert (target.dtype, target.shape) == (want_target.dtype, want_target.shape)
+    assert target.tobytes() == want_target.tobytes()
+    assert np.shares_memory(target, ds.windows()[1])
+    assert not target.flags.writeable
+    with pytest.raises(ValueError):
+        target[0, 0, 0] = 1.0
+    assert np.array_equal(ds.values, before)
+    assert np.array_equal(ds.windows()[1], want_target)
+
+
+def test_eval_memory_grows_by_the_forecasts_only():
+    # From N to 2N windows the peak of a scored pass grows by the second N
+    # forecasts only: no [N, V, H] target copy grows with them.
+    def peak(n):
+        params, cfg, ds = windowed_task(n, variates=48, horizon=16)
+        ds.windows()  # the cache is the dataset's, made once
+        tracemalloc.start()
+        try:
+            pred, target = training.predict_dataset(params, cfg, ds, batch_size=128)
+            compute_metrics(pred, target)
+            return tracemalloc.get_traced_memory()[1], pred.nbytes
+        finally:
+            tracemalloc.stop()
+
+    (small, _), (large, forecast_bytes) = peak(256), peak(512)
+    extra = forecast_bytes // 2
+    assert large - small < 1.1 * extra, (small, large, extra)
