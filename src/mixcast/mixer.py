@@ -395,11 +395,29 @@ def _swap_token_axes(t: Tensor, batch: int) -> Tensor:
     return T.custom_op(swap(t.data), [t], lambda g: [swap(g)])
 
 
+def stack_scratch(params: MixerParams, cfg: MixerConfig, dtype,
+                  batch_sizes) -> slstm.Scratch | None:
+    """One scratch arena for the stack's chunk buffers, large enough for a
+    no-tape forward of windows of ``dtype`` at each of the batch sizes;
+    None when the config runs no stack."""
+    if cfg.slstm_axis == AXIS_NONE:
+        return None
+    views = 2 if cfg.mix_view else 1
+    tokens = cfg.horizon if cfg.slstm_axis == AXIS_TIME else cfg.num_variates
+    tokens += 1 if cfg.init_token else 0
+    # The stack runs in the widest dtype of the windows and the parameters.
+    dtype = np.result_type(dtype, *(t.data for _, t, _ in params.named_parameters()))
+    return slstm.Scratch(max(slstm.scratch_bytes(cfg.block, tokens * views * b, views * b, dtype)
+                             for b in batch_sizes))
+
+
 def _refine_views(params: MixerParams, cfg: MixerConfig, tokens: Tensor,
                   eta: Tensor | None, batch: int, training: bool, rng,
-                  stabilizer: slstm.StabilizerStats | None = None) -> Tensor:
+                  stabilizer: slstm.StabilizerStats | None = None,
+                  scratch: slstm.Scratch | None = None) -> Tensor:
     """Run the shared stack over token-major rows [L*B, D], behind the
-    learned token ``eta`` when given, in both views.
+    learned token ``eta`` when given, in both views, its chunk buffers carved
+    from ``scratch`` when given.
 
     Returns the stack output in the layout of :func:`pack_views`, [L'*2B, D]
     with each row's two views adjacent, where L' counts eta; with mix_view
@@ -410,14 +428,19 @@ def _refine_views(params: MixerParams, cfg: MixerConfig, tokens: Tensor,
         return packed
     views = 2 if cfg.mix_view else 1
     return slstm._stack_tokens(cfg.block, params.blocks, packed, views * batch,
-                               training, rng, stabilizer)
+                               training, rng, stabilizer, scratch)
 
 
 def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
                   training: bool = False, rng=None,
-                  stabilizer: slstm.StabilizerStats | None = None) -> Tensor:
+                  stabilizer: slstm.StabilizerStats | None = None,
+                  scratch: slstm.Scratch | None = None) -> Tensor:
     """The pipeline on a [B, V, T] array of windows; returns the v-major
-    [V*B, H] forecast, which is [V, H] for one window ``x[None]``."""
+    [V*B, H] forecast, which is [V, H] for one window ``x[None]``.
+
+    Without a tape the stack carves its chunk buffers from ``scratch``
+    (see :func:`stack_scratch`), or from one made for this call; the
+    forecast never shares memory with it."""
     v, t_len = cfg.num_variates, cfg.lookback
     if xs.ndim != 3 or xs.shape[1:] != (v, t_len):
         got = (f"{xs.shape[1]} variates and lookback {xs.shape[2]}" if xs.ndim == 3
@@ -446,7 +469,7 @@ def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
     tokens = up_project(params.up_w, params.up_b, rows)
     del rows
     eta = params.eta if cfg.init_token else None
-    views = _refine_views(params, cfg, tokens, eta, batch, training, rng, stabilizer)
+    views = _refine_views(params, cfg, tokens, eta, batch, training, rng, stabilizer, scratch)
     del tokens
 
     # Dropping the learned token's rows leaves v-major [V*B, .] rows

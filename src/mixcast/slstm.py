@@ -25,6 +25,15 @@ recording tape the intermediates live in chunk-sized buffers reused across
 chunks, so an eval block holds little beyond its output; with a tape they are
 views into the whole-sequence arrays its backward reads.
 
+The chunk buffers are carved from a :class:`Scratch` arena: the recurrence's
+pre-activation and step slabs always, and without a tape also the normed rows
+with their conv tail, the inverse deviations, the conv-gated rows and the
+hidden rows.  The blocks of a stack share one arena, and so do all the batches
+of an evaluation pass, which allocates it once, before its first batch, so
+that the pass does not fault the same memory in again for every block.  A
+block that records a tape carves from an arena of its own and never touches a
+shared one, and block outputs are always fresh arrays.
+
 Recurrent weight matrices are block-diagonal over heads, and only their
 diagonal blocks exist: each of ``r_z|r_i|r_f|r_o`` is stored as a
 ``[heads, d_h, d_h]`` tensor, head ``k`` mapping hidden units
@@ -192,7 +201,73 @@ _CHECK_ORDER = (("input", 2), ("forget", 3), ("cell-input", 0), ("output", 1))
 # Row budget of one token chunk in _block: a chunk holds as many whole tokens
 # as fit (at least one), so buffers that live for one chunk stay this small
 # however long the sequence is.
-CHUNK_ROWS = 4096
+CHUNK_ROWS = 2048
+
+# Each array carved from a Scratch starts a multiple of this many bytes (a
+# cache line) into its buffer.
+_ALIGN = 64
+
+
+class Scratch:
+    """An arena that chunk buffers are carved from, reused by every carve.
+
+    ``Scratch(nbytes)`` allocates its buffer at once; ``Scratch()`` allocates
+    it at the first carve, exactly as large as that carve.  Each carve starts
+    at the front of the buffer, so the arrays of one carve are valid until the
+    next one: the blocks of a stack run one after another and may share an
+    arena, two threads may not."""
+
+    def __init__(self, nbytes: int = 0):
+        self.buffer = np.empty(nbytes, np.uint8) if nbytes else None
+
+    @staticmethod
+    def _spans(dtype, shapes) -> list[tuple[int, int]]:
+        """(bytes, aligned bytes) of each array of a carve."""
+        itemsize = np.dtype(dtype).itemsize
+        return [(size, -(-size // _ALIGN) * _ALIGN)
+                for size in (math.prod(shape) * itemsize for shape in shapes)]
+
+    @classmethod
+    def nbytes(cls, dtype, shapes) -> int:
+        """Bytes that a carve of arrays of these shapes and dtype takes."""
+        return sum(aligned for _, aligned in cls._spans(dtype, shapes))
+
+    def carve(self, dtype, shapes) -> list[np.ndarray]:
+        """Uninitialized C-ordered arrays of the given shapes, laid one after
+        another from the front of the buffer."""
+        spans = self._spans(dtype, shapes)
+        need = sum(aligned for _, aligned in spans)
+        if self.buffer is None:
+            self.buffer = np.empty(need, np.uint8)
+        if need > self.buffer.size:
+            raise ShapeError(f"scratch of {self.buffer.size} bytes cannot hold "
+                             f"the {need} bytes of {shapes}")
+        arrays, lo = [], 0
+        for shape, (size, aligned) in zip(shapes, spans):
+            arrays.append(self.buffer[lo:lo + size].view(dtype).reshape(shape))
+            lo += aligned
+        return arrays
+
+
+def _chunk_shapes(d: int, rows: int, batch: int, taps: int, keep: bool) -> list[tuple]:
+    """Shapes of the chunk buffers _block carves, in carve order: the
+    recurrence's [4, chunk, D] pre-activation slab and [9, B, D] step slab,
+    then, without a tape (``keep`` false), the normed rows after the conv
+    tail of taps - 1 tokens, the inverse deviations, the hidden rows and,
+    with a conv of ``taps`` taps, the conv-gated rows."""
+    chunk = min(rows, max(1, CHUNK_ROWS // batch) * batch)
+    shapes = [(4, chunk, d), (9, batch, d)]
+    if not keep:
+        tail = min(rows, (taps - 1) * batch) if taps else 0
+        shapes += [(tail + chunk, d), (chunk, 1), (chunk, d)] + ([(chunk, d)] if taps else [])
+    return shapes
+
+
+def scratch_bytes(cfg: BlockConfig, rows: int, batch: int, dtype) -> int:
+    """Bytes of scratch that a no-tape block of cfg carves over [rows, D]
+    token-major rows of the given batch."""
+    return Scratch.nbytes(dtype, _chunk_shapes(cfg.d_hidden, rows, batch, cfg.conv_width,
+                                               keep=False))
 
 
 def _raise_nonfinite(pre: np.ndarray) -> None:
@@ -220,20 +295,21 @@ class _Recurrence:
     and the transposed head blocks of the recurrent matrices, stacked as
     [4, H, d_h, d_h].  Each step makes one product per head, straight into
     the recurrent-product slab.
+
+    It works in two carved slabs: ``pre`` [4, rows, D] holds the chunk's
+    pre-activations, and ``step`` [9, B, D] the recurrent products, a
+    temporary and the state (h, c, n, m), which is zeroed here.
     """
 
-    def __init__(self, p: SLstmParams, batch: int, rows: int, dtype,
+    def __init__(self, p: SLstmParams, pre: np.ndarray, step: np.ndarray,
                  stats: StabilizerStats | None):
-        d = p.d_hidden
-        self.batch, self.heads, self.stats = batch, p.num_heads, stats
+        self.batch, self.heads, self.stats = step.shape[1], p.num_heads, stats
         self.w = [np.ascontiguousarray(getattr(p, "w_" + gate).data.T) for gate in _GATES]
         self.b = [getattr(p, "b_" + gate).data for gate in _GATES]
         self.r = np.ascontiguousarray(_recurrent(p).swapaxes(-1, -2))
-        self.pre = np.empty((4, rows, d), dtype)
-        self.rec = np.empty((4, batch, d), dtype)
-        self.tmp = np.empty((batch, d), dtype)
-        zeros = np.zeros((batch, d), dtype)
-        self.h, self.c, self.n, self.m = zeros, zeros.copy(), zeros.copy(), zeros.copy()
+        self.pre, self.rec, self.tmp = pre, step[:4], step[4]
+        step[5:].fill(0.0)
+        self.h, self.c, self.n, self.m = step[5:]
 
     def run(self, x: np.ndarray, x_if: np.ndarray, hs: np.ndarray, history=None) -> None:
         """Fold the cell over the rows of x into hs.
@@ -360,7 +436,8 @@ def _recurrence_backward(p: SLstmParams, d_hs: np.ndarray, hs: np.ndarray, histo
 
 
 def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
-           training: bool, rng, stats: StabilizerStats | None = None) -> Tensor:
+           training: bool, rng, stats: StabilizerStats | None = None,
+           scratch: Scratch | None = None) -> Tensor:
     """Residual block over token-major rows [L*B, D] as one tape node: layer
     norm, causal-conv taps on the input/forget path, the recurrence, the
     projection, dropout and the residual.
@@ -368,8 +445,11 @@ def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
     The rows run in chunks of whole tokens under the CHUNK_ROWS budget; the
     recurrence state and the last conv_width - 1 normed tokens cross from one
     chunk to the next.  Without a recording tape the intermediates live in
-    chunk-sized buffers reused across chunks; with one they are views into the
-    whole-sequence arrays the backward reads.
+    chunk-sized buffers carved from ``scratch`` (one made for this call when
+    none is given) and reused across chunks; with one they are views into
+    the whole-sequence arrays the backward reads, and only the recurrence's
+    slabs are carved, from a scratch of this call's own.  The output is a
+    fresh array.
     """
     d, rows = cfg.d_hidden, x.shape[0]
     if x.data.ndim != 2 or x.shape[1] != d:
@@ -387,25 +467,36 @@ def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
     inputs = ([x] + [getattr(w.cell, f"{kind}_{gate}") for kind in "wrb" for gate in _GATES]
               + [w.ln_gamma, w.ln_beta, w.proj_w] + ([] if kernel is None else [w.conv_kernel]))
     keep = T.will_record(inputs)
-    chunk = min(rows, max(1, CHUNK_ROWS // batch) * batch)
     dtype = np.result_type(x.data, w.cell.w_z.data)
     eps = x.data.dtype.type(LN_EPS)
     keep_p = 1.0 - cfg.dropout_rate
-    # Without a tape, normed rows are kept after a tail of the previous
-    # chunk's last conv_width - 1 tokens, which the taps read across the seam.
-    tail = 0 if keep or kernel is None else min(rows, (kernel.shape[0] - 1) * batch)
-    size = rows if keep else chunk
-    normed = np.empty((tail + size, d), dtype)
-    xhat = np.empty((rows, d), dtype) if keep else normed[tail:]
-    inv_std = np.empty((size, 1), dtype)
-    x_if = normed if kernel is None else np.empty((size, d), dtype)
-    hs = np.empty((size, d), dtype)
-    # The gate slab, cell and normalizer rows that the backward reads.
-    history = (np.empty((4, rows, d), dtype), np.empty((rows, d), dtype),
-               np.empty((rows, d), dtype)) if keep else None
-    mask = np.empty((rows, d), dtype) if keep and dropout else None
+    shapes = _chunk_shapes(d, rows, batch, 0 if kernel is None else kernel.shape[0], keep)
+    chunk = shapes[0][1]
     out = np.empty((rows, d), dtype)
-    cell = _Recurrence(w.cell, batch, chunk, dtype, stats)
+    if keep:
+        tail = 0
+        normed, xhat, inv_std, hs = (np.empty(shape, dtype) for shape in
+                                     ((rows, d), (rows, d), (rows, 1), (rows, d)))
+        x_if = normed if kernel is None else np.empty((rows, d), dtype)
+        # The gate slab, cell and normalizer rows that the backward reads.
+        history = (np.empty((4, rows, d), dtype), np.empty((rows, d), dtype),
+                   np.empty((rows, d), dtype))
+        mask = np.empty((rows, d), dtype) if dropout else None
+        # The slabs are carved after the arrays the tape keeps: carved before
+        # them, a weather-width training step took about 2,500 minor page
+        # faults instead of about 700.
+        pre, step = Scratch().carve(dtype, shapes)
+    else:
+        if scratch is None:
+            scratch = Scratch()
+        pre, step, normed, inv_std, hs, *conv_rows = scratch.carve(dtype, shapes)
+        # Normed rows are kept after a tail of the previous chunk's last
+        # conv_width - 1 tokens, which the taps read across the seam.
+        tail = normed.shape[0] - chunk
+        xhat = normed[tail:]
+        x_if = conv_rows[0] if conv_rows else normed
+        history = mask = None
+    cell = _Recurrence(w.cell, pre, step, stats)
 
     for lo in range(0, rows, chunk):
         hi = min(lo + chunk, rows)
@@ -440,7 +531,9 @@ def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
                 first = max(0, shift - lo)
                 if first >= n:
                     break
-                x_if_c[first:] += normed[base + first - shift:base + n - shift] * kernel[j]
+                # The product goes through the pre-activation slab too.
+                x_if_c[first:] += np.multiply(normed[base + first - shift:base + n - shift],
+                                              kernel[j], out=cell.pre[0, first:n])
 
         hs_c = hs[part]
         views = None if history is None else (history[0][:, lo:hi], history[1][lo:hi],
@@ -494,9 +587,13 @@ def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
 
 
 def _stack_tokens(cfg: BlockConfig, blocks: list[BlockWeights], x: Tensor, batch: int,
-                  training: bool, rng, stats: StabilizerStats | None = None) -> Tensor:
+                  training: bool, rng, stats: StabilizerStats | None = None,
+                  scratch: Scratch | None = None) -> Tensor:
     """The shared stack over token-major rows [L*B, D]: B independent
-    sequences of L tokens, token t in rows t*B .. (t+1)*B."""
+    sequences of L tokens, token t in rows t*B .. (t+1)*B.  Its blocks share
+    ``scratch``, or one made for this call when none is given."""
+    if scratch is None:
+        scratch = Scratch()
     for w in blocks:
-        x = _block(cfg, w, x, batch, training, rng, stats)
+        x = _block(cfg, w, x, batch, training, rng, stats, scratch)
     return x

@@ -51,6 +51,10 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.lr_initial <= 0:
             raise ValueError("lr_initial must be positive")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.warmup_steps < 0:
+            raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
 
 
 @dataclass
@@ -220,16 +224,21 @@ def predict_dataset(params: MixerParams, cfg: MixerConfig, dataset,
     forecasts; targets are the dataset's read-only window view.
 
     Each batch is a slice of ``dataset.windows()``, read in place, and its
-    forecasts are written straight into the one forecast array."""
+    forecasts are written straight into the one forecast array.  The
+    recurrent stack carves its chunk buffers from one scratch, allocated
+    before the first batch for the largest one and dropped with the pass."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n = len(dataset)
     if n == 0:
         raise ValueError("cannot predict an empty dataset")
     xs, ys = dataset.windows()
+    batches = list(_eval_batches(n, batch_size))
+    scratch = mixer.stack_scratch(params, cfg, xs.dtype, {hi - lo for lo, hi in batches})
     preds = None
-    for lo, hi in _eval_batches(n, batch_size):
-        out = mixer.forward_batch(params, cfg, xs[lo:hi], training=False).data
+    for lo, hi in batches:
+        out = mixer.forward_batch(params, cfg, xs[lo:hi], training=False,
+                                  scratch=scratch).data
         if preds is None:
             preds = np.empty((n, cfg.num_variates, cfg.horizon), dtype=out.dtype)
         preds[lo:hi] = out.reshape(cfg.num_variates, hi - lo, cfg.horizon).transpose(1, 0, 2)

@@ -174,6 +174,17 @@ def test_missing_data_file_is_reported(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, value, field", [("--epochs", "0", "max_epochs"),
+                                               ("--epochs", "-1", "max_epochs"),
+                                               ("--warmup", "-5", "warmup_steps")])
+def test_invalid_train_config_is_reported_before_any_output(tiny_csv, tmp_path, capsys,
+                                                            flag, value, field):
+    out = tmp_path / "run"
+    assert run_train(tiny_csv, out, [flag, value]) == 2
+    assert f"error: {field} must be >= " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_window_index_out_of_range_is_reported(tiny_csv, tmp_path, capsys):
     out = tmp_path / "run"
     run_train(tiny_csv, out)

@@ -46,7 +46,8 @@ def run_sequence(p: slstm.SLstmParams, xs, stats=None) -> np.ndarray:
     """The fused recurrence's forward over the tokens xs [L, D_in], batch 1."""
     x = R.lift(xs).data
     hs = np.empty((x.shape[0], p.d_hidden), dtype=np.result_type(x, p.w_z.data))
-    slstm._Recurrence(p, 1, x.shape[0], hs.dtype, stats).run(x, x, hs)
+    pre, step = slstm.Scratch().carve(hs.dtype, [(4, x.shape[0], p.d_hidden), (9, 1, p.d_hidden)])
+    slstm._Recurrence(p, pre, step, stats).run(x, x, hs)
     return hs
 
 

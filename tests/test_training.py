@@ -320,6 +320,20 @@ def test_schedule_rejects_warmup_at_or_past_total():
         lr_at_step(0, 10, TrainConfig(warmup_steps=10))
 
 
+@pytest.mark.parametrize("field, value", [("max_epochs", 0), ("max_epochs", -1),
+                                          ("warmup_steps", -1), ("warmup_steps", -5)])
+def test_train_config_rejects_values_below_their_floor(field, value):
+    # Zero epochs wrote no checkpoint, and a negative warmup shifted the
+    # cosine schedule; both are rejected naming the field and the value.
+    with pytest.raises(ValueError, match=f"^{field} must be >= [01], got {value}$"):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_floors_are_accepted():
+    cfg = TrainConfig(max_epochs=1, warmup_steps=0)
+    assert lr_at_step(0, 10, cfg) == cfg.lr_initial
+
+
 # -- fit ---------------------------------------------------------------------------
 
 def test_fit_single_epoch_bound(tmp_path):
