@@ -1,11 +1,14 @@
 """End-to-end gradient verification on a tiny full model.
 
 Runs in 64-bit precision and compares the analytic gradient of the L1
-forecast loss against central finite differences twice: entry by entry for
-every parameter, and along random unit directions (one per parameter tensor,
-plus a few over the whole model), where a tensor's whole gradient is the
-signal rather than one tiny entry.  Seeds are screened so the loss sits away
-from the |.| and max(.) kinks, where finite differences are meaningless.
+forecast loss against central finite differences along random unit
+directions: one per parameter tensor, zero on every other tensor, plus a few
+over the whole model.  Along a direction a tensor's whole gradient is the
+signal rather than one tiny entry, so the check is not swamped by the
+cancellation noise of entries near zero.  The directional error is the one
+gate; the per-entry sweep is kept in the tests as an oracle.  Seeds are
+screened so the loss sits away from the |.| and max(.) kinks, where finite
+differences are meaningless.
 """
 
 from __future__ import annotations
@@ -29,20 +32,23 @@ WHOLE_MODEL_DIRECTIONS = 8
 DIRECTIONAL_TOL = 1e-5
 
 
+class GradcheckError(RuntimeError):
+    """Raised when a finite-difference probe hits a non-finite value."""
+
+
 @dataclass
 class GradcheckResult:
-    max_error: float
-    frac_below_1e6: float
+    """One directional gradient check: the parameter count, the wall time,
+    the number of directions and the worst error along them.  It passes when
+    that error is below DIRECTIONAL_TOL."""
     num_params: int
     runtime_s: float
-    per_group: dict
     directional_max_error: float
     num_directions: int
 
     @property
     def passed(self) -> bool:
-        return (self.max_error < 1e-4 and self.frac_below_1e6 >= 0.99
-                and self.directional_max_error < DIRECTIONAL_TOL)
+        return self.directional_max_error < DIRECTIONAL_TOL
 
 
 def tiny_config(num_variates=3, lookback=8, horizon=4, embed_dim=8, heads=2,
@@ -66,7 +72,8 @@ def build_tiny_problem(seed: int = 0, cfg: mixer.MixerConfig | None = None):
         y = mixer.forward_batch(params, cfg, x[None])
         # Keep the base loss small: central differences of a loss of
         # magnitude |f| carry ~eps|f|/2h of cancellation noise, which must
-        # stay below the 1e-6 relative gate for ~1e-6-sized gradients.
+        # stay below the per-entry oracle's 1e-6 relative bound for
+        # ~1e-6-sized gradients.
         # Offsets of at least 0.05 still keep the |.| kink far out of reach
         # of the 1e-5 probes.
         offset = rng.uniform(0.05, 0.15, size=y.shape) * rng.choice(
@@ -85,30 +92,23 @@ def _stabilizer_margin(params, cfg, x) -> float:
     return stats.min_gap
 
 
-def full_model_gradcheck(step: float = 1e-5, seed: int = 0,
+def full_model_gradcheck(seed: int = 0,
                          cfg: mixer.MixerConfig | None = None) -> GradcheckResult:
     started = time.perf_counter()
     with T.precision(np.float64):
         params, x, target = build_tiny_problem(seed, cfg)
         cfg = params.config
-        triples = list(params.named_parameters())
-        leaves = [t for _, t, _ in triples]
+        leaves = [t for _, t, _ in params.named_parameters()]
 
         def f():
             return mae_loss(mixer.forward_batch(params, cfg, x[None]), target)
 
-        errors = T.finite_difference_errors(f, leaves, step)
-        directional = finite_difference_directional(f, leaves, np.random.default_rng(seed))
-    flat = np.concatenate([e.reshape(-1) for e in errors])
-    per_group = {name: float(e.max()) for (name, _, _), e in zip(triples, errors)}
+        errors = finite_difference_directional(f, leaves, np.random.default_rng(seed))
     return GradcheckResult(
-        max_error=float(flat.max()),
-        frac_below_1e6=float(np.mean(flat < 1e-6)),
-        num_params=flat.size,
+        num_params=sum(leaf.size for leaf in leaves),
         runtime_s=time.perf_counter() - started,
-        per_group=per_group,
-        directional_max_error=float(directional.max()),
-        num_directions=directional.size,
+        directional_max_error=float(errors.max()),
+        num_directions=errors.size,
     )
 
 
@@ -149,12 +149,12 @@ def finite_difference_directional(f, leaves, rng) -> np.ndarray:
         try:
             loss = float(f().data.reshape(-1)[0])
         except FloatingPointError as exc:
-            raise T.GradcheckError(f"non-finite loss along direction {i}") from exc
+            raise GradcheckError(f"non-finite loss along direction {i}") from exc
         finally:
             for leaf, base in zip(leaves, bases):
                 leaf.data = base
         if not np.isfinite(loss):
-            raise T.GradcheckError(f"non-finite loss along direction {i}")
+            raise GradcheckError(f"non-finite loss along direction {i}")
         return loss
 
     h = DIRECTIONAL_STEP

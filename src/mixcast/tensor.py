@@ -5,10 +5,13 @@ recurrent weights are [heads, d_h, d_h]).  Every differentiable op is one
 :func:`custom_op`: a forward computed on numpy arrays and a backward that
 returns one gradient per input.  Ops executed while a :class:`Tape` is active
 record that backward onto it; calling ``backward`` once per tape accumulates
-gradients into every ``requires_grad`` leaf.  Tensors are treated as
-immutable once they participate in a tape.  Ops take Tensors: the engine
-neither lifts arrays or scalars nor reshapes, and an op that wants another
-layout of its input reads the input's array in that layout.
+gradients into every ``requires_grad`` leaf.  A tensor without a ``grad``
+gets a copy of its first gradient, so the engine owns every ``grad`` it
+creates; a ``grad`` already set (a caller's buffer, say) is added to in place
+and keeps its identity.  Tensors are treated as immutable once they
+participate in a tape.  Ops take Tensors: the engine neither lifts arrays or
+scalars nor reshapes, and an op that wants another layout of its input reads
+the input's array in that layout.
 
 Two precisions are supported: 32-bit scalars for ordinary runs and 64-bit for
 gradient checks and other oracle-grade computations.  A tensor built without
@@ -24,7 +27,7 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,22 +35,16 @@ __all__ = [
     "Tensor",
     "Tape",
     "ShapeError",
-    "GradcheckError",
     "precision",
     "default_dtype",
     "will_record",
     "custom_op",
     "backward",
-    "finite_difference_errors",
 ]
 
 
 class ShapeError(ValueError):
     """Raised when operand shapes violate an operation's contract."""
-
-
-class GradcheckError(RuntimeError):
-    """Raised when a finite-difference probe hits a non-finite value."""
 
 
 # Debug builds verify that forward ops keep finite inputs finite.
@@ -165,9 +162,14 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g.copy() if isinstance(g, np.ndarray) and g.base is not None else np.asarray(g)
-    else:
-        t.grad = t.grad + g
+        t.grad = np.array(g)
+        return
+    g = np.asarray(g)
+    if g.shape != t.grad.shape:
+        raise ShapeError(f"gradient has shape {g.shape}, the tensor's gradient {t.grad.shape}")
+    if g.dtype != t.grad.dtype:
+        raise ValueError(f"gradient is {g.dtype}, the tensor's gradient {t.grad.dtype}")
+    t.grad += g
 
 
 def _debug_finite(out: Tensor, *inputs: Tensor) -> None:
@@ -187,9 +189,12 @@ def custom_op(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable)
     arrays becomes one tape node.
 
     ``backward_fn(g)`` receives the output gradient and returns one gradient
-    array (or None, to skip that input) per input, in input order.  A
-    gradient that is a view is copied before it is kept; an input used more
-    than once, in this op or in several, sums its gradients.  The output
+    array (or None, to skip that input) per input, in input order.  An
+    input's first gradient is copied before it is kept, so a backward may
+    return one array for several inputs or a view of its own buffers; every
+    later one, from this op or another, is added in place into the input's
+    ``grad``.  A gradient of another shape or dtype than that ``grad`` is
+    rejected, naming both, rather than broadcast or cast.  The output
     requires a gradient when any input does; without an active tape nothing
     is recorded."""
     out = Tensor(data, dtype=data.dtype.type)
@@ -206,56 +211,3 @@ def custom_op(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable)
         tape._nodes.append((out, bwd))
     return out
 
-
-def finite_difference_errors(
-    f: Callable[[], Tensor],
-    leaves: Iterable[Tensor],
-    step: float = 1e-5,
-) -> list[np.ndarray]:
-    """Per-entry gradient errors of f against central finite differences.
-
-    For each leaf scalar the analytic gradient is compared with
-    (f(θ+h) − f(θ−h)) / 2h; the reported error is relative except when both
-    magnitudes fall below 1e-8, where it is absolute.
-    """
-    leaves = list(leaves)
-    for leaf in leaves:
-        leaf.zero_grad()
-    with Tape() as tape:
-        loss = f()
-        tape.backward(loss)
-    analytic = [
-        np.zeros_like(leaf.data) if leaf.grad is None else np.asarray(leaf.grad)
-        for leaf in leaves
-    ]
-
-    def probe(flat: np.ndarray, k: int, i: int, value) -> float:
-        """f with entry i of leaf k (``flat``) set to value, then restored.
-        A non-finite loss, or the debug checks' report of one, names the
-        entry."""
-        saved = flat[i]
-        flat[i] = value
-        try:
-            loss = float(f().data.reshape(-1)[0])
-        except FloatingPointError as exc:
-            raise GradcheckError(f"non-finite loss while probing leaf {k} entry {i}") from exc
-        finally:
-            flat[i] = saved
-        if not np.isfinite(loss):
-            raise GradcheckError(f"non-finite loss while probing leaf {k} entry {i}")
-        return loss
-
-    errors = []
-    for k, leaf in enumerate(leaves):
-        flat = leaf.data.reshape(-1)
-        err = np.zeros(flat.size, dtype=np.float64)
-        a_flat = analytic[k].reshape(-1)
-        for i in range(flat.size):
-            up = probe(flat, k, i, flat[i] + step)
-            down = probe(flat, k, i, flat[i] - step)
-            numeric = (up - down) / (2.0 * step)
-            a = float(a_flat[i])
-            denom = max(abs(a), abs(numeric))
-            err[i] = abs(a - numeric) if denom < 1e-8 else abs(a - numeric) / denom
-        errors.append(err.reshape(leaf.shape))
-    return errors

@@ -6,9 +6,11 @@ constants, the same for every run.
 At its start, ``fit`` lays every parameter end to end, in
 ``named_parameters`` order, in one contiguous array, and each parameter's
 ``data`` becomes a view of its segment; a gradient buffer and the Adam moments
-share that layout.  A step clips the whole gradient buffer and Adam updates
-the whole parameter buffer in place, so after ``fit`` the parameters are
-still views of its buffer.
+share that layout, and each parameter's ``grad`` is a view of its segment of
+the gradient buffer, which the engine's backward adds into in place.  A step
+zeroes the gradient buffer, runs the backward, clips the whole buffer and
+Adam updates the whole parameter buffer in place, so after ``fit`` the
+parameters and their gradients are still views of its buffers.
 
 All randomness (shuffling, dropout) derives from the run seed, and gradient
 reduction order is fixed, so identical seed + data + config reproduces the
@@ -55,6 +57,8 @@ class TrainConfig:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.warmup_steps < 0:
             raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
+        if self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
 
 
 @dataclass
@@ -72,8 +76,11 @@ class AdamState:
 
 class FlatParams:
     """A model's parameters in one contiguous array, in ``named_parameters``
-    order, each tensor's ``data`` a view of its segment, plus a gradient
-    buffer of the same layout.
+    order, each tensor's ``data`` a view of its segment, plus a zeroed
+    gradient buffer of the same layout whose segments are the tensors'
+    ``grad``.  The backward adds each gradient into its view, rejecting one
+    of another shape or dtype, so a step clips and updates from the buffer
+    as the backward left it.
 
     The parameters must share one dtype: laying mixed widths into one array
     would cast some of them silently, so the first that differs is named."""
@@ -88,33 +95,13 @@ class FlatParams:
         stops = np.cumsum([tensor.size for _, tensor in named]).tolist()
         self.segments = [(name, slice(lo, hi)) for (name, _), lo, hi
                          in zip(named, [0] + stops, stops)]
-        self.tensors = [tensor for _, tensor in named]
         self.data = np.empty(stops[-1], dtype)
-        self.grad = np.empty_like(self.data)
-        self._grads = []
-        for (_, seg), tensor in zip(self.segments, self.tensors):
+        self.grad = np.zeros_like(self.data)
+        for (_, seg), (_, tensor) in zip(self.segments, named):
             view = self.data[seg].reshape(tensor.shape)
             view[...] = tensor.data
             tensor.data = view
-            self._grads.append(self.grad[seg].reshape(tensor.shape))
-
-    def gather_grads(self) -> np.ndarray:
-        """The gradient buffer, filled from the tensors' ``grad`` (zeros where
-        a tensor has none).  A gradient of another dtype or shape than its
-        parameter is rejected by name, not cast or broadcast."""
-        for (name, _), tensor, view in zip(self.segments, self.tensors, self._grads):
-            g = tensor.grad
-            if g is None:
-                view.fill(0)
-                continue
-            if g.shape != view.shape:
-                raise ShapeError(f"gradient of {name} has shape {g.shape}, "
-                                 f"the parameter {view.shape}")
-            if g.dtype != view.dtype:
-                raise ValueError(f"gradient of {name} is {g.dtype}, "
-                                 f"the parameter {view.dtype}")
-            view[...] = g
-        return self.grad
+            tensor.grad = self.grad[seg].reshape(tensor.shape)
 
 
 @dataclass
@@ -282,8 +269,7 @@ def fit(params: MixerParams, cfg: MixerConfig, train_ds, val_ds,
             for b in range(batches_per_epoch):
                 idx = order[b * train_cfg.batch_size:(b + 1) * train_cfg.batch_size]
                 xs, ys = train_ds.batch(idx)
-                for t in flat.tensors:
-                    t.zero_grad()
+                flat.grad.fill(0)
                 with Tape() as tape:
                     pred = mixer.forward_batch(params, cfg, xs, training=True, rng=rng)
                     loss = mae_loss(pred, mixer.flatten_targets(ys))
@@ -293,10 +279,9 @@ def fit(params: MixerParams, cfg: MixerConfig, train_ds, val_ds,
                             f"non-finite loss {value} at epoch {epoch}, batch {b}"
                         )
                     tape.backward(loss)
-                grad = flat.gather_grads()
-                clip_global_norm(grad, flat.segments)
+                clip_global_norm(flat.grad, flat.segments)
                 lr = lr_at_step(step, total_steps, train_cfg)
-                adam_step(state, flat.data, grad, lr)
+                adam_step(state, flat.data, flat.grad, lr)
                 step += 1
                 epoch_abs += value * xs.shape[0] * xs.shape[1] * cfg.horizon
                 epoch_count += xs.shape[0] * xs.shape[1] * cfg.horizon

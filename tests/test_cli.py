@@ -164,6 +164,9 @@ def test_gradcheck_tiny_exits_zero(capsys):
     assert "PASS" in out
     # The tiny model's 24 parameter tensors plus 8 whole-model directions.
     assert "directions checked: 32\n" in out
+    # The directional check is the only gate: no per-entry lines.
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "parameters checked", "directions checked", "max directional error", "runtime", "PASS"]
     error = float(out.split("max directional error: ")[1].split()[0])
     assert 0.0 < error < gradcheck.DIRECTIONAL_TOL
 
@@ -176,7 +179,8 @@ def test_missing_data_file_is_reported(tmp_path):
 
 @pytest.mark.parametrize("flag, value, field", [("--epochs", "0", "max_epochs"),
                                                ("--epochs", "-1", "max_epochs"),
-                                               ("--warmup", "-5", "warmup_steps")])
+                                               ("--warmup", "-5", "warmup_steps"),
+                                               ("--patience", "-1", "patience")])
 def test_invalid_train_config_is_reported_before_any_output(tiny_csv, tmp_path, capsys,
                                                             flag, value, field):
     out = tmp_path / "run"

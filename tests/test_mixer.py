@@ -382,26 +382,45 @@ def test_view_symmetry_swaps_roles_bitwise():
     assert np.array_equal(out_r2, out_f1)
 
 
+def entry_errors(cfg=None, step: float = 1e-5) -> np.ndarray:
+    """Per-entry finite-difference errors of the gradient check's tiny
+    problem (seed 0), all parameters flattened in named_parameters order."""
+    with T.precision(np.float64):
+        params, x, target = gradcheck.build_tiny_problem(0, cfg)
+        cfg = params.config
+        leaves = [t for _, t, _ in params.named_parameters()]
+        errors = R.finite_difference_errors(
+            lambda: mae_loss(mixer.forward_batch(params, cfg, x[None]), target), leaves, step)
+    return np.concatenate([e.reshape(-1) for e in errors])
+
+
 def test_time_axis_forward_shapes_and_gradients():
     cfg = build_ablation_config(2, gradcheck.tiny_config())
-    result = gradcheck.full_model_gradcheck(cfg=cfg)
-    assert result.max_error < 1e-4
-    assert result.frac_below_1e6 > 0.98
+    errors = entry_errors(cfg)
+    assert errors.max() < 1e-4
+    assert np.mean(errors < 1e-6) > 0.98
 
 
 def test_no_time_mixing_forward_gradients():
     cfg = build_ablation_config(7, gradcheck.tiny_config())
-    result = gradcheck.full_model_gradcheck(cfg=cfg)
-    assert result.max_error < 1e-4
-    assert result.frac_below_1e6 > 0.98
+    errors = entry_errors(cfg)
+    assert errors.max() < 1e-4
+    assert np.mean(errors < 1e-6) > 0.98
 
 
-@pytest.mark.parametrize("cid", [3, 6, 8])
+@pytest.mark.parametrize("cid", range(1, 11))
 def test_ablation_forward_gradients(cid):
-    # No learned token (3, 6, 8), no stack (6), no time mixing (8).
+    # The product's gate passes every ablation.  The per-entry bounds hold
+    # too with no learned token (3, 6, 8), no stack (6) and no time mixing
+    # (8); in 4 and 5 cancellation noise on gradients below ~2.4e-6 puts
+    # about 1.5% of the entries past 1e-6.
     cfg = build_ablation_config(cid, gradcheck.tiny_config())
     result = gradcheck.full_model_gradcheck(cfg=cfg)
-    assert result.passed, (result.max_error, result.frac_below_1e6)
+    assert result.passed, result.directional_max_error
+    if cid in (3, 6, 8):
+        errors = entry_errors(cfg)
+        assert errors.max() < 1e-4 and np.mean(errors < 1e-6) >= 0.99, (
+            errors.max(), np.mean(errors < 1e-6))
 
 
 @pytest.mark.parametrize("conv", [0, 4])

@@ -286,6 +286,6 @@ def test_two_block_stack_gradients_match_finite_differences():
             out = slstm._stack_tokens(cfg, [w1, w2], R.lift(xs), 1, False, None)
             return R.reduce_mean(R.absval(R.sub(out, Tensor(target, dtype=np.float64))))
 
-        errs = T.finite_difference_errors(f, leaves, 1e-5)
+        errs = R.finite_difference_errors(f, leaves, 1e-5)
         flat = np.concatenate([e.reshape(-1) for e in errs])
     assert flat.max() < 1e-6

@@ -1,10 +1,12 @@
-"""Every module-level function and class of the program has a caller.
+"""Every module-level function and class of the program, and every public
+method of its classes, has a caller.
 
 A definition in ``src/mixcast`` must be referenced from another definition
-in ``src/`` or from ``benchmarks/``: code that only tests reach is deleted,
-not kept.  Names, attributes, imports and string constants (the
-benchmark's traced run wraps attributes by name) count as references.  Every
-name a module exports in ``__all__`` is defined.
+in ``src/`` or from ``benchmarks/``, and a public method from anywhere there
+but its own body: code that only tests reach is deleted, not kept.  Names,
+attributes, imports and string constants (the benchmark's traced run wraps
+attributes by name) count as references.  Every name a module exports in
+``__all__`` is defined.
 """
 
 import ast
@@ -39,8 +41,8 @@ def referenced_names(node) -> set[str]:
 def unreferenced_definitions() -> list[str]:
     files = sorted(SRC.glob("*.py")) + sorted((ROOT / "benchmarks").rglob("*.py"))
     trees = {path: ast.parse(path.read_text()) for path in files}
-    # References from each top-level statement, so that a definition's own
-    # body does not count for it.
+    # References from each top-level statement, and from each member of a
+    # class, so that a definition's own body does not count for it.
     statements = [(stmt, referenced_names(stmt)) for tree in trees.values()
                   for stmt in tree.body]
     missing = []
@@ -48,14 +50,24 @@ def unreferenced_definitions() -> list[str]:
         for stmt in trees[path].body:
             if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if not any(stmt.name in names for other, names in statements if other is not stmt):
+            outside = [names for other, names in statements if other is not stmt]
+            if not any(stmt.name in names for names in outside):
                 missing.append(f"{path.stem}.{stmt.name}")
+            if not isinstance(stmt, ast.ClassDef):
+                continue
+            members = [(member, referenced_names(member)) for member in stmt.body]
+            for method, _ in members:
+                if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
+                    continue
+                refs = outside + [names for other, names in members if other is not method]
+                if not any(method.name in names for names in refs):
+                    missing.append(f"{path.stem}.{stmt.name}.{method.name}")
     return missing
 
 
 def test_every_definition_has_a_caller_outside_tests():
     unused = [name for name in unreferenced_definitions()
-              if name.split(".")[1] not in ALLOWED]
+              if name.split(".")[-1] not in ALLOWED]
     assert not unused, f"reached only from tests (delete, or allow with a reason): {unused}"
 
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixcast import tensor as T
+from mixcast import gradcheck, tensor as T
+from mixcast.gradcheck import GradcheckError
 from mixcast.tensor import ShapeError, Tape, Tensor
 
 import engine_reference as R
@@ -17,7 +18,7 @@ import engine_reference as R
 
 def fd_max_error(f, leaves, step: float = 1e-5) -> float:
     """Worst gradient error over all leaf entries."""
-    return max(float(e.max()) for e in T.finite_difference_errors(f, leaves, step))
+    return max(float(e.max()) for e in R.finite_difference_errors(f, leaves, step))
 
 
 def test_matmul_identity():
@@ -248,7 +249,7 @@ def test_fd_quadratic_and_constant():
         assert err < 1e-9
 
         k = R.parameter([2.0])
-        errs = T.finite_difference_errors(lambda: R.reduce_sum(R.mul(k, 0.0)), [k], 1e-5)
+        errs = R.finite_difference_errors(lambda: R.reduce_sum(R.mul(k, 0.0)), [k], 1e-5)
         assert errs[0].max() == 0.0
 
 
@@ -256,7 +257,7 @@ def test_fd_quadratic_and_constant():
 def test_fd_reports_nonfinite_probe():
     with T.precision(np.float64):
         w = R.parameter([0.0])
-        with pytest.raises(T.GradcheckError, match="leaf 0"):
+        with pytest.raises(GradcheckError, match="leaf 0"):
             fd_max_error(lambda: R.reduce_sum(R.sqrt(w)), [w], 1e-5)
 
 
@@ -267,10 +268,20 @@ def test_fd_reports_nonfinite_probe_under_debug_checks(monkeypatch):
     monkeypatch.setattr(T, "DEBUG_CHECKS", True)
     with T.precision(np.float64):
         w = R.parameter([0.5, 0.0])
-        with pytest.raises(T.GradcheckError, match="leaf 0 entry 1") as info:
-            T.finite_difference_errors(lambda: R.reduce_sum(R.sqrt(w)), [w], 1e-5)
+        with pytest.raises(GradcheckError, match="leaf 0 entry 1") as info:
+            R.finite_difference_errors(lambda: R.reduce_sum(R.sqrt(w)), [w], 1e-5)
     assert isinstance(info.value.__cause__, FloatingPointError)
     assert w.data.tolist() == [0.5, 0.0]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_directional_check_reports_nonfinite_probe():
+    with T.precision(np.float64):
+        w = R.parameter([0.0, 1.0])
+        with pytest.raises(GradcheckError, match="^non-finite loss along direction 0$"):
+            gradcheck.finite_difference_directional(
+                lambda: R.reduce_sum(R.sqrt(w)), [w], np.random.default_rng(0))
+    assert w.data.tolist() == [0.0, 1.0]
 
 
 @given(st.integers(0, 1000))
@@ -325,6 +336,51 @@ def test_custom_op_copies_a_gradient_that_is_a_view():
         tape.backward(R.reduce_sum(R.mul(out, np.arange(6.0, dtype=np.float32))))
     assert np.array_equal(w.grad, np.arange(6.0).reshape(2, 3))
     assert not np.shares_memory(w.grad, seen[0])
+
+
+def test_one_array_returned_for_two_inputs_is_not_shared():
+    # add's backward returns the same array for both operands; the earlier
+    # op on a then adds into a.grad, which must not be b.grad.
+    a, b = R.parameter([1.0, 2.0]), R.parameter([3.0, 4.0])
+    with Tape() as tape:
+        twice = R.mul(a, 2.0)
+        tape.backward(R.reduce_sum(R.add(R.add(a, b), twice)))
+    assert np.array_equal(a.grad, [3.0, 3.0])
+    assert np.array_equal(b.grad, [1.0, 1.0])
+    assert not np.shares_memory(a.grad, b.grad)
+
+
+def test_a_preset_gradient_is_added_to_in_place():
+    buffer = np.full(8, 0.5, np.float32)
+    w = R.parameter(np.zeros((2, 3)))
+    view = buffer[1:7].reshape(2, 3)
+    w.grad = view
+    with Tape() as tape:
+        tape.backward(R.reduce_sum(R.mul(w, np.arange(6.0, dtype=np.float32).reshape(2, 3))))
+    assert w.grad is view
+    assert buffer.tolist() == [0.5, 0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 0.5]
+
+
+def test_a_gradient_of_another_shape_is_rejected():
+    w = R.parameter(np.zeros((1, 4)))
+    w.grad = np.zeros((1, 4), np.float32)
+    with Tape() as tape:
+        out = record([w], lambda g: [np.ones(4, np.float32)], data=np.zeros(4, np.float32))
+        with pytest.raises(ShapeError, match=r"^gradient has shape \(4,\), "
+                                             r"the tensor's gradient \(1, 4\)$"):
+            tape.backward(R.reduce_sum(out))
+    assert not w.grad.any()
+
+
+def test_a_gradient_of_another_dtype_is_rejected():
+    w = R.parameter(np.zeros(3))
+    w.grad = np.zeros(3, np.float32)
+    with Tape() as tape:
+        out = record([w], lambda g: [np.ones(3, np.float64)])
+        with pytest.raises(ValueError, match="^gradient is float64, "
+                                             "the tensor's gradient float32$"):
+            tape.backward(R.reduce_sum(out))
+    assert not w.grad.any()
 
 
 def test_no_recording_without_tape():

@@ -261,7 +261,8 @@ def test_flat_step_matches_per_tensor_reference_bitwise(layout, dtype):
     parameter that never has a gradient."""
     params = layout_params(layout, dtype)
     names = [name for name, _, _ in params.named_parameters()]
-    shadow = [Tensor(t.data.copy(), dtype=dtype) for _, t, _ in params.named_parameters()]
+    tensors = [t for _, t, _ in params.named_parameters()]
+    shadow = [Tensor(t.data.copy(), dtype=dtype) for t in tensors]
     flat = FlatParams(params)
     state, ref_state = AdamState.for_params(flat.data), ref.AdamState.for_params(shadow)
     assert flat.data.dtype == dtype
@@ -273,19 +274,22 @@ def test_flat_step_matches_per_tensor_reference_bitwise(layout, dtype):
         scale = 10.0 ** rng.uniform(-0.7, 0.7) / math.sqrt(flat.data.size)
         grads = [(rng.normal(size=t.shape) * scale).astype(dtype) for t in shadow]
         grads[idle][...] = 0.0
-        for k, t in enumerate(flat.tensors):
-            t.grad = None if k == idle else grads[k].copy()
+        # The step's zero fill, then each leaf's gradient written into its
+        # view; the idle leaf keeps the fill.
+        flat.grad.fill(0)
+        for k, t in enumerate(tensors):
+            if k != idle:
+                t.grad[...] = grads[k]
         lr = 1e-3 * (step + 1) / 24
         ref_norm = ref.clip_global_norm(grads)
         ref.adam_step(ref_state, shadow, grads, lr)
-        grad = flat.gather_grads()
-        norm = clip_global_norm(grad, flat.segments)
-        adam_step(state, flat.data, grad, lr)
+        norm = clip_global_norm(flat.grad, flat.segments)
+        adam_step(state, flat.data, flat.grad, lr)
         clipped += norm > training.CLIP_NORM
         assert norm == ref_norm, step
         assert state.t == ref_state.t == step + 1
         for k, (name, seg) in enumerate(flat.segments):
-            for got, want in ((flat.tensors[k].data, shadow[k].data),
+            for got, want in ((tensors[k].data, shadow[k].data),
                               (state.m[seg], ref_state.m[k]),
                               (state.v[seg], ref_state.v[k])):
                 assert got.dtype == want.dtype, name
@@ -321,16 +325,18 @@ def test_schedule_rejects_warmup_at_or_past_total():
 
 
 @pytest.mark.parametrize("field, value", [("max_epochs", 0), ("max_epochs", -1),
-                                          ("warmup_steps", -1), ("warmup_steps", -5)])
+                                          ("warmup_steps", -1), ("warmup_steps", -5),
+                                          ("patience", -1)])
 def test_train_config_rejects_values_below_their_floor(field, value):
-    # Zero epochs wrote no checkpoint, and a negative warmup shifted the
-    # cosine schedule; both are rejected naming the field and the value.
+    # Zero epochs wrote no checkpoint, a negative warmup shifted the cosine
+    # schedule and a negative patience acted as 0; each is rejected naming
+    # the field and the value.
     with pytest.raises(ValueError, match=f"^{field} must be >= [01], got {value}$"):
         TrainConfig(**{field: value})
 
 
 def test_train_config_floors_are_accepted():
-    cfg = TrainConfig(max_epochs=1, warmup_steps=0)
+    cfg = TrainConfig(max_epochs=1, warmup_steps=0, patience=0)
     assert lr_at_step(0, 10, cfg) == cfg.lr_initial
 
 
@@ -519,8 +525,8 @@ def test_fit_rejects_parameters_of_mixed_dtypes(tmp_path):
 
 
 @pytest.mark.parametrize("fault,error,match", [
-    ("dtype", ValueError, "gradient of view.bias is float64, the parameter float32"),
-    ("shape", ShapeError, r"gradient of view.bias has shape \(2, 1, 4\), the parameter \(1, 4\)"),
+    ("dtype", ValueError, "^gradient is float64, the tensor's gradient float32$"),
+    ("shape", ShapeError, r"^gradient has shape \(2, 1, 4\), the tensor's gradient \(1, 4\)$"),
 ])
 def test_fit_rejects_a_gradient_unlike_its_parameter(tmp_path, monkeypatch, fault, error, match):
     ds = make_affine_task(32)
@@ -530,7 +536,8 @@ def test_fit_rejects_a_gradient_unlike_its_parameter(tmp_path, monkeypatch, faul
 
     def extra_gradient(params, cfg, xs, **kwargs):
         # An identity op that also hands view.bias a zero gradient of the
-        # wrong dtype or shape; the real gradient is added to it later.
+        # wrong dtype or shape; its backward runs first, against the
+        # parameter's view of the flat gradient buffer.
         out = original(params, cfg, xs, **kwargs)
         leaf = params.view_b
         bad = (np.zeros(leaf.shape, np.float64) if fault == "dtype"
@@ -541,6 +548,34 @@ def test_fit_rejects_a_gradient_unlike_its_parameter(tmp_path, monkeypatch, faul
     tc = TrainConfig(batch_size=16, max_epochs=1, seed=0)
     with pytest.raises(error, match=match):
         training.fit(params, cfg, ds, ds, tc, tmp_path)
+
+
+def test_fit_leaves_every_gradient_a_view_of_the_flat_buffer(tmp_path, monkeypatch):
+    """The engine adds each parameter's gradient into its segment of the
+    flat gradient buffer: after a step every .grad is still that view, and
+    the buffer fit clips and steps with holds the step's gradients."""
+    ds = make_affine_task(16)
+    cfg = small_config(conv_width=4)
+    params = mixer.init_mixer_params(cfg, np.random.default_rng(0))
+    seen = []
+    original = training.adam_step
+
+    def spy(state, flat_params, grad, lr):
+        seen.append(grad)
+        original(state, flat_params, grad, lr)
+
+    monkeypatch.setattr(training, "adam_step", spy)
+    tc = TrainConfig(batch_size=16, max_epochs=1, seed=0)
+    training.fit(params, cfg, ds, ds, tc, tmp_path)
+    (grad,) = seen
+    offset = 0
+    for name, t, _ in params.named_parameters():
+        assert isinstance(t.grad, np.ndarray) and t.grad.shape == t.shape, name
+        assert t.grad.base is grad, name
+        assert t.grad.__array_interface__["data"][0] == (
+            grad.__array_interface__["data"][0] + offset * grad.itemsize), name
+        offset += t.size
+    assert offset == grad.size and grad.any()
 
 
 def per_batch_composition(params, cfg, ds, batch_size):
