@@ -1,6 +1,14 @@
 """CSV ingestion, train-only standardization, chronological splits, and
 sliding-window pair generation.
 
+``load_csv`` reads a UTF-8 file.  Its header goes through ``csv.reader``; its
+data lines go, timestamp split off, to numpy's C parser (``np.loadtxt``).  A
+file that parser refuses, or reads to other row or column counts than the
+header and line count imply, is read again cell by cell with ``csv.reader``
+and ``float``: a blank line, a ragged row, a blank or unparsable cell, a quote
+character, or a cell only ``float`` accepts such as ``1_000``.  Only that
+reader names the bad row and column.  Both give the same values.
+
 Windows are (X: [V, T], Y: [V, H]) pairs cut with stride 1.  Validation and
 test windows may reach back up to T rows into the preceding split for
 context; standardization statistics come from the train range only.
@@ -9,6 +17,7 @@ context; standardization statistics come from the train range only.
 from __future__ import annotations
 
 import csv
+import itertools
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -140,19 +149,82 @@ def load_csv(path) -> RawSeries:
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        parsed = _read_with_loadtxt(path) or _read_cell_by_cell(path)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (cannot decode byte "
+                        f"0x{exc.object[exc.start]:02x})") from None
+    names, values, timestamps = parsed
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        r, c = bad[0]
+        raise DataError(f"{path}: non-finite cell {float(values[r, c])} at row {r + 2}, "
+                        f"column {c + 2}")
+    stamps = [t.strip() for t in timestamps]
+    if all(_TIMESTAMP_RE.match(t) for t in stamps):
+        ordered = all(a <= b for a, b in zip(stamps, stamps[1:]))
+        if not ordered:
+            raise DataError(f"{path}: timestamps are not in chronological order")
+    return RawSeries(names=names, values=values, timestamps=timestamps)
+
+
+def _read_header(path: Path, fh) -> list[str]:
+    """The variate names of the header record, which is read from ``fh`` and
+    nothing after it."""
+    try:
+        header = next(csv.reader(fh))
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    if len(header) < 2:
+        raise DataError(f"{path}: need a timestamp column plus at least one variate")
+    return [h.strip() for h in header[1:]]
+
+
+def _value_fields(lines, timestamps: list[str]):
+    """Each line's text after its timestamp, lazily, so that np.loadtxt
+    builds no per-cell Python objects; the timestamps go to ``timestamps``.
+
+    Raises ValueError, as loadtxt does on a cell it cannot read, on a line
+    with a quote, which csv.reader unquotes and loadtxt does not, or with no
+    comma or nothing after the first, which loadtxt would skip as blank."""
+    for line in lines:
+        stamp, comma, rest = line.partition(",")
+        if not comma or rest[:1] in "\r\n" or '"' in line:
+            raise ValueError("line needs the cell-by-cell reader")
+        timestamps.append(stamp)
+        yield rest
+
+
+def _read_with_loadtxt(path: Path):
+    """(names, values, timestamps) parsed by numpy's C reader, or None when the
+    file needs ``_read_cell_by_cell``."""
+    with path.open(encoding="utf-8", newline="") as fh:
+        names = _read_header(path, fh)
+        first = next(fh, None)
+        if first is None:
+            raise DataError(f"{path}: no data rows")
+        timestamps: list[str] = []
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if len(header) < 2:
-            raise DataError(f"{path}: need a timestamp column plus at least one variate")
-        names = [h.strip() for h in header[1:]]
-        width = len(header)
+            values = np.loadtxt(_value_fields(itertools.chain([first], fh), timestamps),
+                                delimiter=",", comments=None, ndmin=2)
+        except UnicodeDecodeError:  # a ValueError, which rereading cannot mend
+            raise
+        except ValueError:
+            return None
+    if values.shape != (len(timestamps), len(names)):
+        return None
+    return names, values, timestamps
+
+
+def _read_cell_by_cell(path: Path):
+    """(names, values, timestamps) parsed by csv.reader and float, naming the
+    row and column of the first bad cell."""
+    with path.open(encoding="utf-8", newline="") as fh:
+        names = _read_header(path, fh)
+        width = len(names) + 1
         timestamps: list[str] = []
         rows: list[list[float]] = []
-        for r, row in enumerate(reader, start=2):
+        for r, row in enumerate(csv.reader(fh), start=2):
             if len(row) != width:
                 raise DataError(f"{path}: row {r} has {len(row)} cells, expected {width}")
             timestamps.append(row[0])
@@ -170,17 +242,7 @@ def load_csv(path) -> RawSeries:
             rows.append(parsed)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    values = np.asarray(rows, dtype=np.float64)
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        r, c = bad[0]
-        raise DataError(f"{path}: non-finite cell {rows[r][c]} at row {r + 2}, "
-                        f"column {c + 2}")
-    if timestamps and all(_TIMESTAMP_RE.match(t.strip()) for t in timestamps):
-        ordered = all(a <= b for a, b in zip(timestamps, timestamps[1:]))
-        if not ordered:
-            raise DataError(f"{path}: timestamps are not in chronological order")
-    return RawSeries(names=names, values=values, timestamps=timestamps)
+    return names, np.asarray(rows, dtype=np.float64), timestamps
 
 
 def chronological_split(total_rows: int, dataset_kind: str) -> SplitSpec:

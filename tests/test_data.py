@@ -1,5 +1,7 @@
 """Loader, split, standardization, and windowing contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,25 +14,88 @@ from conftest import synthetic_series, write_series_csv
 
 
 def write_csv(path, text):
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8", newline="")
     return path
 
 
-def test_load_small_file(tmp_path):
-    p = write_csv(tmp_path / "a.csv",
-                  "date,u,v\n"
-                  "2020-01-01 00:00:00,1.0,2.0\n"
-                  "2020-01-01 01:00:00,3.0,4.0\n"
-                  "2020-01-01 02:00:00,5.0,6.0\n")
-    raw = D.load_csv(p)
-    assert raw.values.shape == (3, 2)
-    assert raw.names == ["u", "v"]
-    assert raw.values[1, 1] == 4.0
+STAMPS = ["2020-01-01 00:00:00", "2020-01-01 01:00:00", "2020-01-01 02:00:00"]
+SMALL = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+
+# (text, names, values, timestamps) of files every reader must accept alike.
+VALID_FILES = [
+    pytest.param("date,u,v\n"
+                 "2020-01-01 00:00:00,1.0,2.0\n"
+                 "2020-01-01 01:00:00,3.0,4.0\n"
+                 "2020-01-01 02:00:00,5.0,6.0\n",
+                 ["u", "v"], SMALL, STAMPS, id="plain"),
+    pytest.param("date,u,v\r\n"
+                 "2020-01-01 00:00:00,1.0,2.0\r\n"
+                 "2020-01-01 01:00:00,3.0,4.0\r\n"
+                 "2020-01-01 02:00:00,5.0,6.0\r\n",
+                 ["u", "v"], SMALL, STAMPS, id="crlf"),
+    pytest.param("date,u,v\r"
+                 "2020-01-01 00:00:00,1.0,2.0\r"
+                 "2020-01-01 01:00:00,3.0,4.0\r"
+                 "2020-01-01 02:00:00,5.0,6.0",
+                 ["u", "v"], SMALL, STAMPS, id="cr-no-final-newline"),
+    pytest.param('"date","u","v"\n'
+                 '"2020-01-01 00:00:00","1.0","2.0"\n'
+                 '"2020-01-01 01:00:00",3.0,"4.0"\n'
+                 '"2020-01-01 02:00:00",5.0,6.0\n',
+                 ["u", "v"], SMALL, STAMPS, id="quoted"),
+    pytest.param('date,u,v\n'
+                 '"2020-01-01 00:00:00",1.0,2.0\n'
+                 '"2020-01-01 01:00:00",3.0,4.0\n'
+                 '"2020-01-01 02:00:00",5.0,6.0\n',
+                 ["u", "v"], SMALL, STAMPS, id="quoted-timestamps"),
+    pytest.param("date, u ,v \n"
+                 "2020-01-01 00:00:00, 1.0 ,2.0\n"
+                 "2020-01-01 01:00:00 ,3.0 , 4.0\n"
+                 "2020-01-01 02:00:00,\t5.0,6.0 \n",
+                 ["u", "v"], SMALL, [STAMPS[0], STAMPS[1] + " ", STAMPS[2]],
+                 id="spaces"),
+    pytest.param("date,u,v\n"
+                 "2020-01-01 00:00:00,+1.5,2.0\n"
+                 "2020-01-01 01:00:00,3.0,+4e0\n"
+                 "2020-01-01 02:00:00,5.0,-6.0\n",
+                 ["u", "v"], [[1.5, 2.0], [3.0, 4.0], [5.0, -6.0]], STAMPS,
+                 id="signs-and-exponent"),
+    pytest.param("date,u,v\n"
+                 "2020-01-01 00:00:00,1_000,2.0\n"
+                 "2020-01-01 01:00:00,3.0,4.0\n"
+                 "2020-01-01 02:00:00,\u0665.0,6.0\n",
+                 ["u", "v"], [[1000.0, 2.0], [3.0, 4.0], [5.0, 6.0]], STAMPS,
+                 id="forms-only-float-reads"),
+    # Stripped timestamps are in order; the raw ones are not.
+    pytest.param("date,u\n2020-01-01 00:00:00,1.0\n 2020-01-01 01:00:00,2.0\n",
+                 ["u"], [[1.0], [2.0]], [STAMPS[0], " " + STAMPS[1]],
+                 id="timestamp-leading-space"),
+]
+# Of those, the files numpy's C reader leaves to the cell-by-cell reader.
+CELL_READER_ONLY = {"quoted", "quoted-timestamps", "forms-only-float-reads"}
 
 
-def test_load_blank_cell_names_position(tmp_path):
-    p = write_csv(tmp_path / "b.csv", "date,u\n2020-01-01,1.0\n2020-01-02,\n")
-    with pytest.raises(DataError, match="row 3, column 2"):
+@pytest.mark.parametrize("text,names,values,timestamps", VALID_FILES)
+def test_load_small_file(tmp_path, text, names, values, timestamps):
+    raw = D.load_csv(write_csv(tmp_path / "a.csv", text))
+    assert raw.names == names
+    assert raw.values.dtype == np.float64
+    assert raw.values.tolist() == values
+    assert raw.timestamps == timestamps
+
+
+@pytest.mark.parametrize("text,position", [
+    ("date,u\n2020-01-01,1.0\n2020-01-02,\n", "row 3, column 2"),
+    ("date,u,v\n2020-01-01,1.0,2.0\n2020-01-02, ,4.0\n", "row 3, column 2"),
+    ("date,u\n2020-01-01,1.0\n2020-01-02,\r\n", "row 3, column 2"),
+    # np.loadtxt skips a line with nothing after its timestamp's comma, and
+    # warns when it is left with no line at all.
+    ("date,u\n2020-01-01,\n2020-01-02,\n", "row 2, column 2"),
+])
+@pytest.mark.filterwarnings("error")
+def test_load_blank_cell_names_position(tmp_path, text, position):
+    p = write_csv(tmp_path / "b.csv", text)
+    with pytest.raises(DataError, match=f"blank cell at {position}$"):
         D.load_csv(p)
 
 
@@ -42,23 +107,112 @@ def test_load_nonfinite_cell_names_position(tmp_path, cell):
         D.load_csv(p)
 
 
-def test_load_unparsable_cell(tmp_path):
-    p = write_csv(tmp_path / "c.csv", "date,u\n2020-01-01,1.0\n2020-01-02,oops\n")
-    with pytest.raises(DataError, match="oops"):
+@pytest.mark.parametrize("cell", ["oops", "1.0.0", "0x10", "--1"])
+def test_load_unparsable_cell(tmp_path, cell):
+    p = write_csv(tmp_path / "c.csv", f"date,u\n2020-01-01,1.0\n2020-01-02,{cell}\n")
+    with pytest.raises(DataError, match=f"unparsable cell '{cell}' at row 3, column 2$"):
         D.load_csv(p)
 
 
-def test_load_ragged_row(tmp_path):
-    p = write_csv(tmp_path / "d.csv", "date,u,v\n2020-01-01,1.0,2.0\n2020-01-02,3.0\n")
-    with pytest.raises(DataError, match="row 3"):
+@pytest.mark.parametrize("text,message", [
+    ("date,u,v\n2020-01-01,1.0,2.0\n2020-01-02,3.0\n", "row 3 has 2 cells, expected 3"),
+    ("date,u,v\n2020-01-01,1.0\n2020-01-02,3.0\n", "row 2 has 2 cells, expected 3"),
+    ("date,u\n2020-01-01,1.0\n\n2020-01-03,3.0\n", "row 3 has 0 cells, expected 2"),
+    ("date,u\n2020-01-01,1.0\n2020-01-02,2.0\n\n", "row 4 has 0 cells, expected 2"),
+    ("date,u\n2020-01-01,1.0\n2020-01-02,2.0,3.0\n", "row 3 has 3 cells, expected 2"),
+    ("date,u\n2020-01-01,1.0,\n2020-01-02,2.0\n", "row 2 has 3 cells, expected 2"),
+    ("date,u,\n2020-01-01,1.0,\n2020-01-02,2.0,\n", "blank cell at row 2, column 3"),
+], ids=["short", "every-row-short", "blank-line", "two-final-newlines",
+        "extra-cell", "trailing-comma", "trailing-comma-every-line"])
+def test_load_ragged_row(tmp_path, text, message):
+    p = write_csv(tmp_path / "d.csv", text)
+    with pytest.raises(DataError, match=f"{message}$"):
         D.load_csv(p)
 
 
-def test_load_unordered_timestamps(tmp_path):
-    p = write_csv(tmp_path / "e.csv",
-                  "date,u\n2020-01-02,1.0\n2020-01-01,2.0\n")
+@pytest.mark.parametrize("text,message", [
+    ("", "empty file"),
+    ("date,u\n", "no data rows"),
+    ("date\n2020-01-01\n", "need a timestamp column plus at least one variate"),
+], ids=["empty", "header-only", "one-column"])
+def test_load_no_variates_or_rows(tmp_path, text, message):
+    p = write_csv(tmp_path / "h.csv", text)
+    with pytest.raises(DataError, match=f"{message}$"):
+        D.load_csv(p)
+
+
+@pytest.mark.parametrize("first", ["2020-01-02", " 2020-01-02"])
+def test_load_unordered_timestamps(tmp_path, first):
+    p = write_csv(tmp_path / "e.csv", f"date,u\n{first},1.0\n2020-01-01,2.0\n")
     with pytest.raises(DataError, match="chronological"):
         D.load_csv(p)
+
+
+def latin1_rows(rows, quote=""):
+    return "".join(f"{quote}2020-01-01 00:00:00{quote},{r}.0\n" for r in range(rows))
+
+
+@pytest.mark.parametrize("text", [
+    "date,temp\xe9rature\n" + latin1_rows(3),
+    "date,u\n" + latin1_rows(2000) + "2020-01-01 00:00:00,caf\xe9\n",
+    "date,u\n" + latin1_rows(2000, quote='"') + "2020-01-01 00:00:00,caf\xe9\n",
+], ids=["header", "mid-stream", "mid-stream-cell-reader"])
+def test_load_not_utf8_names_file(tmp_path, text):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(text.encode("latin-1"))
+    with pytest.raises(DataError, match=r"latin1\.csv: not UTF-8 text .*0xe9"):
+        D.load_csv(p)
+
+
+def assert_same_parse(got, want):
+    (got_names, got_values, got_stamps), (names, values, stamps) = got, want
+    assert got_names == names
+    assert got_stamps == stamps
+    assert got_values.dtype == values.dtype and got_values.shape == values.shape
+    assert got_values.tobytes() == values.tobytes()
+
+
+@pytest.fixture(scope="module")
+def series_csvs(tmp_path_factory):
+    """The benchmark's ETTh1, Weather and Electricity shapes on disk."""
+    root = tmp_path_factory.mktemp("series")
+    return {shape: write_series_csv(root / f"{shape[0]}x{shape[1]}.csv",
+                                    synthetic_series(*shape, seed=shape[1]))
+            for shape in ((17420, 7), (2200, 21), (2400, 321))}
+
+
+@pytest.mark.parametrize("shape", [(17420, 7), (2200, 21), (2400, 321)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_loadtxt_reader_matches_cell_reader(series_csvs, shape):
+    path = series_csvs[shape]
+    fast = D._read_with_loadtxt(path)
+    assert fast is not None
+    assert fast[1].shape == shape
+    assert_same_parse(fast, D._read_cell_by_cell(path))
+
+
+@pytest.mark.parametrize("text,names,values,timestamps", VALID_FILES)
+def test_loadtxt_reader_matches_cell_reader_on_unusual_files(
+        tmp_path, request, text, names, values, timestamps):
+    p = write_csv(tmp_path / "u.csv", text)
+    fast = D._read_with_loadtxt(p)
+    if request.node.callspec.id in CELL_READER_ONLY:
+        assert fast is None
+    else:
+        assert_same_parse(fast, D._read_cell_by_cell(p))
+
+
+def test_load_peak_memory_is_near_the_values(series_csvs):
+    # Feeding np.loadtxt a list of lines, or collecting Python floats, costs
+    # several times the array.
+    path = series_csvs[(2400, 321)]
+    tracemalloc.start()
+    try:
+        raw = D.load_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * raw.values.nbytes, (peak, raw.values.nbytes)
 
 
 def test_load_missing_file(tmp_path):
