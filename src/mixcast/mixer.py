@@ -395,22 +395,6 @@ def _swap_token_axes(t: Tensor, batch: int) -> Tensor:
     return T.custom_op(swap(t.data), [t], lambda g: [swap(g)])
 
 
-def stack_scratch(params: MixerParams, cfg: MixerConfig, dtype,
-                  batch_sizes) -> slstm.Scratch | None:
-    """One scratch arena for the stack's chunk buffers, large enough for a
-    no-tape forward of windows of ``dtype`` at each of the batch sizes;
-    None when the config runs no stack."""
-    if cfg.slstm_axis == AXIS_NONE:
-        return None
-    views = 2 if cfg.mix_view else 1
-    tokens = cfg.horizon if cfg.slstm_axis == AXIS_TIME else cfg.num_variates
-    tokens += 1 if cfg.init_token else 0
-    # The stack runs in the widest dtype of the windows and the parameters.
-    dtype = np.result_type(dtype, *(t.data for _, t, _ in params.named_parameters()))
-    return slstm.Scratch(max(slstm.scratch_bytes(cfg.block, tokens * views * b, views * b, dtype)
-                             for b in batch_sizes))
-
-
 def _refine_views(params: MixerParams, cfg: MixerConfig, tokens: Tensor,
                   eta: Tensor | None, batch: int, training: bool, rng,
                   stabilizer: slstm.StabilizerStats | None = None,
@@ -438,9 +422,9 @@ def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
     """The pipeline on a [B, V, T] array of windows; returns the v-major
     [V*B, H] forecast, which is [V, H] for one window ``x[None]``.
 
-    Without a tape the stack carves its chunk buffers from ``scratch``
-    (see :func:`stack_scratch`), or from one made for this call; the
-    forecast never shares memory with it."""
+    Without a tape the stack carves its chunk buffers from ``scratch``,
+    which grows to the largest carve it serves, or from one made for this
+    call; the forecast never shares memory with it."""
     v, t_len = cfg.num_variates, cfg.lookback
     if xs.ndim != 3 or xs.shape[1:] != (v, t_len):
         got = (f"{xs.shape[1]} variates and lookback {xs.shape[2]}" if xs.ndim == 3
@@ -520,7 +504,11 @@ def save_checkpoint(directory, params: MixerParams, extra: dict | None = None) -
             # aside first and is removed once the new one is in place.
             retired = staging.with_suffix(".old")
             directory.rename(retired)
-            staging.rename(directory)
+            try:
+                staging.rename(directory)
+            except BaseException:
+                retired.rename(directory)
+                raise
             shutil.rmtree(retired)
         else:
             staging.rename(directory)

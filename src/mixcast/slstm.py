@@ -16,23 +16,20 @@ inside it is backpropagated through time.  Gates are held as slabs
 contiguous ``[B, D]`` block.  The input products are one matmul per gate,
 hoisted out of the time loop.
 
-A block runs over chunks of whole tokens of at most ``CHUNK_ROWS`` rows (at
-least one token), each through every stage from layer norm to the residual;
+Every buffer of a block is carved in one call from a :class:`Scratch`
+arena.  Without a recording tape the block runs over chunks of whole tokens
+of at most ``CHUNK_ROWS`` rows (at least one token), each through every stage
+from layer norm to the residual, in chunk-sized buffers reused across chunks;
 the recurrence state ``(h, c, n, m)`` and the last ``conv_width - 1`` normed
 tokens cross from one chunk to the next, and dropout masks are drawn chunk by
-chunk from the one generator, which continues a single stream.  Without a
-recording tape the intermediates live in chunk-sized buffers reused across
-chunks, so an eval block holds little beyond its output; with a tape they are
-views into the whole-sequence arrays its backward reads.
-
-The chunk buffers are carved from a :class:`Scratch` arena: the recurrence's
-pre-activation and step slabs always, and without a tape also the normed rows
-with their conv tail, the inverse deviations, the conv-gated rows and the
-hidden rows.  The blocks of a stack share one arena, and so do all the batches
-of an evaluation pass, which allocates it once, before its first batch, so
-that the pass does not fault the same memory in again for every block.  A
-block that records a tape carves from an arena of its own and never touches a
-shared one, and block outputs are always fresh arrays.
+chunk from the one generator, which continues a single stream.  The blocks of
+a stack share one arena, and so do all the batches of an evaluation pass, so
+an eval block holds little beyond its output and the pass does not fault the
+same memory in again for every block.  A block that records a tape runs its
+rows as one chunk, from an arena of its own, so its buffers are the
+whole-sequence arrays its backward reads; its pre-activation slab becomes
+the gate history as the recurrence runs.  Block outputs are always fresh
+arrays.
 
 Recurrent weight matrices are block-diagonal over heads, and only their
 diagonal blocks exist: each of ``r_z|r_i|r_f|r_o`` is stored as a
@@ -211,63 +208,25 @@ _ALIGN = 64
 class Scratch:
     """An arena that chunk buffers are carved from, reused by every carve.
 
-    ``Scratch(nbytes)`` allocates its buffer at once; ``Scratch()`` allocates
-    it at the first carve, exactly as large as that carve.  Each carve starts
-    at the front of the buffer, so the arrays of one carve are valid until the
-    next one: the blocks of a stack run one after another and may share an
-    arena, two threads may not."""
+    The first carve allocates the buffer, exactly as large as that carve
+    needs, and a later carve that needs more replaces it; the arrays of
+    earlier carves keep the old buffer alive.  Each carve starts at the front
+    of the buffer, so the arrays of one carve are valid until the next one:
+    the blocks of a stack run one after another and may share an arena, two
+    threads may not."""
 
-    def __init__(self, nbytes: int = 0):
-        self.buffer = np.empty(nbytes, np.uint8) if nbytes else None
-
-    @staticmethod
-    def _spans(dtype, shapes) -> list[tuple[int, int]]:
-        """(bytes, aligned bytes) of each array of a carve."""
-        itemsize = np.dtype(dtype).itemsize
-        return [(size, -(-size // _ALIGN) * _ALIGN)
-                for size in (math.prod(shape) * itemsize for shape in shapes)]
-
-    @classmethod
-    def nbytes(cls, dtype, shapes) -> int:
-        """Bytes that a carve of arrays of these shapes and dtype takes."""
-        return sum(aligned for _, aligned in cls._spans(dtype, shapes))
+    def __init__(self):
+        self.buffer = None
 
     def carve(self, dtype, shapes) -> list[np.ndarray]:
         """Uninitialized C-ordered arrays of the given shapes, laid one after
         another from the front of the buffer."""
-        spans = self._spans(dtype, shapes)
-        need = sum(aligned for _, aligned in spans)
-        if self.buffer is None:
-            self.buffer = np.empty(need, np.uint8)
-        if need > self.buffer.size:
-            raise ShapeError(f"scratch of {self.buffer.size} bytes cannot hold "
-                             f"the {need} bytes of {shapes}")
-        arrays, lo = [], 0
-        for shape, (size, aligned) in zip(shapes, spans):
-            arrays.append(self.buffer[lo:lo + size].view(dtype).reshape(shape))
-            lo += aligned
-        return arrays
-
-
-def _chunk_shapes(d: int, rows: int, batch: int, taps: int, keep: bool) -> list[tuple]:
-    """Shapes of the chunk buffers _block carves, in carve order: the
-    recurrence's [4, chunk, D] pre-activation slab and [9, B, D] step slab,
-    then, without a tape (``keep`` false), the normed rows after the conv
-    tail of taps - 1 tokens, the inverse deviations, the hidden rows and,
-    with a conv of ``taps`` taps, the conv-gated rows."""
-    chunk = min(rows, max(1, CHUNK_ROWS // batch) * batch)
-    shapes = [(4, chunk, d), (9, batch, d)]
-    if not keep:
-        tail = min(rows, (taps - 1) * batch) if taps else 0
-        shapes += [(tail + chunk, d), (chunk, 1), (chunk, d)] + ([(chunk, d)] if taps else [])
-    return shapes
-
-
-def scratch_bytes(cfg: BlockConfig, rows: int, batch: int, dtype) -> int:
-    """Bytes of scratch that a no-tape block of cfg carves over [rows, D]
-    token-major rows of the given batch."""
-    return Scratch.nbytes(dtype, _chunk_shapes(cfg.d_hidden, rows, batch, cfg.conv_width,
-                                               keep=False))
+        sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape in shapes]
+        starts = np.cumsum([0] + [-(-size // _ALIGN) * _ALIGN for size in sizes])
+        if self.buffer is None or starts[-1] > self.buffer.size:
+            self.buffer = np.empty(starts[-1], np.uint8)
+        return [self.buffer[lo:lo + size].view(dtype).reshape(shape)
+                for shape, size, lo in zip(shapes, sizes, starts)]
 
 
 def _raise_nonfinite(pre: np.ndarray) -> None:
@@ -311,7 +270,7 @@ class _Recurrence:
         step[5:].fill(0.0)
         self.h, self.c, self.n, self.m = step[5:]
 
-    def run(self, x: np.ndarray, x_if: np.ndarray, hs: np.ndarray, history=None) -> None:
+    def run(self, x: np.ndarray, x_if: np.ndarray, hs: np.ndarray, cells=()) -> None:
         """Fold the cell over the rows of x into hs.
 
         x feeds the cell-input and output gates, x_if the exponential input
@@ -319,10 +278,12 @@ class _Recurrence:
         before the loop, one matmul per gate straight into its contiguous
         slab, so a single B = 1 token takes the same BLAS path as a per-step
         cell.  Each step adds them to its recurrent product in a contiguous
-        [4, B, D] slab and runs in-place ufuncs there.  With ``history``
-        (views of the rows' gate slab, cells and normalizers) the gates and
-        states are kept there for the backward; without it the gates
-        overwrite the step's slab and c, n are updated in place.
+        [4, B, D] slab and runs in-place ufuncs there.  With ``cells``
+        (the rows' cell and normalizer arrays) each token's gates overwrite
+        its pre-activations once they are read, and its c and n go to its
+        rows, so the pre-activation slab and ``cells`` are the history the
+        backward reads; without it the gates overwrite the step's slab and
+        c, n are updated in place.
         """
         rows, batch, stats, tmp, m = x.shape[0], self.batch, self.stats, self.tmp, self.m
         pre = self.pre[:, :rows]
@@ -339,8 +300,8 @@ class _Recurrence:
             rec += pre[:, now]
             if not np.isfinite(rec).all():
                 _raise_nonfinite(rec)
-            if history is not None:
-                act, c, n = history[0][:, now], history[1][now], history[2][now]
+            if cells:
+                act, c, n = pre[:, now], cells[0][now], cells[1][now]
             z, o, i, f = act
             rec[1] *= 0.5                        # overflow-free logistic
             np.tanh(rec[:2], out=act[:2])
@@ -442,14 +403,14 @@ def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
     norm, causal-conv taps on the input/forget path, the recurrence, the
     projection, dropout and the residual.
 
-    The rows run in chunks of whole tokens under the CHUNK_ROWS budget; the
-    recurrence state and the last conv_width - 1 normed tokens cross from one
-    chunk to the next.  Without a recording tape the intermediates live in
-    chunk-sized buffers carved from ``scratch`` (one made for this call when
-    none is given) and reused across chunks; with one they are views into
-    the whole-sequence arrays the backward reads, and only the recurrence's
-    slabs are carved, from a scratch of this call's own.  The output is a
-    fresh array.
+    Every buffer is carved in one call.  Without a recording tape they come
+    from ``scratch`` (one made for this call when none is given) and hold one
+    chunk of whole tokens under the CHUNK_ROWS budget; the rows run chunk by
+    chunk through them, and the recurrence state and the last
+    conv_width - 1 normed tokens cross from one chunk to the next.  A block
+    that records runs its rows as one chunk, carved from an arena of its
+    own, so they are the whole-sequence arrays its backward reads.  The
+    output is a fresh array.
     """
     d, rows = cfg.d_hidden, x.shape[0]
     if x.data.ndim != 2 or x.shape[1] != d:
@@ -466,49 +427,41 @@ def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
     # each z, o, i, f.
     inputs = ([x] + [getattr(w.cell, f"{kind}_{gate}") for kind in "wrb" for gate in _GATES]
               + [w.ln_gamma, w.ln_beta, w.proj_w] + ([] if kernel is None else [w.conv_kernel]))
-    keep = T.will_record(inputs)
+    record = T.will_record(inputs)
     dtype = np.result_type(x.data, w.cell.w_z.data)
     eps = x.data.dtype.type(LN_EPS)
     keep_p = 1.0 - cfg.dropout_rate
-    shapes = _chunk_shapes(d, rows, batch, 0 if kernel is None else kernel.shape[0], keep)
-    chunk = shapes[0][1]
-    out = np.empty((rows, d), dtype)
-    if keep:
-        tail = 0
-        normed, xhat, inv_std, hs = (np.empty(shape, dtype) for shape in
-                                     ((rows, d), (rows, d), (rows, 1), (rows, d)))
-        x_if = normed if kernel is None else np.empty((rows, d), dtype)
-        # The gate slab, cell and normalizer rows that the backward reads.
-        history = (np.empty((4, rows, d), dtype), np.empty((rows, d), dtype),
-                   np.empty((rows, d), dtype))
-        mask = np.empty((rows, d), dtype) if dropout else None
-        # The slabs are carved after the arrays the tape keeps: carved before
-        # them, a weather-width training step took about 2,500 minor page
-        # faults instead of about 700.
-        pre, step = Scratch().carve(dtype, shapes)
-    else:
-        if scratch is None:
-            scratch = Scratch()
-        pre, step, normed, inv_std, hs, *conv_rows = scratch.carve(dtype, shapes)
-        # Normed rows are kept after a tail of the previous chunk's last
-        # conv_width - 1 tokens, which the taps read across the seam.
-        tail = normed.shape[0] - chunk
-        xhat = normed[tail:]
-        x_if = conv_rows[0] if conv_rows else normed
-        history = mask = None
+    chunk = rows if record else min(rows, max(1, CHUNK_ROWS // batch) * batch)
+    # Normed rows are kept after a tail of the previous chunk's last
+    # conv_width - 1 tokens, which the taps read across the seam.
+    tail = min(rows, (kernel.shape[0] - 1) * batch) if kernel is not None and chunk < rows else 0
+    if record or scratch is None:
+        scratch = Scratch()
+    # The recurrence's pre-activation and step slabs, the normed rows after
+    # their tail, the inverse deviations and the hidden rows; then, as the
+    # block needs them, the conv-gated rows, the dropout mask and, for the
+    # backward, the centred rows and the cell and normalizer rows.
+    extra = (kernel is not None) + dropout + 3 * record
+    pre, step, ring, inv_std, hs, *more = scratch.carve(
+        dtype, [(4, chunk, d), (9, batch, d), (tail + chunk, d), (chunk, 1)]
+        + [(chunk, d)] * (1 + extra))
+    more = iter(more)
+    normed = ring[tail:]
+    x_if = normed if kernel is None else next(more)
+    mask = next(more) if dropout else None
+    xhat, *cells = more if record else [normed]
     cell = _Recurrence(w.cell, pre, step, stats)
+    out = np.empty((rows, d), dtype)
 
     for lo in range(0, rows, chunk):
         hi = min(lo + chunk, rows)
         n = hi - lo
-        part = slice(lo, hi) if keep else slice(0, n)
-        xc, xhat_c, inv_c = x.data[lo:hi], xhat[part], inv_std[part]
-        normed_c = normed[tail:][part]
+        xc, xhat_c, inv_c, normed_c = x.data[lo:hi], xhat[:n], inv_std[:n], normed[:n]
         # Layer norm over each row, with eps in the rows' dtype; the squares
         # go through the pre-activation slab, which is free until the
         # recurrence fills it.
         np.subtract(xc, xc.mean(axis=1, keepdims=True), out=xhat_c)
-        squares = np.square(xhat_c, out=cell.pre[0, :n])
+        squares = np.square(xhat_c, out=pre[0, :n])
         np.mean(squares, axis=1, keepdims=True, out=inv_c)
         inv_c += eps
         np.sqrt(inv_c, out=inv_c)
@@ -520,11 +473,10 @@ def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
         # Causal depthwise taps: token t gains kernel[j] * normed[t - j] for
         # every tap j <= t, a row shift by j*B added in place, so a zero
         # kernel reduces exactly to the conv-disabled path.  The earlier
-        # tokens a tap reads sit right before the chunk's rows in `normed`.
+        # tokens a tap reads sit right before the chunk's rows in `ring`.
         x_if_c = normed_c
         if kernel is not None:
-            base = tail + part.start
-            x_if_c = np.multiply(normed_c, kernel[0], out=x_if[part])
+            x_if_c = np.multiply(normed_c, kernel[0], out=x_if[:n])
             x_if_c += normed_c
             for j in range(1, kernel.shape[0]):
                 shift = j * batch
@@ -532,30 +484,27 @@ def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
                 if first >= n:
                     break
                 # The product goes through the pre-activation slab too.
-                x_if_c[first:] += np.multiply(normed[base + first - shift:base + n - shift],
-                                              kernel[j], out=cell.pre[0, first:n])
+                x_if_c[first:] += np.multiply(ring[tail + first - shift:tail + n - shift],
+                                              kernel[j], out=pre[0, first:n])
 
-        hs_c = hs[part]
-        views = None if history is None else (history[0][:, lo:hi], history[1][lo:hi],
-                                              history[2][lo:hi])
-        cell.run(normed_c, x_if_c, hs_c, views)
+        hs_c = hs[:n]
+        cell.run(normed_c, x_if_c, hs_c, cells)
         out_c = np.matmul(hs_c, w.proj_w.data.T, out=out[lo:hi])
         if dropout:
             # Successive draws continue one stream, so the masks equal one
             # draw over all rows.
-            drop = (rng.random(size=(n, d)) < keep_p).astype(dtype) / keep_p
-            out_c *= drop
-            if mask is not None:
-                mask[lo:hi] = drop
+            mask_c = np.less(rng.random(size=(n, d)), keep_p, out=mask[:n])
+            mask_c /= keep_p
+            out_c *= mask_c
         out_c += xc
         if tail and hi < rows:
-            normed[:tail] = normed[n:n + tail]
+            ring[:tail] = ring[n:n + tail]
 
     def backward(g):
         dy = g if mask is None else g * mask
         d_proj = dy.T @ hs
         d_hs = dy @ w.proj_w.data
-        d_normed, d_x_if, d_cell = _recurrence_backward(w.cell, d_hs, hs, history,
+        d_normed, d_x_if, d_cell = _recurrence_backward(w.cell, d_hs, hs, (pre, *cells),
                                                         normed, x_if, batch)
         d_normed += d_x_if
         d_kernel = []

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import mixer
+from . import mixer, slstm
 from . import tensor as T
 from .metrics import compute_metrics
 from .mixer import MixerConfig, MixerParams
@@ -212,18 +212,18 @@ def predict_dataset(params: MixerParams, cfg: MixerConfig, dataset,
 
     Each batch is a slice of ``dataset.windows()``, read in place, and its
     forecasts are written straight into the one forecast array.  The
-    recurrent stack carves its chunk buffers from one scratch, allocated
-    before the first batch for the largest one and dropped with the pass."""
+    recurrent stack carves its chunk buffers from one scratch, which its
+    first carve allocates and only a larger batch replaces, and which is
+    dropped with the pass."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n = len(dataset)
     if n == 0:
         raise ValueError("cannot predict an empty dataset")
     xs, ys = dataset.windows()
-    batches = list(_eval_batches(n, batch_size))
-    scratch = mixer.stack_scratch(params, cfg, xs.dtype, {hi - lo for lo, hi in batches})
+    scratch = slstm.Scratch()
     preds = None
-    for lo, hi in batches:
+    for lo, hi in _eval_batches(n, batch_size):
         out = mixer.forward_batch(params, cfg, xs[lo:hi], training=False,
                                   scratch=scratch).data
         if preds is None:

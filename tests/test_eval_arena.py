@@ -1,11 +1,12 @@
 """The scratch arena of an evaluation pass.
 
-``predict_dataset`` allocates one arena before its first batch, and the
-recurrent blocks carve their no-tape chunk buffers from it.  The oracle is
-the forward without an arena: per-batch ``forward_batch`` calls over the same
-batches must give the same forecasts bit for bit, with every byte of the
-arena set to NaN before each batch, so a stage that reads a buffer it did
-not write in the same batch shows.
+``predict_dataset`` makes one arena for the pass, and the recurrent blocks
+carve their no-tape chunk buffers from it; its first carve allocates the
+buffer, and only a larger carve replaces it.  The oracle is the forward
+without an arena: per-batch ``forward_batch`` calls over the same batches
+must give the same forecasts bit for bit, with every byte of each new buffer,
+and of the arena before each batch, set to NaN, so a stage that reads a
+buffer it did not write in the same batch shows.
 """
 
 import itertools
@@ -55,9 +56,24 @@ def per_batch_oracle(params, cfg, ds, batch_size=128):
         for lo, hi in training._eval_batches(len(ds), batch_size)])
 
 
+class Poisoned(slstm.Scratch):
+    """An arena whose every new buffer starts with all bytes NaN."""
+
+    def carve(self, dtype, shapes):
+        before = self.buffer
+        arrays = super().carve(dtype, shapes)
+        if self.buffer is not before:
+            self.buffer.fill(NAN)
+            self.allocated(self.buffer)
+        return arrays
+
+    def allocated(self, buffer):
+        pass
+
+
 class Spy:
-    """Counts the arenas made, NaN-fills and records the arena handed to
-    every forward_batch call, and records every block output."""
+    """Records the buffers the arenas allocate, NaN-fills the arena handed to
+    every forward_batch call and records it, and records every block output."""
 
     def __init__(self, monkeypatch):
         self.made, self.calls, self.blocks = [], [], []
@@ -69,13 +85,12 @@ class Spy:
             spy.blocks.append(out.data)
             return out
 
-        class Counted(slstm.Scratch):
-            def __init__(self, *args):
-                super().__init__(*args)
-                spy.made.append(self)
+        class Counted(Poisoned):
+            def allocated(self, buffer):
+                spy.made.append(buffer)
 
         def forward_batch(params, cfg, xs, *args, scratch=None, **kwargs):
-            if scratch is not None:
+            if scratch is not None and scratch.buffer is not None:
                 scratch.buffer.fill(NAN)
             out = forward(params, cfg, xs, *args, scratch=scratch, **kwargs)
             spy.calls.append((scratch, out.data))
@@ -105,52 +120,66 @@ def test_pass_equals_per_batch_forwards_without_an_arena(
                 spy = Spy(patch)
                 pred, _ = training.predict_dataset(params, cfg, ds, batch_size=128)
         assert pred.dtype == dtype and pred.tobytes() == want.tobytes(), n
-        # One arena, allocated once, serves every batch of the pass.
-        assert len(spy.made) == 1, n
-        arena = spy.made[0]
+        # One arena serves every batch of the pass.  385 windows run as 128,
+        # 128 and 129, and only the last batch needs a larger buffer.
+        arena = spy.calls[0][0]
         assert all(scratch is arena for scratch, _ in spy.calls)
         assert len(spy.calls) == len(list(training._eval_batches(n, 128)))
-        # Nothing the pass returns lives in the arena, and no block output
-        # does either: each feeds the next block and reconciliation.
+        assert len(spy.made) == (2 if n == 385 else 1), n
+        assert arena.buffer is spy.made[-1]
+        # Nothing the pass returns lives in a buffer of the arena, and no
+        # block output does either: each feeds the next block and
+        # reconciliation.
         assert len(spy.blocks) == blocks * len(spy.calls)
-        for out in spy.blocks + [out for _, out in spy.calls]:
-            assert not np.shares_memory(out, arena.buffer)
-        assert not np.shares_memory(pred, arena.buffer)
+        for out in spy.blocks + [out for _, out in spy.calls] + [pred]:
+            assert not any(np.shares_memory(out, buffer) for buffer in spy.made)
 
 
-def test_a_pass_without_a_stack_makes_no_arena(monkeypatch):
+def test_a_pass_without_a_stack_allocates_no_buffer(monkeypatch):
     params, cfg = model(0, 1, False, False, mixer.AXIS_NONE, np.float32)
     ds = dataset(191)
     want = per_batch_oracle(params, cfg, ds)
     spy = Spy(monkeypatch)
     pred, _ = training.predict_dataset(params, cfg, ds, batch_size=128)
     assert pred.tobytes() == want.tobytes()
-    assert spy.made == [] and all(scratch is None for scratch, _ in spy.calls)
+    assert spy.made == [] and all(scratch.buffer is None for scratch, _ in spy.calls)
 
 
-def test_the_arena_holds_the_largest_batch_of_the_pass():
-    # A remainder under half a batch joins the last batch, which is then the
-    # largest: 385 windows run as 128, 128 and 129.
+@pytest.mark.parametrize("windows, buffers", [(448, 1), (385, 2)])
+def test_a_pass_allocates_a_second_buffer_only_for_a_larger_batch(windows, buffers,
+                                                                   monkeypatch):
+    # 448 windows run as 128, 128, 128 and 64, so the first carve is the
+    # largest; 385 run as 128, 128 and 129, and the last batch carves more.
     params, cfg = model(4, 2, True, True, mixer.AXIS_VARIATES, np.float32)
-    arena = mixer.stack_scratch(params, cfg, np.float32, {128, 129})
-    tokens, views = VARIATES + 1, 2
-    assert arena.buffer.size == slstm.scratch_bytes(cfg.block, tokens * views * 129,
-                                                    views * 129, np.float32)
-    assert arena.buffer.size > slstm.scratch_bytes(cfg.block, tokens * views * 128,
-                                                   views * 128, np.float32)
-    # Float64 windows run the stack in float64, and the arena is sized for it.
-    wide = mixer.stack_scratch(params, cfg, np.float64, {129})
-    assert wide.buffer.size > arena.buffer.size
-    assert mixer.stack_scratch(*model(0, 1, False, False, mixer.AXIS_NONE, np.float32),
-                               np.float32, {129}) is None
+    ds = dataset(windows)
+    want = per_batch_oracle(params, cfg, ds)
+    spy = Spy(monkeypatch)
+    pred, _ = training.predict_dataset(params, cfg, ds, batch_size=128)
+    assert pred.tobytes() == want.tobytes()
+    assert len(spy.made) == buffers
+    assert spy.made[-1].size == max(buffer.size for buffer in spy.made)
 
 
-def test_a_block_rejects_an_arena_too_small_for_it():
-    params, cfg = model(4, 1, True, True, mixer.AXIS_VARIATES, np.float32)
-    xs = dataset(8).windows()[0]
-    small = mixer.stack_scratch(params, cfg, np.float32, {4})
-    with pytest.raises(T.ShapeError, match="scratch of"):
-        mixer.forward_batch(params, cfg, xs, scratch=small)
+def test_a_larger_carve_replaces_the_buffer_and_earlier_arrays_keep_their_values():
+    arena = slstm.Scratch()
+    assert arena.buffer is None
+    small = arena.carve(np.float32, [(3, 5), (7,)])
+    first = arena.buffer
+    # 60 and 28 bytes, each starting at a cache line.
+    assert first.size == 128
+    for k, a in enumerate(small):
+        a.fill(k + 1)
+    again = arena.carve(np.float64, [(2, 2)])
+    assert arena.buffer is first and np.shares_memory(again[0], small[0])
+    small[0].fill(1)
+    large = arena.carve(np.float64, [(4, 40), (1,)])
+    assert arena.buffer is not first and arena.buffer.size == 1344
+    for a in large:
+        a.fill(-1)
+    assert not any(np.shares_memory(a, b) for a in small for b in large)
+    assert (small[0] == 1).all() and (small[1] == 2).all()
+    assert [a.shape for a in large] == [(4, 40), (1,)]
+    assert all(a.dtype == np.float64 and a.flags.c_contiguous for a in large)
 
 
 @pytest.mark.parametrize("conv, blocks", [(0, 1), (4, 2)])
@@ -172,11 +201,48 @@ def test_a_recording_forward_never_touches_the_arena(conv, blocks, monkeypatch):
         return pred.data, [t.grad.copy() for t in leaves]
 
     want_pred, want = gradients(None)
-    arena = mixer.stack_scratch(params, cfg, np.float32, {32})
-    arena.buffer.fill(NAN)
+    # A no-tape forward sizes the arena, which the recording forward must
+    # neither read nor write nor replace.
+    arena = slstm.Scratch()
+    mixer.forward_batch(params, cfg, xs, scratch=arena)
+    buffer = arena.buffer
+    buffer.fill(NAN)
     pred, got = gradients(arena)
-    assert (arena.buffer == NAN).all()
+    assert arena.buffer is buffer and (buffer == NAN).all()
     assert pred.tobytes() == want_pred.tobytes()
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+POISON = list(itertools.product((0, 4), (1, 2), (0.0, 0.1)))
+
+
+@pytest.mark.parametrize("conv, blocks, dropout", POISON,
+                         ids=["-".join(map(str, case)) for case in POISON])
+def test_a_recording_block_reads_no_buffer_before_writing_it(conv, blocks, dropout,
+                                                              monkeypatch):
+    # A recording block carves its whole-sequence history, mask and normed
+    # rows from an arena of its own; with every new buffer NaN, a read of a
+    # byte the block did not write shows in the forecast or a gradient.
+    params, cfg = model(conv, blocks, True, True, mixer.AXIS_VARIATES, np.float32,
+                        dropout=dropout)
+    xs, ys = dataset(40).windows()
+    xs, target = xs[:32], mixer.flatten_targets(ys[:32])
+    leaves = [t for _, t, _ in params.named_parameters()]
+
+    def gradients():
+        for t in leaves:
+            t.zero_grad()
+        with Tape() as tape:
+            pred = mixer.forward_batch(params, cfg, xs, training=True,
+                                       rng=np.random.default_rng(9))
+            tape.backward(mae_loss(pred, target))
+        return [pred.data] + [t.grad.copy() for t in leaves]
+
+    want = gradients()
+    monkeypatch.setattr(slstm, "Scratch", Poisoned)
+    got = gradients()
+    assert all(np.isfinite(w).all() for w in want)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
 

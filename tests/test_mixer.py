@@ -790,6 +790,35 @@ def test_failed_checkpoint_save_keeps_previous_checkpoint(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
 
 
+def test_failed_checkpoint_swap_restores_previous_checkpoint(tmp_path, monkeypatch):
+    rng = np.random.default_rng(34)
+    cfg = make_cfg()
+    before = init_mixer_params(cfg, rng)
+    ck = tmp_path / "ck"
+    mixer.save_checkpoint(ck, before)
+
+    # The old directory moves aside, then moving the new one into place fails.
+    rename, calls = Path.rename, []
+
+    def failing_rename(self, target):
+        calls.append(target)
+        if len(calls) == 2:
+            raise OSError("rename failed")
+        return rename(self, target)
+
+    monkeypatch.setattr(Path, "rename", failing_rename)
+    with pytest.raises(OSError, match="rename failed"):
+        mixer.save_checkpoint(ck, init_mixer_params(cfg, rng))
+    monkeypatch.undo()
+
+    assert calls[1] == ck  # the swap itself failed
+    loaded, _, _ = mixer.load_checkpoint(ck)
+    for (name, a, _), (_, b, _) in zip(before.named_parameters(),
+                                       loaded.named_parameters()):
+        assert a.data.tobytes() == b.data.tobytes(), name
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
+
+
 def test_checkpoint_save_replaces_and_leaves_no_temporary(tmp_path):
     rng = np.random.default_rng(32)
     cfg = make_cfg()

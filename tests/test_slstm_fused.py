@@ -275,10 +275,11 @@ def test_input_gate_bias_shift_leaves_block_output_unchanged(conv_width):
 
 
 def test_eval_keeps_no_gate_history():
+    # 16,000 rows of batch 8 run as 8 chunks without a tape, and as one with.
     rng = np.random.default_rng(5)
     cfg = BlockConfig(d_hidden=16, num_heads=4, conv_width=4, dropout_rate=0.1)
     w = slstm.init_block_weights(cfg, rng)
-    xs = R.parameter(rng.uniform(-1, 1, size=(2000, 16)))
+    xs = R.parameter(rng.uniform(-1, 1, size=(16000, 16)))
 
     def peak(run, record):
         tracemalloc.start()
@@ -292,8 +293,8 @@ def test_eval_keeps_no_gate_history():
         finally:
             tracemalloc.stop()
 
-    # Without a tape only the hoisted input products, the layer-norm rows and
-    # the outputs are held; a tape adds the gate, cell and normalizer history.
+    # Without a tape a block holds chunk-sized buffers and its output; a
+    # tape holds the whole-sequence gate, cell and normalizer history.
     def run():
         slstm._block(cfg, w, xs, 8, False, None)
 
