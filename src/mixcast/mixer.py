@@ -24,6 +24,17 @@ token's two view outputs side by side.  Each stage takes the Tensors the
 stage before it returns, and the parameters take their dtype from
 :func:`mixcast.tensor.precision`.
 
+Because token ``v`` is rows ``v*B .. (v+1)*B``, a run of whole variate tokens
+can pass through every stage on its own.  Without a tape ``forward_batch``
+streams the batch that way, a chunk of tokens under ``slstm.CHUNK_ROWS``
+stack rows at a time: every stage writes into chunk buffers carved from one
+scratch arena (a stage given such an ``out`` buffer also uses its input rows
+as workspace), the stack carries its state across the seams, and the RevIN
+inverse writes each chunk's forecast into its place in the caller's array,
+so no whole-batch intermediate is made.  A forward that records a tape or
+draws dropout, and the time axis, run the same loop as one chunk, and so
+does a batch that fits in one; their stages write fresh arrays.
+
 Ablation switches: ``mix_time`` toggles the shared linear forecaster,
 ``slstm_axis`` selects what the recurrence strides over ("variates", "time",
 or "none" to skip it), ``init_token`` toggles the learned conditioning token,
@@ -206,13 +217,15 @@ def _check_variate_rows(a: np.ndarray, variates: int, batch: int) -> None:
                          f"variates and batch {batch}, got shape {a.shape}")
 
 
-def revin_normalize(params: RevInParams, x: np.ndarray, batch: int = 1):
+def revin_normalize(params: RevInParams, x: np.ndarray, batch: int = 1,
+                    out: np.ndarray | None = None):
     """Normalize rows to zero mean / unit variance, then scale by gamma and
     shift by beta.  Returns the normalized matrix and the per-row (mean, std)
     arrays [rows, 1] for inversion.
 
     The normalization is one engine op; the input is data, so gradients
-    reach gamma and beta only."""
+    reach gamma and beta only.  ``out``, passed only when no tape records,
+    receives the normalized rows, and x's rows serve as workspace."""
     gamma, beta = params.gamma, params.beta
     v = gamma.shape[0]
     _check_variate_rows(x, v, batch)
@@ -222,8 +235,8 @@ def revin_normalize(params: RevInParams, x: np.ndarray, batch: int = 1):
     data = x.astype(np.result_type(x, gamma.data, beta.data), copy=False)
 
     mean = data.mean(axis=1, keepdims=True)
-    xhat = data - mean
-    squares = np.square(xhat)
+    xhat = np.subtract(data, mean, out=out)
+    squares = np.square(xhat, out=None if out is None else data)
     std = squares.mean(axis=1, keepdims=True)
     std += data.dtype.type(REVIN_EPS)
     np.sqrt(std, out=std)
@@ -243,9 +256,13 @@ def revin_normalize(params: RevInParams, x: np.ndarray, batch: int = 1):
 
 
 def revin_denormalize(params: RevInParams, stats: tuple[np.ndarray, np.ndarray],
-                      y_norm: Tensor, batch: int = 1):
+                      y_norm: Tensor, batch: int = 1, out: np.ndarray | None = None):
     """Exact algebraic inverse of revin_normalize given its (mean, std), as
-    one engine op; the statistics are data."""
+    one engine op; the statistics are data.
+
+    ``out``, passed only when no tape records, is a [V, B, H] array of any
+    strides that receives the result, which the returned Tensor then holds,
+    and y_norm's rows serve as workspace."""
     if np.abs(params.gamma.data).min() < 1e-12:
         raise ValueError("revin gamma too close to zero to invert")
     gamma, beta = params.gamma, params.beta
@@ -258,12 +275,18 @@ def revin_denormalize(params: RevInParams, stats: tuple[np.ndarray, np.ndarray],
     std3 = _per_variate(std, v)
 
     # ((y - beta) / gamma) * std + mean; u = (y - beta) / gamma is kept for
-    # the backward, otherwise the output overwrites it.
-    u = np.subtract(_per_variate(y_norm.data, v), beta.data[:, None],
+    # the backward, otherwise the result overwrites it, in y's rows when out
+    # is given, and goes to out in one copy.
+    given = out is not None
+    y3 = _per_variate(y_norm.data, v)
+    u = np.subtract(y3, beta.data[:, None], out=y3 if given else None,
                     dtype=np.result_type(mean, std, *(t.data for t in inputs)))
     u /= gamma3
-    out = np.multiply(u, std3, out=None if keep else u)
-    out += _per_variate(mean, v)
+    result = np.multiply(u, std3, out=None if keep else u)
+    result += _per_variate(mean, v)
+    if given:
+        np.copyto(out, result)
+        result = out
 
     def backward(g):
         d_y = _per_variate(g, v) * std3
@@ -272,18 +295,25 @@ def revin_denormalize(params: RevInParams, stats: tuple[np.ndarray, np.ndarray],
         d_beta = -d_y.sum(axis=(1, 2))[:, None]
         return [d_y.reshape(g.shape), d_gamma, d_beta]
 
-    return T.custom_op(out.reshape(y_norm.shape), inputs, backward)
+    return T.custom_op(result if given else result.reshape(y_norm.shape), inputs, backward)
 
 
-def nlinear_forecast(weight: Tensor, bias: Tensor, x_norm: Tensor) -> Tensor:
+def nlinear_forecast(weight: Tensor, bias: Tensor, x_norm: Tensor,
+                     out: np.ndarray | None = None) -> Tensor:
     """Shared linear forecaster: subtract each row's last value, apply the
-    affine map, add the last value back; one engine op."""
+    affine map, add the last value back; one engine op.  ``out``, passed
+    only when no tape records, receives the forecast, and x_norm's rows
+    serve as workspace."""
     t_len = x_norm.shape[1]
     if weight.shape[1] != t_len:
         raise ShapeError(f"weight expects {weight.shape[1]} steps, got {t_len}")
     last = x_norm.data[:, t_len - 1:]
-    centered = x_norm.data - last
-    out = centered @ weight.data.T
+    if out is None:
+        centered = x_norm.data - last
+    else:
+        last = last.copy()
+        centered = np.subtract(x_norm.data, last, out=x_norm.data)
+    out = np.matmul(centered, weight.data.T, out=out)
     out += bias.data
     out += last
 
@@ -296,13 +326,15 @@ def nlinear_forecast(weight: Tensor, bias: Tensor, x_norm: Tensor) -> Tensor:
     return T.custom_op(out, [x_norm, weight, bias], backward)
 
 
-def up_project(weight: Tensor, bias: Tensor, rows: Tensor) -> Tensor:
-    """Shared affine map of each row to the embedding width; one engine op."""
+def up_project(weight: Tensor, bias: Tensor, rows: Tensor,
+               out: np.ndarray | None = None) -> Tensor:
+    """Shared affine map of each row to the embedding width; one engine op,
+    written into ``out`` when given (only when no tape records)."""
     if weight.shape[1] != rows.shape[1]:
         raise ShapeError(
             f"up-projection expects width {weight.shape[1]}, got {rows.shape[1]}"
         )
-    out = rows.data @ weight.data.T
+    out = np.matmul(rows.data, weight.data.T, out=out)
     out += bias.data
 
     def backward(g):
@@ -311,7 +343,8 @@ def up_project(weight: Tensor, bias: Tensor, rows: Tensor) -> Tensor:
     return T.custom_op(out, [rows, weight, bias], backward)
 
 
-def pack_views(tokens: Tensor, eta: Tensor | None, batch: int, both_views: bool) -> Tensor:
+def pack_views(tokens: Tensor, eta: Tensor | None, batch: int, both_views: bool,
+               out: np.ndarray | None = None) -> Tensor:
     """The stack input, written in one engine op: the learned token ``eta``
     (when given) as token 0 of each of the B sequences, then the token-major
     rows [L*B, D].
@@ -319,15 +352,18 @@ def pack_views(tokens: Tensor, eta: Tensor | None, batch: int, both_views: bool)
     With ``both_views`` every row is followed by its feature-reversed copy,
     so the result [L*2B, D] holds both views as one batch of 2B, and the
     stack output read as [L*B, 2D] has each token's two views side by side.
-    With one view and no learned token the rows are returned as they are."""
+    With one view and no learned token the rows are returned as they are.
+    ``out``, passed only when no tape records, is the C-ordered array the
+    result is written to."""
     rows, d = tokens.shape
     lead = batch if eta is not None else 0
     views = 2 if both_views else 1
     if lead == 0 and views == 1:
         return tokens
     inputs = [tokens] + ([eta] if eta is not None else [])
-    packed = np.empty((lead + rows, views, d),
-                      dtype=np.result_type(*(t.data for t in inputs)))
+    shape = (lead + rows, views, d)
+    packed = (np.empty(shape, dtype=np.result_type(*(t.data for t in inputs)))
+              if out is None else out.reshape(shape))
     rows_in = [(tokens.data, packed[lead:])]
     if eta is not None:
         rows_in.append((eta.data, packed[:lead]))
@@ -348,7 +384,7 @@ def pack_views(tokens: Tensor, eta: Tensor | None, batch: int, both_views: bool)
 
 
 def reconcile_views(view_w: Tensor, view_b: Tensor, stack_out: Tensor, both_views: bool,
-                    skip: int = 0) -> Tensor:
+                    skip: int = 0, out: np.ndarray | None = None) -> Tensor:
     """Shared affine map over each token's two view outputs, after dropping
     the first ``skip`` of them (the learned token); one engine op.
 
@@ -356,7 +392,8 @@ def reconcile_views(view_w: Tensor, view_b: Tensor, stack_out: Tensor, both_view
     :func:`pack_views` interleaves, read as [R, 2D] (a view, not a copy) with
     each token's two views side by side.  Without it ``stack_out`` [R, D] is
     the one view standing for both (mix_view off), mapped by the sum of the
-    two halves of view_w."""
+    two halves of view_w.  The result is written into ``out`` when given
+    (only when no tape records)."""
     views, d = (2 if both_views else 1), view_w.shape[1] // 2
     if stack_out.shape[1] != d or stack_out.shape[0] % views:
         raise ShapeError(f"reconciliation expects {views}-view rows of width {d}, "
@@ -366,7 +403,7 @@ def reconcile_views(view_w: Tensor, view_b: Tensor, stack_out: Tensor, both_view
         raise ShapeError(f"cannot drop {skip} of {tokens.shape[0]} tokens")
     w = view_w.data if both_views else view_w.data[:, :d] + view_w.data[:, d:]
     y = tokens[skip:]
-    out = y @ w.T
+    out = np.matmul(y, w.T, out=out)
     out += view_b.data
 
     def backward(g):
@@ -398,72 +435,159 @@ def _swap_token_axes(t: Tensor, batch: int) -> Tensor:
 def _refine_views(params: MixerParams, cfg: MixerConfig, tokens: Tensor,
                   eta: Tensor | None, batch: int, training: bool, rng,
                   stabilizer: slstm.StabilizerStats | None = None,
-                  scratch: slstm.Scratch | None = None) -> Tensor:
+                  stream: slstm.Stream | None = None, out: np.ndarray | None = None) -> Tensor:
     """Run the shared stack over token-major rows [L*B, D], behind the
-    learned token ``eta`` when given, in both views, its chunk buffers carved
-    from ``scratch`` when given.
+    learned token ``eta`` when given, in both views; the packed rows go to
+    ``out`` and the stack runs in ``stream``'s buffers, when given.
 
     Returns the stack output in the layout of :func:`pack_views`, [L'*2B, D]
     with each row's two views adjacent, where L' counts eta; with mix_view
     off the second view is the first one, so the reversed rows are never
     pushed through the stack and the result is [L'*B, D]."""
-    packed = pack_views(tokens, eta, batch, cfg.mix_view)
+    packed = pack_views(tokens, eta, batch, cfg.mix_view, out)
     if cfg.slstm_axis == AXIS_NONE:
         return packed
     views = 2 if cfg.mix_view else 1
     return slstm._stack_tokens(cfg.block, params.blocks, packed, views * batch,
-                               training, rng, stabilizer, scratch)
+                               training, rng, stabilizer, stream)
+
+
+def forecast_dtype(params: MixerParams, xs: np.ndarray) -> np.dtype:
+    """The dtype every stage of forward_batch computes in, for windows xs."""
+    return np.result_type(xs, *(t.data for _, t, _ in params.named_parameters()))
+
+
+def _variate_rows(revin: RevInParams, lo: int, hi: int) -> RevInParams:
+    """The RevIN parameters of variates lo..hi: constants, which a chunk
+    no tape records reads."""
+    if (lo, hi) == (0, revin.gamma.shape[0]):
+        return revin
+    return RevInParams(*(Tensor(t.data[lo:hi], dtype=t.data.dtype.type)
+                         for t in (revin.gamma, revin.beta)))
+
+
+def _rows(buffer: np.ndarray | None, rows: int, width: int) -> np.ndarray | None:
+    """The first rows x width entries of a flat chunk buffer, as a matrix."""
+    return None if buffer is None else buffer[:rows * width].reshape(rows, width)
 
 
 def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
                   training: bool = False, rng=None,
                   stabilizer: slstm.StabilizerStats | None = None,
-                  scratch: slstm.Scratch | None = None) -> Tensor:
+                  scratch: slstm.Scratch | None = None,
+                  out: np.ndarray | None = None) -> Tensor:
     """The pipeline on a [B, V, T] array of windows; returns the v-major
-    [V*B, H] forecast, which is [V, H] for one window ``x[None]``.
+    [V*B, H] forecast, which is [V, H] for one window ``x[None]``.  Given
+    ``out``, a [B, V, H] array of :func:`forecast_dtype`, the forecast is
+    written there instead and returned as a Tensor of ``out``.
 
-    Without a tape the stack carves its chunk buffers from ``scratch``,
-    which grows to the largest carve it serves, or from one made for this
-    call; the forecast never shares memory with it."""
-    v, t_len = cfg.num_variates, cfg.lookback
+    The forward runs chunk by chunk, each chunk a run of whole variate
+    tokens, as many as fit in slstm.CHUNK_ROWS stack rows (at least one);
+    the first chunk also holds the learned token.  Each chunk goes through
+    every stage in turn: gathered from xs into v-major rows, RevIN, NLinear,
+    the up-projection, packing, every block (each carrying its recurrence
+    state and conv tail on to the next chunk), reconciliation, and the RevIN
+    inverse, which writes the chunk's forecast straight into its place.
+    Without a tape the stack, and every stage of a batch that takes more
+    than one chunk, work in chunk buffers carved in one call from
+    ``scratch``, which grows to the largest carve it serves, or from one
+    made for this call; the forecast never shares memory with it.
+
+    A forward that records a tape, or draws dropout, is the same loop run
+    as one chunk of all the variates: its stages keep the whole-batch arrays
+    their backwards read, and the blocks draw their masks in the order of
+    an unchunked stack.  So does the time axis, whose step tokens each need
+    every variate."""
+    v, t_len, h_len = cfg.num_variates, cfg.lookback, cfg.horizon
     if xs.ndim != 3 or xs.shape[1:] != (v, t_len):
         got = (f"{xs.shape[1]} variates and lookback {xs.shape[2]}" if xs.ndim == 3
                else f"shape {xs.shape}")
         raise ShapeError(f"the model takes windows of {v} variates and lookback {t_len}, "
                          f"got {got}")
-    if not np.isfinite(xs).all():
-        raise ValueError("input windows contain non-finite values")
     batch = xs.shape[0]
     time_axis = cfg.slstm_axis == AXIS_TIME
-
-    # Each stage output is dropped once the next stage has read it; a tape
-    # keeps what its backward reads regardless.  The v-major rows are passed
-    # unnamed, so they are freed after RevIN.
-    x_norm, stats = revin_normalize(params.revin, np.ascontiguousarray(
-        xs.transpose(1, 0, 2).reshape(v * batch, t_len)), batch)
-    if cfg.mix_time:
-        x_initial = nlinear_forecast(params.nlinear_w, params.nlinear_b, x_norm)
-    else:
-        x_initial = x_norm
-    del x_norm
-
-    # On the time axis the tokens are forecast steps: step-major [H*B, V].
-    rows = _swap_token_axes(x_initial, batch) if time_axis else x_initial
-    del x_initial
-    tokens = up_project(params.up_w, params.up_b, rows)
-    del rows
+    record = T.will_record(t for _, t, _ in params.named_parameters())
+    dtype = forecast_dtype(params, xs)
+    if out is not None:
+        if record:
+            raise ValueError("a forward that records a tape takes no out array")
+        if out.shape != (batch, v, h_len) or out.dtype != dtype:
+            raise ShapeError(f"out must be {dtype} of shape {(batch, v, h_len)}, "
+                             f"got {out.dtype} of shape {out.shape}")
     eta = params.eta if cfg.init_token else None
-    views = _refine_views(params, cfg, tokens, eta, batch, training, rng, stabilizer, scratch)
-    del tokens
+    lead, views, d = int(eta is not None), 2 if cfg.mix_view else 1, cfg.embed_dim
+    dropout = training and cfg.block.dropout_rate > 0.0 and bool(params.blocks)
+    step = v
+    if not (record or dropout or time_axis):
+        step = min(v, max(1, slstm.CHUNK_ROWS // (views * batch)))
 
-    # Dropping the learned token's rows leaves v-major [V*B, .] rows
-    # (step-major [H*B, .] on the time axis).
-    skip = batch if cfg.init_token else 0
-    y_tok = reconcile_views(params.view_w, params.view_b, views, cfg.mix_view, skip)
-    del views
-    y_norm_flat = _swap_token_axes(y_tok, batch) if time_axis else y_tok
-    del y_tok
-    return revin_denormalize(params.revin, stats, y_norm_flat, batch)
+    # Without a tape the buffers are one carve: when the batch takes several
+    # chunks, two wide ones, which the window rows, the normalized rows, the
+    # NLinear forecast and the reconciled rows take turns in, the tokens and
+    # the packed stack rows; then the stack's own.  The stages of a single
+    # chunk write fresh arrays instead, each dropped once the next stage has
+    # read it, which holds less than all of them carved at once; its
+    # forecast is the RevIN inverse's own output unless ``out`` is given.
+    wide_a = wide_b = token_buf = packed_buf = stream = None
+    forecast = None if out is None else out.transpose(1, 0, 2)
+    if not record:
+        sizes = []
+        if step < v:
+            wide = step * batch * max(t_len, h_len)
+            sizes = [wide, wide, step * batch * d]
+            if lead or views == 2:
+                sizes.append((lead + step) * views * batch * d)
+            if forecast is None:
+                forecast = np.empty((v, batch, h_len), dtype)
+        shapes = [(size,) for size in sizes]
+        if params.blocks:
+            per_token, tokens = views * batch, h_len if time_axis else v
+            stream = slstm.Stream(cfg.block, params.blocks, per_token, (lead + tokens) * per_token,
+                                  (lead + (tokens if time_axis else step)) * per_token, dropout)
+            shapes += stream.shapes
+        arrays = (scratch if scratch is not None else slstm.Scratch()).carve(dtype, shapes)
+        wide_a, wide_b, token_buf, packed_buf = (arrays[:len(sizes)] + [None] * 4)[:4]
+        if stream:
+            stream.bind(arrays[len(sizes):])
+
+    for lo in range(0, v, step):
+        hi = min(lo + step, v)
+        n, first = (hi - lo) * batch, lo == 0
+        windows = xs[:, lo:hi].transpose(1, 0, 2)
+        if wide_a is None:
+            rows = np.ascontiguousarray(windows).reshape(n, t_len)
+        else:
+            rows = _rows(wide_a, n, t_len)
+            np.copyto(rows.reshape(windows.shape), windows)
+        if not np.isfinite(rows).all():
+            raise ValueError("input windows contain non-finite values")
+        # Each stage's output takes the place of its input in `rows`, so the
+        # input is dropped once read; a tape keeps what its backward reads.
+        revin = _variate_rows(params.revin, lo, hi)
+        rows, stats = revin_normalize(revin, rows, batch, _rows(wide_b, n, t_len))
+        if cfg.mix_time:
+            rows = nlinear_forecast(params.nlinear_w, params.nlinear_b, rows,
+                                    _rows(wide_a, n, h_len))
+        # On the time axis the tokens are forecast steps: step-major [H*B, V].
+        if time_axis:
+            rows = _swap_token_axes(rows, batch)
+        rows = up_project(params.up_w, params.up_b, rows, _rows(token_buf, n, d))
+        skip = batch if lead and first else 0
+        rows = _refine_views(params, cfg, rows, eta if first else None, batch,
+                             training, rng, stabilizer, stream,
+                             _rows(packed_buf, (skip + n) * views, d))
+        # Dropping the learned token's rows leaves v-major [V*B, .] rows
+        # (step-major [H*B, .] on the time axis).
+        rows = reconcile_views(params.view_w, params.view_b, rows, cfg.mix_view, skip,
+                               _rows(wide_a, n, h_len))
+        if time_axis:
+            rows = _swap_token_axes(rows, batch)
+        y = revin_denormalize(revin, stats, rows, batch,
+                              None if forecast is None else forecast[lo:hi])
+    if forecast is None:
+        return y
+    return Tensor(out if out is not None else forecast.reshape(v * batch, h_len),
+                  dtype=dtype.type)
 
 
 def flatten_targets(ys: np.ndarray) -> np.ndarray:

@@ -16,20 +16,22 @@ inside it is backpropagated through time.  Gates are held as slabs
 contiguous ``[B, D]`` block.  The input products are one matmul per gate,
 hoisted out of the time loop.
 
-Every buffer of a block is carved in one call from a :class:`Scratch`
-arena.  Without a recording tape the block runs over chunks of whole tokens
-of at most ``CHUNK_ROWS`` rows (at least one token), each through every stage
-from layer norm to the residual, in chunk-sized buffers reused across chunks;
-the recurrence state ``(h, c, n, m)`` and the last ``conv_width - 1`` normed
-tokens cross from one chunk to the next, and dropout masks are drawn chunk by
-chunk from the one generator, which continues a single stream.  The blocks of
-a stack share one arena, and so do all the batches of an evaluation pass, so
-an eval block holds little beyond its output and the pass does not fault the
-same memory in again for every block.  A block that records a tape runs its
-rows as one chunk, from an arena of its own, so its buffers are the
-whole-sequence arrays its backward reads; its pre-activation slab becomes
-the gate history as the recurrence runs.  Block outputs are always fresh
-arrays.
+A :class:`Stream` runs the stack over successive chunks of whole tokens,
+which its caller hands in one after another: the pipeline's forward, which
+streams every stage over chunks of variate tokens.  The stream's blocks share
+one set of chunk buffers, and each block carries its recurrence state
+``(h, c, n, m)`` and its last ``conv_width - 1`` normed tokens from one chunk
+to the next; each block adds its output into the chunk's rows in place, so a
+chunk leaves the stack in the buffer it came in.  The caller carves the
+stream's buffers together with its own, in one call from a :class:`Scratch`
+arena, which all the batches of an evaluation pass share, so the pass does
+not fault the same memory in again.  A block run without a stream, as every
+block that records a tape is, runs its rows as one chunk of a stream of its
+own, carved from an arena of its own, so its buffers are the whole-sequence
+arrays its backward reads; its pre-activation slab becomes the gate history
+as the recurrence runs, and its output is a fresh array.  Dropout masks are
+drawn ``CHUNK_ROWS`` rows at a time from the one generator, which continues
+a single stream.
 
 Recurrent weight matrices are block-diagonal over heads, and only their
 diagonal blocks exist: each of ``r_z|r_i|r_f|r_o`` is stored as a
@@ -195,9 +197,10 @@ def init_block_weights(cfg: BlockConfig, rng) -> BlockWeights:
 _GATES = ("z", "o", "i", "f")
 _CHECK_ORDER = (("input", 2), ("forget", 3), ("cell-input", 0), ("output", 1))
 
-# Row budget of one token chunk in _block: a chunk holds as many whole tokens
-# as fit (at least one), so buffers that live for one chunk stay this small
-# however long the sequence is.
+# Row budget of one token chunk of the stack, which the pipeline's forward
+# streams: a chunk holds as many whole tokens as fit (at least one), so
+# buffers that live for one chunk stay this small however long the sequence
+# is.  Dropout masks are drawn in pieces of this many rows.
 CHUNK_ROWS = 2048
 
 # Each array carved from a Scratch starts a multiple of this many bytes (a
@@ -212,8 +215,8 @@ class Scratch:
     needs, and a later carve that needs more replaces it; the arrays of
     earlier carves keep the old buffer alive.  Each carve starts at the front
     of the buffer, so the arrays of one carve are valid until the next one:
-    the blocks of a stack run one after another and may share an arena, two
-    threads may not."""
+    the forwards of an evaluation pass run one after another and may share
+    an arena, two threads may not."""
 
     def __init__(self):
         self.buffer = None
@@ -323,7 +326,10 @@ class _Recurrence:
             h = hs[now]                          # h = o c / n
             np.multiply(o, c, out=h)
             h /= n
-        self.h, self.c, self.n = h, c, n
+        # The next chunk starts from this state.  h is copied out of hs,
+        # which the next block of a stream overwrites.
+        np.copyto(self.h, h)
+        self.c, self.n = c, n
 
 
 def _recurrence_backward(p: SLstmParams, d_hs: np.ndarray, hs: np.ndarray, history,
@@ -396,21 +402,73 @@ def _recurrence_backward(p: SLstmParams, d_hs: np.ndarray, hs: np.ndarray, histo
     return d_x, d_x_if, d_w + list(d_r) + d_b
 
 
+class _BlockChunks:
+    """One block's share of a :class:`Stream`: the chunk buffers the
+    stream's blocks share, and what this block carries from one chunk to the
+    next.  That is its recurrence, whose state stays in its own step slab,
+    and its normed rows, kept in ``ring`` after a tail of the previous
+    chunk's last conv_width - 1 normed tokens, which the taps read across
+    the seam.  ``done`` counts the rows run so far, out of ``rows``."""
+
+    def __init__(self, w: BlockWeights, rows: int, tail: int, shared, step, ring):
+        self.pre, self.inv_std, self.hs, self.x_if, self.mask, self.history = shared
+        self.cell = _Recurrence(w.cell, self.pre, step, None)
+        self.rows, self.tail, self.ring, self.done = rows, tail, ring, 0
+
+
+class Stream:
+    """A stack run over ``rows`` token-major rows of the same sequences, in
+    successive chunks of whole tokens of at most ``chunk`` rows.
+
+    ``shapes`` lists the buffers it needs: first those its blocks share
+    (the pre-activation slab, the inverse deviations, the hidden rows, then
+    as the blocks need them the conv-gated rows, the dropout mask and, for a
+    block that records a tape, the centred, cell and normalizer rows), then
+    per block its step slab and its normed rows after their conv tail.
+    :meth:`bind` takes arrays carved for them, so that a caller can carve
+    them together with buffers of its own, in one :meth:`Scratch.carve`.
+    A stream that records holds one block, whose buffers are its history."""
+
+    def __init__(self, cfg: BlockConfig, blocks: list[BlockWeights], batch: int,
+                 rows: int, chunk: int, dropout: bool = False, record: bool = False):
+        d = cfg.d_hidden
+        self.weights, self.rows = blocks, rows
+        self.conv, self.dropout, self.record = cfg.conv_width > 0, dropout, record
+        self.tail = min(rows, (cfg.conv_width - 1) * batch) if self.conv and chunk < rows else 0
+        self.shapes = ([(4, chunk, d), (chunk, 1), (chunk, d)]
+                       + [(chunk, d)] * (self.conv + dropout + 3 * record)
+                       + [(9, batch, d), (self.tail + chunk, d)] * len(blocks))
+        self.blocks: list[_BlockChunks] = []
+
+    def bind(self, arrays) -> "Stream":
+        """Give every block its share of ``arrays``, carved for ``shapes``,
+        and the zero state."""
+        arrays = iter(arrays)
+        pre, inv_std, hs = (next(arrays) for _ in range(3))
+        x_if = next(arrays) if self.conv else None
+        mask = next(arrays) if self.dropout else None
+        shared = (pre, inv_std, hs, x_if, mask, [next(arrays) for _ in range(3 * self.record)])
+        self.blocks = [_BlockChunks(w, self.rows, self.tail, shared, next(arrays), next(arrays))
+                       for w in self.weights]
+        return self
+
+
 def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
            training: bool, rng, stats: StabilizerStats | None = None,
-           scratch: Scratch | None = None) -> Tensor:
+           chunks: _BlockChunks | None = None) -> Tensor:
     """Residual block over token-major rows [L*B, D] as one tape node: layer
     norm, causal-conv taps on the input/forget path, the recurrence, the
     projection, dropout and the residual.
 
-    Every buffer is carved in one call.  Without a recording tape they come
-    from ``scratch`` (one made for this call when none is given) and hold one
-    chunk of whole tokens under the CHUNK_ROWS budget; the rows run chunk by
-    chunk through them, and the recurrence state and the last
-    conv_width - 1 normed tokens cross from one chunk to the next.  A block
-    that records runs its rows as one chunk, carved from an arena of its
-    own, so they are the whole-sequence arrays its backward reads.  The
-    output is a fresh array.
+    Given ``chunks``, this block's share of a :class:`Stream`, x is the
+    stream's next chunk of whole tokens: the block works in the stream's
+    buffers, carries its state on to the next chunk, and adds its output
+    into x's rows in place.  Without it the rows are the one chunk of a
+    stream of the block's own, carved from an arena of its own, so that a
+    block that records a tape keeps the whole-sequence arrays its backward
+    reads; the output is then a fresh array.  The dropout mask is drawn
+    CHUNK_ROWS rows at a time from the one generator, whose successive draws
+    continue a single stream, so it equals one draw over all rows.
     """
     d, rows = cfg.d_hidden, x.shape[0]
     if x.data.ndim != 2 or x.shape[1] != d:
@@ -431,74 +489,63 @@ def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
     dtype = np.result_type(x.data, w.cell.w_z.data)
     eps = x.data.dtype.type(LN_EPS)
     keep_p = 1.0 - cfg.dropout_rate
-    chunk = rows if record else min(rows, max(1, CHUNK_ROWS // batch) * batch)
-    # Normed rows are kept after a tail of the previous chunk's last
-    # conv_width - 1 tokens, which the taps read across the seam.
-    tail = min(rows, (kernel.shape[0] - 1) * batch) if kernel is not None and chunk < rows else 0
-    if record or scratch is None:
-        scratch = Scratch()
-    # The recurrence's pre-activation and step slabs, the normed rows after
-    # their tail, the inverse deviations and the hidden rows; then, as the
-    # block needs them, the conv-gated rows, the dropout mask and, for the
-    # backward, the centred rows and the cell and normalizer rows.
-    extra = (kernel is not None) + dropout + 3 * record
-    pre, step, ring, inv_std, hs, *more = scratch.carve(
-        dtype, [(4, chunk, d), (9, batch, d), (tail + chunk, d), (chunk, 1)]
-        + [(chunk, d)] * (1 + extra))
-    more = iter(more)
-    normed = ring[tail:]
-    x_if = normed if kernel is None else next(more)
-    mask = next(more) if dropout else None
-    xhat, *cells = more if record else [normed]
-    cell = _Recurrence(w.cell, pre, step, stats)
-    out = np.empty((rows, d), dtype)
+    in_place = chunks is not None
+    if chunks is None:
+        own = Stream(cfg, [w], batch, rows, rows, dropout, record)
+        chunks = own.bind(Scratch().carve(dtype, own.shapes)).blocks[0]
+    lo, tail, ring, pre = chunks.done, chunks.tail, chunks.ring, chunks.pre
+    x_in, inv_std, hs = x.data, chunks.inv_std[:rows], chunks.hs[:rows]
+    normed = ring[tail:tail + rows]
+    xhat, *cells = [a[:rows] for a in chunks.history] if record else [normed]
 
-    for lo in range(0, rows, chunk):
-        hi = min(lo + chunk, rows)
-        n = hi - lo
-        xc, xhat_c, inv_c, normed_c = x.data[lo:hi], xhat[:n], inv_std[:n], normed[:n]
-        # Layer norm over each row, with eps in the rows' dtype; the squares
-        # go through the pre-activation slab, which is free until the
-        # recurrence fills it.
-        np.subtract(xc, xc.mean(axis=1, keepdims=True), out=xhat_c)
-        squares = np.square(xhat_c, out=pre[0, :n])
-        np.mean(squares, axis=1, keepdims=True, out=inv_c)
-        inv_c += eps
-        np.sqrt(inv_c, out=inv_c)
-        np.divide(1.0, inv_c, out=inv_c)
-        xhat_c *= inv_c
-        np.multiply(xhat_c, w.ln_gamma.data, out=normed_c)
-        normed_c += w.ln_beta.data
+    # Layer norm over each row, with eps in the rows' dtype; the squares go
+    # through the pre-activation slab, which is free until the recurrence
+    # fills it.
+    np.subtract(x_in, x_in.mean(axis=1, keepdims=True), out=xhat)
+    squares = np.square(xhat, out=pre[0, :rows])
+    np.mean(squares, axis=1, keepdims=True, out=inv_std)
+    inv_std += eps
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    xhat *= inv_std
+    np.multiply(xhat, w.ln_gamma.data, out=normed)
+    normed += w.ln_beta.data
 
-        # Causal depthwise taps: token t gains kernel[j] * normed[t - j] for
-        # every tap j <= t, a row shift by j*B added in place, so a zero
-        # kernel reduces exactly to the conv-disabled path.  The earlier
-        # tokens a tap reads sit right before the chunk's rows in `ring`.
-        x_if_c = normed_c
-        if kernel is not None:
-            x_if_c = np.multiply(normed_c, kernel[0], out=x_if[:n])
-            x_if_c += normed_c
-            for j in range(1, kernel.shape[0]):
-                shift = j * batch
-                first = max(0, shift - lo)
-                if first >= n:
-                    break
-                # The product goes through the pre-activation slab too.
-                x_if_c[first:] += np.multiply(ring[tail + first - shift:tail + n - shift],
-                                              kernel[j], out=pre[0, first:n])
+    # Causal depthwise taps: token t gains kernel[j] * normed[t - j] for
+    # every tap j <= t, a row shift by j*B added in place, so a zero kernel
+    # reduces exactly to the conv-disabled path.  The earlier tokens a tap
+    # reads sit right before the chunk's rows in `ring`.
+    x_if = normed
+    if kernel is not None:
+        x_if = np.multiply(normed, kernel[0], out=chunks.x_if[:rows])
+        x_if += normed
+        for j in range(1, kernel.shape[0]):
+            shift = j * batch
+            first = max(0, shift - lo)
+            if first >= rows:
+                break
+            # The product goes through the pre-activation slab too.
+            x_if[first:] += np.multiply(ring[tail + first - shift:tail + rows - shift],
+                                        kernel[j], out=pre[0, first:rows])
 
-        hs_c = hs[:n]
-        cell.run(normed_c, x_if_c, hs_c, cells)
-        out_c = np.matmul(hs_c, w.proj_w.data.T, out=out[lo:hi])
-        if dropout:
-            # Successive draws continue one stream, so the masks equal one
-            # draw over all rows.
-            mask_c = np.less(rng.random(size=(n, d)), keep_p, out=mask[:n])
-            mask_c /= keep_p
-            out_c *= mask_c
-        out_c += xc
-        if tail and hi < rows:
-            ring[:tail] = ring[n:n + tail]
+    chunks.cell.stats = stats
+    chunks.cell.run(normed, x_if, hs, cells)
+    # In a stream the projection goes through the pre-activation slab, spent
+    # once the recurrence has run, and the residual sum into x's rows.
+    out = np.matmul(hs, w.proj_w.data.T, out=pre[0, :rows] if in_place else None)
+    mask = None
+    if dropout:
+        # Drawn in CHUNK_ROWS-row pieces, never a float64 [rows, D] at once.
+        mask = chunks.mask[:rows]
+        for part in range(0, rows, CHUNK_ROWS):
+            drawn = mask[part:part + CHUNK_ROWS]
+            np.less(rng.random(size=drawn.shape), keep_p, out=drawn)
+        mask /= keep_p
+        out *= mask
+    out = np.add(out, x_in, out=x_in if in_place else out)
+    chunks.done += rows
+    if tail and chunks.done < chunks.rows:
+        ring[:tail] = ring[rows:rows + tail]
 
     def backward(g):
         dy = g if mask is None else g * mask
@@ -537,12 +584,14 @@ def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
 
 def _stack_tokens(cfg: BlockConfig, blocks: list[BlockWeights], x: Tensor, batch: int,
                   training: bool, rng, stats: StabilizerStats | None = None,
-                  scratch: Scratch | None = None) -> Tensor:
+                  stream: Stream | None = None) -> Tensor:
     """The shared stack over token-major rows [L*B, D]: B independent
-    sequences of L tokens, token t in rows t*B .. (t+1)*B.  Its blocks share
-    ``scratch``, or one made for this call when none is given."""
-    if scratch is None:
-        scratch = Scratch()
-    for w in blocks:
-        x = _block(cfg, w, x, batch, training, rng, stats, scratch)
+    sequences of L tokens, token t in rows t*B .. (t+1)*B.
+
+    Given ``stream``, x is its next chunk of whole tokens, which every block
+    runs in the stream's buffers and overwrites with its output; without
+    one, each block runs the rows as one chunk in buffers of its own."""
+    for k, w in enumerate(blocks):
+        x = _block(cfg, w, x, batch, training, rng, stats,
+                   None if stream is None else stream.blocks[k])
     return x

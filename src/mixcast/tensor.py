@@ -27,7 +27,7 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -178,7 +178,7 @@ def _debug_finite(out: Tensor, *inputs: Tensor) -> None:
             raise FloatingPointError("non-finite output from finite inputs")
 
 
-def will_record(inputs: Sequence[Tensor]) -> bool:
+def will_record(inputs: Iterable[Tensor]) -> bool:
     """Whether an op on these inputs would be recorded on the active tape;
     fused ops keep their backward state only then."""
     return _active_tape() is not None and any(t.requires_grad for t in inputs)

@@ -210,11 +210,11 @@ def predict_dataset(params: MixerParams, cfg: MixerConfig, dataset,
     """[N, V, H] forecasts and targets, eval mode, file order: C-ordered
     forecasts; targets are the dataset's read-only window view.
 
-    Each batch is a slice of ``dataset.windows()``, read in place, and its
-    forecasts are written straight into the one forecast array.  The
-    recurrent stack carves its chunk buffers from one scratch, which its
-    first carve allocates and only a larger batch replaces, and which is
-    dropped with the pass."""
+    Each batch is a slice of ``dataset.windows()``, read in place, and the
+    forward writes its forecasts straight into their slice of the one
+    forecast array.  Every forward of the pass carves its chunk buffers from
+    one scratch, which its first carve allocates and only a larger batch
+    replaces, and which is dropped with the pass."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n = len(dataset)
@@ -222,13 +222,10 @@ def predict_dataset(params: MixerParams, cfg: MixerConfig, dataset,
         raise ValueError("cannot predict an empty dataset")
     xs, ys = dataset.windows()
     scratch = slstm.Scratch()
-    preds = None
+    preds = np.empty((n, cfg.num_variates, cfg.horizon), dtype=mixer.forecast_dtype(params, xs))
     for lo, hi in _eval_batches(n, batch_size):
-        out = mixer.forward_batch(params, cfg, xs[lo:hi], training=False,
-                                  scratch=scratch).data
-        if preds is None:
-            preds = np.empty((n, cfg.num_variates, cfg.horizon), dtype=out.dtype)
-        preds[lo:hi] = out.reshape(cfg.num_variates, hi - lo, cfg.horizon).transpose(1, 0, 2)
+        mixer.forward_batch(params, cfg, xs[lo:hi], training=False, scratch=scratch,
+                            out=preds[lo:hi])
     return preds, ys
 
 

@@ -1,16 +1,20 @@
-"""The scratch arena of an evaluation pass.
+"""The streamed evaluation pass and its scratch arena.
 
-``predict_dataset`` makes one arena for the pass, and the recurrent blocks
-carve their no-tape chunk buffers from it; its first carve allocates the
-buffer, and only a larger carve replaces it.  The oracle is the forward
-without an arena: per-batch ``forward_batch`` calls over the same batches
-must give the same forecasts bit for bit, with every byte of each new buffer,
-and of the arena before each batch, set to NaN, so a stage that reads a
-buffer it did not write in the same batch shows.
+Without a tape ``forward_batch`` runs the pipeline chunk by chunk, each
+chunk a run of whole variate tokens under ``slstm.CHUNK_ROWS`` stack rows,
+and carves every chunk buffer, the stack's included, in one call from the
+arena ``predict_dataset`` makes for the pass.  The oracle is the forward
+that records a tape: the same loop run as one chunk of all the variates,
+whose stages write fresh arrays and whose blocks carve arenas of their own.
+The pass must equal it bit for bit, with every byte of each new buffer, and
+of the arena before each batch, set to NaN, so a stage that reads a buffer
+it did not write in the same batch shows.  In float64 the composed-op
+pipeline of ``mixer_reference`` is a second oracle, up to rounding.
 """
 
 import itertools
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,40 +24,52 @@ from mixcast.slstm import BlockConfig
 from mixcast.tensor import Tape
 from mixcast.training import mae_loss
 
+import mixer_reference as ref
 from conftest import synthetic_series
+from test_slstm_fused import assert_close
 
 VARIATES, LOOKBACK, HORIZON, WIDTH = 5, 12, 6, 8
-# A batch of 128 windows in two views is 256 rows per token: two tokens per
-# chunk, so every batch spans several chunks and the conv tail crosses seams.
+# A batch of 127 to 129 windows in two views is about 256 rows per token, so
+# a chunk holds two variate tokens (four in one view), the first chunk the
+# learned token too, and a 191-window batch runs one variate per chunk: the
+# learned token, the recurrence state and the conv tail all cross seams.
 CHUNK_ROWS = 600
 WINDOWS = (1, 127, 128, 191, 385)
 NAN = 0xFF  # every byte 0xFF is a NaN in float32 and in float64
 
 
 def model(conv, blocks, mix_view, init_token, axis, dtype, variates=VARIATES,
-          dropout=0.0, seed=3):
+          dropout=0.0, seed=3, width=WIDTH, horizon=HORIZON):
     cfg = mixer.MixerConfig(
-        lookback=LOOKBACK, horizon=HORIZON, num_variates=variates, embed_dim=WIDTH,
-        num_blocks=blocks, block=BlockConfig(d_hidden=WIDTH, num_heads=2, conv_width=conv,
-                                             dropout_rate=dropout),
+        lookback=LOOKBACK, horizon=horizon, num_variates=variates, embed_dim=width,
+        num_blocks=blocks, block=BlockConfig(d_hidden=width, num_heads=2,
+                                             conv_width=conv, dropout_rate=dropout),
         slstm_axis=axis, init_token=init_token, mix_view=mix_view)
     with T.precision(dtype):
         params = mixer.init_mixer_params(cfg, np.random.default_rng(seed))
     return params, cfg
 
 
-def dataset(windows, variates=VARIATES, seed=4):
-    values = synthetic_series(windows + LOOKBACK + HORIZON - 1, variates, seed=seed)
-    return data.window_iter(values, (0, values.shape[0]), LOOKBACK, HORIZON)
+def dataset(windows, variates=VARIATES, seed=4, horizon=HORIZON):
+    values = synthetic_series(windows + LOOKBACK + horizon - 1, variates, seed=seed)
+    return data.window_iter(values, (0, values.shape[0]), LOOKBACK, horizon)
 
 
-def per_batch_oracle(params, cfg, ds, batch_size=128):
-    """The same batches as predict_dataset, each a forward without an arena."""
+def per_batch(forward, cfg, ds, batch_size=128):
+    """forward(xs) over the batches of predict_dataset, as [N, V, H]."""
     xs, _ = ds.windows()
     return np.concatenate([
-        mixer.forward_batch(params, cfg, xs[lo:hi]).data
-        .reshape(cfg.num_variates, hi - lo, cfg.horizon).transpose(1, 0, 2)
+        forward(xs[lo:hi]).data.reshape(cfg.num_variates, hi - lo, cfg.horizon)
+        .transpose(1, 0, 2)
         for lo, hi in training._eval_batches(len(ds), batch_size)])
+
+
+def taped_oracle(params, cfg, ds):
+    """The same batches as predict_dataset, each a forward that records a tape."""
+    def forward(xs):
+        with Tape():
+            return mixer.forward_batch(params, cfg, xs)
+    return per_batch(forward, cfg, ds)
 
 
 class Poisoned(slstm.Scratch):
@@ -73,17 +89,16 @@ class Poisoned(slstm.Scratch):
 
 class Spy:
     """Records the buffers the arenas allocate, NaN-fills the arena handed to
-    every forward_batch call and records it, and records every block output."""
+    every forward_batch call and records it, and counts the stack's chunks."""
 
     def __init__(self, monkeypatch):
-        self.made, self.calls, self.blocks = [], [], []
+        self.made, self.calls, self.chunks = [], [], []
         spy = self
-        forward, block = mixer.forward_batch, slstm._block
+        forward, stack = mixer.forward_batch, slstm._stack_tokens
 
-        def recorded_block(*args):
-            out = block(*args)
-            spy.blocks.append(out.data)
-            return out
+        def counted_stack(*args):
+            spy.chunks[-1] += 1
+            return stack(*args)
 
         class Counted(Poisoned):
             def allocated(self, buffer):
@@ -92,57 +107,109 @@ class Spy:
         def forward_batch(params, cfg, xs, *args, scratch=None, **kwargs):
             if scratch is not None and scratch.buffer is not None:
                 scratch.buffer.fill(NAN)
+            spy.chunks.append(0)
             out = forward(params, cfg, xs, *args, scratch=scratch, **kwargs)
             spy.calls.append((scratch, out.data))
             return out
 
         monkeypatch.setattr(slstm, "Scratch", Counted)
-        monkeypatch.setattr(slstm, "_block", recorded_block)
+        monkeypatch.setattr(slstm, "_stack_tokens", counted_stack)
         monkeypatch.setattr(mixer, "forward_batch", forward_batch)
 
 
-MATRIX = list(itertools.product((0, 2, 4), (1, 2), (True, False), (True, False),
-                                (mixer.AXIS_VARIATES, mixer.AXIS_TIME)))
+def chunks_per_forward(cfg, batch):
+    if cfg.slstm_axis != mixer.AXIS_VARIATES:
+        return 1
+    views = 2 if cfg.mix_view else 1
+    step = max(1, CHUNK_ROWS // (views * batch))
+    return -(-cfg.num_variates // step)
+
+
+MATRIX = (list(itertools.product((0, 2, 4), (1, 2), (True, False), (True, False),
+                                 (mixer.AXIS_VARIATES, mixer.AXIS_TIME)))
+          + list(itertools.product((0,), (1,), (True, False), (True, False),
+                                   (mixer.AXIS_NONE,))))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("conv, blocks, mix_view, init_token, axis", MATRIX,
                          ids=["-".join(map(str, case)) for case in MATRIX])
-def test_pass_equals_per_batch_forwards_without_an_arena(
-        conv, blocks, mix_view, init_token, axis, dtype, monkeypatch):
+def test_streamed_pass_equals_the_taped_forward(conv, blocks, mix_view, init_token, axis,
+                                                dtype, monkeypatch):
     params, cfg = model(conv, blocks, mix_view, init_token, axis, dtype)
     monkeypatch.setattr(slstm, "CHUNK_ROWS", CHUNK_ROWS)
     for n in WINDOWS:
         ds = dataset(n)
         with T.precision(dtype):  # the windows in the model's dtype
-            want = per_batch_oracle(params, cfg, ds)
+            want = taped_oracle(params, cfg, ds)
             with monkeypatch.context() as patch:
                 spy = Spy(patch)
                 pred, _ = training.predict_dataset(params, cfg, ds, batch_size=128)
         assert pred.dtype == dtype and pred.tobytes() == want.tobytes(), n
+        if dtype == np.float64 and n in (1, 191):
+            with T.precision(dtype):
+                flat = per_batch(lambda xs: ref.forward_flat(params, cfg, np.ascontiguousarray(
+                    xs.transpose(1, 0, 2)).reshape(-1, LOOKBACK), xs.shape[0]), cfg, ds)
+            assert_close(pred, flat, "forecast")
         # One arena serves every batch of the pass.  385 windows run as 128,
         # 128 and 129, and only the last batch needs a larger buffer.
+        batches = list(training._eval_batches(n, 128))
         arena = spy.calls[0][0]
         assert all(scratch is arena for scratch, _ in spy.calls)
-        assert len(spy.calls) == len(list(training._eval_batches(n, 128)))
+        assert len(spy.calls) == len(batches)
         assert len(spy.made) == (2 if n == 385 else 1), n
         assert arena.buffer is spy.made[-1]
-        # Nothing the pass returns lives in a buffer of the arena, and no
-        # block output does either: each feeds the next block and
-        # reconciliation.
-        assert len(spy.blocks) == blocks * len(spy.calls)
-        for out in spy.blocks + [out for _, out in spy.calls] + [pred]:
+        # The stack runs once per chunk, and nothing the pass returns lives
+        # in a buffer of the arena.
+        if axis != mixer.AXIS_NONE:
+            assert spy.chunks == [chunks_per_forward(cfg, hi - lo) for lo, hi in batches]
+        for out in [out for _, out in spy.calls] + [pred]:
             assert not any(np.shares_memory(out, buffer) for buffer in spy.made)
 
 
-def test_a_pass_without_a_stack_allocates_no_buffer(monkeypatch):
+def test_a_forward_without_an_arena_equals_the_pass(monkeypatch):
+    # forward_batch makes an arena of its own when none is given, and
+    # without out returns the v-major rows.
+    monkeypatch.setattr(slstm, "CHUNK_ROWS", CHUNK_ROWS)
+    params, cfg = model(4, 2, True, True, mixer.AXIS_VARIATES, np.float32)
+    ds = dataset(385)
+    pred, _ = training.predict_dataset(params, cfg, ds, batch_size=128)
+    alone = per_batch(lambda xs: mixer.forward_batch(params, cfg, xs), cfg, ds)
+    assert alone.tobytes() == pred.tobytes()
+
+
+@pytest.mark.parametrize("variates", [8, 32])
+def test_pass_memory_beyond_the_forecast_does_not_grow_with_variates(variates,
+                                                                     monkeypatch):
+    # A chunk holds two variates, so from 8 to 32 variates only the forecast
+    # grows: no [V*B, .] array is made on the way.
+    monkeypatch.setattr(slstm, "CHUNK_ROWS", 2 * 2 * 128)
+
+    def extra(v):
+        params, cfg = model(4, 2, True, True, mixer.AXIS_VARIATES, np.float32,
+                            variates=v, width=16, horizon=24)
+        ds = dataset(256, variates=v, horizon=24)
+        ds.windows()  # the cache is the dataset's, made once
+        tracemalloc.start()
+        try:
+            pred, _ = training.predict_dataset(params, cfg, ds, batch_size=128)
+            return tracemalloc.get_traced_memory()[1] - pred.nbytes, pred.nbytes
+        finally:
+            tracemalloc.stop()
+
+    (small, _), (large, forecast) = extra(variates), extra(4 * variates)
+    assert large < 1.05 * small + 16384, (small, large, forecast)
+
+
+def test_a_pass_without_a_stack_streams_its_stages(monkeypatch):
+    monkeypatch.setattr(slstm, "CHUNK_ROWS", CHUNK_ROWS)
     params, cfg = model(0, 1, False, False, mixer.AXIS_NONE, np.float32)
     ds = dataset(191)
-    want = per_batch_oracle(params, cfg, ds)
+    want = taped_oracle(params, cfg, ds)
     spy = Spy(monkeypatch)
     pred, _ = training.predict_dataset(params, cfg, ds, batch_size=128)
     assert pred.tobytes() == want.tobytes()
-    assert spy.made == [] and all(scratch.buffer is None for scratch, _ in spy.calls)
+    assert len(spy.made) == 1 and spy.chunks == [0]
 
 
 @pytest.mark.parametrize("windows, buffers", [(448, 1), (385, 2)])
@@ -152,7 +219,7 @@ def test_a_pass_allocates_a_second_buffer_only_for_a_larger_batch(windows, buffe
     # largest; 385 run as 128, 128 and 129, and the last batch carves more.
     params, cfg = model(4, 2, True, True, mixer.AXIS_VARIATES, np.float32)
     ds = dataset(windows)
-    want = per_batch_oracle(params, cfg, ds)
+    want = taped_oracle(params, cfg, ds)
     spy = Spy(monkeypatch)
     pred, _ = training.predict_dataset(params, cfg, ds, batch_size=128)
     assert pred.tobytes() == want.tobytes()

@@ -52,6 +52,25 @@ def assert_grads_close(got, want, names=None):
         assert_close(g, w, name)
 
 
+def streamed(cfg, blocks, x, batch, tokens_per_chunk, stats=None):
+    """The stack over the rows of x run as a Stream without a tape, chunk
+    by chunk as forward_batch runs it: each chunk is copied into a chunk
+    buffer, which the blocks overwrite with their output, and copied out."""
+    rows, d = x.shape
+    chunk = tokens_per_chunk * batch
+    stream = slstm.Stream(cfg, blocks, batch, rows, chunk)
+    buffer, *arrays = slstm.Scratch().carve(x.dtype, [(chunk, d)] + stream.shapes)
+    stream.bind(arrays)
+    out = np.empty_like(x)
+    for lo in range(0, rows, chunk):
+        n = min(chunk, rows - lo)
+        buffer[:n] = x[lo:lo + n]
+        y = slstm._stack_tokens(cfg, blocks, Tensor(buffer[:n], dtype=x.dtype.type), batch,
+                                False, None, stats, stream)
+        out[lo:lo + n] = y.data
+    return out
+
+
 def make_stack(rng, conv_width, num_blocks, dropout=0.0, d=8, heads=2):
     cfg = BlockConfig(d_hidden=d, num_heads=heads, conv_width=conv_width,
                       dropout_rate=dropout)
@@ -113,9 +132,10 @@ def test_fused_stack_matches_reference_training_with_dropout(conv_width):
 @pytest.mark.parametrize("training", [False, True])
 def test_token_chunks_match_reference(conv_width, num_blocks, tokens_per_chunk, training,
                                       monkeypatch):
-    # 7 tokens run as chunks of 1, 2 or 3 tokens; a budget of 3 tokens plus a
-    # row also shows that a chunk holds whole tokens only.  Without a tape
-    # the chunks use reused buffers, with one they write the whole history.
+    # 7 tokens run as a stream of chunks of 1, 2 or 3 tokens without a tape,
+    # so the conv tail of up to 3 tokens crosses one seam or several.  With
+    # a tape they run as one chunk writing the whole history, and the
+    # dropout mask is drawn 1 row, 2 tokens, or 3 tokens and a row at a time.
     batch, length = 3, 7
     budget = {1: 1, 2: 2 * batch, 3: 3 * batch + 1}[tokens_per_chunk]
     monkeypatch.setattr(slstm, "CHUNK_ROWS", budget)
@@ -132,7 +152,9 @@ def test_token_chunks_match_reference(conv_width, num_blocks, tokens_per_chunk, 
                                                  training, np.random.default_rng(5)))
 
     if not training:
-        assert_close(fused().data, reference().data, "forward")
+        got = streamed(cfg, blocks, x.data, batch, tokens_per_chunk)
+        assert_close(got, reference().data, "forward")
+        assert got.tobytes() == fused().data.tobytes()
         return
     weights = rng.normal(size=x.shape)
     leaves = [x] + leaves_of(blocks)
@@ -162,21 +184,47 @@ def test_chunked_dropout_block_is_bitwise_one_chunk(conv_width, monkeypatch):
     assert chunked.tobytes() == whole.tobytes()
 
 
+def test_a_recording_block_draws_its_mask_in_chunk_row_pieces(monkeypatch):
+    # 32,768 rows: the mask drawn CHUNK_ROWS rows at a time is bit-identical
+    # to one draw over all rows, without that draw's float64 [rows, D]
+    # temporary (16.8 MB here).
+    rng = np.random.default_rng(63)
+    cfg = BlockConfig(d_hidden=64, num_heads=4, conv_width=4, dropout_rate=0.1)
+    w = slstm.init_block_weights(cfg, rng)
+    rows = 32768
+    x = Tensor(rng.uniform(-1, 1, size=(rows, 64)).astype(np.float32))
+
+    def run(budget):
+        monkeypatch.setattr(slstm, "CHUNK_ROWS", budget)
+        tracemalloc.start()
+        try:
+            with Tape():
+                out = slstm._block(cfg, w, x, 64, True, np.random.default_rng(1))
+            return out.data, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_draw, one_draw_peak = run(rows)
+    pieces, peak = run(2048)
+    assert pieces.tobytes() == one_draw.tobytes()
+    assert peak < one_draw_peak - rows * 64 * 8 * 0.8, (peak, one_draw_peak)
+
+
 def test_eval_block_peak_memory_is_bounded_by_chunks():
-    # At 16 chunks' worth of rows only the output is whole-sequence; the
+    # Streamed over 16 chunks only the output is whole-sequence; the
     # intermediates live in chunk-sized buffers.
     rng = np.random.default_rng(61)
     cfg = BlockConfig(d_hidden=16, num_heads=4, conv_width=4)
     w = slstm.init_block_weights(cfg, rng)
     batch = 64
-    x = Tensor(rng.uniform(-1, 1, size=(16 * slstm.CHUNK_ROWS, 16)).astype(np.float32))
+    x = rng.uniform(-1, 1, size=(16 * slstm.CHUNK_ROWS, 16)).astype(np.float32)
     tracemalloc.start()
     try:
-        out = slstm._block(cfg, w, x, batch, False, None)
+        out = streamed(cfg, [w], x, batch, slstm.CHUNK_ROWS // batch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * out.data.nbytes, f"peak {peak} B for {out.data.nbytes} B of output"
+    assert peak < 2 * out.nbytes, f"peak {peak} B for {out.nbytes} B of output"
 
 
 def test_recurrent_gradients_fill_every_head_block():
@@ -275,7 +323,8 @@ def test_input_gate_bias_shift_leaves_block_output_unchanged(conv_width):
 
 
 def test_eval_keeps_no_gate_history():
-    # 16,000 rows of batch 8 run as 8 chunks without a tape, and as one with.
+    # 16,000 rows of batch 8 stream as 8 chunks without a tape, and run as
+    # one with.
     rng = np.random.default_rng(5)
     cfg = BlockConfig(d_hidden=16, num_heads=4, conv_width=4, dropout_rate=0.1)
     w = slstm.init_block_weights(cfg, rng)
@@ -295,10 +344,8 @@ def test_eval_keeps_no_gate_history():
 
     # Without a tape a block holds chunk-sized buffers and its output; a
     # tape holds the whole-sequence gate, cell and normalizer history.
-    def run():
-        slstm._block(cfg, w, xs, 8, False, None)
-
-    assert peak(run, False) < 0.6 * peak(run, True)
+    assert (peak(lambda: streamed(cfg, [w], xs.data, 8, 250), False)
+            < 0.6 * peak(lambda: slstm._block(cfg, w, xs, 8, False, None), True))
 
 
 def training_step_nodes(num_variates, num_blocks, conv_width):
