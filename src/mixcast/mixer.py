@@ -27,13 +27,12 @@ stage before it returns, and the parameters take their dtype from
 Because token ``v`` is rows ``v*B .. (v+1)*B``, a run of whole variate tokens
 can pass through every stage on its own.  Without a tape ``forward_batch``
 streams the batch that way, a chunk of tokens under ``slstm.CHUNK_ROWS``
-stack rows at a time: every stage writes into chunk buffers carved from one
-scratch arena (a stage given such an ``out`` buffer also uses its input rows
-as workspace), the stack carries its state across the seams, and the RevIN
-inverse writes each chunk's forecast into its place in the caller's array,
-so no whole-batch intermediate is made.  A forward that records a tape or
-draws dropout, and the time axis, run the same loop as one chunk, and so
-does a batch that fits in one; their stages write fresh arrays.
+stack rows at a time: every stage writes a chunk-sized array, dropped once
+the next stage has read it, the stack runs in buffers carved from one
+scratch arena and carries its state across the seams, and the RevIN inverse
+writes each chunk's forecast into its place in the caller's array, so no
+whole-batch intermediate is made.  A forward that records a tape or draws
+dropout, and the time axis, run the same loop as one chunk.
 
 Ablation switches: ``mix_time`` toggles the shared linear forecaster,
 ``slstm_axis`` selects what the recurrence strides over ("variates", "time",
@@ -217,15 +216,13 @@ def _check_variate_rows(a: np.ndarray, variates: int, batch: int) -> None:
                          f"variates and batch {batch}, got shape {a.shape}")
 
 
-def revin_normalize(params: RevInParams, x: np.ndarray, batch: int = 1,
-                    out: np.ndarray | None = None):
+def revin_normalize(params: RevInParams, x: np.ndarray, batch: int = 1):
     """Normalize rows to zero mean / unit variance, then scale by gamma and
     shift by beta.  Returns the normalized matrix and the per-row (mean, std)
     arrays [rows, 1] for inversion.
 
     The normalization is one engine op; the input is data, so gradients
-    reach gamma and beta only.  ``out``, passed only when no tape records,
-    receives the normalized rows, and x's rows serve as workspace."""
+    reach gamma and beta only."""
     gamma, beta = params.gamma, params.beta
     v = gamma.shape[0]
     _check_variate_rows(x, v, batch)
@@ -235,8 +232,8 @@ def revin_normalize(params: RevInParams, x: np.ndarray, batch: int = 1,
     data = x.astype(np.result_type(x, gamma.data, beta.data), copy=False)
 
     mean = data.mean(axis=1, keepdims=True)
-    xhat = np.subtract(data, mean, out=out)
-    squares = np.square(xhat, out=None if out is None else data)
+    xhat = data - mean
+    squares = np.square(xhat)
     std = squares.mean(axis=1, keepdims=True)
     std += data.dtype.type(REVIN_EPS)
     np.sqrt(std, out=std)
@@ -260,7 +257,7 @@ def revin_denormalize(params: RevInParams, stats: tuple[np.ndarray, np.ndarray],
     """Exact algebraic inverse of revin_normalize given its (mean, std), as
     one engine op; the statistics are data.
 
-    ``out``, passed only when no tape records, is a [V, B, H] array of any
+    ``out``, refused while a tape records, is a [V, B, H] array of any
     strides that receives the result, which the returned Tensor then holds,
     and y_norm's rows serve as workspace."""
     if np.abs(params.gamma.data).min() < 1e-12:
@@ -271,13 +268,15 @@ def revin_denormalize(params: RevInParams, stats: tuple[np.ndarray, np.ndarray],
     mean, std = stats
     inputs = [y_norm, gamma, beta]
     keep = T.will_record(inputs)
+    given = out is not None
+    if given and keep:
+        raise ValueError("the RevIN inverse takes no out array while a tape records")
     gamma3 = gamma.data[:, None]
     std3 = _per_variate(std, v)
 
     # ((y - beta) / gamma) * std + mean; u = (y - beta) / gamma is kept for
     # the backward, otherwise the result overwrites it, in y's rows when out
     # is given, and goes to out in one copy.
-    given = out is not None
     y3 = _per_variate(y_norm.data, v)
     u = np.subtract(y3, beta.data[:, None], out=y3 if given else None,
                     dtype=np.result_type(mean, std, *(t.data for t in inputs)))
@@ -298,22 +297,15 @@ def revin_denormalize(params: RevInParams, stats: tuple[np.ndarray, np.ndarray],
     return T.custom_op(result if given else result.reshape(y_norm.shape), inputs, backward)
 
 
-def nlinear_forecast(weight: Tensor, bias: Tensor, x_norm: Tensor,
-                     out: np.ndarray | None = None) -> Tensor:
+def nlinear_forecast(weight: Tensor, bias: Tensor, x_norm: Tensor) -> Tensor:
     """Shared linear forecaster: subtract each row's last value, apply the
-    affine map, add the last value back; one engine op.  ``out``, passed
-    only when no tape records, receives the forecast, and x_norm's rows
-    serve as workspace."""
+    affine map, add the last value back; one engine op."""
     t_len = x_norm.shape[1]
     if weight.shape[1] != t_len:
         raise ShapeError(f"weight expects {weight.shape[1]} steps, got {t_len}")
     last = x_norm.data[:, t_len - 1:]
-    if out is None:
-        centered = x_norm.data - last
-    else:
-        last = last.copy()
-        centered = np.subtract(x_norm.data, last, out=x_norm.data)
-    out = np.matmul(centered, weight.data.T, out=out)
+    centered = x_norm.data - last
+    out = centered @ weight.data.T
     out += bias.data
     out += last
 
@@ -326,15 +318,13 @@ def nlinear_forecast(weight: Tensor, bias: Tensor, x_norm: Tensor,
     return T.custom_op(out, [x_norm, weight, bias], backward)
 
 
-def up_project(weight: Tensor, bias: Tensor, rows: Tensor,
-               out: np.ndarray | None = None) -> Tensor:
-    """Shared affine map of each row to the embedding width; one engine op,
-    written into ``out`` when given (only when no tape records)."""
+def up_project(weight: Tensor, bias: Tensor, rows: Tensor) -> Tensor:
+    """Shared affine map of each row to the embedding width; one engine op."""
     if weight.shape[1] != rows.shape[1]:
         raise ShapeError(
             f"up-projection expects width {weight.shape[1]}, got {rows.shape[1]}"
         )
-    out = np.matmul(rows.data, weight.data.T, out=out)
+    out = rows.data @ weight.data.T
     out += bias.data
 
     def backward(g):
@@ -343,8 +333,7 @@ def up_project(weight: Tensor, bias: Tensor, rows: Tensor,
     return T.custom_op(out, [rows, weight, bias], backward)
 
 
-def pack_views(tokens: Tensor, eta: Tensor | None, batch: int, both_views: bool,
-               out: np.ndarray | None = None) -> Tensor:
+def pack_views(tokens: Tensor, eta: Tensor | None, batch: int, both_views: bool) -> Tensor:
     """The stack input, written in one engine op: the learned token ``eta``
     (when given) as token 0 of each of the B sequences, then the token-major
     rows [L*B, D].
@@ -352,18 +341,15 @@ def pack_views(tokens: Tensor, eta: Tensor | None, batch: int, both_views: bool,
     With ``both_views`` every row is followed by its feature-reversed copy,
     so the result [L*2B, D] holds both views as one batch of 2B, and the
     stack output read as [L*B, 2D] has each token's two views side by side.
-    With one view and no learned token the rows are returned as they are.
-    ``out``, passed only when no tape records, is the C-ordered array the
-    result is written to."""
+    With one view and no learned token the rows are returned as they are."""
     rows, d = tokens.shape
     lead = batch if eta is not None else 0
     views = 2 if both_views else 1
     if lead == 0 and views == 1:
         return tokens
     inputs = [tokens] + ([eta] if eta is not None else [])
-    shape = (lead + rows, views, d)
-    packed = (np.empty(shape, dtype=np.result_type(*(t.data for t in inputs)))
-              if out is None else out.reshape(shape))
+    packed = np.empty((lead + rows, views, d),
+                      dtype=np.result_type(*(t.data for t in inputs)))
     rows_in = [(tokens.data, packed[lead:])]
     if eta is not None:
         rows_in.append((eta.data, packed[:lead]))
@@ -384,7 +370,7 @@ def pack_views(tokens: Tensor, eta: Tensor | None, batch: int, both_views: bool,
 
 
 def reconcile_views(view_w: Tensor, view_b: Tensor, stack_out: Tensor, both_views: bool,
-                    skip: int = 0, out: np.ndarray | None = None) -> Tensor:
+                    skip: int = 0) -> Tensor:
     """Shared affine map over each token's two view outputs, after dropping
     the first ``skip`` of them (the learned token); one engine op.
 
@@ -392,8 +378,7 @@ def reconcile_views(view_w: Tensor, view_b: Tensor, stack_out: Tensor, both_view
     :func:`pack_views` interleaves, read as [R, 2D] (a view, not a copy) with
     each token's two views side by side.  Without it ``stack_out`` [R, D] is
     the one view standing for both (mix_view off), mapped by the sum of the
-    two halves of view_w.  The result is written into ``out`` when given
-    (only when no tape records)."""
+    two halves of view_w."""
     views, d = (2 if both_views else 1), view_w.shape[1] // 2
     if stack_out.shape[1] != d or stack_out.shape[0] % views:
         raise ShapeError(f"reconciliation expects {views}-view rows of width {d}, "
@@ -403,7 +388,7 @@ def reconcile_views(view_w: Tensor, view_b: Tensor, stack_out: Tensor, both_view
         raise ShapeError(f"cannot drop {skip} of {tokens.shape[0]} tokens")
     w = view_w.data if both_views else view_w.data[:, :d] + view_w.data[:, d:]
     y = tokens[skip:]
-    out = np.matmul(y, w.T, out=out)
+    out = y @ w.T
     out += view_b.data
 
     def backward(g):
@@ -435,16 +420,16 @@ def _swap_token_axes(t: Tensor, batch: int) -> Tensor:
 def _refine_views(params: MixerParams, cfg: MixerConfig, tokens: Tensor,
                   eta: Tensor | None, batch: int, training: bool, rng,
                   stabilizer: slstm.StabilizerStats | None = None,
-                  stream: slstm.Stream | None = None, out: np.ndarray | None = None) -> Tensor:
+                  stream: slstm.Stream | None = None) -> Tensor:
     """Run the shared stack over token-major rows [L*B, D], behind the
-    learned token ``eta`` when given, in both views; the packed rows go to
-    ``out`` and the stack runs in ``stream``'s buffers, when given.
+    learned token ``eta`` when given, in both views, in ``stream``'s
+    buffers when given.
 
     Returns the stack output in the layout of :func:`pack_views`, [L'*2B, D]
     with each row's two views adjacent, where L' counts eta; with mix_view
     off the second view is the first one, so the reversed rows are never
     pushed through the stack and the result is [L'*B, D]."""
-    packed = pack_views(tokens, eta, batch, cfg.mix_view, out)
+    packed = pack_views(tokens, eta, batch, cfg.mix_view)
     if cfg.slstm_axis == AXIS_NONE:
         return packed
     views = 2 if cfg.mix_view else 1
@@ -466,11 +451,6 @@ def _variate_rows(revin: RevInParams, lo: int, hi: int) -> RevInParams:
                          for t in (revin.gamma, revin.beta)))
 
 
-def _rows(buffer: np.ndarray | None, rows: int, width: int) -> np.ndarray | None:
-    """The first rows x width entries of a flat chunk buffer, as a matrix."""
-    return None if buffer is None else buffer[:rows * width].reshape(rows, width)
-
-
 def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
                   training: bool = False, rng=None,
                   stabilizer: slstm.StabilizerStats | None = None,
@@ -488,10 +468,11 @@ def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
     the up-projection, packing, every block (each carrying its recurrence
     state and conv tail on to the next chunk), reconciliation, and the RevIN
     inverse, which writes the chunk's forecast straight into its place.
-    Without a tape the stack, and every stage of a batch that takes more
-    than one chunk, work in chunk buffers carved in one call from
-    ``scratch``, which grows to the largest carve it serves, or from one
-    made for this call; the forecast never shares memory with it.
+    Every stage writes a fresh chunk-sized array.  Without a tape the stack
+    works in chunk buffers carved in one call from ``scratch``, which grows
+    to the largest carve it serves, or from one made for this call, once
+    the first chunk reaches the stack; the forecast never shares memory
+    with it.
 
     A forward that records a tape, or draws dropout, is the same loop run
     as one chunk of all the variates: its stages keep the whole-batch arrays
@@ -507,79 +488,59 @@ def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
     batch = xs.shape[0]
     time_axis = cfg.slstm_axis == AXIS_TIME
     record = T.will_record(t for _, t, _ in params.named_parameters())
-    dtype = forecast_dtype(params, xs)
-    if out is not None:
-        if record:
+    if record:
+        if out is not None:
             raise ValueError("a forward that records a tape takes no out array")
-        if out.shape != (batch, v, h_len) or out.dtype != dtype:
+    else:
+        dtype = forecast_dtype(params, xs)
+        if out is not None and (out.shape != (batch, v, h_len) or out.dtype != dtype):
             raise ShapeError(f"out must be {dtype} of shape {(batch, v, h_len)}, "
                              f"got {out.dtype} of shape {out.shape}")
     eta = params.eta if cfg.init_token else None
-    lead, views, d = int(eta is not None), 2 if cfg.mix_view else 1, cfg.embed_dim
+    lead, views = int(eta is not None), 2 if cfg.mix_view else 1
     dropout = training and cfg.block.dropout_rate > 0.0 and bool(params.blocks)
     step = v
     if not (record or dropout or time_axis):
         step = min(v, max(1, slstm.CHUNK_ROWS // (views * batch)))
-
-    # Without a tape the buffers are one carve: when the batch takes several
-    # chunks, two wide ones, which the window rows, the normalized rows, the
-    # NLinear forecast and the reconciled rows take turns in, the tokens and
-    # the packed stack rows; then the stack's own.  The stages of a single
-    # chunk write fresh arrays instead, each dropped once the next stage has
-    # read it, which holds less than all of them carved at once; its
-    # forecast is the RevIN inverse's own output unless ``out`` is given.
-    wide_a = wide_b = token_buf = packed_buf = stream = None
     forecast = None if out is None else out.transpose(1, 0, 2)
-    if not record:
-        sizes = []
-        if step < v:
-            wide = step * batch * max(t_len, h_len)
-            sizes = [wide, wide, step * batch * d]
-            if lead or views == 2:
-                sizes.append((lead + step) * views * batch * d)
-            if forecast is None:
-                forecast = np.empty((v, batch, h_len), dtype)
-        shapes = [(size,) for size in sizes]
-        if params.blocks:
-            per_token, tokens = views * batch, h_len if time_axis else v
-            stream = slstm.Stream(cfg.block, params.blocks, per_token, (lead + tokens) * per_token,
-                                  (lead + (tokens if time_axis else step)) * per_token, dropout)
-            shapes += stream.shapes
-        arrays = (scratch if scratch is not None else slstm.Scratch()).carve(dtype, shapes)
-        wide_a, wide_b, token_buf, packed_buf = (arrays[:len(sizes)] + [None] * 4)[:4]
-        if stream:
-            stream.bind(arrays[len(sizes):])
+    if forecast is None and step < v:
+        forecast = np.empty((v, batch, h_len), dtype)
+    stream = None
+    if params.blocks and not record:
+        per_token, tokens = views * batch, h_len if time_axis else v
+        stream = slstm.Stream(cfg.block, params.blocks, per_token, (lead + tokens) * per_token,
+                              (lead + (tokens if time_axis else step)) * per_token, dropout)
 
     for lo in range(0, v, step):
         hi = min(lo + step, v)
-        n, first = (hi - lo) * batch, lo == 0
-        windows = xs[:, lo:hi].transpose(1, 0, 2)
-        if wide_a is None:
-            rows = np.ascontiguousarray(windows).reshape(n, t_len)
-        else:
-            rows = _rows(wide_a, n, t_len)
-            np.copyto(rows.reshape(windows.shape), windows)
+        first = lo == 0
+        rows = np.ascontiguousarray(xs[:, lo:hi].transpose(1, 0, 2)).reshape(-1, t_len)
         if not np.isfinite(rows).all():
             raise ValueError("input windows contain non-finite values")
         # Each stage's output takes the place of its input in `rows`, so the
         # input is dropped once read; a tape keeps what its backward reads.
         revin = _variate_rows(params.revin, lo, hi)
-        rows, stats = revin_normalize(revin, rows, batch, _rows(wide_b, n, t_len))
+        rows, stats = revin_normalize(revin, rows, batch)
         if cfg.mix_time:
-            rows = nlinear_forecast(params.nlinear_w, params.nlinear_b, rows,
-                                    _rows(wide_a, n, h_len))
+            rows = nlinear_forecast(params.nlinear_w, params.nlinear_b, rows)
         # On the time axis the tokens are forecast steps: step-major [H*B, V].
         if time_axis:
             rows = _swap_token_axes(rows, batch)
-        rows = up_project(params.up_w, params.up_b, rows, _rows(token_buf, n, d))
-        skip = batch if lead and first else 0
+        rows = up_project(params.up_w, params.up_b, rows)
+        if first and stream:
+            # Carved here, not before the loop, so that it is not alive
+            # beside the first chunk's earlier stages; the stream's state
+            # then carries on to the next chunk.
+            stream.bind((scratch if scratch is not None else slstm.Scratch())
+                        .carve(dtype, stream.shapes))
         rows = _refine_views(params, cfg, rows, eta if first else None, batch,
-                             training, rng, stabilizer, stream,
-                             _rows(packed_buf, (skip + n) * views, d))
+                             training, rng, stabilizer, stream)
+        if hi == v:
+            stream = None  # the stack is done; so is an arena made for this call
         # Dropping the learned token's rows leaves v-major [V*B, .] rows
         # (step-major [H*B, .] on the time axis).
-        rows = reconcile_views(params.view_w, params.view_b, rows, cfg.mix_view, skip,
-                               _rows(wide_a, n, h_len))
+        rows = reconcile_views(params.view_w, params.view_b, rows, cfg.mix_view,
+                               batch if lead and first else 0)
         if time_axis:
             rows = _swap_token_axes(rows, batch)
         y = revin_denormalize(revin, stats, rows, batch,

@@ -23,13 +23,13 @@ one set of chunk buffers, and each block carries its recurrence state
 ``(h, c, n, m)`` and its last ``conv_width - 1`` normed tokens from one chunk
 to the next; each block adds its output into the chunk's rows in place, so a
 chunk leaves the stack in the buffer it came in.  The caller carves the
-stream's buffers together with its own, in one call from a :class:`Scratch`
-arena, which all the batches of an evaluation pass share, so the pass does
-not fault the same memory in again.  A block run without a stream, as every
-block that records a tape is, runs its rows as one chunk of a stream of its
-own, carved from an arena of its own, so its buffers are the whole-sequence
-arrays its backward reads; its pre-activation slab becomes the gate history
-as the recurrence runs, and its output is a fresh array.  Dropout masks are
+stream's buffers in one call from a :class:`Scratch` arena, which all the
+batches of an evaluation pass share, so the pass does not fault the same
+memory in again.  A block run without a stream, as every block that records
+a tape is, runs its rows as one chunk of a stream of its own, carved from an
+arena of its own, so its buffers are the whole-sequence arrays its backward
+reads; its pre-activation slab becomes the gate history as the recurrence
+runs, and its output is a fresh array.  Dropout masks are
 drawn ``CHUNK_ROWS`` rows at a time from the one generator, which continues
 a single stream.
 
@@ -425,8 +425,7 @@ class Stream:
     as the blocks need them the conv-gated rows, the dropout mask and, for a
     block that records a tape, the centred, cell and normalizer rows), then
     per block its step slab and its normed rows after their conv tail.
-    :meth:`bind` takes arrays carved for them, so that a caller can carve
-    them together with buffers of its own, in one :meth:`Scratch.carve`.
+    :meth:`bind` takes arrays carved for them by :meth:`Scratch.carve`.
     A stream that records holds one block, whose buffers are its history."""
 
     def __init__(self, cfg: BlockConfig, blocks: list[BlockWeights], batch: int,

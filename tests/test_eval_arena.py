@@ -2,13 +2,13 @@
 
 Without a tape ``forward_batch`` runs the pipeline chunk by chunk, each
 chunk a run of whole variate tokens under ``slstm.CHUNK_ROWS`` stack rows,
-and carves every chunk buffer, the stack's included, in one call from the
-arena ``predict_dataset`` makes for the pass.  The oracle is the forward
-that records a tape: the same loop run as one chunk of all the variates,
-whose stages write fresh arrays and whose blocks carve arenas of their own.
-The pass must equal it bit for bit, with every byte of each new buffer, and
-of the arena before each batch, set to NaN, so a stage that reads a buffer
-it did not write in the same batch shows.  In float64 the composed-op
+and carves the stack's chunk buffers in one call from the arena
+``predict_dataset`` makes for the pass.  The oracle is the forward that
+records a tape: the same loop run as one chunk of all the variates, whose
+blocks carve arenas of their own.  The pass must equal it bit for bit, with
+every byte of each new buffer, and of the arena before each batch, set to
+NaN, so a block that reads a buffer it did not write in the same batch
+shows.  In float64 the composed-op
 pipeline of ``mixer_reference`` is a second oracle, up to rounding.
 """
 
@@ -152,13 +152,15 @@ def test_streamed_pass_equals_the_taped_forward(conv, blocks, mix_view, init_tok
                     xs.transpose(1, 0, 2)).reshape(-1, LOOKBACK), xs.shape[0]), cfg, ds)
             assert_close(pred, flat, "forecast")
         # One arena serves every batch of the pass.  385 windows run as 128,
-        # 128 and 129, and only the last batch needs a larger buffer.
+        # 128 and 129, and only the last batch needs a larger buffer; with
+        # no stack nothing is carved.
         batches = list(training._eval_batches(n, 128))
         arena = spy.calls[0][0]
         assert all(scratch is arena for scratch, _ in spy.calls)
         assert len(spy.calls) == len(batches)
-        assert len(spy.made) == (2 if n == 385 else 1), n
-        assert arena.buffer is spy.made[-1]
+        made = 0 if axis == mixer.AXIS_NONE else 2 if n == 385 else 1
+        assert len(spy.made) == made, n
+        assert arena.buffer is (spy.made[-1] if made else None)
         # The stack runs once per chunk, and nothing the pass returns lives
         # in a buffer of the arena.
         if axis != mixer.AXIS_NONE:
@@ -207,9 +209,15 @@ def test_a_pass_without_a_stack_streams_its_stages(monkeypatch):
     ds = dataset(191)
     want = taped_oracle(params, cfg, ds)
     spy = Spy(monkeypatch)
+    normalized = []
+    normalize = mixer.revin_normalize
+    monkeypatch.setattr(mixer, "revin_normalize",
+                        lambda *args: normalized.append(args[1].shape) or normalize(*args))
     pred, _ = training.predict_dataset(params, cfg, ds, batch_size=128)
     assert pred.tobytes() == want.tobytes()
-    assert len(spy.made) == 1 and spy.chunks == [0]
+    # One batch of 191 windows in one view: three variates, then two.
+    assert normalized == [(3 * 191, LOOKBACK), (2 * 191, LOOKBACK)]
+    assert spy.made == [] and spy.chunks == [0]
 
 
 @pytest.mark.parametrize("windows, buffers", [(448, 1), (385, 2)])

@@ -101,6 +101,17 @@ def test_revin_denorm_rejects_tiny_gamma():
         revin_denormalize(p, stats, R.lift(np.zeros((1, 2))))
 
 
+def test_revin_denorm_takes_no_out_array_under_a_tape():
+    # Without a tape the inverse uses y's rows as workspace; a tape may still
+    # read them, so it refuses out before writing anything.
+    p = fresh_revin(v=2)
+    stats = (np.zeros((2, 1)), np.ones((2, 1)))
+    y_norm = np.ones((2, 3))
+    with T.Tape(), pytest.raises(ValueError, match="tape records"):
+        revin_denormalize(p, stats, R.lift(y_norm), out=np.empty((2, 1, 3)))
+    assert (y_norm == 1).all()
+
+
 # -- shared linear forecaster -------------------------------------------------
 
 def test_nlinear_identity_when_square_identity_weight():

@@ -155,13 +155,16 @@ def test_eval_stages_keep_no_history():
         assert held_bytes(run, False) < 0.6 * held_bytes(run, True)
 
 
-def test_eval_forward_peak_is_a_few_outputs(monkeypatch):
-    # Without a tape the forward streams over chunks of whole variate
-    # tokens, so beside the output it holds chunk buffers only: here 8
-    # chunks of 4 variates, about 1.9x the output.  Run as one chunk, its
-    # stages write fresh arrays, each freed once the next stage has read
-    # it, beside the stack's arena, carved up front: about 5.3x.
-    monkeypatch.setattr(slstm, "CHUNK_ROWS", 256)
+@pytest.mark.parametrize("chunk_rows, bound", [(None, 4.5), (256, 2.5)])
+def test_eval_forward_peak_is_a_few_outputs(monkeypatch, chunk_rows, bound):
+    # Without a tape each stage output is freed once the next stage has read
+    # it.  At the default budget the batch is one chunk: about 3.1x the
+    # output, against 6.2x when every stage output lived until the forward
+    # returned (at V=321, B=128, D=64: 60 MB against 111 MB, for a 15.8 MB
+    # output).  Streamed in 8 chunks of 4 variates, the stages hold chunk
+    # arrays only beside the output: about 1.9x.
+    if chunk_rows is not None:
+        monkeypatch.setattr(slstm, "CHUNK_ROWS", chunk_rows)
     block = BlockConfig(d_hidden=16, num_heads=2, conv_width=0, dropout_rate=0.1)
     cfg = mixer.MixerConfig(lookback=96, horizon=96, num_variates=32, embed_dim=16,
                             num_blocks=1, block=block)
@@ -174,4 +177,4 @@ def test_eval_forward_peak_is_a_few_outputs(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * out.data.nbytes, peak / out.data.nbytes
+    assert peak < bound * out.data.nbytes, peak / out.data.nbytes

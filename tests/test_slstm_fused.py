@@ -54,8 +54,8 @@ def assert_grads_close(got, want, names=None):
 
 def streamed(cfg, blocks, x, batch, tokens_per_chunk, stats=None):
     """The stack over the rows of x run as a Stream without a tape, chunk
-    by chunk as forward_batch runs it: each chunk is copied into a chunk
-    buffer, which the blocks overwrite with their output, and copied out."""
+    by chunk as forward_batch runs it: each chunk is copied into a buffer,
+    which the blocks overwrite with their output, and copied out."""
     rows, d = x.shape
     chunk = tokens_per_chunk * batch
     stream = slstm.Stream(cfg, blocks, batch, rows, chunk)
