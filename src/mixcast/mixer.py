@@ -24,16 +24,6 @@ token's two view outputs side by side.  Each stage takes the Tensors the
 stage before it returns, and the parameters take their dtype from
 :func:`mixcast.tensor.precision`.
 
-Because token ``v`` is rows ``v*B .. (v+1)*B``, a run of whole variate tokens
-can pass through every stage on its own.  Without a tape ``forward_batch``
-streams the batch that way, a chunk of tokens under ``slstm.CHUNK_ROWS``
-stack rows at a time: every stage writes a chunk-sized array, dropped once
-the next stage has read it, the stack runs in buffers carved from one
-scratch arena and carries its state across the seams, and the RevIN inverse
-writes each chunk's forecast into its place in the caller's array, so no
-whole-batch intermediate is made.  A forward that records a tape or draws
-dropout, and the time axis, run the same loop as one chunk.
-
 Ablation switches: ``mix_time`` toggles the shared linear forecaster,
 ``slstm_axis`` selects what the recurrence strides over ("variates", "time",
 or "none" to skip it), ``init_token`` toggles the learned conditioning token,
@@ -461,24 +451,26 @@ def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
     ``out``, a [B, V, H] array of :func:`forecast_dtype`, the forecast is
     written there instead and returned as a Tensor of ``out``.
 
-    The forward runs chunk by chunk, each chunk a run of whole variate
-    tokens, as many as fit in slstm.CHUNK_ROWS stack rows (at least one);
-    the first chunk also holds the learned token.  Each chunk goes through
+    Token v is rows v*B .. (v+1)*B, so a run of whole variate tokens can pass
+    through every stage on its own: the forward runs chunk by chunk, as many
+    tokens as fit in slstm.CHUNK_ROWS stack rows (at least one), and the
+    first chunk also holds the learned token.  Each chunk goes through
     every stage in turn: gathered from xs into v-major rows, RevIN, NLinear,
     the up-projection, packing, every block (each carrying its recurrence
     state and conv tail on to the next chunk), reconciliation, and the RevIN
     inverse, which writes the chunk's forecast straight into its place.
-    Every stage writes a fresh chunk-sized array.  Without a tape the stack
-    works in chunk buffers carved in one call from ``scratch``, which grows
-    to the largest carve it serves, or from one made for this call, once
-    the first chunk reaches the stack; the forecast never shares memory
-    with it.
+    Every stage writes a fresh chunk-sized array.  The stack works in a
+    ``slstm.Stream`` whose buffers are carved in one call from ``scratch``,
+    which grows to the largest carve it serves, or from one made for this
+    call, once the first chunk reaches the stack; the forecast never shares
+    memory with it.
 
     A forward that records a tape, or draws dropout, is the same loop run
     as one chunk of all the variates: its stages keep the whole-batch arrays
     their backwards read, and the blocks draw their masks in the order of
     an unchunked stack.  So does the time axis, whose step tokens each need
-    every variate."""
+    every variate.  Under a tape the carved buffers are the blocks' history:
+    ``scratch`` must not be carved again before the backward has run."""
     v, t_len, h_len = cfg.num_variates, cfg.lookback, cfg.horizon
     if xs.ndim != 3 or xs.shape[1:] != (v, t_len):
         got = (f"{xs.shape[1]} variates and lookback {xs.shape[2]}" if xs.ndim == 3
@@ -488,14 +480,12 @@ def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
     batch = xs.shape[0]
     time_axis = cfg.slstm_axis == AXIS_TIME
     record = T.will_record(t for _, t, _ in params.named_parameters())
-    if record:
-        if out is not None:
-            raise ValueError("a forward that records a tape takes no out array")
-    else:
-        dtype = forecast_dtype(params, xs)
-        if out is not None and (out.shape != (batch, v, h_len) or out.dtype != dtype):
-            raise ShapeError(f"out must be {dtype} of shape {(batch, v, h_len)}, "
-                             f"got {out.dtype} of shape {out.shape}")
+    if record and out is not None:
+        raise ValueError("a forward that records a tape takes no out array")
+    dtype = forecast_dtype(params, xs)
+    if out is not None and (out.shape != (batch, v, h_len) or out.dtype != dtype):
+        raise ShapeError(f"out must be {dtype} of shape {(batch, v, h_len)}, "
+                         f"got {out.dtype} of shape {out.shape}")
     eta = params.eta if cfg.init_token else None
     lead, views = int(eta is not None), 2 if cfg.mix_view else 1
     dropout = training and cfg.block.dropout_rate > 0.0 and bool(params.blocks)
@@ -506,11 +496,6 @@ def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
     if forecast is None and step < v:
         forecast = np.empty((v, batch, h_len), dtype)
     stream = None
-    if params.blocks and not record:
-        per_token, tokens = views * batch, h_len if time_axis else v
-        stream = slstm.Stream(cfg.block, params.blocks, per_token, (lead + tokens) * per_token,
-                              (lead + (tokens if time_axis else step)) * per_token, dropout)
-
     for lo in range(0, v, step):
         hi = min(lo + step, v)
         first = lo == 0
@@ -527,10 +512,14 @@ def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
         if time_axis:
             rows = _swap_token_axes(rows, batch)
         rows = up_project(params.up_w, params.up_b, rows)
-        if first and stream:
+        if first and params.blocks:
             # Carved here, not before the loop, so that it is not alive
             # beside the first chunk's earlier stages; the stream's state
             # then carries on to the next chunk.
+            per_token, tokens = views * batch, h_len if time_axis else v
+            stream = slstm.Stream(cfg.block, params.blocks, per_token, (lead + tokens) * per_token,
+                                  (lead + (tokens if time_axis else step)) * per_token, dropout,
+                                  record)
             stream.bind((scratch if scratch is not None else slstm.Scratch())
                         .carve(dtype, stream.shapes))
         rows = _refine_views(params, cfg, rows, eta if first else None, batch,
@@ -577,7 +566,8 @@ def save_checkpoint(directory, params: MixerParams, extra: dict | None = None) -
 
     The files go into a temporary sibling directory that then takes the
     place of ``directory``, so a failed save leaves any earlier checkpoint
-    there whole."""
+    there whole.  A process killed between the two renames leaves it in a
+    ``.old`` sibling instead, which :func:`load_checkpoint` then names."""
     directory = Path(directory)
     directory.parent.mkdir(parents=True, exist_ok=True)
     staging = directory.with_name(f".{directory.name}.{uuid.uuid4().hex}.tmp")
@@ -654,6 +644,12 @@ def load_checkpoint(directory):
     mapping), or a manifest that repeats, lacks or adds a parameter, mixes
     float widths, or points at non-finite values is rejected."""
     directory = Path(directory)
+    retired = [] if directory.exists() else sorted(
+        str(p) for p in directory.parent.glob(".*.old")
+        if re.fullmatch(rf"\.{re.escape(directory.name)}\.[0-9a-f]{{32}}\.old", p.name))
+    if retired:
+        raise FileNotFoundError(f"no checkpoint at {directory}: a save stopped between its "
+                                f"two renames, leaving the last one in {', '.join(retired)}")
     config_doc = json.loads((directory / "config.json").read_text())
     args = _config_args(config_doc, MixerConfig, "config.json", optional=("extra",))
     extra = config_doc.get("extra", {})

@@ -16,22 +16,18 @@ inside it is backpropagated through time.  Gates are held as slabs
 contiguous ``[B, D]`` block.  The input products are one matmul per gate,
 hoisted out of the time loop.
 
-A :class:`Stream` runs the stack over successive chunks of whole tokens,
-which its caller hands in one after another: the pipeline's forward, which
-streams every stage over chunks of variate tokens.  The stream's blocks share
-one set of chunk buffers, and each block carries its recurrence state
-``(h, c, n, m)`` and its last ``conv_width - 1`` normed tokens from one chunk
-to the next; each block adds its output into the chunk's rows in place, so a
-chunk leaves the stack in the buffer it came in.  The caller carves the
-stream's buffers in one call from a :class:`Scratch` arena, which all the
-batches of an evaluation pass share, so the pass does not fault the same
-memory in again.  A block run without a stream, as every block that records
-a tape is, runs its rows as one chunk of a stream of its own, carved from an
-arena of its own, so its buffers are the whole-sequence arrays its backward
-reads; its pre-activation slab becomes the gate history as the recurrence
-runs, and its output is a fresh array.  Dropout masks are
-drawn ``CHUNK_ROWS`` rows at a time from the one generator, which continues
-a single stream.
+Every run of the stack goes through a :class:`Stream`, which its caller
+hands successive chunks of whole tokens; a forward that records a tape hands
+it all its rows as one chunk.  Each block carries its recurrence state
+``(h, c, n, m)`` and its last ``conv_width - 1`` normed tokens across the
+seams.  The stream's buffers are carved in one call from a :class:`Scratch`
+arena, which the batches of an evaluation pass, or the steps of a training
+epoch, share, so they do not fault the same memory in again.  Without a tape
+the blocks share one set of chunk buffers and add their output into the
+chunk's rows in place.  A stream that records gives each block buffers of
+its own, the history its backward reads, and each block's output is a fresh
+array.  Dropout masks are drawn ``CHUNK_ROWS`` rows at a time from the one
+generator, which continues a single stream.
 
 Recurrent weight matrices are block-diagonal over heads, and only their
 diagonal blocks exist: each of ``r_z|r_i|r_f|r_o`` is stored as a
@@ -215,8 +211,8 @@ class Scratch:
     needs, and a later carve that needs more replaces it; the arrays of
     earlier carves keep the old buffer alive.  Each carve starts at the front
     of the buffer, so the arrays of one carve are valid until the next one:
-    the forwards of an evaluation pass run one after another and may share
-    an arena, two threads may not."""
+    the forwards of an evaluation pass, or the steps of a training epoch,
+    run one after another and may share an arena, two threads may not."""
 
     def __init__(self):
         self.buffer = None
@@ -403,30 +399,34 @@ def _recurrence_backward(p: SLstmParams, d_hs: np.ndarray, hs: np.ndarray, histo
 
 
 class _BlockChunks:
-    """One block's share of a :class:`Stream`: the chunk buffers the
-    stream's blocks share, and what this block carries from one chunk to the
-    next.  That is its recurrence, whose state stays in its own step slab,
-    and its normed rows, kept in ``ring`` after a tail of the previous
-    chunk's last conv_width - 1 normed tokens, which the taps read across
-    the seam.  ``done`` counts the rows run so far, out of ``rows``."""
+    """One block's share of a :class:`Stream`: its chunk buffers, and what
+    it carries from one chunk to the next.  That is its recurrence, whose
+    state stays in its own step slab, and its normed rows, kept in ``ring``
+    after a tail of the previous chunk's last conv_width - 1 normed tokens,
+    which the taps read across the seam.  ``done`` counts the rows run so
+    far, out of the stream's ``rows``."""
 
-    def __init__(self, w: BlockWeights, rows: int, tail: int, shared, step, ring):
-        self.pre, self.inv_std, self.hs, self.x_if, self.mask, self.history = shared
+    def __init__(self, w: BlockWeights, stream: "Stream", buffers: list, step, ring):
+        self.pre, self.inv_std, self.hs, *rest = buffers
+        self.x_if = rest.pop(0) if stream.conv else None
+        self.mask = rest.pop(0) if stream.dropout else None
         self.cell = _Recurrence(w.cell, self.pre, step, None)
-        self.rows, self.tail, self.ring, self.done = rows, tail, ring, 0
+        # Copied: a reference to the stream, which holds its blocks, is a cycle.
+        self.rows, self.tail, self.record = stream.rows, stream.tail, stream.record
+        self.history, self.ring, self.done = rest, ring, 0
 
 
 class Stream:
     """A stack run over ``rows`` token-major rows of the same sequences, in
     successive chunks of whole tokens of at most ``chunk`` rows.
 
-    ``shapes`` lists the buffers it needs: first those its blocks share
-    (the pre-activation slab, the inverse deviations, the hidden rows, then
-    as the blocks need them the conv-gated rows, the dropout mask and, for a
-    block that records a tape, the centred, cell and normalizer rows), then
-    per block its step slab and its normed rows after their conv tail.
-    :meth:`bind` takes arrays carved for them by :meth:`Scratch.carve`.
-    A stream that records holds one block, whose buffers are its history."""
+    ``shapes`` lists the buffers :meth:`bind` takes, carved by
+    :meth:`Scratch.carve`: a block's chunk buffers (the pre-activation slab,
+    the inverse deviations, the hidden rows, then as needed the conv-gated
+    rows, the dropout mask and, if it records a tape, the centred, cell and
+    normalizer rows), then its step slab and normed rows after their conv
+    tail.  Without a tape the blocks share one set of chunk buffers; a
+    stream that records gives each block its own, the history it reads."""
 
     def __init__(self, cfg: BlockConfig, blocks: list[BlockWeights], batch: int,
                  rows: int, chunk: int, dropout: bool = False, record: bool = False):
@@ -434,40 +434,36 @@ class Stream:
         self.weights, self.rows = blocks, rows
         self.conv, self.dropout, self.record = cfg.conv_width > 0, dropout, record
         self.tail = min(rows, (cfg.conv_width - 1) * batch) if self.conv and chunk < rows else 0
-        self.shapes = ([(4, chunk, d), (chunk, 1), (chunk, d)]
-                       + [(chunk, d)] * (self.conv + dropout + 3 * record)
-                       + [(9, batch, d), (self.tail + chunk, d)] * len(blocks))
-        self.blocks: list[_BlockChunks] = []
+        buffers = ([(4, chunk, d), (chunk, 1), (chunk, d)]
+                   + [(chunk, d)] * (self.conv + dropout + 3 * record))
+        own = [(9, batch, d), (self.tail + chunk, d)]
+        self.shapes = (buffers + own) * len(blocks) if record else buffers + own * len(blocks)
+        self.per_set = len(buffers)
 
-    def bind(self, arrays) -> "Stream":
-        """Give every block its share of ``arrays``, carved for ``shapes``,
-        and the zero state."""
-        arrays = iter(arrays)
-        pre, inv_std, hs = (next(arrays) for _ in range(3))
-        x_if = next(arrays) if self.conv else None
-        mask = next(arrays) if self.dropout else None
-        shared = (pre, inv_std, hs, x_if, mask, [next(arrays) for _ in range(3 * self.record)])
-        self.blocks = [_BlockChunks(w, self.rows, self.tail, shared, next(arrays), next(arrays))
-                       for w in self.weights]
-        return self
+    def bind(self, arrays) -> None:
+        """Give each block its share of ``arrays``, carved for ``shapes``, and the zero state."""
+        arrays, self.blocks = iter(arrays), []
+        shared = None if self.record else [next(arrays) for _ in range(self.per_set)]
+        for w in self.weights:
+            buffers = shared or [next(arrays) for _ in range(self.per_set)]
+            self.blocks.append(_BlockChunks(w, self, buffers, next(arrays), next(arrays)))
 
 
 def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
-           training: bool, rng, stats: StabilizerStats | None = None,
-           chunks: _BlockChunks | None = None) -> Tensor:
+           training: bool, rng, stats: StabilizerStats | None,
+           chunks: _BlockChunks) -> Tensor:
     """Residual block over token-major rows [L*B, D] as one tape node: layer
     norm, causal-conv taps on the input/forget path, the recurrence, the
     projection, dropout and the residual.
 
-    Given ``chunks``, this block's share of a :class:`Stream`, x is the
-    stream's next chunk of whole tokens: the block works in the stream's
-    buffers, carries its state on to the next chunk, and adds its output
-    into x's rows in place.  Without it the rows are the one chunk of a
-    stream of the block's own, carved from an arena of its own, so that a
-    block that records a tape keeps the whole-sequence arrays its backward
-    reads; the output is then a fresh array.  The dropout mask is drawn
-    CHUNK_ROWS rows at a time from the one generator, whose successive draws
-    continue a single stream, so it equals one draw over all rows.
+    x is the next chunk of whole tokens of the :class:`Stream` whose share
+    ``chunks`` is: the block works in its buffers and carries its state on
+    to the next chunk.  Without a tape it adds its output into x's rows in
+    place; a stream that records runs one chunk, whose buffers are the
+    history the backward reads, and the output is a fresh array.  The
+    dropout mask is drawn CHUNK_ROWS rows at a time from the one generator,
+    whose successive draws continue a single stream, so it equals one draw
+    over all rows.
     """
     d, rows = cfg.d_hidden, x.shape[0]
     if x.data.ndim != 2 or x.shape[1] != d:
@@ -484,14 +480,9 @@ def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
     # each z, o, i, f.
     inputs = ([x] + [getattr(w.cell, f"{kind}_{gate}") for kind in "wrb" for gate in _GATES]
               + [w.ln_gamma, w.ln_beta, w.proj_w] + ([] if kernel is None else [w.conv_kernel]))
-    record = T.will_record(inputs)
-    dtype = np.result_type(x.data, w.cell.w_z.data)
+    record = chunks.record
     eps = x.data.dtype.type(LN_EPS)
     keep_p = 1.0 - cfg.dropout_rate
-    in_place = chunks is not None
-    if chunks is None:
-        own = Stream(cfg, [w], batch, rows, rows, dropout, record)
-        chunks = own.bind(Scratch().carve(dtype, own.shapes)).blocks[0]
     lo, tail, ring, pre = chunks.done, chunks.tail, chunks.ring, chunks.pre
     x_in, inv_std, hs = x.data, chunks.inv_std[:rows], chunks.hs[:rows]
     normed = ring[tail:tail + rows]
@@ -529,9 +520,9 @@ def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
 
     chunks.cell.stats = stats
     chunks.cell.run(normed, x_if, hs, cells)
-    # In a stream the projection goes through the pre-activation slab, spent
-    # once the recurrence has run, and the residual sum into x's rows.
-    out = np.matmul(hs, w.proj_w.data.T, out=pre[0, :rows] if in_place else None)
+    # Without a tape the projection goes through the pre-activation slab,
+    # spent once the recurrence has run, and the residual sum into x's rows.
+    out = np.matmul(hs, w.proj_w.data.T, out=None if record else pre[0, :rows])
     mask = None
     if dropout:
         # Drawn in CHUNK_ROWS-row pieces, never a float64 [rows, D] at once.
@@ -541,7 +532,7 @@ def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
             np.less(rng.random(size=drawn.shape), keep_p, out=drawn)
         mask /= keep_p
         out *= mask
-    out = np.add(out, x_in, out=x_in if in_place else out)
+    out = np.add(out, x_in, out=out if record else x_in)
     chunks.done += rows
     if tail and chunks.done < chunks.rows:
         ring[:tail] = ring[rows:rows + tail]
@@ -587,10 +578,18 @@ def _stack_tokens(cfg: BlockConfig, blocks: list[BlockWeights], x: Tensor, batch
     """The shared stack over token-major rows [L*B, D]: B independent
     sequences of L tokens, token t in rows t*B .. (t+1)*B.
 
-    Given ``stream``, x is its next chunk of whole tokens, which every block
-    runs in the stream's buffers and overwrites with its output; without
-    one, each block runs the rows as one chunk in buffers of its own."""
-    for k, w in enumerate(blocks):
-        x = _block(cfg, w, x, batch, training, rng, stats,
-                   None if stream is None else stream.blocks[k])
+    Given ``stream``, x is its next chunk of whole tokens, run in the
+    stream's buffers.  Without one the rows are one chunk of a stream carved
+    from an arena made for the call, and without a tape x is copied first,
+    since the blocks then add their output into the rows they run in."""
+    if stream is None:
+        rows, dtype = x.shape[0], np.result_type(x.data, blocks[0].cell.w_z.data)
+        record = T.will_record([x] + [t for w in blocks for _, t, _ in w.named_parameters()])
+        stream = Stream(cfg, blocks, batch, rows, rows, training and cfg.dropout_rate > 0.0,
+                        record)
+        stream.bind(Scratch().carve(dtype, stream.shapes))
+        if not record:
+            x = Tensor(x.data.copy(), dtype=x.data.dtype.type)
+    for w, chunks in zip(blocks, stream.blocks):
+        x = _block(cfg, w, x, batch, training, rng, stats, chunks)
     return x

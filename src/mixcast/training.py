@@ -232,7 +232,8 @@ def predict_dataset(params: MixerParams, cfg: MixerConfig, dataset,
 def fit(params: MixerParams, cfg: MixerConfig, train_ds, val_ds,
         train_cfg: TrainConfig, out_dir, log_path=None) -> RunArtifacts:
     """Train with shuffled mini-batches, checkpointing on validation
-    improvement and stopping after `patience` epochs without one."""
+    improvement and stopping after `patience` epochs without one.  The
+    steps of an epoch carve the stack's history from one scratch arena."""
     if len(train_ds) < 1 or len(val_ds) < 1:
         raise ValueError("train and validation datasets must be non-empty")
     out_dir = Path(out_dir)
@@ -261,6 +262,7 @@ def fit(params: MixerParams, cfg: MixerConfig, train_ds, val_ds,
     try:
         for epoch in range(train_cfg.max_epochs):
             order = rng.permutation(n)
+            scratch = slstm.Scratch()  # each backward runs before the next carve
             epoch_abs = 0.0
             epoch_count = 0
             for b in range(batches_per_epoch):
@@ -268,7 +270,8 @@ def fit(params: MixerParams, cfg: MixerConfig, train_ds, val_ds,
                 xs, ys = train_ds.batch(idx)
                 flat.grad.fill(0)
                 with Tape() as tape:
-                    pred = mixer.forward_batch(params, cfg, xs, training=True, rng=rng)
+                    pred = mixer.forward_batch(params, cfg, xs, training=True, rng=rng,
+                                               scratch=scratch)
                     loss = mae_loss(pred, mixer.flatten_targets(ys))
                     value = loss.item()
                     if not math.isfinite(value):
@@ -284,6 +287,7 @@ def fit(params: MixerParams, cfg: MixerConfig, train_ds, val_ds,
                 epoch_count += xs.shape[0] * xs.shape[1] * cfg.horizon
 
             train_mae = epoch_abs / epoch_count
+            del scratch  # not alive beside the validation pass's own arena
             val_mae = evaluate_mae(params, cfg, val_ds)
             epochs_trained = epoch + 1
             row = {"epoch": epoch, "train_mae": train_mae, "val_mae": val_mae,

@@ -5,16 +5,18 @@ chunk a run of whole variate tokens under ``slstm.CHUNK_ROWS`` stack rows,
 and carves the stack's chunk buffers in one call from the arena
 ``predict_dataset`` makes for the pass.  The oracle is the forward that
 records a tape: the same loop run as one chunk of all the variates, whose
-blocks carve arenas of their own.  The pass must equal it bit for bit, with
-every byte of each new buffer, and of the arena before each batch, set to
-NaN, so a block that reads a buffer it did not write in the same batch
-shows.  In float64 the composed-op
-pipeline of ``mixer_reference`` is a second oracle, up to rounding.
+stack carves an arena of its own, each block its own share of it.  The pass
+must equal it bit for bit, with every byte of each new buffer, and of the
+arena before each batch, set to NaN, so a block that reads a buffer it did
+not write in the same batch shows.  In float64 the composed-op pipeline of
+``mixer_reference`` is a second oracle, up to rounding.
 """
 
+import gc
 import itertools
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -257,69 +259,82 @@ def test_a_larger_carve_replaces_the_buffer_and_earlier_arrays_keep_their_values
     assert all(a.dtype == np.float64 and a.flags.c_contiguous for a in large)
 
 
-@pytest.mark.parametrize("conv, blocks", [(0, 1), (4, 2)])
-def test_a_recording_forward_never_touches_the_arena(conv, blocks, monkeypatch):
-    monkeypatch.setattr(slstm, "CHUNK_ROWS", CHUNK_ROWS)
-    params, cfg = model(conv, blocks, True, True, mixer.AXIS_VARIATES, np.float32,
-                        dropout=0.1)
-    xs, ys = dataset(40).windows()
-    xs, target = xs[:32], mixer.flatten_targets(ys[:32])
-    leaves = [t for _, t, _ in params.named_parameters()]
-
-    def gradients(scratch):
-        for t in leaves:
-            t.zero_grad()
-        with Tape() as tape:
-            pred = mixer.forward_batch(params, cfg, xs, training=True,
-                                       rng=np.random.default_rng(9), scratch=scratch)
-            tape.backward(mae_loss(pred, target))
-        return pred.data, [t.grad.copy() for t in leaves]
-
-    want_pred, want = gradients(None)
-    # A no-tape forward sizes the arena, which the recording forward must
-    # neither read nor write nor replace.
-    arena = slstm.Scratch()
-    mixer.forward_batch(params, cfg, xs, scratch=arena)
-    buffer = arena.buffer
-    buffer.fill(NAN)
-    pred, got = gradients(arena)
-    assert arena.buffer is buffer and (buffer == NAN).all()
-    assert pred.tobytes() == want_pred.tobytes()
-    for g, w in zip(got, want):
-        assert g.tobytes() == w.tobytes()
-
-
 POISON = list(itertools.product((0, 4), (1, 2), (0.0, 0.1)))
+
+
+def recorded_step(params, cfg, xs, target, scratch=None):
+    """The forecast of a forward that records a tape, then every gradient."""
+    leaves = [t for _, t, _ in params.named_parameters()]
+    for t in leaves:
+        t.zero_grad()
+    with Tape() as tape:
+        pred = mixer.forward_batch(params, cfg, xs, training=True,
+                                   rng=np.random.default_rng(9), scratch=scratch)
+        tape.backward(mae_loss(pred, target))
+    return [pred.data] + [t.grad.copy() for t in leaves]
+
+
+def step_case(conv, blocks, dropout):
+    params, cfg = model(conv, blocks, True, True, mixer.AXIS_VARIATES, np.float32,
+                        dropout=dropout)
+    xs, ys = dataset(40).windows()
+    return params, cfg, xs[:32], mixer.flatten_targets(ys[:32])
 
 
 @pytest.mark.parametrize("conv, blocks, dropout", POISON,
                          ids=["-".join(map(str, case)) for case in POISON])
 def test_a_recording_block_reads_no_buffer_before_writing_it(conv, blocks, dropout,
                                                               monkeypatch):
-    # A recording block carves its whole-sequence history, mask and normed
-    # rows from an arena of its own; with every new buffer NaN, a read of a
-    # byte the block did not write shows in the forecast or a gradient.
-    params, cfg = model(conv, blocks, True, True, mixer.AXIS_VARIATES, np.float32,
-                        dropout=dropout)
-    xs, ys = dataset(40).windows()
-    xs, target = xs[:32], mixer.flatten_targets(ys[:32])
-    leaves = [t for _, t, _ in params.named_parameters()]
-
-    def gradients():
-        for t in leaves:
-            t.zero_grad()
-        with Tape() as tape:
-            pred = mixer.forward_batch(params, cfg, xs, training=True,
-                                       rng=np.random.default_rng(9))
-            tape.backward(mae_loss(pred, target))
-        return [pred.data] + [t.grad.copy() for t in leaves]
-
-    want = gradients()
+    # A recording forward carves its blocks' whole-sequence history, masks
+    # and normed rows from an arena of its own; with every new buffer NaN, a
+    # read of a byte a block did not write shows in the forecast or a
+    # gradient.
+    case = step_case(conv, blocks, dropout)
+    want = recorded_step(*case)
     monkeypatch.setattr(slstm, "Scratch", Poisoned)
-    got = gradients()
+    got = recorded_step(*case)
     assert all(np.isfinite(w).all() for w in want)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("conv, blocks, dropout", POISON,
+                         ids=["-".join(map(str, case)) for case in POISON])
+def test_a_recording_forward_carves_from_the_arena_it_is_given(conv, blocks, dropout):
+    # As in fit's steps: a first step sizes the arena, which is then NaN
+    # throughout, and the next step's forward carves its history from it.
+    # A stale or unwritten byte shows in the forecast or a gradient.
+    case = step_case(conv, blocks, dropout)
+    want = recorded_step(*case)
+    arena = slstm.Scratch()
+    recorded_step(*case, scratch=arena)
+    buffer = arena.buffer
+    buffer.fill(NAN)
+    got = recorded_step(*case, scratch=arena)
+    assert arena.buffer is buffer and not (buffer == NAN).all()
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("record", [False, True], ids=["eval", "taped"])
+def test_a_forward_keeps_no_reference_to_its_arena(record, monkeypatch):
+    # Nothing of a forward's stack may outlive it, not even until the
+    # garbage collector runs: every pass of an evaluation loop, or epoch of
+    # a fit, would otherwise pile up the buffers of its arena.
+    monkeypatch.setattr(slstm, "CHUNK_ROWS", CHUNK_ROWS)
+    params, cfg, xs, target = step_case(4, 2, 0.1)
+    arena = slstm.Scratch()
+    gc.disable()
+    try:
+        if record:
+            recorded_step(params, cfg, xs, target, scratch=arena)
+        else:
+            mixer.forward_batch(params, cfg, xs, scratch=arena)
+        buffer = weakref.ref(arena.buffer)
+        del arena
+        assert buffer() is None
+    finally:
+        gc.enable()
 
 
 def test_concurrent_passes_and_a_tape_equal_the_serial_runs():
@@ -330,19 +345,12 @@ def test_concurrent_passes_and_a_tape_equal_the_serial_runs():
     sets = [dataset(385, variates=21, seed=s) for s in (1, 2)]
     xs, ys = sets[0].windows()
     xs, target = xs[:32], mixer.flatten_targets(ys[:32])
-    leaves = [t for _, t, _ in params.named_parameters()]
 
     def predict(ds):
         return training.predict_dataset(params, cfg, ds, batch_size=128)[0]
 
     def record():
-        for t in leaves:
-            t.zero_grad()
-        with Tape() as tape:
-            pred = mixer.forward_batch(params, cfg, xs, training=True,
-                                       rng=np.random.default_rng(9))
-            tape.backward(mae_loss(pred, target))
-        return [t.grad.copy() for t in leaves]
+        return recorded_step(params, cfg, xs, target)
 
     rounds = 3
     serial = {"predict0": predict(sets[0]), "predict1": predict(sets[1]), "record": record()}

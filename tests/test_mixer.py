@@ -1,7 +1,11 @@
 """Pipeline stage contracts, ablation wiring, and checkpoint io."""
 
 import json
+import os
+import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -538,6 +542,17 @@ def test_decode_token_shape_and_determinism():
         assert np.array_equal(a.data, b.data)
 
 
+@pytest.mark.parametrize("mix_view", [True, False])
+def test_decode_token_leaves_the_learned_token_unwritten(mix_view):
+    # With mix_view off, packing hands the stack params.eta itself, and
+    # without a tape the blocks add their output into the rows they get.
+    cfg = make_cfg(mix_view=mix_view, num_blocks=2)
+    params = init_mixer_params(cfg, np.random.default_rng(23))
+    eta = params.eta.data.tobytes()
+    mixer.decode_init_token(params, cfg)
+    assert params.eta.data.tobytes() == eta
+
+
 def test_decode_token_requires_token():
     rng = np.random.default_rng(22)
     cfg = build_ablation_config(3, make_cfg())
@@ -828,6 +843,54 @@ def test_failed_checkpoint_swap_restores_previous_checkpoint(tmp_path, monkeypat
                                        loaded.named_parameters()):
         assert a.data.tobytes() == b.data.tobytes(), name
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
+
+
+KILLED_BETWEEN_RENAMES = """
+import os, sys
+from pathlib import Path
+import numpy as np
+from mixcast import mixer
+
+ck = Path(sys.argv[1])
+params, cfg, _ = mixer.load_checkpoint(ck)
+rename, calls = Path.rename, []
+
+def killing_rename(self, target):
+    calls.append(target)
+    if len(calls) == 2:  # the new directory's move into place
+        os._exit(3)
+    return rename(self, target)
+
+Path.rename = killing_rename
+mixer.save_checkpoint(ck, mixer.init_mixer_params(cfg, np.random.default_rng(1)))
+"""
+
+
+def test_a_save_killed_between_its_renames_is_named_on_load(tmp_path):
+    rng = np.random.default_rng(35)
+    before = init_mixer_params(make_cfg(), rng)
+    ck = tmp_path / "ck"
+    mixer.save_checkpoint(ck, before)
+    src = str(Path(mixer.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    done = subprocess.run([sys.executable, "-c", KILLED_BETWEEN_RENAMES, str(ck)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3, done.stderr
+
+    # Only the retired directory and the unfinished staging one are left.
+    (old,) = tmp_path.glob(".ck.*.old")
+    assert not ck.exists() and len(list(tmp_path.glob(".ck.*.tmp"))) == 1
+    # A retired sibling of the checkpoint "ck.v2" is not this one's.
+    (tmp_path / f".ck.v2.{'0' * 32}.old").mkdir()
+    with pytest.raises(FileNotFoundError, match=re.escape(str(old))) as raised:
+        mixer.load_checkpoint(ck)
+    assert ".ck.v2." not in str(raised.value)
+    # It holds the last complete checkpoint.
+    loaded, _, _ = mixer.load_checkpoint(old)
+    for (name, a, _), (_, b, _) in zip(before.named_parameters(),
+                                       loaded.named_parameters()):
+        assert a.data.tobytes() == b.data.tobytes(), name
 
 
 def test_checkpoint_save_replaces_and_leaves_no_temporary(tmp_path):

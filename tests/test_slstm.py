@@ -1,11 +1,13 @@
 """Cell, block, and stack tests against independent numpy references."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from mixcast import slstm, tensor as T
 from mixcast.slstm import BlockConfig
-from mixcast.tensor import ShapeError, Tensor
+from mixcast.tensor import ShapeError, Tape, Tensor
 
 import engine_reference as R
 import slstm_reference as slstm_ref
@@ -210,7 +212,7 @@ def test_block_zero_projection_is_identity():
         cfg, w = block_setup(rng)
         w.proj_w.data[:] = 0.0
         xs = rng.uniform(-1, 1, size=(5, 6))
-        out = slstm._block(cfg, w, R.lift(xs), 1, False, None).data
+        out = slstm._stack_tokens(cfg, [w], R.lift(xs), 1, False, None).data
         assert np.array_equal(out, xs)
 
 
@@ -223,8 +225,8 @@ def test_block_zero_conv_matches_disabled_conv():
         w_off = slstm.BlockWeights(cell=w_on.cell, ln_gamma=w_on.ln_gamma,
                                    ln_beta=w_on.ln_beta, proj_w=w_on.proj_w)
         xs = rng.uniform(-1, 1, size=(5, 6))
-        out_on = slstm._block(cfg_on, w_on, R.lift(xs), 1, False, None).data
-        out_off = slstm._block(cfg_off, w_off, R.lift(xs), 1, False, None).data
+        out_on = slstm._stack_tokens(cfg_on, [w_on], R.lift(xs), 1, False, None).data
+        out_off = slstm._stack_tokens(cfg_off, [w_off], R.lift(xs), 1, False, None).data
         assert np.array_equal(out_on, out_off)
 
 
@@ -232,8 +234,8 @@ def test_block_eval_mode_is_deterministic():
     rng = np.random.default_rng(16)
     cfg, w = block_setup(rng, dropout=0.5)
     xs = np.random.default_rng(1).uniform(-1, 1, size=(4, 6))
-    a = slstm._block(cfg, w, R.lift(xs), 1, False, None).data
-    b = slstm._block(cfg, w, R.lift(xs), 1, False, None).data
+    a = slstm._stack_tokens(cfg, [w], R.lift(xs), 1, False, None).data
+    b = slstm._stack_tokens(cfg, [w], R.lift(xs), 1, False, None).data
     assert np.array_equal(a, b)
 
 
@@ -241,8 +243,8 @@ def test_block_dropout_active_only_in_training():
     rng = np.random.default_rng(17)
     cfg, w = block_setup(rng, dropout=0.5)
     xs = np.random.default_rng(2).uniform(-1, 1, size=(4, 6))
-    r1 = slstm._block(cfg, w, R.lift(xs), 1, True, np.random.default_rng(0)).data
-    r2 = slstm._block(cfg, w, R.lift(xs), 1, True, np.random.default_rng(5)).data
+    r1 = slstm._stack_tokens(cfg, [w], R.lift(xs), 1, True, np.random.default_rng(0)).data
+    r2 = slstm._stack_tokens(cfg, [w], R.lift(xs), 1, True, np.random.default_rng(5)).data
     assert not np.array_equal(r1, r2)
 
 
@@ -250,16 +252,24 @@ def test_block_width_mismatch_raises():
     rng = np.random.default_rng(18)
     cfg, w = block_setup(rng)
     with pytest.raises(ShapeError):
-        slstm._block(cfg, w, R.lift(np.zeros((3, 5))), 1, False, None)
+        slstm._stack_tokens(cfg, [w], R.lift(np.zeros((3, 5))), 1, False, None)
 
 
-def test_stack_single_block_equals_block_forward():
+@pytest.mark.parametrize("record", [False, True], ids=["eval", "taped"])
+def test_stack_leaves_its_input_rows_unwritten(record):
+    # Without a tape the blocks add their output into the rows they run in,
+    # so a stack given no stream runs a copy of the caller's rows.
     rng = np.random.default_rng(19)
-    cfg, w = block_setup(rng)
-    xs = rng.uniform(-1, 1, size=(4, 6))
-    a = slstm._stack_tokens(cfg, [w], R.lift(xs), 1, False, None).data
-    b = slstm._block(cfg, w, R.lift(xs), 1, False, None).data
-    assert np.array_equal(a, b)
+    cfg, w1 = block_setup(rng, conv_width=4)
+    _, w2 = block_setup(rng, conv_width=4)
+    xs = rng.uniform(-1, 1, size=(8, 6))
+    before = xs.tobytes()
+    x = Tensor(xs, dtype=np.float64)
+    assert x.data is xs
+    with Tape() if record else contextlib.nullcontext():
+        out = slstm._stack_tokens(cfg, [w1, w2], x, 2, False, None)
+    assert xs.tobytes() == before
+    assert not np.shares_memory(out.data, xs)
 
 
 def test_stack_zeroed_blocks_are_identity():

@@ -199,7 +199,7 @@ def test_a_recording_block_draws_its_mask_in_chunk_row_pieces(monkeypatch):
         tracemalloc.start()
         try:
             with Tape():
-                out = slstm._block(cfg, w, x, 64, True, np.random.default_rng(1))
+                out = slstm._stack_tokens(cfg, [w], x, 64, True, np.random.default_rng(1))
             return out.data, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -316,9 +316,9 @@ def test_input_gate_bias_shift_leaves_block_output_unchanged(conv_width):
     rng = np.random.default_rng(40 + conv_width)
     cfg, blocks = make_stack(rng, conv_width, 1)
     x = Tensor(rng.uniform(-1, 1, size=(6 * 3, cfg.d_hidden)), dtype=np.float64)
-    before = slstm._block(cfg, blocks[0], x, 3, False, None).data
+    before = slstm._stack_tokens(cfg, blocks, x, 3, False, None).data
     blocks[0].cell.b_i.data += rng.uniform(-2.0, 2.0, size=(1, cfg.d_hidden))
-    after = slstm._block(cfg, blocks[0], x, 3, False, None).data
+    after = slstm._stack_tokens(cfg, blocks, x, 3, False, None).data
     assert np.abs(after - before).max() < 1e-12
 
 
@@ -345,7 +345,7 @@ def test_eval_keeps_no_gate_history():
     # Without a tape a block holds chunk-sized buffers and its output; a
     # tape holds the whole-sequence gate, cell and normalizer history.
     assert (peak(lambda: streamed(cfg, [w], xs.data, 8, 250), False)
-            < 0.6 * peak(lambda: slstm._block(cfg, w, xs, 8, False, None), True))
+            < 0.6 * peak(lambda: slstm._stack_tokens(cfg, [w], xs, 8, False, None), True))
 
 
 def training_step_nodes(num_variates, num_blocks, conv_width):

@@ -1,12 +1,15 @@
 """Loss, clipping, Adam, schedule, and fit-loop behavior."""
 
 import math
+import sys
+import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mixcast import data, mixer, tensor as T, training
+from mixcast import data, mixer, slstm, tensor as T, training
 from mixcast.metrics import compute_metrics
 from mixcast.mixer import build_ablation_config
 from mixcast.slstm import BlockConfig
@@ -576,6 +579,85 @@ def test_fit_leaves_every_gradient_a_view_of_the_flat_buffer(tmp_path, monkeypat
             grad.__array_interface__["data"][0] + offset * grad.itemsize), name
         offset += t.size
     assert offset == grad.size and grad.any()
+
+
+def fit_files(out_dir, params, cfg, ds, val, seed=3):
+    """Train two epochs into out_dir; the bytes of loss_log.jsonl and of
+    every checkpoint file, by path."""
+    tc = TrainConfig(batch_size=16, max_epochs=2, seed=seed, lr_initial=1e-2)
+    training.fit(params, cfg, ds, val, tc, out_dir, log_path=out_dir / "loss_log.jsonl")
+    return {p.relative_to(out_dir).as_posix(): p.read_bytes()
+            for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+
+def two_block_config():
+    return replace(small_config(dropout_rate=0.1, conv_width=4), num_blocks=2)
+
+
+def test_fit_reads_no_stale_byte_of_its_arena(tmp_path, monkeypatch):
+    """Every carve from every arena of a run is NaN throughout before its
+    arrays are handed out, so a block that read a byte an earlier step
+    wrote, or none, would move a loss or a weight.  One NaN fill per
+    allocation would not show it: an epoch's steps reuse one buffer."""
+    cfg = two_block_config()
+    ds, val = make_affine_task(72), make_affine_task(24, data_seed=9)
+
+    def run(name):
+        params = mixer.init_mixer_params(cfg, np.random.default_rng(8))
+        return fit_files(tmp_path / name, params, cfg, ds, val)
+
+    want = run("plain")
+    carves = []
+
+    class Refilled(slstm.Scratch):
+        def carve(self, dtype, shapes):
+            arrays = super().carve(dtype, shapes)
+            self.buffer.fill(0xFF)  # every byte 0xFF is a NaN
+            carves.append(self)
+            return arrays
+
+    monkeypatch.setattr(slstm, "Scratch", Refilled)
+    assert run("poisoned") == want
+    # Per epoch, five steps carve from the epoch's arena, and the one
+    # validation batch from the pass's own.
+    arenas = {id(arena): arena for arena in carves}
+    assert sorted(carves.count(arena) for arena in arenas.values()) == [1, 1, 5, 5]
+
+
+def test_concurrent_fits_equal_the_serial_runs(tmp_path):
+    """Three fits at once, each on its own parameters and datasets, write
+    the loss logs and checkpoints of their serial runs: each fit owns its
+    arenas, which a Scratch does not share across threads."""
+    cfg = two_block_config()
+    tasks = [(make_affine_task(72, data_seed=k), make_affine_task(24, data_seed=10 + k))
+             for k in range(3)]
+
+    def run(k, name):
+        params = mixer.init_mixer_params(cfg, np.random.default_rng(k))
+        return fit_files(tmp_path / name, params, cfg, *tasks[k], seed=k)
+
+    serial = [run(k, f"serial{k}") for k in range(3)]
+    results, errors = {}, []
+
+    def worker(k):
+        try:
+            results[k] = run(k, f"thread{k}")
+        except BaseException as exc:  # surfaced below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert [results[k] for k in range(3)] == serial
 
 
 def per_batch_composition(params, cfg, ds, batch_size):
