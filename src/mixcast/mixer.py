@@ -15,12 +15,13 @@ its per-row statistics are plain arrays.
 Each stage (RevIN, the linear forecaster, the up-projection, the packing of
 the stack input, reconciliation, and the RevIN inverse) is one engine op
 computed on numpy arrays with a hand-written backward, and keeps the arrays
-its backward needs only while a tape records it.  The packing op writes the
-learned token's rows, the forward rows and the feature-reversed rows straight
-into one interleaved [L*2B, D] matrix, so both views run through the stack in
-one call as a batch of 2B.  Reconciliation, given the same ``mix_view``
-switch, reads the stack output as [L*B, 2D] (a view, not a copy), each
-token's two view outputs side by side.  Each stage takes the Tensors the
+its backward needs only while a tape records it.  A stage writes only arrays
+it allocates, never its inputs, with or without a tape.  The packing op
+writes the learned token's rows, the forward rows and the feature-reversed
+rows straight into one interleaved [L*2B, D] matrix, so both views run
+through the stack in one call as a batch of 2B.  Reconciliation, given the
+same ``mix_view`` switch, reads the stack output as [L*B, 2D] (a view, not a
+copy), each token's two view outputs side by side.  Each stage takes the Tensors the
 stage before it returns, and the parameters take their dtype from
 :func:`mixcast.tensor.precision`.
 
@@ -218,18 +219,16 @@ def revin_normalize(params: RevInParams, x: np.ndarray, batch: int = 1):
     _check_variate_rows(x, v, batch)
     if x.shape[1] < 1:
         raise ShapeError("normalization needs at least one time step")
-    keep = T.will_record([gamma, beta])
     data = x.astype(np.result_type(x, gamma.data, beta.data), copy=False)
 
     mean = data.mean(axis=1, keepdims=True)
     xhat = data - mean
-    squares = np.square(xhat)
-    std = squares.mean(axis=1, keepdims=True)
+    out = np.square(xhat)
+    std = out.mean(axis=1, keepdims=True)
     std += data.dtype.type(REVIN_EPS)
     np.sqrt(std, out=std)
     xhat /= std
-    # Only the backward reads xhat again, so without a tape it is scaled in place.
-    out = squares if keep else xhat
+    # The output overwrites the spent squares; the backward reads xhat.
     out3 = _per_variate(out, v)
     np.multiply(_per_variate(xhat, v), gamma.data[:, None], out=out3)
     out3 += beta.data[:, None]
@@ -243,13 +242,9 @@ def revin_normalize(params: RevInParams, x: np.ndarray, batch: int = 1):
 
 
 def revin_denormalize(params: RevInParams, stats: tuple[np.ndarray, np.ndarray],
-                      y_norm: Tensor, batch: int = 1, out: np.ndarray | None = None):
+                      y_norm: Tensor, batch: int = 1):
     """Exact algebraic inverse of revin_normalize given its (mean, std), as
-    one engine op; the statistics are data.
-
-    ``out``, refused while a tape records, is a [V, B, H] array of any
-    strides that receives the result, which the returned Tensor then holds,
-    and y_norm's rows serve as workspace."""
+    one engine op; the statistics are data."""
     if np.abs(params.gamma.data).min() < 1e-12:
         raise ValueError("revin gamma too close to zero to invert")
     gamma, beta = params.gamma, params.beta
@@ -257,25 +252,16 @@ def revin_denormalize(params: RevInParams, stats: tuple[np.ndarray, np.ndarray],
     _check_variate_rows(y_norm.data, v, batch)
     mean, std = stats
     inputs = [y_norm, gamma, beta]
-    keep = T.will_record(inputs)
-    given = out is not None
-    if given and keep:
-        raise ValueError("the RevIN inverse takes no out array while a tape records")
     gamma3 = gamma.data[:, None]
     std3 = _per_variate(std, v)
 
     # ((y - beta) / gamma) * std + mean; u = (y - beta) / gamma is kept for
-    # the backward, otherwise the result overwrites it, in y's rows when out
-    # is given, and goes to out in one copy.
-    y3 = _per_variate(y_norm.data, v)
-    u = np.subtract(y3, beta.data[:, None], out=y3 if given else None,
+    # the backward.
+    u = np.subtract(_per_variate(y_norm.data, v), beta.data[:, None],
                     dtype=np.result_type(mean, std, *(t.data for t in inputs)))
     u /= gamma3
-    result = np.multiply(u, std3, out=None if keep else u)
+    result = np.multiply(u, std3)
     result += _per_variate(mean, v)
-    if given:
-        np.copyto(out, result)
-        result = out
 
     def backward(g):
         d_y = _per_variate(g, v) * std3
@@ -284,7 +270,7 @@ def revin_denormalize(params: RevInParams, stats: tuple[np.ndarray, np.ndarray],
         d_beta = -d_y.sum(axis=(1, 2))[:, None]
         return [d_y.reshape(g.shape), d_gamma, d_beta]
 
-    return T.custom_op(result if given else result.reshape(y_norm.shape), inputs, backward)
+    return T.custom_op(result.reshape(y_norm.shape), inputs, backward)
 
 
 def nlinear_forecast(weight: Tensor, bias: Tensor, x_norm: Tensor) -> Tensor:
@@ -458,12 +444,12 @@ def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
     every stage in turn: gathered from xs into v-major rows, RevIN, NLinear,
     the up-projection, packing, every block (each carrying its recurrence
     state and conv tail on to the next chunk), reconciliation, and the RevIN
-    inverse, which writes the chunk's forecast straight into its place.
-    Every stage writes a fresh chunk-sized array.  The stack works in a
-    ``slstm.Stream`` whose buffers are carved in one call from ``scratch``,
-    which grows to the largest carve it serves, or from one made for this
-    call, once the first chunk reaches the stack; the forecast never shares
-    memory with it.
+    inverse, whose output is copied into the chunk's place in the forecast.
+    Every stage and block writes a fresh chunk-sized array and only reads
+    its inputs.  The stack works in a ``slstm.Stream`` whose buffers are
+    carved in one call from ``scratch``, which grows to the largest carve it
+    serves, or from one made for this call, once the first chunk reaches the
+    stack; the forecast never shares memory with it.
 
     A forward that records a tape, or draws dropout, is the same loop run
     as one chunk of all the variates: its stages keep the whole-batch arrays
@@ -532,8 +518,9 @@ def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
                                batch if lead and first else 0)
         if time_axis:
             rows = _swap_token_axes(rows, batch)
-        y = revin_denormalize(revin, stats, rows, batch,
-                              None if forecast is None else forecast[lo:hi])
+        y = revin_denormalize(revin, stats, rows, batch)
+        if forecast is not None:
+            np.copyto(forecast[lo:hi], y.data.reshape(hi - lo, batch, h_len))
     if forecast is None:
         return y
     return Tensor(out if out is not None else forecast.reshape(v * batch, h_len),
@@ -567,7 +554,12 @@ def save_checkpoint(directory, params: MixerParams, extra: dict | None = None) -
     The files go into a temporary sibling directory that then takes the
     place of ``directory``, so a failed save leaves any earlier checkpoint
     there whole.  A process killed between the two renames leaves it in a
-    ``.old`` sibling instead, which :func:`load_checkpoint` then names."""
+    ``.old`` sibling instead, which :func:`load_checkpoint` then names.
+
+    Once the new checkpoint is in place, the ``.tmp`` and ``.old`` siblings
+    that killed saves of ``directory`` left are removed.  This assumes one
+    writer per checkpoint directory, as ``fit`` and the CLI keep: a second
+    process saving the same directory at once could lose its staging one."""
     directory = Path(directory)
     directory.parent.mkdir(parents=True, exist_ok=True)
     staging = directory.with_name(f".{directory.name}.{uuid.uuid4().hex}.tmp")
@@ -587,9 +579,18 @@ def save_checkpoint(directory, params: MixerParams, extra: dict | None = None) -
             shutil.rmtree(retired)
         else:
             staging.rename(directory)
+        for stale in _save_siblings(directory, "tmp|old"):
+            shutil.rmtree(stale)
     finally:
         if staging.exists():
             shutil.rmtree(staging)
+
+
+def _save_siblings(directory: Path, suffixes: str) -> list[str]:
+    """The ``.{name}.<32 hex>.<suffix>`` siblings that saves of directory
+    make, for any of the ``|``-separated suffixes."""
+    pattern = re.compile(rf"\.{re.escape(directory.name)}\.[0-9a-f]{{32}}\.(?:{suffixes})")
+    return sorted(str(p) for p in directory.parent.glob(".*") if pattern.fullmatch(p.name))
 
 
 def _write_checkpoint(directory: Path, params: MixerParams, extra: dict | None) -> None:
@@ -644,9 +645,7 @@ def load_checkpoint(directory):
     mapping), or a manifest that repeats, lacks or adds a parameter, mixes
     float widths, or points at non-finite values is rejected."""
     directory = Path(directory)
-    retired = [] if directory.exists() else sorted(
-        str(p) for p in directory.parent.glob(".*.old")
-        if re.fullmatch(rf"\.{re.escape(directory.name)}\.[0-9a-f]{{32}}\.old", p.name))
+    retired = [] if directory.exists() else _save_siblings(directory, "old")
     if retired:
         raise FileNotFoundError(f"no checkpoint at {directory}: a save stopped between its "
                                 f"two renames, leaving the last one in {', '.join(retired)}")

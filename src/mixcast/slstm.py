@@ -23,10 +23,10 @@ it all its rows as one chunk.  Each block carries its recurrence state
 seams.  The stream's buffers are carved in one call from a :class:`Scratch`
 arena, which the batches of an evaluation pass, or the steps of a training
 epoch, share, so they do not fault the same memory in again.  Without a tape
-the blocks share one set of chunk buffers and add their output into the
-chunk's rows in place.  A stream that records gives each block buffers of
-its own, the history its backward reads, and each block's output is a fresh
-array.  Dropout masks are drawn ``CHUNK_ROWS`` rows at a time from the one
+the blocks share one set of chunk buffers; a stream that records gives each
+block buffers of its own, the history its backward reads.  Either way a
+block writes its output into a fresh array and never writes the rows it is
+given.  Dropout masks are drawn ``CHUNK_ROWS`` rows at a time from the one
 generator, which continues a single stream.
 
 Recurrent weight matrices are block-diagonal over heads, and only their
@@ -426,7 +426,8 @@ class Stream:
     rows, the dropout mask and, if it records a tape, the centred, cell and
     normalizer rows), then its step slab and normed rows after their conv
     tail.  Without a tape the blocks share one set of chunk buffers; a
-    stream that records gives each block its own, the history it reads."""
+    stream that records gives each block its own, the history it reads.
+    A block's output and input rows are never among them."""
 
     def __init__(self, cfg: BlockConfig, blocks: list[BlockWeights], batch: int,
                  rows: int, chunk: int, dropout: bool = False, record: bool = False):
@@ -458,12 +459,11 @@ def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
 
     x is the next chunk of whole tokens of the :class:`Stream` whose share
     ``chunks`` is: the block works in its buffers and carries its state on
-    to the next chunk.  Without a tape it adds its output into x's rows in
-    place; a stream that records runs one chunk, whose buffers are the
-    history the backward reads, and the output is a fresh array.  The
-    dropout mask is drawn CHUNK_ROWS rows at a time from the one generator,
-    whose successive draws continue a single stream, so it equals one draw
-    over all rows.
+    to the next chunk; a stream that records runs one chunk, whose buffers
+    are the history the backward reads.  The output is a fresh array, and
+    x's rows are only read.  The dropout mask is drawn CHUNK_ROWS rows at a
+    time from the one generator, whose successive draws continue a single
+    stream, so it equals one draw over all rows.
     """
     d, rows = cfg.d_hidden, x.shape[0]
     if x.data.ndim != 2 or x.shape[1] != d:
@@ -520,9 +520,7 @@ def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
 
     chunks.cell.stats = stats
     chunks.cell.run(normed, x_if, hs, cells)
-    # Without a tape the projection goes through the pre-activation slab,
-    # spent once the recurrence has run, and the residual sum into x's rows.
-    out = np.matmul(hs, w.proj_w.data.T, out=None if record else pre[0, :rows])
+    out = hs @ w.proj_w.data.T
     mask = None
     if dropout:
         # Drawn in CHUNK_ROWS-row pieces, never a float64 [rows, D] at once.
@@ -532,7 +530,7 @@ def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
             np.less(rng.random(size=drawn.shape), keep_p, out=drawn)
         mask /= keep_p
         out *= mask
-    out = np.add(out, x_in, out=out if record else x_in)
+    out += x_in
     chunks.done += rows
     if tail and chunks.done < chunks.rows:
         ring[:tail] = ring[rows:rows + tail]
@@ -580,16 +578,13 @@ def _stack_tokens(cfg: BlockConfig, blocks: list[BlockWeights], x: Tensor, batch
 
     Given ``stream``, x is its next chunk of whole tokens, run in the
     stream's buffers.  Without one the rows are one chunk of a stream carved
-    from an arena made for the call, and without a tape x is copied first,
-    since the blocks then add their output into the rows they run in."""
+    from an arena made for the call."""
     if stream is None:
         rows, dtype = x.shape[0], np.result_type(x.data, blocks[0].cell.w_z.data)
         record = T.will_record([x] + [t for w in blocks for _, t, _ in w.named_parameters()])
         stream = Stream(cfg, blocks, batch, rows, rows, training and cfg.dropout_rate > 0.0,
                         record)
         stream.bind(Scratch().carve(dtype, stream.shapes))
-        if not record:
-            x = Tensor(x.data.copy(), dtype=x.data.dtype.type)
     for w, chunks in zip(blocks, stream.blocks):
         x = _block(cfg, w, x, batch, training, rng, stats, chunks)
     return x

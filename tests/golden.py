@@ -1,0 +1,205 @@
+"""The golden record: outputs of the whole model pinned across changes.
+
+``python tests/golden.py`` (with ``src`` on ``PYTHONPATH``) recomputes every
+case and rewrites ``tests/data/golden/``; ``tests/test_golden.py`` recomputes
+them and compares.  A change that moves outputs on purpose regenerates the
+record in the same commit and says by how much they moved.
+
+The cases:
+
+- ``predict_dataset`` at V in {7, 21, 80, 321} x conv {0, 4} x blocks {1, 2},
+  with ``slstm.CHUNK_ROWS`` at 2048 and at 600, so the streamed forward
+  splits the variates at both budgets; and all three ``slstm_axis`` values
+  at V=21;
+- one training step with dropout (forecast, flat gradient after the
+  backward, parameters after clipping and Adam), one and two blocks;
+- a two-epoch ``fit``: its ``loss_log.jsonl`` and the checkpoint it keeps.
+
+Each case runs in float32 and in float64.  float32 results are kept as
+SHA-256 digests, compared byte for byte only where the environment
+fingerprint matches the one they were made in: numpy and the SIMD loops it
+runs on this CPU, the BLAS, its version and the kernel set OpenBLAS picked
+for this CPU, and the machine.  On one Skylake-X machine, forcing OpenBLAS
+onto its Haswell kernels moves them, and so does switching off numpy's AVX2
+loops.  float64 results are kept as values in ``float64.npz`` and compared
+within 1e-12 of each array's largest magnitude, which held on the Skylake-X,
+Haswell, Sandy Bridge, Nehalem and Katmai kernels of one OpenBLAS build, also
+with numpy's AVX-512 and AVX2 loops switched off (largest deviation 5e-14).
+Files whose bytes no arithmetic decides (a checkpoint's ``config.json`` and
+``manifest.txt``) are digests compared everywhere.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import glob
+import hashlib
+import json
+import platform
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from mixcast import data, mixer, slstm, tensor as T, training
+from mixcast.slstm import BlockConfig
+from mixcast.tensor import Tape
+
+from conftest import synthetic_series
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+RECORD, VALUES = GOLDEN / "record.json", GOLDEN / "float64.npz"
+LOOKBACK, HORIZON, WIDTH = 12, 6, 8
+RTOL = 1e-12
+DTYPES = {"float32": np.float32, "float64": np.float64}
+# float32 passes use several eval batches of unequal size; float64 passes
+# use one small batch, which keeps the stored values small.
+WINDOWS = {"float32": 20, "float64": 2}
+
+
+def blas_core() -> str:
+    """The kernel set a dynamic-arch OpenBLAS bundled with numpy picked for
+    this CPU; "unknown" for any other BLAS."""
+    for path in glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                       "openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
+                return fn().decode()
+    return "unknown"
+
+
+def fingerprint() -> dict:
+    """What float32 bytes depend on besides the program: numpy and the SIMD
+    loops it runs on this CPU, the BLAS and its kernel set, the machine."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy older than 1.25 has no dict mode
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return {"numpy": np.__version__,
+            "numpy_simd": config.get("SIMD Extensions", {}).get("found", "unknown"),
+            "blas": blas.get("name", "unknown"), "blas_version": blas.get("version", "unknown"),
+            "blas_core": blas_core(), "machine": platform.machine()}
+
+
+def digest(value) -> str:
+    if isinstance(value, np.ndarray):
+        value = f"{value.dtype.str}{value.shape}".encode() + np.ascontiguousarray(value).tobytes()
+    return hashlib.sha256(value).hexdigest()
+
+
+def model(variates, conv, blocks, dtype, axis=mixer.AXIS_VARIATES, dropout=0.0, seed=0):
+    cfg = mixer.MixerConfig(
+        lookback=LOOKBACK, horizon=HORIZON, num_variates=variates, embed_dim=WIDTH,
+        num_blocks=blocks, slstm_axis=axis,
+        block=BlockConfig(d_hidden=WIDTH, num_heads=2, conv_width=conv, dropout_rate=dropout))
+    with T.precision(dtype):
+        params = mixer.init_mixer_params(cfg, np.random.default_rng(seed))
+    return params, cfg
+
+
+def dataset(windows, variates, seed=1):
+    values = synthetic_series(windows + LOOKBACK + HORIZON - 1, variates, seed=seed)
+    return data.window_iter(values, (0, values.shape[0]), LOOKBACK, HORIZON)
+
+
+def predict(variates, conv, blocks, kind, chunk_rows, axis=mixer.AXIS_VARIATES):
+    params, cfg = model(variates, conv, blocks, DTYPES[kind], axis)
+    ds = dataset(WINDOWS[kind], variates)
+    saved = slstm.CHUNK_ROWS
+    slstm.CHUNK_ROWS = chunk_rows
+    try:
+        with T.precision(DTYPES[kind]):
+            return training.predict_dataset(params, cfg, ds, batch_size=8)[0]
+    finally:
+        slstm.CHUNK_ROWS = saved
+
+
+def train_step(variates, conv, blocks, kind):
+    """One step as ``fit`` takes it: (forecast, flat gradient, parameters
+    after clipping and Adam)."""
+    params, cfg = model(variates, conv, blocks, DTYPES[kind], dropout=0.1)
+    with T.precision(DTYPES[kind]):
+        xs, ys = dataset(8, variates).batch(np.arange(8))
+        flat = training.FlatParams(params)
+        with Tape() as tape:
+            pred = mixer.forward_batch(params, cfg, xs, training=True,
+                                       rng=np.random.default_rng(2), scratch=slstm.Scratch())
+            tape.backward(training.mae_loss(pred, mixer.flatten_targets(ys)))
+        grad = flat.grad.copy()
+        training.clip_global_norm(flat.grad, flat.segments)
+        training.adam_step(training.AdamState.for_params(flat.data), flat.data, flat.grad, 1e-3)
+    return pred.data, grad, flat.data
+
+
+def fit_files(kind):
+    """The bytes of a two-epoch fit's loss log and kept checkpoint, by name."""
+    params, cfg = model(21, 4, 2, DTYPES[kind], dropout=0.1)
+    with T.precision(DTYPES[kind]), tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        tc = training.TrainConfig(batch_size=8, max_epochs=2, seed=5, lr_initial=1e-2)
+        training.fit(params, cfg, dataset(24, 21), dataset(8, 21, seed=3), tc, out,
+                     log_path=out / "loss_log.jsonl")
+        return {p.relative_to(out).as_posix(): p.read_bytes()
+                for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def cases(kind: str):
+    """Yield (name, value) for every case in one precision: an array, or
+    the bytes of a file."""
+    for variates in (7, 21, 80, 321):
+        for conv in (0, 4):
+            for blocks in (1, 2):
+                for chunk_rows in (2048, 600):
+                    yield (f"predict/V{variates}-conv{conv}-blocks{blocks}-chunk{chunk_rows}",
+                           predict(variates, conv, blocks, kind, chunk_rows))
+    for axis in (mixer.AXIS_VARIATES, mixer.AXIS_TIME, mixer.AXIS_NONE):
+        yield f"predict/V21-conv4-blocks2-axis-{axis}", predict(21, 4, 2, kind, 600, axis)
+    for variates, conv, blocks in ((7, 0, 1), (21, 4, 2)):
+        name = f"step/V{variates}-conv{conv}-blocks{blocks}"
+        for part, value in zip(("forecast", "grad", "params"),
+                               train_step(variates, conv, blocks, kind)):
+            yield f"{name}/{part}", value
+    for name, raw in fit_files(kind).items():
+        yield f"fit/{name}", raw
+
+
+def compute():
+    """(float32 digests, float64 values, digests of arithmetic-free files).
+
+    A float64 fit's loss log and parameter files are kept as values, its
+    config and manifest as digests.  Its ``b_i`` files are left out: the
+    gradient of ``b_i`` is zero up to rounding, so after a few Adam steps
+    ``b_i`` holds only rounding noise (about 1e-13), which moves by its own
+    size from one BLAS kernel to another.  Their float32 digests stay."""
+    f32 = {name: digest(value) for name, value in cases("float32")}
+    f64, exact = {}, {}
+    for name, value in cases("float64"):
+        if name.endswith(".jsonl"):
+            rows = [json.loads(line) for line in value.decode().splitlines()]
+            f64[name] = np.array([list(row.values()) for row in rows], dtype=np.float64)
+        elif name.endswith(".b_i.bin"):
+            continue
+        elif name.endswith(".bin"):
+            f64[name] = np.frombuffer(value, dtype="<f8")
+        elif isinstance(value, bytes):
+            exact[name] = digest(value)
+        else:
+            f64[name] = value
+    return f32, f64, exact
+
+
+def write() -> None:
+    f32, f64, exact = compute()
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    RECORD.write_text(json.dumps({"fingerprint": fingerprint(), "float32": f32,
+                                  "exact": exact}, indent=1, sort_keys=True) + "\n")
+    np.savez_compressed(VALUES, **f64)
+
+
+if __name__ == "__main__":
+    write()
+    print(f"wrote {RECORD} and {VALUES}")

@@ -105,17 +105,6 @@ def test_revin_denorm_rejects_tiny_gamma():
         revin_denormalize(p, stats, R.lift(np.zeros((1, 2))))
 
 
-def test_revin_denorm_takes_no_out_array_under_a_tape():
-    # Without a tape the inverse uses y's rows as workspace; a tape may still
-    # read them, so it refuses out before writing anything.
-    p = fresh_revin(v=2)
-    stats = (np.zeros((2, 1)), np.ones((2, 1)))
-    y_norm = np.ones((2, 3))
-    with T.Tape(), pytest.raises(ValueError, match="tape records"):
-        revin_denormalize(p, stats, R.lift(y_norm), out=np.empty((2, 1, 3)))
-    assert (y_norm == 1).all()
-
-
 # -- shared linear forecaster -------------------------------------------------
 
 def test_nlinear_identity_when_square_identity_weight():
@@ -544,8 +533,7 @@ def test_decode_token_shape_and_determinism():
 
 @pytest.mark.parametrize("mix_view", [True, False])
 def test_decode_token_leaves_the_learned_token_unwritten(mix_view):
-    # With mix_view off, packing hands the stack params.eta itself, and
-    # without a tape the blocks add their output into the rows they get.
+    # With mix_view off, packing hands the stack params.eta itself.
     cfg = make_cfg(mix_view=mix_view, num_blocks=2)
     params = init_mixer_params(cfg, np.random.default_rng(23))
     eta = params.eta.data.tobytes()
@@ -857,7 +845,7 @@ rename, calls = Path.rename, []
 
 def killing_rename(self, target):
     calls.append(target)
-    if len(calls) == 2:  # the new directory's move into place
+    if len(calls) == int(sys.argv[2]):
         os._exit(3)
     return rename(self, target)
 
@@ -866,17 +854,24 @@ mixer.save_checkpoint(ck, mixer.init_mixer_params(cfg, np.random.default_rng(1))
 """
 
 
+def kill_a_save(ck, at_rename):
+    """Save over the checkpoint ck in a process that exits at its
+    at_rename-th rename: 1 retires ck, 2 moves the new one into place."""
+    src = str(Path(mixer.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    done = subprocess.run([sys.executable, "-c", KILLED_BETWEEN_RENAMES, str(ck),
+                           str(at_rename)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 3, done.stderr
+
+
 def test_a_save_killed_between_its_renames_is_named_on_load(tmp_path):
     rng = np.random.default_rng(35)
     before = init_mixer_params(make_cfg(), rng)
     ck = tmp_path / "ck"
     mixer.save_checkpoint(ck, before)
-    src = str(Path(mixer.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    done = subprocess.run([sys.executable, "-c", KILLED_BETWEEN_RENAMES, str(ck)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 3, done.stderr
+    kill_a_save(ck, 2)
 
     # Only the retired directory and the unfinished staging one are left.
     (old,) = tmp_path.glob(".ck.*.old")
@@ -889,6 +884,30 @@ def test_a_save_killed_between_its_renames_is_named_on_load(tmp_path):
     # It holds the last complete checkpoint.
     loaded, _, _ = mixer.load_checkpoint(old)
     for (name, a, _), (_, b, _) in zip(before.named_parameters(),
+                                       loaded.named_parameters()):
+        assert a.data.tobytes() == b.data.tobytes(), name
+
+
+@pytest.mark.parametrize("at_rename", [1, 2], ids=["before-retiring", "between-renames"])
+def test_the_next_save_removes_what_a_killed_save_left(tmp_path, at_rename):
+    # A save killed before it retires ck leaves its staging directory; one
+    # killed between its renames leaves that and the retired ck.
+    rng = np.random.default_rng(36)
+    cfg = make_cfg()
+    ck = tmp_path / "ck"
+    mixer.save_checkpoint(ck, init_mixer_params(cfg, rng))
+    kill_a_save(ck, at_rename)
+    left = sorted(p.name for p in tmp_path.glob(".ck.*"))
+    assert [name.rsplit(".", 1)[1] for name in left] == ["old", "tmp"][2 - at_rename:]
+    decoys = [f".ck.v2.{'0' * 32}.old", f".ckx.{'0' * 32}.tmp", f".ck.{'0' * 31}.tmp",
+              f".ck.{'0' * 32}.bak"]
+    for name in decoys:
+        (tmp_path / name).mkdir()
+    newer = init_mixer_params(cfg, rng)
+    mixer.save_checkpoint(ck, newer)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(decoys + ["ck"])
+    loaded, _, _ = mixer.load_checkpoint(ck)
+    for (name, a, _), (_, b, _) in zip(newer.named_parameters(),
                                        loaded.named_parameters()):
         assert a.data.tobytes() == b.data.tobytes(), name
 

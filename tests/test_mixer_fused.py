@@ -3,8 +3,8 @@
 The forecast and every parameter gradient must agree for all ten ablation
 configurations, batch sizes 1 and 3, conv widths 0 and 4, and a training step
 with dropout.  The stages are also checked for the module attributes the
-benchmark's traced run wraps, for the memory they hold without a tape, and
-for the size of a training step's tape.
+benchmark's traced run wraps, for the memory they hold without a tape, for
+the size of a training step's tape, and for writing no array they are given.
 """
 
 import contextlib
@@ -162,7 +162,7 @@ def test_eval_forward_peak_is_a_few_outputs(monkeypatch, chunk_rows, bound):
     # output, against 6.2x when every stage output lived until the forward
     # returned (at V=321, B=128, D=64: 60 MB against 111 MB, for a 15.8 MB
     # output).  Streamed in 8 chunks of 4 variates, the stages hold chunk
-    # arrays only beside the output: about 1.9x.
+    # arrays only beside the output: about 2.0x.
     if chunk_rows is not None:
         monkeypatch.setattr(slstm, "CHUNK_ROWS", chunk_rows)
     block = BlockConfig(d_hidden=16, num_heads=2, conv_width=0, dropout_rate=0.1)
@@ -178,3 +178,69 @@ def test_eval_forward_peak_is_a_few_outputs(monkeypatch, chunk_rows, bound):
     finally:
         tracemalloc.stop()
     assert peak < bound * out.data.nbytes, peak / out.data.nbytes
+
+
+# -- each stage writes only the arrays it allocates ---------------------------------
+
+LOCKED_STAGES = STAGES + [(mixer, "pack_views"), (mixer, "_swap_token_axes"),
+                          (slstm, "_block")]
+
+
+def arrays_in(value):
+    if isinstance(value, Tensor):
+        return [value.data]
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, mixer.RevInParams):
+        return [value.gamma.data, value.beta.data]
+    if isinstance(value, tuple):
+        return [a for item in value for a in arrays_in(item)]
+    return []
+
+
+@pytest.mark.parametrize("record", [False, True], ids=["eval", "taped"])
+@pytest.mark.parametrize("axis", [mixer.AXIS_VARIATES, mixer.AXIS_TIME])
+@pytest.mark.parametrize("owner, name", LOCKED_STAGES, ids=[n for _, n in LOCKED_STAGES])
+def test_stages_leave_read_only_inputs_untouched(owner, name, axis, record, monkeypatch):
+    """Every array one stage op, the stack or a block is handed is made
+    read-only before each call, and the parameters and windows are too, so
+    any write into them, then or later in the forward or backward, raises.
+    The forecast and gradients must equal those of a run without locks.
+    With 40 windows in two views a variate token is 80 stack rows, so a
+    256-row budget streams the six variates in chunks of three."""
+    monkeypatch.setattr(slstm, "CHUNK_ROWS", 256)
+    block = BlockConfig(d_hidden=8, num_heads=2, conv_width=4, dropout_rate=0.1)
+    cfg = mixer.MixerConfig(lookback=8, horizon=4, num_variates=6, embed_dim=8,
+                            num_blocks=2, block=block, slstm_axis=axis)
+    rng = np.random.default_rng(12)
+    with T.precision(np.float64):
+        params = init_mixer_params(cfg, rng)
+    xs = rng.normal(size=(40, cfg.num_variates, cfg.lookback))
+    weights = rng.normal(size=(cfg.num_variates * 40, cfg.horizon))
+    leaves = [t for _, t, _ in params.named_parameters()]
+
+    def run():
+        if not record:
+            out = np.empty((40, cfg.num_variates, cfg.horizon))
+            mixer.forward_batch(params, cfg, xs, scratch=slstm.Scratch(), out=out)
+            return out, []
+        return forward_and_grads(
+            lambda: mixer.forward_batch(params, cfg, xs, training=True,
+                                        rng=np.random.default_rng(1)), leaves, weights)
+
+    want = run()
+    original = getattr(owner, name)
+
+    def locked(*args, **kwargs):
+        for value in (*args, *kwargs.values()):
+            for a in arrays_in(value):
+                a.flags.writeable = False
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, locked)
+    for a in [xs] + [t.data for t in leaves]:
+        a.flags.writeable = False
+    got = run()
+    np.testing.assert_array_equal(got[0], want[0])
+    for g, w in zip(got[1], want[1]):
+        np.testing.assert_array_equal(g, w)

@@ -257,8 +257,8 @@ def test_block_width_mismatch_raises():
 
 @pytest.mark.parametrize("record", [False, True], ids=["eval", "taped"])
 def test_stack_leaves_its_input_rows_unwritten(record):
-    # Without a tape the blocks add their output into the rows they run in,
-    # so a stack given no stream runs a copy of the caller's rows.
+    # A block writes its output into an array of its own, never into the
+    # rows it is given.
     rng = np.random.default_rng(19)
     cfg, w1 = block_setup(rng, conv_width=4)
     _, w2 = block_setup(rng, conv_width=4)

@@ -54,20 +54,16 @@ def assert_grads_close(got, want, names=None):
 
 def streamed(cfg, blocks, x, batch, tokens_per_chunk, stats=None):
     """The stack over the rows of x run as a Stream without a tape, chunk
-    by chunk as forward_batch runs it: each chunk is copied into a buffer,
-    which the blocks overwrite with their output, and copied out."""
-    rows, d = x.shape
+    by chunk as forward_batch runs it."""
+    rows = x.shape[0]
     chunk = tokens_per_chunk * batch
     stream = slstm.Stream(cfg, blocks, batch, rows, chunk)
-    buffer, *arrays = slstm.Scratch().carve(x.dtype, [(chunk, d)] + stream.shapes)
-    stream.bind(arrays)
+    stream.bind(slstm.Scratch().carve(x.dtype, stream.shapes))
     out = np.empty_like(x)
     for lo in range(0, rows, chunk):
-        n = min(chunk, rows - lo)
-        buffer[:n] = x[lo:lo + n]
-        y = slstm._stack_tokens(cfg, blocks, Tensor(buffer[:n], dtype=x.dtype.type), batch,
-                                False, None, stats, stream)
-        out[lo:lo + n] = y.data
+        y = slstm._stack_tokens(cfg, blocks, Tensor(x[lo:lo + chunk], dtype=x.dtype.type),
+                                batch, False, None, stats, stream)
+        out[lo:lo + chunk] = y.data
     return out
 
 
