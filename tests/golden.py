@@ -13,7 +13,9 @@ The cases:
   at V=21;
 - one training step with dropout (forecast, flat gradient after the
   backward, parameters after clipping and Adam), one and two blocks;
-- a two-epoch ``fit``: its ``loss_log.jsonl`` and the checkpoint it keeps.
+- a two-epoch ``fit``: its ``loss_log.jsonl`` and the checkpoint it keeps;
+- ``decode_init_token`` at conv {0, 4} x blocks {1, 2} x ``mix_view`` on
+  and off.
 
 Each case runs in float32 and in float64.  float32 results are kept as
 SHA-256 digests, compared byte for byte only where the environment
@@ -91,10 +93,11 @@ def digest(value) -> str:
     return hashlib.sha256(value).hexdigest()
 
 
-def model(variates, conv, blocks, dtype, axis=mixer.AXIS_VARIATES, dropout=0.0, seed=0):
+def model(variates, conv, blocks, dtype, axis=mixer.AXIS_VARIATES, dropout=0.0, seed=0,
+          mix_view=True):
     cfg = mixer.MixerConfig(
         lookback=LOOKBACK, horizon=HORIZON, num_variates=variates, embed_dim=WIDTH,
-        num_blocks=blocks, slstm_axis=axis,
+        num_blocks=blocks, slstm_axis=axis, mix_view=mix_view,
         block=BlockConfig(d_hidden=WIDTH, num_heads=2, conv_width=conv, dropout_rate=dropout))
     with T.precision(dtype):
         params = mixer.init_mixer_params(cfg, np.random.default_rng(seed))
@@ -147,6 +150,13 @@ def fit_files(kind):
                 for p in sorted(out.rglob("*")) if p.is_file()}
 
 
+def decode(conv, blocks, mix_view, kind):
+    """The learned token's conditioning forecast [1, H]."""
+    params, cfg = model(7, conv, blocks, DTYPES[kind], mix_view=mix_view)
+    with T.precision(DTYPES[kind]):
+        return mixer.decode_init_token(params, cfg).data
+
+
 def cases(kind: str):
     """Yield (name, value) for every case in one precision: an array, or
     the bytes of a file."""
@@ -165,6 +175,11 @@ def cases(kind: str):
             yield f"{name}/{part}", value
     for name, raw in fit_files(kind).items():
         yield f"fit/{name}", raw
+    for conv in (0, 4):
+        for blocks in (1, 2):
+            for mix_view in (True, False):
+                yield (f"decode/conv{conv}-blocks{blocks}-view{int(mix_view)}",
+                       decode(conv, blocks, mix_view, kind))
 
 
 def compute():
