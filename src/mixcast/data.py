@@ -135,6 +135,8 @@ class WindowedDataset:
         ``windows()`` in one step; equal to stacking window(i) for each
         index."""
         idx = np.asarray(indices)
+        if not idx.size:
+            raise DataError("an empty batch: no window index given")
         n = len(self)
         bad = idx[(idx < 0) | (idx >= n)]
         if bad.size:

@@ -393,26 +393,6 @@ def _swap_token_axes(t: Tensor, batch: int) -> Tensor:
     return T.custom_op(swap(t.data), [t], lambda g: [swap(g)])
 
 
-def _refine_views(params: MixerParams, cfg: MixerConfig, tokens: Tensor,
-                  eta: Tensor | None, batch: int, training: bool, rng,
-                  stabilizer: slstm.StabilizerStats | None = None,
-                  stream: slstm.Stream | None = None) -> Tensor:
-    """Run the shared stack over token-major rows [L*B, D], behind the
-    learned token ``eta`` when given, in both views, in ``stream``'s
-    buffers when given.
-
-    Returns the stack output in the layout of :func:`pack_views`, [L'*2B, D]
-    with each row's two views adjacent, where L' counts eta; with mix_view
-    off the second view is the first one, so the reversed rows are never
-    pushed through the stack and the result is [L'*B, D]."""
-    packed = pack_views(tokens, eta, batch, cfg.mix_view)
-    if cfg.slstm_axis == AXIS_NONE:
-        return packed
-    views = 2 if cfg.mix_view else 1
-    return slstm._stack_tokens(cfg.block, params.blocks, packed, views * batch,
-                               training, rng, stabilizer, stream)
-
-
 def forecast_dtype(params: MixerParams, xs: np.ndarray) -> np.dtype:
     """The dtype every stage of forward_batch computes in, for windows xs."""
     return np.result_type(xs, *(t.data for _, t, _ in params.named_parameters()))
@@ -446,10 +426,10 @@ def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
     state and conv tail on to the next chunk), reconciliation, and the RevIN
     inverse, whose output is copied into the chunk's place in the forecast.
     Every stage and block writes a fresh chunk-sized array and only reads
-    its inputs.  The stack works in a ``slstm.Stream`` whose buffers are
-    carved in one call from ``scratch``, which grows to the largest carve it
-    serves, or from one made for this call, once the first chunk reaches the
-    stack; the forecast never shares memory with it.
+    its inputs.  When the first chunk reaches the stack, one call builds the
+    ``slstm.Stream`` it runs in, carving its buffers from ``scratch`` (which
+    grows to the largest carve it serves) or from an arena made for this
+    call; the forecast never shares memory with it.
 
     A forward that records a tape, or draws dropout, is the same loop run
     as one chunk of all the variates: its stages keep the whole-batch arrays
@@ -464,6 +444,8 @@ def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
         raise ShapeError(f"the model takes windows of {v} variates and lookback {t_len}, "
                          f"got {got}")
     batch = xs.shape[0]
+    if not batch:
+        raise ShapeError("the model takes a batch of at least one window, got an empty batch")
     time_axis = cfg.slstm_axis == AXIS_TIME
     record = T.will_record(t for _, t, _ in params.named_parameters())
     if record and out is not None:
@@ -473,11 +455,11 @@ def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
         raise ShapeError(f"out must be {dtype} of shape {(batch, v, h_len)}, "
                          f"got {out.dtype} of shape {out.shape}")
     eta = params.eta if cfg.init_token else None
-    lead, views = int(eta is not None), 2 if cfg.mix_view else 1
+    lead, per_token = int(eta is not None), (2 if cfg.mix_view else 1) * batch
     dropout = training and cfg.block.dropout_rate > 0.0 and bool(params.blocks)
     step = v
     if not (record or dropout or time_axis):
-        step = min(v, max(1, slstm.CHUNK_ROWS // (views * batch)))
+        step = min(v, max(1, slstm.CHUNK_ROWS // per_token))
     forecast = None if out is None else out.transpose(1, 0, 2)
     if forecast is None and step < v:
         forecast = np.empty((v, batch, h_len), dtype)
@@ -502,14 +484,14 @@ def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
             # Carved here, not before the loop, so that it is not alive
             # beside the first chunk's earlier stages; the stream's state
             # then carries on to the next chunk.
-            per_token, tokens = views * batch, h_len if time_axis else v
+            tokens = h_len if time_axis else v
             stream = slstm.Stream(cfg.block, params.blocks, per_token, (lead + tokens) * per_token,
-                                  (lead + (tokens if time_axis else step)) * per_token, dropout,
-                                  record)
-            stream.bind((scratch if scratch is not None else slstm.Scratch())
-                        .carve(dtype, stream.shapes))
-        rows = _refine_views(params, cfg, rows, eta if first else None, batch,
-                             training, rng, stabilizer, stream)
+                                  (lead + (tokens if time_axis else step)) * per_token,
+                                  scratch or slstm.Scratch(), dtype, dropout, record)
+        rows = pack_views(rows, eta if first else None, batch, cfg.mix_view)
+        if params.blocks:
+            rows = slstm._stack_tokens(cfg.block, params.blocks, rows, per_token, training, rng,
+                                       stabilizer, stream)
         if hi == v:
             stream = None  # the stack is done; so is an arena made for this call
         # Dropping the learned token's rows leaves v-major [V*B, .] rows
@@ -539,7 +521,9 @@ def decode_init_token(params: MixerParams, cfg: MixerConfig) -> Tensor:
         raise ConfigError("model has no initial token to decode")
     if cfg.slstm_axis == AXIS_TIME:
         raise ConfigError("token decoding is defined for variate-order models")
-    views = _refine_views(params, cfg, params.eta, None, 1, False, None)
+    views = pack_views(params.eta, None, 1, cfg.mix_view)  # one token of a batch of views
+    if params.blocks:
+        views = slstm._stack_tokens(cfg.block, params.blocks, views, views.shape[0], False, None)
     return reconcile_views(params.view_w, params.view_b, views, cfg.mix_view)
 
 
@@ -659,10 +643,9 @@ def load_checkpoint(directory):
     entries = {}
     width = None
     for line in (directory / "manifest.txt").read_text().splitlines():
-        cells = line.split("\t")
-        if len(cells) != 3 or cells[2] not in ("float32", "float64"):
+        if not re.fullmatch(r"[^\t]*\t[0-9]+(x[0-9]+)*\tfloat(32|64)", line):
             raise ValueError(f"malformed manifest line {line!r}")
-        name, shape, kind = cells
+        name, shape, kind = line.split("\t")
         if not _SAFE_NAME.match(name):
             raise ValueError(f"manifest name {name!r} is not filesystem-safe")
         if name in entries:

@@ -20,11 +20,11 @@ Every run of the stack goes through a :class:`Stream`, which its caller
 hands successive chunks of whole tokens; a forward that records a tape hands
 it all its rows as one chunk.  Each block carries its recurrence state
 ``(h, c, n, m)`` and its last ``conv_width - 1`` normed tokens across the
-seams.  The stream's buffers are carved in one call from a :class:`Scratch`
-arena, which the batches of an evaluation pass, or the steps of a training
-epoch, share, so they do not fault the same memory in again.  Without a tape
-the blocks share one set of chunk buffers; a stream that records gives each
-block buffers of its own, the history its backward reads.  Either way a
+seams.  Building the stream carves every block's buffers in one call from a
+:class:`Scratch` arena, which the batches of an evaluation pass, or the
+steps of a training epoch, share, so they do not fault the same memory in
+again.  Without a tape the blocks share one set of chunk buffers; a stream
+that records gives each block its own, the history its backward reads.  A
 block writes its output into a fresh array and never writes the rows it is
 given.  Dropout masks are drawn ``CHUNK_ROWS`` rows at a time from the one
 generator, which continues a single stream.
@@ -402,52 +402,47 @@ class _BlockChunks:
     """One block's share of a :class:`Stream`: its chunk buffers, and what
     it carries from one chunk to the next.  That is its recurrence, whose
     state stays in its own step slab, and its normed rows, kept in ``ring``
-    after a tail of the previous chunk's last conv_width - 1 normed tokens,
-    which the taps read across the seam.  ``done`` counts the rows run so
-    far, out of the stream's ``rows``."""
+    after a ``tail`` of the previous chunk's last conv_width - 1 normed
+    tokens, which the taps read across the seam.  ``done`` counts the rows
+    run so far, out of ``rows``."""
 
-    def __init__(self, w: BlockWeights, stream: "Stream", buffers: list, step, ring):
+    def __init__(self, w: BlockWeights, buffers: list, step, ring, rows: int, tail: int,
+                 conv: bool, dropout: bool, record: bool):
         self.pre, self.inv_std, self.hs, *rest = buffers
-        self.x_if = rest.pop(0) if stream.conv else None
-        self.mask = rest.pop(0) if stream.dropout else None
+        self.x_if = rest.pop(0) if conv else None
+        self.mask = rest.pop(0) if dropout else None
         self.cell = _Recurrence(w.cell, self.pre, step, None)
-        # Copied: a reference to the stream, which holds its blocks, is a cycle.
-        self.rows, self.tail, self.record = stream.rows, stream.tail, stream.record
+        self.rows, self.tail, self.record = rows, tail, record
         self.history, self.ring, self.done = rest, ring, 0
 
 
 class Stream:
     """A stack run over ``rows`` token-major rows of the same sequences, in
-    successive chunks of whole tokens of at most ``chunk`` rows.
+    successive chunks of whole tokens of at most ``chunk`` rows, with every
+    block's buffers carved in one call from ``scratch``.
 
-    ``shapes`` lists the buffers :meth:`bind` takes, carved by
-    :meth:`Scratch.carve`: a block's chunk buffers (the pre-activation slab,
-    the inverse deviations, the hidden rows, then as needed the conv-gated
-    rows, the dropout mask and, if it records a tape, the centred, cell and
-    normalizer rows), then its step slab and normed rows after their conv
-    tail.  Without a tape the blocks share one set of chunk buffers; a
-    stream that records gives each block its own, the history it reads.
-    A block's output and input rows are never among them."""
+    A block's chunk buffers are the pre-activation slab, the inverse
+    deviations, the hidden rows, then as needed the conv-gated rows, the
+    dropout mask and, under a tape, the centred, cell and normalizer rows.
+    Without a tape the blocks share one set, carved first; a stream that
+    records carves each block its own, the history it reads.  Each block's
+    step slab and its normed rows after their conv tail come after them; a
+    block's input and output rows are never carved."""
 
-    def __init__(self, cfg: BlockConfig, blocks: list[BlockWeights], batch: int,
-                 rows: int, chunk: int, dropout: bool = False, record: bool = False):
-        d = cfg.d_hidden
-        self.weights, self.rows = blocks, rows
-        self.conv, self.dropout, self.record = cfg.conv_width > 0, dropout, record
-        self.tail = min(rows, (cfg.conv_width - 1) * batch) if self.conv and chunk < rows else 0
+    def __init__(self, cfg: BlockConfig, blocks: list[BlockWeights], batch: int, rows: int,
+                 chunk: int, scratch: Scratch, dtype, dropout: bool = False,
+                 record: bool = False):
+        d, conv = cfg.d_hidden, cfg.conv_width > 0
+        tail = min(rows, (cfg.conv_width - 1) * batch) if conv and chunk < rows else 0
         buffers = ([(4, chunk, d), (chunk, 1), (chunk, d)]
-                   + [(chunk, d)] * (self.conv + dropout + 3 * record))
-        own = [(9, batch, d), (self.tail + chunk, d)]
-        self.shapes = (buffers + own) * len(blocks) if record else buffers + own * len(blocks)
-        self.per_set = len(buffers)
-
-    def bind(self, arrays) -> None:
-        """Give each block its share of ``arrays``, carved for ``shapes``, and the zero state."""
-        arrays, self.blocks = iter(arrays), []
-        shared = None if self.record else [next(arrays) for _ in range(self.per_set)]
-        for w in self.weights:
-            buffers = shared or [next(arrays) for _ in range(self.per_set)]
-            self.blocks.append(_BlockChunks(w, self, buffers, next(arrays), next(arrays)))
+                   + [(chunk, d)] * (conv + dropout + 3 * record))
+        own = [(9, batch, d), (tail + chunk, d)]
+        arrays = iter(scratch.carve(dtype, (buffers + own) * len(blocks) if record
+                                    else buffers + own * len(blocks)))
+        shared = None if record else [next(arrays) for _ in buffers]
+        self.blocks = [_BlockChunks(w, shared or [next(arrays) for _ in buffers], next(arrays),
+                                    next(arrays), rows, tail, conv, dropout, record)
+                       for w in blocks]
 
 
 def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
@@ -457,10 +452,10 @@ def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
     norm, causal-conv taps on the input/forget path, the recurrence, the
     projection, dropout and the residual.
 
-    x is the next chunk of whole tokens of the :class:`Stream` whose share
-    ``chunks`` is: the block works in its buffers and carries its state on
-    to the next chunk; a stream that records runs one chunk, whose buffers
-    are the history the backward reads.  The output is a fresh array, and
+    x is the next chunk of whole tokens of the :class:`Stream` that built
+    ``chunks``: the block works in its buffers and carries its state on to
+    the next chunk; a stream that records runs one chunk, whose buffers are
+    the history the backward reads.  The output is a fresh array, and
     x's rows are only read.  The dropout mask is drawn CHUNK_ROWS rows at a
     time from the one generator, whose successive draws continue a single
     stream, so it equals one draw over all rows.
@@ -577,14 +572,13 @@ def _stack_tokens(cfg: BlockConfig, blocks: list[BlockWeights], x: Tensor, batch
     sequences of L tokens, token t in rows t*B .. (t+1)*B.
 
     Given ``stream``, x is its next chunk of whole tokens, run in the
-    stream's buffers.  Without one the rows are one chunk of a stream carved
-    from an arena made for the call."""
+    stream's buffers.  Without one the rows are the one chunk of a stream
+    built here on a fresh arena."""
     if stream is None:
         rows, dtype = x.shape[0], np.result_type(x.data, blocks[0].cell.w_z.data)
         record = T.will_record([x] + [t for w in blocks for _, t, _ in w.named_parameters()])
-        stream = Stream(cfg, blocks, batch, rows, rows, training and cfg.dropout_rate > 0.0,
-                        record)
-        stream.bind(Scratch().carve(dtype, stream.shapes))
+        stream = Stream(cfg, blocks, batch, rows, rows, Scratch(), dtype,
+                        training and cfg.dropout_rate > 0.0, record)
     for w, chunks in zip(blocks, stream.blocks):
         x = _block(cfg, w, x, batch, training, rng, stats, chunks)
     return x

@@ -320,3 +320,13 @@ def test_eval_on_a_series_of_other_width_names_both_variate_counts(tmp_path, cap
     assert code == 2
     assert ("error: the model takes windows of 3 variates and lookback 16, "
             "got 6 variates and lookback 16") in capsys.readouterr().err
+
+
+def test_eval_names_a_malformed_manifest_shape(tiny_csv, tmp_path, capsys):
+    ckpt = saved_tiny_model(tmp_path / "ckpt")
+    manifest = ckpt / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("eta\t1x8\t", "eta\t1x8x\t"))
+    code = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(tiny_csv),
+                     "--report", str(tmp_path / "r.jsonl")])
+    assert code == 2
+    assert "error: malformed manifest line 'eta\\t1x8x\\tfloat32'" in capsys.readouterr().err

@@ -410,6 +410,13 @@ def test_batch_equals_stacked_windows():
             assert got.tobytes() == want.tobytes()
 
 
+def test_batch_names_an_empty_batch():
+    # An empty list is a float array, which numpy refuses as indices.
+    ds = D.window_iter(synthetic_series(40, 2, seed=6), (0, 40), 6, 2)
+    with pytest.raises(DataError, match="an empty batch"):
+        ds.batch([])
+
+
 @pytest.mark.parametrize("bad", [-1, -33, 33, 99])
 def test_batch_rejects_out_of_range_index(bad):
     # Fancy indexing would wrap negative indices instead of raising.

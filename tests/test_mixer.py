@@ -1,5 +1,6 @@
 """Pipeline stage contracts, ablation wiring, and checkpoint io."""
 
+import contextlib
 import json
 import os
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixcast import gradcheck, mixer, tensor as T
+from mixcast import gradcheck, mixer, slstm, tensor as T
 from mixcast.mixer import (
     AXIS_NONE,
     AXIS_TIME,
@@ -378,7 +379,9 @@ def test_view_symmetry_swaps_roles_bitwise():
 
     def views(t):
         # Each token's two view outputs, side by side.
-        return mixer._refine_views(params, cfg, t, None, 1, False, None).data.reshape(-1, 2 * d)
+        packed = mixer.pack_views(t, None, 1, True)
+        out = slstm._stack_tokens(cfg.block, params.blocks, packed, 2, False, None)
+        return out.data.reshape(-1, 2 * d)
 
     out1, out2 = views(tokens), views(reversed_tokens)
     out_f1, out_r1, out_f2, out_r2 = out1[:, :d], out1[:, d:], out2[:, :d], out2[:, d:]
@@ -490,6 +493,16 @@ def test_forward_batch_rejects_windows_of_another_shape(shape, got):
     params = init_mixer_params(cfg, np.random.default_rng(35))
     with pytest.raises(ShapeError, match=f"3 variates and lookback 8, got {got}$"):
         mixer.forward_batch(params, cfg, np.zeros(shape, dtype=np.float32))
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["eval", "taped"])
+def test_forward_batch_names_an_empty_batch(taped):
+    # Without a tape the chunk budget divided by the batch; under a tape a
+    # block rejected its zero rows.
+    cfg = make_cfg()
+    params = init_mixer_params(cfg, np.random.default_rng(36))
+    with T.Tape() if taped else contextlib.nullcontext(), pytest.raises(ShapeError, match="got an empty batch$"):
+        mixer.forward_batch(params, cfg, np.zeros((0, 3, 8), dtype=np.float32))
 
 
 def test_batched_forward_matches_single_instances():
@@ -632,6 +645,18 @@ def test_checkpoint_rejects_unsafe_manifest_name(tmp_path):
     manifest = ck / "manifest.txt"
     manifest.write_text(manifest.read_text().replace("eta\t", "../eta\t"))
     with pytest.raises(ValueError, match="not filesystem-safe"):
+        mixer.load_checkpoint(ck)
+
+
+@pytest.mark.parametrize("cell", ["3xa", "x8", "1x8x", "", "-1x8", "1 x8", "1x٨"])
+def test_checkpoint_rejects_a_malformed_shape_cell(tmp_path, cell):
+    # int() would raise without naming the line, or take -1 or a non-ASCII
+    # digit, and a negative size would reach the file-size check.
+    ck = tmp_path / "ck"
+    mixer.save_checkpoint(ck, init_mixer_params(make_cfg(), np.random.default_rng(29)))
+    manifest = ck / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("eta\t1x8\t", f"eta\t{cell}\t"))
+    with pytest.raises(ValueError, match=re.escape(f"malformed manifest line 'eta\\t{cell}\\t")):
         mixer.load_checkpoint(ck)
 
 

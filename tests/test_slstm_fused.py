@@ -57,8 +57,7 @@ def streamed(cfg, blocks, x, batch, tokens_per_chunk, stats=None):
     by chunk as forward_batch runs it."""
     rows = x.shape[0]
     chunk = tokens_per_chunk * batch
-    stream = slstm.Stream(cfg, blocks, batch, rows, chunk)
-    stream.bind(slstm.Scratch().carve(x.dtype, stream.shapes))
+    stream = slstm.Stream(cfg, blocks, batch, rows, chunk, slstm.Scratch(), x.dtype)
     out = np.empty_like(x)
     for lo in range(0, rows, chunk):
         y = slstm._stack_tokens(cfg, blocks, Tensor(x[lo:lo + chunk], dtype=x.dtype.type),
@@ -255,7 +254,9 @@ def test_views_in_one_stack_call_match_reference_per_view(mix_view, monkeypatch)
 
     # Both views side by side, or the one view standing for both.
     def fused():
-        views = mixer._refine_views(params, cfg, tokens, None, batch, False, None)
+        packed = mixer.pack_views(tokens, None, batch, mix_view)
+        views = slstm._stack_tokens(cfg.block, params.blocks, packed,
+                                    (2 if mix_view else 1) * batch, False, None)
         if mix_view:
             # The interleaved view rows read as each token's two views side by side.
             views = R.reshape(views, (tokens.shape[0], 2 * tokens.shape[1]))
