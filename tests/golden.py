@@ -15,7 +15,11 @@ The cases:
   backward, parameters after clipping and Adam), one and two blocks;
 - a two-epoch ``fit``: its ``loss_log.jsonl`` and the checkpoint it keeps;
 - ``decode_init_token`` at conv {0, 4} x blocks {1, 2} x ``mix_view`` on
-  and off.
+  and off;
+- the dtype and shapes of every ``slstm.Scratch.carve`` call of one eval
+  ``forward_batch`` and one taped training step with dropout, at V in
+  {7, 321} x conv {0, 4} x blocks {1, 2} x variates/time axis x ``mix_view``
+  on and off: the stack's carve order, shapes and sharing.
 
 Each case runs in float32 and in float64.  float32 results are kept as
 SHA-256 digests, compared byte for byte only where the environment
@@ -27,8 +31,8 @@ loops.  float64 results are kept as values in ``float64.npz`` and compared
 within 1e-12 of each array's largest magnitude, which held on the Skylake-X,
 Haswell, Sandy Bridge, Nehalem and Katmai kernels of one OpenBLAS build, also
 with numpy's AVX-512 and AVX2 loops switched off (largest deviation 5e-14).
-Files whose bytes no arithmetic decides (a checkpoint's ``config.json`` and
-``manifest.txt``) are digests compared everywhere.
+Values that no arithmetic decides (a checkpoint's ``config.json`` and
+``manifest.txt``, the carve calls) are digests compared everywhere.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from __future__ import annotations
 import ctypes
 import glob
 import hashlib
+import itertools
 import json
 import platform
 import tempfile
@@ -157,6 +162,32 @@ def decode(conv, blocks, mix_view, kind):
         return mixer.decode_init_token(params, cfg).data
 
 
+def carves(variates, conv, blocks, axis, mix_view):
+    """Digests of the (dtype, shapes) of every Scratch.carve call made by
+    one eval forward_batch and by one taped training step with dropout."""
+    params, cfg = model(variates, conv, blocks, np.float32, axis, dropout=0.1,
+                        mix_view=mix_view)
+    xs, ys = dataset(8, variates).batch(np.arange(8))
+    calls, carve = [], slstm.Scratch.carve
+
+    def recorded(self, dtype, shapes):
+        calls.append([np.dtype(dtype).str, [list(shape) for shape in shapes]])
+        return carve(self, dtype, shapes)
+
+    slstm.Scratch.carve = recorded
+    try:
+        mixer.forward_batch(params, cfg, xs, scratch=slstm.Scratch())
+        eval_calls, calls[:] = list(calls), []
+        with Tape() as tape:
+            pred = mixer.forward_batch(params, cfg, xs, training=True,
+                                       rng=np.random.default_rng(2), scratch=slstm.Scratch())
+            tape.backward(training.mae_loss(pred, mixer.flatten_targets(ys)))
+    finally:
+        slstm.Scratch.carve = carve
+    return {"eval": digest(json.dumps(eval_calls).encode()),
+            "step": digest(json.dumps(calls).encode())}
+
+
 def cases(kind: str):
     """Yield (name, value) for every case in one precision: an array, or
     the bytes of a file."""
@@ -183,7 +214,7 @@ def cases(kind: str):
 
 
 def compute():
-    """(float32 digests, float64 values, digests of arithmetic-free files).
+    """(float32 digests, float64 values, digests of arithmetic-free values).
 
     A float64 fit's loss log and parameter files are kept as values, its
     config and manifest as digests.  Its ``b_i`` files are left out: the
@@ -204,6 +235,11 @@ def compute():
             exact[name] = digest(value)
         else:
             f64[name] = value
+    for variates, conv, blocks, axis, mix_view in itertools.product(
+            (7, 321), (0, 4), (1, 2), (mixer.AXIS_VARIATES, mixer.AXIS_TIME), (True, False)):
+        name = f"carve/V{variates}-conv{conv}-blocks{blocks}-axis-{axis}-view{int(mix_view)}"
+        for part, value in carves(variates, conv, blocks, axis, mix_view).items():
+            exact[f"{name}/{part}"] = value
     return f32, f64, exact
 
 
