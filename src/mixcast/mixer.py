@@ -427,9 +427,9 @@ def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
     inverse, whose output is copied into the chunk's place in the forecast.
     Every stage and block writes a fresh chunk-sized array and only reads
     its inputs.  When the first chunk reaches the stack, one call builds the
-    ``slstm.Stream`` it runs in, carving its buffers from ``scratch`` (which
-    grows to the largest carve it serves) or from an arena made for this
-    call; the forecast never shares memory with it.
+    ``slstm.Stream`` that owns the run, with ``rng`` and ``stabilizer``,
+    carving its buffers from ``scratch`` (which grows to the largest carve
+    it serves) or a fresh arena; the forecast never shares memory with it.
 
     A forward that records a tape, or draws dropout, is the same loop run
     as one chunk of all the variates: its stages keep the whole-batch arrays
@@ -457,6 +457,8 @@ def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
     eta = params.eta if cfg.init_token else None
     lead, per_token = int(eta is not None), (2 if cfg.mix_view else 1) * batch
     dropout = training and cfg.block.dropout_rate > 0.0 and bool(params.blocks)
+    if dropout and rng is None:
+        raise ValueError("training with dropout needs an rng")
     step = v
     if not (record or dropout or time_axis):
         step = min(v, max(1, slstm.CHUNK_ROWS // per_token))
@@ -487,11 +489,11 @@ def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
             tokens = h_len if time_axis else v
             stream = slstm.Stream(cfg.block, params.blocks, per_token, (lead + tokens) * per_token,
                                   (lead + (tokens if time_axis else step)) * per_token,
-                                  scratch or slstm.Scratch(), dtype, dropout, record)
+                                  scratch or slstm.Scratch(), dtype, rng if dropout else None,
+                                  record, stabilizer)
         rows = pack_views(rows, eta if first else None, batch, cfg.mix_view)
         if params.blocks:
-            rows = slstm._stack_tokens(cfg.block, params.blocks, rows, per_token, training, rng,
-                                       stabilizer, stream)
+            rows = slstm._stack_tokens(stream, rows)
         if hi == v:
             stream = None  # the stack is done; so is an arena made for this call
         # Dropping the learned token's rows leaves v-major [V*B, .] rows
@@ -515,15 +517,19 @@ def flatten_targets(ys: np.ndarray) -> np.ndarray:
 
 
 def decode_init_token(params: MixerParams, cfg: MixerConfig) -> Tensor:
-    """Decode the learned initial token to its conditioning forecast [1, H]
-    by running it alone through the stack in both views and reconciling."""
+    """Decode the learned initial token to its conditioning forecast [1, H]:
+    it runs alone through the stack in both views, in a stream that records
+    when a tape records the parameters, and the views are reconciled."""
     if not cfg.init_token:
         raise ConfigError("model has no initial token to decode")
     if cfg.slstm_axis == AXIS_TIME:
         raise ConfigError("token decoding is defined for variate-order models")
     views = pack_views(params.eta, None, 1, cfg.mix_view)  # one token of a batch of views
     if params.blocks:
-        views = slstm._stack_tokens(cfg.block, params.blocks, views, views.shape[0], False, None)
+        rows, record = views.shape[0], T.will_record(t for _, t, _ in params.named_parameters())
+        stream = slstm.Stream(cfg.block, params.blocks, rows, rows, rows, slstm.Scratch(),
+                              forecast_dtype(params, views.data), record=record)
+        views = slstm._stack_tokens(stream, views)
     return reconcile_views(params.view_w, params.view_b, views, cfg.mix_view)
 
 

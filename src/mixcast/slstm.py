@@ -16,18 +16,20 @@ inside it is backpropagated through time.  Gates are held as slabs
 contiguous ``[B, D]`` block.  The input products are one matmul per gate,
 hoisted out of the time loop.
 
-Every run of the stack goes through a :class:`Stream`, which its caller
-hands successive chunks of whole tokens; a forward that records a tape hands
-it all its rows as one chunk.  Each block carries its recurrence state
-``(h, c, n, m)`` and its last ``conv_width - 1`` normed tokens across the
-seams.  Building the stream carves every block's buffers in one call from a
-:class:`Scratch` arena, which the batches of an evaluation pass, or the
-steps of a training epoch, share, so they do not fault the same memory in
-again.  Without a tape the blocks share one set of chunk buffers; a stream
-that records gives each block its own, the history its backward reads.  A
-block writes its output into a fresh array and never writes the rows it is
-given.  Dropout masks are drawn ``CHUNK_ROWS`` rows at a time from the one
-generator, which continues a single stream.
+Every run of the stack goes through a :class:`Stream`, which owns the run's
+settings (the dropout generator, whether a tape records, the stabilizer
+stats) and gives each block a share that holds everything a chunk of its
+forward reads.  Its caller hands it successive chunks of whole tokens; a
+forward that records a tape hands it all its rows as one chunk.  Each block
+carries its recurrence state ``(h, c, n, m)`` and its last
+``conv_width - 1`` normed tokens across the seams.  Building the stream
+carves every block's buffers in one call from a :class:`Scratch` arena, which
+the batches of an evaluation pass, or the steps of a training epoch, share,
+so they do not fault the same memory in again.  Without a tape the blocks
+share one set of chunk buffers; a stream that records gives each block its
+own, the history its backward reads.  A block writes its output into a fresh
+array, never into its rows.  Dropout masks are drawn ``CHUNK_ROWS`` rows at
+a time from the one generator, which continues a single stream.
 
 Recurrent weight matrices are block-diagonal over heads, and only their
 diagonal blocks exist: each of ``r_z|r_i|r_f|r_o`` is stored as a
@@ -399,27 +401,32 @@ def _recurrence_backward(p: SLstmParams, d_hs: np.ndarray, hs: np.ndarray, histo
 
 
 class _BlockChunks:
-    """One block's share of a :class:`Stream`: its chunk buffers, and what
-    it carries from one chunk to the next.  That is its recurrence, whose
-    state stays in its own step slab, and its normed rows, kept in ``ring``
-    after a ``tail`` of the previous chunk's last conv_width - 1 normed
-    tokens, which the taps read across the seam.  ``done`` counts the rows
-    run so far, out of ``rows``."""
+    """One block's share of a :class:`Stream`: all one chunk of its forward
+    reads.  That is its weights, the batch, its conv kernel, the keep
+    probability and ``rng`` (None without conv or masks), ``record``, its
+    chunk buffers, and what it carries from one chunk to the next: its
+    recurrence, whose state stays in its own step slab, and its normed rows,
+    kept in ``ring`` after a ``tail`` of the previous chunk's last
+    conv_width - 1 normed tokens, which the taps read across the seam.
+    ``done`` counts the rows run so far, out of ``rows``."""
 
-    def __init__(self, w: BlockWeights, buffers: list, step, ring, rows: int, tail: int,
-                 conv: bool, dropout: bool, record: bool):
+    def __init__(self, w: BlockWeights, batch: int, kernel, keep_p: float, rng, record: bool,
+                 stats: StabilizerStats | None, buffers: list, step, ring, rows: int, tail: int):
+        self.w, self.batch, self.kernel, self.keep_p = w, batch, kernel, keep_p
+        self.rng, self.record, self.rows, self.tail = rng, record, rows, tail
         self.pre, self.inv_std, self.hs, *rest = buffers
-        self.x_if = rest.pop(0) if conv else None
-        self.mask = rest.pop(0) if dropout else None
-        self.cell = _Recurrence(w.cell, self.pre, step, None)
-        self.rows, self.tail, self.record = rows, tail, record
+        self.x_if = rest.pop(0) if kernel is not None else None
+        self.mask = rest.pop(0) if rng is not None else None
+        self.cell = _Recurrence(w.cell, self.pre, step, stats)
         self.history, self.ring, self.done = rest, ring, 0
 
 
 class Stream:
     """A stack run over ``rows`` token-major rows of the same sequences, in
     successive chunks of whole tokens of at most ``chunk`` rows, with every
-    block's buffers carved in one call from ``scratch``.
+    block's buffers carved in one call from ``scratch``.  Given ``rng`` the
+    blocks draw dropout masks from it, a stream that ``record``s runs one
+    chunk, and ``stats`` gathers the stabilizer's health.
 
     A block's chunk buffers are the pre-activation slab, the inverse
     deviations, the hidden rows, then as needed the conv-gated rows, the
@@ -430,58 +437,51 @@ class Stream:
     block's input and output rows are never carved."""
 
     def __init__(self, cfg: BlockConfig, blocks: list[BlockWeights], batch: int, rows: int,
-                 chunk: int, scratch: Scratch, dtype, dropout: bool = False,
-                 record: bool = False):
+                 chunk: int, scratch: Scratch, dtype, rng=None, record: bool = False,
+                 stats: StabilizerStats | None = None):
         d, conv = cfg.d_hidden, cfg.conv_width > 0
         tail = min(rows, (cfg.conv_width - 1) * batch) if conv and chunk < rows else 0
         buffers = ([(4, chunk, d), (chunk, 1), (chunk, d)]
-                   + [(chunk, d)] * (conv + dropout + 3 * record))
+                   + [(chunk, d)] * (conv + (rng is not None) + 3 * record))
         own = [(9, batch, d), (tail + chunk, d)]
         arrays = iter(scratch.carve(dtype, (buffers + own) * len(blocks) if record
                                     else buffers + own * len(blocks)))
         shared = None if record else [next(arrays) for _ in buffers]
-        self.blocks = [_BlockChunks(w, shared or [next(arrays) for _ in buffers], next(arrays),
-                                    next(arrays), rows, tail, conv, dropout, record)
-                       for w in blocks]
+        self.blocks = [_BlockChunks(w, batch, w.conv_kernel.data if conv else None,
+                                    1.0 - cfg.dropout_rate, rng, record, stats,
+                                    shared or [next(arrays) for _ in buffers], next(arrays),
+                                    next(arrays), rows, tail) for w in blocks]
 
 
-def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
-           training: bool, rng, stats: StabilizerStats | None,
-           chunks: _BlockChunks) -> Tensor:
+def _block(chunks: _BlockChunks, x: Tensor) -> Tensor:
     """Residual block over token-major rows [L*B, D] as one tape node: layer
     norm, causal-conv taps on the input/forget path, the recurrence, the
     projection, dropout and the residual.
 
     x is the next chunk of whole tokens of the :class:`Stream` that built
-    ``chunks``: the block works in its buffers and carries its state on to
-    the next chunk; a stream that records runs one chunk, whose buffers are
-    the history the backward reads.  The output is a fresh array, and
-    x's rows are only read.  The dropout mask is drawn CHUNK_ROWS rows at a
-    time from the one generator, whose successive draws continue a single
-    stream, so it equals one draw over all rows.
+    ``chunks``, which holds everything else the block reads: the block works
+    in its buffers and carries its state on to the next chunk; a stream that
+    records runs one chunk, whose buffers are the history the backward
+    reads.  The output is a fresh array, and x's rows are only read.  Given
+    an rng, the dropout mask is drawn CHUNK_ROWS rows at a time from it,
+    whose successive draws continue a single stream, so it equals one draw
+    over all rows.
     """
-    d, rows = cfg.d_hidden, x.shape[0]
+    w, batch, kernel, rng = chunks.w, chunks.batch, chunks.kernel, chunks.rng
+    d, rows = w.proj_w.shape[0], x.shape[0]
     if x.data.ndim != 2 or x.shape[1] != d:
         raise ShapeError(f"token width {x.shape[-1]} != block width {d}")
     if rows < 1 or batch < 1 or rows % batch:
         raise ShapeError(f"{rows} rows do not hold whole tokens of batch {batch}")
-    dropout = training and cfg.dropout_rate > 0.0
-    if dropout and rng is None:
-        raise ValueError("training with dropout needs an rng")
-    kernel = None
-    if cfg.conv_width > 0 and w.conv_kernel is not None:
-        kernel = w.conv_kernel.data
     # The cell's weights go in the order its backward returns them: W, R, b,
     # each z, o, i, f.
     inputs = ([x] + [getattr(w.cell, f"{kind}_{gate}") for kind in "wrb" for gate in _GATES]
               + [w.ln_gamma, w.ln_beta, w.proj_w] + ([] if kernel is None else [w.conv_kernel]))
-    record = chunks.record
     eps = x.data.dtype.type(LN_EPS)
-    keep_p = 1.0 - cfg.dropout_rate
     lo, tail, ring, pre = chunks.done, chunks.tail, chunks.ring, chunks.pre
     x_in, inv_std, hs = x.data, chunks.inv_std[:rows], chunks.hs[:rows]
     normed = ring[tail:tail + rows]
-    xhat, *cells = [a[:rows] for a in chunks.history] if record else [normed]
+    xhat, *cells = [a[:rows] for a in chunks.history] if chunks.record else [normed]
 
     # Layer norm over each row, with eps in the rows' dtype; the squares go
     # through the pre-activation slab, which is free until the recurrence
@@ -513,17 +513,16 @@ def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
             x_if[first:] += np.multiply(ring[tail + first - shift:tail + rows - shift],
                                         kernel[j], out=pre[0, first:rows])
 
-    chunks.cell.stats = stats
     chunks.cell.run(normed, x_if, hs, cells)
     out = hs @ w.proj_w.data.T
     mask = None
-    if dropout:
+    if rng is not None:
         # Drawn in CHUNK_ROWS-row pieces, never a float64 [rows, D] at once.
         mask = chunks.mask[:rows]
         for part in range(0, rows, CHUNK_ROWS):
             drawn = mask[part:part + CHUNK_ROWS]
-            np.less(rng.random(size=drawn.shape), keep_p, out=drawn)
-        mask /= keep_p
+            np.less(rng.random(size=drawn.shape), chunks.keep_p, out=drawn)
+        mask /= chunks.keep_p
         out *= mask
     out += x_in
     chunks.done += rows
@@ -565,20 +564,9 @@ def _block(cfg: BlockConfig, w: BlockWeights, x: Tensor, batch: int,
     return T.custom_op(out, inputs, backward)
 
 
-def _stack_tokens(cfg: BlockConfig, blocks: list[BlockWeights], x: Tensor, batch: int,
-                  training: bool, rng, stats: StabilizerStats | None = None,
-                  stream: Stream | None = None) -> Tensor:
-    """The shared stack over token-major rows [L*B, D]: B independent
-    sequences of L tokens, token t in rows t*B .. (t+1)*B.
-
-    Given ``stream``, x is its next chunk of whole tokens, run in the
-    stream's buffers.  Without one the rows are the one chunk of a stream
-    built here on a fresh arena."""
-    if stream is None:
-        rows, dtype = x.shape[0], np.result_type(x.data, blocks[0].cell.w_z.data)
-        record = T.will_record([x] + [t for w in blocks for _, t, _ in w.named_parameters()])
-        stream = Stream(cfg, blocks, batch, rows, rows, Scratch(), dtype,
-                        training and cfg.dropout_rate > 0.0, record)
-    for w, chunks in zip(blocks, stream.blocks):
-        x = _block(cfg, w, x, batch, training, rng, stats, chunks)
+def _stack_tokens(stream: Stream, x: Tensor) -> Tensor:
+    """The shared stack over x, the next chunk of whole tokens of ``stream``,
+    run in its buffers: token t of the B sequences is rows t*B .. (t+1)*B."""
+    for chunks in stream.blocks:
+        x = _block(chunks, x)
     return x

@@ -1,4 +1,5 @@
-"""Shared helpers: benchmark-file discovery and synthetic series builders."""
+"""Shared helpers: benchmark-file discovery, synthetic series builders, and
+the recurrent stack run as one chunk."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from mixcast import slstm, tensor as T
 
 
 def etth1_path() -> Path | None:
@@ -72,3 +75,16 @@ def tiny_csv(tmp_path) -> Path:
     """A 400-row, 3-variate series on disk for CLI and data tests."""
     values = synthetic_series(400, 3, seed=11)
     return write_series_csv(tmp_path / "tiny.csv", values)
+
+
+def run_stack(cfg, blocks, x, batch, training=False, rng=None, stats=None):
+    """The stack over all the rows of x as the one chunk of a Stream on a
+    fresh arena, recording when a tape records its inputs, and drawing
+    dropout masks from rng when training with dropout."""
+    rows = x.shape[0]
+    record = T.will_record([x] + [t for w in blocks for _, t, _ in w.named_parameters()])
+    dtype = np.result_type(x.data, blocks[0].cell.w_z.data)
+    dropout = training and cfg.dropout_rate > 0.0
+    stream = slstm.Stream(cfg, blocks, batch, rows, rows, slstm.Scratch(), dtype,
+                          rng if dropout else None, record, stats)
+    return slstm._stack_tokens(stream, x)

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from mixcast import slstm
 from mixcast.mixer import (AXIS_NONE, AXIS_TIME, REVIN_EPS, MixerConfig, MixerParams,
                            RevInParams)
 from mixcast.tensor import ShapeError, Tensor
 
 import engine_reference as R
+from conftest import run_stack
 
 
 def _tile_per_variate(column: Tensor, batch: int) -> Tensor:
@@ -106,11 +106,11 @@ def refine_views(params: MixerParams, cfg: MixerConfig, tokens: Tensor, batch: i
     if cfg.slstm_axis == AXIS_NONE:
         return tokens, (rev if cfg.mix_view else tokens)
     if not cfg.mix_view:
-        out = slstm._stack_tokens(cfg.block, params.blocks, tokens, batch, training, rng)
+        out = run_stack(cfg.block, params.blocks, tokens, batch, training, rng)
         return out, out
     rows, d = tokens.shape
     both = R.reshape(R.concat([tokens, rev], axis=1), (2 * rows, d))
-    out = slstm._stack_tokens(cfg.block, params.blocks, both, 2 * batch, training, rng)
+    out = run_stack(cfg.block, params.blocks, both, 2 * batch, training, rng)
     out = R.reshape(out, (rows, 2 * d))
     return R.slice_axis(out, 1, 0, d), R.slice_axis(out, 1, d, 2 * d)
 

@@ -32,6 +32,7 @@ from mixcast.tensor import ShapeError, Tensor
 from mixcast.training import mae_loss
 
 import engine_reference as R
+from conftest import run_stack
 
 
 def make_cfg(**overrides) -> MixerConfig:
@@ -380,7 +381,7 @@ def test_view_symmetry_swaps_roles_bitwise():
     def views(t):
         # Each token's two view outputs, side by side.
         packed = mixer.pack_views(t, None, 1, True)
-        out = slstm._stack_tokens(cfg.block, params.blocks, packed, 2, False, None)
+        out = run_stack(cfg.block, params.blocks, packed, 2)
         return out.data.reshape(-1, 2 * d)
 
     out1, out2 = views(tokens), views(reversed_tokens)
@@ -505,6 +506,16 @@ def test_forward_batch_names_an_empty_batch(taped):
         mixer.forward_batch(params, cfg, np.zeros((0, 3, 8), dtype=np.float32))
 
 
+@pytest.mark.parametrize("taped", [False, True], ids=["eval", "taped"])
+def test_training_with_dropout_needs_an_rng(taped):
+    cfg = make_cfg(block=BlockConfig(d_hidden=8, num_heads=2, dropout_rate=0.1))
+    params = init_mixer_params(cfg, np.random.default_rng(37))
+    xs = np.zeros((2, 3, 8), dtype=np.float32)
+    with T.Tape() if taped else contextlib.nullcontext(), pytest.raises(
+            ValueError, match="^training with dropout needs an rng$"):
+        mixer.forward_batch(params, cfg, xs, training=True)
+
+
 def test_batched_forward_matches_single_instances():
     rng = np.random.default_rng(19)
     cfg = make_cfg()
@@ -552,6 +563,21 @@ def test_decode_token_leaves_the_learned_token_unwritten(mix_view):
     eta = params.eta.data.tobytes()
     mixer.decode_init_token(params, cfg)
     assert params.eta.data.tobytes() == eta
+
+
+@pytest.mark.parametrize("conv", [0, 4])
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_decode_token_gradients_match_finite_differences(blocks, conv):
+    # Under a tape the decode's stream records, so each block keeps the
+    # history its backward reads.
+    cfg = gradcheck.tiny_config(num_blocks=blocks, conv_width=conv)
+    with T.precision(np.float64):
+        params = init_mixer_params(cfg, np.random.default_rng(24))
+        weights = Tensor(np.random.default_rng(25).normal(size=(1, cfg.horizon)))
+        errors = gradcheck.finite_difference_directional(
+            lambda: R.reduce_sum(R.mul(mixer.decode_init_token(params, cfg), weights)),
+            [t for _, t, _ in params.named_parameters()], np.random.default_rng(0))
+    assert errors.max() < gradcheck.DIRECTIONAL_TOL, errors
 
 
 def test_decode_token_requires_token():

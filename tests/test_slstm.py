@@ -11,6 +11,7 @@ from mixcast.tensor import ShapeError, Tape, Tensor
 
 import engine_reference as R
 import slstm_reference as slstm_ref
+from conftest import run_stack
 
 
 def np_sigmoid(v):
@@ -212,7 +213,7 @@ def test_block_zero_projection_is_identity():
         cfg, w = block_setup(rng)
         w.proj_w.data[:] = 0.0
         xs = rng.uniform(-1, 1, size=(5, 6))
-        out = slstm._stack_tokens(cfg, [w], R.lift(xs), 1, False, None).data
+        out = run_stack(cfg, [w], R.lift(xs), 1).data
         assert np.array_equal(out, xs)
 
 
@@ -225,8 +226,8 @@ def test_block_zero_conv_matches_disabled_conv():
         w_off = slstm.BlockWeights(cell=w_on.cell, ln_gamma=w_on.ln_gamma,
                                    ln_beta=w_on.ln_beta, proj_w=w_on.proj_w)
         xs = rng.uniform(-1, 1, size=(5, 6))
-        out_on = slstm._stack_tokens(cfg_on, [w_on], R.lift(xs), 1, False, None).data
-        out_off = slstm._stack_tokens(cfg_off, [w_off], R.lift(xs), 1, False, None).data
+        out_on = run_stack(cfg_on, [w_on], R.lift(xs), 1).data
+        out_off = run_stack(cfg_off, [w_off], R.lift(xs), 1).data
         assert np.array_equal(out_on, out_off)
 
 
@@ -234,8 +235,8 @@ def test_block_eval_mode_is_deterministic():
     rng = np.random.default_rng(16)
     cfg, w = block_setup(rng, dropout=0.5)
     xs = np.random.default_rng(1).uniform(-1, 1, size=(4, 6))
-    a = slstm._stack_tokens(cfg, [w], R.lift(xs), 1, False, None).data
-    b = slstm._stack_tokens(cfg, [w], R.lift(xs), 1, False, None).data
+    a = run_stack(cfg, [w], R.lift(xs), 1).data
+    b = run_stack(cfg, [w], R.lift(xs), 1).data
     assert np.array_equal(a, b)
 
 
@@ -243,8 +244,8 @@ def test_block_dropout_active_only_in_training():
     rng = np.random.default_rng(17)
     cfg, w = block_setup(rng, dropout=0.5)
     xs = np.random.default_rng(2).uniform(-1, 1, size=(4, 6))
-    r1 = slstm._stack_tokens(cfg, [w], R.lift(xs), 1, True, np.random.default_rng(0)).data
-    r2 = slstm._stack_tokens(cfg, [w], R.lift(xs), 1, True, np.random.default_rng(5)).data
+    r1 = run_stack(cfg, [w], R.lift(xs), 1, True, np.random.default_rng(0)).data
+    r2 = run_stack(cfg, [w], R.lift(xs), 1, True, np.random.default_rng(5)).data
     assert not np.array_equal(r1, r2)
 
 
@@ -252,7 +253,7 @@ def test_block_width_mismatch_raises():
     rng = np.random.default_rng(18)
     cfg, w = block_setup(rng)
     with pytest.raises(ShapeError):
-        slstm._stack_tokens(cfg, [w], R.lift(np.zeros((3, 5))), 1, False, None)
+        run_stack(cfg, [w], R.lift(np.zeros((3, 5))), 1)
 
 
 @pytest.mark.parametrize("record", [False, True], ids=["eval", "taped"])
@@ -267,7 +268,7 @@ def test_stack_leaves_its_input_rows_unwritten(record):
     x = Tensor(xs, dtype=np.float64)
     assert x.data is xs
     with Tape() if record else contextlib.nullcontext():
-        out = slstm._stack_tokens(cfg, [w1, w2], x, 2, False, None)
+        out = run_stack(cfg, [w1, w2], x, 2)
     assert xs.tobytes() == before
     assert not np.shares_memory(out.data, xs)
 
@@ -279,7 +280,7 @@ def test_stack_zeroed_blocks_are_identity():
     w1.proj_w.data[:] = 0.0
     w2.proj_w.data[:] = 0.0
     xs = rng.uniform(-1, 1, size=(4, 6))
-    out = slstm._stack_tokens(cfg, [w1, w2], R.lift(xs), 1, False, None).data
+    out = run_stack(cfg, [w1, w2], R.lift(xs), 1).data
     assert np.array_equal(out, xs)
 
 
@@ -293,7 +294,7 @@ def test_two_block_stack_gradients_match_finite_differences():
         leaves = [t for w in (w1, w2) for _, t, _ in w.named_parameters()]
 
         def f():
-            out = slstm._stack_tokens(cfg, [w1, w2], R.lift(xs), 1, False, None)
+            out = run_stack(cfg, [w1, w2], R.lift(xs), 1)
             return R.reduce_mean(R.absval(R.sub(out, Tensor(target, dtype=np.float64))))
 
         errs = R.finite_difference_errors(f, leaves, 1e-5)

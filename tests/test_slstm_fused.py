@@ -16,6 +16,7 @@ from mixcast.tensor import Tape, Tensor
 
 import engine_reference as R
 import slstm_reference as slstm_ref
+from conftest import run_stack
 from test_slstm import run_sequence
 
 # Same arithmetic up to reassociation of a few float64 sums per step.
@@ -57,11 +58,10 @@ def streamed(cfg, blocks, x, batch, tokens_per_chunk, stats=None):
     by chunk as forward_batch runs it."""
     rows = x.shape[0]
     chunk = tokens_per_chunk * batch
-    stream = slstm.Stream(cfg, blocks, batch, rows, chunk, slstm.Scratch(), x.dtype)
+    stream = slstm.Stream(cfg, blocks, batch, rows, chunk, slstm.Scratch(), x.dtype, stats=stats)
     out = np.empty_like(x)
     for lo in range(0, rows, chunk):
-        y = slstm._stack_tokens(cfg, blocks, Tensor(x[lo:lo + chunk], dtype=x.dtype.type),
-                                batch, False, None, stats, stream)
+        y = slstm._stack_tokens(stream, Tensor(x[lo:lo + chunk], dtype=x.dtype.type))
         out[lo:lo + chunk] = y.data
     return out
 
@@ -86,7 +86,7 @@ def test_fused_stack_matches_reference(conv_width, num_blocks, batch, length):
     leaves = [x] + leaves_of(blocks)
 
     got, got_grads = forward_and_grads(
-        lambda: slstm._stack_tokens(cfg, blocks, x, batch, False, None), leaves, weights)
+        lambda: run_stack(cfg, blocks, x, batch), leaves, weights)
     want, want_grads = forward_and_grads(
         lambda: slstm_ref.to_rows(slstm_ref.stack(cfg, blocks,
                                                   slstm_ref.from_rows(x, batch))),
@@ -109,13 +109,13 @@ def test_fused_stack_matches_reference_training_with_dropout(conv_width):
     leaves = [x] + leaves_of(blocks)
 
     got, got_grads = forward_and_grads(
-        lambda: slstm._stack_tokens(cfg, blocks, x, batch, True,
-                                    np.random.default_rng(11)), leaves, weights)
+        lambda: run_stack(cfg, blocks, x, batch, True, np.random.default_rng(11)),
+        leaves, weights)
     want, want_grads = forward_and_grads(
         lambda: slstm_ref.to_rows(slstm_ref.stack(
             cfg, blocks, slstm_ref.from_rows(x, batch), True,
             np.random.default_rng(11))), leaves, weights)
-    eval_out = slstm._stack_tokens(cfg, blocks, x, batch, False, None).data
+    eval_out = run_stack(cfg, blocks, x, batch).data
     assert not np.array_equal(got, eval_out)  # dropout was active
     assert_close(got, want, "forward")
     assert_grads_close(got_grads, want_grads)
@@ -140,7 +140,7 @@ def test_token_chunks_match_reference(conv_width, num_blocks, tokens_per_chunk, 
                     dtype=np.float64)
 
     def fused():
-        return slstm._stack_tokens(cfg, blocks, x, batch, training, np.random.default_rng(5))
+        return run_stack(cfg, blocks, x, batch, training, np.random.default_rng(5))
 
     def reference():
         return slstm_ref.to_rows(slstm_ref.stack(cfg, blocks, slstm_ref.from_rows(x, batch),
@@ -173,9 +173,9 @@ def test_chunked_dropout_block_is_bitwise_one_chunk(conv_width, monkeypatch):
     rng = np.random.default_rng(60 + conv_width)
     cfg, blocks = make_stack(rng, conv_width, 2, dropout=0.3)
     x = Tensor(rng.uniform(-1, 1, size=(7 * 3, cfg.d_hidden)), dtype=np.float64)
-    whole = slstm._stack_tokens(cfg, blocks, x, 3, True, np.random.default_rng(2)).data
+    whole = run_stack(cfg, blocks, x, 3, True, np.random.default_rng(2)).data
     monkeypatch.setattr(slstm, "CHUNK_ROWS", 6)
-    chunked = slstm._stack_tokens(cfg, blocks, x, 3, True, np.random.default_rng(2)).data
+    chunked = run_stack(cfg, blocks, x, 3, True, np.random.default_rng(2)).data
     assert chunked.tobytes() == whole.tobytes()
 
 
@@ -194,7 +194,7 @@ def test_a_recording_block_draws_its_mask_in_chunk_row_pieces(monkeypatch):
         tracemalloc.start()
         try:
             with Tape():
-                out = slstm._stack_tokens(cfg, [w], x, 64, True, np.random.default_rng(1))
+                out = run_stack(cfg, [w], x, 64, True, np.random.default_rng(1))
             return out.data, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -226,7 +226,7 @@ def test_recurrent_gradients_fill_every_head_block():
     rng = np.random.default_rng(62)
     cfg, blocks = make_stack(rng, 2, 2, d=12, heads=3)
     x = R.parameter(rng.uniform(-1, 1, size=(5 * 4, 12)), dtype=np.float64)
-    _, grads = forward_and_grads(lambda: slstm._stack_tokens(cfg, blocks, x, 4, False, None),
+    _, grads = forward_and_grads(lambda: run_stack(cfg, blocks, x, 4),
                                  leaves_of(blocks), rng.normal(size=x.shape))
     for (name, _, _), g in zip([t for w in blocks for t in w.named_parameters()], grads):
         if name.startswith("cell.r_"):
@@ -250,13 +250,12 @@ def test_views_in_one_stack_call_match_reference_per_view(mix_view, monkeypatch)
     calls = []
     stack = slstm._stack_tokens
     monkeypatch.setattr(slstm, "_stack_tokens",
-                        lambda *args: calls.append(args[3]) or stack(*args))
+                        lambda stream, x: calls.append(stream.blocks[0].batch) or stack(stream, x))
 
     # Both views side by side, or the one view standing for both.
     def fused():
         packed = mixer.pack_views(tokens, None, batch, mix_view)
-        views = slstm._stack_tokens(cfg.block, params.blocks, packed,
-                                    (2 if mix_view else 1) * batch, False, None)
+        views = run_stack(cfg.block, params.blocks, packed, (2 if mix_view else 1) * batch)
         if mix_view:
             # The interleaved view rows read as each token's two views side by side.
             views = R.reshape(views, (tokens.shape[0], 2 * tokens.shape[1]))
@@ -313,9 +312,9 @@ def test_input_gate_bias_shift_leaves_block_output_unchanged(conv_width):
     rng = np.random.default_rng(40 + conv_width)
     cfg, blocks = make_stack(rng, conv_width, 1)
     x = Tensor(rng.uniform(-1, 1, size=(6 * 3, cfg.d_hidden)), dtype=np.float64)
-    before = slstm._stack_tokens(cfg, blocks, x, 3, False, None).data
+    before = run_stack(cfg, blocks, x, 3).data
     blocks[0].cell.b_i.data += rng.uniform(-2.0, 2.0, size=(1, cfg.d_hidden))
-    after = slstm._stack_tokens(cfg, blocks, x, 3, False, None).data
+    after = run_stack(cfg, blocks, x, 3).data
     assert np.abs(after - before).max() < 1e-12
 
 
@@ -342,7 +341,7 @@ def test_eval_keeps_no_gate_history():
     # Without a tape a block holds chunk-sized buffers and its output; a
     # tape holds the whole-sequence gate, cell and normalizer history.
     assert (peak(lambda: streamed(cfg, [w], xs.data, 8, 250), False)
-            < 0.6 * peak(lambda: slstm._stack_tokens(cfg, [w], xs, 8, False, None), True))
+            < 0.6 * peak(lambda: run_stack(cfg, [w], xs, 8), True))
 
 
 def training_step_nodes(num_variates, num_blocks, conv_width):
@@ -372,5 +371,5 @@ def test_stack_records_one_tape_node_per_block(num_blocks):
     cfg, blocks = make_stack(rng, 4, num_blocks, dropout=0.2)
     x = R.parameter(rng.uniform(-1, 1, size=(12, cfg.d_hidden)), dtype=np.float64)
     with Tape() as tape:
-        slstm._stack_tokens(cfg, blocks, x, 3, True, rng)
+        run_stack(cfg, blocks, x, 3, True, rng)
         assert len(tape) == num_blocks
