@@ -83,13 +83,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_tokens(path) -> list[str]:
     """The key=value lines of a config file as ``--key=value`` tokens."""
+    try:
+        text = Path(path).read_text("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
     tokens = []
-    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise SystemExit(f"{path}:{ln}: expected key=value, got {line!r}")
+            raise ValueError(f"{path}:{ln}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
         tokens.append(f"--{key.strip()}={value.strip()}")
     return tokens
@@ -194,9 +198,9 @@ def _cmd_forecast(args) -> int:
     kind = _extra(extra, "dataset_kind", "generic")
     _, splits = _prepare_data(args.data, kind, cfg.lookback, cfg.horizon)
     ds = splits["test"]
-    x, y = ds.window(args.window_index)
-    pred = mixer.forward_batch(params, cfg, x[None])
-    metrics_mod.write_forecast_columns(args.emit, history=x, target=y,
+    xs, ys = ds.batch([args.window_index])
+    pred = mixer.forward_batch(params, cfg, xs)
+    metrics_mod.write_forecast_columns(args.emit, history=xs[0], target=ys[0],
                                        forecast=pred.data)
     print(f"wrote window {args.window_index} ({cfg.num_variates} variates, "
           f"T={cfg.lookback}, H={cfg.horizon}) to {args.emit}")
@@ -226,11 +230,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "config", None) is not None:
-        # File values go right after the subcommand, so later explicit flags
-        # win and argparse checks them like any flag.
-        args = parser.parse_args(argv[:1] + _config_tokens(args.config) + argv[1:])
     try:
+        if getattr(args, "config", None) is not None:
+            # File values go right after the subcommand, so later explicit
+            # flags win and argparse checks them like any flag.
+            args = parser.parse_args(argv[:1] + _config_tokens(args.config) + argv[1:])
         if args.command == "train":
             return _cmd_train(args)
         if args.command == "ablation":

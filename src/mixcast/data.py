@@ -100,18 +100,6 @@ class WindowedDataset:
     def __len__(self) -> int:
         return (self.stop - self.start) - self.lookback - self.horizon + 1
 
-    def window(self, i: int):
-        """(X [V,T], Y [V,H]) for window i, in the engine's default dtype."""
-        if not 0 <= i < len(self):
-            raise IndexError(f"window {i} out of range (n={len(self)})")
-        s = self.start + i
-        dtype = T.default_dtype()
-        x = np.ascontiguousarray(self.values[s:s + self.lookback].T, dtype)
-        y = np.ascontiguousarray(
-            self.values[s + self.lookback:s + self.lookback + self.horizon].T,
-            dtype)
-        return x, y
-
     def windows(self):
         """Read-only [n, V, T] and [n, V, H] views, in the engine's default
         dtype, whose entry i is window i.
@@ -132,8 +120,7 @@ class WindowedDataset:
 
     def batch(self, indices):
         """Windows as (xs [B,V,T], ys [B,V,H]) copies, each gathered from
-        ``windows()`` in one step; equal to stacking window(i) for each
-        index."""
+        ``windows()`` in one step."""
         idx = np.asarray(indices)
         if not idx.size:
             raise DataError("an empty batch: no window index given")

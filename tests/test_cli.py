@@ -158,6 +158,22 @@ def test_config_file_rejects_unknown_keys(tiny_csv, tmp_path):
                   "--config", str(cfg_file)])
 
 
+@pytest.mark.parametrize("content,message", [
+    (None, "No such file or directory"),
+    (b"embed-dim=8\nheads=\xff2\n", "run.conf: not UTF-8 text"),
+    (b"# widths\nembed-dim 16\n", "run.conf:2: expected key=value, got 'embed-dim 16'"),
+], ids=["missing", "not-utf8", "no-equals"])
+def test_config_file_errors_are_reported(content, message, tiny_csv, tmp_path, capsys):
+    cfg_file = tmp_path / "run.conf"
+    if content is not None:
+        cfg_file.write_bytes(content)
+    assert cli.main(["train", "--data", str(tiny_csv), "--out", str(tmp_path / "o"),
+                     "--config", str(cfg_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and str(cfg_file) in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_gradcheck_tiny_exits_zero(capsys):
     assert cli.main(["gradcheck", "--tiny"]) == 0
     out = capsys.readouterr().out

@@ -328,11 +328,10 @@ def test_window_count_example():
 def test_window_contents_no_gap_no_overlap():
     values = np.arange(10.0).reshape(10, 1)
     ds = D.window_iter(values, (0, 10), 4, 2)
-    x, y = ds.window(0)
-    assert x.tolist() == [[0.0, 1.0, 2.0, 3.0]]
-    assert y.tolist() == [[4.0, 5.0]]
-    x1, _ = ds.window(1)
-    assert x1.tolist() == [[1.0, 2.0, 3.0, 4.0]]
+    xs, ys = ds.batch([0, 1])
+    assert xs[0].tolist() == [[0.0, 1.0, 2.0, 3.0]]
+    assert ys[0].tolist() == [[4.0, 5.0]]
+    assert xs[1].tolist() == [[1.0, 2.0, 3.0, 4.0]]
 
 
 def test_window_reconstruction():
@@ -340,8 +339,8 @@ def test_window_reconstruction():
     values = rng.normal(size=(30, 2))
     ds = D.window_iter(values, (0, 30), 5, 3)
     for s in (0, 7, len(ds) - 1):
-        x, y = ds.window(s)
-        joined = np.concatenate([x.T, y.T])
+        xs, ys = ds.batch([s])
+        joined = np.concatenate([xs[0].T, ys[0].T])
         assert np.abs(joined - values[s:s + 8]).max() < 1e-6
 
 
@@ -364,8 +363,8 @@ def test_windows_for_split_overhang():
     val = D.windows_for_split(values, spec, "val", t, 2)
     # val range is [70, 80); with the overhang X may start at 62
     assert len(val) == (80 - 62) - 8 - 2 + 1
-    x0, y0 = val.window(0)
-    assert x0[0, 0] == 62.0
+    xs, _ = val.batch([0])
+    assert xs[0, 0, 0] == 62.0
     train = D.windows_for_split(values, spec, "train", t, 2)
     assert len(train) == 70 - 8 - 2 + 1
 
@@ -402,8 +401,9 @@ def test_batch_equals_stacked_windows():
     for dtype in (np.float32, np.float64, np.float32):
         with T.precision(dtype):
             xs, ys = ds.batch(np.array(indices))
-            want_x = np.stack([ds.window(i)[0] for i in indices])
-            want_y = np.stack([ds.window(i)[1] for i in indices])
+        # Window i starts at row 7 + i of values.
+        want_x = np.stack([values[7 + i:15 + i].T for i in indices]).astype(dtype)
+        want_y = np.stack([values[15 + i:19 + i].T for i in indices]).astype(dtype)
         for got, want in ((xs, want_x), (ys, want_y)):
             assert got.dtype == dtype and got.shape == want.shape
             assert got.flags.c_contiguous
