@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixcast import gradcheck, mixer, slstm, tensor as T
+from mixcast import gradcheck, mixer, tensor as T
 from mixcast.mixer import (
     AXIS_NONE,
     AXIS_TIME,
