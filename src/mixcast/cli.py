@@ -248,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "decode-token":
             return _cmd_decode_token(args)
     except (data_mod.DataError, mixer.ConfigError, ValueError, IndexError,
-            OSError) as exc:
+            OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -69,7 +69,10 @@ def build_tiny_problem(seed: int = 0, cfg: mixer.MixerConfig | None = None):
         rng = np.random.default_rng(trial)
         params = mixer.init_mixer_params(cfg, rng)
         x = rng.normal(0.0, 1.0, size=(cfg.num_variates, cfg.lookback))
-        y = mixer.forward_batch(params, cfg, x[None])
+        # The gap min |(f_tilde + m_prev) - i_tilde| over both views and
+        # every block must keep the stabilizer's max away from a tie.
+        stats = StabilizerStats()
+        y = mixer.forward_batch(params, cfg, x[None], stabilizer=stats)
         # Keep the base loss small: central differences of a loss of
         # magnitude |f| carry ~eps|f|/2h of cancellation noise, which must
         # stay below the per-entry oracle's 1e-6 relative bound for
@@ -79,17 +82,9 @@ def build_tiny_problem(seed: int = 0, cfg: mixer.MixerConfig | None = None):
         offset = rng.uniform(0.05, 0.15, size=y.shape) * rng.choice(
             [-1.0, 1.0], size=y.shape)
         target = y.data + offset
-        if _stabilizer_margin(params, cfg, x) > 1e-3:
+        if stats.min_gap > 1e-3:
             return params, x, target
     raise RuntimeError("no well-conditioned gradcheck instance found")
-
-
-def _stabilizer_margin(params, cfg, x) -> float:
-    """Min |(f_tilde + m_prev) - i_tilde| over both views and every block of
-    one eval-mode forward pass."""
-    stats = StabilizerStats()
-    mixer.forward_batch(params, cfg, x[None], stabilizer=stats)
-    return stats.min_gap
 
 
 def full_model_gradcheck(seed: int = 0,

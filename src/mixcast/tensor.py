@@ -25,7 +25,6 @@ every thread starts at 32 bits.
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -47,23 +46,11 @@ class ShapeError(ValueError):
     """Raised when operand shapes violate an operation's contract."""
 
 
-# Debug builds verify that forward ops keep finite inputs finite.
-DEBUG_CHECKS = os.environ.get("MIXCAST_DEBUG", "") not in ("", "0")
-
 _state = threading.local()
 
 
-def _tape_stack() -> list:
-    stack = getattr(_state, "tapes", None)
-    if stack is None:
-        stack = []
-        _state.tapes = stack
-    return stack
-
-
 def _active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return getattr(_state, "tape", None)
 
 
 def default_dtype():
@@ -116,6 +103,7 @@ class Tape:
 
     Node order is a valid topological order of the computation.  ``backward``
     may be called exactly once; the tape is rebuilt on every forward pass.
+    Entering a tape while another records on the same thread raises.
     """
 
     __slots__ = ("_nodes", "_used")
@@ -125,13 +113,13 @@ class Tape:
         self._used = False
 
     def __enter__(self):
-        _tape_stack().append(self)
+        if _active_tape() is not None:
+            raise RuntimeError("a tape is already recording on this thread")
+        _state.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        stack = _tape_stack()
-        assert stack and stack[-1] is self
-        stack.pop()
+        _state.tape = None
         return False
 
     def __len__(self):
@@ -172,12 +160,6 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad += g
 
 
-def _debug_finite(out: Tensor, *inputs: Tensor) -> None:
-    if DEBUG_CHECKS and not np.isfinite(out.data).all():
-        if all(np.isfinite(t.data).all() for t in inputs):
-            raise FloatingPointError("non-finite output from finite inputs")
-
-
 def will_record(inputs: Iterable[Tensor]) -> bool:
     """Whether an op on these inputs would be recorded on the active tape;
     fused ops keep their backward state only then."""
@@ -198,7 +180,6 @@ def custom_op(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable)
     requires a gradient when any input does; without an active tape nothing
     is recorded."""
     out = Tensor(data, dtype=data.dtype.type)
-    _debug_finite(out, *inputs)
     out.requires_grad = any(t.requires_grad for t in inputs)
     tape = _active_tape()
     if tape is not None and out.requires_grad:

@@ -212,8 +212,8 @@ def finite_difference_errors(
 
     def probe(flat: np.ndarray, k: int, i: int, value) -> float:
         """f with entry i of leaf k (``flat``) set to value, then restored.
-        A non-finite loss, or the debug checks' report of one, names the
-        entry."""
+        A non-finite loss, or an op's FloatingPointError on the way to one,
+        names the entry."""
         saved = flat[i]
         flat[i] = value
         try:

@@ -32,7 +32,12 @@ within 1e-12 of each array's largest magnitude, which held on the Skylake-X,
 Haswell, Sandy Bridge, Nehalem and Katmai kernels of one OpenBLAS build, also
 with numpy's AVX-512 and AVX2 loops switched off (largest deviation 5e-14).
 Values that no arithmetic decides (a checkpoint's ``config.json`` and
-``manifest.txt``, the carve calls) are digests compared everywhere.
+``manifest.txt``, the carve calls) are digests compared everywhere.  On every
+machine the float32 results of the cases that run the same inputs in both
+precisions (all but ``predict``) are also compared with the float64 values,
+within F32_RTOL of each array's largest magnitude.  On the Skylake-X,
+Haswell, Sandy Bridge and Nehalem kernels they differ by at most 4.4e-5 of
+it (one training step's parameters), 1.9e-6 for the fit's files.
 """
 
 from __future__ import annotations
@@ -58,6 +63,8 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 RECORD, VALUES = GOLDEN / "record.json", GOLDEN / "float64.npz"
 LOOKBACK, HORIZON, WIDTH = 12, 6, 8
 RTOL = 1e-12
+# float32 against float64 results, as the benchmark's F64_TOL.
+F32_RTOL = 1e-4
 DTYPES = {"float32": np.float32, "float64": np.float64}
 # float32 passes use several eval batches of unequal size; float64 passes
 # use one small batch, which keeps the stored values small.
@@ -213,38 +220,49 @@ def cases(kind: str):
                        decode(conv, blocks, mix_view, kind))
 
 
-def compute():
-    """(float32 digests, float64 values, digests of arithmetic-free values).
+def values(name, value, kind):
+    """A case's numbers as an array: a loss log's rows, a parameter file's
+    entries, or the array itself."""
+    if name.endswith(".jsonl"):
+        rows = [json.loads(line) for line in value.decode().splitlines()]
+        return np.array([list(row.values()) for row in rows], dtype=np.float64)
+    if name.endswith(".bin"):
+        return np.frombuffer(value, dtype=np.dtype(DTYPES[kind]).newbyteorder("<"))
+    return value
 
-    A float64 fit's loss log and parameter files are kept as values, its
-    config and manifest as digests.  Its ``b_i`` files are left out: the
-    gradient of ``b_i`` is zero up to rounding, so after a few Adam steps
-    ``b_i`` holds only rounding noise (about 1e-13), which moves by its own
-    size from one BLAS kernel to another.  Their float32 digests stay."""
-    f32 = {name: digest(value) for name, value in cases("float32")}
+
+def compute():
+    """(float32 digests, float64 values, digests of arithmetic-free values,
+    float32 values of every float64 case but ``predict``).
+
+    A fit's loss log and parameter files are kept as values, its config and
+    manifest as digests.  Its ``b_i`` files are left out: the gradient of
+    ``b_i`` is zero up to rounding, so after a few Adam steps ``b_i`` holds
+    only rounding noise (about 1e-13 in float64), which moves by its own size
+    from one BLAS kernel to another.  Their float32 digests stay."""
+    f32_cases = dict(cases("float32"))
+    f32 = {name: digest(value) for name, value in f32_cases.items()}
     f64, exact = {}, {}
     for name, value in cases("float64"):
-        if name.endswith(".jsonl"):
-            rows = [json.loads(line) for line in value.decode().splitlines()]
-            f64[name] = np.array([list(row.values()) for row in rows], dtype=np.float64)
-        elif name.endswith(".b_i.bin"):
+        if name.endswith(".b_i.bin"):
             continue
-        elif name.endswith(".bin"):
-            f64[name] = np.frombuffer(value, dtype="<f8")
-        elif isinstance(value, bytes):
+        if isinstance(value, bytes) and not name.endswith((".jsonl", ".bin")):
             exact[name] = digest(value)
         else:
-            f64[name] = value
+            f64[name] = values(name, value, "float64")
+    # predict runs fewer windows in float64 than in float32.
+    near = {name: values(name, f32_cases[name], "float32") for name in f64
+            if not name.startswith("predict/")}
     for variates, conv, blocks, axis, mix_view in itertools.product(
             (7, 321), (0, 4), (1, 2), (mixer.AXIS_VARIATES, mixer.AXIS_TIME), (True, False)):
         name = f"carve/V{variates}-conv{conv}-blocks{blocks}-axis-{axis}-view{int(mix_view)}"
         for part, value in carves(variates, conv, blocks, axis, mix_view).items():
             exact[f"{name}/{part}"] = value
-    return f32, f64, exact
+    return f32, f64, exact, near
 
 
 def write() -> None:
-    f32, f64, exact = compute()
+    f32, f64, exact, _ = compute()
     GOLDEN.mkdir(parents=True, exist_ok=True)
     RECORD.write_text(json.dumps({"fingerprint": fingerprint(), "float32": f32,
                                   "exact": exact}, indent=1, sort_keys=True) + "\n")

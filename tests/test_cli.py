@@ -187,6 +187,14 @@ def test_gradcheck_tiny_exits_zero(capsys):
     assert 0.0 < error < gradcheck.DIRECTIONAL_TOL
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_training_is_reported(tiny_csv, tmp_path, capsys):
+    # Adam steps at a learning rate of 1e30 blow the weights up, and a later
+    # forward stops on a non-finite gate pre-activation.
+    assert run_train(tiny_csv, tmp_path / "run", ["--lr", "1e30"]) == 2
+    assert capsys.readouterr().err.startswith("error: non-finite ")
+
+
 def test_missing_data_file_is_reported(tmp_path):
     code = cli.main(["train", "--data", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o")] + TRAIN_ARGS)

@@ -390,6 +390,17 @@ def test_view_symmetry_swaps_roles_bitwise():
     assert np.array_equal(out_r2, out_f1)
 
 
+def test_tiny_problem_screens_a_seed_with_one_forward(monkeypatch):
+    # Seed 0 passes its screen on the first trial: one forward builds the
+    # target and measures the stabilizer gap.
+    calls, forward = [], mixer.forward_batch
+    monkeypatch.setattr(mixer, "forward_batch",
+                        lambda *a, **k: calls.append(k) or forward(*a, **k))
+    with T.precision(np.float64):
+        gradcheck.build_tiny_problem(0)
+    assert len(calls) == 1 and calls[0]["stabilizer"] is not None
+
+
 def entry_errors(cfg=None, step: float = 1e-5) -> np.ndarray:
     """Per-entry finite-difference errors of the gradient check's tiny
     problem (seed 0), all parameters flattened in named_parameters order."""

@@ -113,8 +113,7 @@ def test_broadcast_backward_sums_over_expanded_axes():
     assert np.array_equal(col.grad, [[3.0], [3.0]])
 
 
-def test_div_by_zero_propagates_inf_under_tape(monkeypatch):
-    monkeypatch.setattr(T, "DEBUG_CHECKS", False)
+def test_div_by_zero_propagates_inf_under_tape():
     with Tape():
         out = R.div(Tensor([1.0]), Tensor([0.0]))
         assert np.isinf(out.data[0])
@@ -262,14 +261,20 @@ def test_fd_reports_nonfinite_probe():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_fd_reports_nonfinite_probe_under_debug_checks(monkeypatch):
-    # The debug checks stop the op with the non-finite output; the probe
-    # still names the leaf entry, and the entry keeps its value.
-    monkeypatch.setattr(T, "DEBUG_CHECKS", True)
+def test_fd_reports_floating_point_error_in_probe():
+    # An op that stops with FloatingPointError on a non-finite output, as
+    # the stack's pre-activation check does: the probe still names the leaf
+    # entry, and the entry keeps its value.
+    def checked_sqrt(t):
+        out = np.sqrt(t.data)
+        if not np.isfinite(out).all():
+            raise FloatingPointError("non-finite square root")
+        return T.custom_op(out, [t], lambda g: [g * 0.5 / out])
+
     with T.precision(np.float64):
         w = R.parameter([0.5, 0.0])
         with pytest.raises(GradcheckError, match="leaf 0 entry 1") as info:
-            R.finite_difference_errors(lambda: R.reduce_sum(R.sqrt(w)), [w], 1e-5)
+            R.finite_difference_errors(lambda: R.reduce_sum(checked_sqrt(w)), [w], 1e-5)
     assert isinstance(info.value.__cause__, FloatingPointError)
     assert w.data.tolist() == [0.5, 0.0]
 
@@ -397,15 +402,22 @@ def test_no_recording_without_tape():
         assert len(tape) == 1
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
-def test_debug_checks_flag_nonfinite_forward(monkeypatch):
-    monkeypatch.setattr(T, "DEBUG_CHECKS", True)
-    with pytest.raises(FloatingPointError):
-        R.exp(Tensor([1000.0]))  # finite input, float32 overflow
-    with pytest.raises(FloatingPointError):
-        R.mul(Tensor([1e30]), Tensor([1e30]))
-    with Tape(), pytest.raises(FloatingPointError):
-        R.div(Tensor([1.0]), Tensor([0.0]))  # propagates Inf without the checks
+def test_nested_tape_raises_and_the_outer_tape_keeps_recording():
+    w = R.parameter([2.0])
+    with Tape() as tape:
+        square = R.mul(w, w)
+        with pytest.raises(RuntimeError, match="already recording"):
+            with Tape():
+                pass
+        assert T.will_record([w])
+        loss = R.reduce_sum(R.mul(square, w))
+        assert len(tape) == 3
+        tape.backward(loss)
+    assert w.grad.tolist() == [12.0]  # d(w^3)/dw = 3 w^2
+    assert not T.will_record([w])
+    with Tape() as again:
+        R.mul(w, w)
+    assert len(again) == 1
 
 
 def test_dtype_policy():
