@@ -39,6 +39,25 @@ backward and weight gradient, is one batched product over the heads.
 Checkpoints that store the matrices densely are read through
 :func:`diagonal_blocks`.
 
+The stabilizer grows by about ``b_f`` per token, so along a long sequence
+the input gate ``i = exp(ĩ − m)`` sinks through the subnormal range, where
+arithmetic is many times slower.  So before the exponential, every
+input-gate argument below F = ½·ln(smallest subnormal) of the dtype (−51.6
+in float32, −372.2 in float64) is flushed to −inf, whose exponential is
+exactly 0: the gate history holds zeros where it held subnormals, and the
+backward's input-gate gradients are exactly 0 there too.  A flushed gate is
+below exp(F), about 4e-23 in float32, while n on the stabilized scale stays
+at least min(1, exp(ĩ − f̃)) of the first token; so unless f̃ − ĩ there
+exceeds about 35 (float32), the gate could not have moved n.  It could move
+a c that cancels towards 0, so the flush keeps outputs bit-identical in
+practice, not by construction, and the tests hold it to the unflushed path.
+A step whose every entry is flushed has i = 0 and f = 1, so it leaves c and
+n as they are, and without a tape it skips their update.  The first token is
+never flushed: there ``n = i`` from the zero state, so a flushed gate would
+make ``h`` 0/0.  If the first token's gate underflows by itself (f̃ − ĩ
+beyond about 104 in float32), the run stops with a ``FloatingPointError``
+that names the normalizer.
+
 The input-gate bias ``b_i`` has no effect on the output: from the zero state
 a per-unit constant added to the input-gate pre-activation scales ``c`` and
 ``n`` alike, so ``h = o c / n`` is unchanged, and its gradient is zero up to
@@ -150,9 +169,25 @@ class StabilizerStats:
     """Stabilizer health gathered from the forward passes it is handed to.
 
     ``min_gap`` is the smallest |(f̃ + m_prev) − ĩ| seen: how close the
-    running max came to switching operands, where its derivative jumps."""
+    running max came to switching operands, where its derivative jumps.
+    ``flushed_share`` is the share of the ``gate_entries`` input-gate entries
+    seen that were flushed to exactly 0 (see the module docstring), and
+    ``first_dead_token`` the first token at which a recurrence flushed every
+    entry of its step, or None."""
 
     min_gap: float = math.inf
+    gate_entries: int = 0
+    flushed_entries: int = 0
+    flushed_share: float = 0.0
+    first_dead_token: int | None = None
+
+    def count_flushed(self, token: int, entries: int, flushed: int) -> None:
+        """Count one step's input gate: ``flushed`` of its ``entries``."""
+        self.gate_entries += entries
+        self.flushed_entries += flushed
+        self.flushed_share = self.flushed_entries / self.gate_entries
+        if flushed == entries and (self.first_dead_token is None or token < self.first_dead_token):
+            self.first_dead_token = token
 
 
 @dataclass
@@ -200,6 +235,11 @@ _CHECK_ORDER = (("input", 2), ("forget", 3), ("cell-input", 0), ("output", 1))
 # buffers that live for one chunk stay this small however long the sequence
 # is.  Dropout masks are drawn in pieces of this many rows.
 CHUNK_ROWS = 2048
+
+# An input-gate argument ĩ − m below this multiple of ln(smallest subnormal)
+# of its dtype (−51.6 in float32, −372.2 in float64) is flushed, so that its
+# gate is exactly 0 rather than subnormal.
+_FLUSH = 0.5
 
 # Each array carved from a Scratch starts a multiple of this many bytes (a
 # cache line) into its buffer.
@@ -267,9 +307,15 @@ class _Recurrence:
         self.w = [np.ascontiguousarray(getattr(p, "w_" + gate).data.T) for gate in _GATES]
         self.b = [getattr(p, "b_" + gate).data for gate in _GATES]
         self.r = np.ascontiguousarray(_recurrent(p).swapaxes(-1, -2))
+        # The output gate is the logistic (1 + tanh(õ / 2)) / 2; halving its
+        # weights and bias here gives õ / 2 exactly, in place of õ.
+        self.w[1], self.b[1] = self.w[1] * 0.5, self.b[1] * 0.5
+        self.r[1] *= 0.5
+        self.floor = step.dtype.type(_FLUSH * math.log(np.finfo(step.dtype).smallest_subnormal))
         self.pre, self.rec, self.tmp = pre, step[:4], step[4]
         step[5:].fill(0.0)
         self.h, self.c, self.n, self.m = step[5:]
+        self.tokens = 0
 
     def run(self, x: np.ndarray, x_if: np.ndarray, hs: np.ndarray, cells=()) -> None:
         """Fold the cell over the rows of x into hs.
@@ -284,50 +330,77 @@ class _Recurrence:
         its pre-activations once they are read, and its c and n go to its
         rows, so the pre-activation slab and ``cells`` are the history the
         backward reads; without it the gates overwrite the step's slab and
-        c, n are updated in place.
+        c, n are updated in place.  The input gate is flushed as the module
+        docstring says, from the recurrence's second token on.
         """
         rows, batch, stats, tmp, m = x.shape[0], self.batch, self.stats, self.tmp, self.m
         pre = self.pre[:, :rows]
         for k, src in enumerate((x, x, x_if, x_if)):
             np.matmul(src, self.w[k], out=pre[k])
             pre[k] += self.b[k]
-        rec, rec_heads = self.rec, _per_head(self.rec, self.heads)
+        heads, r, floor, start = self.heads, self.r, self.floor, self.tokens
+        rec, rec_heads = self.rec, _per_head(self.rec, heads)
+        rec_zo, rec_o, i_tilde, f_tilde = rec[:2], rec[1], rec[2], rec[3]
         h, c, n = self.h, self.c, self.n
-        act = rec
-        for lo in range(0, rows, batch):
-            now = slice(lo, lo + batch)
-            c_prev, n_prev = c, n
-            np.matmul(_per_head(h, self.heads), self.r, out=rec_heads)
-            rec += pre[:, now]
-            if not np.isfinite(rec).all():
-                _raise_nonfinite(rec)
-            if cells:
-                act, c, n = pre[:, now], cells[0][now], cells[1][now]
-            z, o, i, f = act
-            rec[1] *= 0.5                        # overflow-free logistic
-            np.tanh(rec[:2], out=act[:2])
-            o *= 0.5
-            o += 0.5
-            i_tilde, f_tilde = rec[2], rec[3]
-            f_tilde += m
-            if stats is not None:
-                np.subtract(f_tilde, i_tilde, out=tmp)
-                stats.min_gap = min(stats.min_gap, float(np.abs(tmp, out=tmp).min()))
-            np.maximum(f_tilde, i_tilde, out=m)
-            np.subtract(rec[2:], m, out=act[2:])
-            np.exp(act[2:], out=act[2:])
-            np.multiply(i, z, out=tmp)           # c = f c_prev + i z
-            np.multiply(f, c_prev, out=c)
-            c += tmp
-            np.multiply(f, n_prev, out=n)        # n = f n_prev + i
-            n += i
-            h = hs[now]                          # h = o c / n
-            np.multiply(o, c, out=h)
-            h /= n
+        z, o, i, f = act = rec
+        act_zo, act_if = act[:2], act[2:]
+        with np.errstate(divide="ignore"):
+            for lo in range(0, rows, batch):
+                now, token = slice(lo, lo + batch), start + lo // batch
+                c_prev, n_prev = c, n
+                np.matmul(_per_head(h, heads), r, out=rec_heads)
+                rec += pre[:, now]
+                if not np.isfinite(rec).all():
+                    _raise_nonfinite(rec)
+                if cells:
+                    act, c, n = pre[:, now], cells[0][now], cells[1][now]
+                    z, o, i, f = act
+                    act_zo, act_if = act[:2], act[2:]
+                f_tilde += m
+                if stats is not None:
+                    np.subtract(f_tilde, i_tilde, out=tmp)
+                    stats.min_gap = min(stats.min_gap, float(np.abs(tmp, out=tmp).min()))
+                np.maximum(f_tilde, i_tilde, out=m)
+                np.subtract(i_tilde, m, out=i)
+                # A step whose every entry is flushed has i = 0 and f = 1, so
+                # without a history to write, c and n stay as they are.
+                flush = token and i.min() < floor
+                dead = flush and not cells and i.max() < floor
+                flushed = i.size if dead else 0
+                if flush and not dead:
+                    # A dead argument is divided by 0: -inf, whose exp is 0.
+                    np.greater_equal(i, floor, out=tmp)
+                    i /= tmp
+                    if stats is not None:
+                        flushed = i.size - np.count_nonzero(tmp)
+                if stats is not None:
+                    stats.count_flushed(token, i.size, flushed)
+                if dead:
+                    np.tanh(rec_o, out=o)
+                else:
+                    np.tanh(rec_zo, out=act_zo)  # õ is halved: overflow-free logistic
+                    np.subtract(f_tilde, m, out=f)
+                    np.exp(act_if, out=act_if)
+                    np.multiply(i, z, out=tmp)   # c = f c_prev + i z
+                    np.multiply(f, c_prev, out=c)
+                    c += tmp
+                    np.multiply(f, n_prev, out=n)  # n = f n_prev + i
+                    n += i
+                    if not token and not n.all():
+                        raise FloatingPointError(
+                            "normalizer underflow at the first token: the input gate is 0 "
+                            "where the forget pre-activation exceeds the input one by too "
+                            "much, so h = o c / n is 0 / 0")
+                o *= 0.5
+                o += 0.5
+                h = hs[now]                      # h = o c / n
+                np.multiply(o, c, out=h)
+                h /= n
         # The next chunk starts from this state.  h is copied out of hs,
         # which the next block of a stream overwrites.
         np.copyto(self.h, h)
         self.c, self.n = c, n
+        self.tokens = start + rows // batch
 
 
 def _recurrence_backward(p: SLstmParams, d_hs: np.ndarray, hs: np.ndarray, history,

@@ -51,8 +51,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.lr_initial <= 0:
-            raise ValueError("lr_initial must be positive")
+        if not (math.isfinite(self.lr_initial) and self.lr_initial > 0):
+            raise ValueError(f"lr_initial must be positive and finite, got {self.lr_initial}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.warmup_steps < 0:
@@ -269,18 +269,20 @@ def fit(params: MixerParams, cfg: MixerConfig, train_ds, val_ds,
                 idx = order[b * train_cfg.batch_size:(b + 1) * train_cfg.batch_size]
                 xs, ys = train_ds.batch(idx)
                 flat.grad.fill(0)
-                with Tape() as tape:
-                    pred = mixer.forward_batch(params, cfg, xs, training=True, rng=rng,
-                                               scratch=scratch)
-                    loss = mae_loss(pred, mixer.flatten_targets(ys))
-                    value = loss.item()
-                    if not math.isfinite(value):
-                        raise FloatingPointError(
-                            f"non-finite loss {value} at epoch {epoch}, batch {b}"
-                        )
-                    tape.backward(loss)
-                clip_global_norm(flat.grad, flat.segments)
                 lr = lr_at_step(step, total_steps, train_cfg)
+                try:
+                    with Tape() as tape:
+                        pred = mixer.forward_batch(params, cfg, xs, training=True, rng=rng,
+                                                   scratch=scratch)
+                        loss = mae_loss(pred, mixer.flatten_targets(ys))
+                        value = loss.item()
+                        if not math.isfinite(value):
+                            raise FloatingPointError(f"non-finite loss {value}")
+                        tape.backward(loss)
+                    clip_global_norm(flat.grad, flat.segments)
+                except FloatingPointError as exc:
+                    raise FloatingPointError(f"{exc} at epoch {epoch}, batch {b}, step {step}, "
+                                             f"learning rate {lr:g}") from exc
                 adam_step(state, flat.data, flat.grad, lr)
                 step += 1
                 epoch_abs += value * xs.shape[0] * xs.shape[1] * cfg.horizon
