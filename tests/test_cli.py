@@ -190,9 +190,22 @@ def test_gradcheck_tiny_exits_zero(capsys):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverged_training_is_reported(tiny_csv, tmp_path, capsys):
     # Adam steps at a learning rate of 1e30 blow the weights up, and a later
-    # forward stops on a non-finite gate pre-activation.
+    # forward stops on a non-finite gate pre-activation, named with the step
+    # it failed in.
     assert run_train(tiny_csv, tmp_path / "run", ["--lr", "1e30"]) == 2
-    assert capsys.readouterr().err.startswith("error: non-finite ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite ")
+    assert " at epoch 0, batch " in err and ", learning rate " in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_learning_rate_is_reported_before_any_output(tiny_csv, tmp_path, capsys,
+                                                               value):
+    out = tmp_path / "run"
+    assert run_train(tiny_csv, out, ["--lr", value]) == 2
+    assert (capsys.readouterr().err
+            == f"error: lr_initial must be positive and finite, got {float(value)}\n")
+    assert not out.exists()
 
 
 def test_missing_data_file_is_reported(tmp_path):

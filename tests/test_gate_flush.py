@@ -1,0 +1,225 @@
+"""The input-gate flush against the unflushed recurrence, kept as its oracle.
+
+Setting ``slstm._FLUSH`` to infinity puts the flush threshold at -inf, so
+nothing is flushed and the recurrence runs as it did before the flush: every
+input-gate argument goes through the exponential, subnormal results and all.
+A forget bias well above its init value of 1 makes the stabilizer grow fast,
+so a few dozen tokens reach the region where the input gate dies.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from mixcast import mixer, slstm, tensor as T, training
+from mixcast.slstm import BlockConfig
+from mixcast.tensor import Tape, Tensor
+
+from test_slstm import random_cell, run_sequence
+
+# A forget bias per dtype that takes the input gate past the flush threshold
+# (-51.6 in float32, -372.2 in float64) within about 10 and 32 tokens.
+FORGET_BIAS = {np.float32: 6.0, np.float64: 12.0}
+VARIATES, LOOKBACK, HORIZON, WIDTH, BATCH = 40, 8, 4, 8, 3
+
+
+@pytest.fixture
+def unflushed(monkeypatch):
+    def off():
+        monkeypatch.setattr(slstm, "_FLUSH", math.inf)
+    return off
+
+
+def subnormal_count(a):
+    return int(np.count_nonzero((a != 0) & (np.abs(a) < np.finfo(a.dtype).tiny)))
+
+
+def model(dtype, conv, blocks, dropout, ref_dtype=None):
+    """A model initialized in float64, rounded to dtype, with a raised forget
+    bias; with ``ref_dtype`` its values are then widened to it, so the two
+    share every weight."""
+    cfg = mixer.MixerConfig(lookback=LOOKBACK, horizon=HORIZON, num_variates=VARIATES,
+                            embed_dim=WIDTH, num_blocks=blocks,
+                            block=BlockConfig(d_hidden=WIDTH, num_heads=2, conv_width=conv,
+                                              dropout_rate=dropout))
+    with T.precision(np.float64):
+        params = mixer.init_mixer_params(cfg, np.random.default_rng(7))
+    for w in params.blocks:
+        w.cell.b_f.data[:] = FORGET_BIAS[dtype]
+    for _, t, _ in params.named_parameters():
+        t.data = t.data.astype(dtype).astype(ref_dtype or dtype)
+    return params, cfg
+
+
+def windows(dtype):
+    rng = np.random.default_rng(8)
+    return (rng.normal(size=(BATCH, VARIATES, LOOKBACK)).astype(dtype),
+            rng.normal(size=(BATCH, VARIATES, HORIZON)).astype(dtype))
+
+
+def training_step(params, cfg, xs, ys, stats=None):
+    """The forecast and every parameter gradient of one taped step."""
+    leaves = [t for _, t, _ in params.named_parameters()]
+    for t in leaves:
+        t.zero_grad()
+    with Tape() as tape:
+        pred = mixer.forward_batch(params, cfg, xs, training=True,
+                                   rng=np.random.default_rng(9), stabilizer=stats)
+        tape.backward(training.mae_loss(pred, mixer.flatten_targets(ys)))
+    return [pred.data.copy()] + [t.grad.copy() for t in leaves]
+
+
+def assert_equal_or_closer(flushed, oracle, reference, names):
+    """Each flushed array equals the unflushed one byte for byte; where it
+    does not, the largest deviation is stated, and a float32 array must sit
+    no further from the float64 reference than the unflushed one."""
+    for name, got, want, ref in zip(names, flushed, oracle, reference or [None] * len(names)):
+        if np.array_equal(got, want):
+            continue
+        deviation = float(np.abs(got - want).max())
+        assert ref is not None, f"{name}: flushed differs from unflushed by {deviation:.3e}"
+        got_err, want_err = (float(np.abs(a - ref).max()) for a in (got, want))
+        assert got_err <= want_err, (
+            f"{name}: flushed differs from unflushed by {deviation:.3e} and sits "
+            f"{got_err:.3e} from float64, against {want_err:.3e}")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("conv", [0, 4])
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+def test_flushed_training_step_matches_the_unflushed_one(dtype, conv, blocks, dropout,
+                                                         unflushed):
+    params, cfg = model(dtype, conv, blocks, dropout)
+    xs, ys = windows(dtype)
+    names = ["forecast"] + [name for name, _, _ in params.named_parameters()]
+    stats = slstm.StabilizerStats()
+    flushed = training_step(params, cfg, xs, ys, stats)
+    # The case reaches the dead region, and leaves some of it alive.
+    assert 0.0 < stats.flushed_share < 1.0 and stats.first_dead_token is not None
+    reference = None
+    if dtype == np.float32:
+        wide, _ = model(dtype, conv, blocks, dropout, ref_dtype=np.float64)
+        reference = training_step(wide, cfg, xs.astype(np.float64), ys.astype(np.float64))
+    unflushed()
+    oracle = training_step(params, cfg, xs, ys)
+    assert_equal_or_closer(flushed, oracle, reference, names)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("conv", [0, 4])
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_flushed_eval_forward_matches_the_unflushed_one(dtype, conv, blocks, unflushed,
+                                                        monkeypatch):
+    # Chunks of 3 tokens carry the state, dead steps included, across seams.
+    monkeypatch.setattr(slstm, "CHUNK_ROWS", 3 * 2 * BATCH)
+    params, cfg = model(dtype, conv, blocks, 0.0)
+    xs, _ = windows(dtype)
+    stats = slstm.StabilizerStats()
+    flushed = mixer.forward_batch(params, cfg, xs, stabilizer=stats).data
+    assert stats.first_dead_token is not None
+    unflushed()
+    oracle = mixer.forward_batch(params, cfg, xs).data
+    assert_equal_or_closer([flushed], [oracle], None, ["forecast"])
+
+
+def census_stream(dtype, record, chunk_tokens=None, stats=None, tokens=80, batch=4):
+    """One block over ``tokens`` tokens of a batch of 4, with a raised forget
+    bias, and its stream.  Recording, it runs as one chunk and returns the
+    mean absolute output as a loss on its tape; otherwise it runs in chunks
+    of ``chunk_tokens`` and returns the output."""
+    rng = np.random.default_rng(11)
+    cfg = BlockConfig(d_hidden=WIDTH, num_heads=2)
+    with T.precision(dtype):
+        w = slstm.init_block_weights(cfg, rng)
+    w.cell.b_f.data[:] = FORGET_BIAS[dtype]
+    x = rng.uniform(-1, 1, size=(tokens * batch, WIDTH)).astype(dtype)
+    rows = x.shape[0]
+    chunk = rows if chunk_tokens is None else chunk_tokens * batch
+    stream = slstm.Stream(cfg, [w], batch, rows, chunk, slstm.Scratch(), dtype, record=record,
+                          stats=stats)
+    if record:
+        with Tape() as tape:
+            y = slstm._stack_tokens(stream, Tensor(x, requires_grad=True, dtype=dtype))
+            return training.mae_loss(y, np.zeros_like(x)), stream, tape
+    outs = [slstm._stack_tokens(stream, Tensor(x[lo:lo + chunk], dtype=dtype)).data
+            for lo in range(0, rows, chunk)]
+    return np.concatenate(outs), stream, None
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_no_subnormal_in_the_gate_history_or_its_gradients(dtype, unflushed):
+    loss, stream, tape = census_stream(dtype, record=True)
+    gates = stream.blocks[0].pre
+    i_history = gates[2].copy()
+    tape.backward(loss)
+    d_z, d_i = gates[0], gates[2]
+    assert (i_history == 0).any(), "the case never reaches the dead region"
+    assert [subnormal_count(a) for a in (i_history, d_z, d_i)] == [0, 0, 0]
+
+    # Unflushed, the same case holds subnormals in each of the three.
+    unflushed()
+    loss, stream, tape = census_stream(dtype, record=True)
+    gates = stream.blocks[0].pre
+    counts = [subnormal_count(gates[2])]
+    tape.backward(loss)
+    counts += [subnormal_count(gates[0]), subnormal_count(gates[2])]
+    assert all(counts), counts
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stats_read_the_flush_off_a_run(dtype):
+    # A flushed gate is exactly 0 in the history, and no other gate is:
+    # every argument at or above the threshold has a normal exponential.
+    stats = slstm.StabilizerStats()
+    _, stream, _ = census_stream(dtype, record=True, stats=stats)
+    dead = stream.blocks[0].pre[2] == 0
+    steps = dead.reshape(-1, 4 * WIDTH).all(axis=1)
+    assert stats.gate_entries == dead.size
+    assert stats.flushed_entries == np.count_nonzero(dead)
+    assert stats.flushed_share == np.count_nonzero(dead) / dead.size
+    assert stats.first_dead_token == int(np.argmax(steps)) > 0
+    assert 0.5 < stats.flushed_share < 1.0
+
+    # The path without a tape, which skips a dead step's update, reads the
+    # same.
+    streamed = slstm.StabilizerStats()
+    census_stream(dtype, record=False, chunk_tokens=7, stats=streamed)
+    assert (streamed.gate_entries, streamed.flushed_entries, streamed.first_dead_token) == \
+        (stats.gate_entries, stats.flushed_entries, stats.first_dead_token)
+
+
+@pytest.mark.parametrize("tokens", [1, 3])
+def test_first_token_normalizer_underflow_is_named(tokens):
+    # f̃ − ĩ near 110 puts the first token's input gate below float32's
+    # smallest subnormal, so n = i = 0 there and h would be 0/0.
+    p = random_cell(np.random.default_rng(12), dtype=np.float32)
+    p.b_f.data[:] = 110.0
+    xs = np.random.default_rng(13).uniform(-1, 1, size=(tokens, 4)).astype(np.float32)
+    with pytest.raises(FloatingPointError, match="^normalizer underflow at the first token"):
+        run_sequence(p, xs)
+
+
+def test_decoding_the_learned_token_names_the_normalizer_underflow():
+    cfg = mixer.MixerConfig(lookback=LOOKBACK, horizon=HORIZON, num_variates=3,
+                            embed_dim=WIDTH, num_blocks=1,
+                            block=BlockConfig(d_hidden=WIDTH, num_heads=2))
+    params = mixer.init_mixer_params(cfg, np.random.default_rng(14))
+    params.blocks[0].cell.b_f.data[:] = 110.0
+    with pytest.raises(FloatingPointError, match="^normalizer underflow at the first token"):
+        mixer.decode_init_token(params, cfg)
+
+
+def test_first_token_is_never_flushed(unflushed):
+    # f̃ − ĩ near 60: the first token's gate, about 1e-26, is below the
+    # threshold but normal, and n is that gate, so flushing it would make h
+    # 0/0.  The first token is exempt: the run is finite, and equal to the
+    # unflushed path.
+    p = random_cell(np.random.default_rng(12), dtype=np.float32)
+    p.b_f.data[:] = 60.0
+    xs = np.random.default_rng(13).uniform(-1, 1, size=(5, 4)).astype(np.float32)
+    flushed = run_sequence(p, xs)
+    assert np.isfinite(flushed).all()
+    unflushed()
+    assert np.array_equal(flushed, run_sequence(p, xs))

@@ -338,6 +338,29 @@ def test_train_config_rejects_values_below_their_floor(field, value):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("lr", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+def test_train_config_rejects_a_learning_rate_that_is_not_positive_and_finite(lr):
+    # nan and inf passed the old check `lr_initial <= 0`, and the run then
+    # diverged on its first steps.
+    with pytest.raises(ValueError, match="^lr_initial must be positive and finite, got "):
+        TrainConfig(lr_initial=lr)
+
+
+def test_fit_names_the_step_a_floating_point_error_stops(tmp_path):
+    # A forget bias of 110 underflows the first token's input gate in
+    # float32, which the recurrence reports; fit adds where it happened.
+    ds = make_affine_task(48)
+    cfg = small_config()
+    params = mixer.init_mixer_params(cfg, np.random.default_rng(3))
+    params.blocks[0].cell.b_f.data[:] = 110.0
+    tc = TrainConfig(batch_size=16, max_epochs=1, seed=0)
+    with pytest.raises(FloatingPointError) as caught:
+        training.fit(params, cfg, ds, ds, tc, tmp_path)
+    assert str(caught.value) == (f"{caught.value.__cause__} at epoch 0, batch 0, step 0, "
+                                 "learning rate 0")
+    assert str(caught.value.__cause__).startswith("normalizer underflow at the first token")
+
+
 def test_train_config_floors_are_accepted():
     cfg = TrainConfig(max_epochs=1, warmup_steps=0, patience=0)
     assert lr_at_step(0, 10, cfg) == cfg.lr_initial
