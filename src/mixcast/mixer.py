@@ -221,14 +221,16 @@ def revin_normalize(params: RevInParams, x: np.ndarray, batch: int = 1):
         raise ShapeError("normalization needs at least one time step")
     data = x.astype(np.result_type(x, gamma.data, beta.data), copy=False)
 
-    mean = data.mean(axis=1, keepdims=True)
-    xhat = data - mean
-    out = np.square(xhat)
-    std = out.mean(axis=1, keepdims=True)
+    # One einsum pass for each row statistic, whose result for a row does
+    # not depend on the rows beside it (slstm.row_moments): a streamed chunk
+    # normalizes its rows as a whole-batch forward does.
+    xhat, out = np.empty_like(data), np.empty_like(data)
+    mean, std = (np.empty((data.shape[0], 1), data.dtype) for _ in range(2))
+    slstm.row_moments(data, xhat, mean, std)
     std += data.dtype.type(REVIN_EPS)
     np.sqrt(std, out=std)
     xhat /= std
-    # The output overwrites the spent squares; the backward reads xhat.
+    # The backward reads xhat.
     out3 = _per_variate(out, v)
     np.multiply(_per_variate(xhat, v), gamma.data[:, None], out=out3)
     out3 += beta.data[:, None]

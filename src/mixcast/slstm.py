@@ -276,6 +276,24 @@ def _raise_nonfinite(pre: np.ndarray) -> None:
             raise FloatingPointError(f"non-finite pre-activation in {name} gate")
 
 
+def row_moments(x: np.ndarray, centred: np.ndarray, mean: np.ndarray, var: np.ndarray) -> None:
+    """Each row's mean of x into ``mean`` [rows, 1], x minus it into
+    ``centred``, and the mean of the centred squares into ``var`` [rows, 1],
+    which may be ``mean`` itself.
+
+    Each statistic is one einsum pass, which reduces every row on its own:
+    a row's result does not depend on how many rows share the call, or where
+    they sit in memory, so a forward streamed in chunks normalizes each row
+    exactly as a forward over all of them does.  A reduction that does
+    depend on the row count (a BLAS ``x @ ones`` does) would break that."""
+    width = x.shape[1]
+    np.einsum("ij->i", x, out=mean[:, 0])
+    mean /= width
+    np.subtract(x, mean, out=centred)
+    np.einsum("ij,ij->i", centred, centred, out=var[:, 0])
+    var /= width
+
+
 def _recurrent(p: SLstmParams) -> np.ndarray:
     """R_z, R_o, R_i, R_f stacked as [4, H, d_h, d_h]."""
     return np.stack([getattr(p, "r_" + gate).data for gate in _GATES])
@@ -556,12 +574,10 @@ def _block(chunks: _BlockChunks, x: Tensor) -> Tensor:
     normed = ring[tail:tail + rows]
     xhat, *cells = [a[:rows] for a in chunks.history] if chunks.record else [normed]
 
-    # Layer norm over each row, with eps in the rows' dtype; the squares go
-    # through the pre-activation slab, which is free until the recurrence
-    # fills it.
-    np.subtract(x_in, x_in.mean(axis=1, keepdims=True), out=xhat)
-    squares = np.square(xhat, out=pre[0, :rows])
-    np.mean(squares, axis=1, keepdims=True, out=inv_std)
+    # Layer norm over each row, with eps in the rows' dtype: the row
+    # statistics take one einsum pass each (row_moments), the mean and then
+    # the variance in the inverse-deviation buffer.
+    row_moments(x_in, xhat, inv_std, inv_std)
     inv_std += eps
     np.sqrt(inv_std, out=inv_std)
     np.divide(1.0, inv_std, out=inv_std)

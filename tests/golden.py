@@ -1,9 +1,12 @@
 """The golden record: outputs of the whole model pinned across changes.
 
 ``python tests/golden.py`` (with ``src`` on ``PYTHONPATH``) recomputes every
-case and rewrites ``tests/data/golden/``; ``tests/test_golden.py`` recomputes
-them and compares.  A change that moves outputs on purpose regenerates the
-record in the same commit and says by how much they moved.
+case, prints how the results differ from the record they replace (the
+largest float64 deviation of each family of cases and the float32 digests
+that moved), and rewrites ``tests/data/golden/``; ``tests/test_golden.py``
+recomputes them and compares.  A change that moves outputs on purpose
+regenerates the record in the same commit and says by how much they moved,
+which is what the comparison prints.
 
 The cases:
 
@@ -261,8 +264,45 @@ def compute():
     return f32, f64, exact, near
 
 
+def compare(f32: dict, f64: dict, exact: dict) -> list[str]:
+    """Lines that say how new results differ from the record they replace:
+    for each family of cases (the name up to its first ``/``), the largest
+    float64 deviation, absolute and over the recorded array's largest
+    magnitude, and the case it is in; then the float32 digests and
+    arithmetic-free digests that moved, or appeared, or went."""
+    if not RECORD.exists():
+        return ["no record to compare with"]
+    record = json.loads(RECORD.read_text())
+    lines = []
+    if record["fingerprint"] != fingerprint():
+        lines.append(f"the float32 digests were made in {record['fingerprint']}, "
+                     f"this is {fingerprint()}")
+    worst = {}
+    with np.load(VALUES) as stored:
+        for name in sorted(set(f64) | set(stored.files)):
+            family = name.split("/")[0]
+            if name not in f64 or name not in stored.files or f64[name].shape != stored[name].shape:
+                lines.append(f"float64 {name}: only in the "
+                             f"{'new results' if name in f64 else 'record'}, or reshaped")
+                continue
+            want = stored[name]
+            deviation = float(np.abs(f64[name] - want).max())
+            relative = deviation / max(float(np.abs(want).max()), np.finfo(np.float64).tiny)
+            if family not in worst or relative > worst[family][1]:
+                worst[family] = (deviation, relative, name)
+    for family, (deviation, relative, name) in sorted(worst.items()):
+        lines.append(f"float64 {family}: largest deviation {deviation:.3e} "
+                     f"({relative:.3e} of the largest magnitude) in {name}")
+    for kind, new, old in (("float32", f32, record["float32"]), ("exact", exact, record["exact"])):
+        moved = sorted(name for name in set(new) | set(old) if new.get(name) != old.get(name))
+        lines.append(f"{kind} digests moved: {len(moved)} of {len(new)}")
+        lines += [f"  {name}" for name in moved]
+    return lines
+
+
 def write() -> None:
     f32, f64, exact, _ = compute()
+    print("\n".join(compare(f32, f64, exact)))
     GOLDEN.mkdir(parents=True, exist_ok=True)
     RECORD.write_text(json.dumps({"fingerprint": fingerprint(), "float32": f32,
                                   "exact": exact}, indent=1, sort_keys=True) + "\n")

@@ -61,3 +61,18 @@ def test_float32_bytes_match(computed, record):
     assert sorted(got) == sorted(record["float32"])
     moved = [name for name in got if got[name] != record["float32"][name]]
     assert not moved, f"float32 outputs moved in {record['fingerprint']}: {moved}"
+
+
+def test_regeneration_states_what_moved(computed):
+    # What `python tests/golden.py` prints before it rewrites the record:
+    # a largest float64 deviation for each family of cases, and no digest
+    # moved when the results are the recorded ones.
+    f32, f64, exact, _ = computed
+    lines = golden.compare(f32, f64, exact)
+    for family in ("decode", "fit", "predict", "step"):
+        assert any(line.startswith(f"float64 {family}: largest deviation ") for line in lines)
+    assert f"exact digests moved: 0 of {len(exact)}" in lines
+    moved = {name: digest + "0" for name, digest in exact.items() if name.endswith("/eval")}
+    lines = golden.compare(f32, f64, {**exact, **moved})
+    assert f"exact digests moved: {len(moved)} of {len(exact)}" in lines
+    assert set(lines) >= {f"  {name}" for name in moved}
