@@ -52,7 +52,14 @@ exceeds about 35 (float32), the gate could not have moved n.  It could move
 a c that cancels towards 0, so the flush keeps outputs bit-identical in
 practice, not by construction, and the tests hold it to the unflushed path.
 A step whose every entry is flushed has i = 0 and f = 1, so it leaves c and
-n as they are, and without a tape it skips their update.  The first token is
+n as they are, and without a tape it skips their update.  Such a dead step
+reads no z, so without a tape it neither computes nor checks z̃: the step
+after a dead one makes the o, i and f pre-activations only, and adds z̃
+only if it turns out live; a chunk that starts dead defers z's input
+product until then.  Every pre-activation a step does compute is still
+checked, so a non-finite z̃ on a dead step goes unreported, as it does not
+reach the output, and the outputs are those of the four-gate steps bit for
+bit.  The first token is
 never flushed: there ``n = i`` from the zero state, so a flushed gate would
 make ``h`` 0/0.  If the first token's gate underflows by itself (f̃ − ĩ
 beyond about 104 in float32), the run stops with a ``FloatingPointError``
@@ -333,7 +340,18 @@ class _Recurrence:
         self.pre, self.rec, self.tmp = pre, step[:4], step[4]
         step[5:].fill(0.0)
         self.h, self.c, self.n, self.m = step[5:]
-        self.tokens = 0
+        self.tokens, self.dead = 0, False
+
+    def _cell_input(self, x: np.ndarray, h: np.ndarray, now: slice, deferred: bool) -> None:
+        """z̃ of the step at rows ``now`` into the recurrent-product slab, from
+        the previous step's h; first z's input product for the whole chunk x,
+        with the call shape of the other gates', if its chunk ``deferred`` it."""
+        pre = self.pre[0, :x.shape[0]]
+        if deferred:
+            np.matmul(x, self.w[0], out=pre)
+            pre += self.b[0]
+        np.matmul(_per_head(h, self.heads), self.r[0], out=_per_head(self.rec[0], self.heads))
+        self.rec[0] += pre[now]
 
     def run(self, x: np.ndarray, x_if: np.ndarray, hs: np.ndarray, cells=()) -> None:
         """Fold the cell over the rows of x into hs.
@@ -350,26 +368,44 @@ class _Recurrence:
         backward reads; without it the gates overwrite the step's slab and
         c, n are updated in place.  The input gate is flushed as the module
         docstring says, from the recurrence's second token on.
+
+        Without a tape, a step after a dead one makes the recurrent products,
+        the pre-activations and their finite check for o, i and f only, and a
+        chunk that starts dead defers z's input product.  If the step turns
+        out live, z's recurrent part is added then, after the chunk's input
+        product if it was deferred.
         """
         rows, batch, stats, tmp, m = x.shape[0], self.batch, self.stats, self.tmp, self.m
-        pre = self.pre[:, :rows]
+        pre, dead = self.pre[:, :rows], self.dead
+        deferred = dead
         for k, src in enumerate((x, x, x_if, x_if)):
-            np.matmul(src, self.w[k], out=pre[k])
-            pre[k] += self.b[k]
+            if k or not deferred:
+                np.matmul(src, self.w[k], out=pre[k])
+                pre[k] += self.b[k]
         heads, r, floor, start = self.heads, self.r, self.floor, self.tokens
         rec, rec_heads = self.rec, _per_head(self.rec, heads)
         rec_zo, rec_o, i_tilde, f_tilde = rec[:2], rec[1], rec[2], rec[3]
+        r_oif, rec_oif, rec_heads_oif = r[1:], rec[1:], rec_heads[1:]
         h, c, n = self.h, self.c, self.n
         z, o, i, f = act = rec
         act_zo, act_if = act[:2], act[2:]
         with np.errstate(divide="ignore"):
             for lo in range(0, rows, batch):
                 now, token = slice(lo, lo + batch), start + lo // batch
-                c_prev, n_prev = c, n
-                np.matmul(_per_head(h, heads), r, out=rec_heads)
-                rec += pre[:, now]
-                if not np.isfinite(rec).all():
-                    _raise_nonfinite(rec)
+                c_prev, n_prev, after_dead = c, n, dead
+                if after_dead:
+                    # Most likely dead too: z̃ waits until the step is live.
+                    np.matmul(_per_head(h, heads), r_oif, out=rec_heads_oif)
+                    rec_oif += pre[1:, now]
+                    if not np.isfinite(rec_oif).all():
+                        # Named as a step of all four gates would name it.
+                        self._cell_input(x, h, now, deferred)
+                        _raise_nonfinite(rec)
+                else:
+                    np.matmul(_per_head(h, heads), r, out=rec_heads)
+                    rec += pre[:, now]
+                    if not np.isfinite(rec).all():
+                        _raise_nonfinite(rec)
                 if cells:
                     act, c, n = pre[:, now], cells[0][now], cells[1][now]
                     z, o, i, f = act
@@ -384,6 +420,12 @@ class _Recurrence:
                 # without a history to write, c and n stay as they are.
                 flush = token and i.min() < floor
                 dead = flush and not cells and i.max() < floor
+                if after_dead and not dead:
+                    self._cell_input(x, h, now, deferred)
+                    deferred = False
+                    # o, i and f are finite, so only z̃ can fail the check.
+                    if not np.isfinite(z).all():
+                        _raise_nonfinite(rec)
                 flushed = i.size if dead else 0
                 if flush and not dead:
                     # A dead argument is divided by 0: -inf, whose exp is 0.
@@ -417,7 +459,7 @@ class _Recurrence:
         # The next chunk starts from this state.  h is copied out of hs,
         # which the next block of a stream overwrites.
         np.copyto(self.h, h)
-        self.c, self.n = c, n
+        self.c, self.n, self.dead = c, n, dead
         self.tokens = start + rows // batch
 
 

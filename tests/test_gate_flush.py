@@ -223,3 +223,136 @@ def test_first_token_is_never_flushed(unflushed):
     assert np.isfinite(flushed).all()
     unflushed()
     assert np.array_equal(flushed, run_sequence(p, xs))
+
+
+class ProductSpy:
+    """Reads off the matmuls of ``slstm``, per run of a recurrence, how many
+    steps it ran, how many of z's input products it made (one per chunk,
+    unless the chunk skipped it), how many products reached z's recurrent
+    slab (one per step, unless the step skipped it) and how many products
+    of the o, i and f gates alone it made.  ``runs`` holds one
+    [started dead, steps, z input, z recurrent, three-gate] list per run."""
+
+    def __init__(self, monkeypatch):
+        self.runs, self.cell = [], None
+        spy = self
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def matmul(a, b, out=None):
+                spy.product(out)
+                return np.matmul(a, b, out=out)
+
+        run = slstm._Recurrence.run
+
+        def spied(cell, x, x_if, hs, cells=()):
+            self.cell = cell
+            self.runs.append([cell.dead, x.shape[0] // cell.batch, 0, 0, 0])
+            try:
+                return run(cell, x, x_if, hs, cells)
+            finally:
+                self.cell = None
+
+        monkeypatch.setattr(slstm, "np", Numpy())
+        monkeypatch.setattr(slstm._Recurrence, "run", spied)
+
+    def product(self, out):
+        cell, counts = self.cell, self.runs[-1] if self.runs else None
+        if cell is None or out is None:
+            return
+        if np.may_share_memory(out, cell.pre[0]):
+            counts[2] += 1
+        elif np.may_share_memory(out, cell.rec[0]):
+            counts[3] += 1
+        elif np.may_share_memory(out, cell.rec[1:]):
+            counts[4] += 1
+
+    def skipped(self):
+        """(chunks that skipped z's input product, steps that skipped z's
+        recurrent product, chunks that started dead and then computed z)."""
+        return (sum(not z_in for _, _, z_in, _, _ in self.runs),
+                sum(steps - z_rec for _, steps, _, z_rec, _ in self.runs),
+                sum(bool(dead and z_in) for dead, _, z_in, _, _ in self.runs))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("conv", [0, 4])
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_dead_steps_skip_the_cell_input_and_match_the_unflushed_path(dtype, conv, blocks,
+                                                                     unflushed, monkeypatch):
+    # Chunks of 3 tokens: some start dead and skip z's input product.
+    monkeypatch.setattr(slstm, "CHUNK_ROWS", 3 * 2 * BATCH)
+    params, cfg = model(dtype, conv, blocks, 0.0)
+    xs, _ = windows(dtype)
+    with monkeypatch.context() as patch:
+        spy = ProductSpy(patch)
+        got = mixer.forward_batch(params, cfg, xs).data
+    chunks, steps, _ = spy.skipped()
+    assert chunks and steps, "no chunk or step skipped z: the comparison would be vacuous"
+    unflushed()
+    with monkeypatch.context() as patch:
+        spy = ProductSpy(patch)
+        want = mixer.forward_batch(params, cfg, xs).data
+    # The unflushed path has no dead steps: every product of z is made.
+    assert spy.skipped() == (0, 0, 0) and not any(run[4] for run in spy.runs)
+    assert got.tobytes() == want.tobytes()
+
+
+def revival_stream(dtype, chunk_tokens, tokens=20, batch=2):
+    """One block whose input gate dies, comes back at the spike tokens 10
+    and 12, and dies again, run over chunks of ``chunk_tokens`` tokens.
+
+    The forget bias is a tenth of the flush threshold's size F, so the
+    stabilizer grows by about F/10 a token, and every unit's input gate
+    reads feature 0 of the normed rows at a weight that makes ĩ about ±F/2:
+    rows are -e0 (ĩ about -F/2, dead from token 5 on) but at the spike
+    tokens, +e0 (ĩ about +F/2, live while the token is below 14)."""
+    rng = np.random.default_rng(21)
+    cfg = BlockConfig(d_hidden=WIDTH, num_heads=2)
+    with T.precision(dtype):
+        w = slstm.init_block_weights(cfg, rng)
+    size = -0.5 * math.log(np.finfo(dtype).smallest_subnormal)  # F, also when unflushed
+    w.cell.b_f.data[:] = 0.1 * size
+    w.cell.w_i.data[:] = 0.0
+    w.cell.w_i.data[:, 0] = 0.5 * size / math.sqrt(WIDTH - 1)
+    x = 0.01 * rng.normal(size=(tokens, batch, WIDTH))
+    x[:, :, 0] -= 1.0
+    x[[10, 12], :, 0] += 2.0
+    x = x.reshape(-1, WIDTH).astype(dtype)
+    rows, chunk = x.shape[0], chunk_tokens * batch
+    stream = slstm.Stream(cfg, [w], batch, rows, chunk, slstm.Scratch(), dtype)
+    return np.concatenate([slstm._stack_tokens(stream, Tensor(x[lo:lo + chunk], dtype=dtype)).data
+                           for lo in range(0, rows, chunk)])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("chunk_tokens", [4, 20])
+def test_a_chunk_that_starts_dead_and_revives_matches_the_unflushed_path(
+        dtype, chunk_tokens, unflushed, monkeypatch):
+    with monkeypatch.context() as patch:
+        spy = ProductSpy(patch)
+        got = revival_stream(dtype, chunk_tokens)
+    _, steps, revived = spy.skipped()
+    assert steps, "no step skipped z"
+    # Chunks of 4 tokens: [8, 12) starts dead and revives at token 10, and
+    # [12, 16) at its first token.
+    assert revived == (2 if chunk_tokens == 4 else 0)
+    unflushed()
+    want = revival_stream(dtype, chunk_tokens)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("conv", [0, 4])
+def test_a_taped_forward_never_takes_the_three_gate_path(conv, monkeypatch):
+    params, cfg = model(np.float32, conv, 2, 0.1)
+    xs, ys = windows(np.float32)
+    stats = slstm.StabilizerStats()
+    with monkeypatch.context() as patch:
+        spy = ProductSpy(patch)
+        training_step(params, cfg, xs, ys, stats)
+    assert stats.first_dead_token is not None, "the case never reaches the dead region"
+    assert spy.runs and all(not dead and z_in == 1 and z_rec == steps and not three
+                            for dead, steps, z_in, z_rec, three in spy.runs)
