@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -226,32 +227,46 @@ def _cmd_decode_token(args) -> int:
     return 0
 
 
+def _run(parser: argparse.ArgumentParser, argv: list[str], args) -> int:
+    if getattr(args, "config", None) is not None:
+        # File values go right after the subcommand, so later explicit
+        # flags win and argparse checks them like any flag.
+        args = parser.parse_args(argv[:1] + _config_tokens(args.config) + argv[1:])
+    if args.command == "train":
+        return _cmd_train(args)
+    if args.command == "ablation":
+        return _cmd_train(args, config_id=str(args.id))
+    if args.command == "eval":
+        return _cmd_eval(args)
+    if args.command == "forecast":
+        return _cmd_forecast(args)
+    if args.command == "gradcheck":
+        return _cmd_gradcheck(args)
+    if args.command == "decode-token":
+        return _cmd_decode_token(args)
+    raise AssertionError("unreachable")
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command.  A command that fails in a way the CLI reports
+    prints one ``error:`` line to stderr and returns 2; the warnings it
+    raised on the way (the overflows of a diverging run) go with it.  Any
+    other command shows its warnings once it ends."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    caught = []
     try:
-        if getattr(args, "config", None) is not None:
-            # File values go right after the subcommand, so later explicit
-            # flags win and argparse checks them like any flag.
-            args = parser.parse_args(argv[:1] + _config_tokens(args.config) + argv[1:])
-        if args.command == "train":
-            return _cmd_train(args)
-        if args.command == "ablation":
-            return _cmd_train(args, config_id=str(args.id))
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "forecast":
-            return _cmd_forecast(args)
-        if args.command == "gradcheck":
-            return _cmd_gradcheck(args)
-        if args.command == "decode-token":
-            return _cmd_decode_token(args)
+        with warnings.catch_warnings(record=True) as caught:
+            return _run(parser, argv, args)
     except (data_mod.DataError, mixer.ConfigError, ValueError, IndexError,
             OSError, FloatingPointError) as exc:
+        caught = []
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
+    finally:
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,11 @@
 """End-to-end command-line surface on a small synthetic series."""
 
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,14 +193,49 @@ def test_gradcheck_tiny_exits_zero(capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_diverged_training_is_reported(tiny_csv, tmp_path, capsys):
+def run_cli_process(args):
+    """The CLI in a fresh process, with Python's default warning filters, so
+    that every warning it shows reaches its stderr."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONWARNINGS": "default", "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    return subprocess.run([sys.executable, "-m", "mixcast.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_diverged_training_is_reported(tiny_csv, tmp_path):
     # Adam steps at a learning rate of 1e30 blow the weights up, and a later
     # forward stops on a non-finite gate pre-activation, named with the step
-    # it failed in.
-    assert run_train(tiny_csv, tmp_path / "run", ["--lr", "1e30"]) == 2
-    err = capsys.readouterr().err
+    # it failed in.  The overflows numpy warns of on the way are not shown:
+    # stderr holds the error line alone.
+    done = run_cli_process(["train", "--data", str(tiny_csv), "--out", str(tmp_path / "run")]
+                           + TRAIN_ARGS + ["--lr", "1e30"])
+    assert done.returncode == 2
+    err = done.stderr
     assert err.startswith("error: non-finite ")
     assert " at epoch 0, batch " in err and ", learning rate " in err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
+def test_a_failing_command_drops_its_warnings_and_a_succeeding_one_shows_them(
+        monkeypatch, capsys):
+    def gradcheck_that_warns(fail):
+        def run(args):
+            warnings.warn("overflow encountered", RuntimeWarning)
+            if fail:
+                raise FloatingPointError("diverged")
+            return 0
+        return run
+
+    monkeypatch.setattr(cli, "_cmd_gradcheck", gradcheck_that_warns(False))
+    with pytest.warns(RuntimeWarning, match="overflow encountered"):
+        assert cli.main(["gradcheck", "--tiny"]) == 0
+    monkeypatch.setattr(cli, "_cmd_gradcheck", gradcheck_that_warns(True))
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        assert cli.main(["gradcheck", "--tiny"]) == 2
+    assert not shown
+    assert capsys.readouterr().err == "error: diverged\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
