@@ -140,15 +140,22 @@ def _score(params, cfg, ds, dataset: str, seed: int, epochs_trained: int,
     return report
 
 
-def _extra(extra: dict, key: str, default):
-    """The value a checkpoint's ``extra`` mapping holds for key, or default
-    when it holds none; a value not of the default's type is rejected by key
-    (a bool is not an int here)."""
-    value = extra.get(key, default)
-    kind = type(default)
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise ValueError(f"config.json: extra {key} must be {kind.__name__}, got {value!r}")
-    return value
+# Each key `train` writes into a checkpoint's ``extra``, and its default.
+_EXTRA_DEFAULTS = {"dataset_kind": "generic", "dataset_name": "", "seed": -1,
+                  "config_id": "full", "epochs_trained": 0}
+
+
+def _load_checkpoint(path):
+    """A checkpoint's params, config and ``extra``, which holds every key of
+    _EXTRA_DEFAULTS, each checked once against its default's type (a bool is
+    not an int here), whichever command reads it."""
+    params, cfg, extra = mixer.load_checkpoint(path)
+    extra = {**_EXTRA_DEFAULTS, **extra}
+    for key, default in _EXTRA_DEFAULTS.items():
+        value, kind = extra[key], type(default)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(f"config.json: extra {key} must be {kind.__name__}, got {value!r}")
+    return params, cfg, extra
 
 
 def _cmd_train(args, config_id: str = "full") -> int:
@@ -184,20 +191,18 @@ def _cmd_train(args, config_id: str = "full") -> int:
 
 
 def _cmd_eval(args) -> int:
-    params, cfg, extra = mixer.load_checkpoint(args.checkpoint)
-    kind = args.dataset or _extra(extra, "dataset_kind", "generic")
+    params, cfg, extra = _load_checkpoint(args.checkpoint)
+    kind = args.dataset or extra["dataset_kind"]
     _, splits = _prepare_data(args.data, kind, cfg.lookback, cfg.horizon)
     report = _score(params, cfg, splits[args.split], f"{Path(args.data).stem}/{args.split}",
-                    _extra(extra, "seed", -1), _extra(extra, "epochs_trained", 0),
-                    _extra(extra, "config_id", "full"))
+                    extra["seed"], extra["epochs_trained"], extra["config_id"])
     metrics_mod.emit_report([report], args.report)
     return 0
 
 
 def _cmd_forecast(args) -> int:
-    params, cfg, extra = mixer.load_checkpoint(args.checkpoint)
-    kind = _extra(extra, "dataset_kind", "generic")
-    _, splits = _prepare_data(args.data, kind, cfg.lookback, cfg.horizon)
+    params, cfg, extra = _load_checkpoint(args.checkpoint)
+    _, splits = _prepare_data(args.data, extra["dataset_kind"], cfg.lookback, cfg.horizon)
     ds = splits["test"]
     xs, ys = ds.batch([args.window_index])
     pred = mixer.forward_batch(params, cfg, xs)
@@ -219,7 +224,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_decode_token(args) -> int:
-    params, cfg, _ = mixer.load_checkpoint(args.checkpoint)
+    params, cfg, _ = _load_checkpoint(args.checkpoint)
     decoded = mixer.decode_init_token(params, cfg)
     metrics_mod.write_series_columns(args.emit,
                                      {"decoded_token": decoded.data.reshape(-1)})

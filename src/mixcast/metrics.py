@@ -220,6 +220,7 @@ def write_forecast_columns(path, history: np.ndarray, target: np.ndarray,
         for t in range(h_len):
             lines.append(f"{t},{var},,{float(target[var, t])!r},"
                          f"{float(forecast[var, t])!r}")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -231,4 +232,5 @@ def write_series_columns(path, columns: dict) -> None:
     for i in range(n):
         cells = [repr(float(a[i])) if i < a.size else "" for a in arrays]
         lines.append(f"{i}," + ",".join(cells))
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("\n".join(lines) + "\n")

@@ -167,24 +167,21 @@ def init_mixer_params(cfg: MixerConfig, rng) -> MixerParams:
 
     def uniform(shape, fan_in):
         bound = 1.0 / np.sqrt(fan_in)
-        return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+        return Tensor(rng.uniform(-bound, bound, size=shape))
 
-    revin = RevInParams(
-        gamma=Tensor(np.ones((v, 1)), requires_grad=True),
-        beta=Tensor(np.zeros((v, 1)), requires_grad=True),
-    )
+    revin = RevInParams(gamma=Tensor(np.ones((v, 1))), beta=Tensor(np.zeros((v, 1))))
     nlinear_w = nlinear_b = None
     if cfg.mix_time:
         nlinear_w = uniform((h_len, t_len), t_len)
-        nlinear_b = Tensor(np.zeros((1, h_len)), requires_grad=True)
+        nlinear_b = Tensor(np.zeros((1, h_len)))
     up_w = uniform((d, cfg.up_in_dim), cfg.up_in_dim)
-    up_b = Tensor(np.zeros((1, d)), requires_grad=True)
+    up_b = Tensor(np.zeros((1, d)))
     eta = uniform((1, d), d) if cfg.init_token else None
     blocks = []
     if cfg.slstm_axis != AXIS_NONE:
         blocks = [slstm.init_block_weights(cfg.block, rng) for _ in range(cfg.num_blocks)]
     view_w = uniform((cfg.view_out_dim, 2 * d), 2 * d)
-    view_b = Tensor(np.zeros((1, cfg.view_out_dim)), requires_grad=True)
+    view_b = Tensor(np.zeros((1, cfg.view_out_dim)))
     return MixerParams(config=cfg, revin=revin, nlinear_w=nlinear_w, nlinear_b=nlinear_b,
                        up_w=up_w, up_b=up_b, eta=eta, blocks=blocks,
                        view_w=view_w, view_b=view_b)
@@ -449,7 +446,7 @@ def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
     if not batch:
         raise ShapeError("the model takes a batch of at least one window, got an empty batch")
     time_axis = cfg.slstm_axis == AXIS_TIME
-    record = T.will_record(t for _, t, _ in params.named_parameters())
+    record = T.will_record()
     if record and out is not None:
         raise ValueError("a forward that records a tape takes no out array")
     dtype = forecast_dtype(params, xs)
@@ -492,7 +489,7 @@ def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
             stream = slstm.Stream(cfg.block, params.blocks, per_token, (lead + tokens) * per_token,
                                   (lead + (tokens if time_axis else step)) * per_token,
                                   scratch or slstm.Scratch(), dtype, rng if dropout else None,
-                                  record, stabilizer)
+                                  stabilizer)
         rows = pack_views(rows, eta if first else None, batch, cfg.mix_view)
         if params.blocks:
             rows = slstm._stack_tokens(stream, rows)
@@ -521,16 +518,16 @@ def flatten_targets(ys: np.ndarray) -> np.ndarray:
 def decode_init_token(params: MixerParams, cfg: MixerConfig) -> Tensor:
     """Decode the learned initial token to its conditioning forecast [1, H]:
     it runs alone through the stack in both views, in a stream that records
-    when a tape records the parameters, and the views are reconciled."""
+    when a tape is active, and the views are reconciled."""
     if not cfg.init_token:
         raise ConfigError("model has no initial token to decode")
     if cfg.slstm_axis == AXIS_TIME:
         raise ConfigError("token decoding is defined for variate-order models")
     views = pack_views(params.eta, None, 1, cfg.mix_view)  # one token of a batch of views
     if params.blocks:
-        rows, record = views.shape[0], T.will_record(t for _, t, _ in params.named_parameters())
+        rows = views.shape[0]
         stream = slstm.Stream(cfg.block, params.blocks, rows, rows, rows, slstm.Scratch(),
-                              forecast_dtype(params, views.data), record=record)
+                              forecast_dtype(params, views.data))
         views = slstm._stack_tokens(stream, views)
     return reconcile_views(params.view_w, params.view_b, views, cfg.mix_view)
 

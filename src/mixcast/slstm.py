@@ -17,19 +17,19 @@ contiguous ``[B, D]`` block.  The input products are one matmul per gate,
 hoisted out of the time loop.
 
 Every run of the stack goes through a :class:`Stream`, which owns the run's
-settings (the dropout generator, whether a tape records, the stabilizer
-stats) and gives each block a share that holds everything a chunk of its
-forward reads.  Its caller hands it successive chunks of whole tokens; a
-forward that records a tape hands it all its rows as one chunk.  Each block
-carries its recurrence state ``(h, c, n, m)`` and its last
-``conv_width - 1`` normed tokens across the seams.  Building the stream
+settings (the dropout generator, the stabilizer stats, and whether it
+records: it does if a tape is active when it is built) and gives each block a
+share that holds everything a chunk of its forward reads.  Its caller hands
+it successive chunks of whole tokens, or all its rows as one chunk when it
+records.  Each block carries its recurrence state ``(h, c, n, m)`` and its
+last ``conv_width - 1`` normed tokens across the seams.  Building the stream
 carves every block's buffers in one call from a :class:`Scratch` arena, which
 the batches of an evaluation pass, or the steps of a training epoch, share,
 so they do not fault the same memory in again.  Without a tape the blocks
 share one set of chunk buffers; a stream that records gives each block its
 own, the history its backward reads.  A block writes its output into a fresh
-array, never into its rows.  Dropout masks are drawn ``CHUNK_ROWS`` rows at
-a time from the one generator, which continues a single stream.
+array, never into its rows.  Dropout masks are drawn ``CHUNK_ROWS`` rows at a
+time from the one generator, which continues a single stream.
 
 Recurrent weight matrices are block-diagonal over heads, and only their
 diagonal blocks exist: each of ``r_z|r_i|r_f|r_o`` is stored as a
@@ -152,22 +152,19 @@ def init_slstm_params(d_in, d_hidden, num_heads, rng) -> SLstmParams:
     Each recurrent matrix is drawn as a dense [D, D] uniform that keeps only
     its diagonal head blocks, so the rng stream is the same for every head
     count, and the same as when the matrices were stored densely."""
-    def param(data):
-        return Tensor(data, requires_grad=True)
-
     def uniform(shape, fan_in):
         bound = 1.0 / np.sqrt(fan_in)
         return rng.uniform(-bound, bound, size=shape)
 
     params = {}
     for name in ("w_z", "w_i", "w_f", "w_o"):
-        params[name] = param(uniform((d_hidden, d_in), d_in))
+        params[name] = Tensor(uniform((d_hidden, d_in), d_in))
     for name in ("r_z", "r_i", "r_f", "r_o"):
         dense = uniform((d_hidden, d_hidden), d_hidden // num_heads)
-        params[name] = param(diagonal_blocks(dense, num_heads))
+        params[name] = Tensor(diagonal_blocks(dense, num_heads))
     for name in ("b_z", "b_i", "b_o"):
-        params[name] = param(np.zeros((1, d_hidden)))
-    params["b_f"] = param(np.ones((1, d_hidden)))
+        params[name] = Tensor(np.zeros((1, d_hidden)))
+    params["b_f"] = Tensor(np.ones((1, d_hidden)))
     return SLstmParams(num_heads=num_heads, **params)
 
 
@@ -219,15 +216,14 @@ class BlockWeights:
 def init_block_weights(cfg: BlockConfig, rng) -> BlockWeights:
     d = cfg.d_hidden
     cell = init_slstm_params(d, d, cfg.num_heads, rng)
-    ln_gamma = Tensor(np.ones((1, d)), requires_grad=True)
-    ln_beta = Tensor(np.zeros((1, d)), requires_grad=True)
+    ln_gamma = Tensor(np.ones((1, d)))
+    ln_beta = Tensor(np.zeros((1, d)))
     bound = 1.0 / np.sqrt(d)
-    proj_w = Tensor(rng.uniform(-bound, bound, size=(d, d)), requires_grad=True)
+    proj_w = Tensor(rng.uniform(-bound, bound, size=(d, d)))
     conv = None
     if cfg.conv_width > 0:
         cbound = 1.0 / np.sqrt(cfg.conv_width)
-        conv = Tensor(rng.uniform(-cbound, cbound, size=(cfg.conv_width, d)),
-                      requires_grad=True)
+        conv = Tensor(rng.uniform(-cbound, cbound, size=(cfg.conv_width, d)))
     return BlockWeights(cell=cell, ln_gamma=ln_gamma, ln_beta=ln_beta,
                         proj_w=proj_w, conv_kernel=conv)
 
@@ -558,8 +554,8 @@ class Stream:
     """A stack run over ``rows`` token-major rows of the same sequences, in
     successive chunks of whole tokens of at most ``chunk`` rows, with every
     block's buffers carved in one call from ``scratch``.  Given ``rng`` the
-    blocks draw dropout masks from it, a stream that ``record``s runs one
-    chunk, and ``stats`` gathers the stabilizer's health.
+    blocks draw dropout masks from it, and ``stats`` gathers the stabilizer's
+    health.  One built while a tape is active records, in one chunk.
 
     A block's chunk buffers are the pre-activation slab, the inverse
     deviations, the hidden rows, then as needed the conv-gated rows, the
@@ -570,9 +566,9 @@ class Stream:
     block's input and output rows are never carved."""
 
     def __init__(self, cfg: BlockConfig, blocks: list[BlockWeights], batch: int, rows: int,
-                 chunk: int, scratch: Scratch, dtype, rng=None, record: bool = False,
+                 chunk: int, scratch: Scratch, dtype, rng=None,
                  stats: StabilizerStats | None = None):
-        d, conv = cfg.d_hidden, cfg.conv_width > 0
+        d, conv, record = cfg.d_hidden, cfg.conv_width > 0, T.will_record()
         tail = min(rows, (cfg.conv_width - 1) * batch) if conv and chunk < rows else 0
         buffers = ([(4, chunk, d), (chunk, 1), (chunk, d)]
                    + [(chunk, d)] * (conv + (rng is not None) + 3 * record))

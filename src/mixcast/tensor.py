@@ -3,12 +3,13 @@
 Tensors wrap row-major numpy arrays of any rank (the sLSTM's per-head
 recurrent weights are [heads, d_h, d_h]).  Every differentiable op is one
 :func:`custom_op`: a forward computed on numpy arrays and a backward that
-returns one gradient per input.  Ops executed while a :class:`Tape` is active
-record that backward onto it; calling ``backward`` once per tape accumulates
-gradients into every ``requires_grad`` leaf.  A tensor without a ``grad``
-gets a copy of its first gradient, so the engine owns every ``grad`` it
-creates; a ``grad`` already set (a caller's buffer, say) is added to in place
-and keeps its identity.  Tensors are treated as immutable once they
+returns one gradient per input.  Every op run while a :class:`Tape` is active
+on the thread records its backward there, and calling ``backward`` once per
+tape accumulates a gradient into every tensor those ops read; data no
+gradient should reach is passed as a plain array.  A tensor without a
+``grad`` gets a copy of its first gradient, so the engine owns every ``grad``
+it creates; a ``grad`` already set (a caller's buffer, say) is added to in
+place and keeps its identity.  Tensors are treated as immutable once they
 participate in a tape.  Ops take Tensors: the engine neither lifts arrays or
 scalars nor reshapes, and an op that wants another layout of its input reads
 the input's array in that layout.
@@ -17,16 +18,17 @@ Two precisions are supported: 32-bit scalars for ordinary runs and 64-bit for
 gradient checks and other oracle-grade computations.  A tensor built without
 a dtype, as every model parameter is, takes the one :func:`precision` sets;
 an op's output keeps the dtype its forward computed.  A tape must stay on the
-thread that created it; independent tapes may run concurrently against shared
-read-only tensors.  The default dtype is per thread, like the tape stack:
-every thread starts at 32 bits.
+thread that created it.  Its backward writes the ``grad`` of every tensor its
+ops read, so two tapes that run at once may not share a tensor; passes
+without a tape only read, and may share tensors with anything.  The default
+dtype is per thread, like the active tape: every thread starts at 32 bits.
 """
 
 from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -72,11 +74,10 @@ def precision(dtype):
 class Tensor:
     """Shape-tagged numeric array participating in reverse-mode differentiation."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape")
+    __slots__ = ("data", "grad", "_tape")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, *, dtype=None):
         self.data = np.asarray(data, dtype or default_dtype())
-        self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._tape = None
 
@@ -95,7 +96,7 @@ class Tensor:
         self.grad = None
 
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
 
 class Tape:
@@ -130,7 +131,7 @@ class Tape:
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into every requires_grad leaf of the tape."""
+    """Accumulate d(loss)/d(t) into every tensor t an op on the tape read."""
     if tape._used:
         raise RuntimeError("backward was already called on this tape")
     if loss.size != 1:
@@ -147,8 +148,6 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
-        return
     if t.grad is None:
         t.grad = np.array(g)
         return
@@ -160,10 +159,10 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad += g
 
 
-def will_record(inputs: Iterable[Tensor]) -> bool:
-    """Whether an op on these inputs would be recorded on the active tape;
-    fused ops keep their backward state only then."""
-    return _active_tape() is not None and any(t.requires_grad for t in inputs)
+def will_record() -> bool:
+    """Whether an op run now would be recorded: a tape is active on this
+    thread.  Fused ops keep their backward state only then."""
+    return _active_tape() is not None
 
 
 def custom_op(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
@@ -176,13 +175,11 @@ def custom_op(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable)
     return one array for several inputs or a view of its own buffers; every
     later one, from this op or another, is added in place into the input's
     ``grad``.  A gradient of another shape or dtype than that ``grad`` is
-    rejected, naming both, rather than broadcast or cast.  The output
-    requires a gradient when any input does; without an active tape nothing
-    is recorded."""
+    rejected, naming both, rather than broadcast or cast.  The op is recorded
+    when a tape is active, and without one nothing is."""
     out = Tensor(data, dtype=data.dtype.type)
-    out.requires_grad = any(t.requires_grad for t in inputs)
     tape = _active_tape()
-    if tape is not None and out.requires_grad:
+    if tape is not None:
         def bwd(g):
             for t, grad in zip(inputs, backward_fn(g)):
                 if grad is not None:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixcast import slstm, tensor as T
+from mixcast import slstm
 
 
 def etth1_path() -> Path | None:
@@ -79,12 +79,11 @@ def tiny_csv(tmp_path) -> Path:
 
 def run_stack(cfg, blocks, x, batch, training=False, rng=None, stats=None):
     """The stack over all the rows of x as the one chunk of a Stream on a
-    fresh arena, recording when a tape records its inputs, and drawing
-    dropout masks from rng when training with dropout."""
+    fresh arena, recording when a tape is active, and drawing dropout masks
+    from rng when training with dropout."""
     rows = x.shape[0]
-    record = T.will_record([x] + [t for w in blocks for _, t, _ in w.named_parameters()])
     dtype = np.result_type(x.data, blocks[0].cell.w_z.data)
     dropout = training and cfg.dropout_rate > 0.0
     stream = slstm.Stream(cfg, blocks, batch, rows, rows, slstm.Scratch(), dtype,
-                          rng if dropout else None, record, stats)
+                          rng if dropout else None, stats)
     return slstm._stack_tokens(stream, x)

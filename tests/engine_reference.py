@@ -25,8 +25,9 @@ from mixcast.tensor import Tensor
 
 
 def parameter(data, dtype=None) -> Tensor:
-    """Leaf tensor that accumulates gradients."""
-    return Tensor(data, requires_grad=True, dtype=dtype)
+    """A leaf tensor: like every tensor an op under a tape reads, it gets a
+    gradient."""
+    return Tensor(data, dtype=dtype)
 
 
 def lift(value, like: Tensor | None = None) -> Tensor:

@@ -83,8 +83,8 @@ def test_criterion_3_revin_roundtrip():
     n = 1000
     with T.precision(np.float64):
         params = mixer.RevInParams(
-            gamma=T.Tensor(rng.uniform(0.5, 2.0, size=(n, 1)), requires_grad=True),
-            beta=T.Tensor(rng.uniform(-1.0, 1.0, size=(n, 1)), requires_grad=True),
+            gamma=T.Tensor(rng.uniform(0.5, 2.0, size=(n, 1))),
+            beta=T.Tensor(rng.uniform(-1.0, 1.0, size=(n, 1))),
         )
         x = rng.normal(0.0, rng.uniform(0.5, 3.0, size=(n, 1)), size=(n, 24))
         norm, stats = mixer.revin_normalize(params, x)
@@ -93,8 +93,8 @@ def test_criterion_3_revin_roundtrip():
         assert worst < 1e-6, f"roundtrip error {worst:.3e}"
 
         const_params = mixer.RevInParams(
-            gamma=T.Tensor(np.ones((1, 1)), requires_grad=True),
-            beta=T.Tensor(np.zeros((1, 1)), requires_grad=True),
+            gamma=T.Tensor(np.ones((1, 1))),
+            beta=T.Tensor(np.zeros((1, 1))),
         )
         const_norm, _ = mixer.revin_normalize(const_params, np.full((1, 24), 5.0))
         assert np.isfinite(const_norm.data).all()

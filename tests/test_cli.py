@@ -34,6 +34,8 @@ def test_train_writes_artifacts(tiny_csv, tmp_path):
     assert len(log_rows) == 2
     assert set(log_rows[0]) == {"epoch", "train_mae", "val_mae", "lr"}
     assert (out / "best" / "manifest.txt").exists()
+    # train writes every extra key a checkpoint-reading command checks.
+    assert set(mixer.load_checkpoint(out / "best")[2]) == set(cli._EXTRA_DEFAULTS)
     assert (out / "run_meta.json").exists()
     records = M.parse_report(out / "report.jsonl")
     datasets = {r["dataset"] for r in records}
@@ -376,7 +378,8 @@ def saved_tiny_model(directory, extra=None):
     ({"epochs_trained": "3"}, "config.json: extra epochs_trained must be int, got '3'"),
     ({"config_id": 6}, "config.json: extra config_id must be str, got 6"),
     ({"dataset_kind": 1}, "config.json: extra dataset_kind must be str, got 1"),
-], ids=["list", "null-seed", "bool-seed", "str-epochs", "int-config-id", "int-kind"])
+    ({"dataset_name": 3}, "config.json: extra dataset_name must be str, got 3"),
+], ids=["list", "null-seed", "bool-seed", "str-epochs", "int-config-id", "int-kind", "int-name"])
 def test_tampered_checkpoint_extra_is_reported(tiny_csv, tmp_path, capsys, extra, message):
     ckpt = saved_tiny_model(tmp_path / "ckpt")
     config = ckpt / "config.json"

@@ -121,8 +121,9 @@ TAMPERINGS = [
     ("block-bad-heads", block_with(num_heads=3), "d_hidden 8 not divisible by num_heads 3"),
     ("block-bad-dropout", block_with(dropout_rate=1.5), "dropout_rate must lie in [0,1)"),
     ("extra-a-list", config_with(extra=[]), "extra is not a mapping"),
-    ("extra-bad-seed", config_with(extra={"seed": "1"}),
-     {"eval": "extra seed must be int, got '1'", "forecast": RUNS, "decode-token": RUNS}),
+    ("extra-bad-seed", config_with(extra={"seed": "1"}), "extra seed must be int, got '1'"),
+    ("extra-bad-name", config_with(extra={"dataset_name": 3}),
+     "extra dataset_name must be str, got 3"),
     ("no-manifest", delete("manifest.txt"), "manifest.txt"),
     ("manifest-malformed", manifest(lambda t: t.replace("eta\t1x8\t", "eta\t1x8x\t")),
      "malformed manifest line"),
@@ -309,8 +310,9 @@ COMMANDS = [
     ("forecast-runs", None, FORECAST, RUNS),
     ("decode-runs", None, ["decode-token", "--checkpoint", "{ckpt}", "--emit", "{out}/t.csv"],
      RUNS),
-    ("forecast-into-missing-directory", None,
-     FORECAST[:-1] + ["{out}/none/w.csv"], "No such file or directory"),
+    ("forecast-into-missing-directory", None, FORECAST[:-1] + ["{out}/none/w.csv"], RUNS),
+    ("decode-into-missing-directory", None,
+     ["decode-token", "--checkpoint", "{ckpt}", "--emit", "{out}/none/t.csv"], RUNS),
 ]
 
 

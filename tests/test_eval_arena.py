@@ -237,6 +237,44 @@ def test_a_pass_allocates_a_second_buffer_only_for_a_larger_batch(windows, buffe
     assert spy.made[-1].size == max(buffer.size for buffer in spy.made)
 
 
+class Recorded(slstm.Scratch):
+    """An arena that keeps the shapes of its last carve."""
+
+    def carve(self, dtype, shapes):
+        self.shapes = list(shapes)
+        return super().carve(dtype, shapes)
+
+
+def test_a_stream_records_when_built_inside_a_tape():
+    # Whether a stream records is read when it is built.  Inside a tape each
+    # block's chunk buffers hold the centred, cell and normalizer history
+    # its backward reads, before its step slab and normed rows; outside one
+    # the blocks share one set of chunk buffers.
+    rng = np.random.default_rng(5)
+    cfg = BlockConfig(d_hidden=WIDTH, num_heads=2)
+    blocks = [slstm.init_block_weights(cfg, rng) for _ in range(2)]
+    x = T.Tensor(rng.normal(size=(12, WIDTH)))
+    rows, d, batch = 12, WIDTH, 3
+    own = [(9, batch, d), (rows, d)]
+    arena = Recorded()
+    with Tape() as tape:
+        stream = slstm.Stream(cfg, blocks, batch, rows, rows, arena, np.float32)
+        y = slstm._stack_tokens(stream, x)
+        tape.backward(mae_loss(y, np.zeros(y.shape, np.float32)))
+    assert arena.shapes == ([(4, rows, d), (rows, 1)] + [(rows, d)] * 4 + own) * 2
+    first, second = stream.blocks
+    assert len(first.history) == len(second.history) == 3
+    assert not np.shares_memory(first.pre, second.pre)
+    leaves = [x] + [t for w in blocks for _, t, _ in w.named_parameters()]
+    assert all(t.grad is not None and t.grad.shape == t.shape for t in leaves)
+
+    stream = slstm.Stream(cfg, blocks, batch, rows, rows, arena, np.float32)
+    slstm._stack_tokens(stream, x)
+    assert arena.shapes == [(4, rows, d), (rows, 1), (rows, d)] + own * 2
+    first, second = stream.blocks
+    assert first.history == second.history == [] and first.pre is second.pre
+
+
 def test_a_larger_carve_replaces_the_buffer_and_earlier_arrays_keep_their_values():
     arena = slstm.Scratch()
     assert arena.buffer is None

@@ -137,12 +137,13 @@ def census_stream(dtype, record, chunk_tokens=None, stats=None, tokens=80, batch
     x = rng.uniform(-1, 1, size=(tokens * batch, WIDTH)).astype(dtype)
     rows = x.shape[0]
     chunk = rows if chunk_tokens is None else chunk_tokens * batch
-    stream = slstm.Stream(cfg, [w], batch, rows, chunk, slstm.Scratch(), dtype, record=record,
-                          stats=stats)
     if record:
         with Tape() as tape:
-            y = slstm._stack_tokens(stream, Tensor(x, requires_grad=True, dtype=dtype))
+            stream = slstm.Stream(cfg, [w], batch, rows, chunk, slstm.Scratch(), dtype,
+                                  stats=stats)
+            y = slstm._stack_tokens(stream, Tensor(x, dtype=dtype))
             return training.mae_loss(y, np.zeros_like(x)), stream, tape
+    stream = slstm.Stream(cfg, [w], batch, rows, chunk, slstm.Scratch(), dtype, stats=stats)
     outs = [slstm._stack_tokens(stream, Tensor(x[lo:lo + chunk], dtype=dtype)).data
             for lo in range(0, rows, chunk)]
     return np.concatenate(outs), stream, None

@@ -44,8 +44,8 @@ def make_cfg(**overrides) -> MixerConfig:
 
 def fresh_revin(v=3, dtype=np.float64) -> RevInParams:
     return RevInParams(
-        gamma=Tensor(np.ones((v, 1)), requires_grad=True, dtype=dtype),
-        beta=Tensor(np.zeros((v, 1)), requires_grad=True, dtype=dtype),
+        gamma=Tensor(np.ones((v, 1)), dtype=dtype),
+        beta=Tensor(np.zeros((v, 1)), dtype=dtype),
     )
 
 

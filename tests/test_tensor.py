@@ -389,17 +389,29 @@ def test_a_gradient_of_another_dtype_is_rejected():
 
 
 def test_no_recording_without_tape():
-    w, c = R.parameter([1.0]), Tensor([1.0])
-    assert not T.will_record([w])
-    out = record([w], lambda g: [g])
-    assert out._tape is None
-    assert out.requires_grad  # propagates, but nothing was recorded
+    a = Tensor([1.0])
+    assert not T.will_record()
+    out = record([a], lambda g: [g])
+    assert out._tape is None and a.grad is None
+
+
+def test_a_tape_records_every_op_run_under_it():
+    # Recording is one fact, an active tape: every op run under it records,
+    # and every tensor an op read gets a gradient, whatever built it.
+    a, b = Tensor([1.0]), Tensor([2.0])
     with Tape() as tape:
-        assert not T.will_record([c]) and T.will_record([c, w])
-        const = record([c], lambda g: [g])
-        assert len(tape) == 0 and not const.requires_grad and const._tape is None
-        assert record([c, w], lambda g: [g, g])._tape is tape
-        assert len(tape) == 1
+        assert T.will_record()
+        first = record([a], lambda g: [g])
+        assert first._tape is tape and len(tape) == 1
+        tape.backward(R.reduce_sum(R.mul(first, b)))
+    assert not T.will_record()
+    assert (a.grad.tolist(), b.grad.tolist()) == ([2.0], [1.0])
+
+
+def test_a_positional_second_argument_is_rejected():
+    # dtype is keyword-only, so a leftover Tensor(data, flag) fails loudly.
+    with pytest.raises(TypeError):
+        Tensor([1.0], True)
 
 
 def test_nested_tape_raises_and_the_outer_tape_keeps_recording():
@@ -409,12 +421,12 @@ def test_nested_tape_raises_and_the_outer_tape_keeps_recording():
         with pytest.raises(RuntimeError, match="already recording"):
             with Tape():
                 pass
-        assert T.will_record([w])
+        assert T.will_record()
         loss = R.reduce_sum(R.mul(square, w))
         assert len(tape) == 3
         tape.backward(loss)
     assert w.grad.tolist() == [12.0]  # d(w^3)/dw = 3 w^2
-    assert not T.will_record([w])
+    assert not T.will_record()
     with Tape() as again:
         R.mul(w, w)
     assert len(again) == 1

@@ -4,7 +4,7 @@ import math
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -299,6 +299,30 @@ def test_flat_step_matches_per_tensor_reference_bitwise(layout, dtype):
                 assert got.tobytes() == want.tobytes(), (step, name)
     assert 0 < clipped < 24
     assert not state.m[dict(flat.segments)["up.bias"]].any()
+
+
+def plain(obj):
+    """obj with every Tensor in it, however deep, rebuilt as Tensor(data)."""
+    if isinstance(obj, Tensor):
+        return Tensor(obj.data)
+    if isinstance(obj, list):
+        return [plain(o) for o in obj]
+    if is_dataclass(obj):
+        return replace(obj, **{f.name: plain(getattr(obj, f.name)) for f in fields(obj)})
+    return obj
+
+
+def test_a_plain_tensor_gets_its_gradient_under_a_tape():
+    # No flag opts a tensor in: a model built of plain Tensor(data) trains,
+    # and one taped step writes every parameter's segment of the flat buffer.
+    cfg = small_config(conv_width=2, dropout_rate=0.1)
+    params = plain(mixer.init_mixer_params(cfg, np.random.default_rng(0)))
+    flat = FlatParams(params)
+    xs, ys = make_affine_task(8).batch(np.arange(8))
+    with T.Tape() as tape:
+        pred = mixer.forward_batch(params, cfg, xs, True, np.random.default_rng(1))
+        tape.backward(mae_loss(pred, mixer.flatten_targets(ys)))
+    assert [name for name, seg in flat.segments if not flat.grad[seg].any()] == []
 
 
 # -- schedule -----------------------------------------------------------------------
