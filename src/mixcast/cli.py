@@ -49,16 +49,21 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser; each subcommand's ``run`` default is its handler."""
     parser = argparse.ArgumentParser(prog="mixcast")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_train_flags(sub.add_parser("train", help="train a model"))
+    p = sub.add_parser("train", help="train a model")
+    p.set_defaults(run=_cmd_train)
+    _add_train_flags(p)
 
     p = sub.add_parser("ablation", help="train one numbered ablation configuration")
+    p.set_defaults(run=lambda args: _cmd_train(args, config_id=str(args.id)))
     p.add_argument("--id", type=int, required=True, choices=range(1, 11))
     _add_train_flags(p)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on one split")
+    p.set_defaults(run=_cmd_eval)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--dataset", choices=data_mod.DATASET_KINDS, default=None,
@@ -67,15 +72,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True)
 
     p = sub.add_parser("forecast", help="emit one test window's X, Y, and forecast")
+    p.set_defaults(run=_cmd_forecast)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--window-index", type=int, default=0)
     p.add_argument("--emit", required=True)
 
     p = sub.add_parser("gradcheck", help="finite-difference acceptance gate")
+    p.set_defaults(run=_cmd_gradcheck)
     p.add_argument("--tiny", action="store_true", required=True)
 
     p = sub.add_parser("decode-token", help="decode the learned initial token")
+    p.set_defaults(run=_cmd_decode_token)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--emit", required=True)
 
@@ -237,19 +245,7 @@ def _run(parser: argparse.ArgumentParser, argv: list[str], args) -> int:
         # File values go right after the subcommand, so later explicit
         # flags win and argparse checks them like any flag.
         args = parser.parse_args(argv[:1] + _config_tokens(args.config) + argv[1:])
-    if args.command == "train":
-        return _cmd_train(args)
-    if args.command == "ablation":
-        return _cmd_train(args, config_id=str(args.id))
-    if args.command == "eval":
-        return _cmd_eval(args)
-    if args.command == "forecast":
-        return _cmd_forecast(args)
-    if args.command == "gradcheck":
-        return _cmd_gradcheck(args)
-    if args.command == "decode-token":
-        return _cmd_decode_token(args)
-    raise AssertionError("unreachable")
+    return args.run(args)
 
 
 def main(argv: list[str] | None = None) -> int:

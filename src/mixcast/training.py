@@ -7,10 +7,12 @@ At its start, ``fit`` lays every parameter end to end, in
 ``named_parameters`` order, in one contiguous array, and each parameter's
 ``data`` becomes a view of its segment; a gradient buffer and the Adam moments
 share that layout, and each parameter's ``grad`` is a view of its segment of
-the gradient buffer, which the engine's backward adds into in place.  A step
-zeroes the gradient buffer, runs the backward, clips the whole buffer and
-Adam updates the whole parameter buffer in place, so after ``fit`` the
-parameters and their gradients are still views of its buffers.
+the gradient buffer, which the engine's backward adds into in place.  The
+buffers, the moments and the step count all live on one ``FlatParams``, and
+that step count indexes both Adam's bias correction and the learning-rate
+schedule.  A step zeroes the gradient buffer, runs the backward, clips the
+whole buffer and Adam updates the whole parameter buffer in place, so after
+``fit`` the parameters and their gradients are still views of its buffers.
 
 All randomness (shuffling, dropout) derives from the run seed, and gradient
 reduction order is fixed, so identical seed + data + config reproduces the
@@ -22,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -61,26 +63,14 @@ class TrainConfig:
             raise ValueError(f"patience must be >= 0, got {self.patience}")
 
 
-@dataclass
-class AdamState:
-    """The Adam moments of a flat parameter buffer, in its layout, and the
-    number of steps taken."""
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-    @classmethod
-    def for_params(cls, params: np.ndarray) -> "AdamState":
-        return cls(m=np.zeros_like(params), v=np.zeros_like(params))
-
-
 class FlatParams:
     """A model's parameters in one contiguous array, in ``named_parameters``
     order, each tensor's ``data`` a view of its segment, plus a zeroed
     gradient buffer of the same layout whose segments are the tensors'
     ``grad``.  The backward adds each gradient into its view, rejecting one
     of another shape or dtype, so a step clips and updates from the buffer
-    as the backward left it.
+    as the backward left it.  The Adam moments ``m`` and ``v`` start as
+    zeros in the same layout, and ``t`` counts the steps taken.
 
     The parameters must share one dtype: laying mixed widths into one array
     would cast some of them silently, so the first that differs is named."""
@@ -102,15 +92,21 @@ class FlatParams:
             view[...] = tensor.data
             tensor.data = view
             tensor.grad = self.grad[seg].reshape(tensor.shape)
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
+        self.t = 0
 
 
 @dataclass
 class RunArtifacts:
     best_checkpoint: str
     log: list[dict] = field(default_factory=list)
-    epochs_trained: int = 0
     wall_time_s: float = 0.0
     best_val_mae: float = math.inf
+
+    @property
+    def epochs_trained(self) -> int:
+        return len(self.log)
 
 
 def mae_loss(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -149,19 +145,17 @@ def clip_global_norm(grad: np.ndarray, segments) -> float:
     return norm
 
 
-def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray,
-              lr: float) -> None:
-    """Bias-corrected Adam update of a flat parameter buffer in place (eps
-    outside the square root, no weight decay).  Every entry rounds as
+def adam_step(flat: FlatParams, lr: float) -> None:
+    """Bias-corrected Adam update of ``flat.data`` from ``flat.grad`` in
+    place (eps outside the square root, no weight decay), advancing
+    ``flat.t`` and the moments ``flat.m`` and ``flat.v``, which share the
+    buffer's layout.  Every entry rounds as
     ``p - lr * m_hat / (sqrt(v_hat) + eps)`` does, term by term."""
-    if params.shape != grad.shape or params.shape != state.m.shape:
-        raise ShapeError(f"grad shape {grad.shape} and moment shape "
-                         f"{state.m.shape} != param shape {params.shape}")
-    state.t += 1
-    b1, b2, t = ADAM_BETA1, ADAM_BETA2, state.t
+    flat.t += 1
+    b1, b2, t = ADAM_BETA1, ADAM_BETA2, flat.t
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    m, v = state.m, state.v
+    grad, m, v = flat.grad, flat.m, flat.v
     step = np.multiply(grad, 1.0 - b1)
     m *= b1
     m += step
@@ -175,14 +169,14 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray,
     np.divide(m, c1, out=step)
     step *= lr
     step /= denom
-    params -= step
+    flat.data -= step
 
 
 def lr_at_step(step: int, total_steps: int, cfg: TrainConfig) -> float:
-    """Linear ramp 0 -> lr over warmup_steps, then cosine decay to 0."""
-    warmup = cfg.warmup_steps
-    if warmup >= total_steps:
-        raise ValueError("warmup_steps must be smaller than total_steps")
+    """Linear ramp 0 -> lr over warmup_steps, then cosine decay to 0 at
+    ``total_steps``.  A warmup that is not shorter than the run is cut to
+    ``total_steps - 1`` steps, so a tiny run still reaches the peak rate."""
+    warmup = min(cfg.warmup_steps, total_steps - 1)
     if warmup > 0 and step < warmup:
         return cfg.lr_initial * step / warmup
     progress = (step - warmup) / (total_steps - warmup)
@@ -246,17 +240,11 @@ def fit(params: MixerParams, cfg: MixerConfig, train_ds, val_ds,
     n = len(train_ds)
     batches_per_epoch = math.ceil(n / train_cfg.batch_size)
     total_steps = train_cfg.max_epochs * batches_per_epoch
-    if train_cfg.warmup_steps >= total_steps:
-        # Tiny runs: shorten the ramp instead of rejecting the schedule.
-        train_cfg = replace(train_cfg, warmup_steps=max(0, total_steps - 1))
-    state = AdamState.for_params(flat.data)
 
     log_rows: list[dict] = []
     log_file = Path(log_path).open("w") if log_path else None
     best_val = math.inf
     epochs_without_improve = 0
-    epochs_trained = 0
-    step = 0
     started = time.perf_counter()
 
     try:
@@ -264,12 +252,11 @@ def fit(params: MixerParams, cfg: MixerConfig, train_ds, val_ds,
             order = rng.permutation(n)
             scratch = slstm.Scratch()  # each backward runs before the next carve
             epoch_abs = 0.0
-            epoch_count = 0
             for b in range(batches_per_epoch):
                 idx = order[b * train_cfg.batch_size:(b + 1) * train_cfg.batch_size]
                 xs, ys = train_ds.batch(idx)
                 flat.grad.fill(0)
-                lr = lr_at_step(step, total_steps, train_cfg)
+                lr = lr_at_step(flat.t, total_steps, train_cfg)
                 try:
                     with Tape() as tape:
                         pred = mixer.forward_batch(params, cfg, xs, training=True, rng=rng,
@@ -281,19 +268,16 @@ def fit(params: MixerParams, cfg: MixerConfig, train_ds, val_ds,
                         tape.backward(loss)
                     clip_global_norm(flat.grad, flat.segments)
                 except FloatingPointError as exc:
-                    raise FloatingPointError(f"{exc} at epoch {epoch}, batch {b}, step {step}, "
+                    raise FloatingPointError(f"{exc} at epoch {epoch}, batch {b}, step {flat.t}, "
                                              f"learning rate {lr:g}") from exc
-                adam_step(state, flat.data, flat.grad, lr)
-                step += 1
-                epoch_abs += value * xs.shape[0] * xs.shape[1] * cfg.horizon
-                epoch_count += xs.shape[0] * xs.shape[1] * cfg.horizon
+                adam_step(flat, lr)
+                epoch_abs += value * xs.shape[0] * cfg.num_variates * cfg.horizon
 
-            train_mae = epoch_abs / epoch_count
+            train_mae = epoch_abs / (n * cfg.num_variates * cfg.horizon)
             del scratch  # not alive beside the validation pass's own arena
             val_mae = evaluate_mae(params, cfg, val_ds)
-            epochs_trained = epoch + 1
             row = {"epoch": epoch, "train_mae": train_mae, "val_mae": val_mae,
-                   "lr": lr_at_step(step - 1, total_steps, train_cfg)}
+                   "lr": lr_at_step(flat.t - 1, total_steps, train_cfg)}
             log_rows.append(row)
             if log_file:
                 log_file.write(json.dumps(row) + "\n")
@@ -314,7 +298,6 @@ def fit(params: MixerParams, cfg: MixerConfig, train_ds, val_ds,
     return RunArtifacts(
         best_checkpoint=str(best_dir),
         log=log_rows,
-        epochs_trained=epochs_trained,
         wall_time_s=time.perf_counter() - started,
         best_val_mae=best_val,
     )

@@ -149,7 +149,7 @@ def train_step(variates, conv, blocks, kind):
             tape.backward(training.mae_loss(pred, mixer.flatten_targets(ys)))
         grad = flat.grad.copy()
         training.clip_global_norm(flat.grad, flat.segments)
-        training.adam_step(training.AdamState.for_params(flat.data), flat.data, flat.grad, 1e-3)
+        training.adam_step(flat, 1e-3)
     return pred.data, grad, flat.data
 
 

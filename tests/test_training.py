@@ -1,10 +1,12 @@
 """Loss, clipping, Adam, schedule, and fit-loop behavior."""
 
+import json
 import math
 import sys
 import threading
 import tracemalloc
 from dataclasses import fields, is_dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from mixcast.metrics import compute_metrics
 from mixcast.mixer import build_ablation_config
 from mixcast.slstm import BlockConfig
 from mixcast.tensor import ShapeError, Tensor
-from mixcast.training import (AdamState, FlatParams, TrainConfig, adam_step, clip_global_norm,
+from mixcast.training import (FlatParams, TrainConfig, adam_step, clip_global_norm,
                               lr_at_step, mae_loss)
 
 import engine_reference as R
@@ -196,20 +198,27 @@ def test_fit_clip_norm_is_in_block_norm(tmp_path, monkeypatch):
 
 # -- adam ---------------------------------------------------------------------------
 
+def scalar_flat(theta, dtype=np.float64):
+    """A one-entry stand-in for FlatParams: what adam_step reads, with a
+    zero gradient to fill and zero moments."""
+    data = np.array([theta], dtype=dtype)
+    return SimpleNamespace(data=data, grad=np.zeros_like(data), m=np.zeros_like(data),
+                           v=np.zeros_like(data), t=0)
+
+
 def test_adam_first_step_hand_computed():
-    theta = np.array([0.0])
-    state = AdamState.for_params(theta)
-    adam_step(state, theta, np.array([1.0]), 1e-3)
+    flat = scalar_flat(0.0)
+    flat.grad[0] = 1.0
+    adam_step(flat, 1e-3)
     expected = -1e-3 * 1.0 / (1.0 + 1e-8)  # bias correction gives m^=v^=1
-    assert abs(theta[0] - expected) < 1e-15
-    assert state.t == 1
+    assert abs(flat.data[0] - expected) < 1e-15
+    assert flat.t == 1
 
 
 def test_adam_zero_gradient_no_move():
-    theta = np.array([2.5], dtype=np.float32)
-    state = AdamState.for_params(theta)
-    adam_step(state, theta, np.zeros(1, dtype=np.float32), 1e-3)
-    assert theta[0] == 2.5
+    flat = scalar_flat(2.5, np.float32)
+    adam_step(flat, 1e-3)
+    assert flat.data[0] == 2.5
 
 
 def scalar_adam_reference(g_seq, lr, b1=0.9, b2=0.999, eps=1e-8):
@@ -225,17 +234,22 @@ def scalar_adam_reference(g_seq, lr, b1=0.9, b2=0.999, eps=1e-8):
 
 
 def test_adam_two_steps_match_scalar_reference():
-    theta = np.array([0.0])
-    state = AdamState.for_params(theta)
+    flat = scalar_flat(0.0)
+    flat.grad[0] = 0.7
     for _ in range(2):
-        adam_step(state, theta, np.array([0.7]), 2e-3)
-    assert abs(theta[0] - scalar_adam_reference([0.7, 0.7], 2e-3)) < 1e-12
+        adam_step(flat, 2e-3)
+    assert abs(flat.data[0] - scalar_adam_reference([0.7, 0.7], 2e-3)) < 1e-12
 
 
-def test_adam_rejects_a_gradient_of_another_shape():
-    theta = np.zeros(3)
-    with pytest.raises(ShapeError):
-        adam_step(AdamState.for_params(theta), theta, np.zeros(4), 1e-3)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_flat_params_start_with_zero_moments_and_no_step(dtype):
+    with T.precision(dtype):
+        params = mixer.init_mixer_params(small_config(), np.random.default_rng(0))
+    flat = FlatParams(params)
+    for moment in (flat.m, flat.v):
+        assert moment.dtype == dtype and moment.shape == flat.data.shape
+        assert not moment.any()
+    assert flat.t == 0
 
 
 # The benchmark's model at the ETTh1, Weather and Electricity widths.
@@ -267,7 +281,7 @@ def test_flat_step_matches_per_tensor_reference_bitwise(layout, dtype):
     tensors = [t for _, t, _ in params.named_parameters()]
     shadow = [Tensor(t.data.copy(), dtype=dtype) for t in tensors]
     flat = FlatParams(params)
-    state, ref_state = AdamState.for_params(flat.data), ref.AdamState.for_params(shadow)
+    ref_state = ref.AdamState.for_params(shadow)
     assert flat.data.dtype == dtype
     rng = np.random.default_rng(13)
     idle = names.index("up.bias")
@@ -287,18 +301,18 @@ def test_flat_step_matches_per_tensor_reference_bitwise(layout, dtype):
         ref_norm = ref.clip_global_norm(grads)
         ref.adam_step(ref_state, shadow, grads, lr)
         norm = clip_global_norm(flat.grad, flat.segments)
-        adam_step(state, flat.data, flat.grad, lr)
+        adam_step(flat, lr)
         clipped += norm > training.CLIP_NORM
         assert norm == ref_norm, step
-        assert state.t == ref_state.t == step + 1
+        assert flat.t == ref_state.t == step + 1
         for k, (name, seg) in enumerate(flat.segments):
             for got, want in ((tensors[k].data, shadow[k].data),
-                              (state.m[seg], ref_state.m[k]),
-                              (state.v[seg], ref_state.v[k])):
+                              (flat.m[seg], ref_state.m[k]),
+                              (flat.v[seg], ref_state.v[k])):
                 assert got.dtype == want.dtype, name
                 assert got.tobytes() == want.tobytes(), (step, name)
     assert 0 < clipped < 24
-    assert not state.m[dict(flat.segments)["up.bias"]].any()
+    assert not flat.m[dict(flat.segments)["up.bias"]].any()
 
 
 def plain(obj):
@@ -346,9 +360,15 @@ def test_schedule_monotone_after_warmup():
     assert all(a >= b - 1e-15 for a, b in zip(values[10:-1], values[11:]))
 
 
-def test_schedule_rejects_warmup_at_or_past_total():
-    with pytest.raises(ValueError):
-        lr_at_step(0, 10, TrainConfig(warmup_steps=10))
+@pytest.mark.parametrize("warmup", [10, 11, 50])
+def test_schedule_cuts_a_warmup_not_shorter_than_the_run(warmup):
+    # A tiny run still ramps to the peak rate: its warmup is cut to one step
+    # short of the run.
+    total = 10
+    cut = [lr_at_step(s, total, TrainConfig(warmup_steps=9)) for s in range(total + 1)]
+    assert [lr_at_step(s, total, TrainConfig(warmup_steps=warmup))
+            for s in range(total + 1)] == cut
+    assert max(cut) == TrainConfig().lr_initial
 
 
 @pytest.mark.parametrize("field, value", [("max_epochs", 0), ("max_epochs", -1),
@@ -411,6 +431,7 @@ def test_fit_early_stops_on_patience(tmp_path):
                      lr_initial=0.0 + 1e-12, seed=2021)  # lr ~ 0: no progress
     art = training.fit(params, cfg, ds, ds, tc, tmp_path)
     assert art.epochs_trained < 50
+    assert art.epochs_trained == len(art.log)
 
 
 def test_fit_is_deterministic_per_seed(tmp_path):
@@ -606,9 +627,9 @@ def test_fit_leaves_every_gradient_a_view_of_the_flat_buffer(tmp_path, monkeypat
     seen = []
     original = training.adam_step
 
-    def spy(state, flat_params, grad, lr):
-        seen.append(grad)
-        original(state, flat_params, grad, lr)
+    def spy(flat, lr):
+        seen.append(flat.grad)
+        original(flat, lr)
 
     monkeypatch.setattr(training, "adam_step", spy)
     tc = TrainConfig(batch_size=16, max_epochs=1, seed=0)
@@ -622,6 +643,52 @@ def test_fit_leaves_every_gradient_a_view_of_the_flat_buffer(tmp_path, monkeypat
             grad.__array_interface__["data"][0] + offset * grad.itemsize), name
         offset += t.size
     assert offset == grad.size and grad.any()
+
+
+class Interrupt(BaseException):
+    """Stands in for a KeyboardInterrupt or a SystemExit mid-step."""
+
+
+def test_an_interrupted_fit_leaves_its_completed_epochs(tmp_path, monkeypatch):
+    """A run stopped midway through its third epoch of five keeps a loss log
+    of exactly its two completed epochs, each a whole JSON line and the same
+    as an uninterrupted run's, and a best checkpoint that loads, scores the
+    log's smallest val_mae and has no staging sibling left beside it."""
+    ds = make_affine_task(64)
+    val = make_affine_task(32, data_seed=9)
+    cfg = small_config(dropout_rate=0.1, conv_width=4)
+    tc = TrainConfig(batch_size=16, max_epochs=5, patience=10, lr_initial=1e-2, seed=4)
+
+    def run(out_dir):
+        params = mixer.init_mixer_params(cfg, np.random.default_rng(6))
+        training.fit(params, cfg, ds, val, tc, out_dir, log_path=out_dir / "loss_log.jsonl")
+
+    run(tmp_path / "whole")
+    whole = (tmp_path / "whole" / "loss_log.jsonl").read_text().splitlines(keepends=True)
+    assert len(whole) == 5
+
+    original = training.adam_step
+    steps_per_epoch, stop_at = 4, 2 * 4 + 2
+
+    def interrupted(flat, lr):
+        if flat.t == stop_at:
+            raise Interrupt
+        original(flat, lr)
+
+    monkeypatch.setattr(training, "adam_step", interrupted)
+    out = tmp_path / "cut"
+    with pytest.raises(Interrupt):
+        run(out)
+    text = (out / "loss_log.jsonl").read_text()
+    assert text.endswith("\n")
+    lines = text.splitlines(keepends=True)
+    assert lines == whole[:stop_at // steps_per_epoch]
+    rows = [json.loads(line) for line in lines]
+    assert [row["epoch"] for row in rows] == [0, 1]
+
+    best, best_cfg, _ = mixer.load_checkpoint(out / "best")
+    assert sorted(p.name for p in out.iterdir()) == ["best", "loss_log.jsonl"]
+    assert training.evaluate_mae(best, best_cfg, val) == min(row["val_mae"] for row in rows)
 
 
 def fit_files(out_dir, params, cfg, ds, val, seed=3):
