@@ -4,17 +4,19 @@ Metrics are computed in standardized data space: MSE and MAE are means over
 all N*V*H entries, RMSE is the square root of the MSE, and MAPE guards zero
 targets with a small epsilon.
 
-The sums stream through two float64 scratch buffers of at most ``_LEAF``
-entries instead of full-size float64 copies.  Inputs of any strides (the
-sliding window views evaluation scores, a broadcast array) are read leaf by
-leaf in C order: a contiguous input in place, any other through one more
-leaf-sized scratch buffer of its own dtype, never a full-size copy.  The sums
-stay bit-identical to the plain float64 formula because numpy sums a
-contiguous float64 array pairwise: it splits n entries at n // 2 rounded down
-to a multiple of 8 and adds the two halves' sums.  ``compute_metrics`` splits the C-ordered entries
-the same way until a piece fits in a leaf, lets numpy sum each leaf (the
-same subtree numpy would have summed), and adds the leaf sums back along the
-same tree, so every addition happens in the same order on the same values.
+The sums stream through three float64 buffers of at most ``_LEAF`` entries
+instead of full-size float64 copies.  Inputs of any strides (the sliding
+window views evaluation scores, a broadcast array) are read leaf by leaf in
+C order, each leaf's target and forecast cast once into a float64 buffer of
+their own (whole-row blocks at a time for a strided input), never a
+full-size copy; every term is computed from those buffers.  The sums stay
+bit-identical to the plain float64 formula because numpy sums a contiguous
+float64 array pairwise: it splits n entries at n // 2 rounded down to a
+multiple of 8 and adds the two halves' sums.  ``compute_metrics`` splits the
+C-ordered entries the same way until a piece fits in a leaf, lets numpy sum
+each leaf (the same subtree numpy would have summed), and adds the leaf sums
+back along the same tree, so every addition happens in the same order on the
+same values.
 
 Reports are line-delimited JSON records with a stable key order plus a
 plain-text comparison table, so two emissions of the same reports are
@@ -33,8 +35,8 @@ from .tensor import ShapeError
 
 MAPE_EPS = 1e-8
 
-# Entries per leaf of the metric sums: two float64 scratch buffers of this
-# length (256 KiB each) stay in cache.
+# Entries per leaf of the metric sums: three float64 buffers of this length
+# (256 KiB each) stay in cache.
 _LEAF = 32_768
 
 
@@ -60,9 +62,8 @@ _REPORT_FIELDS = tuple(f.name for f in fields(MetricsReport))
 def compute_metrics(pred: np.ndarray, target: np.ndarray) -> dict:
     """MSE / MAE / RMSE / MAPE over every entry of matching arrays of any
     strides, read in C order; each equals, bit for bit, the plain float64
-    formula on C-ordered inputs, without any full-size buffer.  A contiguous
-    input is read in place; of any other, only the current leaf's entries are
-    copied, into a leaf-sized scratch buffer of its own dtype."""
+    formula on C-ordered inputs, without any full-size buffer: only the
+    current leaf's entries of each input are copied, cast to float64."""
     pred = np.asarray(pred)
     target = np.asarray(target)
     if pred.shape != target.shape:
@@ -70,20 +71,18 @@ def compute_metrics(pred: np.ndarray, target: np.ndarray) -> dict:
     if pred.size == 0:
         raise ShapeError("metrics need at least one entry")
     n = pred.size
-    size = min(n, _LEAF)
-    read_p, read_t = _leaf_reader(pred, size), _leaf_reader(target, size)
-    err = np.empty(size)
-    scratch = np.empty_like(err)
+    truth, err, scratch = np.empty((3, min(n, _LEAF)))
 
     def leaf(lo: int, hi: int) -> tuple:
-        e, s = err[:hi - lo], scratch[:hi - lo]
-        t = read_t(lo, hi)
-        np.subtract(t, read_p(lo, hi), out=e, dtype=np.float64)
+        t, e, s = truth[:hi - lo], err[:hi - lo], scratch[:hi - lo]
+        _copy_c_order(target, lo, hi, t)
+        _copy_c_order(pred, lo, hi, e)
+        np.subtract(t, e, out=e)
         np.square(e, out=s)
         squares = s.sum()
         np.abs(e, out=e)
         errors = e.sum()
-        np.abs(t, out=s, dtype=np.float64)
+        np.abs(t, out=s)
         s += MAPE_EPS
         np.divide(e, s, out=s)
         return squares, errors, s.sum()
@@ -108,32 +107,15 @@ def _pairwise(leaf, lo: int, hi: int) -> tuple:
     return tuple(a + b for a, b in zip(left, right))
 
 
-def _leaf_reader(a: np.ndarray, size: int):
-    """``read(lo, hi)``: entries [lo, hi) of ``a`` in C order, as a 1-D
-    array.  A C-contiguous ``a`` is sliced in place; any other is copied,
-    one block of whole rows at a time, into a scratch buffer of ``size``
-    entries."""
-    if a.flags.c_contiguous:
-        flat = a.reshape(-1)
-        return lambda lo, hi: flat[lo:hi]
-    buf = np.empty(size, a.dtype)
-
-    def read(lo: int, hi: int) -> np.ndarray:
-        out = buf[:hi - lo]
-        _copy_c_order(a, lo, hi, out)
-        return out
-
-    return read
-
-
 def _copy_c_order(a: np.ndarray, lo: int, hi: int, out: np.ndarray) -> None:
-    """Copy entries [lo, hi) of ``a`` in C order into the 1-D ``out``: a
-    partial first row, the whole rows between, and a partial last row, each
-    row of the leading axis split the same way, so at most two copies per
-    axis.  A module function, like ``_pairwise``, so that no closure cycle
-    keeps ``a`` alive."""
-    if a.ndim == 1:
-        out[...] = a[lo:hi]
+    """Copy entries [lo, hi) of ``a`` in C order into the 1-D ``out``, cast
+    to its dtype: a C-contiguous ``a`` in one copy, any other as a partial
+    first row, the whole rows between, and a partial last row, each row of
+    the leading axis split the same way, so at most two copies per axis.  A
+    module function, like ``_pairwise``, so that no closure cycle keeps ``a``
+    alive."""
+    if a.flags.c_contiguous or a.ndim == 1:
+        np.copyto(out, a.reshape(-1)[lo:hi])
         return
     inner = a[0].size
     first, stop = lo // inner, hi // inner

@@ -16,7 +16,9 @@ Each stage (RevIN, the linear forecaster, the up-projection, the packing of
 the stack input, reconciliation, and the RevIN inverse) is one engine op
 computed on numpy arrays with a hand-written backward, and keeps the arrays
 its backward needs only while a tape records it.  A stage writes only arrays
-it allocates, never its inputs, with or without a tape.  The packing op
+it allocates, never its inputs, with or without a tape.  Every reduction a
+backward makes (a bias gradient's column sum, NLinear's row sums, RevIN's
+per-variate sums) is one ``einsum`` pass.  The packing op
 writes the learned token's rows, the forward rows and the feature-reversed
 rows straight into one interleaved [L*2B, D] matrix, so both views run
 through the stack in one call as a batch of 2B.  Reconciliation, given the
@@ -210,7 +212,8 @@ def revin_normalize(params: RevInParams, x: np.ndarray, batch: int = 1):
     arrays [rows, 1] for inversion.
 
     The normalization is one engine op; the input is data, so gradients
-    reach gamma and beta only."""
+    reach gamma and beta only, each one einsum pass over its variate's
+    rows."""
     gamma, beta = params.gamma, params.beta
     v = gamma.shape[0]
     _check_variate_rows(x, v, batch)
@@ -234,8 +237,8 @@ def revin_normalize(params: RevInParams, x: np.ndarray, batch: int = 1):
 
     def backward(g):
         g3 = _per_variate(g, v)
-        d_gamma = np.multiply(g3, _per_variate(xhat, v)).sum(axis=(1, 2))[:, None]
-        return [d_gamma, g3.sum(axis=(1, 2))[:, None]]
+        d_gamma = np.einsum("vbt,vbt->v", g3, _per_variate(xhat, v))[:, None]
+        return [d_gamma, np.einsum("vbt->v", g3)[:, None]]
 
     return T.custom_op(out, [gamma, beta], backward), (mean, std)
 
@@ -265,8 +268,8 @@ def revin_denormalize(params: RevInParams, stats: tuple[np.ndarray, np.ndarray],
     def backward(g):
         d_y = _per_variate(g, v) * std3
         d_y /= gamma3
-        d_gamma = -np.multiply(d_y, u).sum(axis=(1, 2))[:, None]
-        d_beta = -d_y.sum(axis=(1, 2))[:, None]
+        d_gamma = -np.einsum("vbt,vbt->v", d_y, u)[:, None]
+        d_beta = -np.einsum("vbt->v", d_y)[:, None]
         return [d_y.reshape(g.shape), d_gamma, d_beta]
 
     return T.custom_op(result.reshape(y_norm.shape), inputs, backward)
@@ -287,8 +290,8 @@ def nlinear_forecast(weight: Tensor, bias: Tensor, x_norm: Tensor) -> Tensor:
     def backward(g):
         d_x = g @ weight.data
         # The last step also enters through the subtracted and re-added copy.
-        d_x[:, -1] += g.sum(axis=1) - d_x.sum(axis=1)
-        return [d_x, g.T @ centered, g.sum(axis=0, keepdims=True)]
+        d_x[:, -1] += np.einsum("ij->i", g) - np.einsum("ij->i", d_x)
+        return [d_x, g.T @ centered, np.einsum("ij->j", g)[None]]
 
     return T.custom_op(out, [x_norm, weight, bias], backward)
 
@@ -303,7 +306,7 @@ def up_project(weight: Tensor, bias: Tensor, rows: Tensor) -> Tensor:
     out += bias.data
 
     def backward(g):
-        return [g @ weight.data, g.T @ rows.data, g.sum(axis=0, keepdims=True)]
+        return [g @ weight.data, g.T @ rows.data, np.einsum("ij->j", g)[None]]
 
     return T.custom_op(out, [rows, weight, bias], backward)
 
@@ -338,7 +341,7 @@ def pack_views(tokens: Tensor, eta: Tensor | None, batch: int, both_views: bool)
         d_rows = g3[:, 0] + g3[:, 1, ::-1] if views == 2 else g3[:, 0]
         grads = [d_rows[lead:]]
         if eta is not None:
-            grads.append(d_rows[:lead].sum(axis=0, keepdims=True))
+            grads.append(np.einsum("ij->j", d_rows[:lead])[None])
         return grads
 
     return T.custom_op(packed.reshape(-1, d), inputs, backward)
@@ -374,7 +377,7 @@ def reconcile_views(view_w: Tensor, view_b: Tensor, stack_out: Tensor, both_view
         d_tokens = d_out.reshape(tokens.shape)
         d_tokens[:skip] = 0.0
         np.matmul(g, w, out=d_tokens[skip:])
-        return [d_out, d_w, g.sum(axis=0, keepdims=True)]
+        return [d_out, d_w, np.einsum("ij->j", g)[None]]
 
     return T.custom_op(out, [stack_out, view_w, view_b], backward)
 

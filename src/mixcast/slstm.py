@@ -11,10 +11,12 @@ tokens form ``[L*B, D]`` rows, token ``t`` in rows ``t*B .. (t+1)*B``.  A
 residual block (layer norm, causal convolution, recurrence, projection,
 dropout, residual) is one engine op computed on numpy arrays, with a
 hand-written backward that returns every block gradient; the recurrence
-inside it is backpropagated through time.  Gates are held as slabs
-``[4, rows, D]`` in the order z, o, i, f, so each gate of each token is a
-contiguous ``[B, D]`` block.  The input products are one matmul per gate,
-hoisted out of the time loop.
+inside it is backpropagated through time.  Every reduction a backward makes
+(the bias-gradient column sums, the layer norm's row mean) is one ``einsum``
+pass, as the forward's row statistics are (:func:`row_moments`).  Gates are
+held as slabs ``[4, rows, D]`` in the order z, o, i, f, so each gate of each
+token is a contiguous ``[B, D]`` block.  The input products are one matmul
+per gate, hoisted out of the time loop.
 
 Every run of the stack goes through a :class:`Stream`, which owns the run's
 settings (the dropout generator, the stabilizer stats, and whether it
@@ -468,7 +470,9 @@ def _recurrence_backward(p: SLstmParams, d_hs: np.ndarray, hs: np.ndarray, histo
     history is overwritten instead of allocating fresh arrays: the gates with
     their pre-activation gradients, the cell and normalizer rows with the
     input-path gradients.  The stabilizer m is treated as a constant: h does
-    not depend on it mathematically, so the m paths carry no gradient.
+    not depend on it mathematically, so the m paths carry no gradient.  The
+    four bias gradients, the column sums of the gate-gradient slab, are one
+    einsum pass over it.
     """
     acts, cs, ns = history
     rows, d = hs.shape
@@ -512,7 +516,9 @@ def _recurrence_backward(p: SLstmParams, d_hs: np.ndarray, hs: np.ndarray, histo
         dn *= f
         f *= t1
         np.matmul(_per_head(acts[:, now], heads), blocks, out=rec_heads)
-        np.sum(rec, axis=0, out=dh)
+        np.add(rec[0], rec[1], out=dh)       # the gates' sum, in gate order
+        dh += rec[2]
+        dh += rec[3]
     d_pre = acts
 
     weights = [getattr(p, "w_" + gate).data for gate in _GATES]
@@ -520,7 +526,7 @@ def _recurrence_backward(p: SLstmParams, d_hs: np.ndarray, hs: np.ndarray, histo
     # Head block k of d_R is d_pre[t, head k]^T h[t-1, head k] summed over t.
     d_r = np.matmul(_per_head(d_pre[:, batch:], heads).swapaxes(-1, -2),
                     _per_head(hs[:-batch], heads))
-    d_b = [d_pre[k].sum(axis=0, keepdims=True) for k in range(4)]
+    d_b = list(np.einsum("kij->kj", d_pre)[:, None])
     d_x = np.matmul(d_pre[0], weights[0], out=cs)
     d_x_if = np.matmul(d_pre[2], weights[2], out=ns)
     tmp = np.matmul(d_pre[1], weights[1])
@@ -678,9 +684,11 @@ def _block(chunks: _BlockChunks, x: Tensor) -> Tensor:
             d_kernel = [d_k]
 
         d_gamma = np.einsum("ij,ij->j", d_normed, xhat)[None]
-        d_beta = d_normed.sum(axis=0, keepdims=True)
+        d_beta = np.einsum("ij->j", d_normed)[None]
         d_normed *= w.ln_gamma.data            # now d xhat
-        d_x = d_normed - d_normed.mean(axis=1, keepdims=True)
+        mean = np.einsum("ij->i", d_normed)[:, None]
+        mean /= d
+        d_x = d_normed - mean
         proj = np.einsum("ij,ij->i", d_normed, xhat)[:, None]
         proj /= d
         d_x -= np.multiply(xhat, proj, out=d_normed)

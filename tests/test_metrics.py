@@ -168,9 +168,8 @@ def test_metrics_allocate_no_full_size_float64_buffer():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Two float64 leaf buffers, plus one float32 leaf buffer for the
-        # sliding target, against 4 MB for a float32 copy of a 1M-entry input
-        # and 16 MB for two float64 copies.
+        # Three float64 leaf buffers, against 4 MB for a float32 copy of a
+        # 1M-entry input and 16 MB for two float64 copies.
         assert peak < 4 * M._LEAF * 8, peak
 
 
