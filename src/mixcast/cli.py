@@ -156,13 +156,16 @@ _EXTRA_DEFAULTS = {"dataset_kind": "generic", "dataset_name": "", "seed": -1,
 def _load_checkpoint(path):
     """A checkpoint's params, config and ``extra``, which holds every key of
     _EXTRA_DEFAULTS, each checked once against its default's type (a bool is
-    not an int here), whichever command reads it."""
+    not an int here), and a known dataset kind, whichever command reads it."""
     params, cfg, extra = mixer.load_checkpoint(path)
     extra = {**_EXTRA_DEFAULTS, **extra}
     for key, default in _EXTRA_DEFAULTS.items():
         value, kind = extra[key], type(default)
         if not isinstance(value, kind) or isinstance(value, bool):
             raise ValueError(f"config.json: extra {key} must be {kind.__name__}, got {value!r}")
+    if extra["dataset_kind"] not in data_mod.DATASET_KINDS:
+        raise ValueError(f"config.json: extra dataset_kind must be one of "
+                         f"{', '.join(data_mod.DATASET_KINDS)}, got {extra['dataset_kind']!r}")
     return params, cfg, extra
 
 

@@ -21,10 +21,11 @@ per gate, hoisted out of the time loop.
 Every run of the stack goes through a :class:`Stream`, which owns the run's
 settings (the dropout generator, the stabilizer stats, and whether it
 records: it does if a tape is active when it is built) and gives each block a
-share that holds everything a chunk of its forward reads.  Its caller hands
-it successive chunks of whole tokens, or all its rows as one chunk when it
-records.  Each block carries its recurrence state ``(h, c, n, m)`` and its
-last ``conv_width - 1`` normed tokens across the seams.  Building the stream
+share that holds everything a chunk of its forward reads and runs its
+recurrence.  Its caller hands it successive chunks of whole tokens, or all
+its rows as one chunk when it records.  Everything a block carries across a
+seam lives on its share: the recurrence state ``(h, c, n, m)``, the rows run
+so far and the last ``conv_width - 1`` normed tokens.  Building the stream
 carves every block's buffers in one call from a :class:`Scratch` arena, which
 the batches of an evaluation pass, or the steps of a training epoch, share,
 so they do not fault the same memory in again.  Without a tape the blocks
@@ -176,22 +177,20 @@ class StabilizerStats:
 
     ``min_gap`` is the smallest |(f̃ + m_prev) − ĩ| seen: how close the
     running max came to switching operands, where its derivative jumps.
-    ``flushed_share`` is the share of the ``gate_entries`` input-gate entries
-    seen that were flushed to exactly 0 (see the module docstring), and
-    ``first_dead_token`` the first token at which a recurrence flushed every
-    entry of its step, or None."""
+    ``flushed_entries`` of the ``gate_entries`` input-gate entries seen were
+    flushed to exactly 0 (see the module docstring), and ``first_dead_token``
+    is the first token at which a recurrence flushed every entry of its step,
+    or None."""
 
     min_gap: float = math.inf
     gate_entries: int = 0
     flushed_entries: int = 0
-    flushed_share: float = 0.0
     first_dead_token: int | None = None
 
     def count_flushed(self, token: int, entries: int, flushed: int) -> None:
         """Count one step's input gate: ``flushed`` of its ``entries``."""
         self.gate_entries += entries
         self.flushed_entries += flushed
-        self.flushed_share = self.flushed_entries / self.gate_entries
         if flushed == entries and (self.first_dead_token is None or token < self.first_dead_token):
             self.first_dead_token = token
 
@@ -310,35 +309,46 @@ def _per_head(a: np.ndarray, heads: int) -> np.ndarray:
     return a.reshape(*lead, rows, heads, d // heads).swapaxes(-3, -2)
 
 
-class _Recurrence:
-    """The cell folded over successive chunks of token-major rows, carrying
-    (h, c, n, m) from one chunk to the next, starting from the zero state.
+class _BlockChunks:
+    """One block's share of a :class:`Stream`: all one chunk of its forward
+    reads, and all the block carries from one chunk to the next.
 
-    The weights are gathered once: the transposed input weights, the biases
-    and the transposed head blocks of the recurrent matrices, stacked as
-    [4, H, d_h, d_h].  Each step makes one product per head, straight into
-    the recurrent-product slab.
+    It holds the block's weights, the batch, its conv kernel, the keep
+    probability and ``rng`` (None without conv or masks), the ``stats`` and
+    its chunk buffers, with the ``history`` its stream carved it if it
+    records (else empty).  The cell's weights are gathered once: the
+    transposed input weights, the biases, and the transposed head blocks of
+    the recurrent matrices stacked as [4, H, d_h, d_h], so each step of
+    :meth:`run` makes one product per head, straight into the
+    recurrent-product slab.
 
-    It works in two carved slabs: ``pre`` [4, rows, D] holds the chunk's
-    pre-activations, and ``step`` [9, B, D] the recurrent products, a
-    temporary and the state (h, c, n, m), which is zeroed here.
+    Across a seam it carries the recurrence from the zero state, in the step
+    slab [9, B, D] (the recurrent products ``rec``, a temporary ``tmp`` and
+    the state h, c, n, m) and ``dead``; its normed rows, in ``ring`` after a
+    ``tail`` of the previous chunk's last conv_width - 1 normed tokens, which
+    the taps read across the seam; and ``done``, the rows run, of ``rows``.
     """
 
-    def __init__(self, p: SLstmParams, pre: np.ndarray, step: np.ndarray,
-                 stats: StabilizerStats | None):
-        self.batch, self.heads, self.stats = step.shape[1], p.num_heads, stats
-        self.w = [np.ascontiguousarray(getattr(p, "w_" + gate).data.T) for gate in _GATES]
+    def __init__(self, w: BlockWeights, batch: int, kernel, keep_p: float, rng,
+                 stats: StabilizerStats | None, buffers: list, step, ring, rows: int, tail: int):
+        self.w, self.batch, self.kernel, self.keep_p = w, batch, kernel, keep_p
+        self.rng, self.stats, self.rows, self.tail = rng, stats, rows, tail
+        self.pre, self.inv_std, self.hs, *rest = buffers
+        self.x_if = rest.pop(0) if kernel is not None else None
+        self.mask = rest.pop(0) if rng is not None else None
+        self.history, self.ring, self.done, self.dead = rest, ring, 0, False
+        p, self.heads = w.cell, w.cell.num_heads
+        self.w_in = [np.ascontiguousarray(getattr(p, "w_" + gate).data.T) for gate in _GATES]
         self.b = [getattr(p, "b_" + gate).data for gate in _GATES]
         self.r = np.ascontiguousarray(_recurrent(p).swapaxes(-1, -2))
         # The output gate is the logistic (1 + tanh(õ / 2)) / 2; halving its
         # weights and bias here gives õ / 2 exactly, in place of õ.
-        self.w[1], self.b[1] = self.w[1] * 0.5, self.b[1] * 0.5
+        self.w_in[1], self.b[1] = self.w_in[1] * 0.5, self.b[1] * 0.5
         self.r[1] *= 0.5
         self.floor = step.dtype.type(_FLUSH * math.log(np.finfo(step.dtype).smallest_subnormal))
-        self.pre, self.rec, self.tmp = pre, step[:4], step[4]
+        self.rec, self.tmp = step[:4], step[4]
         step[5:].fill(0.0)
         self.h, self.c, self.n, self.m = step[5:]
-        self.tokens, self.dead = 0, False
 
     def _cell_input(self, x: np.ndarray, h: np.ndarray, now: slice, deferred: bool) -> None:
         """z̃ of the step at rows ``now`` into the recurrent-product slab, from
@@ -346,7 +356,7 @@ class _Recurrence:
         with the call shape of the other gates', if its chunk ``deferred`` it."""
         pre = self.pre[0, :x.shape[0]]
         if deferred:
-            np.matmul(x, self.w[0], out=pre)
+            np.matmul(x, self.w_in[0], out=pre)
             pre += self.b[0]
         np.matmul(_per_head(h, self.heads), self.r[0], out=_per_head(self.rec[0], self.heads))
         self.rec[0] += pre[now]
@@ -365,7 +375,8 @@ class _Recurrence:
         rows, so the pre-activation slab and ``cells`` are the history the
         backward reads; without it the gates overwrite the step's slab and
         c, n are updated in place.  The input gate is flushed as the module
-        docstring says, from the recurrence's second token on.
+        docstring says, from the recurrence's second token on.  The rows
+        start at token ``done // batch``; the caller advances ``done``.
 
         Without a tape, a step after a dead one makes the recurrent products,
         the pre-activations and their finite check for o, i and f only, and a
@@ -378,9 +389,9 @@ class _Recurrence:
         deferred = dead
         for k, src in enumerate((x, x, x_if, x_if)):
             if k or not deferred:
-                np.matmul(src, self.w[k], out=pre[k])
+                np.matmul(src, self.w_in[k], out=pre[k])
                 pre[k] += self.b[k]
-        heads, r, floor, start = self.heads, self.r, self.floor, self.tokens
+        heads, r, floor, start = self.heads, self.r, self.floor, self.done // batch
         rec, rec_heads = self.rec, _per_head(self.rec, heads)
         rec_zo, rec_o, i_tilde, f_tilde = rec[:2], rec[1], rec[2], rec[3]
         r_oif, rec_oif, rec_heads_oif = r[1:], rec[1:], rec_heads[1:]
@@ -458,12 +469,11 @@ class _Recurrence:
         # which the next block of a stream overwrites.
         np.copyto(self.h, h)
         self.c, self.n, self.dead = c, n, dead
-        self.tokens = start + rows // batch
 
 
 def _recurrence_backward(p: SLstmParams, d_hs: np.ndarray, hs: np.ndarray, history,
                          x: np.ndarray, x_if: np.ndarray, batch: int):
-    """Backpropagation through time for :class:`_Recurrence`.
+    """Backpropagation through time for :meth:`_BlockChunks.run`'s one chunk.
 
     Returns the gradients of x, of x_if, and of the cell weights in
     engine-op input order.  The spent
@@ -535,27 +545,6 @@ def _recurrence_backward(p: SLstmParams, d_hs: np.ndarray, hs: np.ndarray, histo
     return d_x, d_x_if, d_w + list(d_r) + d_b
 
 
-class _BlockChunks:
-    """One block's share of a :class:`Stream`: all one chunk of its forward
-    reads.  That is its weights, the batch, its conv kernel, the keep
-    probability and ``rng`` (None without conv or masks), ``record``, its
-    chunk buffers, and what it carries from one chunk to the next: its
-    recurrence, whose state stays in its own step slab, and its normed rows,
-    kept in ``ring`` after a ``tail`` of the previous chunk's last
-    conv_width - 1 normed tokens, which the taps read across the seam.
-    ``done`` counts the rows run so far, out of ``rows``."""
-
-    def __init__(self, w: BlockWeights, batch: int, kernel, keep_p: float, rng, record: bool,
-                 stats: StabilizerStats | None, buffers: list, step, ring, rows: int, tail: int):
-        self.w, self.batch, self.kernel, self.keep_p = w, batch, kernel, keep_p
-        self.rng, self.record, self.rows, self.tail = rng, record, rows, tail
-        self.pre, self.inv_std, self.hs, *rest = buffers
-        self.x_if = rest.pop(0) if kernel is not None else None
-        self.mask = rest.pop(0) if rng is not None else None
-        self.cell = _Recurrence(w.cell, self.pre, step, stats)
-        self.history, self.ring, self.done = rest, ring, 0
-
-
 class Stream:
     """A stack run over ``rows`` token-major rows of the same sequences, in
     successive chunks of whole tokens of at most ``chunk`` rows, with every
@@ -567,9 +556,10 @@ class Stream:
     deviations, the hidden rows, then as needed the conv-gated rows, the
     dropout mask and, under a tape, the centred, cell and normalizer rows.
     Without a tape the blocks share one set, carved first; a stream that
-    records carves each block its own, the history it reads.  Each block's
-    step slab and its normed rows after their conv tail come after them; a
-    block's input and output rows are never carved."""
+    records carves each block's share its own, the history it reads, and a
+    share records exactly when it was carved one.  Each block's step slab
+    and its normed rows after their conv tail come after them; a block's
+    input and output rows are never carved."""
 
     def __init__(self, cfg: BlockConfig, blocks: list[BlockWeights], batch: int, rows: int,
                  chunk: int, scratch: Scratch, dtype, rng=None,
@@ -583,7 +573,7 @@ class Stream:
                                     else buffers + own * len(blocks)))
         shared = None if record else [next(arrays) for _ in buffers]
         self.blocks = [_BlockChunks(w, batch, w.conv_kernel.data if conv else None,
-                                    1.0 - cfg.dropout_rate, rng, record, stats,
+                                    1.0 - cfg.dropout_rate, rng, stats,
                                     shared or [next(arrays) for _ in buffers], next(arrays),
                                     next(arrays), rows, tail) for w in blocks]
 
@@ -594,8 +584,9 @@ def _block(chunks: _BlockChunks, x: Tensor) -> Tensor:
     projection, dropout and the residual.
 
     x is the next chunk of whole tokens of the :class:`Stream` that built
-    ``chunks``, which holds everything else the block reads: the block works
-    in its buffers and carries its state on to the next chunk; a stream that
+    ``chunks``, the block's share, which holds everything else the block
+    reads and runs its recurrence: the block works in the share's buffers,
+    and the share carries its state on to the next chunk.  A stream that
     records runs one chunk, whose buffers are the history the backward
     reads.  The output is a fresh array, and x's rows are only read.  Given
     an rng, the dropout mask is drawn CHUNK_ROWS rows at a time from it,
@@ -616,7 +607,7 @@ def _block(chunks: _BlockChunks, x: Tensor) -> Tensor:
     lo, tail, ring, pre = chunks.done, chunks.tail, chunks.ring, chunks.pre
     x_in, inv_std, hs = x.data, chunks.inv_std[:rows], chunks.hs[:rows]
     normed = ring[tail:tail + rows]
-    xhat, *cells = [a[:rows] for a in chunks.history] if chunks.record else [normed]
+    xhat, *cells = [a[:rows] for a in chunks.history] or [normed]
 
     # Layer norm over each row, with eps in the rows' dtype: the row
     # statistics take one einsum pass each (row_moments), the mean and then
@@ -646,7 +637,7 @@ def _block(chunks: _BlockChunks, x: Tensor) -> Tensor:
             x_if[first:] += np.multiply(ring[tail + first - shift:tail + rows - shift],
                                         kernel[j], out=pre[0, first:rows])
 
-    chunks.cell.run(normed, x_if, hs, cells)
+    chunks.run(normed, x_if, hs, cells)
     out = hs @ w.proj_w.data.T
     mask = None
     if rng is not None:

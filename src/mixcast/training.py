@@ -226,8 +226,8 @@ def predict_dataset(params: MixerParams, cfg: MixerConfig, dataset,
 def fit(params: MixerParams, cfg: MixerConfig, train_ds, val_ds,
         train_cfg: TrainConfig, out_dir, log_path=None) -> RunArtifacts:
     """Train with shuffled mini-batches, checkpointing on validation
-    improvement and stopping after `patience` epochs without one.  The
-    steps of an epoch carve the stack's history from one scratch arena."""
+    improvement and stopping once ``patience + 1`` epochs in a row bring
+    none.  An epoch's steps carve the stack's history from one scratch arena."""
     if len(train_ds) < 1 or len(val_ds) < 1:
         raise ValueError("train and validation datasets must be non-empty")
     out_dir = Path(out_dir)

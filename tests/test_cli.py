@@ -361,11 +361,14 @@ def test_eval_reads_dataset_kind_from_checkpoint(tmp_path):
     assert stored != report("--dataset", "generic")
 
 
-def saved_tiny_model(directory, extra=None):
-    """A fresh model for the 3-variate tiny series, saved as a checkpoint."""
+def saved_tiny_model(directory, extra=None, config_id=None):
+    """A fresh model for the 3-variate tiny series, saved as a checkpoint;
+    given ``config_id``, of that ablation configuration."""
     block = BlockConfig(d_hidden=8, num_heads=2)
     cfg = mixer.MixerConfig(lookback=16, horizon=8, num_variates=3, embed_dim=8,
                             num_blocks=1, block=block)
+    if config_id is not None:
+        cfg = mixer.build_ablation_config(config_id, cfg)
     mixer.save_checkpoint(directory, mixer.init_mixer_params(cfg, np.random.default_rng(5)),
                           extra=extra)
     return directory

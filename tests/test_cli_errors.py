@@ -124,6 +124,8 @@ TAMPERINGS = [
     ("extra-bad-seed", config_with(extra={"seed": "1"}), "extra seed must be int, got '1'"),
     ("extra-bad-name", config_with(extra={"dataset_name": 3}),
      "extra dataset_name must be str, got 3"),
+    ("extra-unknown-kind", config_with(extra={"dataset_kind": "weekly"}),
+     "extra dataset_kind must be one of etth, ettm, generic, got 'weekly'"),
     ("no-manifest", delete("manifest.txt"), "manifest.txt"),
     ("manifest-malformed", manifest(lambda t: t.replace("eta\t1x8\t", "eta\t1x8x\t")),
      "malformed manifest line"),
@@ -326,3 +328,12 @@ def test_a_bad_flag_data_file_or_command_is_reported(case, data, args, expected,
     out.mkdir()
     argv = [a.format(csv=csv, out=out, ckpt=ckpt) for a in args]
     assert_outcome(*run(argv, capsys), expected, argv)
+
+
+def test_decoding_the_token_of_a_time_axis_model_is_reported(tmp_path, capsys):
+    # Ablation 2 learns an initial token, but its tokens are forecast steps.
+    ckpt = saved_tiny_model(tmp_path / "ckpt", config_id=2)
+    argv = command("decode-token", ckpt, None, tmp_path)
+    assert_outcome(*run(argv, capsys),
+                   "token decoding is defined for variate-order models", argv)
+    assert not (tmp_path / "token.csv").exists()

@@ -97,7 +97,8 @@ def test_flushed_training_step_matches_the_unflushed_one(dtype, conv, blocks, dr
     stats = slstm.StabilizerStats()
     flushed = training_step(params, cfg, xs, ys, stats)
     # The case reaches the dead region, and leaves some of it alive.
-    assert 0.0 < stats.flushed_share < 1.0 and stats.first_dead_token is not None
+    assert 0.0 < stats.flushed_entries / stats.gate_entries < 1.0
+    assert stats.first_dead_token is not None
     reference = None
     if dtype == np.float32:
         wide, _ = model(dtype, conv, blocks, dropout, ref_dtype=np.float64)
@@ -179,9 +180,9 @@ def test_stats_read_the_flush_off_a_run(dtype):
     steps = dead.reshape(-1, 4 * WIDTH).all(axis=1)
     assert stats.gate_entries == dead.size
     assert stats.flushed_entries == np.count_nonzero(dead)
-    assert stats.flushed_share == np.count_nonzero(dead) / dead.size
+    assert stats.flushed_entries / stats.gate_entries == np.count_nonzero(dead) / dead.size
     assert stats.first_dead_token == int(np.argmax(steps)) > 0
-    assert 0.5 < stats.flushed_share < 1.0
+    assert 0.5 < stats.flushed_entries / stats.gate_entries < 1.0
 
     # The path without a tape, which skips a dead step's update, reads the
     # same.
@@ -247,7 +248,7 @@ class ProductSpy:
                 spy.product(out)
                 return np.matmul(a, b, out=out)
 
-        run = slstm._Recurrence.run
+        run = slstm._BlockChunks.run
 
         def spied(cell, x, x_if, hs, cells=()):
             self.cell = cell
@@ -258,7 +259,7 @@ class ProductSpy:
                 self.cell = None
 
         monkeypatch.setattr(slstm, "np", Numpy())
-        monkeypatch.setattr(slstm._Recurrence, "run", spied)
+        monkeypatch.setattr(slstm._BlockChunks, "run", spied)
 
     def product(self, out):
         cell, counts = self.cell, self.runs[-1] if self.runs else None

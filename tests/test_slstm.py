@@ -46,11 +46,15 @@ def random_cell(rng, d_in=4, d_hidden=6, heads=2, dtype=np.float64):
 
 
 def run_sequence(p: slstm.SLstmParams, xs, stats=None) -> np.ndarray:
-    """The fused recurrence's forward over the tokens xs [L, D_in], batch 1."""
+    """The fused recurrence's forward over the tokens xs [L, D_in], batch 1,
+    run by a block share that holds only the cell (no layer norm, conv or
+    projection is read)."""
     x = R.lift(xs).data
     hs = np.empty((x.shape[0], p.d_hidden), dtype=np.result_type(x, p.w_z.data))
     pre, step = slstm.Scratch().carve(hs.dtype, [(4, x.shape[0], p.d_hidden), (9, 1, p.d_hidden)])
-    slstm._Recurrence(p, pre, step, stats).run(x, x, hs)
+    share = slstm._BlockChunks(slstm.BlockWeights(p, None, None, None), 1, None, 1.0, None,
+                               stats, [pre, None, hs], step, None, x.shape[0], 0)
+    share.run(x, x, hs)
     return hs
 
 

@@ -424,14 +424,19 @@ def test_fit_single_epoch_bound(tmp_path):
 
 
 def test_fit_early_stops_on_patience(tmp_path):
+    # At lr ~ 0 the val MAE never moves, so only the first epoch improves (on
+    # +inf), and the run stops once patience + 1 epochs after it bring none.
     ds = make_affine_task(64)
     cfg = small_config("6")
-    params = mixer.init_mixer_params(cfg, np.random.default_rng(0))
-    tc = TrainConfig(batch_size=16, max_epochs=50, patience=1,
-                     lr_initial=0.0 + 1e-12, seed=2021)  # lr ~ 0: no progress
-    art = training.fit(params, cfg, ds, ds, tc, tmp_path)
-    assert art.epochs_trained < 50
-    assert art.epochs_trained == len(art.log)
+    for patience in range(4):
+        params = mixer.init_mixer_params(cfg, np.random.default_rng(0))
+        tc = TrainConfig(batch_size=16, max_epochs=50, patience=patience,
+                         lr_initial=0.0 + 1e-12, seed=2021)  # lr ~ 0: no progress
+        art = training.fit(params, cfg, ds, ds, tc, tmp_path / str(patience))
+        assert art.epochs_trained < 50
+        assert art.epochs_trained == len(art.log)
+        assert len({row["val_mae"] for row in art.log}) == 1
+        assert art.epochs_trained == patience + 2, f"patience {patience}"
 
 
 def test_fit_is_deterministic_per_seed(tmp_path):
