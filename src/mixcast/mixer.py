@@ -281,14 +281,15 @@ def nlinear_forecast(weight: Tensor, bias: Tensor, x_norm: Tensor) -> Tensor:
     t_len = x_norm.shape[1]
     if weight.shape[1] != t_len:
         raise ShapeError(f"weight expects {weight.shape[1]} steps, got {t_len}")
+    w = weight.data
     last = x_norm.data[:, t_len - 1:]
     centered = x_norm.data - last
-    out = centered @ weight.data.T
+    out = centered @ w.T
     out += bias.data
     out += last
 
     def backward(g):
-        d_x = g @ weight.data
+        d_x = g @ w
         # The last step also enters through the subtracted and re-added copy.
         d_x[:, -1] += np.einsum("ij->i", g) - np.einsum("ij->i", d_x)
         return [d_x, g.T @ centered, np.einsum("ij->j", g)[None]]
@@ -302,11 +303,12 @@ def up_project(weight: Tensor, bias: Tensor, rows: Tensor) -> Tensor:
         raise ShapeError(
             f"up-projection expects width {weight.shape[1]}, got {rows.shape[1]}"
         )
-    out = rows.data @ weight.data.T
+    x, w = rows.data, weight.data
+    out = x @ w.T
     out += bias.data
 
     def backward(g):
-        return [g @ weight.data, g.T @ rows.data, np.einsum("ij->j", g)[None]]
+        return [g @ w, g.T @ x, np.einsum("ij->j", g)[None]]
 
     return T.custom_op(out, [rows, weight, bias], backward)
 
@@ -340,7 +342,7 @@ def pack_views(tokens: Tensor, eta: Tensor | None, batch: int, both_views: bool)
         g3 = g.reshape(-1, views, d)
         d_rows = g3[:, 0] + g3[:, 1, ::-1] if views == 2 else g3[:, 0]
         grads = [d_rows[lead:]]
-        if eta is not None:
+        if lead:
             grads.append(np.einsum("ij->j", d_rows[:lead])[None])
         return grads
 
@@ -365,7 +367,7 @@ def reconcile_views(view_w: Tensor, view_b: Tensor, stack_out: Tensor, both_view
     if not 0 <= skip <= tokens.shape[0]:
         raise ShapeError(f"cannot drop {skip} of {tokens.shape[0]} tokens")
     w = view_w.data if both_views else view_w.data[:, :d] + view_w.data[:, d:]
-    y = tokens[skip:]
+    y, shape = tokens[skip:], stack_out.shape
     out = y @ w.T
     out += view_b.data
 
@@ -373,8 +375,8 @@ def reconcile_views(view_w: Tensor, view_b: Tensor, stack_out: Tensor, both_view
         d_w = g.T @ y
         if not both_views:
             d_w = np.concatenate([d_w, d_w], axis=1)
-        d_out = np.empty(stack_out.shape, dtype=np.result_type(g, w))
-        d_tokens = d_out.reshape(tokens.shape)
+        d_out = np.empty(shape, dtype=np.result_type(g, w))
+        d_tokens = d_out.reshape(-1, views * d)
         d_tokens[:skip] = 0.0
         np.matmul(g, w, out=d_tokens[skip:])
         return [d_out, d_w, np.einsum("ij->j", g)[None]]

@@ -259,13 +259,17 @@ def fit(params: MixerParams, cfg: MixerConfig, train_ds, val_ds,
                 lr = lr_at_step(flat.t, total_steps, train_cfg)
                 try:
                     with Tape() as tape:
-                        pred = mixer.forward_batch(params, cfg, xs, training=True, rng=rng,
-                                                   scratch=scratch)
-                        loss = mae_loss(pred, mixer.flatten_targets(ys))
+                        # The forecast is not bound, so it dies once the loss
+                        # is made (no backward reads it), and the loss once
+                        # its backward has run.
+                        loss = mae_loss(mixer.forward_batch(params, cfg, xs, training=True,
+                                                            rng=rng, scratch=scratch),
+                                        mixer.flatten_targets(ys))
                         value = loss.item()
                         if not math.isfinite(value):
                             raise FloatingPointError(f"non-finite loss {value}")
                         tape.backward(loss)
+                        del loss
                     clip_global_norm(flat.grad, flat.segments)
                 except FloatingPointError as exc:
                     raise FloatingPointError(f"{exc} at epoch {epoch}, batch {b}, step {flat.t}, "

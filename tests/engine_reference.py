@@ -25,8 +25,8 @@ from mixcast.tensor import Tensor
 
 
 def parameter(data, dtype=None) -> Tensor:
-    """A leaf tensor: like every tensor an op under a tape reads, it gets a
-    gradient."""
+    """A leaf tensor: like every leaf an op under a tape reads, it keeps a
+    gradient after the backward."""
     return Tensor(data, dtype=dtype)
 
 

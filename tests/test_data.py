@@ -248,6 +248,16 @@ def test_split_minimum_lengths():
         D.chronological_split(5, "generic")
 
 
+def test_split_names_an_unknown_split():
+    with pytest.raises(DataError, match="^unknown split 'train2'$"):
+        D.chronological_split(100, "generic").range_for("train2")
+
+
+def test_split_names_an_unknown_dataset_kind():
+    with pytest.raises(DataError, match="^unknown dataset kind 'hourly'$"):
+        D.chronological_split(100, "hourly")
+
+
 @given(st.integers(10, 5000))
 @settings(max_examples=50, deadline=None)
 def test_generic_split_disjoint_and_ordered(total):
@@ -305,6 +315,12 @@ def test_standardize_rejects_zero_variance():
     spec = D.SplitSpec((0, 8), (0, 8), (0, 8))
     with pytest.raises(DataError, match="v1"):
         D.standardize(raw, spec)
+
+
+def test_standardize_rejects_an_empty_train_range():
+    raw = make_raw(np.arange(12.0).reshape(6, 2))
+    with pytest.raises(DataError, match="^empty train range$"):
+        D.standardize(raw, D.SplitSpec((3, 3), (3, 4), (4, 6)))
 
 
 def test_no_leakage_from_test_rows():
@@ -367,6 +383,13 @@ def test_windows_for_split_overhang():
     assert xs[0, 0, 0] == 62.0
     train = D.windows_for_split(values, spec, "train", t, 2)
     assert len(train) == 70 - 8 - 2 + 1
+
+
+@pytest.mark.parametrize("split_range", [(-1, 4), (4, 4), (2, 7)])
+def test_windows_reject_a_range_out_of_bounds(split_range):
+    with pytest.raises(DataError, match=rf"^range \({split_range[0]}, {split_range[1]}\) "
+                                        "out of bounds for 6 rows$"):
+        D.window_iter(np.zeros((6, 2)), split_range, 2, 1)
 
 
 def test_batch_stacking():

@@ -227,6 +227,71 @@ def test_first_token_is_never_flushed(unflushed):
     assert np.array_equal(flushed, run_sequence(p, xs))
 
 
+SPIKE = 16
+
+
+def spiked_cell(gates, live=False):
+    """A float32 cell with the raised forget bias, over 20 tokens of zero
+    rows but at token SPIKE, where feature 0 is 3e38: the input weights of
+    ``gates`` read it at 10, beyond float32's largest value, and the other
+    gates at 0.  The input gate is dead from about token 9 on; with ``live``
+    feature 1 lifts ĩ far above the stabilizer at SPIKE, so that step is
+    live."""
+    p = random_cell(np.random.default_rng(31), dtype=np.float32)
+    p.b_f.data[:] = FORGET_BIAS[np.float32]
+    for gate in slstm._GATES:
+        weight = getattr(p, "w_" + gate).data
+        weight[:, :2] = 0.0
+        weight[:, 0] = 10.0 if gate in gates else 0.0
+    p.w_i.data[:, 1] = 1.0
+    xs = np.zeros((20, 4), np.float32)
+    xs[SPIKE, 0] = 3e38
+    xs[SPIKE, 1] = 1e3 if live else 0.0
+    return p, xs
+
+
+def nonfinite_gate(p, xs):
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError) as caught:
+        run_sequence(p, xs)
+    return str(caught.value)
+
+
+def assert_dead_before_the_spike(p, xs):
+    flushed = []
+    for tokens in (SPIKE - 1, SPIKE):
+        stats = slstm.StabilizerStats()
+        run_sequence(p, xs[:tokens], stats)
+        flushed.append(stats.flushed_entries)
+    assert flushed[1] - flushed[0] == p.d_hidden, "the step before the spike is not dead"
+
+
+@pytest.mark.parametrize("gates,named", [("o", "output"), ("i", "input"), ("f", "forget"),
+                                         ("zo", "cell-input")])
+def test_a_nonfinite_gate_after_a_dead_step_is_named_as_four_gates_name_it(
+        gates, named, unflushed):
+    # The step after a dead one checks o, i and f first; when one fails, z̃
+    # is made before the gate is named, so an infinite z̃ beside o is named
+    # first, as the check order of a four-gate step has it.
+    p, xs = spiked_cell(gates)
+    assert_dead_before_the_spike(p, xs)
+    assert nonfinite_gate(p, xs) == f"non-finite pre-activation in {named} gate"
+    unflushed()
+    assert nonfinite_gate(p, xs) == f"non-finite pre-activation in {named} gate"
+
+
+def test_an_infinite_cell_input_is_named_on_a_step_that_revives_only(unflushed):
+    # A dead step reads no z̃, so an infinite one there goes unreported; on
+    # a step that revives it is made and checked.
+    p, xs = spiked_cell("z")
+    assert_dead_before_the_spike(p, xs)
+    with np.errstate(over="ignore"):
+        assert np.isfinite(run_sequence(p, xs)).all()
+    p, xs = spiked_cell("z", live=True)
+    assert nonfinite_gate(p, xs) == "non-finite pre-activation in cell-input gate"
+    unflushed()
+    assert nonfinite_gate(p, xs) == "non-finite pre-activation in cell-input gate"
+
+
 class ProductSpy:
     """Reads off the matmuls of ``slstm``, per run of a recurrence, how many
     steps it ran, how many of z's input products it made (one per chunk,

@@ -290,3 +290,8 @@ def test_emit_writes_forecast_and_token_files(tmp_path):
 def test_emit_requires_reports(tmp_path):
     with pytest.raises(ValueError):
         M.emit_report([], tmp_path / "r.jsonl")
+
+
+def test_metrics_need_at_least_one_entry():
+    with pytest.raises(ShapeError, match="^metrics need at least one entry$"):
+        M.compute_metrics(np.zeros((0, 3)), np.zeros((0, 3)))

@@ -143,6 +143,20 @@ def test_nlinear_shape_error():
         mixer.nlinear_forecast(w, b, Tensor(np.zeros((2, 5))))
 
 
+def test_revin_rejects_rows_of_another_count_and_an_empty_window():
+    with pytest.raises(ShapeError, match=r"^expected 6 v-major rows for 3 variates and batch 2, "
+                                         r"got shape \(5, 4\)$"):
+        revin_normalize(fresh_revin(), np.zeros((5, 4)), batch=2)
+    with pytest.raises(ShapeError, match="^normalization needs at least one time step$"):
+        revin_normalize(fresh_revin(), np.zeros((3, 0)))
+
+
+def test_up_projection_rejects_rows_of_another_width():
+    w, b = Tensor(np.zeros((8, 4))), Tensor(np.zeros((1, 8)))
+    with pytest.raises(ShapeError, match="^up-projection expects width 4, got 5$"):
+        mixer.up_project(w, b, Tensor(np.zeros((2, 5))))
+
+
 # -- tokens and views ---------------------------------------------------------
 
 def up_project_and_prepend(params, x_initial, cfg):
@@ -237,6 +251,12 @@ def test_reconcile_rejects_rows_that_are_not_view_pairs():
         reconcile_views(w, bias, Tensor(np.zeros((5, 3))), True)
     with pytest.raises(ShapeError, match="1-view rows of width 3"):
         reconcile_views(w, bias, Tensor(np.zeros((4, 6))), False)
+
+
+def test_reconcile_rejects_dropping_more_tokens_than_it_has():
+    w, bias = Tensor(np.zeros((4, 6))), Tensor(np.zeros((1, 4)))
+    with pytest.raises(ShapeError, match="^cannot drop 3 of 2 tokens$"):
+        reconcile_views(w, bias, Tensor(np.zeros((4, 3))), True, skip=3)
 
 
 # -- ablation factory ----------------------------------------------------------
@@ -517,6 +537,27 @@ def test_forward_batch_names_an_empty_batch(taped):
         mixer.forward_batch(params, cfg, np.zeros((0, 3, 8), dtype=np.float32))
 
 
+def test_a_forward_that_records_takes_no_out_array():
+    cfg = make_cfg()
+    params = init_mixer_params(cfg, np.random.default_rng(36))
+    xs = np.zeros((2, 3, 8), dtype=np.float32)
+    with T.Tape(), pytest.raises(ValueError, match="^a forward that records a tape takes no "
+                                                   "out array$"):
+        mixer.forward_batch(params, cfg, xs, out=np.empty((2, 3, 4), np.float32))
+
+
+@pytest.mark.parametrize("shape,dtype", [((2, 3, 5), np.float32), ((2, 3, 4), np.float64)],
+                         ids=["shape", "dtype"])
+def test_forward_batch_rejects_an_out_array_of_another_shape_or_dtype(shape, dtype):
+    cfg = make_cfg()
+    params = init_mixer_params(cfg, np.random.default_rng(36))
+    xs = np.zeros((2, 3, 8), dtype=np.float32)
+    out = np.empty(shape, dtype)
+    with pytest.raises(ShapeError, match=re.escape(
+            f"out must be float32 of shape (2, 3, 4), got {out.dtype} of shape {shape}")):
+        mixer.forward_batch(params, cfg, xs, out=out)
+
+
 @pytest.mark.parametrize("taped", [False, True], ids=["eval", "taped"])
 def test_training_with_dropout_needs_an_rng(taped):
     cfg = make_cfg(block=BlockConfig(d_hidden=8, num_heads=2, dropout_rate=0.1))
@@ -683,6 +724,15 @@ def test_checkpoint_rejects_unsafe_manifest_name(tmp_path):
     manifest.write_text(manifest.read_text().replace("eta\t", "../eta\t"))
     with pytest.raises(ValueError, match="not filesystem-safe"):
         mixer.load_checkpoint(ck)
+
+
+def test_save_rejects_an_unsafe_parameter_name_and_keeps_no_staging(tmp_path):
+    params = init_mixer_params(make_cfg(), np.random.default_rng(28))
+    named = list(params.named_parameters())
+    params.named_parameters = lambda: iter([("../eta", named[0][1], None)])
+    with pytest.raises(ValueError, match="^parameter name '../eta' is not filesystem-safe$"):
+        mixer.save_checkpoint(tmp_path / "ck", params)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("cell", ["3xa", "x8", "1x8x", "", "-1x8", "1 x8", "1x٨"])

@@ -288,6 +288,15 @@ def test_fused_nonfinite_preactivation_names_gate(bias, gate):
         run_sequence(p, np.zeros((3, 4), dtype=np.float32))
 
 
+@pytest.mark.parametrize("rows", [0, 3])
+def test_a_block_rejects_rows_that_are_not_whole_tokens(rows):
+    cfg = BlockConfig(d_hidden=8, num_heads=2)
+    w = slstm.init_block_weights(cfg, np.random.default_rng(5))
+    stream = slstm.Stream(cfg, [w], 2, 4, 4, slstm.Scratch(), np.float32)
+    with pytest.raises(T.ShapeError, match=f"^{rows} rows do not hold whole tokens of batch 2$"):
+        slstm._block(stream.blocks[0], Tensor(np.zeros((rows, 8), np.float32)))
+
+
 def test_stabilizer_stats_report_the_reference_gap():
     rng = np.random.default_rng(4)
     with T.precision(np.float64):

@@ -3,6 +3,7 @@ oracle, and the semantics, broadcasting and backward rules of the reference
 ops in ``engine_reference`` that the test oracles are built from."""
 
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -260,17 +261,18 @@ def test_fd_reports_nonfinite_probe():
             fd_max_error(lambda: R.reduce_sum(R.sqrt(w)), [w], 1e-5)
 
 
+def checked_sqrt(t):
+    """An op that stops with FloatingPointError on a non-finite output, as
+    the stack's pre-activation check does."""
+    out = np.sqrt(t.data)
+    if not np.isfinite(out).all():
+        raise FloatingPointError("non-finite square root")
+    return T.custom_op(out, [t], lambda g: [g * 0.5 / out])
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fd_reports_floating_point_error_in_probe():
-    # An op that stops with FloatingPointError on a non-finite output, as
-    # the stack's pre-activation check does: the probe still names the leaf
-    # entry, and the entry keeps its value.
-    def checked_sqrt(t):
-        out = np.sqrt(t.data)
-        if not np.isfinite(out).all():
-            raise FloatingPointError("non-finite square root")
-        return T.custom_op(out, [t], lambda g: [g * 0.5 / out])
-
+    # The probe still names the leaf entry, and the entry keeps its value.
     with T.precision(np.float64):
         w = R.parameter([0.5, 0.0])
         with pytest.raises(GradcheckError, match="leaf 0 entry 1") as info:
@@ -286,6 +288,17 @@ def test_directional_check_reports_nonfinite_probe():
         with pytest.raises(GradcheckError, match="^non-finite loss along direction 0$"):
             gradcheck.finite_difference_directional(
                 lambda: R.reduce_sum(R.sqrt(w)), [w], np.random.default_rng(0))
+    assert w.data.tolist() == [0.0, 1.0]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_directional_check_names_the_direction_a_floating_point_error_stops():
+    with T.precision(np.float64):
+        w = R.parameter([0.0, 1.0])
+        with pytest.raises(GradcheckError, match="^non-finite loss along direction 0$") as info:
+            gradcheck.finite_difference_directional(
+                lambda: R.reduce_sum(checked_sqrt(w)), [w], np.random.default_rng(0))
+    assert isinstance(info.value.__cause__, FloatingPointError)
     assert w.data.tolist() == [0.0, 1.0]
 
 
@@ -392,7 +405,7 @@ def test_no_recording_without_tape():
     a = Tensor([1.0])
     assert not T.will_record()
     out = record([a], lambda g: [g])
-    assert out._tape is None and a.grad is None
+    assert out._cell is None and a.grad is None
 
 
 def test_a_tape_records_every_op_run_under_it():
@@ -402,10 +415,67 @@ def test_a_tape_records_every_op_run_under_it():
     with Tape() as tape:
         assert T.will_record()
         first = record([a], lambda g: [g])
-        assert first._tape is tape and len(tape) == 1
+        assert first._cell.tape is tape and len(tape) == 1
         tape.backward(R.reduce_sum(R.mul(first, b)))
     assert not T.will_record()
     assert (a.grad.tolist(), b.grad.tolist()) == ([2.0], [1.0])
+
+
+def test_after_backward_an_op_output_has_no_grad_and_a_leaf_keeps_its_own():
+    w = R.parameter([1.0, 2.0])
+    with Tape() as tape:
+        square = R.mul(w, w)
+        loss = R.reduce_sum(R.mul(square, 3.0))
+        assert len(tape) == 3
+        tape.backward(loss)
+    assert (square.grad, loss.grad, len(tape)) == (None, None, 0)
+    assert w.grad.tolist() == [6.0, 12.0]
+
+
+def test_an_output_no_backward_reads_dies_while_its_tape_records():
+    # Neither op's backward reads the first op's output, so the tape holds
+    # no reference to it: its node reads an empty array once it has died.
+    a = R.parameter([1.0, 2.0])
+    with Tape() as tape:
+        first = record([a], lambda g: [g])
+        out = weakref.ref(first.data)
+        node, _ = tape._nodes[0]
+        assert node.data is first.data
+        second = record([first], lambda g: [2.0 * g])
+        del first
+        assert out() is None and node.data.size == 0
+        assert len(tape) == 2
+        tape.backward(R.reduce_sum(second))
+    assert a.grad.tolist() == [2.0, 2.0]
+
+
+def test_an_output_a_backward_reads_lives_until_that_backward_has_run():
+    def times(array):
+        return lambda g: [g * array]
+
+    a = R.parameter([3.0])
+    with Tape() as tape:
+        first = record([a], lambda g: [g])
+        out = weakref.ref(first.data)
+        second = record([first], times(first.data))
+        del first
+        assert out() is not None
+        tape.backward(R.reduce_sum(second))
+    assert out() is None
+    assert a.grad.tolist() == [3.0]
+
+
+def test_an_output_of_another_tape_is_a_leaf_of_this_one():
+    w = R.parameter([2.0])
+    with Tape():
+        square = R.mul(w, w)
+    with Tape() as tape:
+        tape.backward(R.reduce_sum(R.mul(square, 3.0)))
+    assert square.grad.tolist() == [3.0] and w.grad is None
+
+
+def test_repr_names_shape_and_dtype():
+    assert repr(Tensor(np.zeros((2, 3)))) == "Tensor(shape=(2, 3), dtype=float32)"
 
 
 def test_a_positional_second_argument_is_rejected():

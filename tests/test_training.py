@@ -596,6 +596,17 @@ def test_fit_rejects_parameters_of_mixed_dtypes(tmp_path):
     assert all(t.data is before[name] for name, t, _ in params.named_parameters())
 
 
+@pytest.mark.parametrize("empty", ["train", "val"])
+def test_fit_rejects_an_empty_dataset(tmp_path, empty):
+    ds = make_affine_task(16)
+    none = ArrayDataset(ds.xs[:0], ds.ys[:0])
+    cfg = small_config()
+    params = mixer.init_mixer_params(cfg, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^train and validation datasets must be non-empty$"):
+        training.fit(params, cfg, none if empty == "train" else ds,
+                     none if empty == "val" else ds, TrainConfig(), tmp_path)
+
+
 @pytest.mark.parametrize("fault,error,match", [
     ("dtype", ValueError, "^gradient is float64, the tensor's gradient float32$"),
     ("shape", ShapeError, r"^gradient has shape \(2, 1, 4\), the tensor's gradient \(1, 4\)$"),
@@ -848,6 +859,13 @@ def test_predict_dataset_rejects_batch_sizes_below_one(batch_size, eval_task):
     params, cfg, full = eval_task
     with pytest.raises(ValueError, match="batch_size must be >= 1"):
         training.predict_dataset(params, cfg, full, batch_size=batch_size)
+
+
+def test_predict_dataset_rejects_an_empty_dataset(eval_task):
+    params, cfg, _ = eval_task
+    empty = ArrayDataset(np.zeros((0, 3, 12), np.float32), np.zeros((0, 3, 4), np.float32))
+    with pytest.raises(ValueError, match="^cannot predict an empty dataset$"):
+        training.predict_dataset(params, cfg, empty)
 
 
 def windowed_task(windows, variates=3, lookback=12, horizon=4, seed=6):
