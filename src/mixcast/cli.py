@@ -218,7 +218,7 @@ def _cmd_forecast(args) -> int:
     xs, ys = ds.batch([args.window_index])
     pred = mixer.forward_batch(params, cfg, xs)
     metrics_mod.write_forecast_columns(args.emit, history=xs[0], target=ys[0],
-                                       forecast=pred.data)
+                                       forecast=pred.data[0])
     print(f"wrote window {args.window_index} ({cfg.num_variates} variates, "
           f"T={cfg.lookback}, H={cfg.horizon}) to {args.emit}")
     return 0

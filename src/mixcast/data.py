@@ -229,8 +229,6 @@ def _read_cell_by_cell(path: Path):
                         f"{path}: unparsable cell {cell!r} at row {r}, column {c}"
                     ) from None
             rows.append(parsed)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
     return names, np.asarray(rows, dtype=np.float64), timestamps
 
 

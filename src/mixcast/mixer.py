@@ -8,7 +8,9 @@ array of windows, checked against the config's V and T before anything else
 reads it, and a single window is the batch ``x[None]``.  Internally
 everything is computed on a flat v-major matrix whose rows are (variate,
 batch-item) pairs, so a whole mini-batch shares one tape.  These rows are
-already the token-major layout the recurrent stack takes.  The windows are
+already the token-major layout the recurrent stack takes.  They stay inside
+the pipeline: the RevIN inverse hands the forecast back in the windows'
+layout, [B, V, H], as a view of its v-major result.  The windows are
 data: RevIN's gradients reach its ``gamma`` and ``beta``, not the input, and
 its per-row statistics are plain arrays.
 
@@ -246,7 +248,9 @@ def revin_normalize(params: RevInParams, x: np.ndarray, batch: int = 1):
 def revin_denormalize(params: RevInParams, stats: tuple[np.ndarray, np.ndarray],
                       y_norm: Tensor, batch: int = 1):
     """Exact algebraic inverse of revin_normalize given its (mean, std), as
-    one engine op; the statistics are data."""
+    one engine op; the statistics are data.  The v-major rows [V*B, W] come
+    back in the windows' layout [B, V, W]: a transposed view of the v-major
+    result, not a copy."""
     if np.abs(params.gamma.data).min() < 1e-12:
         raise ValueError("revin gamma too close to zero to invert")
     gamma, beta = params.gamma, params.beta
@@ -256,6 +260,7 @@ def revin_denormalize(params: RevInParams, stats: tuple[np.ndarray, np.ndarray],
     inputs = [y_norm, gamma, beta]
     gamma3 = gamma.data[:, None]
     std3 = _per_variate(std, v)
+    shape = y_norm.shape
 
     # ((y - beta) / gamma) * std + mean; u = (y - beta) / gamma is kept for
     # the backward.
@@ -266,13 +271,13 @@ def revin_denormalize(params: RevInParams, stats: tuple[np.ndarray, np.ndarray],
     result += _per_variate(mean, v)
 
     def backward(g):
-        d_y = _per_variate(g, v) * std3
+        d_y = np.multiply(g.transpose(1, 0, 2), std3, order="C")
         d_y /= gamma3
         d_gamma = -np.einsum("vbt,vbt->v", d_y, u)[:, None]
         d_beta = -np.einsum("vbt->v", d_y)[:, None]
-        return [d_y.reshape(g.shape), d_gamma, d_beta]
+        return [d_y.reshape(shape), d_gamma, d_beta]
 
-    return T.custom_op(result.reshape(y_norm.shape), inputs, backward)
+    return T.custom_op(result.transpose(1, 0, 2), inputs, backward)
 
 
 def nlinear_forecast(weight: Tensor, bias: Tensor, x_norm: Tensor) -> Tensor:
@@ -416,10 +421,10 @@ def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
                   stabilizer: slstm.StabilizerStats | None = None,
                   scratch: slstm.Scratch | None = None,
                   out: np.ndarray | None = None) -> Tensor:
-    """The pipeline on a [B, V, T] array of windows; returns the v-major
-    [V*B, H] forecast, which is [V, H] for one window ``x[None]``.  Given
-    ``out``, a [B, V, H] array of :func:`forecast_dtype`, the forecast is
-    written there instead and returned as a Tensor of ``out``.
+    """The pipeline on a [B, V, T] array of windows; returns the [B, V, H]
+    forecast, with or without a tape.  Given ``out``, a [B, V, H] array of
+    :func:`forecast_dtype`, the forecast is written there instead and
+    returned as a Tensor of ``out``.
 
     Token v is rows v*B .. (v+1)*B, so a run of whole variate tokens can pass
     through every stage on its own: the forward runs chunk by chunk, as many
@@ -428,19 +433,22 @@ def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
     every stage in turn: gathered from xs into v-major rows, RevIN, NLinear,
     the up-projection, packing, every block (each carrying its recurrence
     state and conv tail on to the next chunk), reconciliation, and the RevIN
-    inverse, whose output is copied into the chunk's place in the forecast.
-    Every stage and block writes a fresh chunk-sized array and only reads
-    its inputs.  When the first chunk reaches the stack, one call builds the
-    ``slstm.Stream`` that owns the run, with ``rng`` and ``stabilizer``,
-    carving its buffers from ``scratch`` (which grows to the largest carve
-    it serves) or a fresh arena; the forecast never shares memory with it.
+    inverse, whose output (a [B, V, H] view of its v-major rows) is copied
+    into the chunk's place in the forecast.  Every stage and block writes a
+    fresh chunk-sized array and only reads its inputs.  When the first chunk
+    reaches the stack, one call builds the ``slstm.Stream`` that owns the
+    run, with ``rng`` and ``stabilizer``, carving its buffers from
+    ``scratch`` (which grows to the largest carve it serves) or a fresh
+    arena; the forecast never shares memory with it.
 
     A forward that records a tape, or draws dropout, is the same loop run
     as one chunk of all the variates: its stages keep the whole-batch arrays
     their backwards read, and the blocks draw their masks in the order of
     an unchunked stack.  So does the time axis, whose step tokens each need
-    every variate.  Under a tape the carved buffers are the blocks' history:
-    ``scratch`` must not be carved again before the backward has run."""
+    every variate.  Under a tape that chunk's inverse is the forecast, and no
+    other array is made for it, and the carved buffers are the blocks'
+    history: ``scratch`` must not be carved again before the backward has
+    run."""
     v, t_len, h_len = cfg.num_variates, cfg.lookback, cfg.horizon
     if xs.ndim != 3 or xs.shape[1:] != (v, t_len):
         got = (f"{xs.shape[1]} variates and lookback {xs.shape[2]}" if xs.ndim == 3
@@ -466,9 +474,8 @@ def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
     step = v
     if not (record or dropout or time_axis):
         step = min(v, max(1, slstm.CHUNK_ROWS // per_token))
-    forecast = None if out is None else out.transpose(1, 0, 2)
-    if forecast is None and step < v:
-        forecast = np.empty((v, batch, h_len), dtype)
+    if out is None and not record:
+        out = np.empty((batch, v, h_len), dtype)
     stream = None
     for lo in range(0, v, step):
         hi = min(lo + step, v)
@@ -507,17 +514,9 @@ def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
         if time_axis:
             rows = _swap_token_axes(rows, batch)
         y = revin_denormalize(revin, stats, rows, batch)
-        if forecast is not None:
-            np.copyto(forecast[lo:hi], y.data.reshape(hi - lo, batch, h_len))
-    if forecast is None:
-        return y
-    return Tensor(out if out is not None else forecast.reshape(v * batch, h_len),
-                  dtype=dtype.type)
-
-
-def flatten_targets(ys: np.ndarray) -> np.ndarray:
-    """[B, V, H] targets to the v-major [V*B, H] layout of forward_batch."""
-    return np.ascontiguousarray(ys.transpose(1, 0, 2).reshape(-1, ys.shape[2]))
+        if not record:
+            np.copyto(out[:, lo:hi], y.data)
+    return y if record else Tensor(out, dtype=dtype.type)
 
 
 def decode_init_token(params: MixerParams, cfg: MixerConfig) -> Tensor:

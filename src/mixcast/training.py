@@ -263,8 +263,7 @@ def fit(params: MixerParams, cfg: MixerConfig, train_ds, val_ds,
                         # is made (no backward reads it), and the loss once
                         # its backward has run.
                         loss = mae_loss(mixer.forward_batch(params, cfg, xs, training=True,
-                                                            rng=rng, scratch=scratch),
-                                        mixer.flatten_targets(ys))
+                                                            rng=rng, scratch=scratch), ys)
                         value = loss.item()
                         if not math.isfinite(value):
                             raise FloatingPointError(f"non-finite loss {value}")

@@ -146,7 +146,7 @@ def train_step(variates, conv, blocks, kind):
         with Tape() as tape:
             pred = mixer.forward_batch(params, cfg, xs, training=True,
                                        rng=np.random.default_rng(2), scratch=slstm.Scratch())
-            tape.backward(training.mae_loss(pred, mixer.flatten_targets(ys)))
+            tape.backward(training.mae_loss(pred, ys))
         grad = flat.grad.copy()
         training.clip_global_norm(flat.grad, flat.segments)
         training.adam_step(flat, 1e-3)
@@ -191,7 +191,7 @@ def carves(variates, conv, blocks, axis, mix_view):
         with Tape() as tape:
             pred = mixer.forward_batch(params, cfg, xs, training=True,
                                        rng=np.random.default_rng(2), scratch=slstm.Scratch())
-            tape.backward(training.mae_loss(pred, mixer.flatten_targets(ys)))
+            tape.backward(training.mae_loss(pred, ys))
     finally:
         slstm.Scratch.carve = carve
     return {"eval": digest(json.dumps(eval_calls).encode()),

@@ -20,6 +20,13 @@ import engine_reference as R
 from conftest import run_stack
 
 
+def windows_of(rows, batch: int) -> np.ndarray:
+    """v-major rows [V*B, W] read in the windows' layout [B, V, W] (a view):
+    the layout of forward_batch's windows and forecasts, for comparing them
+    with the rows of this module's pipeline."""
+    return rows.reshape(-1, batch, rows.shape[1]).transpose(1, 0, 2)
+
+
 def _tile_per_variate(column: Tensor, batch: int) -> Tensor:
     """[V,1] per-variate column -> [V*B,1] rows matching the v-major layout."""
     if batch == 1:

@@ -89,7 +89,8 @@ def test_criterion_3_revin_roundtrip():
         x = rng.normal(0.0, rng.uniform(0.5, 3.0, size=(n, 1)), size=(n, 24))
         norm, stats = mixer.revin_normalize(params, x)
         back = mixer.revin_denormalize(params, stats, norm)
-        worst = float(np.abs(back.data - x).max())
+        assert back.shape == (1, n, 24)
+        worst = float(np.abs(back.data[0] - x).max())
         assert worst < 1e-6, f"roundtrip error {worst:.3e}"
 
         const_params = mixer.RevInParams(

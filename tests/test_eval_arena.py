@@ -57,21 +57,20 @@ def dataset(windows, variates=VARIATES, seed=4, horizon=HORIZON):
     return data.window_iter(values, (0, values.shape[0]), LOOKBACK, horizon)
 
 
-def per_batch(forward, cfg, ds, batch_size=128):
-    """forward(xs) over the batches of predict_dataset, as [N, V, H]."""
+def per_batch(forward, ds, batch_size=128):
+    """forward(xs), a [B, V, H] forecast array, over the batches of
+    predict_dataset, as [N, V, H]."""
     xs, _ = ds.windows()
-    return np.concatenate([
-        forward(xs[lo:hi]).data.reshape(cfg.num_variates, hi - lo, cfg.horizon)
-        .transpose(1, 0, 2)
-        for lo, hi in training._eval_batches(len(ds), batch_size)])
+    return np.concatenate([forward(xs[lo:hi])
+                           for lo, hi in training._eval_batches(len(ds), batch_size)])
 
 
 def taped_oracle(params, cfg, ds):
     """The same batches as predict_dataset, each a forward that records a tape."""
     def forward(xs):
         with Tape():
-            return mixer.forward_batch(params, cfg, xs)
-    return per_batch(forward, cfg, ds)
+            return mixer.forward_batch(params, cfg, xs).data
+    return per_batch(forward, ds)
 
 
 class Poisoned(slstm.Scratch):
@@ -149,10 +148,13 @@ def test_streamed_pass_equals_the_taped_forward(conv, blocks, mix_view, init_tok
                 pred, _ = training.predict_dataset(params, cfg, ds, batch_size=128)
         assert pred.dtype == dtype and pred.tobytes() == want.tobytes(), n
         if dtype == np.float64 and n in (1, 191):
+            def reference(xs):
+                rows = np.ascontiguousarray(xs.transpose(1, 0, 2)).reshape(-1, LOOKBACK)
+                return ref.windows_of(ref.forward_flat(params, cfg, rows, len(xs)).data, len(xs))
+
             with T.precision(dtype):
-                flat = per_batch(lambda xs: ref.forward_flat(params, cfg, np.ascontiguousarray(
-                    xs.transpose(1, 0, 2)).reshape(-1, LOOKBACK), xs.shape[0]), cfg, ds)
-            assert_close(pred, flat, "forecast")
+                composed = per_batch(reference, ds)
+            assert_close(pred, composed, "forecast")
         # One arena serves every batch of the pass.  385 windows run as 128,
         # 128 and 129, and only the last batch needs a larger buffer; with
         # no stack nothing is carved.
@@ -173,12 +175,12 @@ def test_streamed_pass_equals_the_taped_forward(conv, blocks, mix_view, init_tok
 
 def test_a_forward_without_an_arena_equals_the_pass(monkeypatch):
     # forward_batch makes an arena of its own when none is given, and
-    # without out returns the v-major rows.
+    # without out returns a [B, V, H] forecast of its own.
     monkeypatch.setattr(slstm, "CHUNK_ROWS", CHUNK_ROWS)
     params, cfg = model(4, 2, True, True, mixer.AXIS_VARIATES, np.float32)
     ds = dataset(385)
     pred, _ = training.predict_dataset(params, cfg, ds, batch_size=128)
-    alone = per_batch(lambda xs: mixer.forward_batch(params, cfg, xs), cfg, ds)
+    alone = per_batch(lambda xs: mixer.forward_batch(params, cfg, xs).data, ds)
     assert alone.tobytes() == pred.tobytes()
 
 
@@ -316,7 +318,7 @@ def step_case(conv, blocks, dropout):
     params, cfg = model(conv, blocks, True, True, mixer.AXIS_VARIATES, np.float32,
                         dropout=dropout)
     xs, ys = dataset(40).windows()
-    return params, cfg, xs[:32], mixer.flatten_targets(ys[:32])
+    return params, cfg, xs[:32], ys[:32]
 
 
 @pytest.mark.parametrize("conv, blocks, dropout", POISON,
@@ -382,7 +384,7 @@ def test_concurrent_passes_and_a_tape_equal_the_serial_runs():
                         variates=21, dropout=0.1)
     sets = [dataset(385, variates=21, seed=s) for s in (1, 2)]
     xs, ys = sets[0].windows()
-    xs, target = xs[:32], mixer.flatten_targets(ys[:32])
+    xs, target = xs[:32], ys[:32]
 
     def predict(ds):
         return training.predict_dataset(params, cfg, ds, batch_size=128)[0]

@@ -66,7 +66,7 @@ def training_step(params, cfg, xs, ys, stats=None):
     with Tape() as tape:
         pred = mixer.forward_batch(params, cfg, xs, training=True,
                                    rng=np.random.default_rng(9), stabilizer=stats)
-        tape.backward(training.mae_loss(pred, mixer.flatten_targets(ys)))
+        tape.backward(training.mae_loss(pred, ys))
     return [pred.data.copy()] + [t.grad.copy() for t in leaves]
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixcast import gradcheck, mixer, tensor as T
+from mixcast import gradcheck, mixer, slstm, tensor as T, training
 from mixcast.mixer import (
     AXIS_NONE,
     AXIS_TIME,
@@ -33,6 +33,7 @@ from mixcast.training import mae_loss
 
 import engine_reference as R
 from conftest import run_stack
+from test_training import ArrayDataset
 
 
 def make_cfg(**overrides) -> MixerConfig:
@@ -83,7 +84,8 @@ def test_revin_roundtrip_identity():
     x = rng.normal(size=(4, 16))
     norm, stats = revin_normalize(p, x)
     back = revin_denormalize(p, stats, norm)
-    assert np.abs(back.data - x).max() < 1e-6
+    assert back.shape == (1, 4, 16)
+    assert np.abs(back.data[0] - x).max() < 1e-6
 
 
 def test_revin_denorm_special_cases():
@@ -91,7 +93,8 @@ def test_revin_denorm_special_cases():
     stats = (np.zeros((2, 1)), np.ones((2, 1)))
     y_norm = np.random.default_rng(1).normal(size=(2, 5))
     out = revin_denormalize(p, stats, R.lift(y_norm))
-    assert np.abs(out.data - y_norm).max() < 1e-12
+    assert out.shape == (1, 2, 5)
+    assert np.abs(out.data[0] - y_norm).max() < 1e-12
 
     stats2 = (np.full((2, 1), 3.5), np.full((2, 1), 2.0))
     p.beta.data[:] = 0.25
@@ -481,16 +484,35 @@ def test_directional_gradcheck_every_ablation(cid, blocks, conv):
     assert errors.max() < gradcheck.DIRECTIONAL_TOL, errors
 
 
+def forecasts_in_windows_layout(params, cfg, xs):
+    """forward_batch's forecasts of the windows xs, run without a tape, with
+    one, and without one streamed a variate per chunk.  Each is [B, V, H],
+    byte for byte the forecast predict_dataset gives for them."""
+    ys = np.zeros((*xs.shape[:2], cfg.horizon), xs.dtype)
+    want, _ = training.predict_dataset(params, cfg, ArrayDataset(xs, ys))
+    forecasts = []
+    for forward in ("eval", "taped", "streamed"):
+        with pytest.MonkeyPatch.context() as patch:
+            if forward == "streamed":
+                patch.setattr(slstm, "CHUNK_ROWS", 1)
+            with T.Tape() if forward == "taped" else contextlib.nullcontext():
+                got = mixer.forward_batch(params, cfg, xs).data
+        assert got.shape == (xs.shape[0], cfg.num_variates, cfg.horizon), forward
+        assert got.tobytes() == want.tobytes(), forward
+        forecasts.append(got)
+    return forecasts
+
+
 def test_time_axis_batched_forward_matches_single():
     rng = np.random.default_rng(27)
     cfg = build_ablation_config(2, make_cfg())
     params = init_mixer_params(cfg, rng)
     xs = rng.normal(size=(3, 3, 8)).astype(np.float32)
-    flat = mixer.forward_batch(params, cfg, xs).data
-    for b in range(3):
-        single = mixer.forward_batch(params, cfg, xs[b][None])
-        for v in range(3):
-            assert np.abs(flat[v * 3 + b] - single.data[v]).max() < 2e-6
+    for batched in forecasts_in_windows_layout(params, cfg, xs):
+        for b in range(3):
+            single = mixer.forward_batch(params, cfg, xs[b][None])
+            for v in range(3):
+                assert np.abs(batched[b, v] - single.data[0, v]).max() < 2e-6
 
 
 def test_forward_rejects_nonfinite_input():
@@ -573,11 +595,11 @@ def test_batched_forward_matches_single_instances():
     cfg = make_cfg()
     params = init_mixer_params(cfg, rng)
     xs = rng.normal(size=(4, 3, 8)).astype(np.float32)
-    flat = mixer.forward_batch(params, cfg, xs).data
-    for b in range(4):
-        single = mixer.forward_batch(params, cfg, xs[b][None])
-        for v in range(3):
-            assert np.abs(flat[v * 4 + b] - single.data[v]).max() < 1e-6
+    for batched in forecasts_in_windows_layout(params, cfg, xs):
+        for b in range(4):
+            single = mixer.forward_batch(params, cfg, xs[b][None])
+            for v in range(3):
+                assert np.abs(batched[b, v] - single.data[0, v]).max() < 1e-6
 
 
 # -- initial-token decoding -----------------------------------------------------
@@ -769,7 +791,7 @@ def test_v1_checkpoint_forecast_is_bitwise_unchanged():
     assert params.blocks[0].cell.r_f.shape == (2, 4, 4)
     stored = np.load(V1_CHECKPOINT.with_name("ckpt_v1_forecast.npz"))
     got = mixer.forward_batch(params, cfg, stored["window"]).data
-    assert got.dtype == np.float32
+    assert got.dtype == np.float32 and got.shape == (1, *stored["forecast"].shape)
     assert got.tobytes() == stored["forecast"].tobytes()
 
 

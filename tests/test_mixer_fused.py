@@ -31,11 +31,6 @@ def make_cfg(cid, conv_width=0, dropout=0.0, num_blocks=1):
     return build_ablation_config(cid, base)
 
 
-def windows_of(rows, batch):
-    """The [B, V, T] windows whose v-major rows [V*B, T] are rows."""
-    return rows.reshape(-1, batch, rows.shape[1]).transpose(1, 0, 2)
-
-
 def compare_with_reference(cfg, batch, seed, training=False):
     rng = np.random.default_rng(seed)
     with T.precision(np.float64):
@@ -49,16 +44,17 @@ def compare_with_reference(cfg, batch, seed, training=False):
         return np.random.default_rng(seed + 1) if training else None
 
     got, got_grads = forward_and_grads(
-        lambda: mixer.forward_batch(params, cfg, windows_of(x, batch), training=training,
+        lambda: mixer.forward_batch(params, cfg, ref.windows_of(x, batch), training=training,
                                     rng=dropout_rng()),
-        leaves, weights)
+        leaves, ref.windows_of(weights, batch))
     want, want_grads = forward_and_grads(
         lambda: ref.forward_flat(params, cfg, x, batch, training, dropout_rng()),
         leaves, weights)
-    assert_close(got, want, "forecast")
+    assert got.shape == (batch, cfg.num_variates, cfg.horizon)
+    assert_close(got, ref.windows_of(want, batch), "forecast")
     for name, g, w in zip(names, got_grads, want_grads):
         assert_close(g, w, name)
-    return params, windows_of(x, batch)
+    return params, ref.windows_of(x, batch)
 
 
 @pytest.mark.parametrize("conv_width", [0, 4])
@@ -216,7 +212,7 @@ def test_stages_leave_read_only_inputs_untouched(owner, name, axis, record, monk
     with T.precision(np.float64):
         params = init_mixer_params(cfg, rng)
     xs = rng.normal(size=(40, cfg.num_variates, cfg.lookback))
-    weights = rng.normal(size=(cfg.num_variates * 40, cfg.horizon))
+    weights = rng.normal(size=(40, cfg.num_variates, cfg.horizon))
     leaves = [t for _, t, _ in params.named_parameters()]
 
     def run():

@@ -62,8 +62,7 @@ def test_outputs_no_backward_reads_die_with_the_forward(monkeypatch):
     outputs = spy_on_outputs(monkeypatch)
     with Tape() as tape:
         loss = training.mae_loss(
-            mixer.forward_batch(params, cfg, xs, training=True, rng=rng),
-            mixer.flatten_targets(ys))
+            mixer.forward_batch(params, cfg, xs, training=True, rng=rng), ys)
         alive = {name: [ref() is not None for ref in refs] for name, refs in outputs.items()}
         # Only NLinear's output (the up-projection's backward reads it) and
         # the last block's (reconciliation's backward reads it) outlive the
@@ -112,7 +111,7 @@ def test_a_warm_step_peaks_at_the_forward_live_set_plus_one_stage():
     params, cfg = model(variates=21, lookback=96, horizon=96, width=64, heads=4, conv=4)
     rng = np.random.default_rng(2)
     xs = rng.normal(size=(32, 21, 96)).astype(np.float32)
-    targets = mixer.flatten_targets(rng.normal(size=(32, 21, 96)).astype(np.float32))
+    targets = rng.normal(size=(32, 21, 96)).astype(np.float32)
     flat, scratch = FlatParams(params), slstm.Scratch()
 
     def step(measure):

@@ -335,7 +335,7 @@ def test_a_plain_tensor_gets_its_gradient_under_a_tape():
     xs, ys = make_affine_task(8).batch(np.arange(8))
     with T.Tape() as tape:
         pred = mixer.forward_batch(params, cfg, xs, True, np.random.default_rng(1))
-        tape.backward(mae_loss(pred, mixer.flatten_targets(ys)))
+        tape.backward(mae_loss(pred, ys))
     assert [name for name, seg in flat.segments if not flat.grad[seg].any()] == []
 
 
@@ -792,9 +792,7 @@ def per_batch_composition(params, cfg, ds, batch_size):
     preds, targets = [], []
     for lo in range(0, len(ds), batch_size):
         xs, ys = ds.batch(range(lo, min(lo + batch_size, len(ds))))
-        out = mixer.forward_batch(params, cfg, xs, training=False).data
-        preds.append(out.reshape(cfg.num_variates, xs.shape[0], cfg.horizon)
-                     .transpose(1, 0, 2))
+        preds.append(mixer.forward_batch(params, cfg, xs, training=False).data)
         targets.append(ys)
     return np.concatenate(preds), np.concatenate(targets)
 

@@ -40,7 +40,7 @@ def step_gradients(variates, blocks, conv, dtype):
               for _ in range(2))
     with Tape() as tape:
         pred = mixer.forward_batch(params, cfg, xs, training=True, rng=np.random.default_rng(5))
-        tape.backward(training.mae_loss(pred, mixer.flatten_targets(ys)))
+        tape.backward(training.mae_loss(pred, ys))
     return {name: t.grad for name, t, _ in params.named_parameters()}
 
 
