@@ -135,9 +135,10 @@ def _mixer_config_from_args(args, num_variates: int) -> mixer.MixerConfig:
     )
 
 
-def _score(params, cfg, ds, dataset: str, seed: int, epochs_trained: int,
+def _score(params, ds, dataset: str, seed: int, epochs_trained: int,
            config_id: str) -> MetricsReport:
     """Forecast one split, score it, and print its metrics line."""
+    cfg = params.config
     pred, target = training.predict_dataset(params, cfg, ds)
     report = MetricsReport(
         dataset=dataset, horizon=cfg.horizon, lookback=cfg.lookback, seed=seed,
@@ -154,10 +155,10 @@ _EXTRA_DEFAULTS = {"dataset_kind": "generic", "dataset_name": "", "seed": -1,
 
 
 def _load_checkpoint(path):
-    """A checkpoint's params, config and ``extra``, which holds every key of
+    """A checkpoint's params and ``extra``, which holds every key of
     _EXTRA_DEFAULTS, each checked once against its default's type (a bool is
     not an int here), and a known dataset kind, whichever command reads it."""
-    params, cfg, extra = mixer.load_checkpoint(path)
+    params, _, extra = mixer.load_checkpoint(path)
     extra = {**_EXTRA_DEFAULTS, **extra}
     for key, default in _EXTRA_DEFAULTS.items():
         value, kind = extra[key], type(default)
@@ -166,7 +167,7 @@ def _load_checkpoint(path):
     if extra["dataset_kind"] not in data_mod.DATASET_KINDS:
         raise ValueError(f"config.json: extra dataset_kind must be one of "
                          f"{', '.join(data_mod.DATASET_KINDS)}, got {extra['dataset_kind']!r}")
-    return params, cfg, extra
+    return params, extra
 
 
 def _cmd_train(args, config_id: str = "full") -> int:
@@ -182,13 +183,13 @@ def _cmd_train(args, config_id: str = "full") -> int:
     artifacts = training.fit(params, cfg, splits["train"], splits["val"], train_cfg,
                              out_dir, log_path=out_dir / "loss_log.jsonl")
 
-    best, best_cfg, _ = mixer.load_checkpoint(artifacts.best_checkpoint)
+    best = mixer.load_checkpoint(artifacts.best_checkpoint)[0]
     mixer.save_checkpoint(artifacts.best_checkpoint, best,
                           extra={"dataset_kind": args.dataset,
                                  "dataset_name": Path(args.data).stem,
                                  "seed": args.seed, "config_id": config_id,
                                  "epochs_trained": artifacts.epochs_trained})
-    reports = [_score(best, best_cfg, splits[which], f"{Path(args.data).stem}/{which}",
+    reports = [_score(best, splits[which], f"{Path(args.data).stem}/{which}",
                       args.seed, artifacts.epochs_trained, config_id)
                for which in ("val", "test")]
     metrics_mod.emit_report(reports, out_dir / "report.jsonl")
@@ -202,21 +203,21 @@ def _cmd_train(args, config_id: str = "full") -> int:
 
 
 def _cmd_eval(args) -> int:
-    params, cfg, extra = _load_checkpoint(args.checkpoint)
-    kind = args.dataset or extra["dataset_kind"]
+    params, extra = _load_checkpoint(args.checkpoint)
+    kind, cfg = args.dataset or extra["dataset_kind"], params.config
     _, splits = _prepare_data(args.data, kind, cfg.lookback, cfg.horizon)
-    report = _score(params, cfg, splits[args.split], f"{Path(args.data).stem}/{args.split}",
+    report = _score(params, splits[args.split], f"{Path(args.data).stem}/{args.split}",
                     extra["seed"], extra["epochs_trained"], extra["config_id"])
     metrics_mod.emit_report([report], args.report)
     return 0
 
 
 def _cmd_forecast(args) -> int:
-    params, cfg, extra = _load_checkpoint(args.checkpoint)
+    params, extra = _load_checkpoint(args.checkpoint)
+    cfg = params.config
     _, splits = _prepare_data(args.data, extra["dataset_kind"], cfg.lookback, cfg.horizon)
-    ds = splits["test"]
-    xs, ys = ds.batch([args.window_index])
-    pred = mixer.forward_batch(params, cfg, xs)
+    xs, ys = splits["test"].batch([args.window_index])
+    pred = mixer.forward_batch(params, xs)
     metrics_mod.write_forecast_columns(args.emit, history=xs[0], target=ys[0],
                                        forecast=pred.data[0])
     print(f"wrote window {args.window_index} ({cfg.num_variates} variates, "
@@ -235,11 +236,11 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_decode_token(args) -> int:
-    params, cfg, _ = _load_checkpoint(args.checkpoint)
-    decoded = mixer.decode_init_token(params, cfg)
+    params, _ = _load_checkpoint(args.checkpoint)
+    decoded = mixer.decode_init_token(params)
     metrics_mod.write_series_columns(args.emit,
                                      {"decoded_token": decoded.data.reshape(-1)})
-    print(f"wrote decoded token series (H={cfg.horizon}) to {args.emit}")
+    print(f"wrote decoded token series (H={params.config.horizon}) to {args.emit}")
     return 0
 
 

@@ -72,7 +72,7 @@ def build_tiny_problem(seed: int = 0, cfg: mixer.MixerConfig | None = None):
         # The gap min |(f_tilde + m_prev) - i_tilde| over both views and
         # every block must keep the stabilizer's max away from a tie.
         stats = StabilizerStats()
-        y = mixer.forward_batch(params, cfg, x[None], stabilizer=stats)
+        y = mixer.forward_batch(params, x[None], stabilizer=stats)
         # Keep the base loss small: central differences of a loss of
         # magnitude |f| carry ~eps|f|/2h of cancellation noise, which must
         # stay below the per-entry oracle's 1e-6 relative bound for
@@ -92,11 +92,10 @@ def full_model_gradcheck(seed: int = 0,
     started = time.perf_counter()
     with T.precision(np.float64):
         params, x, target = build_tiny_problem(seed, cfg)
-        cfg = params.config
         leaves = [t for _, t, _ in params.named_parameters()]
 
         def f():
-            return mae_loss(mixer.forward_batch(params, cfg, x[None]), target)
+            return mae_loss(mixer.forward_batch(params, x[None]), target)
 
         errors = finite_difference_directional(f, leaves, np.random.default_rng(seed))
     return GradcheckResult(

@@ -4,7 +4,7 @@ refinement, and view reconciliation.
 
 The pipeline runs per instance on a [V, T] window and produces a [V, H]
 forecast.  ``forward_batch`` is its one entry point: it takes a [B, V, T]
-array of windows, checked against the config's V and T before anything else
+array of windows, checked against the model's V and T before anything else
 reads it, and a single window is the batch ``x[None]``.  Internally
 everything is computed on a flat v-major matrix whose rows are (variate,
 batch-item) pairs, so a whole mini-batch shares one tape.  These rows are
@@ -61,7 +61,7 @@ REVIN_EPS = 1e-5
 
 
 class ConfigError(ValueError):
-    """Raised for inconsistent pipeline configurations at construction time."""
+    """Raised for an inconsistent pipeline config, or one its parameters do not carry."""
 
 
 @dataclass
@@ -416,15 +416,14 @@ def _variate_rows(revin: RevInParams, lo: int, hi: int) -> RevInParams:
                          for t in (revin.gamma, revin.beta)))
 
 
-def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
-                  training: bool = False, rng=None,
+def forward_batch(params: MixerParams, xs: np.ndarray, *, training: bool = False, rng=None,
                   stabilizer: slstm.StabilizerStats | None = None,
                   scratch: slstm.Scratch | None = None,
                   out: np.ndarray | None = None) -> Tensor:
-    """The pipeline on a [B, V, T] array of windows; returns the [B, V, H]
-    forecast, with or without a tape.  Given ``out``, a [B, V, H] array of
-    :func:`forecast_dtype`, the forecast is written there instead and
-    returned as a Tensor of ``out``.
+    """The pipeline of ``params.config`` on a [B, V, T] array of windows;
+    returns the [B, V, H] forecast, with or without a tape.  Given ``out``, a
+    [B, V, H] array of :func:`forecast_dtype`, the forecast is written there
+    instead and returned as a Tensor of ``out``.
 
     Token v is rows v*B .. (v+1)*B, so a run of whole variate tokens can pass
     through every stage on its own: the forward runs chunk by chunk, as many
@@ -449,6 +448,7 @@ def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
     other array is made for it, and the carved buffers are the blocks'
     history: ``scratch`` must not be carved again before the backward has
     run."""
+    cfg = params.config
     v, t_len, h_len = cfg.num_variates, cfg.lookback, cfg.horizon
     if xs.ndim != 3 or xs.shape[1:] != (v, t_len):
         got = (f"{xs.shape[1]} variates and lookback {xs.shape[2]}" if xs.ndim == 3
@@ -519,10 +519,11 @@ def forward_batch(params: MixerParams, cfg: MixerConfig, xs: np.ndarray,
     return y if record else Tensor(out, dtype=dtype.type)
 
 
-def decode_init_token(params: MixerParams, cfg: MixerConfig) -> Tensor:
+def decode_init_token(params: MixerParams) -> Tensor:
     """Decode the learned initial token to its conditioning forecast [1, H]:
-    it runs alone through the stack in both views, in a stream that records
-    when a tape is active, and the views are reconciled."""
+    it runs alone through the stack in the views of ``params.config``, in a
+    stream that records when a tape is active, and the views are reconciled."""
+    cfg = params.config
     if not cfg.init_token:
         raise ConfigError("model has no initial token to decode")
     if cfg.slstm_axis == AXIS_TIME:

@@ -193,32 +193,36 @@ def _eval_batches(n: int, batch_size: int):
     return zip(bounds[:-1], bounds[1:])
 
 
-def evaluate_mae(params: MixerParams, cfg: MixerConfig, dataset) -> float:
+def evaluate_mae(params: MixerParams, dataset) -> float:
     """Mean absolute error over a dataset, eval mode: the MAE every report
     gives for it."""
-    return compute_metrics(*predict_dataset(params, cfg, dataset))["mae"]
+    return compute_metrics(*predict_dataset(params, params.config, dataset))["mae"]
 
 
 def predict_dataset(params: MixerParams, cfg: MixerConfig, dataset,
                     batch_size: int = 128) -> tuple[np.ndarray, np.ndarray]:
     """[N, V, H] forecasts and targets, eval mode, file order: C-ordered
-    forecasts; targets are the dataset's read-only window view.
+    forecasts; targets are the dataset's read-only window view.  ``cfg`` is
+    kept for positional callers only: the model's config is ``params.config``,
+    and a ``cfg`` unequal to it raises ``ConfigError`` before the pass starts.
 
     Each batch is a slice of ``dataset.windows()``, read in place, and the
     forward writes its forecasts straight into their slice of the one
     forecast array.  Every forward of the pass carves its chunk buffers from
     one scratch, which its first carve allocates and only a larger batch
     replaces, and which is dropped with the pass."""
+    if cfg != params.config:
+        raise mixer.ConfigError(f"cfg differs from params.config, {params.config}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    n = len(dataset)
+    n, v, h = len(dataset), params.config.num_variates, params.config.horizon
     if n == 0:
         raise ValueError("cannot predict an empty dataset")
     xs, ys = dataset.windows()
     scratch = slstm.Scratch()
-    preds = np.empty((n, cfg.num_variates, cfg.horizon), dtype=mixer.forecast_dtype(params, xs))
+    preds = np.empty((n, v, h), dtype=mixer.forecast_dtype(params, xs))
     for lo, hi in _eval_batches(n, batch_size):
-        mixer.forward_batch(params, cfg, xs[lo:hi], training=False, scratch=scratch,
+        mixer.forward_batch(params, xs[lo:hi], training=False, scratch=scratch,
                             out=preds[lo:hi])
     return preds, ys
 
@@ -227,7 +231,12 @@ def fit(params: MixerParams, cfg: MixerConfig, train_ds, val_ds,
         train_cfg: TrainConfig, out_dir, log_path=None) -> RunArtifacts:
     """Train with shuffled mini-batches, checkpointing on validation
     improvement and stopping once ``patience + 1`` epochs in a row bring
-    none.  An epoch's steps carve the stack's history from one scratch arena."""
+    none.  An epoch's steps carve the stack's history from one scratch arena.
+    ``cfg`` is kept for positional callers only: the model's config is
+    ``params.config``, which the checkpoints record, and a ``cfg`` unequal to
+    it raises ``ConfigError`` before a directory, a log or a forward is made."""
+    if cfg != params.config:
+        raise mixer.ConfigError(f"cfg differs from params.config, {params.config}")
     if len(train_ds) < 1 or len(val_ds) < 1:
         raise ValueError("train and validation datasets must be non-empty")
     out_dir = Path(out_dir)
@@ -237,7 +246,7 @@ def fit(params: MixerParams, cfg: MixerConfig, train_ds, val_ds,
     rng = np.random.default_rng(train_cfg.seed)
     flat = FlatParams(params)
 
-    n = len(train_ds)
+    n, v, h = len(train_ds), params.config.num_variates, params.config.horizon
     batches_per_epoch = math.ceil(n / train_cfg.batch_size)
     total_steps = train_cfg.max_epochs * batches_per_epoch
 
@@ -262,8 +271,8 @@ def fit(params: MixerParams, cfg: MixerConfig, train_ds, val_ds,
                         # The forecast is not bound, so it dies once the loss
                         # is made (no backward reads it), and the loss once
                         # its backward has run.
-                        loss = mae_loss(mixer.forward_batch(params, cfg, xs, training=True,
-                                                            rng=rng, scratch=scratch), ys)
+                        loss = mae_loss(mixer.forward_batch(params, xs, training=True, rng=rng,
+                                                            scratch=scratch), ys)
                         value = loss.item()
                         if not math.isfinite(value):
                             raise FloatingPointError(f"non-finite loss {value}")
@@ -274,11 +283,11 @@ def fit(params: MixerParams, cfg: MixerConfig, train_ds, val_ds,
                     raise FloatingPointError(f"{exc} at epoch {epoch}, batch {b}, step {flat.t}, "
                                              f"learning rate {lr:g}") from exc
                 adam_step(flat, lr)
-                epoch_abs += value * xs.shape[0] * cfg.num_variates * cfg.horizon
+                epoch_abs += value * xs.shape[0] * v * h
 
-            train_mae = epoch_abs / (n * cfg.num_variates * cfg.horizon)
+            train_mae = epoch_abs / (n * v * h)
             del scratch  # not alive beside the validation pass's own arena
-            val_mae = evaluate_mae(params, cfg, val_ds)
+            val_mae = evaluate_mae(params, val_ds)
             row = {"epoch": epoch, "train_mae": train_mae, "val_mae": val_mae,
                    "lr": lr_at_step(flat.t - 1, total_steps, train_cfg)}
             log_rows.append(row)

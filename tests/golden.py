@@ -139,12 +139,12 @@ def predict(variates, conv, blocks, kind, chunk_rows, axis=mixer.AXIS_VARIATES):
 def train_step(variates, conv, blocks, kind):
     """One step as ``fit`` takes it: (forecast, flat gradient, parameters
     after clipping and Adam)."""
-    params, cfg = model(variates, conv, blocks, DTYPES[kind], dropout=0.1)
+    params, _ = model(variates, conv, blocks, DTYPES[kind], dropout=0.1)
     with T.precision(DTYPES[kind]):
         xs, ys = dataset(8, variates).batch(np.arange(8))
         flat = training.FlatParams(params)
         with Tape() as tape:
-            pred = mixer.forward_batch(params, cfg, xs, training=True,
+            pred = mixer.forward_batch(params, xs, training=True,
                                        rng=np.random.default_rng(2), scratch=slstm.Scratch())
             tape.backward(training.mae_loss(pred, ys))
         grad = flat.grad.copy()
@@ -167,16 +167,16 @@ def fit_files(kind):
 
 def decode(conv, blocks, mix_view, kind):
     """The learned token's conditioning forecast [1, H]."""
-    params, cfg = model(7, conv, blocks, DTYPES[kind], mix_view=mix_view)
+    params, _ = model(7, conv, blocks, DTYPES[kind], mix_view=mix_view)
     with T.precision(DTYPES[kind]):
-        return mixer.decode_init_token(params, cfg).data
+        return mixer.decode_init_token(params).data
 
 
 def carves(variates, conv, blocks, axis, mix_view):
     """Digests of the (dtype, shapes) of every Scratch.carve call made by
     one eval forward_batch and by one taped training step with dropout."""
-    params, cfg = model(variates, conv, blocks, np.float32, axis, dropout=0.1,
-                        mix_view=mix_view)
+    params, _ = model(variates, conv, blocks, np.float32, axis, dropout=0.1,
+                      mix_view=mix_view)
     xs, ys = dataset(8, variates).batch(np.arange(8))
     calls, carve = [], slstm.Scratch.carve
 
@@ -186,10 +186,10 @@ def carves(variates, conv, blocks, axis, mix_view):
 
     slstm.Scratch.carve = recorded
     try:
-        mixer.forward_batch(params, cfg, xs, scratch=slstm.Scratch())
+        mixer.forward_batch(params, xs, scratch=slstm.Scratch())
         eval_calls, calls[:] = list(calls), []
         with Tape() as tape:
-            pred = mixer.forward_batch(params, cfg, xs, training=True,
+            pred = mixer.forward_batch(params, xs, training=True,
                                        rng=np.random.default_rng(2), scratch=slstm.Scratch())
             tape.backward(training.mae_loss(pred, ys))
     finally:

@@ -128,8 +128,9 @@ def test_criterion_4_ablation_wiring():
         params6 = init_mixer_params(cfg6, rng)
     x = rng.normal(0.0, 30.0, size=(3, base.lookback))
     mu = x.mean(axis=1, keepdims=True)
-    y1 = mixer.forward_batch(params6, cfg6, x[None])
-    y2 = mixer.forward_batch(params6, cfg6, (mu + 2.0 * (x - mu))[None])
+    y1 = mixer.forward_batch(params6, x[None])
+    y2 = mixer.forward_batch(params6, (mu + 2.0 * (x - mu))[None])
+    assert y1.shape == y2.shape == (1, 3, base.horizon)
     linearity = float(np.abs((y2.data - mu) - 2.0 * (y1.data - mu)).max())
     assert linearity < 1e-6, f"affine deviation {linearity:.3e}"
 

@@ -64,9 +64,13 @@ def test_kept_epoch_val_mae_is_the_reported_val_mae(tiny_csv, tmp_path):
     assert kept == best_val_mae == val[0]["mae"]
 
 
-def test_eval_reproduces_test_metrics(tiny_csv, tmp_path):
+@pytest.mark.parametrize("command", [["train"], ["ablation", "--id", "4"]],
+                         ids=["train", "ablation-4"])
+def test_eval_reproduces_test_metrics(tiny_csv, tmp_path, command):
+    # Config 4 (mix_view off) has config 1's parameter shapes, so only the
+    # config the checkpoint carries tells eval which pipeline to run.
     out = tmp_path / "run"
-    run_train(tiny_csv, out)
+    assert cli.main(command + ["--data", str(tiny_csv), "--out", str(out)] + TRAIN_ARGS) == 0
     report_path = tmp_path / "eval.jsonl"
     code = cli.main(["eval", "--checkpoint", str(out / "best"),
                      "--data", str(tiny_csv), "--dataset", "generic",

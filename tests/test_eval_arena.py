@@ -65,11 +65,11 @@ def per_batch(forward, ds, batch_size=128):
                            for lo, hi in training._eval_batches(len(ds), batch_size)])
 
 
-def taped_oracle(params, cfg, ds):
+def taped_oracle(params, ds):
     """The same batches as predict_dataset, each a forward that records a tape."""
     def forward(xs):
         with Tape():
-            return mixer.forward_batch(params, cfg, xs).data
+            return mixer.forward_batch(params, xs).data
     return per_batch(forward, ds)
 
 
@@ -105,11 +105,11 @@ class Spy:
             def allocated(self, buffer):
                 spy.made.append(buffer)
 
-        def forward_batch(params, cfg, xs, *args, scratch=None, **kwargs):
+        def forward_batch(params, xs, *, scratch=None, **kwargs):
             if scratch is not None and scratch.buffer is not None:
                 scratch.buffer.fill(NAN)
             spy.chunks.append(0)
-            out = forward(params, cfg, xs, *args, scratch=scratch, **kwargs)
+            out = forward(params, xs, scratch=scratch, **kwargs)
             spy.calls.append((scratch, out.data))
             return out
 
@@ -142,7 +142,7 @@ def test_streamed_pass_equals_the_taped_forward(conv, blocks, mix_view, init_tok
     for n in WINDOWS:
         ds = dataset(n)
         with T.precision(dtype):  # the windows in the model's dtype
-            want = taped_oracle(params, cfg, ds)
+            want = taped_oracle(params, ds)
             with monkeypatch.context() as patch:
                 spy = Spy(patch)
                 pred, _ = training.predict_dataset(params, cfg, ds, batch_size=128)
@@ -180,7 +180,7 @@ def test_a_forward_without_an_arena_equals_the_pass(monkeypatch):
     params, cfg = model(4, 2, True, True, mixer.AXIS_VARIATES, np.float32)
     ds = dataset(385)
     pred, _ = training.predict_dataset(params, cfg, ds, batch_size=128)
-    alone = per_batch(lambda xs: mixer.forward_batch(params, cfg, xs).data, ds)
+    alone = per_batch(lambda xs: mixer.forward_batch(params, xs).data, ds)
     assert alone.tobytes() == pred.tobytes()
 
 
@@ -211,7 +211,7 @@ def test_a_pass_without_a_stack_streams_its_stages(monkeypatch):
     monkeypatch.setattr(slstm, "CHUNK_ROWS", CHUNK_ROWS)
     params, cfg = model(0, 1, False, False, mixer.AXIS_NONE, np.float32)
     ds = dataset(191)
-    want = taped_oracle(params, cfg, ds)
+    want = taped_oracle(params, ds)
     spy = Spy(monkeypatch)
     normalized = []
     normalize = mixer.revin_normalize
@@ -231,7 +231,7 @@ def test_a_pass_allocates_a_second_buffer_only_for_a_larger_batch(windows, buffe
     # largest; 385 run as 128, 128 and 129, and the last batch carves more.
     params, cfg = model(4, 2, True, True, mixer.AXIS_VARIATES, np.float32)
     ds = dataset(windows)
-    want = taped_oracle(params, cfg, ds)
+    want = taped_oracle(params, ds)
     spy = Spy(monkeypatch)
     pred, _ = training.predict_dataset(params, cfg, ds, batch_size=128)
     assert pred.tobytes() == want.tobytes()
@@ -302,23 +302,23 @@ def test_a_larger_carve_replaces_the_buffer_and_earlier_arrays_keep_their_values
 POISON = list(itertools.product((0, 4), (1, 2), (0.0, 0.1)))
 
 
-def recorded_step(params, cfg, xs, target, scratch=None):
+def recorded_step(params, xs, target, scratch=None):
     """The forecast of a forward that records a tape, then every gradient."""
     leaves = [t for _, t, _ in params.named_parameters()]
     for t in leaves:
         t.zero_grad()
     with Tape() as tape:
-        pred = mixer.forward_batch(params, cfg, xs, training=True,
+        pred = mixer.forward_batch(params, xs, training=True,
                                    rng=np.random.default_rng(9), scratch=scratch)
         tape.backward(mae_loss(pred, target))
     return [pred.data] + [t.grad.copy() for t in leaves]
 
 
 def step_case(conv, blocks, dropout):
-    params, cfg = model(conv, blocks, True, True, mixer.AXIS_VARIATES, np.float32,
-                        dropout=dropout)
+    params, _ = model(conv, blocks, True, True, mixer.AXIS_VARIATES, np.float32,
+                      dropout=dropout)
     xs, ys = dataset(40).windows()
-    return params, cfg, xs[:32], ys[:32]
+    return params, xs[:32], ys[:32]
 
 
 @pytest.mark.parametrize("conv, blocks, dropout", POISON,
@@ -362,14 +362,14 @@ def test_a_forward_keeps_no_reference_to_its_arena(record, monkeypatch):
     # garbage collector runs: every pass of an evaluation loop, or epoch of
     # a fit, would otherwise pile up the buffers of its arena.
     monkeypatch.setattr(slstm, "CHUNK_ROWS", CHUNK_ROWS)
-    params, cfg, xs, target = step_case(4, 2, 0.1)
+    params, xs, target = step_case(4, 2, 0.1)
     arena = slstm.Scratch()
     gc.disable()
     try:
         if record:
-            recorded_step(params, cfg, xs, target, scratch=arena)
+            recorded_step(params, xs, target, scratch=arena)
         else:
-            mixer.forward_batch(params, cfg, xs, scratch=arena)
+            mixer.forward_batch(params, xs, scratch=arena)
         buffer = weakref.ref(arena.buffer)
         del arena
         assert buffer() is None
@@ -390,7 +390,7 @@ def test_concurrent_passes_and_a_tape_equal_the_serial_runs():
         return training.predict_dataset(params, cfg, ds, batch_size=128)[0]
 
     def record():
-        return recorded_step(params, cfg, xs, target)
+        return recorded_step(params, xs, target)
 
     rounds = 3
     serial = {"predict0": predict(sets[0]), "predict1": predict(sets[1]), "record": record()}

@@ -49,7 +49,7 @@ def model(dtype, conv, blocks, dropout, ref_dtype=None):
         w.cell.b_f.data[:] = FORGET_BIAS[dtype]
     for _, t, _ in params.named_parameters():
         t.data = t.data.astype(dtype).astype(ref_dtype or dtype)
-    return params, cfg
+    return params
 
 
 def windows(dtype):
@@ -58,13 +58,13 @@ def windows(dtype):
             rng.normal(size=(BATCH, VARIATES, HORIZON)).astype(dtype))
 
 
-def training_step(params, cfg, xs, ys, stats=None):
+def training_step(params, xs, ys, stats=None):
     """The forecast and every parameter gradient of one taped step."""
     leaves = [t for _, t, _ in params.named_parameters()]
     for t in leaves:
         t.zero_grad()
     with Tape() as tape:
-        pred = mixer.forward_batch(params, cfg, xs, training=True,
+        pred = mixer.forward_batch(params, xs, training=True,
                                    rng=np.random.default_rng(9), stabilizer=stats)
         tape.backward(training.mae_loss(pred, ys))
     return [pred.data.copy()] + [t.grad.copy() for t in leaves]
@@ -91,20 +91,20 @@ def assert_equal_or_closer(flushed, oracle, reference, names):
 @pytest.mark.parametrize("dropout", [0.0, 0.1])
 def test_flushed_training_step_matches_the_unflushed_one(dtype, conv, blocks, dropout,
                                                          unflushed):
-    params, cfg = model(dtype, conv, blocks, dropout)
+    params = model(dtype, conv, blocks, dropout)
     xs, ys = windows(dtype)
     names = ["forecast"] + [name for name, _, _ in params.named_parameters()]
     stats = slstm.StabilizerStats()
-    flushed = training_step(params, cfg, xs, ys, stats)
+    flushed = training_step(params, xs, ys, stats)
     # The case reaches the dead region, and leaves some of it alive.
     assert 0.0 < stats.flushed_entries / stats.gate_entries < 1.0
     assert stats.first_dead_token is not None
     reference = None
     if dtype == np.float32:
-        wide, _ = model(dtype, conv, blocks, dropout, ref_dtype=np.float64)
-        reference = training_step(wide, cfg, xs.astype(np.float64), ys.astype(np.float64))
+        wide = model(dtype, conv, blocks, dropout, ref_dtype=np.float64)
+        reference = training_step(wide, xs.astype(np.float64), ys.astype(np.float64))
     unflushed()
-    oracle = training_step(params, cfg, xs, ys)
+    oracle = training_step(params, xs, ys)
     assert_equal_or_closer(flushed, oracle, reference, names)
 
 
@@ -115,13 +115,13 @@ def test_flushed_eval_forward_matches_the_unflushed_one(dtype, conv, blocks, unf
                                                         monkeypatch):
     # Chunks of 3 tokens carry the state, dead steps included, across seams.
     monkeypatch.setattr(slstm, "CHUNK_ROWS", 3 * 2 * BATCH)
-    params, cfg = model(dtype, conv, blocks, 0.0)
+    params = model(dtype, conv, blocks, 0.0)
     xs, _ = windows(dtype)
     stats = slstm.StabilizerStats()
-    flushed = mixer.forward_batch(params, cfg, xs, stabilizer=stats).data
+    flushed = mixer.forward_batch(params, xs, stabilizer=stats).data
     assert stats.first_dead_token is not None
     unflushed()
-    oracle = mixer.forward_batch(params, cfg, xs).data
+    oracle = mixer.forward_batch(params, xs).data
     assert_equal_or_closer([flushed], [oracle], None, ["forecast"])
 
 
@@ -210,7 +210,7 @@ def test_decoding_the_learned_token_names_the_normalizer_underflow():
     params = mixer.init_mixer_params(cfg, np.random.default_rng(14))
     params.blocks[0].cell.b_f.data[:] = 110.0
     with pytest.raises(FloatingPointError, match="^normalizer underflow at the first token"):
-        mixer.decode_init_token(params, cfg)
+        mixer.decode_init_token(params)
 
 
 def test_first_token_is_never_flushed(unflushed):
@@ -352,17 +352,17 @@ def test_dead_steps_skip_the_cell_input_and_match_the_unflushed_path(dtype, conv
                                                                      unflushed, monkeypatch):
     # Chunks of 3 tokens: some start dead and skip z's input product.
     monkeypatch.setattr(slstm, "CHUNK_ROWS", 3 * 2 * BATCH)
-    params, cfg = model(dtype, conv, blocks, 0.0)
+    params = model(dtype, conv, blocks, 0.0)
     xs, _ = windows(dtype)
     with monkeypatch.context() as patch:
         spy = ProductSpy(patch)
-        got = mixer.forward_batch(params, cfg, xs).data
+        got = mixer.forward_batch(params, xs).data
     chunks, steps, _ = spy.skipped()
     assert chunks and steps, "no chunk or step skipped z: the comparison would be vacuous"
     unflushed()
     with monkeypatch.context() as patch:
         spy = ProductSpy(patch)
-        want = mixer.forward_batch(params, cfg, xs).data
+        want = mixer.forward_batch(params, xs).data
     # The unflushed path has no dead steps: every product of z is made.
     assert spy.skipped() == (0, 0, 0) and not any(run[4] for run in spy.runs)
     assert got.tobytes() == want.tobytes()
@@ -414,12 +414,12 @@ def test_a_chunk_that_starts_dead_and_revives_matches_the_unflushed_path(
 
 @pytest.mark.parametrize("conv", [0, 4])
 def test_a_taped_forward_never_takes_the_three_gate_path(conv, monkeypatch):
-    params, cfg = model(np.float32, conv, 2, 0.1)
+    params = model(np.float32, conv, 2, 0.1)
     xs, ys = windows(np.float32)
     stats = slstm.StabilizerStats()
     with monkeypatch.context() as patch:
         spy = ProductSpy(patch)
-        training_step(params, cfg, xs, ys, stats)
+        training_step(params, xs, ys, stats)
     assert stats.first_dead_token is not None, "the case never reaches the dead region"
     assert spy.runs and all(not dead and z_in == 1 and z_rec == steps and not three
                             for dead, steps, z_in, z_rec, three in spy.runs)

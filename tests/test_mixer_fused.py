@@ -44,7 +44,7 @@ def compare_with_reference(cfg, batch, seed, training=False):
         return np.random.default_rng(seed + 1) if training else None
 
     got, got_grads = forward_and_grads(
-        lambda: mixer.forward_batch(params, cfg, ref.windows_of(x, batch), training=training,
+        lambda: mixer.forward_batch(params, ref.windows_of(x, batch), training=training,
                                     rng=dropout_rng()),
         leaves, ref.windows_of(weights, batch))
     want, want_grads = forward_and_grads(
@@ -68,8 +68,8 @@ def test_fused_stages_match_reference(cid, batch, conv_width):
 def test_fused_stages_match_reference_training_with_dropout(cid):
     cfg = make_cfg(cid, conv_width=4, dropout=0.3, num_blocks=2)
     params, xs = compare_with_reference(cfg, 3, 50 + cid, training=True)
-    eval_out = mixer.forward_batch(params, cfg, xs)
-    train_out = mixer.forward_batch(params, cfg, xs, training=True, rng=np.random.default_rng(0))
+    eval_out = mixer.forward_batch(params, xs)
+    train_out = mixer.forward_batch(params, xs, training=True, rng=np.random.default_rng(0))
     assert not np.array_equal(train_out.data, eval_out.data)  # dropout was active
 
 
@@ -113,7 +113,7 @@ def test_forward_calls_each_stage_attribute_once(cid, training, monkeypatch):
         monkeypatch.setattr(owner, name, counted)
     xs = rng.normal(size=(2, cfg.num_variates, cfg.lookback)).astype(np.float32)
     with Tape():
-        mixer.forward_batch(params, cfg, xs, training=training, rng=rng)
+        mixer.forward_batch(params, xs, training=training, rng=rng)
     expected = {name: 1 for _, name in STAGES}
     if not cfg.mix_time:
         del expected["nlinear_forecast"]
@@ -169,7 +169,7 @@ def test_eval_forward_peak_is_a_few_outputs(monkeypatch, chunk_rows, bound):
     xs = rng.normal(size=(32, cfg.num_variates, cfg.lookback)).astype(np.float32)
     tracemalloc.start()
     try:
-        out = mixer.forward_batch(params, cfg, xs)
+        out = mixer.forward_batch(params, xs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -218,10 +218,10 @@ def test_stages_leave_read_only_inputs_untouched(owner, name, axis, record, monk
     def run():
         if not record:
             out = np.empty((40, cfg.num_variates, cfg.horizon))
-            mixer.forward_batch(params, cfg, xs, scratch=slstm.Scratch(), out=out)
+            mixer.forward_batch(params, xs, scratch=slstm.Scratch(), out=out)
             return out, []
         return forward_and_grads(
-            lambda: mixer.forward_batch(params, cfg, xs, training=True,
+            lambda: mixer.forward_batch(params, xs, training=True,
                                         rng=np.random.default_rng(1)), leaves, weights)
 
     want = run()

@@ -362,7 +362,7 @@ def training_step_nodes(num_variates, num_blocks, conv_width):
     xs = rng.normal(size=(4, num_variates, 96)).astype(np.float32)
     ys = rng.normal(size=(4, num_variates, 96)).astype(np.float32)
     with Tape() as tape:
-        pred = mixer.forward_batch(params, cfg, xs, training=True, rng=rng)
+        pred = mixer.forward_batch(params, xs, training=True, rng=rng)
         loss = training.mae_loss(pred, ys)
         nodes = len(tape)
         tape.backward(loss)

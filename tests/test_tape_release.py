@@ -29,7 +29,7 @@ def model(variates, lookback, horizon, width, heads, conv):
                             embed_dim=width, num_blocks=2,
                             block=BlockConfig(d_hidden=width, num_heads=heads, conv_width=conv,
                                               dropout_rate=0.1))
-    return mixer.init_mixer_params(cfg, np.random.default_rng(0)), cfg
+    return mixer.init_mixer_params(cfg, np.random.default_rng(0))
 
 
 def spy_on_outputs(monkeypatch):
@@ -55,14 +55,14 @@ def spy_on_outputs(monkeypatch):
 
 
 def test_outputs_no_backward_reads_die_with_the_forward(monkeypatch):
-    params, cfg = model(variates=5, lookback=8, horizon=4, width=8, heads=2, conv=2)
+    params = model(variates=5, lookback=8, horizon=4, width=8, heads=2, conv=2)
     rng = np.random.default_rng(1)
     xs = rng.normal(size=(4, 5, 8)).astype(np.float32)
     ys = rng.normal(size=(4, 5, 4)).astype(np.float32)
     outputs = spy_on_outputs(monkeypatch)
     with Tape() as tape:
         loss = training.mae_loss(
-            mixer.forward_batch(params, cfg, xs, training=True, rng=rng), ys)
+            mixer.forward_batch(params, xs, training=True, rng=rng), ys)
         alive = {name: [ref() is not None for ref in refs] for name, refs in outputs.items()}
         # Only NLinear's output (the up-projection's backward reads it) and
         # the last block's (reconciliation's backward reads it) outlive the
@@ -108,7 +108,7 @@ def test_fit_lets_each_forecast_and_loss_go_before_the_next_forward(tmp_path, mo
 def test_a_warm_step_peaks_at_the_forward_live_set_plus_one_stage():
     # The weather workload's shape: 21 variates of batch 32, two blocks with
     # conv 4, D=64, dropout; the arena is about 8 MB.
-    params, cfg = model(variates=21, lookback=96, horizon=96, width=64, heads=4, conv=4)
+    params = model(variates=21, lookback=96, horizon=96, width=64, heads=4, conv=4)
     rng = np.random.default_rng(2)
     xs = rng.normal(size=(32, 21, 96)).astype(np.float32)
     targets = rng.normal(size=(32, 21, 96)).astype(np.float32)
@@ -118,7 +118,7 @@ def test_a_warm_step_peaks_at_the_forward_live_set_plus_one_stage():
         flat.grad.fill(0)
         with Tape() as tape:
             loss = training.mae_loss(
-                mixer.forward_batch(params, cfg, xs, training=True, rng=rng, scratch=scratch),
+                mixer.forward_batch(params, xs, training=True, rng=rng, scratch=scratch),
                 targets)
             live = tracemalloc.get_traced_memory()[0] if measure else 0
             tape.backward(loss)

@@ -62,9 +62,9 @@ def test_a_forward_enters_every_stage_attribute(record, monkeypatch):
     with spans.installed(tracer, spans.targets(mixcast)):
         if record:
             with Tape():
-                mixer.forward_batch(params, cfg, xs, training=True, rng=rng)
+                mixer.forward_batch(params, xs, training=True, rng=rng)
         else:
-            mixer.forward_batch(params, cfg, xs)
+            mixer.forward_batch(params, xs)
     forwards = [s for s in tracer.spans if s[2].startswith("mixer.forward")]
     assert [s[2] for s in forwards] == ["mixer.forward_train" if record
                                         else "mixer.forward_eval"]
@@ -92,7 +92,7 @@ def test_the_tape_attributes_count_the_outputs_still_alive_at_backward_entry():
     params = mixer.init_mixer_params(cfg, rng)
     xs = rng.normal(size=(4, cfg.num_variates, cfg.lookback)).astype(np.float32)
     with Tape() as tape:
-        pred = mixer.forward_batch(params, cfg, xs, training=True, rng=rng)
+        pred = mixer.forward_batch(params, xs, training=True, rng=rng)
         loss = mae_loss(pred, np.zeros(pred.shape, np.float32))
         attrs = spans._tape_attrs((tape,), {})
         tape.backward(loss)

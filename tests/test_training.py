@@ -334,7 +334,7 @@ def test_a_plain_tensor_gets_its_gradient_under_a_tape():
     flat = FlatParams(params)
     xs, ys = make_affine_task(8).batch(np.arange(8))
     with T.Tape() as tape:
-        pred = mixer.forward_batch(params, cfg, xs, True, np.random.default_rng(1))
+        pred = mixer.forward_batch(params, xs, training=True, rng=np.random.default_rng(1))
         tape.backward(mae_loss(pred, ys))
     assert [name for name, seg in flat.segments if not flat.grad[seg].any()] == []
 
@@ -466,8 +466,8 @@ def test_fit_best_checkpoint_tracks_min_val(tmp_path):
                      seed=3)
     art = training.fit(params, cfg, ds, val, tc, tmp_path)
     assert art.best_val_mae == min(r["val_mae"] for r in art.log)
-    best, best_cfg, _ = mixer.load_checkpoint(art.best_checkpoint)
-    assert abs(training.evaluate_mae(best, best_cfg, val) - art.best_val_mae) < 1e-6
+    best, _, _ = mixer.load_checkpoint(art.best_checkpoint)
+    assert abs(training.evaluate_mae(best, val) - art.best_val_mae) < 1e-6
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -607,6 +607,27 @@ def test_fit_rejects_an_empty_dataset(tmp_path, empty):
                      none if empty == "val" else ds, TrainConfig(), tmp_path)
 
 
+def test_fit_and_predict_reject_a_cfg_the_parameters_do_not_carry(tmp_path, monkeypatch):
+    # Config 4 (mix_view off) has config 1's parameter shapes, so the pair
+    # would run: fit would validate under mix_view off and save checkpoints
+    # whose config.json says on.  Both refuse it before any work.
+    ds = make_affine_task(32)
+    params = mixer.init_mixer_params(small_config(), np.random.default_rng(0))
+    cfg4 = small_config("4")
+    shapes = [t.shape for _, t, _ in params.named_parameters()]
+    assert shapes == [t.shape for _, t, _ in
+                      mixer.init_mixer_params(cfg4, np.random.default_rng(0)).named_parameters()]
+    forwards = []
+    monkeypatch.setattr(mixer, "forward_batch", lambda *a, **k: forwards.append(a))
+    out, log = tmp_path / "run", tmp_path / "loss_log.jsonl"
+    match = "^cfg differs from params.config, MixerConfig"
+    with pytest.raises(mixer.ConfigError, match=match):
+        training.fit(params, cfg4, ds, ds, TrainConfig(max_epochs=1), out, log_path=log)
+    with pytest.raises(mixer.ConfigError, match=match):
+        training.predict_dataset(params, cfg4, ds)
+    assert list(tmp_path.iterdir()) == [] and forwards == []
+
+
 @pytest.mark.parametrize("fault,error,match", [
     ("dtype", ValueError, "^gradient is float64, the tensor's gradient float32$"),
     ("shape", ShapeError, r"^gradient has shape \(2, 1, 4\), the tensor's gradient \(1, 4\)$"),
@@ -617,11 +638,11 @@ def test_fit_rejects_a_gradient_unlike_its_parameter(tmp_path, monkeypatch, faul
     params = mixer.init_mixer_params(cfg, np.random.default_rng(0))
     original = mixer.forward_batch
 
-    def extra_gradient(params, cfg, xs, **kwargs):
+    def extra_gradient(params, xs, **kwargs):
         # An identity op that also hands view.bias a zero gradient of the
         # wrong dtype or shape; its backward runs first, against the
         # parameter's view of the flat gradient buffer.
-        out = original(params, cfg, xs, **kwargs)
+        out = original(params, xs, **kwargs)
         leaf = params.view_b
         bad = (np.zeros(leaf.shape, np.float64) if fault == "dtype"
                else np.zeros((2,) + leaf.shape, leaf.data.dtype))
@@ -702,9 +723,9 @@ def test_an_interrupted_fit_leaves_its_completed_epochs(tmp_path, monkeypatch):
     rows = [json.loads(line) for line in lines]
     assert [row["epoch"] for row in rows] == [0, 1]
 
-    best, best_cfg, _ = mixer.load_checkpoint(out / "best")
+    best, _, _ = mixer.load_checkpoint(out / "best")
     assert sorted(p.name for p in out.iterdir()) == ["best", "loss_log.jsonl"]
-    assert training.evaluate_mae(best, best_cfg, val) == min(row["val_mae"] for row in rows)
+    assert training.evaluate_mae(best, val) == min(row["val_mae"] for row in rows)
 
 
 def fit_files(out_dir, params, cfg, ds, val, seed=3):
@@ -786,13 +807,13 @@ def test_concurrent_fits_equal_the_serial_runs(tmp_path):
     assert [results[k] for k in range(3)] == serial
 
 
-def per_batch_composition(params, cfg, ds, batch_size):
+def per_batch_composition(params, ds, batch_size):
     """The plain eval loop: one forward per slice of batch_size windows, the
     last one short, concatenated; the oracle for predict_dataset."""
     preds, targets = [], []
     for lo in range(0, len(ds), batch_size):
         xs, ys = ds.batch(range(lo, min(lo + batch_size, len(ds))))
-        preds.append(mixer.forward_batch(params, cfg, xs, training=False).data)
+        preds.append(mixer.forward_batch(params, xs, training=False).data)
         targets.append(ys)
     return np.concatenate(preds), np.concatenate(targets)
 
@@ -809,7 +830,7 @@ def test_predict_dataset_equals_per_batch_composition(n, eval_task):
     params, cfg, full = eval_task
     ds = ArrayDataset(full.xs[:n], full.ys[:n])
     pred, target = training.predict_dataset(params, cfg, ds, batch_size=128)
-    want_pred, want_target = per_batch_composition(params, cfg, ds, 128)
+    want_pred, want_target = per_batch_composition(params, ds, 128)
     assert pred.flags.c_contiguous
     # The targets are the dataset's read-only window view, not a copy.
     assert np.shares_memory(target, ds.ys) and not target.flags.writeable
@@ -825,9 +846,9 @@ def test_eval_batches_are_never_under_half_a_batch(n, eval_task, monkeypatch):
     seen = []
     original = mixer.forward_batch
 
-    def spy(params, cfg, xs, *args, **kwargs):
+    def spy(params, xs, **kwargs):
         seen.append(xs)
-        return original(params, cfg, xs, *args, **kwargs)
+        return original(params, xs, **kwargs)
 
     monkeypatch.setattr(mixer, "forward_batch", spy)
     training.predict_dataset(params, cfg, ds, batch_size=128)
@@ -839,7 +860,7 @@ def test_eval_batches_are_never_under_half_a_batch(n, eval_task, monkeypatch):
     assert {385: [128, 128, 129], 191: [191], 192: [128, 64]}.get(n, sizes) == sizes
     # Validation batches the same way.
     seen.clear()
-    training.evaluate_mae(params, cfg, ds)
+    training.evaluate_mae(params, ds)
     assert [xs.shape[0] for xs in seen] == sizes
 
 
@@ -883,7 +904,7 @@ def windowed_task(windows, variates=3, lookback=12, horizon=4, seed=6):
 def test_predict_dataset_reads_the_window_cache_in_place(n, monkeypatch):
     params, cfg, ds = windowed_task(n)
     # batch() stays the oracle: the per-batch composition of gathered copies.
-    want_pred, want_target = per_batch_composition(params, cfg, ds, 128)
+    want_pred, want_target = per_batch_composition(params, ds, 128)
     before = ds.values.copy()
 
     def no_gather(self, indices):

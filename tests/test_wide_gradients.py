@@ -39,7 +39,7 @@ def step_gradients(variates, blocks, conv, dtype):
     xs, ys = (rng.normal(size=(BATCH, variates, LENGTH)).astype(np.float32).astype(dtype)
               for _ in range(2))
     with Tape() as tape:
-        pred = mixer.forward_batch(params, cfg, xs, training=True, rng=np.random.default_rng(5))
+        pred = mixer.forward_batch(params, xs, training=True, rng=np.random.default_rng(5))
         tape.backward(training.mae_loss(pred, ys))
     return {name: t.grad for name, t, _ in params.named_parameters()}
 
