@@ -186,7 +186,8 @@ def parse_report(path) -> list[dict]:
 
 def write_forecast_columns(path, history: np.ndarray, target: np.ndarray,
                            forecast: np.ndarray) -> None:
-    """One variate per file set is overkill; emit flat columns t, x, y, yhat.
+    """Write the header ``t,variate,x,y,yhat`` and one row per (variate,
+    step), variate by variate.
 
     History occupies t < 0 rows with empty y/yhat cells; the forecast horizon
     occupies t >= 0 rows with an empty x cell."""

@@ -16,7 +16,8 @@ inside it is backpropagated through time.  Every reduction a backward makes
 pass, as the forward's row statistics are (:func:`row_moments`).  Gates are
 held as slabs ``[4, rows, D]`` in the order z, o, i, f, so each gate of each
 token is a contiguous ``[B, D]`` block.  The input products are one matmul
-per gate, hoisted out of the time loop.
+per gate over a whole chunk, hoisted out of the per-token work (z's waits for
+the chunk's first live step, see below).
 
 Every run of the stack goes through a :class:`Stream`, which owns the run's
 settings (the dropout generator, the stabilizer stats, and whether it
@@ -38,7 +39,7 @@ Recurrent weight matrices are block-diagonal over heads, and only their
 diagonal blocks exist: each of ``r_z|r_i|r_f|r_o`` is stored as a
 ``[heads, d_h, d_h]`` tensor, head ``k`` mapping hidden units
 ``k*d_h .. (k+1)*d_h`` to the same units.  Every recurrent product, forward,
-backward and weight gradient, is one batched product over the heads.
+backward and weight gradient, is a batched product over the heads.
 Checkpoints that store the matrices densely are read through
 :func:`diagonal_blocks`.
 
@@ -56,17 +57,16 @@ a c that cancels towards 0, so the flush keeps outputs bit-identical in
 practice, not by construction, and the tests hold it to the unflushed path.
 A step whose every entry is flushed has i = 0 and f = 1, so it leaves c and
 n as they are, and without a tape it skips their update.  Such a dead step
-reads no z, so without a tape it neither computes nor checks z̃: the step
-after a dead one makes the o, i and f pre-activations only, and adds z̃
-only if it turns out live; a chunk that starts dead defers z's input
-product until then.  Every pre-activation a step does compute is still
+reads no z, so without a tape it neither computes nor checks z̃: every step
+makes the o, i and f pre-activations first and z̃ only once it turns out
+live, and a chunk makes z's input product at its first live step, so a
+chunk with none makes none.  Every pre-activation a step does compute is
 checked, so a non-finite z̃ on a dead step goes unreported, as it does not
 reach the output, and the outputs are those of the four-gate steps bit for
-bit.  The first token is
-never flushed: there ``n = i`` from the zero state, so a flushed gate would
-make ``h`` 0/0.  If the first token's gate underflows by itself (f̃ − ĩ
-beyond about 104 in float32), the run stops with a ``FloatingPointError``
-that names the normalizer.
+bit.  The first token is never flushed: there ``n = i`` from the zero
+state, so a flushed gate would make ``h`` 0/0.  If the first token's gate
+underflows by itself (f̃ − ĩ beyond about 104 in float32), the run stops
+with a ``FloatingPointError`` that names the normalizer.
 
 The input-gate bias ``b_i`` has no effect on the output: from the zero state
 a per-unit constant added to the input-gate pre-activation scales ``c`` and
@@ -319,14 +319,14 @@ class _BlockChunks:
     records (else empty).  The cell's weights are gathered once: the
     transposed input weights, the biases, and the transposed head blocks of
     the recurrent matrices stacked as [4, H, d_h, d_h], so each step of
-    :meth:`run` makes one product per head, straight into the
-    recurrent-product slab.
+    :meth:`run` makes its o, i and f products in one batched product over
+    the heads, and z's in another, straight into the recurrent-product slab.
 
     Across a seam it carries the recurrence from the zero state, in the step
     slab [9, B, D] (the recurrent products ``rec``, a temporary ``tmp`` and
-    the state h, c, n, m) and ``dead``; its normed rows, in ``ring`` after a
-    ``tail`` of the previous chunk's last conv_width - 1 normed tokens, which
-    the taps read across the seam; and ``done``, the rows run, of ``rows``.
+    the state h, c, n, m); its normed rows, in ``ring`` after a ``tail`` of
+    the previous chunk's last conv_width - 1 normed tokens, which the taps
+    read across the seam; and ``done``, the rows run, of ``rows``.
     """
 
     def __init__(self, w: BlockWeights, batch: int, kernel, keep_p: float, rng,
@@ -336,7 +336,7 @@ class _BlockChunks:
         self.pre, self.inv_std, self.hs, *rest = buffers
         self.x_if = rest.pop(0) if kernel is not None else None
         self.mask = rest.pop(0) if rng is not None else None
-        self.history, self.ring, self.done, self.dead = rest, ring, 0, False
+        self.history, self.ring, self.done = rest, ring, 0
         p, self.heads = w.cell, w.cell.num_heads
         self.w_in = [np.ascontiguousarray(getattr(p, "w_" + gate).data.T) for gate in _GATES]
         self.b = [getattr(p, "b_" + gate).data for gate in _GATES]
@@ -350,71 +350,64 @@ class _BlockChunks:
         step[5:].fill(0.0)
         self.h, self.c, self.n, self.m = step[5:]
 
-    def _cell_input(self, x: np.ndarray, h: np.ndarray, now: slice, deferred: bool) -> None:
+    def _cell_input(self, x: np.ndarray, h_heads: np.ndarray, now: slice, first: bool) -> None:
         """z̃ of the step at rows ``now`` into the recurrent-product slab, from
-        the previous step's h; first z's input product for the whole chunk x,
-        with the call shape of the other gates', if its chunk ``deferred`` it."""
+        the per-head view of the previous step's h; if ``first`` (no earlier
+        step of the chunk made z̃), z's input product for the whole chunk x
+        before it, with the call shape of the other gates'."""
         pre = self.pre[0, :x.shape[0]]
-        if deferred:
+        if first:
             np.matmul(x, self.w_in[0], out=pre)
             pre += self.b[0]
-        np.matmul(_per_head(h, self.heads), self.r[0], out=_per_head(self.rec[0], self.heads))
+        np.matmul(h_heads, self.r[0], out=_per_head(self.rec[0], self.heads))
         self.rec[0] += pre[now]
 
     def run(self, x: np.ndarray, x_if: np.ndarray, hs: np.ndarray, cells=()) -> None:
         """Fold the cell over the rows of x into hs.
 
         x feeds the cell-input and output gates, x_if the exponential input
-        and forget gates.  The input products fill the pre-activation slab
-        before the loop, one matmul per gate straight into its contiguous
-        slab, so a single B = 1 token takes the same BLAS path as a per-step
-        cell.  Each step adds them to its recurrent product in a contiguous
-        [4, B, D] slab and runs in-place ufuncs there.  With ``cells``
-        (the rows' cell and normalizer arrays) each token's gates overwrite
-        its pre-activations once they are read, and its c and n go to its
-        rows, so the pre-activation slab and ``cells`` are the history the
-        backward reads; without it the gates overwrite the step's slab and
-        c, n are updated in place.  The input gate is flushed as the module
-        docstring says, from the recurrence's second token on.  The rows
-        start at token ``done // batch``; the caller advances ``done``.
+        and forget gates.  The input products of o, i and f fill the
+        pre-activation slab before the loop, one matmul per gate straight
+        into its contiguous slab, so a single B = 1 token takes the same BLAS
+        path as a per-step cell.  Each step adds them to its recurrent
+        products in a contiguous [4, B, D] slab and runs in-place ufuncs
+        there.  With ``cells`` (the rows' cell and normalizer arrays) each
+        token's gates overwrite its pre-activations once they are read, and
+        its c and n go to its rows, so the pre-activation slab and ``cells``
+        are the history the backward reads; without it the gates overwrite
+        the step's slab and c, n are updated in place.  The input gate is
+        flushed as the module docstring says, from the recurrence's second
+        token on.  The rows start at token ``done // batch``; the caller
+        advances ``done``.
 
-        Without a tape, a step after a dead one makes the recurrent products,
-        the pre-activations and their finite check for o, i and f only, and a
-        chunk that starts dead defers z's input product.  If the step turns
-        out live, z's recurrent part is added then, after the chunk's input
-        product if it was deferred.
+        Every step makes o, i and f first, one batched product over the
+        heads, and checks them; then m, i and the flush.  Only a live step
+        goes on to z̃, whose input product the chunk's first live step makes
+        for the whole chunk.  Without a tape a step may be dead, and then it
+        makes no z̃.
         """
         rows, batch, stats, tmp, m = x.shape[0], self.batch, self.stats, self.tmp, self.m
-        pre, dead = self.pre[:, :rows], self.dead
-        deferred = dead
-        for k, src in enumerate((x, x, x_if, x_if)):
-            if k or not deferred:
-                np.matmul(src, self.w_in[k], out=pre[k])
-                pre[k] += self.b[k]
-        heads, r, floor, start = self.heads, self.r, self.floor, self.done // batch
-        rec, rec_heads = self.rec, _per_head(self.rec, heads)
-        rec_zo, rec_o, i_tilde, f_tilde = rec[:2], rec[1], rec[2], rec[3]
-        r_oif, rec_oif, rec_heads_oif = r[1:], rec[1:], rec_heads[1:]
-        h, c, n = self.h, self.c, self.n
+        pre = self.pre[:, :rows]
+        for k, src in enumerate((x, x_if, x_if), 1):
+            np.matmul(src, self.w_in[k], out=pre[k])
+            pre[k] += self.b[k]
+        heads, r_oif, floor, start = self.heads, self.r[1:], self.floor, self.done // batch
+        rec = self.rec
+        rec_oif, rec_heads_oif = rec[1:], _per_head(rec, heads)[1:]
+        z_tilde, rec_zo, rec_o, i_tilde, f_tilde = rec[0], rec[:2], rec[1], rec[2], rec[3]
+        h, c, n, first = self.h, self.c, self.n, True
         z, o, i, f = act = rec
         act_zo, act_if = act[:2], act[2:]
         with np.errstate(divide="ignore"):
             for lo in range(0, rows, batch):
                 now, token = slice(lo, lo + batch), start + lo // batch
-                c_prev, n_prev, after_dead = c, n, dead
-                if after_dead:
-                    # Most likely dead too: z̃ waits until the step is live.
-                    np.matmul(_per_head(h, heads), r_oif, out=rec_heads_oif)
-                    rec_oif += pre[1:, now]
-                    if not np.isfinite(rec_oif).all():
-                        # Named as a step of all four gates would name it.
-                        self._cell_input(x, h, now, deferred)
-                        _raise_nonfinite(rec)
-                else:
-                    np.matmul(_per_head(h, heads), r, out=rec_heads)
-                    rec += pre[:, now]
-                    if not np.isfinite(rec).all():
-                        _raise_nonfinite(rec)
+                c_prev, n_prev, h_heads = c, n, _per_head(h, heads)
+                np.matmul(h_heads, r_oif, out=rec_heads_oif)
+                rec_oif += pre[1:, now]
+                if not np.isfinite(rec_oif).all():
+                    # Named as a step of all four gates would name it.
+                    self._cell_input(x, h_heads, now, first)
+                    _raise_nonfinite(rec)
                 if cells:
                     act, c, n = pre[:, now], cells[0][now], cells[1][now]
                     z, o, i, f = act
@@ -429,11 +422,11 @@ class _BlockChunks:
                 # without a history to write, c and n stay as they are.
                 flush = token and i.min() < floor
                 dead = flush and not cells and i.max() < floor
-                if after_dead and not dead:
-                    self._cell_input(x, h, now, deferred)
-                    deferred = False
+                if not dead:
+                    self._cell_input(x, h_heads, now, first)
+                    first = False
                     # o, i and f are finite, so only z̃ can fail the check.
-                    if not np.isfinite(z).all():
+                    if not np.isfinite(z_tilde).all():
                         _raise_nonfinite(rec)
                 flushed = i.size if dead else 0
                 if flush and not dead:
@@ -468,7 +461,7 @@ class _BlockChunks:
         # The next chunk starts from this state.  h is copied out of hs,
         # which the next block of a stream overwrites.
         np.copyto(self.h, h)
-        self.c, self.n, self.dead = c, n, dead
+        self.c, self.n = c, n
 
 
 def _recurrence_backward(p: SLstmParams, d_hs: np.ndarray, hs: np.ndarray, history,

@@ -10,8 +10,9 @@ it (``co_lines``).  Code that a test runs in a subprocess is not seen, so its
 lines are listed too.  Extra arguments go to pytest; the exit code is
 pytest's.  Standard library only: no coverage package is needed.
 
-This is a by-hand tool, not a Tier-1 test: the tracer slows the suite
-several times over.
+It is not a Tier-1 test, as the tracer slows the suite several times over.
+CI runs it as a step of its own, which fails when it lists any line but
+``cli.py``'s ``sys.exit(main())``, which no test runs in-process.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ so a few dozen tokens reach the region where the input gate dies.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -230,12 +231,12 @@ def test_first_token_is_never_flushed(unflushed):
 SPIKE = 16
 
 
-def spiked_cell(gates, live=False):
+def spiked_cell(gates, live=False, at=SPIKE):
     """A float32 cell with the raised forget bias, over 20 tokens of zero
-    rows but at token SPIKE, where feature 0 is 3e38: the input weights of
+    rows but at token ``at``, where feature 0 is 3e38: the input weights of
     ``gates`` read it at 10, beyond float32's largest value, and the other
     gates at 0.  The input gate is dead from about token 9 on; with ``live``
-    feature 1 lifts ĩ far above the stabilizer at SPIKE, so that step is
+    feature 1 lifts ĩ far above the stabilizer at ``at``, so that step is
     live."""
     p = random_cell(np.random.default_rng(31), dtype=np.float32)
     p.b_f.data[:] = FORGET_BIAS[np.float32]
@@ -245,8 +246,8 @@ def spiked_cell(gates, live=False):
         weight[:, 0] = 10.0 if gate in gates else 0.0
     p.w_i.data[:, 1] = 1.0
     xs = np.zeros((20, 4), np.float32)
-    xs[SPIKE, 0] = 3e38
-    xs[SPIKE, 1] = 1e3 if live else 0.0
+    xs[at, 0] = 3e38
+    xs[at, 1] = 1e3 if live else 0.0
     return p, xs
 
 
@@ -292,13 +293,38 @@ def test_an_infinite_cell_input_is_named_on_a_step_that_revives_only(unflushed):
     assert nonfinite_gate(p, xs) == "non-finite pre-activation in cell-input gate"
 
 
+def test_an_infinite_cell_input_on_the_first_dead_step_goes_unreported():
+    # The first dead step after live ones makes no z̃ either: the spike
+    # there reaches no check, and the step leaves the output finite.
+    p, xs = spiked_cell("z")
+    stats = slstm.StabilizerStats()
+    run_sequence(p, xs[:SPIKE], stats)
+    first = stats.first_dead_token
+    assert first is not None and first < SPIKE, "the case never reaches the dead region"
+    p, xs = spiked_cell("z", at=first)
+    stats = slstm.StabilizerStats()
+    with np.errstate(over="ignore"):
+        assert np.isfinite(run_sequence(p, xs, stats)).all()
+    assert stats.first_dead_token == first
+
+
+@dataclass
+class Run:
+    """One run of a recurrence as :class:`ProductSpy` reads it."""
+
+    steps: int
+    dead: int = 0          # steps whose every input-gate entry was flushed
+    z_input: int = 0       # z's input products (one per chunk that makes z̃)
+    z_recurrent: int = 0   # products into z's recurrent slab (one per z̃)
+    oif: int = 0           # products of the o, i and f gates (one per step)
+    oif_before_z: int | None = None  # o, i, f products before the first of z
+
+
 class ProductSpy:
-    """Reads off the matmuls of ``slstm``, per run of a recurrence, how many
-    steps it ran, how many of z's input products it made (one per chunk,
-    unless the chunk skipped it), how many products reached z's recurrent
-    slab (one per step, unless the step skipped it) and how many products
-    of the o, i and f gates alone it made.  ``runs`` holds one
-    [started dead, steps, z input, z recurrent, three-gate] list per run."""
+    """Reads off the matmuls of ``slstm`` and the stabilizer counts, per run
+    of a recurrence, into one :class:`Run` each in ``runs``.  A run counts
+    its dead steps only if it is given ``stats``; under a tape a step whose
+    every entry is flushed counts as dead, though the run does not skip it."""
 
     def __init__(self, monkeypatch):
         self.runs, self.cell = [], None
@@ -313,36 +339,52 @@ class ProductSpy:
                 spy.product(out)
                 return np.matmul(a, b, out=out)
 
-        run = slstm._BlockChunks.run
+        run, count_flushed = slstm._BlockChunks.run, slstm.StabilizerStats.count_flushed
 
         def spied(cell, x, x_if, hs, cells=()):
             self.cell = cell
-            self.runs.append([cell.dead, x.shape[0] // cell.batch, 0, 0, 0])
+            self.runs.append(Run(x.shape[0] // cell.batch))
             try:
                 return run(cell, x, x_if, hs, cells)
             finally:
                 self.cell = None
 
+        def counted(stats, token, entries, flushed):
+            if self.cell is not None and flushed == entries:
+                self.runs[-1].dead += 1
+            return count_flushed(stats, token, entries, flushed)
+
         monkeypatch.setattr(slstm, "np", Numpy())
         monkeypatch.setattr(slstm._BlockChunks, "run", spied)
+        monkeypatch.setattr(slstm.StabilizerStats, "count_flushed", counted)
 
     def product(self, out):
-        cell, counts = self.cell, self.runs[-1] if self.runs else None
+        cell = self.cell
         if cell is None or out is None:
             return
+        counts = self.runs[-1]
+        if np.may_share_memory(out, cell.rec[1:]):
+            counts.oif += 1
+            return
         if np.may_share_memory(out, cell.pre[0]):
-            counts[2] += 1
+            counts.z_input += 1
         elif np.may_share_memory(out, cell.rec[0]):
-            counts[3] += 1
-        elif np.may_share_memory(out, cell.rec[1:]):
-            counts[4] += 1
+            counts.z_recurrent += 1
+        else:
+            return
+        if counts.oif_before_z is None:
+            counts.oif_before_z = counts.oif
 
-    def skipped(self):
-        """(chunks that skipped z's input product, steps that skipped z's
-        recurrent product, chunks that started dead and then computed z)."""
-        return (sum(not z_in for _, _, z_in, _, _ in self.runs),
-                sum(steps - z_rec for _, steps, _, z_rec, _ in self.runs),
-                sum(bool(dead and z_in) for dead, _, z_in, _, _ in self.runs))
+
+def assert_z_is_made_on_the_live_steps_only(spy):
+    """Every step made one o, i and f product; z's recurrent product was
+    skipped on exactly the dead steps, and its input product in exactly the
+    chunks with no live step."""
+    assert spy.runs
+    for run in spy.runs:
+        assert run.oif == run.steps
+        assert run.z_recurrent == run.steps - run.dead
+        assert run.z_input == (run.dead < run.steps)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -350,21 +392,23 @@ class ProductSpy:
 @pytest.mark.parametrize("blocks", [1, 2])
 def test_dead_steps_skip_the_cell_input_and_match_the_unflushed_path(dtype, conv, blocks,
                                                                      unflushed, monkeypatch):
-    # Chunks of 3 tokens: some start dead and skip z's input product.
+    # Chunks of 3 tokens: some are dead throughout and skip z's input product.
     monkeypatch.setattr(slstm, "CHUNK_ROWS", 3 * 2 * BATCH)
     params = model(dtype, conv, blocks, 0.0)
     xs, _ = windows(dtype)
     with monkeypatch.context() as patch:
         spy = ProductSpy(patch)
-        got = mixer.forward_batch(params, xs).data
-    chunks, steps, _ = spy.skipped()
-    assert chunks and steps, "no chunk or step skipped z: the comparison would be vacuous"
+        got = mixer.forward_batch(params, xs, stabilizer=slstm.StabilizerStats()).data
+    assert_z_is_made_on_the_live_steps_only(spy)
+    assert any(not run.z_input for run in spy.runs) and any(run.dead for run in spy.runs), \
+        "no chunk or step skipped z: the comparison would be vacuous"
     unflushed()
     with monkeypatch.context() as patch:
         spy = ProductSpy(patch)
-        want = mixer.forward_batch(params, xs).data
+        want = mixer.forward_batch(params, xs, stabilizer=slstm.StabilizerStats()).data
     # The unflushed path has no dead steps: every product of z is made.
-    assert spy.skipped() == (0, 0, 0) and not any(run[4] for run in spy.runs)
+    assert_z_is_made_on_the_live_steps_only(spy)
+    assert not any(run.dead for run in spy.runs)
     assert got.tobytes() == want.tobytes()
 
 
@@ -390,7 +434,8 @@ def revival_stream(dtype, chunk_tokens, tokens=20, batch=2):
     x[[10, 12], :, 0] += 2.0
     x = x.reshape(-1, WIDTH).astype(dtype)
     rows, chunk = x.shape[0], chunk_tokens * batch
-    stream = slstm.Stream(cfg, [w], batch, rows, chunk, slstm.Scratch(), dtype)
+    stream = slstm.Stream(cfg, [w], batch, rows, chunk, slstm.Scratch(), dtype,
+                          stats=slstm.StabilizerStats())
     return np.concatenate([slstm._stack_tokens(stream, Tensor(x[lo:lo + chunk], dtype=dtype)).data
                            for lo in range(0, rows, chunk)])
 
@@ -402,18 +447,22 @@ def test_a_chunk_that_starts_dead_and_revives_matches_the_unflushed_path(
     with monkeypatch.context() as patch:
         spy = ProductSpy(patch)
         got = revival_stream(dtype, chunk_tokens)
-    _, steps, revived = spy.skipped()
-    assert steps, "no step skipped z"
-    # Chunks of 4 tokens: [8, 12) starts dead and revives at token 10, and
-    # [12, 16) at its first token.
-    assert revived == (2 if chunk_tokens == 4 else 0)
+    assert_z_is_made_on_the_live_steps_only(spy)
+    assert any(run.dead for run in spy.runs), "no step skipped z"
+    # A chunk that starts dead and revives makes its first z product after
+    # its first step: more than one o, i and f product comes before it.
+    # Chunks of 4 tokens: [8, 12) starts dead and revives at token 10,
+    # [12, 16) starts live at its spike token, and [16, 20) is dead
+    # throughout, so it makes no z product.
+    assert [run.oif_before_z for run in spy.runs] == (
+        [1, 1, 3, 1, None] if chunk_tokens == 4 else [1])
     unflushed()
     want = revival_stream(dtype, chunk_tokens)
     assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("conv", [0, 4])
-def test_a_taped_forward_never_takes_the_three_gate_path(conv, monkeypatch):
+def test_a_taped_forward_makes_the_cell_input_on_every_step(conv, monkeypatch):
     params = model(np.float32, conv, 2, 0.1)
     xs, ys = windows(np.float32)
     stats = slstm.StabilizerStats()
@@ -421,5 +470,6 @@ def test_a_taped_forward_never_takes_the_three_gate_path(conv, monkeypatch):
         spy = ProductSpy(patch)
         training_step(params, xs, ys, stats)
     assert stats.first_dead_token is not None, "the case never reaches the dead region"
-    assert spy.runs and all(not dead and z_in == 1 and z_rec == steps and not three
-                            for dead, steps, z_in, z_rec, three in spy.runs)
+    assert any(run.dead for run in spy.runs)
+    assert spy.runs and all(run.z_input == 1 and run.z_recurrent == run.oif == run.steps
+                            for run in spy.runs)
